@@ -192,8 +192,6 @@ class LeedCluster:
                 client.rpc.coalesce = True
                 client.rpc.coalesce_limit = getattr(
                     config.options, "rpc_coalesce_limit", 8)
-                client.rpc.qp.enable_fast_rx()
-                client.rpc.enable_fast_dispatch()
             self.clients.append(client)
             self.control_plane.subscribe(client.address)
             self.metrics.register_histogram(

@@ -229,6 +229,13 @@ class Compactor:
             self.stats.value_rounds += 1
             self.stats.value_bytes_reclaimed += reclaimed
             return reclaimed
+        except LogFullError:
+            # An owner's key log had no room for a repointed segment.
+            # Fail soft: everything committed so far stays (the head
+            # only ever advanced past fully relocated batches) and the
+            # next maintenance poll retries once the key log has room.
+            self.store.stats.compaction_aborted += 1
+            return 0
         finally:
             self.stats.busy_time_us += self.sim.now - started
             self._value_round_active = False
@@ -292,10 +299,26 @@ class Compactor:
             yield from self._relocate_groups(group_items)
             return
         shares = [group_items[i::workers] for i in range(workers)]
-        processes = [self.sim.process(self._relocate_groups(share),
-                                      name=store.name + ".vcompact.w")
-                     for share in shares if share]
+        processes = [
+            self.sim.process(self._guarded(self._relocate_groups(share)),
+                             name=store.name + ".vcompact.w")
+            for share in shares if share]
+        # Let every worker finish (none may still hold a segment lock
+        # or be mid-append when the round is abandoned), then surface
+        # the first failure.
         yield self.sim.all_of(processes)
+        for process in processes:
+            if process.value is not None:
+                raise process.value
+
+    @staticmethod
+    def _guarded(generator):
+        """Generator: run ``generator``; return its LogFullError, if any."""
+        try:
+            yield from generator
+        except LogFullError as exc:
+            return exc
+        return None
 
     def _relocate_groups(self, group_items):
 
@@ -327,10 +350,7 @@ class Compactor:
                     home_log = owner_store.value_log
                     new_entry = pack_value_entry(seg_id, key, value,
                                                  owner_id=owner)
-                    try:
-                        new_offset = yield from home_log.append_bytes(new_entry)
-                    except LogFullError:
-                        continue  # leave in place; next round retries
+                    new_offset = yield from home_log.append_bytes(new_entry)
                     item.voffset = new_offset
                     if item.ssd_id != owner_store.store_id:
                         self.stats.values_merged_home += 1

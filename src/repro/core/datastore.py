@@ -96,6 +96,9 @@ class StoreStats:
     get_retries: int = 0
     key_log_garbage_bytes: int = 0
     value_garbage_bytes: int = 0
+    #: Compaction rounds abandoned because a re-append found its log
+    #: full; the next maintenance poll retries.
+    compaction_aborted: int = 0
     ssd_time_us: float = 0.0
     cpu_time_us: float = 0.0
     op_latency_us: Dict[str, float] = field(default_factory=lambda: {
@@ -163,6 +166,10 @@ class LeedDataStore:
         #: unpack a private copy.  Device timing is still charged in
         #: full on a hit; only the decode compute is skipped.
         self._seg_cache: Dict[int, tuple] = {}
+        #: Serve untraced :meth:`get` calls through the analytic
+        #: :meth:`get_at` (``LeedOptions.fast_datapath``; needs a bound
+        #: core).  Off: the stage-per-yield reference GET.
+        self.fused_get = False
 
     #: Bound on the decoded-segment cache (entries, not bytes).
     SEG_CACHE_MAX = 8192
@@ -235,8 +242,7 @@ class LeedDataStore:
         ``trace`` (a :class:`repro.obs.spans.TraceContext`) attributes
         the device accesses to the request's trace.
         """
-        if (trace is None and self.core is not None
-                and self.core.fast_path and self.ssd.fast_path):
+        if trace is None and self.fused_get:
             return (yield from self._get_fused(key))
         start = self.sim.now
         cpu_us = ssd_us = 0.0

@@ -99,12 +99,11 @@ class LeedOptions:
     maintenance_poll_us: float = 500.0
     #: Heartbeat period, µs.
     heartbeat_period_us: float = 50_000.0
-    #: Batched datapath (docs/performance.md).  ``fast_datapath``
-    #: switches CPU cores and SSD channels to analytic fast paths,
-    #: delivers NIC traffic without the rx-queue hop, runs client flow
-    #: rounds inline, issues client calls via callbacks, and coalesces
-    #: same-destination SENDs.  Default off: the one-event-per-step
-    #: schedule (and its digests) stays byte-identical.
+    #: The figure-moving half of the batched datapath
+    #: (docs/performance.md): fused GETs with direct engine admission,
+    #: inline client flow rounds, callback client calls and
+    #: same-destination SEND coalescing.  Default off: paper figures
+    #: come from the reference pipeline.
     fast_datapath: bool = False
     #: Commands the partition engine may drain per scheduler wakeup;
     #: runs of >= 2 GETs execute through the store's vectored
@@ -296,15 +295,12 @@ class JBOFNode:
         self._spawn_background()
 
     def _enable_fast_datapath(self) -> None:
-        """Server half of the ``fast_datapath`` knob (docs/performance.md)."""
-        for core in self.cpu.cores:
-            core.fast_path = True
-        for ssd in self.ssds:
-            ssd.fast_path = True
+        """Server half of the ``fast_datapath`` knob (docs/performance.md):
+        synchronous KV dispatch, direct engine admission and fused GETs
+        (stores get ``fused_get`` in :meth:`_make_vnode`, which also
+        covers vnodes provisioned later)."""
         for runtime in self.vnodes.values():
             runtime.engine.direct_admit = True
-        self.rpc.qp.enable_fast_rx()
-        self.rpc.enable_fast_dispatch()
         self.rpc.register_raw_sync("kv", self._handle_kv_fast)
 
     # -- construction -------------------------------------------------------------
@@ -339,6 +335,7 @@ class JBOFNode:
             core=self.storage_core_for(store_id),
             name=vnode_id,
             store_id=store_id)
+        store.fused_get = self.options.fast_datapath
         engine = PartitionIOEngine(
             self.sim, store,
             token_capacity=self.options.token_capacity,

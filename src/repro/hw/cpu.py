@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sim.core import Simulator
-from repro.sim.resources import Resource
 
 
 class Core:
@@ -27,16 +26,14 @@ class Core:
         self.freq_ghz = float(freq_ghz)
         self.core_id = int(core_id)
         self.name = "%s%d" % (name, core_id)
-        self._unit = Resource(sim, capacity=1, name=self.name)
         self.cycles_executed = 0
         self.busy_time_us = 0.0
-        #: Analytic fast path (``LeedOptions.fast_datapath``): work
-        #: reserves a slice of the future-reservation calendar instead
-        #: of queueing on the Resource, saving the grant event per work
-        #: item.  Timing is identical for serial work; concurrent items
-        #: backfill the gaps a pipelined request leaves between its CPU
-        #: stages (see :meth:`_reserve`).
-        self.fast_path = False
+        #: Work reserves a slice of the reservation calendar and sleeps
+        #: until the slice ends — one timeout per work item.  Work
+        #: submitted at ``now`` (:meth:`execute`) is served FCFS, as a
+        #: single-server queue would; fused callers that reserve at
+        #: future instants (:meth:`charge_at`) leave gaps that
+        #: concurrent items backfill (see :meth:`_reserve`).
         self._free_at = 0.0
         #: Future reserved slices ``(start, end)``, sorted by start.
         self._reserved: List[Tuple[float, float]] = []
@@ -79,20 +76,13 @@ class Core:
         if cycles < 0:
             raise ValueError("negative cycle count")
         duration = self.us_for_cycles(cycles)
-        if self.fast_path:
-            start = self._reserve(self.sim.now, duration)
-            self.cycles_executed += cycles
-            self.busy_time_us += duration
-            yield self.sim.timeout(start + duration - self.sim.now)
-            return
-        yield self._unit.acquire()
-        yield self.sim.timeout(duration)
-        self._unit.release()
+        start = self._reserve(self.sim.now, duration)
+        yield self.sim.timeout_at(start + duration)
         self.cycles_executed += cycles
         self.busy_time_us += duration
 
     def charge_at(self, cycles: int, at: float) -> float:
-        """Analytic charge (fast datapath): returns the completion time.
+        """Analytic charge: returns the completion time.
 
         Reserves ``cycles`` of work starting no earlier than ``at``
         (>= now) on the reservation calendar, without yielding — fused
@@ -106,28 +96,17 @@ class Core:
 
     def execute_us(self, duration_us: float):
         """Generator: occupy the core for a wall-time duration."""
-        if self.fast_path:
-            start = self._reserve(self.sim.now, duration_us)
-            self.cycles_executed += int(duration_us * self.freq_ghz * 1e3)
-            self.busy_time_us += duration_us
-            yield self.sim.timeout(start + duration_us - self.sim.now)
-            return
-        yield self._unit.acquire()
-        yield self.sim.timeout(duration_us)
-        self._unit.release()
+        start = self._reserve(self.sim.now, duration_us)
+        yield self.sim.timeout_at(start + duration_us)
         self.cycles_executed += int(duration_us * self.freq_ghz * 1e3)
         self.busy_time_us += duration_us
 
     @property
     def busy(self) -> bool:
-        return self._unit.in_use > 0 or self._free_at > self.sim.now
-
-    @property
-    def queue_length(self) -> int:
-        return self._unit.queue_length
+        return self._free_at > self.sim.now
 
     def backlog_us(self) -> float:
-        """Reserved-but-unfinished work on the fast-path horizon."""
+        """Time until the last reserved slice on the calendar ends."""
         return max(self._free_at - self.sim.now, 0.0)
 
     def utilization(self) -> float:
@@ -159,9 +138,8 @@ class CpuComplex:
         return self.cores[index]
 
     def least_loaded(self) -> Core:
-        """Core with the shortest queue (for work placement)."""
-        return min(self.cores,
-                   key=lambda c: (c.queue_length, c.busy, c.backlog_us()))
+        """Core with the least reserved work (for work placement)."""
+        return min(self.cores, key=Core.backlog_us)
 
     def total_cycles(self) -> int:
         return sum(core.cycles_executed for core in self.cores)

@@ -7,15 +7,14 @@ on (§2.3, §3.2.1):
 * sequential writes that are individually quick (SLC buffer) but
   bandwidth-limited in aggregate — the read/write bandwidth
   discrepancy that makes write overload a first-class problem;
-* a bounded submission queue depth, beyond which submissions wait —
-  the signal the intra-JBOF token engine converts into tokens.
+* a bounded number of flash channels, beyond which submissions wait
+  FCFS for the earliest channel to free.
 
-Each I/O is processed as::
-
-    wait for a queue-depth slot
-    wait for a free flash channel        (parallelism limit)
-    hold the channel for service time    (base latency + transfer)
-    release; complete
+Channel admission is analytic: a heap of per-channel busy-until times
+gives each I/O its start (``max(submit, earliest free channel)``) and
+completion at submission, so an I/O costs one timeout event.  This is
+the textbook FCFS k-server recurrence — exactly the schedule a
+``channels``-slot FIFO resource produces (tests/test_hw.py checks it).
 
 Service times come from a :class:`SSDProfile` and carry lognormal-ish
 jitter via a named RNG stream, reproducing the "varied unpredictably"
@@ -26,11 +25,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.hw.flash import FlashArray
 from repro.sim.core import Simulator
-from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 
@@ -51,8 +49,6 @@ class SSDProfile:
     block_size: int = 512
     #: Parallel flash channels (concurrent in-service I/Os).
     channels: int = 24
-    #: Hardware queue depth per device.
-    queue_depth: int = 128
     #: Fixed read latency before data transfer, microseconds.
     read_base_us: float = 55.0
     #: Fixed write latency (SLC buffer program), microseconds.
@@ -97,7 +93,6 @@ SDCARD_PROFILE = SSDProfile(
     capacity_bytes=32 * 10**9,
     block_size=4096,
     channels=1,
-    queue_depth=8,
     read_base_us=700.0,
     write_base_us=220.0,
     read_bw_bpus=80.0,   # 80 MB/s
@@ -151,19 +146,12 @@ class NVMeSSD:
                 **self.profile.__dict__, "capacity_bytes": capacity_bytes})
         self.name = name
         self.flash = FlashArray(self.profile.capacity_bytes, self.profile.block_size)
-        self._queue_slots = Resource(sim, self.profile.queue_depth, name + ".qd")
-        self._channels = Resource(sim, self.profile.channels, name + ".chan")
         self._rng = (rng or RngRegistry()).stream("ssd/" + name)
         self.stats = SSDStats()
         # Aggregate write-bandwidth pacing: sustained writes cannot exceed
         # profile.write_bw_bpus even when channels are free.
         self._write_drain_free_at = 0.0
-        #: Analytic channel fast path (``LeedOptions.fast_datapath``):
-        #: channel admission is computed from a heap of busy-until
-        #: times instead of two Resource grants per I/O, so each I/O
-        #: costs a single timeout event.  Service times, jitter draws
-        #: and statistics are identical to the Resource-based path.
-        self.fast_path = False
+        #: Heap of busy-until times, one entry per occupied channel.
         self._chan_busy: list = []
 
     # -- properties ----------------------------------------------------------
@@ -176,70 +164,42 @@ class NVMeSSD:
     def capacity_bytes(self) -> int:
         return self.profile.capacity_bytes
 
-    @property
-    def inflight(self) -> int:
-        """I/Os admitted to the device and not yet completed."""
-        return self._queue_slots.in_use
-
-    @property
-    def queue_available(self) -> int:
-        """Free submission-queue slots — the raw token signal (§3.4)."""
-        return self._queue_slots.available
-
     def _jittered(self, mean_us: float) -> float:
         j = self.profile.jitter
         if j <= 0:
             return mean_us
         return mean_us * self._rng.uniform(1.0 - j, 1.0 + j)
 
-    def _fast_admit(self, service_us: float) -> Tuple[float, float]:
+    def _admit(self, service_us: float) -> Tuple[float, float]:
         """Analytic channel admission: returns ``(start, done)`` times.
 
         Expired busy-until entries are pruned; when all channels are
-        busy the I/O starts when the earliest one frees — the same
-        FCFS order the channel Resource produces.
+        busy the I/O starts when the earliest one frees (FCFS).
         """
-        return self._fast_admit_at(service_us, self.sim.now)
+        return self._admit_at(service_us, self.sim.now)
 
-    def _fast_admit_at(self, service_us: float, at: float) -> Tuple[float, float]:
-        """:meth:`_fast_admit` for an I/O submitted at a future ``at``.
+    def _admit_at(self, service_us: float, at: float) -> Tuple[float, float]:
+        """:meth:`_admit` for an I/O submitted at a future ``at``.
 
         Entries are only pruned against ``sim.now`` so traffic
         submitted between now and ``at`` still sees them as busy.
         """
+        start = self._take_channel(at)
+        done = start + service_us
+        heapq.heappush(self._chan_busy, done)
+        return start, done
+
+    def _take_channel(self, at: float) -> float:
+        """Start time of an I/O submitted at ``at``: now-idle channels
+        are pruned, and with all channels busy the earliest one to
+        free is taken.  The caller pushes the new busy-until time."""
         busy = self._chan_busy
         now = self.sim.now
         while busy and busy[0] <= now:
             heapq.heappop(busy)
         if len(busy) >= self.profile.channels:
-            start = max(heapq.heappop(busy), at)
-        else:
-            start = at
-        done = start + service_us
-        heapq.heappush(busy, done)
-        return start, done
-
-    def _batch_plan(self, services: Sequence[float], admitted: float) -> List[float]:
-        """Per-I/O completion times for one batched doorbell.
-
-        Fast path: the shared busy-until heap, so batches and single
-        I/Os contend for the same channels.  Slow path: a lane heap
-        local to the batch (cross-traffic contends only through the
-        queue-depth slot held for the whole batch).
-        """
-        if self.fast_path:
-            return [self._fast_admit(service)[1] for service in services]
-        lanes: list = []
-        dones = []
-        limit = max(self.profile.channels, 1)
-        for service in services:
-            if len(lanes) < limit:
-                done = admitted + service
-            else:
-                done = heapq.heappop(lanes) + service
-            heapq.heappush(lanes, done)
-            dones.append(done)
-        return dones
+            return max(heapq.heappop(busy), at)
+        return at
 
     # -- I/O generators ----------------------------------------------------------
 
@@ -255,21 +215,10 @@ class NVMeSSD:
             ctx = trace.child("ssd.read", track=self.name, cat="device",
                               args={"bytes": length})
         submitted = self.sim.now
-        if self.fast_path:
-            service = self._jittered(self.profile.read_service_us(max(length, 1)))
-            start, done = self._fast_admit(service)
-            yield self.sim.timeout(done - submitted)
-            data = self.flash.read(offset, length)
-            admitted = start
-        else:
-            yield self._queue_slots.acquire()
-            yield self._channels.acquire()
-            admitted = self.sim.now
-            service = self._jittered(self.profile.read_service_us(max(length, 1)))
-            yield self.sim.timeout(service)
-            data = self.flash.read(offset, length)
-            self._channels.release()
-            self._queue_slots.release()
+        service = self._jittered(self.profile.read_service_us(max(length, 1)))
+        admitted, done = self._admit(service)
+        yield self.sim.timeout_at(done)
+        data = self.flash.read(offset, length)
         completed = self.sim.now
         self.stats.reads_completed += 1
         self.stats.read_bytes += length
@@ -281,7 +230,7 @@ class NVMeSSD:
         return data
 
     def read_at(self, offset: int, length: int, at: float) -> Tuple[bytes, float]:
-        """Analytic read (fast datapath): returns ``(data, done_us)``.
+        """Analytic read: returns ``(data, done_us)``.
 
         Synchronous companion to :meth:`read` for fused server paths:
         admission, jitter draw and statistics are identical, but the
@@ -289,7 +238,7 @@ class NVMeSSD:
         on a timeout.  ``at`` is the submission time (>= now).
         """
         service = self._jittered(self.profile.read_service_us(max(length, 1)))
-        start, done = self._fast_admit_at(service, at)
+        start, done = self._admit_at(service, at)
         data = self.flash.read(offset, length)
         self.stats.reads_completed += 1
         self.stats.read_bytes += length
@@ -306,7 +255,7 @@ class NVMeSSD:
         only the byte shuffling and decode compute are skipped.
         """
         service = self._jittered(self.profile.read_service_us(max(length, 1)))
-        start, done = self._fast_admit_at(service, at)
+        start, done = self._admit_at(service, at)
         self.stats.reads_completed += 1
         self.stats.read_bytes += length
         self.stats.total_read_latency_us += done - at
@@ -321,30 +270,21 @@ class NVMeSSD:
             ctx = trace.child("ssd.write", track=self.name, cat="device",
                               args={"bytes": len(data)})
         submitted = self.sim.now
-        if self.fast_path:
-            service = self._jittered(self.profile.write_service_us(max(len(data), 1)))
-            drain = len(data) / self.profile.write_bw_bpus
-            dstart = max(submitted, self._write_drain_free_at)
-            self._write_drain_free_at = dstart + drain
-            extra_wait = dstart - submitted
-            admitted, done = self._fast_admit(service)
-            yield self.sim.timeout(done + extra_wait - submitted)
-            self.flash.write(offset, data)
-        else:
-            yield self._queue_slots.acquire()
-            yield self._channels.acquire()
-            admitted = self.sim.now
-            service = self._jittered(self.profile.write_service_us(max(len(data), 1)))
-            # Aggregate bandwidth pacing: each write reserves drain time on the
-            # device's shared program path.
-            drain = len(data) / self.profile.write_bw_bpus
-            start = max(self.sim.now, self._write_drain_free_at)
-            self._write_drain_free_at = start + drain
-            extra_wait = start - self.sim.now
-            yield self.sim.timeout(service + extra_wait)
-            self.flash.write(offset, data)
-            self._channels.release()
-            self._queue_slots.release()
+        service = self._jittered(self.profile.write_service_us(max(len(data), 1)))
+        admitted = self._take_channel(submitted)
+        # Aggregate bandwidth pacing: once it has a channel, each write
+        # reserves drain time on the device's shared program path and
+        # holds the channel until its drain slot starts.  Admission is
+        # FCFS, so the reservations are made in submission order and
+        # can all be computed here, at submission.
+        drain = len(data) / self.profile.write_bw_bpus
+        dstart = max(admitted, self._write_drain_free_at)
+        self._write_drain_free_at = dstart + drain
+        extra_wait = dstart - admitted
+        done = admitted + (service + extra_wait)
+        heapq.heappush(self._chan_busy, done)
+        yield self.sim.timeout_at(done)
+        self.flash.write(offset, data)
         completed = self.sim.now
         self.stats.writes_completed += 1
         self.stats.write_bytes += len(data)
@@ -359,10 +299,10 @@ class NVMeSSD:
         """Vectored read: one doorbell, per-I/O channel overlap.
 
         ``extents`` is a sequence of ``(offset, length)`` pairs.  The
-        batch rings a single doorbell (one queue-depth slot covers the
-        whole submission), each I/O draws its own jittered service time
-        and occupies a flash channel, and the generator resumes once
-        the last I/O of the batch completes.  Returns the list of byte
+        batch rings a single doorbell, each I/O draws its own jittered
+        service time and occupies a flash channel (shared with
+        cross-traffic), and the generator resumes once the last I/O of
+        the batch completes.  Returns the list of byte
         strings in submission order.  Statistics count every I/O
         individually (``reads_completed`` grows by ``len(extents)``).
         """
@@ -375,30 +315,28 @@ class NVMeSSD:
                               args={"ios": len(extents),
                                     "bytes": sum(e[1] for e in extents)})
         submitted = self.sim.now
-        if not self.fast_path:
-            yield self._queue_slots.acquire()
-        admitted = self.sim.now
         services = [self._jittered(self.profile.read_service_us(max(length, 1)))
                     for _offset, length in extents]
-        dones = self._batch_plan(services, admitted)
-        yield self.sim.timeout(max(dones) - self.sim.now)
+        admits = [self._admit(service) for service in services]
+        dones = [done for _start, done in admits]
+        queue_wait = sum(start - submitted for start, _done in admits)
+        yield self.sim.timeout_at(max(dones))
         data = [self.flash.read(offset, length) for offset, length in extents]
-        if not self.fast_path:
-            self._queue_slots.release()
         self.stats.reads_completed += len(extents)
         self.stats.read_bytes += sum(length for _offset, length in extents)
         self.stats.total_read_latency_us += sum(done - submitted for done in dones)
-        self.stats.queue_wait_us += admitted - submitted
+        self.stats.queue_wait_us += queue_wait
         self.stats.busy_time_us += sum(services)
         if ctx is not None:
-            ctx.finish({"queue_wait_us": admitted - submitted})
+            ctx.finish({"queue_wait_us": queue_wait})
         return data
 
     def write_multi(self, writes: Sequence[Tuple[int, bytes]], trace=None):
         """Vectored write: one doorbell, per-I/O channel overlap.
 
         ``writes`` is a sequence of ``(offset, data)`` pairs.  The
-        batch reserves aggregate drain bandwidth for its total bytes,
+        batch reserves aggregate drain bandwidth for its total bytes
+        at the doorbell (the wait is added to the batch completion),
         then overlaps the per-I/O programs across channels like
         :meth:`read_multi`.  Returns the total bytes written.
         """
@@ -411,29 +349,26 @@ class NVMeSSD:
             ctx = trace.child("ssd.write_multi", track=self.name, cat="device",
                               args={"ios": len(writes), "bytes": total})
         submitted = self.sim.now
-        if not self.fast_path:
-            yield self._queue_slots.acquire()
-        admitted = self.sim.now
         services = [self._jittered(self.profile.write_service_us(max(len(data), 1)))
                     for _offset, data in writes]
         drain = total / self.profile.write_bw_bpus
-        dstart = max(self.sim.now, self._write_drain_free_at)
+        dstart = max(submitted, self._write_drain_free_at)
         self._write_drain_free_at = dstart + drain
-        extra_wait = dstart - self.sim.now
-        dones = self._batch_plan(services, admitted)
-        yield self.sim.timeout(max(dones) + extra_wait - self.sim.now)
+        extra_wait = dstart - submitted
+        admits = [self._admit(service) for service in services]
+        dones = [done for _start, done in admits]
+        queue_wait = sum(start - submitted for start, _done in admits)
+        yield self.sim.timeout_at(max(dones) + extra_wait)
         for offset, data in writes:
             self.flash.write(offset, data)
-        if not self.fast_path:
-            self._queue_slots.release()
         self.stats.writes_completed += len(writes)
         self.stats.write_bytes += total
         self.stats.total_write_latency_us += sum(
             done + extra_wait - submitted for done in dones)
-        self.stats.queue_wait_us += admitted - submitted
+        self.stats.queue_wait_us += queue_wait
         self.stats.busy_time_us += sum(services) + extra_wait
         if ctx is not None:
-            ctx.finish({"queue_wait_us": admitted - submitted})
+            ctx.finish({"queue_wait_us": queue_wait})
         return total
 
     def trim(self, offset: int, length: int):
@@ -453,6 +388,6 @@ class NVMeSSD:
                 + active_premium * busy) * 1e-6
 
     def __repr__(self):
-        return "<NVMeSSD %s inflight=%d reads=%d writes=%d>" % (
-            self.name, self.inflight,
+        return "<NVMeSSD %s busy_channels=%d reads=%d writes=%d>" % (
+            self.name, len(self._chan_busy),
             self.stats.reads_completed, self.stats.writes_completed)

@@ -76,14 +76,16 @@ class QueuePair:
         self._next_key = 1
         self.sends_posted = 0
         self.writes_posted = 0
-        self._pump_started = False
-        #: Optional synchronous completion sinks (fast datapath): when
-        #: set, deliveries bypass the CQ Stores entirely and the sink
-        #: is invoked at routing time with the completion record.
+        #: Synchronous completion sinks, invoked at routing time with
+        #: the completion record (:class:`~repro.net.rpc.RpcEndpoint`
+        #: installs both).  A bare QP with no consumer leaves them
+        #: unset and completions queue on the CQ Stores instead.
         self.recv_handler = None
         self.write_handler = None
         self.nic = network.nic(address)
-        sim.process(self._pump(), name="qp-pump@" + address)
+        # The fabric hands arriving payloads straight to ``_route``:
+        # no rx-queue hop, no pump process.
+        self.nic.rx_handler = self._route
 
     # -- memory registration -----------------------------------------------------
 
@@ -118,10 +120,10 @@ class QueuePair:
                               wire, ("WRITE_IMM", self.address, rkey, payload,
                                      nbytes, imm))
 
-    # -- delivery pump -----------------------------------------------------------------
+    # -- delivery ----------------------------------------------------------------------
 
     def _route(self, message) -> None:
-        """Dispatch one fabric delivery to the appropriate CQ."""
+        """Dispatch one fabric delivery to its completion sink or CQ."""
         kind = message[0]
         if kind == "SEND":
             _, src, payload, nbytes = message
@@ -145,20 +147,6 @@ class QueuePair:
                 self.write_cq.try_put(completion)
         else:  # pragma: no cover - future verb kinds
             raise ValueError("unknown verb %r" % (kind,))
-
-    def _pump(self):
-        while True:
-            message = yield self.nic.rx_queue.get()
-            self._route(message)
-
-    def enable_fast_rx(self) -> None:
-        """Route fabric deliveries to the CQs without the rx-queue hop.
-
-        Installs :meth:`_route` as the NIC's delivery callback, saving
-        one scheduled event per inbound message.  Part of the
-        ``fast_datapath`` knob; CQ semantics are unchanged.
-        """
-        self.nic.rx_handler = self._route
 
     def __repr__(self):
         return "<QueuePair %s sends=%d writes=%d>" % (

@@ -2,11 +2,11 @@
 
 Request path: the client posts a two-sided SEND carrying the command
 plus the rkey of a pre-allocated response buffer.  The server's
-dispatcher pops the recv CQ, runs the registered handler (a simulation
-generator — it may perform SSD I/O, forward along a chain, etc.), and
-answers with a one-sided WRITE-with-IMM into the client's response
-buffer, using the request id as the 32-bit immediate so the client
-matches responses without extra messages.
+endpoint dispatches the arriving SEND straight to the registered
+handler (a simulation generator — it may perform SSD I/O, forward
+along a chain, etc.), and answers with a one-sided WRITE-with-IMM into
+the client's response buffer, using the request id as the 32-bit
+immediate so the client matches responses without extra messages.
 
 Also provides ``notify`` (one-way, no response) for chain forwarding,
 acknowledgments and heartbeats.
@@ -14,6 +14,7 @@ acknowledgments and heartbeats.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
@@ -93,6 +94,15 @@ class RpcEndpoint:
         self._raw_sync_handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
         self._request_ids = itertools.count(1)
+        #: Call deadlines, earliest first: ``(deadline, request_id,
+        #: dst, method, timeout_us)``.  A response only drops the call
+        #: from ``_pending``; its entry here is skipped once it
+        #: surfaces.  One timer is armed for the earliest live entry
+        #: (``_timers`` holds the armed fire times — more than one only
+        #: when a shorter timeout undercuts an armed deadline), so
+        #: answered calls leave nothing on the simulator's heap.
+        self._deadlines: list = []
+        self._timers: list = []
         self._response_region = self.qp.register_region(size=1 << 20)
         self.calls_sent = 0
         self.calls_served = 0
@@ -106,8 +116,11 @@ class RpcEndpoint:
         self._send_buf: Dict[str, list] = {}
         self.batches_sent = 0
         self.batched_requests = 0
-        sim.process(self._dispatch_requests(), name="rpc-dispatch@" + address)
-        sim.process(self._dispatch_responses(), name="rpc-responses@" + address)
+        # Inbound SENDs dispatch straight from delivery and inbound
+        # response WRITEs complete their pending call inline: no CQ
+        # consumer processes.
+        self.qp.recv_handler = self._on_request_delivery
+        self.qp.write_handler = self._on_response_delivery
 
     # -- server side ---------------------------------------------------------------
 
@@ -179,15 +192,13 @@ class RpcEndpoint:
         self._handlers.pop(method, None)
         self._raw_handlers.pop(method, None)
 
-    def _dispatch_requests(self):
-        while True:
-            completion: SendCompletion = yield self.qp.recv_cq.get()
-            envelope = completion.payload
-            if isinstance(envelope, RpcBatch):
-                for request in envelope.requests:
-                    self._dispatch_one(completion.src, request)
-            else:
-                self._dispatch_one(completion.src, envelope)
+    def _on_request_delivery(self, completion: SendCompletion) -> None:
+        envelope = completion.payload
+        if isinstance(envelope, RpcBatch):
+            for request in envelope.requests:
+                self._dispatch_one(completion.src, request)
+        else:
+            self._dispatch_one(completion.src, envelope)
 
     def _dispatch_one(self, src: str, envelope) -> None:
         if isinstance(envelope, RpcRequest):
@@ -251,25 +262,7 @@ class RpcEndpoint:
                                response_nbytes + ENVELOPE_BYTES,
                                imm=request.request_id)
 
-    def enable_fast_dispatch(self) -> None:
-        """Bypass the CQ consumer processes (fast datapath).
-
-        Inbound SENDs dispatch straight from delivery into
-        :meth:`_dispatch_one`, and inbound response WRITEs complete
-        their pending call event inline — one scheduled event less on
-        each side of every RPC.  The CQ consumer processes stay parked
-        on their now-idle Stores, so this is reversible per-message.
-        """
-        self.qp.recv_handler = self._on_request_delivery
-        self.qp.write_handler = self._on_response_delivery
-
-    def _on_request_delivery(self, completion: SendCompletion) -> None:
-        envelope = completion.payload
-        if isinstance(envelope, RpcBatch):
-            for request in envelope.requests:
-                self._dispatch_one(completion.src, request)
-        else:
-            self._dispatch_one(completion.src, envelope)
+    # -- client side -----------------------------------------------------------------
 
     def _on_response_delivery(self, completion) -> None:
         response: RpcResponse = completion.payload
@@ -279,19 +272,6 @@ class RpcEndpoint:
                 waiter.fail(response.body)
             else:
                 waiter.succeed(response.body)
-
-    # -- client side -----------------------------------------------------------------
-
-    def _dispatch_responses(self):
-        while True:
-            completion = yield self.qp.write_cq.get()
-            response: RpcResponse = completion.payload
-            waiter = self._pending.pop(completion.imm, None)
-            if waiter is not None and not waiter.triggered:
-                if isinstance(response.body, RpcError):
-                    waiter.fail(response.body)
-                else:
-                    waiter.succeed(response.body)
 
     def call(self, dst: str, method: str, body: Any, nbytes: int,
              timeout_us: Optional[float] = None, defer: bool = False) -> Event:
@@ -334,14 +314,36 @@ class RpcEndpoint:
         else:
             self.qp.post_send(dst, request, nbytes + ENVELOPE_BYTES)
         if timeout_us is not None:
-            def expire():
-                pending = self._pending.pop(request_id, None)
-                if pending is not None and not pending.triggered:
-                    pending.fail(RpcTimeout(
-                        "%s->%s %s timed out after %gus"
-                        % (self.address, dst, method, timeout_us)))
-            self.sim.schedule(timeout_us, expire)
+            heapq.heappush(self._deadlines, (self.sim.now + timeout_us,
+                                             request_id, dst, method,
+                                             timeout_us))
+            self._arm_deadline_timer()
         return waiter
+
+    def _arm_deadline_timer(self) -> None:
+        """Keep a timer armed at the earliest live deadline."""
+        deadlines = self._deadlines
+        pending = self._pending
+        while deadlines and deadlines[0][1] not in pending:
+            heapq.heappop(deadlines)
+        if deadlines and (not self._timers
+                          or deadlines[0][0] < self._timers[0]):
+            heapq.heappush(self._timers, deadlines[0][0])
+            self.sim.schedule_at(deadlines[0][0], self._on_deadline)
+
+    def _on_deadline(self) -> None:
+        heapq.heappop(self._timers)
+        now = self.sim.now
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= now:
+            _deadline, request_id, dst, method, timeout_us = heapq.heappop(
+                deadlines)
+            waiter = self._pending.pop(request_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.fail(RpcTimeout(
+                    "%s->%s %s timed out after %gus"
+                    % (self.address, dst, method, timeout_us)))
+        self._arm_deadline_timer()
 
     def flush(self) -> None:
         """Post deferred calls; same-destination requests share a SEND.

@@ -80,9 +80,10 @@ class Nic:
         self.address = address
         self.profile = profile or NIC_100G
         self.rx_queue: Store = Store(sim, name="rx@" + address)
-        #: Fast-path delivery callback (``QueuePair.enable_fast_rx``):
-        #: when set, the fabric hands arriving payloads straight to it
-        #: instead of the rx queue, saving the dequeue event.
+        #: Delivery callback (a :class:`~repro.net.rdma.QueuePair`
+        #: installs its router): the fabric hands arriving payloads
+        #: straight to it.  A bare NIC with no consumer leaves it unset
+        #: and payloads queue on :attr:`rx_queue` instead.
         self.rx_handler = None
         self._tx_free_at = 0.0
         #: Last granted delivery time per destination (in-order clamp).

@@ -185,6 +185,42 @@ class Simulator:
         event.callbacks.append(lambda _evt: callback())
         return event
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event firing at the absolute time ``when`` (>= now).
+
+        Unlike ``timeout(when - now)`` the fire time is exactly
+        ``when`` — no ``now + (when - now)`` rounding — so analytic
+        models that compute a completion instant (and deadlines armed
+        after they were computed) land on that very timestamp.
+        """
+        delay = when - self._now
+        if delay <= 0.0:
+            if delay < 0.0:
+                raise ValueError("cannot fire at %r, now is %r"
+                                 % (when, self._now))
+            return self.timeout(0.0, value)
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._defused = False
+        else:
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+        timeout.delay = delay
+        timeout._ok = True
+        timeout._value = value
+        self._sequence += 1
+        heapq.heappush(self._heap, (float(when), NORMAL_PRIORITY,
+                                    self._sequence, timeout))
+        return timeout
+
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
+        """Run a plain callable at the absolute time ``when`` (>= now)."""
+        event = self.timeout_at(when)
+        event.callbacks.append(lambda _evt: callback())
+        return event
+
     def schedule_delivery(self, delay: float,
                           callback: Callable[[], None]) -> Event:
         """Run ``callback`` at ``now + delay``, after all same-time

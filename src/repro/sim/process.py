@@ -22,7 +22,10 @@ class Process(Event):
     """A running process.  Also an event that fires when it finishes.
 
     The process event succeeds with the generator's return value, or
-    fails with the exception that escaped the generator.
+    fails with the exception that escaped the generator.  A process
+    that finishes successfully with no callbacks registered (fire and
+    forget) is marked processed on the spot; no completion event is
+    dispatched for it.
     """
 
     __slots__ = ("generator", "name", "_target", "_interrupts")
@@ -90,8 +93,21 @@ class Process(Event):
                 event._defused = True
                 next_event = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
-            self.succeed(getattr(stop, "value", None))
+            sim = self.sim
+            sim._active_process = None
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits on this process: mark it processed in
+                # place instead of scheduling a completion event with
+                # nothing to run.  The sequence number is still
+                # consumed so same-timestep tie order is untouched;
+                # later ``yield proc`` / conditions / ``run(until=)``
+                # see a processed event and resume immediately.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
+                sim._sequence += 1
             return
         except BaseException as exc:
             self.sim._active_process = None

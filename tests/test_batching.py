@@ -47,11 +47,7 @@ class TestReadMulti:
         assert chunks == list(reversed(self.PAYLOADS))
         assert ssd.stats.reads_completed == len(self.PAYLOADS)
 
-    def test_data_and_counts_event_path(self, sim, quiet_ssd):
-        self._roundtrip(sim, quiet_ssd)
-
-    def test_data_and_counts_fast_path(self, sim, quiet_ssd):
-        quiet_ssd.fast_path = True
+    def test_data_and_counts(self, sim, quiet_ssd):
         self._roundtrip(sim, quiet_ssd)
 
     def test_empty_batch(self, sim, quiet_ssd):
@@ -245,14 +241,22 @@ class TestBatchingDeterminism:
 
     @staticmethod
     def _step(sim, until):
-        """Event-by-event replay through the reference dispatcher."""
+        """Event-by-event replay through the reference dispatcher.
+
+        Like ``run(until=event)`` it registers as a waiter on the stop
+        event and steps until that event has been *processed*, so both
+        dispatchers agree on whether a finishing process emits a
+        completion event (an unwaited one does not).
+        """
         if until is None:
             while True:
                 try:
                     sim.step()
                 except IndexError:
                     return
-        while not until.triggered:
+        if until.callbacks is not None:
+            until.callbacks.append(lambda _event: None)
+        while not until.processed:
             sim.step()
 
     def test_knobs_off_same_seed_digest_stable(self):

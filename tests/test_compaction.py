@@ -173,6 +173,58 @@ class TestValueLogCompaction:
         assert drive(sim, proc()) == "not_found"
 
 
+class TestCompactionFailsSoft:
+    """A full key log must not crash the value compactor (it used to
+    let LogFullError escape ``JBOFNode._maintenance`` and abort the
+    run): the round is abandoned, counted, and a later round finishes
+    the job without losing a value."""
+
+    KEYS = 40
+
+    def _fill_key_log_to_reserve(self, store):
+        """Generator: overwrite until client PUTs hit the key-log reserve."""
+        for round_no in range(200):
+            for index in range(self.KEYS):
+                result = yield from store.put(
+                    b"key-%04d" % index, b"%03d" % round_no + b"v" * 60)
+                if result.status == "store_full":
+                    return
+                assert result.ok, result.status
+        raise AssertionError("key log never reached its reserve")
+
+    def test_value_round_abandoned_when_key_log_is_full(self, sim):
+        store = make_store(sim, key_log_bytes=32 << 10,
+                           value_log_bytes=1 << 20)
+        compactor = Compactor(store)
+
+        def snapshot():
+            values = {}
+            for index in range(self.KEYS):
+                got = yield from store.get(b"key-%04d" % index)
+                assert got.ok, (index, got.status)
+                values[index] = got.value
+            return values
+
+        def proc():
+            yield from self._fill_key_log_to_reserve(store)
+            before = yield from snapshot()
+            # Relocating every live value rewrites its segment into
+            # the key log, which only has the compactor reserve left.
+            yield from compactor.compact_value_log(target_fill=0.0)
+            aborted = store.stats.compaction_aborted
+            assert (yield from snapshot()) == before
+            # Once the key log has room again the retry completes.
+            yield from compactor.compact_key_log(target_fill=0.0)
+            yield from compactor.compact_value_log(target_fill=0.0)
+            assert (yield from snapshot()) == before
+            return aborted
+
+        assert drive(sim, proc()) >= 1
+        assert store.stats.compaction_aborted >= 1
+        assert compactor.stats.value_rounds >= 1
+        assert not compactor._value_round_active
+
+
 class TestMaintenance:
     def test_watermark_triggers(self, sim):
         store = make_store(sim, key_log_bytes=32 << 10)

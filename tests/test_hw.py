@@ -1,6 +1,8 @@
 """Tests for the hardware models: flash, SSD, CPU, DRAM, platforms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.cpu import CYCLE_COSTS, Core, CpuComplex
 from repro.hw.dram import Dram, OutOfMemoryError
@@ -13,6 +15,9 @@ from repro.hw.platforms import (
     with_ssds,
 )
 from repro.hw.ssd import NVMeSSD, SSDProfile
+
+from repro.sim.core import Simulator
+from repro.sim.rng import RngRegistry
 
 from conftest import drive
 
@@ -221,6 +226,262 @@ class TestCore:
         for key in ("rpc_receive", "hash_lookup", "btree_node_visit",
                     "compaction_per_entry"):
             assert CYCLE_COSTS[key] > 0
+
+
+class TestFcfsRecurrence:
+    """The analytic hw timing is the only implementation, so pin it to
+    the textbook FCFS k-server recurrence: a work item starts at
+    ``max(arrival, k-th latest finish)`` — what a k-slot FIFO resource
+    would grant — for arbitrary arrival/size schedules."""
+
+    @staticmethod
+    def _run_schedule(sim, schedule, submit):
+        """Spawn ``submit(item)`` at each item's arrival; return
+        ``[(arrival, finish)]`` in submission order."""
+        observed = [None] * len(schedule)
+
+        def one(index, item):
+            arrival = sim.now
+            yield from submit(item)
+            observed[index] = (arrival, sim.now)
+
+        def source():
+            for index, item in enumerate(schedule):
+                if item[0]:
+                    yield sim.timeout(item[0])
+                sim.process(one(index, item))
+
+        sim.process(source())
+        sim.run()
+        return observed
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 6)),
+        min_size=1, max_size=40))
+    def test_core_execute_is_single_server_fcfs(self, schedule):
+        """Items are ``(gap_us, work_us)``; at 1 GHz, 1000 cycles = 1 us,
+        so every time below is an exact integer."""
+        sim = Simulator()
+        core = Core(sim, freq_ghz=1.0)
+        observed = self._run_schedule(
+            sim, schedule, lambda item: core.execute(item[1] * 1000))
+        free_at = 0.0
+        for (_gap, work), (arrival, finish) in zip(schedule, observed):
+            start = max(arrival, free_at)
+            free_at = start + work
+            assert finish == free_at
+        assert core.busy_time_us == sum(work for _gap, work in schedule)
+
+    @staticmethod
+    def _first_fit(intervals, at, duration):
+        """Earliest start >= at whose slice overlaps no reserved one."""
+        for start in sorted([at] + [end for _begin, end in intervals
+                                    if end > at]):
+            if not any(start < end and start + duration > begin
+                       for begin, end in intervals):
+                return start
+        raise AssertionError("unreachable: after the last slice is free")
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 5), st.integers(0, 12)),
+        min_size=1, max_size=30))
+    def test_charge_at_future_slices_are_backfilled(self, ops):
+        """``(gap_us, work_us, lead_us)``: lead 0 executes now, lead > 0
+        reserves a slice ``lead`` into the future via ``charge_at``.
+        Either way the slice is the earliest gap that fits (first fit
+        over the calendar, checked by brute force)."""
+        sim = Simulator()
+        core = Core(sim, freq_ghz=1.0)
+        intervals = []
+        finishes = []
+
+        def reserve(at, work):
+            start = self._first_fit(intervals, at, float(work))
+            intervals.append((start, start + work))
+            return start + work
+
+        def executes(work):
+            expected = reserve(sim.now, work)
+            yield from core.execute_us(work)
+            finishes.append((sim.now, expected))
+
+        def source():
+            for gap, work, lead in ops:
+                if gap:
+                    yield sim.timeout(gap)
+                if lead:
+                    expected = reserve(sim.now + lead, work)
+                    assert core.charge_at(work * 1000,
+                                          sim.now + lead) == expected
+                else:
+                    sim.process(executes(work))
+
+        sim.process(source())
+        sim.run()
+        assert all(finish == expected for finish, expected in finishes)
+        assert core.busy_time_us == sum(work for _gap, work, _lead in ops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.integers(1, 4),
+           schedule=st.lists(
+               st.tuples(st.integers(0, 40),
+                         st.sampled_from(["read", "write", "read_multi",
+                                          "write_multi"]),
+                         st.lists(st.integers(1, 16), min_size=1,
+                                  max_size=5)),
+               min_size=1, max_size=40))
+    def test_ssd_is_k_server_fcfs_with_write_drain(self, channels, schedule):
+        """Items are ``(gap_us, verb, [blocks...])``.  Reference: ``k``
+        channel free-times; an I/O takes the earliest-free channel at
+        ``max(arrival, free)`` for its service time.  A write, once it
+        has its channel, also reserves FCFS drain time on the shared
+        program path and keeps the channel until its drain slot starts
+        (so paced writes crowd reads out, §2.3); a batched write
+        reserves one drain slot for the whole doorbell at submission
+        and adds the wait to the batch completion."""
+        sim = Simulator()
+        profile = SSDProfile(capacity_bytes=32 << 20, block_size=512,
+                             channels=channels, jitter=0.0)
+        ssd = NVMeSSD(sim, profile)
+
+        def submit(item):
+            _gap, verb, blocks = item
+            sizes = [count * 512 for count in blocks]
+            if verb == "read":
+                return ssd.read(0, sizes[0])
+            if verb == "write":
+                return ssd.write(0, b"w" * sizes[0])
+            offsets = [sum(sizes[:index]) for index in range(len(sizes))]
+            if verb == "read_multi":
+                return ssd.read_multi(list(zip(offsets, sizes)))
+            return ssd.write_multi([(offset, b"w" * size)
+                                    for offset, size in zip(offsets, sizes)])
+
+        observed = self._run_schedule(sim, schedule, submit)
+
+        free = [0.0] * channels
+        drain_free_at = 0.0
+        queue_wait = 0.0
+        for (_gap, verb, blocks), (arrival, finish) in zip(schedule,
+                                                           observed):
+            sizes = [count * 512 for count in blocks]
+            if verb in ("read", "write"):
+                sizes = sizes[:1]
+            writing = verb.startswith("write")
+            batch_wait = 0.0
+            if verb == "write_multi":
+                drain_start = max(arrival, drain_free_at)
+                drain_free_at = drain_start + sum(sizes) / profile.write_bw_bpus
+                batch_wait = drain_start - arrival
+            done = 0.0
+            for size in sizes:
+                service = (profile.write_service_us(size) if writing
+                           else profile.read_service_us(size))
+                channel = free.index(min(free))
+                start = max(arrival, free[channel])
+                hold = service
+                if verb == "write":
+                    drain_start = max(start, drain_free_at)
+                    drain_free_at = drain_start + size / profile.write_bw_bpus
+                    hold += drain_start - start
+                free[channel] = start + hold
+                queue_wait += start - arrival
+                done = max(done, free[channel])
+            assert finish == pytest.approx(done + batch_wait, rel=1e-12)
+        assert ssd.stats.queue_wait_us == pytest.approx(queue_wait, abs=1e-6)
+
+
+class TestResourceEquivalence:
+    """FCFS ``Resource`` ≡ calendar, bit for bit: the event-per-stage
+    models the analytic ones replaced (grant event, then a timeout for
+    the service time) live on here as the reference, and every
+    completion timestamp must match to the last ulp under contention."""
+
+    @staticmethod
+    def _drive(sim, schedule, submit):
+        finished = []
+
+        def one(index, item):
+            yield from submit(item)
+            finished.append((index, sim.now))
+
+        def source():
+            for index, item in enumerate(schedule):
+                if item[0]:
+                    yield sim.timeout(item[0])
+                sim.process(one(index, item))
+
+        sim.process(source())
+        sim.run()
+        return finished
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedule=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.0, 0.1, 0.7, 1.3, 5.0]),
+                  st.sampled_from([7, 300, 1200, 2500, 30000])),
+        min_size=1, max_size=60))
+    def test_core_matches_resource_queue(self, schedule):
+        from repro.sim.resources import Resource
+
+        sim = Simulator()
+        core = Core(sim, freq_ghz=3.0)
+        analytic = self._drive(sim, schedule,
+                               lambda item: core.execute(item[1]))
+
+        ref_sim = Simulator()
+        unit = Resource(ref_sim, capacity=1)
+
+        def reference(item):
+            yield unit.acquire()
+            yield ref_sim.timeout(item[1] / 3.0e3)
+            unit.release()
+
+        assert analytic == self._drive(ref_sim, schedule, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(channels=st.sampled_from([1, 3, 24]),
+           schedule=st.lists(
+               st.tuples(st.sampled_from([0.0, 0.0, 0.0, 0.5, 3.0, 20.0]),
+                         st.sampled_from(["read", "read", "write"]),
+                         st.sampled_from([512, 1024, 4096, 16384])),
+               min_size=1, max_size=80))
+    def test_ssd_matches_resource_queue(self, channels, schedule):
+        from repro.sim.resources import Resource
+
+        profile = SSDProfile(capacity_bytes=32 << 20, block_size=512,
+                             channels=channels, jitter=0.1)
+        sim = Simulator()
+        ssd = NVMeSSD(sim, profile, rng=RngRegistry(9))
+
+        def submit(item):
+            if item[1] == "read":
+                return ssd.read(0, item[2])
+            return ssd.write(0, b"w" * item[2])
+
+        analytic = self._drive(sim, schedule, submit)
+
+        ref_sim = Simulator()
+        lanes = Resource(ref_sim, capacity=channels)
+        jitter = RngRegistry(9).stream("ssd/nvme0")
+        drain_free_at = [0.0]
+
+        def reference(item):
+            _gap, verb, nbytes = item
+            yield lanes.acquire()
+            scale = jitter.uniform(1.0 - profile.jitter, 1.0 + profile.jitter)
+            if verb == "read":
+                hold = profile.read_service_us(nbytes) * scale
+            else:
+                drain_start = max(ref_sim.now, drain_free_at[0])
+                drain_free_at[0] = drain_start + nbytes / profile.write_bw_bpus
+                hold = (profile.write_service_us(nbytes) * scale
+                        + (drain_start - ref_sim.now))
+            yield ref_sim.timeout(hold)
+            lanes.release()
+
+        assert analytic == self._drive(ref_sim, schedule, reference)
 
 
 class TestDram:

@@ -95,6 +95,35 @@ class TestTimeout:
         assert order == ["a", "b", "c"]
 
 
+class TestTimeoutAt:
+    def test_fires_on_the_exact_timestamp(self, sim):
+        """``now + (when - now)`` can round an ulp off ``when``; an
+        absolute timeout must not."""
+        when = 12.1
+        seen = []
+
+        def proc():
+            yield sim.timeout(3.3)
+            assert sim.now + (when - sim.now) != when  # the rounding trap
+            yield sim.timeout_at(when, "v")
+            seen.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [when]
+
+    def test_now_is_a_zero_delay_timeout_and_past_is_rejected(self, sim):
+        order = []
+        sim.timeout(0).callbacks.append(lambda _e: order.append("first"))
+        sim.timeout_at(sim.now).callbacks.append(
+            lambda _e: order.append("second"))
+        sim.schedule_at(3.0, lambda: order.append("third"))
+        sim.run()
+        assert order == ["first", "second", "third"] and sim.now == 3.0
+        with pytest.raises(ValueError):
+            sim.timeout_at(1.0)
+
+
 class TestProcess:
     def test_return_value(self, sim):
         def proc():
@@ -166,6 +195,76 @@ class TestProcess:
     def test_requires_generator(self, sim):
         with pytest.raises(TypeError):
             sim.process(lambda: None)
+
+
+class TestUnwaitedProcessElision:
+    """A finished process nobody waits on is marked processed in
+    place; late waiters still resume in the same timestep."""
+
+    @staticmethod
+    def _worker(sim):
+        yield sim.timeout(4)
+        return "done"
+
+    def test_fire_and_forget_emits_no_completion_event(self, sim):
+        sim.process(self._worker(sim))
+        sim.run()
+        # init event + the timeout; no completion event.
+        assert sim.events_dispatched == 2
+
+    def test_waited_process_still_dispatches_completion(self, sim):
+        process = sim.process(self._worker(sim))
+        seen = []
+        process.callbacks.append(lambda event: seen.append(event.value))
+        sim.run()
+        assert seen == ["done"]
+        assert sim.events_dispatched == 3
+
+    def test_elided_process_is_processed_with_value(self, sim):
+        process = sim.process(self._worker(sim))
+        sim.run()
+        assert process.processed and process.ok
+        assert process.value == "done"
+
+    def test_elision_consumes_a_sequence_number(self, sim):
+        """Tie order of later events must not depend on who waits."""
+        other = Simulator()
+        waited = other.process(self._worker(other))
+        waited.callbacks.append(lambda _event: None)
+        sim.process(self._worker(sim))
+        sim.run()
+        other.run()
+        assert sim._sequence == other._sequence
+
+    def test_failed_unwaited_process_still_crashes_run(self, sim):
+        def bad():
+            yield sim.timeout(1)
+            raise KeyError("oops")
+
+        sim.process(bad())
+        with pytest.raises(KeyError):
+            sim.run()
+
+    def test_late_waiters_resume_in_same_timestep(self, sim):
+        process = sim.process(self._worker(sim))
+        resumed = {}
+
+        def by_yield():
+            yield sim.timeout(9)
+            value = yield process
+            resumed["yield"] = (sim.now, value)
+
+        def by_all_of():
+            yield sim.timeout(9)
+            values = yield sim.all_of([process])
+            resumed["all_of"] = (sim.now, values[process])
+
+        sim.process(by_yield())
+        sim.process(by_all_of())
+        sim.run()
+        assert resumed == {"yield": (9.0, "done"), "all_of": (9.0, "done")}
+        assert sim.run(until=process) == "done"
+        assert sim.now == 9.0
 
 
 class TestInterrupt:
