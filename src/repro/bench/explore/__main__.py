@@ -60,7 +60,7 @@ def main(argv=None) -> int:
                         default="rpj",
                         help="primary fitness: requests/Joule (rpj, "
                              "deterministic) or wall-clock ops/sec "
-                             "(wall, for engine tuning)")
+                             "(wall, for engine sweeps)")
     parser.add_argument("--slo-p99-us", type=float, default=2000.0,
                         help="feasibility cap on p99 latency in µs "
                              "(default 2000; 0 disables)")

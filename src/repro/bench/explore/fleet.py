@@ -18,8 +18,8 @@ trajectory is identical to an uncached run's.
 The runner also cross-checks the determinism contract for free: trials
 that agree on every *digest-affecting* dimension (equal
 ``sim_signature``) must report byte-identical ``figure_digest``\\ s no
-matter how the wall-clock dimensions (``workers``, engine tuning)
-differ.  A mismatch is a determinism bug and fails the search loudly.
+matter how the wall-clock dimension (``workers``) differs.  A mismatch
+is a determinism bug and fails the search loudly.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional
 
 from repro.baselines import make_cluster
-from repro.bench.harness import load_cluster, run_closed_loop, scale_profile
+from repro.bench.harness import (figure_digest, measure_run_phase,
+                                 scale_profile)
 from repro.bench.perf import SCALES as PERF_SCALES
-from repro.bench.perf import figure_digest
 from repro.core.datastore import StoreConfig
 from repro.core.jbof import LeedOptions
 from repro.workloads.ycsb import YCSBWorkload
@@ -135,10 +135,10 @@ def make_trial(point: dict, overrides, scale: str, workload: str,
 def run_trial(payload: dict) -> dict:
     """Execute one trial (module-level, hence pool-picklable).
 
-    Mirrors :func:`repro.bench.perf.run_once`: build + load are setup,
-    only the run phase is timed; energy is the run-phase delta of the
-    cluster's back-end meters, so requests/Joule compares configs on
-    the work they did, not on load-phase accounting.
+    The row is :func:`repro.bench.harness.measure_run_phase`'s — the
+    same run-phase protocol as :func:`repro.bench.perf.run_once`, so
+    explorer rows and perf rows with matching configs digest
+    identically.
     """
     if payload.get("scenario"):
         return _run_scenario_trial(payload)
@@ -161,26 +161,12 @@ def run_trial(payload: dict) -> dict:
     workload = YCSBWorkload(payload["workload"],
                             num_records=spec["records"],
                             seed=payload["seed"], value_size=value_size)
+    num_ops = max(int(spec["ops"] * payload["ops_fraction"]), MIN_TRIAL_OPS)
+    concurrency = int(payload["run"].get("concurrency", spec["concurrency"]))
     try:
-        load_cluster(cluster, workload,
-                     parallelism=spec.get("load_parallelism", 16))
-
-        num_ops = max(int(spec["ops"] * payload["ops_fraction"]),
-                      MIN_TRIAL_OPS)
-        concurrency = int(payload["run"].get("concurrency",
-                                             spec["concurrency"]))
-        cluster.settle_shards()
-        energy_before = cluster.energy_joules()
-        events_before = cluster.total_events_dispatched()
-        started = time.perf_counter()
-        stats = run_closed_loop(cluster, workload, num_ops, concurrency)
-        wall_s = time.perf_counter() - started
-        cluster.settle_shards()
-        energy = cluster.energy_joules() - energy_before
-        events = cluster.total_events_dispatched() - events_before
-        exchange = cluster.exchange_stats()
-        cluster.shutdown()
-        cluster.sim.run()
+        return measure_run_phase(
+            cluster, workload, num_ops, concurrency,
+            load_parallelism=spec.get("load_parallelism", 16))
     except Exception as exc:
         # Some design points are simply broken deployments (e.g. a
         # protocol that deterministically times out on a too-slow
@@ -191,35 +177,6 @@ def run_trial(payload: dict) -> dict:
         return _failure_row(payload, exc)
     finally:
         cluster.stop_workers()
-
-    row = {
-        "ops": stats.completed,
-        "failed": stats.failed,
-        "sim_elapsed_us": round(stats.elapsed_us, 3),
-        "sim_ops_per_sec": round(stats.throughput_qps, 1),
-        "mean_latency_us": round(stats.mean_latency_us(), 3),
-        "p99_latency_us": round(stats.percentile_us(0.99), 3),
-        "energy_joules": round(energy, 6),
-        "requests_per_joule": round(stats.completed / energy, 1)
-        if energy > 0 else 0.0,
-        "wall_s": round(wall_s, 4),
-        "wall_ops_per_sec": round(stats.completed / wall_s, 1),
-        "events": events,
-        "events_per_sec": round(events / wall_s, 1),
-        "workers": int(payload["cluster"].get("workers", 0)),
-    }
-    # Same 6 sim-derived fields as repro.bench.perf, so explorer rows
-    # and perf rows with matching configs digest identically.
-    row["figure_digest"] = figure_digest(row)
-    if exchange is not None:
-        sim_seconds = stats.elapsed_us / 1e6
-        exchange = dict(exchange)
-        exchange["windows_per_sim_sec"] = round(
-            exchange["windows"] / sim_seconds, 1) if sim_seconds else 0.0
-        exchange["child_messages_per_sim_sec"] = round(
-            exchange["child_messages"] / sim_seconds, 1) if sim_seconds else 0.0
-        row["exchange"] = exchange
-    return row
 
 
 def _run_scenario_trial(payload: dict) -> dict:

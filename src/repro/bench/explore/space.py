@@ -6,7 +6,7 @@ a :class:`~repro.core.cluster.ClusterConfig` field, a
 :class:`~repro.core.jbof.LeedOptions` field, or a run-shape knob of
 the trial driver — together with its candidate values and whether the
 knob is *digest-affecting* (can change simulated outcomes) or a pure
-wall-clock knob (``workers``, the parallel-engine tuning).
+wall-clock knob (``workers``).
 
 The space is validated up front against the real configuration types:
 :meth:`ConfigSpace.validate` resolves the default point through
@@ -263,7 +263,7 @@ def leed_space() -> ConfigSpace:
                   description="batched analytic datapath (PR 3 knobs)"),
         Dimension("admission_batch", (1, 4, 8, 16), "options",
                   description="engine commands drained per scheduler "
-                              "wakeup (vectored multi_get)"),
+                              "wakeup (each executed per command)"),
         Dimension("rpc_coalesce_limit", (4, 8, 16), "options", default=8,
                   description="max same-destination requests per SEND"),
         Dimension("token_capacity", (48, 96, 192), "options", default=96,
@@ -284,26 +284,18 @@ def leed_space() -> ConfigSpace:
 
 
 def engine_space() -> ConfigSpace:
-    """The parallel-engine tuning space (wall-clock dimensions only).
+    """The parallel-engine space (wall-clock dimensions only).
 
-    Sweeping it answers ROADMAP item 1's remaining question: where do
-    the elision threshold and window sizing land on real hardware?
-    Every dimension is flagged non-digest-affecting, so the sweep
-    doubles as a free cross-check that figure digests are invariant
-    across worker counts and engine tunings.
+    ``workers`` is flagged non-digest-affecting, so the sweep doubles
+    as a free cross-check that figure digests are invariant across
+    worker counts.  (The elision-threshold and window-cap dimensions
+    it once had measured no better than off at all 36 settings —
+    docs/explore_engine_sweep.md — and were deleted with the knobs.)
     """
     return ConfigSpace([
         Dimension("workers", (1, 2, 4), "cluster", digest_affecting=False,
                   description="engine processes (1 = sharded "
                               "in-process)"),
-        Dimension("engine_elision_threshold_us", (0.0, 8.0, 64.0, 1e9),
-                  "cluster", digest_affecting=False,
-                  description="min idle gap (µs) to elide a "
-                              "shard-window; 1e9 disables elision"),
-        Dimension("engine_window_cap_us", (0.0, 25.0, 100.0), "cluster",
-                  digest_affecting=False,
-                  description="cap window length past the horizon "
-                              "(µs); 0 = full lookahead bound"),
     ], name="engine")
 
 

@@ -15,6 +15,9 @@ objects — see DESIGN.md §4 for why the shapes survive scaling.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -243,6 +246,83 @@ def run_closed_loop(cluster: LeedCluster, workload: YCSBWorkload,
     for driver in drivers[1:]:
         stats = stats.merge(driver.stats)
     return stats
+
+
+def figure_digest(row: dict) -> str:
+    """Hash of the sim-derived metrics of a run row.
+
+    Covers only simulated-time results (never wall-clock), so equal
+    digests mean the runs produced the same figures regardless of
+    engine or machine speed.
+    """
+    figure = {key: row[key] for key in
+              ("ops", "failed", "sim_elapsed_us", "sim_ops_per_sec",
+               "mean_latency_us", "p99_latency_us")}
+    blob = json.dumps(figure, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
+                      num_ops: int, concurrency: int,
+                      load_parallelism: int = 16) -> dict:
+    """Load ``workload``, time one closed-loop run phase, shut the
+    cluster down; returns the result row.
+
+    The one measurement protocol of ``repro.bench.perf`` and
+    ``repro.bench.explore``: the YCSB load is setup, only the run
+    phase is timed, and events, energy and the parallel engine's
+    exchange counters are run-phase deltas — so requests/Joule and
+    the per-simulated-second barrier rates compare configurations on
+    the work they did, not on load-phase accounting.  Wall-clock
+    fields and ``exchange`` (``workers > 0`` only) are host-side
+    diagnostics and stay out of ``figure_digest``.  The caller still
+    owns ``cluster.stop_workers()``.
+    """
+    load_cluster(cluster, workload, parallelism=load_parallelism)
+    cluster.settle_shards()
+    energy_before = cluster.energy_joules()
+    events_before = cluster.total_events_dispatched()
+    exchange_before = cluster.exchange_stats()
+    # Wall time around the whole run phase, outside the simulated world.
+    started = time.perf_counter()  # simlint: ignore[SIM002]
+    stats = run_closed_loop(cluster, workload, num_ops, concurrency)
+    wall_s = time.perf_counter() - started  # simlint: ignore[SIM002]
+    cluster.settle_shards()
+    energy = cluster.energy_joules() - energy_before
+    events = cluster.total_events_dispatched() - events_before
+    exchange_after = cluster.exchange_stats()
+    cluster.shutdown()
+    cluster.sim.run()
+    row = {
+        "ops": stats.completed,
+        "failed": stats.failed,
+        "sim_elapsed_us": round(stats.elapsed_us, 3),
+        "sim_ops_per_sec": round(stats.throughput_qps, 1),
+        "mean_latency_us": round(stats.mean_latency_us(), 3),
+        "p99_latency_us": round(stats.percentile_us(0.99), 3),
+        "energy_joules": round(energy, 6),
+        "requests_per_joule": round(stats.completed / energy, 1)
+        if energy > 0 else 0.0,
+        "wall_s": round(wall_s, 4),
+        "wall_ops_per_sec": round(stats.completed / wall_s, 1),
+        "events": events,
+        "events_per_sec": round(events / wall_s, 1),
+        "events_per_op": round(events / max(stats.completed, 1), 2),
+        "workers": cluster.config.workers,
+    }
+    row["figure_digest"] = figure_digest(row)
+    if exchange_after is not None:
+        exchange = {key: exchange_after[key] - exchange_before.get(key, 0)
+                    for key in exchange_after}
+        sim_seconds = stats.elapsed_us / 1e6
+        # Barrier-cost visibility on 1-CPU boxes: fewer pipe
+        # round-trips (and windows) per simulated second is the win
+        # barrier elision buys even when there is no parallelism.
+        for counter in ("windows", "child_messages"):
+            exchange[counter + "_per_sim_sec"] = round(
+                exchange[counter] / sim_seconds, 1) if sim_seconds else 0.0
+        row["exchange"] = exchange
+    return row
 
 
 def run_open_loop(cluster: LeedCluster, workload: YCSBWorkload,

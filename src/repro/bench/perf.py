@@ -36,14 +36,12 @@ against them with a generous margin for exactly this reason.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
 import sys
-import time
 
-from repro.bench.harness import build_cluster, load_cluster, run_closed_loop
+from repro.bench.harness import build_cluster, measure_run_phase
 from repro.core.jbof import LeedOptions
 from repro.workloads.ycsb import YCSBWorkload
 
@@ -95,31 +93,13 @@ def fast_options() -> LeedOptions:
     return LeedOptions(fast_datapath=True, admission_batch=8)
 
 
-def figure_digest(row: dict) -> str:
-    """Hash of the sim-derived metrics of a run row.
-
-    Covers only simulated-time results (never wall-clock), so equal
-    digests mean the runs produced the same figures regardless of
-    engine or machine speed.
-    """
-    figure = {key: row[key] for key in
-              ("ops", "failed", "sim_elapsed_us", "sim_ops_per_sec",
-               "mean_latency_us", "p99_latency_us")}
-    blob = json.dumps(figure, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def run_once(workload_name: str, spec: dict, options,
              workers: int = 0) -> dict:
     """One measured closed-loop run; returns a BENCH_perf.json row.
 
-    Only the run phase is timed — cluster build and YCSB load are
-    setup.  Events/sec counts simulator events dispatched during the
-    run phase (summed across shards when ``workers > 0``).  When
-    ``workers > 0`` the row also carries the engine's exchange
-    counters (windows, elided shard-windows, pipe round-trips, shm
-    bytes) deltaed over the run phase — these are wall-clock-side
-    diagnostics and deliberately stay out of ``figure_digest``.
+    The row is :func:`repro.bench.harness.measure_run_phase`'s (only
+    the run phase is timed — cluster build and YCSB load are setup);
+    when ``workers > 0`` it also carries per-shard schedule digests.
     """
     cluster = build_cluster("leed", scale=spec.get("profile", "quick"),
                             value_size=VALUE_SIZE,
@@ -133,47 +113,11 @@ def run_once(workload_name: str, spec: dict, options,
         cluster.enable_schedule_digests()
     workload = YCSBWorkload(workload_name, num_records=spec["records"],
                             seed=SEED, value_size=VALUE_SIZE)
-    load_cluster(cluster, workload,
-                 parallelism=spec.get("load_parallelism", 16))
-    events_before = cluster.total_events_dispatched()
-    exchange_before = cluster.exchange_stats()
-    started = time.perf_counter()
-    stats = run_closed_loop(cluster, workload, spec["ops"],
-                            spec["concurrency"])
-    wall_s = time.perf_counter() - started
-    events = cluster.total_events_dispatched() - events_before
-    exchange_after = cluster.exchange_stats()
-    cluster.shutdown()
-    cluster.sim.run()
-    row = {
-        "ops": stats.completed,
-        "failed": stats.failed,
-        "wall_s": round(wall_s, 4),
-        "wall_ops_per_sec": round(stats.completed / wall_s, 1),
-        "events": events,
-        "events_per_sec": round(events / wall_s, 1),
-        "events_per_op": round(events / max(stats.completed, 1), 2),
-        "sim_elapsed_us": round(stats.elapsed_us, 3),
-        "sim_ops_per_sec": round(stats.throughput_qps, 1),
-        "mean_latency_us": round(stats.mean_latency_us(), 3),
-        "p99_latency_us": round(stats.percentile_us(0.99), 3),
-        "workers": workers,
-    }
-    row["figure_digest"] = figure_digest(row)
+    row = measure_run_phase(cluster, workload, spec["ops"],
+                            spec["concurrency"],
+                            load_parallelism=spec.get("load_parallelism", 16))
     if workers > 0:
         row["shard_digests"] = cluster.shard_digests()
-    if exchange_after is not None:
-        exchange = {key: exchange_after[key] - exchange_before.get(key, 0)
-                    for key in exchange_after}
-        sim_seconds = stats.elapsed_us / 1e6
-        # Barrier-cost visibility on 1-CPU boxes: fewer pipe
-        # round-trips (and windows) per simulated second is the win
-        # barrier elision buys even when there is no parallelism.
-        exchange["windows_per_sim_sec"] = round(
-            exchange["windows"] / sim_seconds, 1) if sim_seconds else 0.0
-        exchange["child_messages_per_sim_sec"] = round(
-            exchange["child_messages"] / sim_seconds, 1) if sim_seconds else 0.0
-        row["exchange"] = exchange
     cluster.stop_workers()
     return row
 

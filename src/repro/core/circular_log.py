@@ -285,12 +285,12 @@ class CircularLog:
 
     # -- reads --------------------------------------------------------------------
 
-    def read(self, virtual_offset: int, length: int, trace=None):
-        """Generator: read ``length`` bytes at a virtual offset.
+    def _read_spans(self, virtual_offset: int, length: int):
+        """Device ``(offset, length)`` spans of a read inside the window.
 
-        Bytes still staged in DRAM (tail block not yet flushed by a
-        concurrent writer) are served from the staged image, exactly as
-        a real store would serve them from its append buffer.
+        Raises :class:`LogRangeError` before any device work when the
+        range is not wholly inside ``[head, tail)``; a read that wraps
+        the end of the region splits into two spans.
         """
         if not self.contains(virtual_offset, length):
             raise LogRangeError(
@@ -298,41 +298,40 @@ class CircularLog:
                 % (self.name, virtual_offset, length, self.head, self.tail))
         start_physical = virtual_offset % self.size
         first_len = min(length, self.size - start_physical)
-        data = yield from self.ssd.read(self.region_offset + start_physical,
-                                        first_len, trace=trace)
+        spans = [(self.region_offset + start_physical, first_len)]
         if first_len < length:
-            rest = yield from self.ssd.read(self.region_offset,
-                                            length - first_len, trace=trace)
-            data += rest
-        # Overlay staged bytes for blocks that are still in DRAM.
-        if self._staged:
-            data = self._overlay_staged(virtual_offset, bytearray(data))
-        return data
+            spans.append((self.region_offset, length - first_len))
+        return spans
+
+    def read(self, virtual_offset: int, length: int, trace=None):
+        """Generator: read ``length`` bytes at a virtual offset.
+
+        Bytes still staged in DRAM (tail block not yet flushed by a
+        concurrent writer) are served from the staged image, exactly as
+        a real store would serve them from its append buffer.  A
+        wrapped read issues its two device reads back to back.
+        """
+        data = b""
+        for offset, span in self._read_spans(virtual_offset, length):
+            data += yield from self.ssd.read(offset, span, trace=trace)
+        return self._overlay_staged(virtual_offset, data)
 
     def read_at(self, virtual_offset: int, length: int, at: float):
         """Analytic read (fast datapath): returns ``(data, done_us)``.
 
         Synchronous variant of :meth:`read` for fused server paths:
         same validation, wrap splitting and staged-byte overlay, but
-        the device model is charged starting at ``at`` and the
-        completion time is returned instead of yielded on.
+        the device model is charged starting at ``at`` (both halves of
+        a wrapped read at once) and the completion time is returned
+        instead of yielded on.
         """
-        if not self.contains(virtual_offset, length):
-            raise LogRangeError(
-                "%s: read [%d,+%d) outside window [%d,%d)"
-                % (self.name, virtual_offset, length, self.head, self.tail))
-        start_physical = virtual_offset % self.size
-        first_len = min(length, self.size - start_physical)
-        data, done = self.ssd.read_at(self.region_offset + start_physical,
-                                      first_len, at)
-        if first_len < length:
-            rest, rest_done = self.ssd.read_at(self.region_offset,
-                                               length - first_len, at)
-            data += rest
-            done = max(done, rest_done)
-        if self._staged:
-            data = self._overlay_staged(virtual_offset, bytearray(data))
-        return data, done
+        data = b""
+        done = at
+        for offset, span in self._read_spans(virtual_offset, length):
+            part, part_done = self.ssd.read_at(offset, span, at)
+            data += part
+            done = max(done, part_done)
+        return self._overlay_staged(virtual_offset, data), done
 
     def charge_read_at(self, virtual_offset: int, length: int,
                        at: float) -> float:
@@ -342,57 +341,16 @@ class CircularLog:
         model is charged exactly as for a real read (the simulated SSD
         has no read cache), only the copy out is skipped.
         """
-        if not self.contains(virtual_offset, length):
-            raise LogRangeError(
-                "%s: read [%d,+%d) outside window [%d,%d)"
-                % (self.name, virtual_offset, length, self.head, self.tail))
-        start_physical = virtual_offset % self.size
-        first_len = min(length, self.size - start_physical)
-        done = self.ssd.charge_read_at(first_len, at)
-        if first_len < length:
-            done = max(done, self.ssd.charge_read_at(length - first_len, at))
+        done = at
+        for _offset, span in self._read_spans(virtual_offset, length):
+            done = max(done, self.ssd.charge_read_at(span, at))
         return done
 
-    def read_multi(self, extents, trace=None):
-        """Generator: vectored read of ``[(virtual_offset, length), ...]``.
-
-        Every extent is validated against the window up front (so a
-        racing compaction raises :class:`LogRangeError` before any
-        device work), mapped to physical ranges with wrap-around
-        splitting, and submitted through one
-        :meth:`~repro.hw.ssd.NVMeSSD.read_multi` doorbell.  Staged DRAM
-        bytes are overlaid per extent.  Returns the byte strings in
-        input order.
-        """
-        extents = list(extents)
-        for virtual_offset, length in extents:
-            if not self.contains(virtual_offset, length):
-                raise LogRangeError(
-                    "%s: read [%d,+%d) outside window [%d,%d)"
-                    % (self.name, virtual_offset, length, self.head, self.tail))
-        physical = []
-        parts = []  # per extent: indices into ``physical``
-        for virtual_offset, length in extents:
-            start_physical = virtual_offset % self.size
-            first_len = min(length, self.size - start_physical)
-            indices = [len(physical)]
-            physical.append((self.region_offset + start_physical, first_len))
-            if first_len < length:
-                indices.append(len(physical))
-                physical.append((self.region_offset, length - first_len))
-            parts.append(indices)
-        blobs = yield from self.ssd.read_multi(physical, trace=trace)
-        results = []
-        for (virtual_offset, length), indices in zip(extents, parts):
-            data = blobs[indices[0]]
-            if len(indices) > 1:
-                data = data + blobs[indices[1]]
-            if self._staged:
-                data = self._overlay_staged(virtual_offset, bytearray(data))
-            results.append(data)
-        return results
-
-    def _overlay_staged(self, offset: int, data: bytearray) -> bytes:
+    def _overlay_staged(self, offset: int, data: bytes) -> bytes:
+        """``data`` with bytes of blocks still staged in DRAM laid over."""
+        if not self._staged:
+            return data
+        data = bytearray(data)
         for block in self._touched_blocks(offset, len(data)):
             image = self._staged.get(block)
             if image is None:

@@ -14,9 +14,8 @@ Co-located with each application client, the front-end:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.flow_control import FlowController, PendingRequest
 from repro.core.hashring import HashRing, VNode
@@ -39,11 +38,6 @@ from repro.obs.hist import LatencyHistogram
 from repro.sim.core import Simulator
 from repro.sim.events import Event
 
-#: Cap on the deprecated raw latency list kept by :class:`ClientStats`.
-#: The histogram is the unbounded-safe record; the raw list survives
-#: (truncated) for one release so external consumers can migrate.
-LATENCY_LIST_CAP = 65536
-
 
 @dataclass
 class ClientResult:
@@ -65,10 +59,7 @@ class ClientStats:
     """Cumulative front-end statistics.
 
     Latencies are recorded into a fixed-size log-scale
-    :class:`~repro.obs.hist.LatencyHistogram`; ``latencies_us`` is the
-    **deprecated** raw list — it is capped at :data:`LATENCY_LIST_CAP`
-    samples (it used to grow without bound) and will be removed; read
-    ``histogram`` instead.
+    :class:`~repro.obs.hist.LatencyHistogram`.
     """
 
     operations: int = 0
@@ -79,10 +70,7 @@ class ClientStats:
     nacks: int = 0
     timeouts: int = 0
     overloads: int = 0
-    #: Deprecated: capped raw sample list (see class docstring).
-    latencies_us: List[float] = field(default_factory=list)
     histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
-    _cap_warned: bool = field(default=False, repr=False)
 
     def record(self, result: ClientResult) -> None:
         """Fold one finished operation into the counters."""
@@ -95,14 +83,6 @@ class ClientStats:
         else:
             self.failures += 1
         self.histogram.record(result.latency_us)
-        if len(self.latencies_us) < LATENCY_LIST_CAP:
-            self.latencies_us.append(result.latency_us)
-        elif not self._cap_warned:
-            self._cap_warned = True
-            warnings.warn(
-                "ClientStats.latencies_us is deprecated and capped at "
-                "%d samples; read ClientStats.histogram instead"
-                % LATENCY_LIST_CAP, DeprecationWarning, stacklevel=2)
 
     def mean_latency_us(self) -> float:
         """Average end-to-end latency over recorded operations."""
@@ -137,7 +117,6 @@ class FrontEndClient:
         #: Replica choice for GETs (:class:`ReadPolicy`): CRRS = most
         #: tokens (LEED §3.7), TAIL = classic chain replication (FAWN),
         #: ANY = round robin over replicas (a sharded KVell deployment).
-        #: Bare strings are coerced for one release (deprecated).
         self.read_policy = (ReadPolicy.coerce(read_policy)
                             or (ReadPolicy.CRRS if crrs else ReadPolicy.TAIL))
         self._read_rr = 0
@@ -204,8 +183,7 @@ class FrontEndClient:
             if self.vnode_states.get(vnode.vnode_id, RUNNING) == RUNNING]
         if not candidates:
             return len(chain) - 1, chain[-1]
-        policy = ReadPolicy.CRRS if self.crrs else ReadPolicy.coerce(
-            self.read_policy)
+        policy = ReadPolicy.CRRS if self.crrs else self.read_policy
         if policy == ReadPolicy.CRRS:
             return max(candidates,
                        key=lambda hv: self.flow.view(hv[1].vnode_id).tokens)

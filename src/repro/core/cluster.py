@@ -81,16 +81,6 @@ class ClusterConfig:
     #: (and the probe-backed :meth:`LeedCluster.energy_joules`) for
     #: cross-shard reporting.
     workers: int = 0
-    #: Parallel-engine wall-clock tuning (only meaningful with
-    #: ``workers > 0``; see :class:`repro.sim.parallel.EngineTuning`).
-    #: The defaults are the tuned values pinned by the
-    #: ``repro.bench.explore`` engine sweep (docs/explore.md): elide
-    #: every idle shard-window and leave windows at their full
-    #: lookahead bound.  None of these knobs can change figure
-    #: metrics — they trade barrier overhead for memory only.
-    engine_elision_threshold_us: float = 0.0
-    engine_window_cap_us: float = 0.0
-    engine_slab_region_bytes: int = 1 << 20
     #: Order-dependence sanitizer (``repro.lint.sanitize``): break
     #: same-timestamp scheduling ties with a named RNG stream instead
     #: of FIFO order.  Serial engine only (``workers == 0``).
@@ -197,8 +187,7 @@ class LeedCluster:
             self.metrics.register_histogram(
                 "%s.latency" % client.address, client.stats.histogram)
         if config.workers > 0:
-            from repro.sim.parallel import (EngineTuning, ParallelEngine,
-                                            ShardPlan)
+            from repro.sim.parallel import ParallelEngine, ShardPlan
             plan = ShardPlan.for_cluster(
                 self.control_plane.address,
                 [client.address for client in self.clients],
@@ -208,11 +197,7 @@ class LeedCluster:
                       for index, node in enumerate(self.jbofs)}
             self.engine = ParallelEngine(
                 self.network, self._shard_sims, config.workers,
-                probes=probes,
-                tuning=EngineTuning(
-                    elision_threshold_us=config.engine_elision_threshold_us,
-                    window_cap_us=config.engine_window_cap_us,
-                    slab_region_bytes=config.engine_slab_region_bytes))
+                probes=probes)
             self.sim.bind_engine(self.engine)
         self._started = False
         self._shut_down = False

@@ -83,6 +83,12 @@ class Compactor:
         self._key_round_active = False
         self._value_round_active = False
 
+    #: A key-log worker whose re-append finds the log full waits for
+    #: another worker's commit to advance the head and retries — up to
+    #: this many times, then the round is abandoned.
+    KEY_APPEND_RETRIES = 20
+    KEY_APPEND_BACKOFF_US = 100.0
+
     # ------------------------------------------------------------------ key log
 
     def compact_key_log(self, target_fill: Optional[float] = None):
@@ -92,6 +98,13 @@ class Compactor:
         them) are re-appended at the tail with tombstones dropped;
         dead entries are skipped.  Stops once the fill fraction falls
         below the low watermark (or ``target_fill``).
+
+        Fails soft like the value-log round: when a re-append finds no
+        room and no commit frees any (a full log whose head entry is
+        the live segment being moved), the round is abandoned without
+        advancing past that segment, counted in
+        ``StoreStats.compaction_aborted``, and the next maintenance
+        poll retries.
         """
         if self._key_round_active:
             return 0
@@ -122,6 +135,7 @@ class Compactor:
         tasks: Store = Store(self.sim, capacity=workers * 2)
         done_offsets: Dict[int, int] = {}  # entry offset -> entry end
         commit_head = [log.head]
+        abandoned: List[int] = []  # offsets whose re-append gave up
 
         def advance_commit():
             while done_offsets and commit_head[0] in done_offsets:
@@ -135,6 +149,8 @@ class Compactor:
                 task = yield tasks.get()
                 if task is None:
                     return
+                if abandoned:
+                    continue  # drain the queue; nothing more commits
                 offset, seg_id, chain_len, first_block = task
                 end = offset + chain_len * block
                 live = store.segtbl.location(seg_id) == (offset, chain_len)
@@ -155,7 +171,7 @@ class Compactor:
                                 * max(len(list(segment.iter_items())), 1))
                             self.stats.tombstones_dropped += segment.drop_tombstones()
                             if segment.live_items():
-                                while True:
+                                for _attempt in range(self.KEY_APPEND_RETRIES):
                                     try:
                                         yield from store._write_segment(
                                             segment)
@@ -164,7 +180,11 @@ class Compactor:
                                         # Absolute worst case: wait for
                                         # another worker's commit to
                                         # advance the head.
-                                        yield self.sim.timeout(100.0)
+                                        yield self.sim.timeout(
+                                            self.KEY_APPEND_BACKOFF_US)
+                                else:
+                                    abandoned.append(offset)
+                                    continue
                                 self.stats.segments_relocated += 1
                             else:
                                 # Fully-deleted segment: forget it.
@@ -184,7 +204,8 @@ class Compactor:
         scan = log.head
         end_tail = log.tail  # do not chase our own re-appended entries
         prefetched: Optional[tuple] = None  # (offset, process)
-        while log.fill_fraction() > target_fill and scan < end_tail:
+        while (not abandoned and log.fill_fraction() > target_fill
+               and scan < end_tail):
             # First block of the entry at ``scan`` — possibly prefetched.
             if prefetched is not None and prefetched[0] == scan:
                 first_block = yield prefetched[1]
@@ -205,6 +226,8 @@ class Compactor:
             yield tasks.put(None)
         yield self.sim.all_of(worker_procs)
         advance_commit()
+        if abandoned:
+            store.stats.compaction_aborted += 1
         return log.head - start_head
 
     # ------------------------------------------------------------------ value log

@@ -158,17 +158,18 @@ class LeedDataStore:
         self.peer_stores: Dict[int, "LeedDataStore"] = {store_id: self}
         #: Live object count (for occupancy reporting).
         self.live_objects = 0
-        #: Decoded-segment cache for the fused fast path, keyed by
-        #: key-log virtual offset (append-only: a virtual offset's
-        #: content never changes, so no invalidation is needed beyond
-        #: the size cap).  Holds ``(segment, scan_items)``; cached
+        #: Decoded-segment memo for GETs (filled by the analytic
+        #: clock), keyed by key-log virtual offset (append-only: a
+        #: virtual offset's content never changes, so no invalidation
+        #: is needed beyond the size cap).  Holds
+        #: ``(segment, scan_items)``; cached
         #: segments are read-only to their users — writers always
         #: unpack a private copy.  Device timing is still charged in
         #: full on a hit; only the decode compute is skipped.
         self._seg_cache: Dict[int, tuple] = {}
-        #: Serve untraced :meth:`get` calls through the analytic
-        #: :meth:`get_at` (``LeedOptions.fast_datapath``; needs a bound
-        #: core).  Off: the stage-per-yield reference GET.
+        #: Serve untraced :meth:`get` calls on the analytic clock
+        #: (``LeedOptions.fast_datapath``; needs a bound core).  Off:
+        #: the stage-per-yield reference clock.
         self.fused_get = False
 
     #: Bound on the decoded-segment cache (entries, not bytes).
@@ -236,24 +237,68 @@ class LeedDataStore:
     def get(self, key: bytes, trace=None):
         """Generator: GET — SegTbl lookup, segment read, value read.
 
+        Untraced GETs on a ``fused_get`` store run the pipeline on the
+        analytic clock and sleep once for the result (one timeout
+        event); everything else runs it stage by stage on the
+        reference clock.  ``trace`` (a
+        :class:`repro.obs.spans.TraceContext`) attributes the device
+        accesses to the request's trace.
+        """
+        if trace is None and self.fused_get:
+            result, done = self.get_at(key)
+            if done > self.sim.now:
+                yield self.sim.timeout(done - self.sim.now)
+            return result
+        result, _done = yield from self._get_stages(key, trace, False)
+        return result
+
+    def get_at(self, key: bytes):
+        """Analytic GET (fast datapath): returns ``(OpResult, done_us)``.
+
+        Runs the pipeline to completion without yielding — the caller
+        sleeps (or schedules a completion callback) for ``done_us``.
+        Needs a bound core.
+        """
+        try:
+            next(self._get_stages(key, None, True))
+        except StopIteration as stop:
+            return stop.value
+        raise RuntimeError("%s: analytic GET yielded" % self.name)
+
+    def _get_stages(self, key: bytes, trace, analytic: bool):
+        """Generator: the GET pipeline, written once for both clocks.
+
+        Hash lookup → key-log segment read (decoded through the
+        segment memo) → bucket scan → value-log read, a fixed 2 NVMe
+        accesses per hit (§3.3).  Returns ``(OpResult, done_us)``; all
+        statistics are recorded here.
+
+        The clock is the only parameter.  *Reference* (``analytic``
+        false): each stage executes at ``sim.now`` and yields until it
+        completes (:meth:`Core.execute`, :meth:`CircularLog.read`), so
+        a compaction can move data while a read is in flight.
+        *Analytic*: each stage is charged at the running ``at``
+        (:meth:`Core.charge_at`, :meth:`CircularLog.read_at`) and the
+        generator never yields; validation happens at the submission
+        instant, so the retry loop only sees submission-time stale
+        SegTbl entries.
+
         Optimistic with respect to compaction: if the segment or value
         moved underneath us (LogRangeError / key mismatch) the lookup
         restarts from the SegTbl, up to ``max_get_retries`` times.
-        ``trace`` (a :class:`repro.obs.spans.TraceContext`) attributes
-        the device accesses to the request's trace.
         """
-        if trace is None and self.fused_get:
-            return (yield from self._get_fused(key))
-        start = self.sim.now
-        cpu_us = ssd_us = 0.0
+        key_log = self.key_log
+        core = self.core
+        start = at = self.sim.now
+        ssd_us = 0.0
         accesses = 0
         self.stats.gets += 1
         khash = key_hash(key)
         seg_id = khash % self.config.num_segments
 
-        t0 = self.sim.now
-        yield from self._charge_cpu(CYCLE_COSTS["hash_lookup"])
-        cpu_us += self.sim.now - t0
+        cycles = CYCLE_COSTS["hash_lookup"]
+        at = (core.charge_at(cycles, at) if analytic
+              else (yield from self._cpu_now(cycles)))
 
         result: Optional[OpResult] = None
         for attempt in range(self.config.max_get_retries):
@@ -264,143 +309,62 @@ class LeedDataStore:
                 result = OpResult(NOT_FOUND)
                 break
             offset, chain_len = location
-            t0 = self.sim.now
+            nbytes = chain_len * key_log.block_size
+            cached = self._seg_cache.get(offset)
             try:
-                segment = yield from self._read_segment(offset, chain_len,
-                                                        trace)
+                if not analytic:
+                    blob, done = yield from self._read_now(
+                        key_log, offset, nbytes, trace)
+                elif cached is None:
+                    blob, done = key_log.read_at(offset, nbytes, at)
+                else:
+                    # Full device timing, minus the copy-out.
+                    done = key_log.charge_read_at(offset, nbytes, at)
             except LogRangeError:
-                ssd_us += self.sim.now - t0
                 continue
-            ssd_us += self.sim.now - t0
+            ssd_us += done - at
+            at = done
             accesses += 1
+            if cached is None:
+                segment = Segment.unpack(blob, key_log.block_size)
+                cached = (segment, max(
+                    sum(len(b.items) for b in segment.buckets), 1))
+                # Only the analytic clock fills the memo: it is what
+                # lets that clock skip the copy-out, while the
+                # reference clock reads the bytes regardless and would
+                # only pay the memory.
+                if analytic:
+                    if len(self._seg_cache) >= self.SEG_CACHE_MAX:
+                        self._seg_cache.clear()
+                    self._seg_cache[offset] = cached
+            segment, scan_items = cached
 
-            t0 = self.sim.now
-            scan_cycles = CYCLE_COSTS["bucket_scan_per_key"] * max(
-                sum(len(b.items) for b in segment.buckets), 1)
-            yield from self._charge_cpu(scan_cycles)
-            cpu_us += self.sim.now - t0
+            cycles = CYCLE_COSTS["bucket_scan_per_key"] * scan_items
+            at = (core.charge_at(cycles, at) if analytic
+                  else (yield from self._cpu_now(cycles)))
 
             item = segment.find(key, khash)
             if item is None or item.is_tombstone:
                 result = OpResult(NOT_FOUND)
                 break
 
-            entry_size = value_entry_size(len(key), item.vlen)
             value_log = self._value_log_for(item.ssd_id)
-            t0 = self.sim.now
+            nbytes = value_entry_size(len(key), item.vlen)
             try:
-                blob = yield from value_log.read(item.voffset, entry_size,
-                                                 trace=trace)
+                blob, done = (
+                    value_log.read_at(item.voffset, nbytes, at) if analytic
+                    else (yield from self._read_now(value_log, item.voffset,
+                                                    nbytes, trace)))
             except LogRangeError:
-                ssd_us += self.sim.now - t0
                 continue
-            ssd_us += self.sim.now - t0
+            ssd_us += done - at
+            at = done
             accesses += 1
 
             _seg_id, stored_key, value, _size, _owner = unpack_value_entry(blob)
             if stored_key != key:
                 # The value log was compacted between the segment read and
                 # the value read; the fresh SegTbl view will resolve it.
-                continue
-            result = OpResult(OK, value=value)
-            break
-        if result is None:
-            result = OpResult(NOT_FOUND)
-
-        if result.ok:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-        result.total_us = self.sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = accesses
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["get"] += result.total_us
-        return result
-
-    def _get_fused(self, key: bytes):
-        """Generator: analytic GET (fast datapath) — one timeout event."""
-        result, done = self.get_at(key)
-        if done > self.sim.now:
-            yield self.sim.timeout(done - self.sim.now)
-        return result
-
-    def get_at(self, key: bytes):
-        """Analytic GET (fast datapath): returns ``(OpResult, done_us)``.
-
-        Mirrors :meth:`get` stage for stage, but chains each stage's
-        completion time through the analytic core/SSD models
-        synchronously (:meth:`Core.charge_at`,
-        :meth:`CircularLog.read_at`) without yielding — the caller
-        sleeps (or schedules a completion callback) for ``done_us``.
-        Validation happens at the submission instant, so a compaction
-        cannot move data mid-flight; the retry loop is kept for
-        submission-time stale SegTbl entries.  All statistics are
-        recorded here, stamped as of the completion time.
-        """
-        start = self.sim.now
-        cpu_us = ssd_us = 0.0
-        accesses = 0
-        self.stats.gets += 1
-        khash = key_hash(key)
-        seg_id = khash % self.config.num_segments
-
-        at = self.core.charge_at(CYCLE_COSTS["hash_lookup"], start)
-        cpu_us += at - start
-
-        result: Optional[OpResult] = None
-        for attempt in range(self.config.max_get_retries):
-            if attempt:
-                self.stats.get_retries += 1
-            location = self.segtbl.location(seg_id)
-            if location is None:
-                result = OpResult(NOT_FOUND)
-                break
-            offset, chain_len = location
-            nbytes = chain_len * self.key_log.block_size
-            cached = self._seg_cache.get(offset)
-            try:
-                if cached is not None:
-                    done = self.key_log.charge_read_at(offset, nbytes, at)
-                    segment, scan_items = cached
-                else:
-                    blob, done = self.key_log.read_at(offset, nbytes, at)
-                    segment = Segment.unpack(blob, self.key_log.block_size)
-                    scan_items = max(
-                        sum(len(b.items) for b in segment.buckets), 1)
-                    if len(self._seg_cache) >= self.SEG_CACHE_MAX:
-                        self._seg_cache.clear()
-                    self._seg_cache[offset] = (segment, scan_items)
-            except LogRangeError:
-                continue
-            ssd_us += done - at
-            at = done
-            accesses += 1
-
-            scan_cycles = CYCLE_COSTS["bucket_scan_per_key"] * scan_items
-            done = self.core.charge_at(scan_cycles, at)
-            cpu_us += done - at
-            at = done
-
-            item = segment.find(key, khash)
-            if item is None or item.is_tombstone:
-                result = OpResult(NOT_FOUND)
-                break
-
-            entry_size = value_entry_size(len(key), item.vlen)
-            value_log = self._value_log_for(item.ssd_id)
-            try:
-                blob, done = value_log.read_at(item.voffset, entry_size, at)
-            except LogRangeError:
-                continue
-            ssd_us += done - at
-            at = done
-            accesses += 1
-
-            _seg_id, stored_key, value, _size, _owner = unpack_value_entry(blob)
-            if stored_key != key:
                 continue
             result = OpResult(OK, value=value)
             break
@@ -420,133 +384,16 @@ class LeedDataStore:
         self.stats.op_latency_us["get"] += result.total_us
         return result, at
 
-    def multi_get(self, keys, trace=None):
-        """Generator: batched GET of several keys (§3.2 read path, vectored).
+    def _cpu_now(self, cycles: int):
+        """Generator (reference clock): CPU work now; returns its end."""
+        yield from self._charge_cpu(cycles)
+        return self.sim.now
 
-        Groups the keys by segment, fetches the distinct segments
-        through one vectored key-log doorbell
-        (:meth:`CircularLog.read_multi`), then fetches all value
-        entries through one vectored doorbell per holding SSD.
-        Returns a list of :class:`OpResult` in input order.
-
-        Keys that race compaction (``LogRangeError`` or a stale value
-        entry) fall back to the single-key retry path of :meth:`get`.
-
-        Access accounting: each key's ``nvme_accesses`` reports its
-        *logical* accesses (2 for a hit, matching :meth:`get`), while
-        the device-level ``SSDStats.reads_completed`` reflects the
-        deduplicated physical I/Os — one read per distinct segment
-        plus one per value entry.
-        """
-        keys = list(keys)
-        results: list = [None] * len(keys)
-        if not keys:
-            return results
-        start = self.sim.now
-        ssd_us = 0.0
-
-        khashes = [key_hash(key) for key in keys]
-        seg_ids = [khash % self.config.num_segments for khash in khashes]
-        yield from self._charge_cpu(CYCLE_COSTS["hash_lookup"] * len(keys))
-
-        distinct = []  # (seg_id, offset, chain_len), first-appearance order
-        seen = set()
-        for index, seg_id in enumerate(seg_ids):
-            if seg_id in seen:
-                continue
-            seen.add(seg_id)
-            location = self.segtbl.location(seg_id)
-            if location is None:
-                continue
-            distinct.append((seg_id, location[0], location[1]))
-        for index, seg_id in enumerate(seg_ids):
-            if self.segtbl.location(seg_id) is None:
-                results[index] = OpResult(NOT_FOUND)
-
-        t0 = self.sim.now
-        try:
-            blobs = yield from self.key_log.read_multi(
-                [(offset, chain_len * self.key_log.block_size)
-                 for _seg_id, offset, chain_len in distinct], trace=trace)
-        except LogRangeError:
-            # A compaction moved a segment under the batch; resolve every
-            # unresolved key through the single-key retry path.
-            for index, key in enumerate(keys):
-                if results[index] is None:
-                    results[index] = yield from self.get(key, trace)
-                else:
-                    self.stats.gets += 1
-                    self.stats.misses += 1
-            return results
-        ssd_us += self.sim.now - t0
-        segments = {seg_id: Segment.unpack(blob, self.key_log.block_size)
-                    for (seg_id, _offset, _chain), blob in zip(distinct, blobs)}
-
-        # Scan charge: each key pays for scanning its own segment, the
-        # same cost model as single-key GETs.
-        scan_items = 0
-        for index, seg_id in enumerate(seg_ids):
-            if results[index] is None:
-                scan_items += max(
-                    sum(len(b.items) for b in segments[seg_id].buckets), 1)
-        if scan_items:
-            yield from self._charge_cpu(
-                CYCLE_COSTS["bucket_scan_per_key"] * scan_items)
-
-        pending = []  # (index, item)
-        for index, key in enumerate(keys):
-            if results[index] is not None:
-                continue
-            item = segments[seg_ids[index]].find(key, khashes[index])
-            if item is None or item.is_tombstone:
-                results[index] = OpResult(NOT_FOUND, nvme_accesses=1)
-            else:
-                pending.append((index, item))
-
-        by_holder: Dict[int, list] = {}
-        for index, item in pending:
-            by_holder.setdefault(item.ssd_id, []).append((index, item))
-        fallback = []
-        for holder in sorted(by_holder):
-            entries = by_holder[holder]
-            value_log = self._value_log_for(holder)
-            extents = [(item.voffset,
-                        value_entry_size(len(keys[index]), item.vlen))
-                       for index, item in entries]
-            t0 = self.sim.now
-            try:
-                value_blobs = yield from value_log.read_multi(extents,
-                                                              trace=trace)
-            except LogRangeError:
-                ssd_us += self.sim.now - t0
-                fallback.extend(index for index, _item in entries)
-                continue
-            ssd_us += self.sim.now - t0
-            for (index, _item), blob in zip(entries, value_blobs):
-                _sid, stored_key, value, _sz, _own = unpack_value_entry(blob)
-                if stored_key != keys[index]:
-                    fallback.append(index)
-                else:
-                    results[index] = OpResult(OK, value=value, nvme_accesses=2)
-
-        elapsed = self.sim.now - start
-        for index, result in enumerate(results):
-            if result is None:
-                continue
-            self.stats.gets += 1
-            if result.ok:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-            result.total_us = elapsed
-            result.ssd_us = ssd_us
-            result.cpu_us = elapsed - ssd_us
-            self.stats.ssd_time_us += ssd_us
-            self.stats.cpu_time_us += result.cpu_us
-            self.stats.op_latency_us["get"] += elapsed
-        for index in fallback:
-            results[index] = yield from self.get(keys[index], trace)
-        return results
+    def _read_now(self, log: CircularLog, offset: int, nbytes: int, trace):
+        """Generator (reference clock): a log read now; returns
+        ``(bytes, done_us)``."""
+        blob = yield from log.read(offset, nbytes, trace=trace)
+        return blob, self.sim.now
 
     def put(self, key: bytes, value: bytes, trace=None):
         """Generator: PUT — 3 NVMe accesses, first two overlapped.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Optional, Set
 
 from repro.core.datastore import LeedDataStore, OpResult
 from repro.sim.core import Simulator
@@ -105,11 +105,10 @@ class PartitionIOEngine:
         self._weight_total = 0.0
         self._release_waiters: Deque[Event] = deque()
         #: Max commands pulled from the waiting queue per scheduler
-        #: wakeup; runs of >= 2 admitted GETs execute through the
-        #: store's vectored ``multi_get`` when it has one.  1 keeps
-        #: the exact one-command-per-wakeup schedule.
+        #: wakeup; each is then admitted FCFS and executed on the
+        #: per-command path.  1 keeps the exact one-command-per-wakeup
+        #: schedule.
         self.admission_batch = max(int(admission_batch), 1)
-        self._multi_get = getattr(store, "multi_get", None)
         #: Fast path (``fast_datapath``): admit a command synchronously
         #: from :meth:`submit` when nothing is queued ahead of it and
         #: tokens are free — skips the waiting-queue round trip.  FCFS
@@ -221,22 +220,17 @@ class PartitionIOEngine:
 
     def _run(self):
         while True:
-            command: KVCommand = yield self.waiting.get()
-            self._admitting += 1
-            if self.admission_batch > 1:
-                batch = [command]
-                while len(batch) < self.admission_batch:
-                    extra = self.waiting.try_get()
-                    if extra is None:
-                        break
-                    batch.append(extra)
-                    self._admitting += 1
-                if len(batch) > 1:
-                    yield from self._admit_batch(batch)
-                    continue
-            yield from self._admit_one(command)
-            self.sim.process(self._execute(command),
-                             name=self.name + ".exec")
+            batch = [(yield self.waiting.get())]
+            while len(batch) < self.admission_batch:
+                extra = self.waiting.try_get()
+                if extra is None:
+                    break
+                batch.append(extra)
+            self._admitting += len(batch)
+            for command in batch:
+                yield from self._admit_one(command)
+                self.sim.process(self._execute(command),
+                                 name=self.name + ".exec")
 
     def _admit_one(self, command: KVCommand):
         """Generator: wait for tokens and move ``command`` to active."""
@@ -258,34 +252,6 @@ class PartitionIOEngine:
         self.stats.total_wait_us += command.started_at - command.enqueued_at
         self.active.add(command)
         self._admitting -= 1
-
-    def _admit_batch(self, batch: List[KVCommand]):
-        """Generator: admit a drained batch FCFS; group GET runs.
-
-        Consecutive admitted GETs (>= 2) execute through the store's
-        vectored ``multi_get``; everything else (and stores without
-        one) runs through the per-command path.
-        """
-        run: List[KVCommand] = []
-        for command in batch:
-            yield from self._admit_one(command)
-            if command.op == "get" and self._multi_get is not None:
-                run.append(command)
-                continue
-            self._spawn_run(run)
-            run = []
-            self.sim.process(self._execute(command),
-                             name=self.name + ".exec")
-        self._spawn_run(run)
-
-    def _spawn_run(self, run: List[KVCommand]) -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            self.sim.process(self._execute(run[0]), name=self.name + ".exec")
-            return
-        self.sim.process(self._execute_batch(list(run)),
-                         name=self.name + ".exec")
 
     def _token_released(self) -> Event:
         event = Event(self.sim)
@@ -344,44 +310,11 @@ class PartitionIOEngine:
         if exec_ctx is not None:
             exec_ctx.finish({"status": result.status,
                              "nvme_accesses": result.nvme_accesses})
-        self._retire(command)
-        self.stats.completed += 1
-        self.stats.total_service_us += self.sim.now - command.started_at
-        if command.completion and not command.completion.triggered:
-            command.completion.succeed(result)
-
-    def _execute_batch(self, commands: List[KVCommand]):
-        """One store round trip for a run of admitted GETs."""
-        spans = []
-        for command in commands:
-            if command.trace is not None:
-                spans.append((command, command.trace.child(
-                    "engine.exec.get", cat="engine",
-                    args={"batched": len(commands)})))
-        try:
-            results = yield from self._multi_get(
-                [command.key for command in commands])
-        except Exception as exc:  # surface store errors to the waiters
-            for _command, span in spans:
-                span.finish({"error": type(exc).__name__})
-            for command in commands:
-                self._retire(command)
-                if command.completion and not command.completion.triggered:
-                    command.completion.fail(exc)
-            return
-        statuses = {command: result.status
-                    for command, result in zip(commands, results)}
-        for command, span in spans:
-            span.finish({"status": statuses[command]})
-        for command, result in zip(commands, results):
-            self._retire(command)
-            self.stats.completed += 1
-            self.stats.total_service_us += self.sim.now - command.started_at
-            if command.completion and not command.completion.triggered:
-                command.completion.succeed(result)
+        self._complete(command, result)
 
     def _complete(self, command: KVCommand, result: OpResult) -> None:
-        """Retire a fused GET at its scheduled completion time."""
+        """Retire a finished command and hand its result to the waiter
+        (also the completion callback of a fused GET)."""
         self._retire(command)
         self.stats.completed += 1
         self.stats.total_service_us += self.sim.now - command.started_at

@@ -82,8 +82,7 @@ class LeedOptions:
     #: forwards the whole request to the tail (LEED's CRRS, §3.7);
     #: ``CRAQ`` sends a small version query to the tail and serves
     #: locally when the replica is up to date (the alternative the
-    #: paper rejected for its extra internal traffic).  Bare strings
-    #: are coerced with a DeprecationWarning.
+    #: paper rejected for its extra internal traffic).
     dirty_read_mode: DirtyReadMode = DirtyReadMode.SHIP
     #: Intra-JBOF write swapping (Fig. 10).
     enable_swap: bool = True
@@ -105,9 +104,9 @@ class LeedOptions:
     #: same-destination SEND coalescing.  Default off: paper figures
     #: come from the reference pipeline.
     fast_datapath: bool = False
-    #: Commands the partition engine may drain per scheduler wakeup;
-    #: runs of >= 2 GETs execute through the store's vectored
-    #: ``multi_get``.  1 = exact pre-batching admission schedule.
+    #: Commands the partition engine may drain per scheduler wakeup,
+    #: each then executed on the per-command path.  1 = exact
+    #: one-command-per-wakeup admission schedule.
     admission_batch: int = 1
     #: Max deferred same-destination requests packed into one SEND.
     rpc_coalesce_limit: int = 8

@@ -143,14 +143,6 @@ class ControlPlane:
             replication=self.replication,
             replication_protocol=self.replication_protocol)
 
-    def _update_payload(self) -> MembershipUpdate:
-        """Deprecated private alias of :meth:`membership_snapshot`.
-
-        Kept for one release so external callers migrate; new code
-        must use the public name.
-        """
-        return self.membership_snapshot()
-
     def _broadcast(self, immediate: bool = False) -> None:
         """Push the current snapshot to all subscribers.
 

@@ -25,10 +25,8 @@ class ReadPolicy(str, enum.Enum):
       deployment).
 
     The enum subclasses :class:`str`, so ``ReadPolicy.TAIL == "tail"``
-    holds and existing string comparisons keep working.  Passing bare
-    strings (``"crrs"`` | ``"tail"`` | ``"any"``) where a policy is
-    expected is **deprecated**: they are still coerced by
-    :meth:`coerce`, but new code should pass the enum members.
+    holds and string comparisons keep working; arguments that take a
+    policy accept the members only.
     """
 
     CRRS = "crrs"
@@ -37,21 +35,17 @@ class ReadPolicy(str, enum.Enum):
 
     @classmethod
     def coerce(cls, value: Optional[object]) -> Optional["ReadPolicy"]:
-        """Normalize a policy argument.
+        """Validate a policy argument.
 
-        ``None`` passes through (callers apply their own default);
-        members pass through; strings are coerced (deprecated spelling,
-        kept for one release).  Anything else raises ``ValueError``
-        listing the valid policies.
+        ``None`` passes through (callers apply their own default) and
+        so do members; anything else raises ``ValueError`` listing
+        the valid policies.
         """
         if value is None or isinstance(value, cls):
             return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                "invalid read policy %r; valid policies: %s"
-                % (value, ", ".join(policy.value for policy in cls)))
+        raise ValueError(
+            "invalid read policy %r; valid policies: %s"
+            % (value, ", ".join(policy.value for policy in cls)))
 
     def __str__(self) -> str:
         return self.value

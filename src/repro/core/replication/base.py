@@ -22,7 +22,6 @@ perturbs the schedule of runs that don't exercise the new paths.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Dict, List, Optional
 
 
@@ -36,10 +35,8 @@ class DirtyReadMode(str, enum.Enum):
       (the alternative the paper rejected for its internal traffic).
 
     The enum subclasses :class:`str`, so ``DirtyReadMode.SHIP ==
-    "ship"`` holds and existing string comparisons keep working.
-    Passing bare strings where a mode is expected is **deprecated**:
-    they are still coerced by :meth:`coerce` (with a
-    ``DeprecationWarning``), but new code should pass the members.
+    "ship"`` holds and string comparisons keep working; arguments
+    that take a mode accept the members only.
     """
 
     SHIP = "ship"
@@ -47,26 +44,17 @@ class DirtyReadMode(str, enum.Enum):
 
     @classmethod
     def coerce(cls, value: Optional[object]) -> Optional["DirtyReadMode"]:
-        """Normalize a mode argument.
+        """Validate a mode argument.
 
-        ``None`` passes through (callers apply their own default);
-        members pass through; strings are coerced with a
-        ``DeprecationWarning`` (kept for one release).  Anything else
-        raises ``ValueError`` listing the valid modes.
+        ``None`` passes through (callers apply their own default) and
+        so do members; anything else raises ``ValueError`` listing
+        the valid modes.
         """
         if value is None or isinstance(value, cls):
             return value
-        try:
-            member = cls(value)
-        except ValueError:
-            raise ValueError(
-                "invalid dirty-read mode %r; valid modes: %s"
-                % (value, ", ".join(mode.value for mode in cls)))
-        warnings.warn(
-            "passing a bare string for dirty_read_mode is deprecated; "
-            "use DirtyReadMode.%s" % member.name,
-            DeprecationWarning, stacklevel=3)
-        return member
+        raise ValueError(
+            "invalid dirty-read mode %r; valid modes: %s"
+            % (value, ", ".join(mode.value for mode in cls)))
 
     def __str__(self) -> str:
         return self.value

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.hw.flash import FlashArray
 from repro.sim.core import Simulator
@@ -170,24 +170,36 @@ class NVMeSSD:
             return mean_us
         return mean_us * self._rng.uniform(1.0 - j, 1.0 + j)
 
-    def _admit(self, service_us: float) -> Tuple[float, float]:
-        """Analytic channel admission: returns ``(start, done)`` times.
+    def _admit_read(self, length: int, at: float) -> Tuple[float, float, float]:
+        """Analytic channel admission of a read submitted at ``at``
+        (>= now): draws the jittered service time and returns
+        ``(service, start, done)``.
 
-        Expired busy-until entries are pruned; when all channels are
-        busy the I/O starts when the earliest one frees (FCFS).
+        Expired busy-until entries are pruned against ``sim.now`` (so
+        traffic submitted between now and ``at`` still sees them as
+        busy); when all channels are busy the I/O starts when the
+        earliest one frees (FCFS).
         """
-        return self._admit_at(service_us, self.sim.now)
-
-    def _admit_at(self, service_us: float, at: float) -> Tuple[float, float]:
-        """:meth:`_admit` for an I/O submitted at a future ``at``.
-
-        Entries are only pruned against ``sim.now`` so traffic
-        submitted between now and ``at`` still sees them as busy.
-        """
+        service = self._jittered(self.profile.read_service_us(max(length, 1)))
         start = self._take_channel(at)
-        done = start + service_us
+        done = start + service
         heapq.heappush(self._chan_busy, done)
-        return start, done
+        return service, start, done
+
+    def _book_read(self, length: int, at: float, service: float,
+                   start: float, done: float) -> None:
+        """Record one read submitted at ``at`` in the device statistics.
+
+        The generator form books at completion, the analytic forms at
+        submission — interleaved traffic sums the float counters in
+        that order, which the energy figures can see.
+        """
+        stats = self.stats
+        stats.reads_completed += 1
+        stats.read_bytes += length
+        stats.total_read_latency_us += done - at
+        stats.queue_wait_us += start - at
+        stats.busy_time_us += service
 
     def _take_channel(self, at: float) -> float:
         """Start time of an I/O submitted at ``at``: now-idle channels
@@ -215,16 +227,10 @@ class NVMeSSD:
             ctx = trace.child("ssd.read", track=self.name, cat="device",
                               args={"bytes": length})
         submitted = self.sim.now
-        service = self._jittered(self.profile.read_service_us(max(length, 1)))
-        admitted, done = self._admit(service)
+        service, admitted, done = self._admit_read(length, submitted)
         yield self.sim.timeout_at(done)
         data = self.flash.read(offset, length)
-        completed = self.sim.now
-        self.stats.reads_completed += 1
-        self.stats.read_bytes += length
-        self.stats.total_read_latency_us += completed - submitted
-        self.stats.queue_wait_us += admitted - submitted
-        self.stats.busy_time_us += service
+        self._book_read(length, submitted, service, admitted, done)
         if ctx is not None:
             ctx.finish({"queue_wait_us": admitted - submitted})
         return data
@@ -237,15 +243,8 @@ class NVMeSSD:
         caller chains the returned completion time instead of yielding
         on a timeout.  ``at`` is the submission time (>= now).
         """
-        service = self._jittered(self.profile.read_service_us(max(length, 1)))
-        start, done = self._admit_at(service, at)
-        data = self.flash.read(offset, length)
-        self.stats.reads_completed += 1
-        self.stats.read_bytes += length
-        self.stats.total_read_latency_us += done - at
-        self.stats.queue_wait_us += start - at
-        self.stats.busy_time_us += service
-        return data, done
+        done = self.charge_read_at(length, at)
+        return self.flash.read(offset, length), done
 
     def charge_read_at(self, length: int, at: float) -> float:
         """:meth:`read_at` timing/statistics without the functional read.
@@ -254,13 +253,8 @@ class NVMeSSD:
         segment cache): a cache hit still pays full device timing —
         only the byte shuffling and decode compute are skipped.
         """
-        service = self._jittered(self.profile.read_service_us(max(length, 1)))
-        start, done = self._admit_at(service, at)
-        self.stats.reads_completed += 1
-        self.stats.read_bytes += length
-        self.stats.total_read_latency_us += done - at
-        self.stats.queue_wait_us += start - at
-        self.stats.busy_time_us += service
+        service, start, done = self._admit_read(length, at)
+        self._book_read(length, at, service, start, done)
         return done
 
     def write(self, offset: int, data: bytes, trace=None):
@@ -294,82 +288,6 @@ class NVMeSSD:
         if ctx is not None:
             ctx.finish({"queue_wait_us": admitted - submitted})
         return len(data)
-
-    def read_multi(self, extents: Sequence[Tuple[int, int]], trace=None):
-        """Vectored read: one doorbell, per-I/O channel overlap.
-
-        ``extents`` is a sequence of ``(offset, length)`` pairs.  The
-        batch rings a single doorbell, each I/O draws its own jittered
-        service time and occupies a flash channel (shared with
-        cross-traffic), and the generator resumes once the last I/O of
-        the batch completes.  Returns the list of byte
-        strings in submission order.  Statistics count every I/O
-        individually (``reads_completed`` grows by ``len(extents)``).
-        """
-        extents = list(extents)
-        if not extents:
-            return []
-        ctx = None
-        if trace is not None:
-            ctx = trace.child("ssd.read_multi", track=self.name, cat="device",
-                              args={"ios": len(extents),
-                                    "bytes": sum(e[1] for e in extents)})
-        submitted = self.sim.now
-        services = [self._jittered(self.profile.read_service_us(max(length, 1)))
-                    for _offset, length in extents]
-        admits = [self._admit(service) for service in services]
-        dones = [done for _start, done in admits]
-        queue_wait = sum(start - submitted for start, _done in admits)
-        yield self.sim.timeout_at(max(dones))
-        data = [self.flash.read(offset, length) for offset, length in extents]
-        self.stats.reads_completed += len(extents)
-        self.stats.read_bytes += sum(length for _offset, length in extents)
-        self.stats.total_read_latency_us += sum(done - submitted for done in dones)
-        self.stats.queue_wait_us += queue_wait
-        self.stats.busy_time_us += sum(services)
-        if ctx is not None:
-            ctx.finish({"queue_wait_us": queue_wait})
-        return data
-
-    def write_multi(self, writes: Sequence[Tuple[int, bytes]], trace=None):
-        """Vectored write: one doorbell, per-I/O channel overlap.
-
-        ``writes`` is a sequence of ``(offset, data)`` pairs.  The
-        batch reserves aggregate drain bandwidth for its total bytes
-        at the doorbell (the wait is added to the batch completion),
-        then overlaps the per-I/O programs across channels like
-        :meth:`read_multi`.  Returns the total bytes written.
-        """
-        writes = list(writes)
-        if not writes:
-            return 0
-        total = sum(len(data) for _offset, data in writes)
-        ctx = None
-        if trace is not None:
-            ctx = trace.child("ssd.write_multi", track=self.name, cat="device",
-                              args={"ios": len(writes), "bytes": total})
-        submitted = self.sim.now
-        services = [self._jittered(self.profile.write_service_us(max(len(data), 1)))
-                    for _offset, data in writes]
-        drain = total / self.profile.write_bw_bpus
-        dstart = max(submitted, self._write_drain_free_at)
-        self._write_drain_free_at = dstart + drain
-        extra_wait = dstart - submitted
-        admits = [self._admit(service) for service in services]
-        dones = [done for _start, done in admits]
-        queue_wait = sum(start - submitted for start, _done in admits)
-        yield self.sim.timeout_at(max(dones) + extra_wait)
-        for offset, data in writes:
-            self.flash.write(offset, data)
-        self.stats.writes_completed += len(writes)
-        self.stats.write_bytes += total
-        self.stats.total_write_latency_us += sum(
-            done + extra_wait - submitted for done in dones)
-        self.stats.queue_wait_us += queue_wait
-        self.stats.busy_time_us += sum(services) + extra_wait
-        if ctx is not None:
-            ctx.finish({"queue_wait_us": queue_wait})
-        return total
 
     def trim(self, offset: int, length: int):
         """Discard a range; near-free on the device."""

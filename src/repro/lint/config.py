@@ -61,7 +61,6 @@ class LintConfig:
     #: CLIs report wall time around whole experiments/trials — outside
     #: the simulated world.
     wall_clock_allow: Tuple[str, ...] = ("repro/bench/__main__.py",
-                                         "repro/bench/perf.py",
                                          "repro/bench/explore/fleet.py")
 
     #: Directories whose set iteration feeds scheduling/ordering

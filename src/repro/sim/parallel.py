@@ -64,54 +64,10 @@ except ImportError:  # pragma: no cover - python < 3.8
 #: Timeout (seconds of wall time) for a worker to finish one window.
 _WINDOW_TIMEOUT_S = 600.0
 
-#: Default bytes reserved per producer per buffer half in the shared
-#: payload slab.  A window's payload blob for one destination shard
-#: that does not fit falls back to inline pipe transport.
+#: Bytes reserved per producer per buffer half in the shared payload
+#: slab.  A window's payload blob for one destination shard that does
+#: not fit falls back to inline pipe transport.
 SLAB_REGION_BYTES = 1 << 20
-_SLAB_REGION_BYTES = SLAB_REGION_BYTES
-
-
-@dataclass(frozen=True)
-class EngineTuning:
-    """Wall-clock tuning knobs for the windowed engine.
-
-    Every knob trades barrier/exchange overhead against memory or
-    round-trip count; none of them can change what is simulated —
-    window ends stay bounded by the conservative lookahead, elision
-    only ever skips windows that would dispatch nothing, and figure
-    metrics are byte-identical across all settings.  The defaults are
-    the tuned values pinned by the ``repro.bench.explore`` engine
-    sweep (docs/explore.md): elide every idle shard-window
-    (threshold 0) and run windows to their full lookahead bound
-    (uncapped).
-    """
-
-    #: Minimum idle gap (µs of simulated time between a shard's next
-    #: event and its window end) required to elide the shard's window.
-    #: 0 elides every idle shard-window (most aggressive, the tuned
-    #: default); a large value effectively disables elision — idle
-    #: shards then pay their pipe round-trip every round.
-    elision_threshold_us: float = 0.0
-    #: Cap on window length, measured from the global horizon (the
-    #: earliest next event across shards).  0 = uncapped: windows run
-    #: to the full earliest-input-time bound (the tuned default).
-    #: Positive caps force more, shorter rounds — more barriers, but
-    #: smaller per-round exchange blobs.
-    window_cap_us: float = 0.0
-    #: Bytes per producer per buffer half in the shared payload slab;
-    #: blobs that do not fit fall back to inline pipe pickles.
-    slab_region_bytes: int = SLAB_REGION_BYTES
-
-    def __post_init__(self):
-        if self.elision_threshold_us < 0.0:
-            raise ValueError("elision_threshold_us must be >= 0, got %r"
-                             % (self.elision_threshold_us,))
-        if self.window_cap_us < 0.0:
-            raise ValueError("window_cap_us must be >= 0, got %r"
-                             % (self.window_cap_us,))
-        if self.slab_region_bytes < 4096:
-            raise ValueError("slab_region_bytes must be >= 4096, got %r"
-                             % (self.slab_region_bytes,))
 
 
 def _send_frame(conn, message: Any) -> int:
@@ -282,19 +238,11 @@ class ParallelEngine:
     """
 
     def __init__(self, network, sims: Dict[int, Simulator], workers: int,
-                 probes: Optional[Dict[int, Callable[[], dict]]] = None,
-                 slab_region_bytes: Optional[int] = None,
-                 tuning: Optional[EngineTuning] = None):
+                 probes: Optional[Dict[int, Callable[[], dict]]] = None):
         if 0 not in sims:
             raise ValueError("shard 0 (coordinator) simulator is required")
         if workers < 1:
             raise ValueError("workers must be >= 1, got %r" % workers)
-        self.tuning = tuning or EngineTuning()
-        if slab_region_bytes is not None:
-            self.tuning = EngineTuning(
-                elision_threshold_us=self.tuning.elision_threshold_us,
-                window_cap_us=self.tuning.window_cap_us,
-                slab_region_bytes=slab_region_bytes)
         self.network = network
         self.sims = dict(sims)
         self.workers = min(workers, len(self.sims))
@@ -329,7 +277,6 @@ class ParallelEngine:
         #: blobs written last window and consumed next window.
         self._blob_tables: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._slab: Optional[_PayloadSlab] = None
-        self._slab_region_bytes = self.tuning.slab_region_bytes
         self._round = 0
         self.stats = ExchangeStats()
         self._stopped = False
@@ -532,18 +479,10 @@ class ParallelEngine:
                 best, best_sid = g, sid
             elif g < second:
                 second = g
-        # Window-sizing knob: cap every end at horizon + cap.  The cap
-        # only ever shrinks a window below its lookahead bound, so the
-        # conservative guarantee is untouched; progress holds because
-        # the horizon shard's end stays strictly past its next event.
-        cap = self.tuning.window_cap_us
-        cap_end = min(nexts.values()) + cap if cap > 0.0 else inf
         ends = {}
         for sid in self._shard_order:
             g_min = second if sid == best_sid else best
             eit = g_min + rx.get(sid, inf)
-            if eit > cap_end:
-                eit = cap_end
             if eit > deadline:
                 # Mirror Simulator.run(until=number): events at exactly
                 # the deadline are dispatched (settle passes exclusive).
@@ -583,24 +522,13 @@ class ParallelEngine:
         injection timing and bounds shared-memory blob lifetime to one
         round); otherwise a shard is active only when its next time
         falls inside its window.
-
-        The elision-threshold knob relaxes that: an idle shard is only
-        elided when the gap between its next event and its window end
-        is at least ``tuning.elision_threshold_us``.  A shard kept
-        active this way dispatches nothing (its next event still lies
-        past the end), so schedules are byte-identical at every
-        threshold — the knob trades pipe round-trips only.
         """
-        threshold = self.tuning.elision_threshold_us
-        inf = float("inf")
         active = set()
         for sid in self._shard_order:
             end, inclusive = ends[sid]
             nxt = nexts[sid]
             if (self._pending[sid] or sid in self._child_kept
                     or nxt < end or (inclusive and nxt <= end)):
-                active.add(sid)
-            elif threshold > 0.0 and nxt != inf and nxt - end < threshold:
                 active.add(sid)
         return active
 
@@ -768,7 +696,7 @@ class ParallelEngine:
             assignment[index % child_count].append(sid)
         if _shared_memory is not None:
             # Created before fork so every worker inherits the mapping.
-            self._slab = _PayloadSlab(child_count, self._slab_region_bytes)
+            self._slab = _PayloadSlab(child_count, SLAB_REGION_BYTES)
         for slot, shard_ids in enumerate(assignment):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(

@@ -1,4 +1,4 @@
-"""Batched-datapath semantics: vectored I/O, coalesced RPC, fast paths.
+"""Batched-datapath semantics: batched admission, coalesced RPC, fast paths.
 
 The batching layer must change *wall-clock* behaviour only: results,
 ordering, token accounting, and (with knobs off) the event-schedule
@@ -27,106 +27,6 @@ def make_store(sim, jitter=0.0):
     store = LeedDataStore(sim, ssd, StoreConfig(
         num_segments=64, key_log_bytes=2 << 20, value_log_bytes=8 << 20))
     return store, ssd
-
-
-class TestReadMulti:
-    PAYLOADS = [bytes([33 + i]) * 512 for i in range(6)]
-
-    def _roundtrip(self, sim, ssd):
-        def proc():
-            for i, payload in enumerate(self.PAYLOADS):
-                yield from ssd.write(i * 512, payload)
-            extents = [(i * 512, 512) for i in range(len(self.PAYLOADS))]
-            # Deliberately submit out of offset order: results must
-            # come back in submission order regardless.
-            extents.reverse()
-            chunks = yield from ssd.read_multi(extents)
-            return chunks
-
-        chunks = drive(sim, proc())
-        assert chunks == list(reversed(self.PAYLOADS))
-        assert ssd.stats.reads_completed == len(self.PAYLOADS)
-
-    def test_data_and_counts(self, sim, quiet_ssd):
-        self._roundtrip(sim, quiet_ssd)
-
-    def test_empty_batch(self, sim, quiet_ssd):
-        def proc():
-            return (yield from quiet_ssd.read_multi([]))
-
-        assert drive(sim, proc()) == []
-        assert quiet_ssd.stats.reads_completed == 0
-
-    def test_write_multi_totals(self, sim, quiet_ssd):
-        writes = [(i * 512, bytes([i + 1]) * 512) for i in range(4)]
-
-        def proc():
-            total = yield from quiet_ssd.write_multi(writes)
-            chunks = yield from quiet_ssd.read_multi(
-                [(off, len(data)) for off, data in writes])
-            return total, chunks
-
-        total, chunks = drive(sim, proc())
-        assert total == 4 * 512
-        assert chunks == [data for _off, data in writes]
-        assert quiet_ssd.stats.writes_completed == 4
-
-
-class TestMultiGet:
-    KEYS = [b"key-%d" % i for i in range(8)]
-
-    def test_results_in_input_order(self, sim):
-        store, _ssd = make_store(sim)
-
-        def proc():
-            for i, key in enumerate(self.KEYS):
-                yield from store.put(key, b"val-%d" % i)
-            wanted = list(reversed(self.KEYS)) + [b"missing"]
-            results = yield from store.multi_get(wanted)
-            return wanted, results
-
-        wanted, results = drive(sim, proc())
-        assert len(results) == len(wanted)
-        for key, result in zip(wanted[:-1], results[:-1]):
-            assert result.ok
-            index = self.KEYS.index(key)
-            assert result.value == b"val-%d" % index
-        assert results[-1].status == "not_found"
-
-    def test_logical_and_physical_access_counts(self, sim):
-        store, ssd = make_store(sim)
-
-        def proc():
-            for i, key in enumerate(self.KEYS):
-                yield from store.put(key, b"v%d" % i)
-            before = ssd.stats.reads_completed
-            results = yield from store.multi_get(self.KEYS)
-            return before, results
-
-        before, results = drive(sim, proc())
-        # Logical accounting matches the single-key path: 2 accesses
-        # per hit (key-log segment + value entry).
-        assert all(r.ok and r.nvme_accesses == 2 for r in results)
-        # Physical accounting is deduplicated: one read per distinct
-        # segment plus one per value entry — never more than the
-        # logical total, and at least one segment + N values.
-        physical = ssd.stats.reads_completed - before
-        assert len(self.KEYS) + 1 <= physical <= 2 * len(self.KEYS)
-
-    def test_matches_single_key_gets(self, sim):
-        store, _ssd = make_store(sim)
-
-        def proc():
-            for i, key in enumerate(self.KEYS):
-                yield from store.put(key, b"v%d" % i)
-            batched = yield from store.multi_get(self.KEYS)
-            singles = []
-            for key in self.KEYS:
-                singles.append((yield from store.get(key)))
-            return batched, singles
-
-        batched, singles = drive(sim, proc())
-        assert [r.value for r in batched] == [r.value for r in singles]
 
 
 class TestEngineBatchedAdmission:

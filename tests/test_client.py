@@ -5,7 +5,7 @@ import pytest
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
 from repro.core.hashring import HashRing, VNode
-from repro.core.protocol import MembershipUpdate
+from repro.core.protocol import MembershipUpdate, ReadPolicy
 
 from conftest import drive
 
@@ -37,14 +37,14 @@ class TestRouting:
         assert hop == 0
 
     def test_tail_policy(self):
-        cluster = small_cluster(crrs=False, read_policy="tail")
+        cluster = small_cluster(crrs=False, read_policy=ReadPolicy.TAIL)
         client = cluster.clients[0]
         chain = client.local_ring.chain_for_key(b"k")
         hop, vnode = client._pick_target("get", b"k")
         assert vnode.vnode_id == chain[-1].vnode_id
 
     def test_any_policy_round_robins(self):
-        cluster = small_cluster(crrs=False, read_policy="any")
+        cluster = small_cluster(crrs=False, read_policy=ReadPolicy.ANY)
         client = cluster.clients[0]
         picks = {client._pick_target("get", b"k")[1].vnode_id
                  for _ in range(10)}

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.compaction import CompactionConfig, Compactor
 from repro.core.datastore import LeedDataStore, StoreConfig
+from repro.core.segment import key_hash, peek_segment_header
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.rng import RngRegistry
 
@@ -223,6 +224,55 @@ class TestCompactionFailsSoft:
         assert store.stats.compaction_aborted >= 1
         assert compactor.stats.value_rounds >= 1
         assert not compactor._value_round_active
+
+
+    def test_key_round_abandoned_when_no_commit_can_free_room(self, sim):
+        """A 100 %-full key log whose head entry is live: the lone
+        worker's re-append can never fit and nobody else advances the
+        head.  The round used to retry forever (the simulation never
+        drained); it must give up, count the abort and leave every
+        key readable."""
+        store = make_store(sim, num_segments=64, key_log_bytes=8 << 10,
+                           value_log_bytes=1 << 20)
+        compactor = Compactor(store, CompactionConfig(subcompactions=1))
+        log = store.key_log
+        keys = []
+
+        def proc():
+            # Live one-block segments from the head on, up to the reserve.
+            for index in range(64):
+                key = b"key-%04d" % index
+                result = yield from store.put(key, b"v" * 60)
+                if result.status == "store_full":
+                    break
+                assert result.ok, result.status
+                keys.append(key)
+            # Eat the reserve by rewriting the newest segment (what a
+            # burst of relocations does): the head entry stays live.
+            last = store.segtbl.location(
+                key_hash(keys[-1]) % store.config.num_segments)
+            while log.free_bytes:
+                segment = yield from store._read_segment(*last)
+                last = yield from store._write_segment(segment)
+            head_segment, _chain = peek_segment_header(
+                (yield from log.read(log.head, log.block_size)))
+            assert store.segtbl.location(head_segment)[0] == log.head
+            return (yield from compactor.compact_key_log(target_fill=0.0))
+
+        round_proc = sim.process(proc(), name="round")
+        sim.run(until=1_000_000.0)
+        assert round_proc.processed, "key-log round still retrying"
+        assert round_proc.value == 0
+        assert store.stats.compaction_aborted == 1
+        assert not compactor._key_round_active
+        assert log.free_bytes == 0
+
+        def readback():
+            for key in keys:
+                got = yield from store.get(key)
+                assert got.ok and got.value == b"v" * 60, key
+
+        drive(sim, readback())
 
 
 class TestMaintenance:

@@ -14,11 +14,12 @@ from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
 from repro.core.jbof import LeedOptions
 from repro.core.protocol import KVRequest
+from repro.core.replication import DirtyReadMode
 
 from conftest import drive
 
 
-def make_cluster(mode="craq", seed=21):
+def make_cluster(mode=DirtyReadMode.CRAQ, seed=21):
     config = ClusterConfig(
         num_jbofs=3, ssds_per_jbof=1, num_clients=1, replication=3,
         store=StoreConfig(num_segments=32, key_log_bytes=1 << 20,
@@ -60,7 +61,7 @@ class TestCraqMode:
     def test_up_to_date_replica_serves_locally(self):
         """The head applied the write (versions match), so the version
         query lets it answer without shipping."""
-        cluster = make_cluster("craq")
+        cluster = make_cluster(DirtyReadMode.CRAQ)
         reply, head = dirty_read_at_head(cluster)
         assert reply.status == "ok"
         assert reply.value == b"committed-value"
@@ -69,7 +70,7 @@ class TestCraqMode:
         assert reply.served_by == head.vnode_id  # local, not the tail
 
     def test_ship_mode_forwards_instead(self):
-        cluster = make_cluster("ship")
+        cluster = make_cluster(DirtyReadMode.SHIP)
         reply, head = dirty_read_at_head(cluster)
         assert reply.status == "ok"
         assert reply.value == b"committed-value"
@@ -80,7 +81,7 @@ class TestCraqMode:
     def test_stale_replica_still_ships(self):
         """If the replica lags the committed version, CRAQ mode must
         fall back to shipping — never serve stale data."""
-        cluster = make_cluster("craq")
+        cluster = make_cluster(DirtyReadMode.CRAQ)
         sim = cluster.sim
         client = cluster.clients[0]
 
@@ -116,17 +117,17 @@ class TestCraqMode:
         """The paper's reason for rejecting CRAQ: extra cross-JBOF
         messages per dirty read."""
         traffic = {}
-        for mode in ("craq", "ship"):
+        for mode in (DirtyReadMode.CRAQ, DirtyReadMode.SHIP):
             cluster = make_cluster(mode)
             reply, head = dirty_read_at_head(cluster)
             assert reply.status == "ok"
             traffic[mode] = head.stats.version_query_bytes
-        assert traffic["craq"] > 0
-        assert traffic["ship"] == 0
+        assert traffic[DirtyReadMode.CRAQ] > 0
+        assert traffic[DirtyReadMode.SHIP] == 0
 
     def test_craq_cluster_consistency(self):
         """Full workload under CRAQ mode stays read-your-writes."""
-        cluster = make_cluster("craq")
+        cluster = make_cluster(DirtyReadMode.CRAQ)
         sim = cluster.sim
         client = cluster.clients[0]
 

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compaction import CompactionConfig, Compactor
 from repro.core.datastore import LeedDataStore, StoreConfig
+from repro.core.segment import key_hash
 from repro.hw.cpu import Core
 from repro.hw.dram import Dram
 from repro.hw.ssd import NVMeSSD, SSDProfile
+from repro.obs.spans import Tracer
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -334,3 +337,130 @@ class TestShadowModel:
 
         process = sim.process(proc())
         sim.run(until=process)
+
+
+class TestTwoClocks:
+    """``get`` (reference clock: one event per stage) and ``get_at``
+    (analytic clock: chained completion times) run the same pipeline
+    body; on an idle, jitter-free device they must report the same
+    thing to the last bit.  The one place they may differ is a read
+    that wraps the end of the key log: the reference clock issues its
+    two device reads back to back, the analytic clock both at once."""
+
+    #: ~50 keys per segment: three-block segments, so appends land on
+    #: every block parity and one soon sits astride the wrap.
+    LIVE = [b"live-%02d" % i for i in range(100)]
+    SLOT_US = 1000.0
+
+    @staticmethod
+    def _segment_of(store, key):
+        return key_hash(key) % store.config.num_segments
+
+    def _wraps(self, store, key):
+        location = store.segtbl.location(self._segment_of(store, key))
+        offset, chain_len = location
+        log = store.key_log
+        return offset % log.size + chain_len * log.block_size > log.size
+
+    def _twin(self, fused=False):
+        """A store with a bound core whose key log has wrapped, holding
+        live keys, one tombstone and one segment astride the wrap.
+        Built through the reference paths only, so every twin is in
+        the same state at the same simulated time."""
+        sim = Simulator()
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=32 << 20, block_size=512,
+                                      jitter=0.0), rng=RngRegistry(5))
+        store = LeedDataStore(
+            sim, ssd, StoreConfig(num_segments=2, key_log_bytes=16 << 10,
+                                  value_log_bytes=1 << 20,
+                                  compact_high_watermark=0.5,
+                                  compact_low_watermark=0.25),
+            core=Core(sim, 3.0))
+        store.fused_get = fused
+        compactor = Compactor(store, CompactionConfig(subcompactions=1))
+
+        def setup():
+            for lap in range(600):
+                if store.needs_key_compaction():
+                    yield from compactor.compact_key_log()
+                key = self.LIVE[lap % len(self.LIVE)]
+                assert (yield from store.put(key, b"v-" + key)).ok
+                if lap >= len(self.LIVE) and self._wraps(store, key):
+                    break
+            else:
+                raise AssertionError("no segment landed astride the wrap")
+            astride = self._segment_of(store, key)
+            dead = next(k for k in self.LIVE
+                        if self._segment_of(store, k) != astride)
+            assert (yield from store.delete(dead)).ok
+            return key, dead
+
+        astride, dead = drive(sim, setup())
+        assert self._wraps(store, astride) and store.key_log.head > 0
+        return sim, store, astride, dead
+
+    def _get_on_both(self, ref, ana, key, slot):
+        """One GET per clock from the same absolute instant ``slot``,
+        with core and SSD idle; returns ``(reference, analytic, done)``."""
+        ref.sim.run(until=slot)
+        ana.sim.run(until=slot)
+        expected = drive(ref.sim, ref.get(key))
+        result, done = ana.get_at(key)
+        return expected, result, done
+
+    @settings(max_examples=25, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(LIVE) + 1), min_size=1,
+                          max_size=30))
+    def test_get_and_get_at_agree(self, picks):
+        _sim, ref, astride, dead = self._twin()
+        _sim, ana, _astride, _dead = self._twin()
+        assert ref.sim.now == ana.sim.now
+        missing = next(key for key in (b"absent-%d" % i for i in range(99))
+                       if not self._wraps(ref, key))
+        pool = self.LIVE + [missing, dead]
+        slot = (ref.sim.now // self.SLOT_US + 1) * self.SLOT_US
+        for pick in picks:
+            key = pool[pick]
+            if self._wraps(ref, key):
+                continue
+            expected, result, done = self._get_on_both(ref, ana, key, slot)
+            slot += self.SLOT_US
+            assert expected.ok == (key in self.LIVE and key != dead)
+            assert result == expected
+            assert done == ref.sim.now
+        assert ana.stats == ref.stats
+        assert ana.ssd.stats == ref.ssd.stats
+
+        # The segment astride the wrap: same answer and device work,
+        # but the analytic clock overlaps the two halves of the read.
+        expected, result, _done = self._get_on_both(ref, ana, astride, slot)
+        assert result.ok and (result.value, result.nvme_accesses) == (
+            expected.value, expected.nvme_accesses)
+        assert result.total_us < expected.total_us
+        for name in ("reads_completed", "read_bytes", "busy_time_us",
+                     "queue_wait_us"):
+            assert getattr(ana.ssd.stats, name) == getattr(ref.ssd.stats, name)
+        # ...and the clocks are back in step on the next GET.
+        expected, result, done = self._get_on_both(
+            ref, ana, missing, slot + self.SLOT_US)
+        assert result == expected and done == ref.sim.now
+
+    def test_traced_get_on_fused_store_takes_reference_clock(self):
+        ref_sim, ref, astride, dead = self._twin()
+        sim, fused, _astride, _dead = self._twin(fused=True)
+        key = next(k for k in self.LIVE
+                   if k != dead and not self._wraps(ref, k))
+        root = Tracer(sim).trace("get", track="test")
+        expected = drive(ref_sim, ref.get(key))
+        before = sim.events_dispatched
+        result = drive(sim, fused.get(key, trace=root))
+        traced_events = sim.events_dispatched - before
+        assert result == expected and result.ok
+        # Device spans only exist on the reference clock, one per access.
+        reads = [span for span in root.tracer.spans
+                 if span.name == "ssd.read"]
+        assert len(reads) == result.nvme_accesses == 2
+        # Untraced, the same store fuses the four stages into one sleep.
+        before = sim.events_dispatched
+        assert drive(sim, fused.get(key)).value == expected.value
+        assert sim.events_dispatched - before <= traced_events - 3

@@ -327,20 +327,16 @@ class TestFcfsRecurrence:
     @given(channels=st.integers(1, 4),
            schedule=st.lists(
                st.tuples(st.integers(0, 40),
-                         st.sampled_from(["read", "write", "read_multi",
-                                          "write_multi"]),
-                         st.lists(st.integers(1, 16), min_size=1,
-                                  max_size=5)),
+                         st.sampled_from(["read", "write"]),
+                         st.integers(1, 16)),
                min_size=1, max_size=40))
     def test_ssd_is_k_server_fcfs_with_write_drain(self, channels, schedule):
-        """Items are ``(gap_us, verb, [blocks...])``.  Reference: ``k``
+        """Items are ``(gap_us, verb, blocks)``.  Reference: ``k``
         channel free-times; an I/O takes the earliest-free channel at
         ``max(arrival, free)`` for its service time.  A write, once it
         has its channel, also reserves FCFS drain time on the shared
         program path and keeps the channel until its drain slot starts
-        (so paced writes crowd reads out, §2.3); a batched write
-        reserves one drain slot for the whole doorbell at submission
-        and adds the wait to the batch completion."""
+        (so paced writes crowd reads out, §2.3)."""
         sim = Simulator()
         profile = SSDProfile(capacity_bytes=32 << 20, block_size=512,
                              channels=channels, jitter=0.0)
@@ -348,16 +344,9 @@ class TestFcfsRecurrence:
 
         def submit(item):
             _gap, verb, blocks = item
-            sizes = [count * 512 for count in blocks]
             if verb == "read":
-                return ssd.read(0, sizes[0])
-            if verb == "write":
-                return ssd.write(0, b"w" * sizes[0])
-            offsets = [sum(sizes[:index]) for index in range(len(sizes))]
-            if verb == "read_multi":
-                return ssd.read_multi(list(zip(offsets, sizes)))
-            return ssd.write_multi([(offset, b"w" * size)
-                                    for offset, size in zip(offsets, sizes)])
+                return ssd.read(0, blocks * 512)
+            return ssd.write(0, b"w" * (blocks * 512))
 
         observed = self._run_schedule(sim, schedule, submit)
 
@@ -366,30 +355,19 @@ class TestFcfsRecurrence:
         queue_wait = 0.0
         for (_gap, verb, blocks), (arrival, finish) in zip(schedule,
                                                            observed):
-            sizes = [count * 512 for count in blocks]
-            if verb in ("read", "write"):
-                sizes = sizes[:1]
-            writing = verb.startswith("write")
-            batch_wait = 0.0
-            if verb == "write_multi":
-                drain_start = max(arrival, drain_free_at)
-                drain_free_at = drain_start + sum(sizes) / profile.write_bw_bpus
-                batch_wait = drain_start - arrival
-            done = 0.0
-            for size in sizes:
-                service = (profile.write_service_us(size) if writing
-                           else profile.read_service_us(size))
-                channel = free.index(min(free))
-                start = max(arrival, free[channel])
-                hold = service
-                if verb == "write":
-                    drain_start = max(start, drain_free_at)
-                    drain_free_at = drain_start + size / profile.write_bw_bpus
-                    hold += drain_start - start
-                free[channel] = start + hold
-                queue_wait += start - arrival
-                done = max(done, free[channel])
-            assert finish == pytest.approx(done + batch_wait, rel=1e-12)
+            size = blocks * 512
+            channel = free.index(min(free))
+            start = max(arrival, free[channel])
+            if verb == "write":
+                hold = profile.write_service_us(size)
+                drain_start = max(start, drain_free_at)
+                drain_free_at = drain_start + size / profile.write_bw_bpus
+                hold += drain_start - start
+            else:
+                hold = profile.read_service_us(size)
+            free[channel] = start + hold
+            queue_wait += start - arrival
+            assert finish == pytest.approx(free[channel], rel=1e-12)
         assert ssd.stats.queue_wait_us == pytest.approx(queue_wait, abs=1e-6)
 
 

@@ -388,177 +388,3 @@ class TestParallelClusterGuards:
         cluster.shutdown()
         cluster.sim.run()
         cluster.stop_workers()
-
-
-class TestEngineTuning:
-    """Elision-threshold and window-cap knobs: schedule-safe tuning."""
-
-    #: (shard, time) of every scheduled local event: widely spaced and
-    #: staggered across shards, so each shard repeatedly sits idle
-    #: with a *finite* gap to its next event — the case the elision
-    #: threshold arbitrates.
-    #: The 1000.0/1000.5/1001.0 burst fits inside one uncapped window
-    #: (a window reaches one relay round-trip past the horizon, a few
-    #: microseconds here); a sub-microsecond cap splits it.  The other
-    #: events are widely spaced and staggered across shards, so each
-    #: shard repeatedly idles with a *finite* gap to its next event —
-    #: the case the elision threshold arbitrates.
-    EVENTS = ((0, 1000.0), (0, 1000.5), (0, 1001.0),
-              (0, 2000.0), (0, 3000.0),
-              (1, 1400.0), (1, 2400.0), (1, 3400.0),
-              (2, 1800.0), (2, 2800.0), (2, 3800.0))
-
-    def _engine(self, workers, tuning=None):
-        from repro.sim.parallel import EngineTuning
-        sims = {0: Simulator(), 1: Simulator(), 2: Simulator()}
-        network = Network(sims[0])
-        for sid, name in ((0, "a"), (1, "b"), (2, "c")):
-            network.attach(name, NIC_100G, sim=sims[sid])
-        network.configure_shards({"a": 0, "b": 1, "c": 2}, sims)
-        fired = []
-        sims[0].schedule(0.5, lambda: network.transmit("a", "b", 64, "x"))
-        for sid, when in self.EVENTS:
-            sims[sid].schedule(when,
-                               lambda when=when: fired.append(when))
-        engine = ParallelEngine(network, sims, workers,
-                                tuning=tuning or EngineTuning())
-        engine.enable_schedule_digests()
-        return engine, fired
-
-    def test_validation(self):
-        from repro.sim.parallel import EngineTuning
-        with pytest.raises(ValueError):
-            EngineTuning(elision_threshold_us=-1.0)
-        with pytest.raises(ValueError):
-            EngineTuning(window_cap_us=-0.5)
-        with pytest.raises(ValueError):
-            EngineTuning(slab_region_bytes=16)
-
-    def test_default_tuning_preserves_stock_behavior(self):
-        from repro.sim.parallel import SLAB_REGION_BYTES, EngineTuning
-        tuning = EngineTuning()
-        assert tuning.elision_threshold_us == 0.0
-        assert tuning.window_cap_us == 0.0
-        assert tuning.slab_region_bytes == SLAB_REGION_BYTES
-
-    def test_huge_threshold_disables_elision(self):
-        """A huge threshold forces every shard with a pending event
-        into every window; only event-less shards (infinite gap, so
-        nothing to miss) may still be elided."""
-        from repro.sim.parallel import EngineTuning
-        stock, fired_stock = self._engine(workers=1)
-        stock.run(until=4000.0)
-        assert stock.stats.elided_shard_windows > 0
-        tuned, fired = self._engine(
-            workers=1, tuning=EngineTuning(elision_threshold_us=1e9))
-        tuned.run(until=4000.0)
-        assert (sorted(fired) == sorted(fired_stock)
-                == sorted(when for _, when in self.EVENTS))
-        assert (tuned.stats.elided_shard_windows
-                < stock.stats.elided_shard_windows)
-        assert (tuned.stats.shard_windows
-                > stock.stats.shard_windows)
-        # Forcing idle shards into windows dispatches nothing extra:
-        # the per-shard schedules stay byte-identical.
-        stock_reports = stock.collect()
-        tuned_reports = tuned.collect()
-        for sid in (0, 1, 2):
-            assert (tuned_reports[sid]["schedule_digest"]
-                    == stock_reports[sid]["schedule_digest"])
-            assert (tuned_reports[sid]["events_dispatched"]
-                    == stock_reports[sid]["events_dispatched"])
-
-    def test_threshold_keeps_near_gap_shards_active(self):
-        from repro.sim.parallel import EngineTuning
-        stock, _ = self._engine(workers=1)
-        stock.run(until=4000.0)
-        tuned, _ = self._engine(
-            workers=1, tuning=EngineTuning(elision_threshold_us=1500.0))
-        tuned.run(until=4000.0)
-        # Gaps of ~1000us fall under the 1500us threshold, so fewer
-        # (or equal) shard-windows are elided than at threshold 0.
-        assert (tuned.stats.elided_shard_windows
-                <= stock.stats.elided_shard_windows)
-
-    def test_window_cap_shrinks_windows_not_schedules(self):
-        from repro.sim.parallel import EngineTuning
-        stock, fired_stock = self._engine(workers=1)
-        stock.run(until=4000.0)
-        capped, fired = self._engine(
-            workers=1, tuning=EngineTuning(window_cap_us=0.2))
-        capped.run(until=4000.0)
-        assert sorted(fired) == sorted(fired_stock)
-        # Shorter windows => more of them to cover the same span.
-        assert capped.stats.windows > stock.stats.windows
-        stock_reports = stock.collect()
-        capped_reports = capped.collect()
-        for sid in (0, 1, 2):
-            assert (capped_reports[sid]["events_dispatched"]
-                    == stock_reports[sid]["events_dispatched"])
-
-    def test_window_cap_digest_identity_across_workers(self):
-        """The same cap at workers=1 and workers=2 runs byte-identical
-        schedules: capping depends on shard clocks, never on which
-        process hosts a shard."""
-        from repro.sim.parallel import EngineTuning
-        tuning = EngineTuning(window_cap_us=0.2,
-                              elision_threshold_us=8.0)
-        one, _ = self._engine(workers=1, tuning=tuning)
-        one.run(until=4000.0)
-        two, _ = self._engine(workers=2, tuning=tuning)
-        two.run(until=4000.0)
-        reports1, reports2 = one.collect(), two.collect()
-        for sid in (0, 1, 2):
-            assert (reports2[sid]["schedule_digest"]
-                    == reports1[sid]["schedule_digest"])
-            assert (reports2[sid]["events_dispatched"]
-                    == reports1[sid]["events_dispatched"])
-        one.stop_workers()
-        two.stop_workers()
-
-    def test_cluster_config_threads_tuning_to_engine(self):
-        cluster = LeedCluster(num_jbofs=2, num_clients=1, workers=1,
-                              engine_elision_threshold_us=12.5,
-                              engine_window_cap_us=80.0)
-        assert cluster.engine.tuning.elision_threshold_us == 12.5
-        assert cluster.engine.tuning.window_cap_us == 80.0
-        cluster.start()
-        cluster.sim.run(until=200.0)
-        cluster.shutdown()
-        cluster.sim.run()
-        cluster.stop_workers()
-
-    def test_tuned_cluster_matches_serial_figures(self):
-        """A capped+thresholded workers=1 run reproduces the serial
-        engine's figure metrics on a real YCSB workload."""
-        from repro.baselines import make_cluster
-        from repro.core.datastore import StoreConfig
-
-        def run(workers, **engine_kwargs):
-            store = StoreConfig(num_segments=256,
-                                key_log_bytes=4 << 20,
-                                value_log_bytes=24 << 20)
-            cluster = make_cluster("leed", num_nodes=3, num_clients=2,
-                                   store_config=store, seed=SEED,
-                                   workers=workers, **engine_kwargs)
-            workload = YCSBWorkload("B", num_records=RECORDS, seed=SEED,
-                                    value_size=VALUE_SIZE)
-            load_cluster(cluster, workload, parallelism=8)
-            stats = run_closed_loop(cluster, workload, OPS, CONCURRENCY)
-            cluster.shutdown()
-            cluster.sim.run()
-            figures = {
-                "completed": stats.completed,
-                "failed": stats.failed,
-                "elapsed_us": round(stats.elapsed_us, 6),
-                "mean_us": round(stats.mean_latency_us(), 6),
-                "p99_us": round(stats.percentile_us(0.99), 6),
-                "energy_j": round(cluster.energy_joules(), 9),
-            }
-            cluster.stop_workers()
-            return figures
-
-        serial = run(workers=0)
-        tuned = run(workers=1, engine_elision_threshold_us=64.0,
-                    engine_window_cap_us=50.0)
-        assert tuned == serial

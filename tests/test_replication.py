@@ -291,14 +291,11 @@ class TestDirtyReadMode:
             options = LeedOptions(dirty_read_mode=DirtyReadMode.CRAQ)
         assert options.dirty_read_mode is DirtyReadMode.CRAQ
 
-    def test_string_coerces_with_deprecation(self):
-        with pytest.warns(DeprecationWarning):
-            options = LeedOptions(dirty_read_mode="craq")
-        assert options.dirty_read_mode is DirtyReadMode.CRAQ
-
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             LeedOptions(dirty_read_mode="gossip")
+        with pytest.raises(ValueError):
+            LeedOptions(dirty_read_mode="craq")
 
     def test_str_roundtrip(self):
         assert str(DirtyReadMode.SHIP) == "ship"
