@@ -300,7 +300,7 @@ def main(argv=None) -> int:
                              "allows)")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero if throughput regresses more "
-                             "than %d%% below the frozen baseline"
+                             "than %d%%%% below the frozen baseline"
                              % round((1 - CHECK_FLOOR) * 100))
     parser.add_argument("--trials", type=int, default=3,
                         help="interleaved trials per mode (default 3); "

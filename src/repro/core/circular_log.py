@@ -15,7 +15,8 @@ window, strictly sequential writes at the tail, no in-place updates.
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import partial
+from typing import Dict, List
 
 from repro.hw.ssd import NVMeSSD
 from repro.sim.events import Event
@@ -27,6 +28,14 @@ class LogFullError(Exception):
 
 class LogRangeError(Exception):
     """A read touched bytes outside the valid [head, tail) window."""
+
+
+class CommitTicket(Event):
+    """An entry given to :meth:`CircularLog.commit`; fires once flushes
+    covered every block it touched.  With no waiter attached by then
+    it is just marked processed — check ``processed`` before yielding."""
+
+    __slots__ = ("blocks", "generation", "nbytes", "ctx")
 
 
 class CircularLog:
@@ -69,16 +78,17 @@ class CircularLog:
         # Group-commit flush state.  The device applies data at I/O
         # *completion*, and completions reorder under jitter, so two
         # outstanding flushes of one block could land oldest-last and
-        # revert the newer writer's bytes.  A single flusher process
-        # per log keeps same-block writes ordered; batching (one
-        # device write covers every byte merged before it was issued)
-        # keeps concurrent writers fast — the append-buffer group
-        # commit a real SPDK-driven store performs.
+        # revert the newer writer's bytes.  One flush in flight per
+        # log keeps same-block writes ordered; batching (one device
+        # write covers every byte merged before it was issued) keeps
+        # concurrent writers fast — the append-buffer group commit a
+        # real SPDK-driven store performs.
         self._generation = 0
         self._dirty_gen: Dict[int, int] = {}
         self._flushed_gen: Dict[int, int] = {}
         self._flusher_active = False
-        self._flush_waiters: list = []
+        #: Committed entries not yet durable, in commit order.
+        self._uncommitted: List[CommitTicket] = []
         self.appends = 0
         self.bytes_appended = 0
 
@@ -134,18 +144,17 @@ class CircularLog:
         parallel with other appends.
         """
         padded = self._pad_to_block(data)
-        if self.tail % self.block_size == 0:
-            if len(padded) > self.free_bytes:
-                raise LogFullError("%s: need %d bytes, %d free"
-                                   % (self.name, len(padded), self.free_bytes))
-            offset = self.tail
-            self.tail += len(padded)
-            yield from self._write_at(offset, padded, trace)
-            self.appends += 1
-            self.bytes_appended += len(padded)
-            return offset
-        offset = self.reserve(len(padded))
-        yield from self.write_reserved(offset, padded, trace)
+        if self.tail % self.block_size:
+            return (yield from self.append_bytes(padded, trace))
+        if len(padded) > self.free_bytes:
+            raise LogFullError("%s: need %d bytes, %d free"
+                               % (self.name, len(padded), self.free_bytes))
+        offset = self.tail
+        self.tail += len(padded)
+        for part_offset, part in self._write_spans(offset, padded):
+            yield self.ssd.write_event(part_offset, part, trace)
+        self.appends += 1
+        self.bytes_appended += len(padded)
         return offset
 
     def append_bytes(self, data: bytes, trace=None):
@@ -156,18 +165,26 @@ class CircularLog:
         per PUT value (§3.3).  Returns the virtual offset.
         """
         offset = self.reserve(len(data))
-        yield from self.write_reserved(offset, data, trace)
-        return offset
+        return (yield from self.write_reserved(offset, data, trace))
 
     def write_reserved(self, offset: int, data: bytes, trace=None):
-        """Generator: fill a range previously claimed with :meth:`reserve`.
+        """Generator: :meth:`commit`, waited for; returns ``offset``."""
+        ticket = self.commit(offset, data, trace)
+        if not ticket.processed:
+            yield ticket
+        return offset
 
-        The data is merged into DRAM block images synchronously, then
-        the touched blocks are flushed to the device, so interleaved
-        writers sharing a block never lose updates.  ``trace`` records
-        a ``log.commit`` device-phase span over the group-commit wait
-        (the flusher's device write is shared across writers, so this
-        span is the per-request attribution of commit time).
+    def commit(self, offset: int, data: bytes, trace=None) -> "CommitTicket":
+        """Fill a range previously claimed with :meth:`reserve`.
+
+        The data is merged into DRAM block images synchronously, so
+        interleaved writers sharing a block never lose updates, and
+        the touched blocks are marked dirty for the group-commit
+        flusher; the caller waits on the returned ticket only if the
+        entry is not durable by then.  ``trace`` records a
+        ``log.commit`` device-phase span from here to durability (the
+        flush is shared across writers, so this span is the
+        per-request attribution of commit time).
         """
         if offset + len(data) > self.tail:
             raise LogRangeError("writing past tail of %s" % self.name)
@@ -175,7 +192,7 @@ class CircularLog:
         if trace is not None:
             ctx = trace.child("log.commit", cat="device",
                               args={"log": self.name, "bytes": len(data)})
-        blocks = list(self._touched_blocks(offset, len(data)))
+        blocks = self._touched_blocks(offset, len(data))
         # Synchronous merge into staged block images.  A block staged
         # for the first time starts from its on-flash content, not
         # zeros: after crash recovery the partially-filled tail block
@@ -193,36 +210,21 @@ class CircularLog:
             lo = max(offset, block_start)
             hi = min(offset + len(data), block_start + self.block_size)
             image[lo - block_start:hi - block_start] = data[lo - offset:hi - offset]
-        # Group commit: mark the touched blocks dirty and wait until
-        # the flusher has made this writer's generation durable.
         self._generation += 1
-        generation = self._generation
         for block in blocks:
-            self._dirty_gen[block] = generation
+            self._dirty_gen[block] = self._generation
+        ticket = CommitTicket(self.sim)
+        ticket.blocks, ticket.generation, ticket.nbytes, ticket.ctx = (
+            blocks, self._generation, len(data), ctx)
+        self._uncommitted.append(ticket)
         if not self._flusher_active:
+            # Submitted one zero-delay event later, not here: entries
+            # committed at this same instant ride the first flush, and
+            # a device access the caller submits next (PUT's segment
+            # read) is admitted, and draws its jitter, before it.
             self._flusher_active = True
-            self.sim.process(self._flush_loop(), name=self.name + ".flush")
-        while any(self._flushed_gen.get(block, 0) < generation
-                  for block in blocks):
-            waiter = Event(self.sim)
-            self._flush_waiters.append(waiter)
-            yield waiter
-        # Release staging references; keep images other writers still need
-        # and the current tail block (future appends extend it).
-        tail_block = self.tail // self.block_size
-        for block in blocks:
-            self._stage_refs[block] -= 1
-            if self._stage_refs[block] <= 0:
-                del self._stage_refs[block]
-                if block != tail_block:
-                    self._staged.pop(block, None)
-                    self._dirty_gen.pop(block, None)
-                    self._flushed_gen.pop(block, None)
-        if ctx is not None:
-            ctx.finish()
-        self.appends += 1
-        self.bytes_appended += len(data)
-        return offset
+            self.sim.schedule(0.0, self._flush_next)
+        return ticket
 
     def _next_dirty_run(self):
         """The lowest contiguous run of blocks still awaiting a flush."""
@@ -237,35 +239,74 @@ class CircularLog:
             high = block
         return low, high
 
-    def _flush_loop(self):
-        """Flusher process: one in-flight device write at a time.
+    def _flush_next(self) -> None:
+        """Group-commit flusher: one in-flight device write at a time.
 
-        Each iteration snapshots the current images of the lowest
-        dirty run — so the write carries every byte merged before it
-        was issued — and records the generations it captured once the
-        write completes.  Writers whose generation is covered resume;
-        bytes merged while the write was in flight stay dirty and are
-        picked up by the next iteration.
+        Snapshots the current images of the lowest dirty run — so the
+        write carries every byte merged before it was issued — and
+        submits it (two back-to-back device writes when the run wraps
+        the region).  Bytes merged while it is in flight stay dirty
+        and are picked up by the next run.
         """
-        try:
-            while True:
-                run = self._next_dirty_run()
-                if run is None:
-                    break
-                low, high = run
-                captured = {block: self._dirty_gen[block]
-                            for block in range(low, high + 1)}
-                data = b"".join(bytes(self._staged[block])
-                                for block in range(low, high + 1))
-                yield from self._write_at(low * self.block_size, data)
-                for block, generation in captured.items():
-                    if self._flushed_gen.get(block, 0) < generation:
-                        self._flushed_gen[block] = generation
-                waiters, self._flush_waiters = self._flush_waiters, []
-                for waiter in waiters:
-                    waiter.succeed()
-        finally:
+        run = self._next_dirty_run()
+        if run is None:
             self._flusher_active = False
+            return
+        low, high = run
+        captured = {block: self._dirty_gen[block]
+                    for block in range(low, high + 1)}
+        data = b"".join(bytes(self._staged[block])
+                        for block in range(low, high + 1))
+        self._write_run(self._write_spans(low * self.block_size, data),
+                        captured)
+
+    def _write_run(self, spans, captured: Dict[int, int], _event=None) -> None:
+        """Submit a flush's next device write; after the last, finish."""
+        if spans:
+            self.ssd.write_event(*spans[0]).callbacks.append(
+                partial(self._write_run, spans[1:], captured))
+        else:
+            self._flushed(captured)
+
+    def _flushed(self, captured: Dict[int, int]) -> None:
+        """Record the generations a completed flush captured, retire the
+        entries it made durable (commit order), start the next run."""
+        flushed = self._flushed_gen
+        for block, generation in captured.items():
+            if flushed.get(block, 0) < generation:
+                flushed[block] = generation
+        waiting = []
+        for ticket in self._uncommitted:
+            if any(flushed.get(block, 0) < ticket.generation
+                   for block in ticket.blocks):
+                waiting.append(ticket)
+            else:
+                self._retire(ticket)
+        self._uncommitted = waiting
+        self._flush_next()
+
+    def _retire(self, ticket: "CommitTicket") -> None:
+        """A durable entry: release its staging references (keeping
+        images other writers still need and the current tail block,
+        which future appends extend), close its span, count the append
+        and wake its waiter if one was attached."""
+        tail_block = self.tail // self.block_size
+        for block in ticket.blocks:
+            self._stage_refs[block] -= 1
+            if self._stage_refs[block] <= 0:
+                del self._stage_refs[block]
+                if block != tail_block:
+                    self._staged.pop(block, None)
+                    self._dirty_gen.pop(block, None)
+                    self._flushed_gen.pop(block, None)
+        if ticket.ctx is not None:
+            ticket.ctx.finish()
+        self.appends += 1
+        self.bytes_appended += ticket.nbytes
+        if ticket.callbacks:
+            ticket.succeed()
+        else:
+            ticket._ok, ticket._value, ticket.callbacks = True, None, None
 
     def _pad_to_block(self, data: bytes) -> bytes:
         remainder = len(data) % self.block_size
@@ -273,15 +314,15 @@ class CircularLog:
             return bytes(data) + b"\x00" * (self.block_size - remainder)
         return bytes(data)
 
-    def _write_at(self, virtual_offset: int, data: bytes, trace=None):
-        """Device write(s) with wrap-around splitting."""
+    def _write_spans(self, virtual_offset: int, data: bytes):
+        """Device ``(offset, bytes)`` writes of ``data`` at a virtual
+        offset: two when the range wraps the end of the region."""
         start_physical = virtual_offset % self.size
         first_len = min(len(data), self.size - start_physical)
-        yield from self.ssd.write(self.region_offset + start_physical,
-                                  data[:first_len], trace=trace)
+        spans = [(self.region_offset + start_physical, data[:first_len])]
         if first_len < len(data):
-            yield from self.ssd.write(self.region_offset, data[first_len:],
-                                      trace=trace)
+            spans.append((self.region_offset, data[first_len:]))
+        return spans
 
     # -- reads --------------------------------------------------------------------
 
@@ -313,8 +354,21 @@ class CircularLog:
         """
         data = b""
         for offset, span in self._read_spans(virtual_offset, length):
-            data += yield from self.ssd.read(offset, span, trace=trace)
+            data += yield self.ssd.read_event(offset, span, trace)
         return self._overlay_staged(virtual_offset, data)
+
+    def read_event(self, virtual_offset: int, length: int):
+        """Completion event (value: the bytes) of a read that does not
+        wrap the region, e.g. one aligned block — for a caller that
+        holds the read while doing something else (prefetch)."""
+        (span,) = self._read_spans(virtual_offset, length)
+        event = self.ssd.read_event(*span)
+
+        def overlay(event) -> None:
+            event._value = self._overlay_staged(virtual_offset, event._value)
+
+        event.callbacks.append(overlay)
+        return event
 
     def read_at(self, virtual_offset: int, length: int, at: float):
         """Analytic read (fast datapath): returns ``(data, done_us)``.

@@ -155,7 +155,8 @@ class Compactor:
                 end = offset + chain_len * block
                 live = store.segtbl.location(seg_id) == (offset, chain_len)
                 if live:
-                    yield store.segtbl.lock(seg_id)
+                    if not store.segtbl.try_lock(seg_id):
+                        yield store.segtbl.lock(seg_id)
                     try:
                         # Re-check under the lock: a PUT may have moved it.
                         if store.segtbl.location(seg_id) == (offset, chain_len):
@@ -166,7 +167,7 @@ class Compactor:
                             else:
                                 blob = first_block
                             segment = Segment.unpack(blob, block)
-                            yield from store._charge_cpu(
+                            yield store._cpu_event(
                                 CYCLE_COSTS["compaction_per_entry"]
                                 * max(len(list(segment.iter_items())), 1))
                             self.stats.tombstones_dropped += segment.drop_tombstones()
@@ -189,8 +190,6 @@ class Compactor:
                             else:
                                 # Fully-deleted segment: forget it.
                                 store.segtbl.update(seg_id, -1, 0)
-                                store.segtbl.entries[seg_id].offset = -1
-                                store.segtbl.entries[seg_id].chain_len = 0
                                 self.stats.segments_dropped += 1
                     finally:
                         store.segtbl.unlock(seg_id)
@@ -203,21 +202,22 @@ class Compactor:
 
         scan = log.head
         end_tail = log.tail  # do not chase our own re-appended entries
-        prefetched: Optional[tuple] = None  # (offset, process)
+        prefetched: Optional[tuple] = None  # (offset, held read event)
         while (not abandoned and log.fill_fraction() > target_fill
                and scan < end_tail):
             # First block of the entry at ``scan`` — possibly prefetched.
-            if prefetched is not None and prefetched[0] == scan:
-                first_block = yield prefetched[1]
-            else:
+            if prefetched is None or prefetched[0] != scan:
                 first_block = yield from log.read(scan, block)
+            elif prefetched[1].processed:
+                first_block = prefetched[1].value
+            else:
+                first_block = yield prefetched[1]
             seg_id, chain_len = peek_segment_header(first_block)
             self.stats.segments_scanned += 1
             entry_end = scan + chain_len * block
             if self.config.prefetch and entry_end < end_tail:
-                prefetched = (entry_end,
-                              self.sim.process(log.read(entry_end, block),
-                                               name=store.name + ".kprefetch"))
+                # One aligned block never wraps the region.
+                prefetched = (entry_end, log.read_event(entry_end, block))
             else:
                 prefetched = None
             yield tasks.put((scan, seg_id, chain_len, first_block))
@@ -354,6 +354,9 @@ class Compactor:
             location = owner_store.segtbl.location(seg_id)
             if location is None:
                 continue
+            # Through the lock event even when the bit is free: a PUT
+            # the previous group's unlock just woke submits its device
+            # accesses before this loop's next read.
             yield owner_store.segtbl.lock(seg_id)
             try:
                 location = owner_store.segtbl.location(seg_id)
@@ -380,7 +383,7 @@ class Compactor:
                     item.ssd_id = owner_store.store_id
                     dirty = True
                     self.stats.values_relocated += 1
-                    yield from store._charge_cpu(
+                    yield store._cpu_event(
                         CYCLE_COSTS["compaction_per_entry"])
                 if dirty:
                     yield from owner_store._write_segment(segment)

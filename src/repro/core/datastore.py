@@ -185,12 +185,12 @@ class LeedDataStore:
     def _value_log_for(self, holder_store_id: int) -> CircularLog:
         return self.peer_value_logs[holder_store_id]
 
-    def _charge_cpu(self, cycles: int):
-        """Generator: account CPU work (runs on the bound core if any)."""
+    def _cpu_event(self, cycles: int):
+        """Completion event of ``cycles`` of CPU work (on the bound core
+        if any)."""
         if self.core is not None:
-            yield from self.core.execute(cycles)
-        else:
-            yield self.sim.timeout(cycles / 3.0e3)  # 3 GHz default
+            return self.core.execute_event(cycles)
+        return self.sim.timeout(cycles / 3.0e3)  # 3 GHz default
 
     def _read_segment(self, offset: int, chain_len: int, trace=None):
         """Generator: fetch and deserialize a segment from the key log."""
@@ -386,7 +386,7 @@ class LeedDataStore:
 
     def _cpu_now(self, cycles: int):
         """Generator (reference clock): CPU work now; returns its end."""
-        yield from self._charge_cpu(cycles)
+        yield self._cpu_event(cycles)
         return self.sim.now
 
     def _read_now(self, log: CircularLog, offset: int, nbytes: int, trace):
@@ -405,147 +405,123 @@ class LeedDataStore:
         """
         if not value:
             raise ValueError("empty values are reserved as deletion markers")
-        start = self.sim.now
-        cpu_us = ssd_us = 0.0
-        self.stats.puts += 1
-        khash = key_hash(key)
-        seg_id = khash % self.config.num_segments
-
-        t0 = self.sim.now
-        yield from self._charge_cpu(CYCLE_COSTS["hash_lookup"])
-        cpu_us += self.sim.now - t0
-
-        yield self.segtbl.lock(seg_id)
-        try:
-            target_store_id, value_log = self.value_router(self, key, value)
-            entry = pack_value_entry(seg_id, key, value, owner_id=self.store_id)
-            reserve = self._log_reserve_bytes(value_log)
-            if value_log.free_bytes - len(entry) < reserve:
-                return self._finish_put(OpResult(STORE_FULL), start, ssd_us,
-                                        cpu_us, 0)
-            try:
-                voffset = value_log.reserve(len(entry))
-            except LogFullError:
-                return self._finish_put(OpResult(STORE_FULL), start, ssd_us,
-                                        cpu_us, 0)
-
-            t0 = self.sim.now
-            value_write = self.sim.process(
-                value_log.write_reserved(voffset, entry, trace=trace),
-                name=self.name + ".vwrite")
-            location = self.segtbl.location(seg_id)
-            if location is None:
-                segment = Segment(seg_id)
-                accesses = 2  # value write + segment write
-            else:
-                segment = yield from self._read_segment(location[0],
-                                                        location[1], trace)
-                accesses = 3
-            yield value_write
-            ssd_us += self.sim.now - t0
-
-            t0 = self.sim.now
-            yield from self._charge_cpu(CYCLE_COSTS["bucket_update"])
-            cpu_us += self.sim.now - t0
-
-            previous = segment.find(key, khash)
-            is_new_object = previous is None or previous.is_tombstone
-            if is_new_object:
-                self.live_objects += 1
-            else:
-                self.stats.value_garbage_bytes += value_entry_size(
-                    len(key), previous.vlen)
-            try:
-                segment.upsert(KeyItem(key, len(value), voffset,
-                                       ssd_id=target_store_id, khash=khash),
-                               self.key_log.block_size, self.config.max_chain)
-            except SegmentFullError:
-                if is_new_object:
-                    self.live_objects -= 1
-                return self._finish_put(OpResult(STORE_FULL), start, ssd_us,
-                                        cpu_us, accesses - 1)
-
-            t0 = self.sim.now
-            try:
-                yield from self._write_segment(segment, enforce_reserve=True,
-                                               trace=trace)
-            except LogFullError:
-                ssd_us += self.sim.now - t0
-                return self._finish_put(OpResult(STORE_FULL), start, ssd_us,
-                                        cpu_us, accesses - 1)
-            ssd_us += self.sim.now - t0
-            return self._finish_put(OpResult(OK), start, ssd_us, cpu_us,
-                                    accesses)
-        finally:
-            self.segtbl.unlock(seg_id)
-
-    def _finish_put(self, result: OpResult, start: float, ssd_us: float,
-                    cpu_us: float, accesses: int) -> OpResult:
-        result.total_us = self.sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = accesses
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["put"] += result.total_us
-        return result
+        return self._write_stages(key, value, trace)
 
     def delete(self, key: bytes, trace=None):
         """Generator: DEL — read segment, write tombstone (2 accesses)."""
-        start = self.sim.now
-        cpu_us = ssd_us = 0.0
+        return self._write_stages(key, None, trace)
+
+    def _write_stages(self, key: bytes, value: Optional[bytes], trace):
+        """Generator: the PUT / DEL (``value`` None) pipeline, written
+        once; returns the :class:`OpResult`.
+
+        Hash lookup → segment lock → [value-log commit, PUT only]
+        overlapped with the key-segment read → ``bucket_update`` →
+        upsert / tombstone → segment append; every yield is a CPU
+        slice or a device completion (plus a held lock bit, or a value
+        write slower than the read).  Reference clock only.  All
+        statistics are recorded in the one finish block, once the
+        outcome is known: a refused write leaves accounting untouched.
+        """
+        sim = self.sim
+        block = self.key_log.block_size
+        start = sim.now
+        ssd_us = 0.0
         accesses = 0
-        self.stats.dels += 1
+        if value is None:
+            self.stats.dels += 1
+        else:
+            self.stats.puts += 1
         khash = key_hash(key)
         seg_id = khash % self.config.num_segments
 
-        t0 = self.sim.now
-        yield from self._charge_cpu(CYCLE_COSTS["hash_lookup"])
-        cpu_us += self.sim.now - t0
+        yield self._cpu_event(CYCLE_COSTS["hash_lookup"])
 
-        yield self.segtbl.lock(seg_id)
+        # A free lock bit is taken in place; a held one queues FCFS.
+        if not self.segtbl.try_lock(seg_id):
+            yield self.segtbl.lock(seg_id)
+        status = OK
+        ticket = previous = None
         try:
             location = self.segtbl.location(seg_id)
-            if location is None:
-                result = OpResult(NOT_FOUND)
+            if value is None:
+                if location is None:
+                    status = NOT_FOUND
             else:
-                t0 = self.sim.now
-                segment = yield from self._read_segment(location[0],
-                                                        location[1], trace)
-                ssd_us += self.sim.now - t0
-                accesses += 1
-                item = segment.find(key, khash)
-                if item is None or item.is_tombstone:
-                    result = OpResult(NOT_FOUND)
+                holder_id, value_log = self.value_router(self, key, value)
+                entry = pack_value_entry(seg_id, key, value,
+                                         owner_id=self.store_id)
+                if (value_log.free_bytes - len(entry)
+                        < self._log_reserve_bytes(value_log)):
+                    status = STORE_FULL
                 else:
-                    self.stats.value_garbage_bytes += value_entry_size(
-                        len(key), item.vlen)
-                    self.live_objects -= 1
-                    item.vlen = TOMBSTONE_VLEN
-                    item.voffset = 0
-                    t0 = self.sim.now
-                    yield from self._charge_cpu(CYCLE_COSTS["bucket_update"])
-                    cpu_us += self.sim.now - t0
-                    t0 = self.sim.now
-                    try:
-                        yield from self._write_segment(segment,
-                                                       enforce_reserve=True,
-                                                       trace=trace)
-                        result = OpResult(OK)
-                    except LogFullError:
-                        result = OpResult(STORE_FULL)
-                    ssd_us += self.sim.now - t0
+                    voffset = value_log.reserve(len(entry))
+
+            if status == OK:
+                # The value commit (its flush is submitted by the log)
+                # overlaps the segment read; wait for the slower one.
+                t0 = sim.now
+                if value is not None:
+                    ticket = value_log.commit(voffset, entry, trace)
                     accesses += 1
+                if location is None:
+                    segment = Segment(seg_id)
+                else:
+                    segment = yield from self._read_segment(
+                        location[0], location[1], trace)
+                    accesses += 1
+                if ticket is not None and not ticket.processed:
+                    yield ticket
+                ssd_us += sim.now - t0
+                previous = segment.find(key, khash)
+                if previous is not None and previous.is_tombstone:
+                    previous = None
+                if value is None and previous is None:
+                    status = NOT_FOUND
+
+            if status == OK:
+                replaced = (value_entry_size(len(key), previous.vlen)
+                            if previous is not None else 0)
+                yield self._cpu_event(CYCLE_COSTS["bucket_update"])
+                t0 = sim.now
+                try:
+                    if value is None:
+                        previous.vlen = TOMBSTONE_VLEN
+                        previous.voffset = 0
+                    else:
+                        segment.upsert(
+                            KeyItem(key, len(value), voffset,
+                                    ssd_id=holder_id, khash=khash),
+                            block, self.config.max_chain)
+                    yield from self._write_segment(
+                        segment, enforce_reserve=True, trace=trace)
+                    accesses += 1
+                except (SegmentFullError, LogFullError):
+                    status = STORE_FULL
+                ssd_us += sim.now - t0
         finally:
             self.segtbl.unlock(seg_id)
 
-        result.total_us = self.sim.now - start
+        stats = self.stats
+        if status == OK:
+            stats.value_garbage_bytes += replaced
+            if value is None:
+                self.live_objects -= 1
+            elif previous is None:
+                self.live_objects += 1
+        elif ticket is not None:
+            # Refused after the value entry was committed: nothing
+            # points at it, so it is garbage from birth.
+            stats.value_garbage_bytes += len(entry)
+        result = OpResult(status)
+        result.total_us = sim.now - start
         result.ssd_us = ssd_us
         result.cpu_us = result.total_us - ssd_us
         result.nvme_accesses = accesses
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["del"] += result.total_us
+        stats.ssd_time_us += ssd_us
+        stats.cpu_time_us += result.cpu_us
+        stats.op_latency_us["del" if value is None else "put"] += (
+            result.total_us)
         return result
 
     # -- scans (COPY primitive substrate, §3.8) -----------------------------------------
@@ -571,6 +547,9 @@ class LeedDataStore:
         collected = []
         batch = []
         for seg_id in list(self.segtbl.existing_segments()):
+            # Through the lock event even when the bit is free: a PUT
+            # the previous segment's unlock just woke submits its
+            # device accesses before the scan's next read.
             yield self.segtbl.lock(seg_id)
             try:
                 location = self.segtbl.location(seg_id)

@@ -12,7 +12,9 @@ Each SSD partition gets:
 Token cost per command is decided offline from its NVMe access count
 (GET/PUT/DEL = 2/3/2, §3.3).  When a command retires, the engine pulls
 the next waiting command whose token requirement is satisfied —
-strictly FCFS, run-to-completion, no dedicated dispatcher core.
+strictly FCFS, run-to-completion, no dedicated dispatcher core: a
+command with nothing ahead of it and enough tokens runs in its
+caller's process; only one that has to wait meets the scheduler.
 
 The engine also allocates spare tokens among tenants in a weighted
 fashion; the per-tenant allocation is piggybacked on every response
@@ -77,10 +79,6 @@ class EngineStats:
     total_service_us: float = 0.0
     peak_waiting: int = 0
 
-    @property
-    def mean_wait_us(self) -> float:
-        return self.total_wait_us / self.completed if self.completed else 0.0
-
 
 class PartitionIOEngine:
     """Token-based executor for one store partition."""
@@ -109,14 +107,9 @@ class PartitionIOEngine:
         #: per-command path.  1 keeps the exact one-command-per-wakeup
         #: schedule.
         self.admission_batch = max(int(admission_batch), 1)
-        #: Fast path (``fast_datapath``): admit a command synchronously
-        #: from :meth:`submit` when nothing is queued ahead of it and
-        #: tokens are free — skips the waiting-queue round trip.  FCFS
-        #: is preserved: the bypass requires an empty waiting queue and
-        #: no command parked mid-admission in the scheduler.
-        self.direct_admit = False
-        self._admitting = 0
-        self._get_at = getattr(store, "get_at", None)
+        #: Commands queued and not admitted yet (in the queue, handed to
+        #: the scheduler, or there waiting for tokens): ahead of arrivals.
+        self._unadmitted = 0
         self._scheduler = sim.process(self._run(), name=name + ".sched")
 
     # -- admission ------------------------------------------------------------------
@@ -138,55 +131,82 @@ class PartitionIOEngine:
         """Overload signal: a deep waiting queue (§3.6)."""
         return len(self.waiting) >= threshold
 
-    def submit(self, command: KVCommand) -> Event:
-        """Enqueue a command; returns an event with its OpResult.
-
-        Rejects (fails the event) when the waiting queue is full —
-        backpressure the flow controller is expected to prevent.
-        """
-        command.enqueued_at = self.sim.now
-        command.completion = Event(self.sim)
+    def _arrive(self, command: KVCommand) -> bool:
+        """Stamp an arriving command.  True when it can be admitted on
+        the spot: nothing queued or mid-admission ahead of it (FCFS)
+        and enough tokens."""
         self.stats.submitted += 1
-        if command.op not in TOKEN_COST:
-            command.completion.fail(ValueError("unknown op %r" % command.op))
-            command.completion.defuse()
-            return command.completion
+        command.enqueued_at = self.sim.now
         if command.trace is not None:
             command.queue_span = command.trace.child(
                 "engine.queue", cat="engine", args={"engine": self.name})
-        if (self.direct_admit and self._admitting == 0
-                and not len(self.waiting)
-                and self._tokens >= command.token_cost):
-            if command.queue_span is not None:
-                command.queue_span.finish()
-                command.queue_span = None
-            self._tokens -= command.token_cost
-            command.started_at = self.sim.now
-            self.active.add(command)
-            if (command.op == "get" and command.trace is None
-                    and self._get_at is not None):
-                # Fully fused GET: the store computes the result and
-                # completion time synchronously; a single scheduled
-                # callback retires the command — no executor process.
-                try:
-                    result, done = self._get_at(command.key)
-                except Exception as exc:
-                    self._retire(command)
-                    command.completion.fail(exc)
-                    return command.completion
-                self.sim.schedule(done - self.sim.now,
-                                  lambda: self._complete(command, result))
-                return command.completion
-            self.sim.process(self._execute(command),
-                             name=self.name + ".exec")
-            return command.completion
-        if not self.waiting.try_put(command):
+        return (self._unadmitted == 0
+                and self._tokens >= TOKEN_COST.get(command.op, 1 << 62))
+
+    def _admit(self, command: KVCommand) -> None:
+        """Pin ``command``'s tokens and move it to the active queue."""
+        if command.queue_span is not None:
+            command.queue_span.finish()
+            command.queue_span = None
+        self._tokens -= TOKEN_COST[command.op]
+        command.started_at = self.sim.now
+        self.stats.total_wait_us += command.started_at - command.enqueued_at
+        self.active.add(command)
+
+    def execute(self, command: KVCommand):
+        """Run ``command``; returns the generator to ``yield from`` for
+        its OpResult.  Admitted on arrival (decided at this call) it
+        runs in the caller's process, else it waits its turn in the
+        queue.  Raises ``ValueError`` (unknown op), store errors and
+        :class:`OverloadError` (waiting queue full: backpressure the
+        flow controller is expected to prevent)."""
+        if self._arrive(command):
+            self._admit(command)
+            return self._execute(command)
+        return self._await(self._enqueue(command))
+
+    @staticmethod
+    def _await(completion: Event):
+        return (yield completion)
+
+    def submit(self, command: KVCommand) -> Event:
+        """Event form of :meth:`execute` for callers that are not a
+        process; the event fails where ``execute`` raises.  An untraced
+        GET admitted on arrival at a ``fused_get`` store is fully
+        fused: result and completion time are computed synchronously
+        and one scheduled callback retires the command."""
+        if not (self._arrive(command) and command.op == "get"
+                and command.trace is None
+                and getattr(self.store, "fused_get", False)):
+            return self._enqueue(command)
+        self._admit(command)
+        command.completion = Event(self.sim)
+        try:
+            result, done = self.store.get_at(command.key)
+        except Exception as exc:
+            self._retire(command)
+            return command.completion.fail(exc)
+        self.sim.schedule(done - self.sim.now,
+                          lambda: self._finish(command, result))
+        return command.completion
+
+    def _enqueue(self, command: KVCommand) -> Event:
+        """Queue an arrived command (unknown op, full queue: fail it)."""
+        command.completion = Event(self.sim)
+        error = None
+        if command.op not in TOKEN_COST:
+            error = ValueError("unknown op %r" % command.op)
+        elif not self.waiting.try_put(command):
             self.stats.rejected += 1
+            error = OverloadError("%s waiting queue full (%d)"
+                                  % (self.name, len(self.waiting)))
+        if error is None:
+            self._unadmitted += 1
+        else:
             if command.queue_span is not None:
                 command.queue_span.finish({"rejected": True})
                 command.queue_span = None
-            command.completion.fail(OverloadError(
-                "%s waiting queue full (%d)" % (self.name, len(self.waiting))))
+            command.completion.fail(error)
             command.completion.defuse()
         self.stats.peak_waiting = max(self.stats.peak_waiting,
                                       len(self.waiting))
@@ -226,37 +246,27 @@ class PartitionIOEngine:
                 if extra is None:
                     break
                 batch.append(extra)
-            self._admitting += len(batch)
             for command in batch:
-                yield from self._admit_one(command)
+                if self._tokens < command.token_cost:
+                    # The queue wait ends here; the wait for tokens (the
+                    # active queue's serving capability) is its own span.
+                    token_ctx = None
+                    if command.trace is not None:
+                        command.queue_span.finish()
+                        command.queue_span = None
+                        token_ctx = command.trace.child(
+                            "engine.tokens", cat="engine",
+                            args={"cost": command.token_cost})
+                    while self._tokens < command.token_cost:
+                        released = Event(self.sim)
+                        self._release_waiters.append(released)
+                        yield released
+                    if token_ctx is not None:
+                        token_ctx.finish()
+                self._admit(command)
+                self._unadmitted -= 1
                 self.sim.process(self._execute(command),
                                  name=self.name + ".exec")
-
-    def _admit_one(self, command: KVCommand):
-        """Generator: wait for tokens and move ``command`` to active."""
-        if command.queue_span is not None:
-            command.queue_span.finish()
-            command.queue_span = None
-        # Wait for tokens (the active queue's serving capability).
-        token_ctx = None
-        if command.trace is not None and self._tokens < command.token_cost:
-            token_ctx = command.trace.child(
-                "engine.tokens", cat="engine",
-                args={"cost": command.token_cost})
-        while self._tokens < command.token_cost:
-            yield self._token_released()
-        if token_ctx is not None:
-            token_ctx.finish()
-        self._tokens -= command.token_cost
-        command.started_at = self.sim.now
-        self.stats.total_wait_us += command.started_at - command.enqueued_at
-        self.active.add(command)
-        self._admitting -= 1
-
-    def _token_released(self) -> Event:
-        event = Event(self.sim)
-        self._release_waiters.append(event)
-        return event
 
     #: Writes hitting a full log wait for compaction and retry (the
     #: paper: "PUTs would be served slowly if the new log entry
@@ -271,18 +281,17 @@ class PartitionIOEngine:
         kwarg — baseline stores (FAWN, KVell) keep their plain
         signatures and simply run untraced below the engine spans.
         """
-        kwargs = {}
-        if trace is not None:
-            kwargs["trace"] = trace
-        if command.op == "get":
-            return self.store.get(command.key, **kwargs)
+        kwargs = {} if trace is None else {"trace": trace}
         if command.op == "put":
             return self.store.put(command.key, command.value, **kwargs)
-        if command.op == "del":
-            return self.store.delete(command.key, **kwargs)
-        raise ValueError("unknown op %r" % command.op)
+        call = self.store.get if command.op == "get" else self.store.delete
+        return call(command.key, **kwargs)
 
     def _execute(self, command: KVCommand):
+        """Generator: run an admitted command to completion.  With a
+        completion event (it went through the queue; this is its
+        executor process) the outcome goes to the event; without one
+        it runs in its caller's process and store errors propagate."""
         exec_ctx = None
         trace = None
         if command.trace is not None:
@@ -291,39 +300,48 @@ class PartitionIOEngine:
             if getattr(self.store, "TRACE_AWARE", False):
                 trace = exec_ctx
         try:
+            result = yield from self._invoke(command, trace)
             if command.op == "put":
-                result = yield from self._invoke(command, trace)
                 for _attempt in range(self.STORE_FULL_RETRIES):
                     if result.status != "store_full":
                         break
                     yield self.sim.timeout(self.STORE_FULL_BACKOFF_US)
                     result = yield from self._invoke(command, trace)
-            else:
-                result = yield from self._invoke(command, trace)
-        except Exception as exc:  # surface store errors to the waiter
+        except Exception as exc:
             if exec_ctx is not None:
                 exec_ctx.finish({"error": type(exc).__name__})
             self._retire(command)
-            if command.completion and not command.completion.triggered:
-                command.completion.fail(exc)
-            return
+            if command.completion is None:
+                raise
+            command.completion.fail(exc)  # surface it to the waiter
+            return None
         if exec_ctx is not None:
             exec_ctx.finish({"status": result.status,
                              "nvme_accesses": result.nvme_accesses})
-        self._complete(command, result)
+        if command.completion is not None:
+            self._finish(command, result)
+        elif self._complete(command):
+            # The freed tokens woke a waiting command: it is admitted
+            # before this caller advertises spare tokens in its reply.
+            yield self.sim.timeout(0.0)
+        return result
 
-    def _complete(self, command: KVCommand, result: OpResult) -> None:
-        """Retire a finished command and hand its result to the waiter
-        (also the completion callback of a fused GET)."""
-        self._retire(command)
+    def _finish(self, command: KVCommand, result: OpResult) -> None:
+        """Complete a command somebody waits for through its event."""
+        self._complete(command)
+        command.completion.succeed(result)
+
+    def _complete(self, command: KVCommand) -> bool:
+        """Retire a finished command and account its service time."""
+        woke = self._retire(command)
         self.stats.completed += 1
         self.stats.total_service_us += self.sim.now - command.started_at
-        if command.completion and not command.completion.triggered:
-            command.completion.succeed(result)
+        return woke
 
-    def _retire(self, command: KVCommand) -> None:
+    def _retire(self, command: KVCommand) -> bool:
+        """Free ``command``'s tokens; true when they woke the scheduler."""
         self.active.discard(command)
-        self._tokens += command.token_cost
+        self._tokens += TOKEN_COST[command.op]
         # Wake only the head waiter (FCFS): firing every queued release
         # event per retirement was a thundering herd.
         waiters = self._release_waiters
@@ -331,7 +349,8 @@ class PartitionIOEngine:
             event = waiters.popleft()
             if not event.triggered:
                 event.succeed()
-                break
+                return True
+        return False
 
     def __repr__(self):
         return "<PartitionIOEngine %s tokens=%d wait=%d active=%d>" % (

@@ -99,7 +99,7 @@ class LeedOptions:
     #: Heartbeat period, µs.
     heartbeat_period_us: float = 50_000.0
     #: The figure-moving half of the batched datapath
-    #: (docs/performance.md): fused GETs with direct engine admission,
+    #: (docs/performance.md): fused GETs dispatched without a process,
     #: inline client flow rounds, callback client calls and
     #: same-destination SEND coalescing.  Default off: paper figures
     #: come from the reference pipeline.
@@ -278,7 +278,7 @@ class JBOFNode:
             protocol = "craq"
         self.policy = make_policy(protocol, self)
 
-        self.rpc.register_raw("kv", self._handle_kv)
+        self.rpc.register_sync("kv", self._handle_kv)
         self.policy.register_handlers()
         self.rpc.register("copy_batch", self._handle_copy_batch)
         self.rpc.register("copy_mirror", self._handle_copy_mirror)
@@ -289,18 +289,7 @@ class JBOFNode:
         self.rpc.register("membership", self._handle_membership)
         self.rpc.register("vnode_create", self._handle_vnode_create)
         self.rpc.register("vnode_retire", self._handle_vnode_retire)
-        if self.options.fast_datapath:
-            self._enable_fast_datapath()
         self._spawn_background()
-
-    def _enable_fast_datapath(self) -> None:
-        """Server half of the ``fast_datapath`` knob (docs/performance.md):
-        synchronous KV dispatch, direct engine admission and fused GETs
-        (stores get ``fused_get`` in :meth:`_make_vnode`, which also
-        covers vnodes provisioned later)."""
-        for runtime in self.vnodes.values():
-            runtime.engine.direct_admit = True
-        self.rpc.register_raw_sync("kv", self._handle_kv_fast)
 
     # -- construction -------------------------------------------------------------
 
@@ -424,68 +413,80 @@ class JBOFNode:
 
     # -- request handling (CRRS, §3.7) -----------------------------------------------------
 
-    def _handle_kv(self, src: str, request: RpcRequest):
-        """Raw handler: the response may be produced by another node."""
+    def _handle_kv(self, src: str, request: RpcRequest) -> None:
+        """Synchronous raw handler (the response may be produced by
+        another node): charge ``rpc_receive`` on a net core, dispatch.
+
+        The reference pipeline starts the handler process when that
+        CPU slice ends.  ``fast_datapath`` (docs/performance.md) books
+        the slice on the core's calendar (busy accounting unchanged)
+        without waiting out the sub-microsecond charge: an untraced
+        request is dispatched right here, and a clean-replica GET —
+        the bulk of read traffic — is served callback-style with no
+        process at all.
+        """
         body: KVRequest = request.body
-        parent = body.trace
+        if self.options.fast_datapath and body.trace is None:
+            self._net_core().charge_at(CYCLE_COSTS["rpc_receive"],
+                                       self.sim.now)
+            serve = self._dispatch_kv(request, body, fused=True)
+            if serve is not None:
+                self.sim.process(serve, name="rpc-raw-kv@" + self.address)
+            return
         ctx = None
-        if parent is not None:
-            ctx = parent.child("jbof.dispatch", track=self.address,
-                               cat="server",
-                               args={"op": body.op, "vnode": body.vnode_id,
-                                     "hop": body.hop})
+        if body.trace is not None:
+            ctx = body.trace.child("jbof.dispatch", track=self.address,
+                                   cat="server",
+                                   args={"op": body.op, "vnode": body.vnode_id,
+                                         "hop": body.hop})
             # Children (engine/device spans, shipped sub-dispatches)
             # nest under this node's dispatch span.
             body.trace = ctx
+        received = self._net_core().execute_event(CYCLE_COSTS["rpc_receive"])
+        self.sim.process(self._serve_kv(request, body, ctx),
+                         name="rpc-raw-kv@" + self.address, after=received)
+
+    def _serve_kv(self, request: RpcRequest, body: KVRequest, ctx):
+        """Handler process of a KV request (reference pipeline)."""
         try:
-            yield from self._dispatch_kv(src, request, body)
+            serve = self._dispatch_kv(request, body)
+            if serve is not None:
+                yield from serve
         finally:
             if ctx is not None:
                 ctx.finish()
 
-    def _handle_kv_fast(self, src: str, request: RpcRequest) -> None:
-        """Synchronous KV dispatch (fast datapath): no handler process.
+    def _dispatch_kv(self, request: RpcRequest, body: KVRequest,
+                     fused: bool = False):
+        """Validate a KV request against this node's state and ring view.
 
-        Clean-replica GETs — the overwhelming bulk of read traffic —
-        run entirely callback-style: validation inline, the engine
-        completion answering the client when it fires.  Everything
-        else (writes, dirty reads, traced requests) falls back to the
-        process-based path.  The ``rpc_receive`` cost is charged on
-        the net core's analytic horizon (busy accounting unchanged)
-        but dispatch no longer waits out that sub-microsecond charge.
+        Returns the policy generator that serves it, or None when it
+        was answered: refused, or — ``fused`` — a GET the policy lets
+        this replica serve locally, completed by an engine callback.
         """
-        body: KVRequest = request.body
-        if body.trace is not None:  # sampled: keep the exact traced path
-            self.sim.process(self._handle_kv(src, request),
-                             name="rpc-raw-kv@" + self.address)
-            return
-        self._net_core().charge_at(CYCLE_COSTS["rpc_receive"], self.sim.now)
         runtime = self.vnodes.get(body.vnode_id)
         if (runtime is None or runtime.state == JOINING or not self.alive
                 or (runtime.state == LEAVING and body.op != "get")):
             self._respond(request, KVReply(
                 STATUS_UNAVAILABLE, ring_version=self.local_ring.version))
-            return
+            return None
+
+        # Hop-counter view validation (§3.8.1).
         chain = self.local_ring.chain_ids_for_key(body.key)
         if (body.hop >= len(chain) or chain[body.hop] != body.vnode_id
                 or body.vnode_id not in self.local_ring.vnodes):
             runtime.stats.nacks += 1
             self._respond(request, KVReply(
                 STATUS_NACK, ring_version=self.local_ring.version))
-            return
+            return None
+
         if body.op != "get":
             if body.hop == 0:
-                writer = self.policy.on_client_write(runtime, request, body,
-                                                     chain)
-            else:
-                writer = self.policy.on_forward(runtime, request, body, chain)
-            self.sim.process(writer, name="rpc-raw-kv@" + self.address)
-            return
-        if not self.policy.fast_read_local(runtime, body, chain):
-            self.sim.process(
-                self.policy.serve_read(runtime, request, body, chain),
-                name="rpc-raw-kv@" + self.address)
-            return
+                return self.policy.on_client_write(runtime, request, body,
+                                                   chain)
+            return self.policy.on_forward(runtime, request, body, chain)
+        if not fused or not self.policy.fast_read_local(runtime, body, chain):
+            return self.policy.serve_read(runtime, request, body, chain)
 
         command = KVCommand("get", body.key, tenant=body.tenant)
         completion = runtime.engine.submit(command)
@@ -504,50 +505,17 @@ class JBOFNode:
             finish(completion)
         else:
             completion.callbacks.append(finish)
-
-    def _dispatch_kv(self, src: str, request: RpcRequest, body: KVRequest):
-        yield from self._net_core().execute(CYCLE_COSTS["rpc_receive"])
-        runtime = self.vnodes.get(body.vnode_id)
-        if runtime is None or runtime.state == JOINING or not self.alive:
-            self._respond(request, KVReply(STATUS_UNAVAILABLE,
-                                           ring_version=self.local_ring.version))
-            return
-        if runtime.state == LEAVING and body.op != "get":
-            self._respond(request, KVReply(STATUS_UNAVAILABLE,
-                                           ring_version=self.local_ring.version))
-            return
-
-        # Hop-counter view validation (§3.8.1).
-        chain = self.local_ring.chain_ids_for_key(body.key)
-        if (body.hop >= len(chain) or chain[body.hop] != body.vnode_id
-                or body.vnode_id not in self.local_ring.vnodes):
-            runtime.stats.nacks += 1
-            self._respond(request, KVReply(
-                STATUS_NACK, ring_version=self.local_ring.version))
-            return
-
-        if body.op == "get":
-            yield from self.policy.serve_read(runtime, request, body, chain)
-        elif body.hop == 0:
-            yield from self.policy.on_client_write(runtime, request, body,
-                                                   chain)
-        else:
-            yield from self.policy.on_forward(runtime, request, body, chain)
+        return None
 
     def _respond(self, request: RpcRequest, reply: KVReply) -> None:
         self.rpc.respond(request, reply, reply.wire_bytes())
-
-    # The chain write/read/ack paths that used to live here
-    # (_serve_write/_serve_get/_send_ack/_handle_chain_ack/
-    # _handle_version_query) moved verbatim into
-    # repro.core.replication.chain.ChainReplication.
 
     def _execute(self, runtime: VNodeRuntime, body: KVRequest):
         """Generator: run the command through the partition engine."""
         command = KVCommand(body.op, body.key, body.value, tenant=body.tenant,
                             trace=body.trace)
         try:
-            result: OpResult = yield runtime.engine.submit(command)
+            result: OpResult = yield from runtime.engine.execute(command)
         except OverloadError:
             # Waiting queue overflowed: shed the request (§2.3's
             # overload hazard).  The client backs off and retries.
@@ -619,22 +587,27 @@ class JBOFNode:
         runtime.migration_stamps[key] = version
         return True
 
-    def _handle_copy_batch(self, src: str, batch: CopyBatch):
-        runtime = self.vnodes.get(batch.dst_vnode)
-        if runtime is None:
-            return KVReply(STATUS_NACK), 16
+    def _apply_pairs(self, runtime: VNodeRuntime, batch: CopyBatch):
+        """Generator: PUT a batch's fresh pairs through the engine;
+        returns how many were applied."""
         applied = 0
         versions = batch.versions or [None] * len(batch.pairs)
         for (key, value), version in zip(batch.pairs, versions):
             if not self._migration_apply_fresh(runtime, key, version):
                 continue
-            result = yield runtime.engine.submit(
+            result = yield from runtime.engine.execute(
                 KVCommand("put", key, value, tenant="__copy__"))
             if result.ok:
                 applied += 1
                 if version is not None:
                     self.policy.on_migrated(runtime, key, version)
-        runtime.stats.copies_in += applied
+        return applied
+
+    def _handle_copy_batch(self, src: str, batch: CopyBatch):
+        runtime = self.vnodes.get(batch.dst_vnode)
+        if runtime is None:
+            return KVReply(STATUS_NACK), 16
+        runtime.stats.copies_in += yield from self._apply_pairs(runtime, batch)
         reply = KVReply(STATUS_OK, tokens=runtime.engine.allocation_for(
             "__copy__"))
         return reply, reply.wire_bytes()
@@ -690,16 +663,8 @@ class JBOFNode:
 
     def _handle_copy_mirror(self, src: str, batch: CopyBatch):
         runtime = self.vnodes.get(batch.dst_vnode)
-        if runtime is None:
-            return None
-        versions = batch.versions or [None] * len(batch.pairs)
-        for (key, value), version in zip(batch.pairs, versions):
-            if not self._migration_apply_fresh(runtime, key, version):
-                continue
-            result = yield runtime.engine.submit(
-                KVCommand("put", key, value, tenant="__copy__"))
-            if result.ok and version is not None:
-                self.policy.on_migrated(runtime, key, version)
+        if runtime is not None:
+            yield from self._apply_pairs(runtime, batch)
         return None
 
     def _handle_do_copy(self, src: str, body: dict):

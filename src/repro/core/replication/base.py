@@ -81,7 +81,9 @@ class ReplicationPolicy:
     * :meth:`serve_read` — a GET addressed to this replica; must
       answer ``request`` (possibly by forwarding the envelope).
     * :meth:`on_ack` — the protocol's acknowledgment handler (chain's
-      backward ack; unused by quorum protocols).
+      backward ack; unused by quorum protocols).  Synchronous: it runs
+      in the delivery event and continues from callbacks, not a
+      process.
     * :meth:`on_membership_change` / :meth:`on_peer_failure` —
       synchronous view-change notifications (no events allowed).
     * :meth:`replay` — WAL recovery: re-establish one journaled write
@@ -121,9 +123,8 @@ class ReplicationPolicy:
         raise NotImplementedError
         yield  # pragma: no cover - generator marker
 
-    def on_ack(self, src: str, ack):
+    def on_ack(self, src: str, ack) -> None:
         raise NotImplementedError
-        yield  # pragma: no cover - generator marker
 
     def fast_read_local(self, runtime, body, chain) -> bool:
         """Whether the fast datapath may serve this GET locally,

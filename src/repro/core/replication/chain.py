@@ -47,16 +47,16 @@ class ChainReplication(ReplicationPolicy):
 
     def register_handlers(self) -> None:
         rpc = self.node.rpc
-        rpc.register("chain_ack", self.on_ack)
+        rpc.register_sync("chain_ack", self.on_ack)
         rpc.register("version_query", self._handle_version_query)
 
     # -- write path (port of JBOFNode._serve_write) --------------------------
 
     def on_client_write(self, runtime, request, body, chain):
-        yield from self._write(runtime, request, body, chain)
+        return self._write(runtime, request, body, chain)
 
     def on_forward(self, runtime, request, body, chain):
-        yield from self._write(runtime, request, body, chain)
+        return self._write(runtime, request, body, chain)
 
     def _write(self, runtime, request, body, chain):
         node = self.node
@@ -152,17 +152,23 @@ class ChainReplication(ReplicationPolicy):
         node.rpc.notify(vnode.jbof_address, "chain_ack", ack,
                         ack.wire_bytes())
 
-    def on_ack(self, src: str, ack: ChainAck):
+    def on_ack(self, src: str, ack: ChainAck) -> None:
+        """Backward ack (synchronous one-way handler): once the
+        ``dirty_map_op`` CPU slice ends, clear the dirty bit, retire
+        the WAL intent and pass the ack up the chain."""
         node = self.node
-        yield from node._net_core().execute(CYCLE_COSTS["dirty_map_op"])
-        runtime = node.vnodes.get(ack.vnode_id)
-        if runtime is not None:
-            runtime.clear_dirty(ack.key)
-            wal = self._wal(runtime)
-            if wal is not None:
-                wal.ack(ack.key)
-        self.send_ack(ack.chain, ack.index - 1, ack.key)
-        return None
+
+        def acked(_event) -> None:
+            runtime = node.vnodes.get(ack.vnode_id)
+            if runtime is not None:
+                runtime.clear_dirty(ack.key)
+                wal = self._wal(runtime)
+                if wal is not None:
+                    wal.ack(ack.key)
+            self.send_ack(ack.chain, ack.index - 1, ack.key)
+
+        node._net_core().execute_event(
+            CYCLE_COSTS["dirty_map_op"]).callbacks.append(acked)
 
     # -- read path (port of JBOFNode._serve_get) -----------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sim.core import Simulator
+from repro.sim.events import Timeout
 
 
 class Core:
@@ -71,15 +72,27 @@ class Core:
             self._free_at = start + duration
         return start
 
-    def execute(self, cycles: int):
-        """Generator: occupy the core for ``cycles`` of work."""
+    def execute_event(self, cycles: int) -> Timeout:
+        """Occupy the core for ``cycles`` of work; returns the event that
+        fires when the slice ends.  The slice is reserved now (FCFS
+        among work submitted at ``now``); the counters are booked by
+        the event's first callback, at completion."""
         if cycles < 0:
             raise ValueError("negative cycle count")
-        duration = self.us_for_cycles(cycles)
+        duration = cycles / (self.freq_ghz * 1e3)
         start = self._reserve(self.sim.now, duration)
-        yield self.sim.timeout_at(start + duration)
-        self.cycles_executed += cycles
-        self.busy_time_us += duration
+        event = self.sim.timeout_at(start + duration)
+
+        def book(_event) -> None:
+            self.cycles_executed += cycles
+            self.busy_time_us += duration
+
+        event.callbacks.append(book)
+        return event
+
+    def execute(self, cycles: int):
+        """Generator: :meth:`execute_event`, waited for."""
+        yield self.execute_event(cycles)
 
     def charge_at(self, cycles: int, at: float) -> float:
         """Analytic charge: returns the completion time.
@@ -93,13 +106,6 @@ class Core:
         self.cycles_executed += cycles
         self.busy_time_us += duration
         return start + duration
-
-    def execute_us(self, duration_us: float):
-        """Generator: occupy the core for a wall-time duration."""
-        start = self._reserve(self.sim.now, duration_us)
-        yield self.sim.timeout_at(start + duration_us)
-        self.cycles_executed += int(duration_us * self.freq_ghz * 1e3)
-        self.busy_time_us += duration_us
 
     @property
     def busy(self) -> bool:

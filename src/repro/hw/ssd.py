@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 
 from repro.hw.flash import FlashArray
 from repro.sim.core import Simulator
+from repro.sim.events import Timeout
 from repro.sim.rng import RngRegistry
 
 
@@ -132,8 +133,9 @@ class SSDStats:
 class NVMeSSD:
     """A simulated NVMe device: timing model over a functional flash array.
 
-    All I/O entry points are generator methods intended to be driven
-    by a simulation process (``data = yield from ssd.read(off, n)``).
+    An I/O is submitted with ``read_event`` / ``write_event`` and waited
+    for by yielding the returned event; ``read`` / ``write`` are the
+    generator forms (``data = yield from ssd.read(off, n)``).
     """
 
     def __init__(self, sim: Simulator, profile: Optional[SSDProfile] = None,
@@ -190,7 +192,7 @@ class NVMeSSD:
                    start: float, done: float) -> None:
         """Record one read submitted at ``at`` in the device statistics.
 
-        The generator form books at completion, the analytic forms at
+        The event form books at completion, the analytic forms at
         submission — interleaved traffic sums the float counters in
         that order, which the energy figures can see.
         """
@@ -213,10 +215,14 @@ class NVMeSSD:
             return max(heapq.heappop(busy), at)
         return at
 
-    # -- I/O generators ----------------------------------------------------------
+    # -- I/O: a device access is its completion event ------------------------
+    #
+    # Admission, jitter draw and channel booking happen at the call;
+    # the event's first callback touches flash and statistics at
+    # completion.  Yield it to wait, or hold it and do something else.
 
-    def read(self, offset: int, length: int, trace=None):
-        """Read ``length`` bytes at ``offset``; yields, returns the bytes.
+    def read_event(self, offset: int, length: int, trace=None) -> Timeout:
+        """Submit a read; the event's value is the bytes.
 
         ``trace`` is a duck-typed trace context (this layer never
         imports :mod:`repro.obs`): an ``ssd.read`` device span covers
@@ -228,12 +234,20 @@ class NVMeSSD:
                               args={"bytes": length})
         submitted = self.sim.now
         service, admitted, done = self._admit_read(length, submitted)
-        yield self.sim.timeout_at(done)
-        data = self.flash.read(offset, length)
-        self._book_read(length, submitted, service, admitted, done)
-        if ctx is not None:
-            ctx.finish({"queue_wait_us": admitted - submitted})
-        return data
+        event = self.sim.timeout_at(done)
+
+        def complete(event) -> None:
+            event._value = self.flash.read(offset, length)
+            self._book_read(length, submitted, service, admitted, done)
+            if ctx is not None:
+                ctx.finish({"queue_wait_us": admitted - submitted})
+
+        event.callbacks.append(complete)
+        return event
+
+    def read(self, offset: int, length: int, trace=None):
+        """Generator: :meth:`read_event`, waited for; returns the bytes."""
+        return (yield self.read_event(offset, length, trace))
 
     def read_at(self, offset: int, length: int, at: float) -> Tuple[bytes, float]:
         """Analytic read: returns ``(data, done_us)``.
@@ -257,8 +271,9 @@ class NVMeSSD:
         self._book_read(length, at, service, start, done)
         return done
 
-    def write(self, offset: int, data: bytes, trace=None):
-        """Program ``data`` at a block-aligned ``offset``; yields until durable."""
+    def write_event(self, offset: int, data: bytes, trace=None) -> Timeout:
+        """Submit a program of ``data`` at a block-aligned ``offset``;
+        the event fires once durable (flash changes then, not now)."""
         ctx = None
         if trace is not None:
             ctx = trace.child("ssd.write", track=self.name, cat="device",
@@ -277,22 +292,25 @@ class NVMeSSD:
         extra_wait = dstart - admitted
         done = admitted + (service + extra_wait)
         heapq.heappush(self._chan_busy, done)
-        yield self.sim.timeout_at(done)
-        self.flash.write(offset, data)
-        completed = self.sim.now
-        self.stats.writes_completed += 1
-        self.stats.write_bytes += len(data)
-        self.stats.total_write_latency_us += completed - submitted
-        self.stats.queue_wait_us += admitted - submitted
-        self.stats.busy_time_us += service + extra_wait
-        if ctx is not None:
-            ctx.finish({"queue_wait_us": admitted - submitted})
-        return len(data)
+        event = self.sim.timeout_at(done, len(data))
 
-    def trim(self, offset: int, length: int):
-        """Discard a range; near-free on the device."""
-        yield self.sim.timeout(1.0)
-        self.flash.trim(offset, length)
+        def complete(_event) -> None:
+            self.flash.write(offset, data)
+            stats = self.stats
+            stats.writes_completed += 1
+            stats.write_bytes += len(data)
+            stats.total_write_latency_us += self.sim.now - submitted
+            stats.queue_wait_us += admitted - submitted
+            stats.busy_time_us += service + extra_wait
+            if ctx is not None:
+                ctx.finish({"queue_wait_us": admitted - submitted})
+
+        event.callbacks.append(complete)
+        return event
+
+    def write(self, offset: int, data: bytes, trace=None):
+        """Generator: :meth:`write_event`, waited for; returns len(data)."""
+        return (yield self.write_event(offset, data, trace))
 
     # -- energy ---------------------------------------------------------------
 

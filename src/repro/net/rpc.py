@@ -91,7 +91,7 @@ class RpcEndpoint:
         self.qp = QueuePair(sim, network, address)
         self._handlers: Dict[str, Handler] = {}
         self._raw_handlers: Dict[str, Handler] = {}
-        self._raw_sync_handlers: Dict[str, Handler] = {}
+        self._sync_handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
         self._request_ids = itertools.count(1)
         #: Call deadlines, earliest first: ``(deadline, request_id,
@@ -164,17 +164,14 @@ class RpcEndpoint:
                               request.reply_to, request.rkey)
         self.qp.post_send(dst, envelope, envelope.nbytes + ENVELOPE_BYTES)
 
-    def register_raw_sync(self, method: str, handler) -> None:
-        """Overlay a synchronous raw handler (fast datapath).
-
-        The handler is invoked inline at dispatch time — no handler
-        process — with ``(src_address, request)`` and must not yield;
-        like a raw handler it arranges the response itself (typically
-        via a completion callback).  Takes priority over a generator
-        raw handler registered for the same method, which remains the
-        fallback the sync handler may delegate slow cases to.
-        """
-        self._raw_sync_handlers[method] = handler
+    def register_sync(self, method: str, handler) -> None:
+        """Register a synchronous handler: invoked inline in the
+        delivery event — no handler process — and must not yield.
+        For a request it is a raw handler, ``handler(src, request)``,
+        that arranges the response itself (from a callback or a process
+        it starts); a one-way message comes as ``handler(src, body)``.
+        Takes priority over a generator handler for the same method."""
+        self._sync_handlers[method] = handler
 
     def register(self, method: str, handler: Handler) -> None:
         """Register a generator-function handler for ``method``.
@@ -188,10 +185,6 @@ class RpcEndpoint:
             raise ValueError("handler for %r already registered" % method)
         self._handlers[method] = handler
 
-    def unregister(self, method: str) -> None:
-        self._handlers.pop(method, None)
-        self._raw_handlers.pop(method, None)
-
     def _on_request_delivery(self, completion: SendCompletion) -> None:
         envelope = completion.payload
         if isinstance(envelope, RpcBatch):
@@ -201,38 +194,35 @@ class RpcEndpoint:
             self._dispatch_one(completion.src, envelope)
 
     def _dispatch_one(self, src: str, envelope) -> None:
+        sync = self._sync_handlers.get(getattr(envelope, "method", None))
         if isinstance(envelope, RpcRequest):
-            sync = self._raw_sync_handlers.get(envelope.method)
             if sync is not None:
                 sync(src, envelope)
                 return
             raw = self._raw_handlers.get(envelope.method)
             if raw is not None:
                 self.sim.process(
-                    self._run_raw(raw, src, envelope),
+                    self._run(raw, src, envelope),
                     name="rpc-raw-%s@%s" % (envelope.method, self.address))
             else:
                 self.sim.process(
                     self._serve(src, envelope),
                     name="rpc-serve-%s@%s" % (envelope.method, self.address))
         elif isinstance(envelope, OneWay):
+            if sync is not None:
+                sync(src, envelope.body)
+                return
             handler = self._handlers.get(envelope.method)
             if handler is not None:
                 self.sim.process(
-                    self._run_oneway(handler, src, envelope.body),
+                    self._run(handler, src, envelope.body),
                     name="rpc-oneway-%s@%s" % (envelope.method, self.address))
         else:  # pragma: no cover - protocol guard
             raise RpcError("unexpected envelope %r" % (envelope,))
 
-    def _run_raw(self, handler, src: str, request: RpcRequest):
-        result = handler(src, request)
-        if hasattr(result, "send"):
-            yield from result
-        else:
-            yield self.sim.timeout(0)
-
-    def _run_oneway(self, handler: Handler, src: str, body: Any):
-        result = handler(src, body)
+    def _run(self, handler: Handler, src: str, payload: Any):
+        """Process body of a raw (request) or one-way (body) handler."""
+        result = handler(src, payload)
         if hasattr(result, "send"):
             yield from result
         else:

@@ -167,9 +167,11 @@ class Simulator:
             return timeout
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator, name: Optional[str] = None) -> Process:
-        """Start a new process from ``generator``."""
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator, name: Optional[str] = None,
+                after: Optional[Event] = None) -> Process:
+        """Start a new process from ``generator`` — now, or with
+        ``after``, inside that event's dispatch."""
+        return Process(self, generator, name=name, after=after)
 
     def all_of(self, events):
         """Composite event firing once all ``events`` fire."""

@@ -26,11 +26,18 @@ class Process(Event):
     that finishes successfully with no callbacks registered (fire and
     forget) is marked processed on the spot; no completion event is
     dispatched for it.
+
+    ``after`` (a value-less event: a generator's first send is None)
+    starts the process inside that event's dispatch instead of from an
+    initialization event of its own — a handler whose first act would
+    be to wait out a CPU slice starts when the slice ends.  Until then
+    it waits on ``after`` as on any yielded event (interrupt, failure).
     """
 
     __slots__ = ("generator", "name", "_target", "_interrupts")
 
-    def __init__(self, sim, generator: Generator, name: Optional[str] = None):
+    def __init__(self, sim, generator: Generator, name: Optional[str] = None,
+                 after: Optional[Event] = None):
         if not hasattr(generator, "throw"):
             raise TypeError("Process requires a generator, got %r" % (generator,))
         super().__init__(sim)
@@ -39,12 +46,18 @@ class Process(Event):
         #: The event this process currently waits on (None while running).
         self._target: Optional[Event] = None
         self._interrupts: list = []
+        if after is not None and after.callbacks is not None:
+            after.callbacks.append(self._resume)
+            self._target = after
+            return
         # Kick off the process via an immediately-scheduled initialization
-        # event so creation order does not matter within a timestep.
+        # event so creation order does not matter within a timestep (also
+        # for an ``after`` already processed; its failure is carried over).
         init = Event(sim)
         init.callbacks.append(self._resume)
-        init._ok = True
-        init._value = None
+        init._ok = after is None or after._ok
+        init._value = None if init._ok else after._value
+        init._defused = not init._ok
         sim._schedule_event(init)
 
     @property

@@ -64,3 +64,23 @@ class TestTraceCli:
         for path in paths:
             assert trace_main(["--ops", "4", "--output", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("module", [
+    "repro.bench", "repro.bench.perf", "repro.bench.explore",
+    "repro.scenarios", "repro.lint", "repro.lint.sanitize"])
+def test_help_of_every_entry_point_exits_zero(module):
+    """``--help`` formats every option's help string (argparse applies
+    ``%`` to it), so a stray ``%`` only shows up here."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout.lower()

@@ -464,3 +464,126 @@ class TestTwoClocks:
         before = sim.events_dispatched
         assert drive(sim, fused.get(key)).value == expected.value
         assert sim.events_dispatched - before <= traced_events - 3
+
+
+class TestRefusedWritesLeaveAccountingAlone:
+    """A PUT / DEL refused with ``store_full`` at the segment append
+    (key log at its compaction reserve) must not count the object or
+    the garbage it would have produced — the engine retries such a PUT
+    up to 20 times, and every retry used to leak again."""
+
+    @staticmethod
+    def _full_store(sim):
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=32 << 20, block_size=512,
+                                      jitter=0.0), rng=RngRegistry(5))
+        store = LeedDataStore(sim, ssd, StoreConfig(
+            num_segments=8, key_log_bytes=16 * 512, value_log_bytes=1 << 20))
+
+        def fill():
+            statuses = []
+            for index in range(60):
+                result = yield from store.put(b"key-%03d" % index, b"v" * 40)
+                statuses.append(result.status)
+            return statuses
+
+        return store, drive(sim, fill())
+
+    def test_refused_puts_do_not_count_as_live_objects(self, sim):
+        from repro.core.recovery import recover_store
+        from repro.core.segment import value_entry_size
+
+        store, statuses = self._full_store(sim)
+        assert (statuses.count("ok"), statuses.count("store_full")) == (12, 48)
+        assert store.live_objects == 12
+        # Each refused PUT had already written its value entry; nothing
+        # points at it, so it is value-log garbage.
+        assert store.stats.value_garbage_bytes == 48 * value_entry_size(7, 40)
+        # ...and the count is what a recovery scan of the flash finds.
+        fresh = LeedDataStore(sim, store.ssd, store.config)
+        assert drive(sim, recover_store(fresh)).live_objects == 12
+
+    def test_refused_delete_keeps_the_object(self, sim):
+        store, statuses = self._full_store(sim)
+        key = b"key-%03d" % statuses.index("ok")
+        garbage = store.stats.value_garbage_bytes
+        result = drive(sim, store.delete(key))
+        assert result.status == "store_full" and result.nvme_accesses == 1
+        assert store.live_objects == 12
+        assert store.stats.value_garbage_bytes == garbage
+        assert drive(sim, store.get(key)).ok
+
+    def test_segment_full_put_is_not_counted_either(self, sim):
+        store = make_store(sim, num_segments=1, max_chain=1)
+
+        def fill():
+            index = 0
+            while (yield from store.put(b"key-%04d" % index, b"v")).ok:
+                index += 1
+            return index
+
+        stored = drive(sim, fill())
+        assert stored > 0 and store.live_objects == stored
+
+
+class TestWriteBodyFrozen:
+    """PUT and DEL are one staged body (``_write_stages``).  On an idle,
+    jitter-free store it must report — result, ``StoreStats``,
+    ``SSDStats``, core counters — exactly what the separate ``put`` /
+    ``delete`` of commit acc8f7d reported; the values below were
+    printed by that commit for this script."""
+
+    SCRIPT = [
+        # op, key, value, status, total_us, ssd_us, cpu_us, accesses
+        ("del", b"key-00", None, "not_found",
+         0.10000000000002274, 0.0, 0.10000000000002274, 0),  # no segment
+        ("put", b"key-04", b"first", "ok",
+         52.998095238095175, 52.73142857142852, 0.2666666666666515, 2),
+        ("put", b"key-05", b"second-value", "ok",
+         81.80304761904745, 81.53638095238102, 0.26666666666642413, 3),
+        ("put", b"key-04", b"overwritten!", "ok",
+         81.80304761904745, 81.53638095238102, 0.26666666666642413, 3),
+        ("del", b"key-04", None, "ok",
+         81.80304761904881, 81.53638095238148, 0.26666666666733363, 2),
+        ("del", b"key-06", None, "not_found",               # absent key
+         55.27066666666724, 55.170666666666875, 0.1000000000003638, 1),
+        ("put", b"key-04", b"again", "ok",                  # over a tombstone
+         81.80304761904881, 81.53638095238148, 0.26666666666733363, 3),
+        ("del", b"key-05", None, "ok",
+         81.80304761904881, 81.53638095238148, 0.26666666666733363, 2),
+    ]
+
+    def test_results_and_statistics_match_the_parent(self):
+        from dataclasses import asdict
+
+        sim = Simulator()
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=32 << 20, block_size=512,
+                                      jitter=0.0), rng=RngRegistry(5))
+        store = LeedDataStore(
+            sim, ssd, StoreConfig(num_segments=2, key_log_bytes=64 << 10,
+                                  value_log_bytes=1 << 20),
+            core=Core(sim, 3.0))
+        # The frozen script relies on where these keys hash.
+        assert key_hash(b"key-00") % 2 == 1
+        assert all(key_hash(b"key-%02d" % i) % 2 == 0 for i in (4, 5, 6))
+        for slot, (op, key, value, *expected) in enumerate(self.SCRIPT):
+            sim.run(until=1000.0 * (slot + 1))
+            result = drive(sim, store.put(key, value) if op == "put"
+                           else store.delete(key))
+            assert [result.status, result.total_us, result.ssd_us,
+                    result.cpu_us, result.nvme_accesses] == expected
+        assert asdict(store.stats) == {
+            "gets": 0, "puts": 4, "dels": 4, "hits": 0, "misses": 0,
+            "get_retries": 0, "key_log_garbage_bytes": 2560,
+            "value_garbage_bytes": 83, "compaction_aborted": 0,
+            "ssd_time_us": 515.5840000000019,
+            "cpu_time_us": 1.8000000000018872,
+            "op_latency_us": {"get": 0.0, "put": 298.4072380952389,
+                              "del": 218.97676190476489}}
+        assert asdict(ssd.stats) == {
+            "reads_completed": 6, "writes_completed": 10, "read_bytes": 3072,
+            "write_bytes": 5120, "total_read_latency_us": 331.02400000000125,
+            "total_write_latency_us": 263.6571428571435,
+            "busy_time_us": 594.6811428571427, "queue_wait_us": 0.0}
+        assert store.live_objects == 1
+        assert (store.core.busy_time_us.hex(), store.core.cycles_executed) == (
+            "0x1.ccccccccccccep+0", 5400)

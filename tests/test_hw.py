@@ -206,7 +206,7 @@ class TestCore:
         core = Core(sim, freq_ghz=1.0)
 
         def proc():
-            yield from core.execute_us(30)
+            yield from core.execute(30_000)
             yield sim.timeout(70)
 
         drive(sim, proc())
@@ -304,7 +304,7 @@ class TestFcfsRecurrence:
 
         def executes(work):
             expected = reserve(sim.now, work)
-            yield from core.execute_us(work)
+            yield from core.execute(work * 1000)
             finishes.append((sim.now, expected))
 
         def source():
@@ -542,3 +542,43 @@ class TestPlatforms:
     def test_utilization_clamped(self):
         assert STINGRAY.active_power_w(5.0) == STINGRAY.max_power_w
         assert STINGRAY.active_power_w(-1.0) == STINGRAY.idle_power_w
+
+
+class TestWorkEvents:
+    """Work is an event: ``execute_event`` / ``read_event`` /
+    ``write_event`` return the completion ``Timeout`` itself."""
+
+    def test_flash_and_stats_change_at_completion_not_submission(
+            self, sim, quiet_ssd):
+        event = quiet_ssd.write_event(0, b"x" * 512)
+        assert quiet_ssd.flash.read(0, 1) == b"\x00"
+        assert quiet_ssd.stats.writes_completed == 0
+        sim.run(until=event)
+        assert quiet_ssd.flash.read(0, 1) == b"x"
+        assert quiet_ssd.stats.writes_completed == 1
+        core = Core(sim, freq_ghz=1.0)
+        slice_ = core.execute_event(2000)
+        assert core.busy_time_us == 0.0 and core.busy
+        sim.run(until=slice_)
+        assert core.busy_time_us == 2.0 and core.cycles_executed == 2000
+
+    def test_held_event_keeps_its_value_and_is_not_pooled(self, sim,
+                                                          quiet_ssd):
+        """``run_batch`` recycles a dispatched Timeout nobody references;
+        a held work-event must survive that, value intact."""
+        drive(sim, quiet_ssd.write(0, b"held" + b"\x00" * 508))
+        held = quiet_ssd.read_event(0, 4)
+
+        def churn():
+            # Plenty of pooled timeouts handed out after ``held`` fired.
+            for _ in range(50):
+                yield sim.timeout(100)
+                assert all(sim.timeout(1) is not held for _ in range(8))
+
+        drive(sim, churn())
+        assert held.processed and held.value == b"held"
+        assert held not in sim._timeout_pool
+
+    def test_unheld_event_is_still_recycled(self, sim, quiet_ssd):
+        drive(sim, quiet_ssd.read(0, 4))   # yielded, then dropped
+        assert sim._timeout_pool

@@ -196,3 +196,189 @@ class TestStoreFullRetry:
 
         result = sim.run(until=sim.process(proc()))
         assert result.ok
+
+
+class TestInProcessAdmission:
+    """One admission rule: a command with nothing ahead of it and enough
+    tokens runs in its caller's process (``execute``); anything else
+    queues.  Both ways must keep FCFS order and the same accounting."""
+
+    @staticmethod
+    def _twin(tokens=12):
+        from repro.sim.core import Simulator
+        sim = Simulator()
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=32 << 20, block_size=512,
+                                      jitter=0.0), rng=RngRegistry(5))
+        store = LeedDataStore(sim, ssd, StoreConfig(
+            num_segments=32, key_log_bytes=1 << 20, value_log_bytes=4 << 20))
+        return sim, PartitionIOEngine(sim, store, token_capacity=tokens,
+                                      waiting_capacity=8, name="eng")
+
+    @staticmethod
+    def _record_starts(engine):
+        starts = []
+        original = engine._execute
+
+        def traced(command):
+            starts.append((command.key, engine.sim.now))
+            return original(command)
+
+        engine._execute = traced
+        return starts
+
+    def test_idle_engine_runs_the_command_in_the_callers_process(self):
+        sim, engine = self._twin()
+        spawned = []
+        original = sim.process
+
+        def counting(generator, name=None, **kwargs):
+            spawned.append(name)
+            return original(generator, name=name, **kwargs)
+
+        sim.process = counting
+
+        def proc():
+            put = yield from engine.execute(KVCommand("put", b"k", b"v"))
+            assert engine.active_occupancy == 0 and engine.tokens == 12
+            got = yield from engine.execute(KVCommand("get", b"k"))
+            return put, got
+
+        put, got = drive(sim, proc())
+        assert put.ok and got.value == b"v"
+        assert spawned == ["test"]        # no .exec process
+        assert engine.stats.completed == engine.stats.submitted == 2
+        assert engine.stats.peak_waiting == 0
+        assert engine.stats.total_wait_us == 0.0
+
+    def test_same_result_and_accounting_as_the_queued_path(self):
+        """The same commands, one at a time: ``execute`` on one twin,
+        ``submit`` (always through queue, scheduler and executor
+        process) on the other."""
+        commands = [("put", b"a", b"1"), ("put", b"b", b"2"), ("get", b"a", None),
+                    ("del", b"a", None), ("get", b"a", None), ("put", b"a", b"3")]
+        outcomes = []
+        for in_process in (True, False):
+            sim, engine = self._twin()
+
+            def proc():
+                results = []
+                for slot, (op, key, value) in enumerate(commands):
+                    yield sim.timeout(1000.0 * (slot + 1) - sim.now)
+                    command = KVCommand(op, key, value)
+                    if in_process:
+                        result = yield from engine.execute(command)
+                    else:
+                        result = yield engine.submit(command)
+                    assert engine.active_occupancy == 0
+                    results.append((result, sim.now))
+                return results
+
+            results = drive(sim, proc())
+            outcomes.append((results, engine.stats, engine.tokens,
+                             engine.store.stats, engine.store.ssd.stats))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1].completed == len(commands)
+        assert outcomes[0][1].total_service_us > 0
+
+    def test_arrival_behind_a_queued_command_queues_behind_it(self):
+        """Tokens for one PUT only: the second waits in the scheduler
+        (mid-admission), so a third arriving later — even a GET that
+        would fit no better — must not overtake it."""
+        sim, engine = self._twin(tokens=3)
+        starts = self._record_starts(engine)
+
+        def proc():
+            first = sim.process(engine.execute(KVCommand("put", b"1", b"v")))
+            second = sim.process(engine.execute(KVCommand("put", b"2", b"v")))
+            yield sim.timeout(1)
+            assert engine.active_occupancy == 1 and engine._unadmitted == 1
+            third = sim.process(engine.execute(KVCommand("get", b"1")))
+            yield sim.all_of([first, second, third])
+            return third.value
+
+        assert drive(sim, proc()).value == b"v"
+        assert [key for key, _when in starts] == [b"1", b"2", b"1"]
+        assert starts[1][1] > 0 and starts[2][1] > starts[1][1]
+        assert engine.stats.peak_waiting >= 1
+        assert engine.stats.total_wait_us > 0
+        assert engine.stats.completed == 3 and engine.tokens == 3
+
+    def test_same_instant_arrival_cannot_overtake_one_just_queued(self):
+        """A PUT that finds too few tokens is handed to the scheduler,
+        which only resumes an event later; a GET arriving in that very
+        instant would fit, and must still queue behind the PUT."""
+        sim, engine = self._twin(tokens=5)
+        starts = self._record_starts(engine)
+
+        def proc():
+            first = sim.process(engine.execute(KVCommand("put", b"1", b"v")))
+            yield sim.timeout(1)          # tokens: 2 left
+            put = sim.process(engine.execute(KVCommand("put", b"2", b"v")))
+            get = sim.process(engine.execute(KVCommand("get", b"1")))
+            yield sim.all_of([first, put, get])
+
+        drive(sim, proc())
+        assert [key for key, _when in starts] == [b"1", b"2", b"1"]
+        assert starts[1][1] > 1.0
+
+    def test_tokens_exhausted_queues_and_token_accounting_balances(self):
+        sim, engine = self._twin(tokens=6)
+        peak = []
+
+        def one(index):
+            result = yield from engine.execute(
+                KVCommand("put", b"k%d" % index, b"v"))
+            assert result.ok
+
+        def monitor():
+            while engine.stats.completed < 7:
+                peak.append((engine.active_occupancy, engine.tokens))
+                yield sim.timeout(5)
+
+        sim.process(monitor())
+        drive(sim, (lambda: (yield sim.all_of(
+            [sim.process(one(i)) for i in range(7)])))())
+        assert max(active for active, _tokens in peak) == 2
+        assert min(tokens for _active, tokens in peak) == 0
+        assert engine.tokens == 6 and engine.active_occupancy == 0
+        assert engine.stats.completed == 7
+
+    def test_store_error_propagates_to_the_caller_and_retires(self):
+        sim, engine = self._twin()
+
+        def proc():
+            with pytest.raises(ValueError):
+                yield from engine.execute(KVCommand("put", b"k", b""))
+            with pytest.raises(ValueError):
+                yield from engine.execute(KVCommand("scan", b"k"))
+            return engine.tokens, engine.active_occupancy
+
+        assert drive(sim, proc()) == (12, 0)
+
+    def test_traced_command_emits_queue_then_exec_spans(self):
+        from repro.obs.spans import Tracer
+        sim, engine = self._twin()
+        root = Tracer(sim).trace("put", track="test")
+        drive(sim, engine.execute(KVCommand("put", b"k", b"v", trace=root)))
+        names = [span.name for span in root.tracer.spans]
+        assert names.index("engine.queue") < names.index("engine.exec.put")
+        queue = next(s for s in root.tracer.spans if s.name == "engine.queue")
+        assert queue.end_us == queue.begin_us       # zero-length, present
+        assert {"log.commit", "ssd.write"} <= set(names)
+
+    def test_traced_token_wait_is_its_own_span_after_the_queue_span(self):
+        from repro.obs.spans import Tracer
+        sim, engine = self._twin(tokens=3)
+        root = Tracer(sim).trace("put", track="test")
+
+        def proc():
+            first = sim.process(engine.execute(KVCommand("put", b"1", b"v")))
+            second = sim.process(engine.execute(
+                KVCommand("put", b"2", b"v", trace=root)))
+            yield sim.all_of([first, second])
+
+        drive(sim, proc())
+        spans = {span.name: span for span in root.tracer.spans}
+        queue, tokens = spans["engine.queue"], spans["engine.tokens"]
+        assert queue.end_us == tokens.begin_us < tokens.end_us
+        assert tokens.end_us == spans["engine.exec.put"].begin_us

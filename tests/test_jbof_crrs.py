@@ -241,3 +241,64 @@ class TestSwapInCluster:
         # The write either succeeded via a chain that avoids jbof1, or
         # exhausted retries; it must not hang or corrupt.
         assert result.status in ("ok", "unavailable", "overloaded")
+
+
+class TestWritePathEventBudget:
+    """Every event a replicated write dispatches is a modelled delay — a
+    CPU slice, a device completion or a wire delivery (plus the
+    client's own hops and one submit hop per group-commit flush).  Pin
+    the count so zero-delay hops and helper processes cannot creep
+    back: a 3-replica chain PUT used to take 65 events and 15
+    processes, a DEL 50 and 9."""
+
+    #: Per replica: delivery, rpc_receive, hash_lookup, segment read,
+    #: flush submit hop, value write, bucket_update, segment append,
+    #: replication_forward (not the tail) = 26; client reply delivery
+    #: 1; two backward acks x (delivery + dirty_map_op) = 4; client
+    #: call / flow-control / worker hops 5; the test process itself 3.
+    PUT_EVENTS = 39
+    DEL_EVENTS = 33          # no value write: 2 events fewer per replica
+    #: client call process + one handler process per replica.
+    PROCESSES = 4
+
+    @staticmethod
+    def _measure(cluster, make_op):
+        sim = cluster.sim
+        spawned = []
+        original = sim.process
+
+        def counting(generator, name=None, **kwargs):
+            spawned.append(name)
+            return original(generator, name=name, **kwargs)
+
+        def proc():
+            assert (yield from make_op()).ok
+            yield sim.timeout(1000)      # backward acks drain
+
+        before = sim.events_dispatched
+        process = original(proc(), name="test")
+        sim.process = counting
+        try:
+            sim.run(until=process)
+        finally:
+            del sim.process
+        return sim.events_dispatched - before, spawned
+
+    def test_put_and_delete_stay_inside_their_budget(self):
+        # No background polls inside the measured windows.
+        cluster = small_cluster(maintenance_poll_us=1e9,
+                                heartbeat_period_us=1e9)
+        client = cluster.clients[0]
+        key = b"budget-key"
+        # Unmeasured warm-up: start-of-run membership pushes drain.
+        self._measure(cluster, lambda: client.put(b"warm-up", b"x"))
+        for make_op, budget in (
+                (lambda: client.put(key, b"v" * 64), self.PUT_EVENTS),
+                (lambda: client.put(key, b"w" * 64), self.PUT_EVENTS),
+                (lambda: client.delete(key), self.DEL_EVENTS)):
+            events, spawned = self._measure(cluster, make_op)
+            assert events <= budget, (events, spawned)
+            assert len(spawned) <= self.PROCESSES, spawned
+            assert not [name for name in spawned
+                        if "exec" in name or "flush" in name
+                        or "vwrite" in name or "chain_ack" in name]

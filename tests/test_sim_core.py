@@ -397,3 +397,86 @@ class TestRun:
         assert sim.peek() == float("inf")
         sim.schedule(3, lambda: None)
         assert sim.peek() == 3.0
+
+
+class TestProcessAfter:
+    """``Simulator.process(generator, after=event)``: the process starts
+    inside ``event``'s dispatch instead of from an init event."""
+
+    def test_first_resume_runs_in_the_events_dispatch(self, sim):
+        log = []
+
+        def proc():
+            log.append(("started", sim.now))
+            yield sim.timeout(1)
+            return "done"
+
+        gate = sim.timeout(5)
+        gate.callbacks.append(lambda _evt: log.append(("gate", sim.now)))
+        before = sim.events_dispatched
+        process = sim.process(proc(), after=gate)
+        assert sim.run(until=process) == "done"
+        # After the callbacks attached earlier, in the same dispatch:
+        # the gate, the generator's timeout and the process completion
+        # are all the events there are — no init event.
+        assert log == [("gate", 5.0), ("started", 5.0)]
+        assert sim.events_dispatched - before == 3
+
+    def test_plain_process_needs_one_more_event(self, sim):
+        def proc():
+            yield sim.timeout(1)
+
+        before = sim.events_dispatched
+        sim.run(until=sim.process(proc()))
+        plain = sim.events_dispatched - before
+        before = sim.events_dispatched
+        sim.run(until=sim.process(proc(), after=sim.timeout(0)))
+        # The zero-delay gate stands in for the init event.
+        assert sim.events_dispatched - before == plain
+
+    def test_interrupt_before_the_event_detaches(self, sim):
+        started = []
+
+        def proc():
+            started.append(sim.now)
+            yield sim.timeout(1)
+
+        gate = sim.event()
+        process = sim.process(proc(), after=gate)
+        process.defuse()
+
+        def killer():
+            yield sim.timeout(1)
+            process.interrupt("stop")
+
+        sim.process(killer())
+        sim.run()
+        # Like any waiting process: Interrupt is thrown in (an
+        # unstarted generator cannot catch it) and the wait is dropped.
+        assert isinstance(process.value, Interrupt) and not process.ok
+        assert gate.callbacks == [] and not started
+        gate.succeed()
+        sim.run()
+        assert not started
+
+    def test_failure_of_after_is_thrown_in(self, sim):
+        def proc():
+            yield sim.timeout(1)
+
+        gate = sim.event()
+        process = sim.process(proc(), after=gate)
+        process.defuse()
+        gate.fail(KeyError("boom"))
+        sim.run()
+        assert isinstance(process.value, KeyError)
+
+    def test_after_an_already_processed_event_starts_now(self, sim):
+        gate = sim.timeout(1)
+        sim.run()
+        assert gate.processed
+
+        def proc():
+            yield sim.timeout(2)
+            return sim.now
+
+        assert sim.run(until=sim.process(proc(), after=gate)) == 3.0
