@@ -14,7 +14,7 @@ CLI: ``python -m repro.bench.explore --budget N --seed S``.
 from .fleet import TRIAL_SCALES, FleetRunner, make_trial, run_trial
 from .report import build_report, pareto_front, write_markdown
 from .space import (SPACES, ConfigSpace, Dimension, config_digest,
-                    engine_space, leed_space)
+                    leed_space)
 from .strategies import (STRATEGIES, Evaluator, FitnessSpec, run_search,
                          search_grid, search_hill, search_random)
 
@@ -22,7 +22,7 @@ __all__ = [
     "TRIAL_SCALES", "FleetRunner", "make_trial", "run_trial",
     "build_report", "pareto_front", "write_markdown",
     "SPACES", "ConfigSpace", "Dimension", "config_digest",
-    "engine_space", "leed_space",
+    "leed_space",
     "STRATEGIES", "Evaluator", "FitnessSpec", "run_search",
     "search_grid", "search_hill", "search_random",
 ]

@@ -3,15 +3,12 @@
 Usage::
 
     PYTHONPATH=src python -m repro.bench.explore --budget 12 --seed 0
-    PYTHONPATH=src python -m repro.bench.explore --space engine \\
-        --objective wall --scale xlarge-smoke --strategy grid
     PYTHONPATH=src python -m repro.bench.explore --budget 8 \\
         --check-improves-default --markdown docs/explore_results.md
 
-Searches a declarative config space (``--space leed`` for
-sim-outcome knobs, ``--space engine`` for parallel-engine wall-clock
-knobs) with a deterministic strategy and writes ``BENCH_explore.json``
-— best config, full trajectory + digest, Pareto front, cache stats.
+Searches a declarative config space with a deterministic strategy for
+the best requests/Joule and writes ``BENCH_explore.json`` — best
+config, full trajectory + digest, Pareto front, cache stats.
 Same ``--seed`` ⇒ same proposals, same best config, same trajectory
 digest; the memo cache (``--cache``) makes resumed searches free.
 """
@@ -56,11 +53,6 @@ def main(argv=None) -> int:
                         default="B", help="YCSB workload (default B)")
     parser.add_argument("--value-size", type=int, default=256,
                         help="value size in bytes (default 256)")
-    parser.add_argument("--objective", choices=("rpj", "wall"),
-                        default="rpj",
-                        help="primary fitness: requests/Joule (rpj, "
-                             "deterministic) or wall-clock ops/sec "
-                             "(wall, for engine sweeps)")
     parser.add_argument("--slo-p99-us", type=float, default=2000.0,
                         help="feasibility cap on p99 latency in µs "
                              "(default 2000; 0 disables)")
@@ -108,18 +100,16 @@ def main(argv=None) -> int:
 
     space = SPACES[args.space]()
     space.validate()
-    fitness = FitnessSpec(objective=args.objective,
-                          slo_p99_us=args.slo_p99_us,
+    fitness = FitnessSpec(slo_p99_us=args.slo_p99_us,
                           min_availability=args.min_availability)
     runner = FleetRunner(cache_path=args.cache, fleet=args.fleet)
     evaluator = Evaluator(space, runner, fitness, args.scale,
                           args.workload, args.value_size, args.seed,
                           args.budget, scenario=args.scenario)
     print("explore: space=%s strategy=%s budget=%d seed=%d scale=%s "
-          "workload=%s objective=%s slo_p99_us=%g fleet=%d%s"
+          "workload=%s slo_p99_us=%g fleet=%d%s"
           % (args.space, args.strategy, args.budget, args.seed,
-             args.scale, args.workload, args.objective, args.slo_p99_us,
-             args.fleet,
+             args.scale, args.workload, args.slo_p99_us, args.fleet,
              " scenario=%s" % args.scenario if args.scenario else ""))
     outcome = run_search(args.strategy, space, evaluator, args.seed)
     report = build_report(space, evaluator, fitness, outcome,
@@ -165,8 +155,8 @@ def main(argv=None) -> int:
             print("EXPLORE CHECK FAILED: best config %s is less fit "
                   "than the default" % best["point"], file=sys.stderr)
             return 1
-        print("explore check passed: best >= default on (%s)"
-              % ", ".join(("feasible", report["objective"], "kqps")))
+        print("explore check passed: best >= default on "
+              "(feasible, rpj, kqps)")
     return 0
 
 

@@ -5,21 +5,12 @@ a design point, load a fixed-seed YCSB keyspace, drive a closed loop,
 and report sim-derived metrics (throughput, latency, energy) plus
 wall-clock diagnostics.  Trials are independent, so the
 :class:`FleetRunner` fans them out over a ``fork``-context process
-pool — *trial-level* parallelism, complementing the *shard-level*
-parallelism inside :mod:`repro.sim.parallel` (a trial whose point asks
-for ``workers >= 2`` forks its own engine workers, so the fleet keeps
-those in the parent process rather than nesting forks).
+pool.
 
 Results are memoized in a JSON cache keyed by
 ``config_digest(point + seed + run shape)``: a resumed or overlapping
 search re-proposes the same trials but never re-runs them, and its
 trajectory is identical to an uncached run's.
-
-The runner also cross-checks the determinism contract for free: trials
-that agree on every *digest-affecting* dimension (equal
-``sim_signature``) must report byte-identical ``figure_digest``\\ s no
-matter how the wall-clock dimension (``workers``) differs.  A mismatch
-is a determinism bug and fails the search loudly.
 """
 
 from __future__ import annotations
@@ -43,16 +34,14 @@ from .space import canonical_json, config_digest
 
 #: scale -> trial run shape.  ``tiny``/``small`` are explorer-native
 #: (search loops run dozens of trials, so each must finish in
-#: seconds); the rest alias the perf harness's tiers so engine sweeps
-#: measure the same geometries CI cross-checks digests on.
+#: seconds); ``smoke`` is the perf harness's tier, so explorer rows and
+#: perf rows with matching configs digest identically.
 TRIAL_SCALES = {
     "tiny": {"records": 200, "ops": 480, "concurrency": 16,
              "num_jbofs": 3, "num_clients": 2},
     "small": {"records": 400, "ops": 1600, "concurrency": 24,
               "num_jbofs": 3, "num_clients": 2},
     "smoke": PERF_SCALES["smoke"],
-    "large": PERF_SCALES["large"],
-    "xlarge-smoke": PERF_SCALES["xlarge-smoke"],
 }
 
 #: Least ops a reduced-fidelity rung may run (successive halving
@@ -74,34 +63,16 @@ def trial_key(payload: dict) -> str:
     })
 
 
-def signature_key(payload: dict) -> str:
-    """Figure-identity key: the digest-affecting slice of a trial.
-
-    Trials sharing this key must report equal ``figure_digest``.
-    """
-    return config_digest({
-        "signature": payload["sim_signature"],
-        "seed": payload["seed"],
-        "scale": payload["scale"],
-        "workload": payload["workload"],
-        "value_size": payload["value_size"],
-        "ops_fraction": payload["ops_fraction"],
-        "scenario": payload.get("scenario"),
-    })
-
-
 def make_trial(point: dict, overrides, scale: str, workload: str,
                value_size: int, seed: int,
                ops_fraction: float = 1.0,
-               sim_signature: Optional[dict] = None,
                scenario: Optional[str] = None) -> dict:
     """Assemble one picklable trial payload.
 
     ``overrides`` is the ``(cluster, options, run)`` triple from
-    :meth:`ConfigSpace.overrides`; ``sim_signature`` the point's
-    digest-affecting slice (defaults to the whole point).
-    ``scenario`` switches the trial from the closed-loop YCSB driver
-    to a :mod:`repro.scenarios` episode of that name — fitness then
+    :meth:`ConfigSpace.overrides`.  ``scenario`` switches the trial
+    from the closed-loop YCSB driver to a :mod:`repro.scenarios`
+    episode of that name — fitness then
     scores the config under churn/faults instead of steady state
     (``scale`` must name a scenario scale, and ``workload`` /
     ``value_size`` / ``ops_fraction`` are owned by the scenario).
@@ -127,8 +98,6 @@ def make_trial(point: dict, overrides, scale: str, workload: str,
         "seed": seed,
         "ops_fraction": ops_fraction,
         "scenario": scenario,
-        "sim_signature": sim_signature if sim_signature is not None
-        else dict(point),
     }
 
 
@@ -175,8 +144,6 @@ def run_trial(payload: dict) -> dict:
         # sim-deterministic, the row (and its digest) still replays
         # identically.
         return _failure_row(payload, exc)
-    finally:
-        cluster.stop_workers()
 
 
 def _run_scenario_trial(payload: dict) -> dict:
@@ -193,10 +160,7 @@ def _run_scenario_trial(payload: dict) -> dict:
     The scenario owns workload, value size, and run shape, so the
     payload's ``workload`` / ``value_size`` / ``run`` / ``ops_fraction``
     are inert — pair scenario fitness with ``grid`` or ``random``
-    rather than successive halving, and with the digest-affecting
-    ``leed`` space (autoscaler scenarios sample energy mid-run at
-    window granularity, so wall-clock-only engine knobs need not be
-    figure-neutral under them).
+    rather than successive halving.
     """
     import dataclasses
 
@@ -228,7 +192,7 @@ def _run_scenario_trial(payload: dict) -> dict:
         wall_s = time.perf_counter() - started
     except Exception as exc:
         # Same contract as the closed-loop path: broken deployments
-        # (worker caps, protocol timeouts) are worst-case infeasible
+        # (protocol timeouts) are worst-case infeasible
         # rows, and the failure is sim-deterministic.
         return _failure_row(payload, exc)
 
@@ -257,7 +221,6 @@ def _run_scenario_trial(payload: dict) -> dict:
         if wall_s else 0.0,
         "events": 0,
         "events_per_sec": 0.0,
-        "workers": int(payload["cluster"].get("workers", 0)),
         "scenario": payload["scenario"],
         "scenario_digest": record["digests"]["figure"],
     }
@@ -284,7 +247,6 @@ def _failure_row(payload: dict, exc: Exception) -> dict:
         "wall_ops_per_sec": 0.0,
         "events": 0,
         "events_per_sec": 0.0,
-        "workers": int(payload["cluster"].get("workers", 0)),
         "error": "%s: %s" % (type(exc).__name__, exc),
     }
     if payload.get("scenario"):
@@ -298,9 +260,7 @@ class FleetRunner:
     """Memoized, optionally process-pooled trial execution.
 
     ``fleet`` is the pool width; 0 or 1 runs every trial in the parent
-    process (the right call on 1-CPU boxes — this container reports
-    ``os.cpu_count() == 1``).  Trials whose point forks engine workers
-    (``workers >= 2``) always run in the parent to avoid nested forks.
+    process (the right call on 1-CPU boxes).
     """
 
     def __init__(self, cache_path: Optional[str] = None, fleet: int = 0):
@@ -309,7 +269,6 @@ class FleetRunner:
         self.live_trials = 0
         self.cache_hits = 0
         self._cache: Dict[str, dict] = {}
-        self._signatures: Dict[str, str] = {}
         if cache_path and os.path.exists(cache_path):
             with open(cache_path) as handle:
                 self._cache = json.load(handle)
@@ -323,23 +282,13 @@ class FleetRunner:
             handle.write("\n")
         os.replace(tmp, self.cache_path)
 
-    def _check_signature(self, payload: dict, row: dict) -> None:
-        key = signature_key(payload)
-        seen = self._signatures.setdefault(key, row["figure_digest"])
-        if seen != row["figure_digest"]:
-            raise RuntimeError(
-                "determinism violation: trials sharing digest-affecting "
-                "config %s reported figure digests %s vs %s (point %s)"
-                % (canonical_json(payload["sim_signature"]), seen,
-                   row["figure_digest"], canonical_json(payload["point"])))
-
     def run(self, payloads: List[dict]) -> List[dict]:
         """Run a batch; results in submission order, cache-augmented.
 
         Each result row gains ``cached`` (bool) and ``trial_key``.
         """
         results: List[Optional[dict]] = [None] * len(payloads)
-        pooled, parent = [], []
+        live = []
         for index, payload in enumerate(payloads):
             key = trial_key(payload)
             hit = self._cache.get(key)
@@ -348,32 +297,23 @@ class FleetRunner:
                 row = dict(hit)
                 row["cached"] = True
                 row["trial_key"] = key
-                self._check_signature(payload, row)
                 results[index] = row
-            elif (self.fleet >= 2
-                    and int(payload["cluster"].get("workers", 0)) < 2):
-                pooled.append((index, key, payload))
             else:
-                parent.append((index, key, payload))
+                live.append((index, key, payload))
 
-        if pooled:
+        if live and self.fleet >= 2:
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=self.fleet,
+            with ProcessPoolExecutor(self.fleet,
                                      mp_context=context) as pool:
-                rows = list(pool.map(run_trial,
-                                     [p for _, _, p in pooled]))
-            for (index, key, payload), row in zip(pooled, rows):
-                self._finish(results, index, key, payload, row)
-        for index, key, payload in parent:
-            self._finish(results, index, key, payload, run_trial(payload))
+                rows = list(pool.map(run_trial, [p for _, _, p in live]))
+        else:
+            rows = [run_trial(payload) for _, _, payload in live]
+        for (index, key, _payload), row in zip(live, rows):
+            self.live_trials += 1
+            self._cache[key] = row
+            row = dict(row)
+            row["cached"] = False
+            row["trial_key"] = key
+            results[index] = row
         self._save_cache()
         return results  # type: ignore[return-value]
-
-    def _finish(self, results, index, key, payload, row) -> None:
-        self.live_trials += 1
-        self._cache[key] = row
-        row = dict(row)
-        row["cached"] = False
-        row["trial_key"] = key
-        self._check_signature(payload, row)
-        results[index] = row

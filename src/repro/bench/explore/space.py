@@ -4,9 +4,7 @@ A :class:`ConfigSpace` is an ordered list of typed
 :class:`Dimension`\\ s, each naming one knob of the deployment —
 a :class:`~repro.core.cluster.ClusterConfig` field, a
 :class:`~repro.core.jbof.LeedOptions` field, or a run-shape knob of
-the trial driver — together with its candidate values and whether the
-knob is *digest-affecting* (can change simulated outcomes) or a pure
-wall-clock knob (``workers``).
+the trial driver — together with its candidate values.
 
 The space is validated up front against the real configuration types:
 :meth:`ConfigSpace.validate` resolves the default point through
@@ -69,11 +67,6 @@ class Dimension:
     name: str
     values: Tuple[object, ...]
     target: str = "options"
-    #: True when the knob can change simulated outcomes (figure
-    #: metrics); False for wall-clock-only knobs.  Trials that agree
-    #: on every digest-affecting dimension must produce identical
-    #: figure digests — the explorer cross-checks this for free.
-    digest_affecting: bool = True
     description: str = ""
     default: object = field(default=None)
 
@@ -102,7 +95,6 @@ class Dimension:
             "name": self.name,
             "values": list(self.values),
             "target": self.target,
-            "digest_affecting": self.digest_affecting,
             "default": self.default,
             "description": self.description,
         }
@@ -207,17 +199,6 @@ class ConfigSpace:
             buckets[dim.target][dim.name] = point[dim.name]
         return cluster, options, run
 
-    def sim_signature(self, point: Point) -> Point:
-        """The digest-affecting slice of a point.
-
-        Two trials with equal signatures (and equal seed / run shape)
-        must produce identical figure digests no matter how the
-        wall-clock dimensions differ — the fleet runner asserts this.
-        """
-        point = self.check_point(point)
-        return {dim.name: point[dim.name] for dim in self.dimensions
-                if dim.digest_affecting}
-
     def validate(self) -> None:
         """Resolve the default point against the real config types.
 
@@ -283,21 +264,5 @@ def leed_space() -> ConfigSpace:
     ], name="leed")
 
 
-def engine_space() -> ConfigSpace:
-    """The parallel-engine space (wall-clock dimensions only).
-
-    ``workers`` is flagged non-digest-affecting, so the sweep doubles
-    as a free cross-check that figure digests are invariant across
-    worker counts.  (The elision-threshold and window-cap dimensions
-    it once had measured no better than off at all 36 settings —
-    docs/explore_engine_sweep.md — and were deleted with the knobs.)
-    """
-    return ConfigSpace([
-        Dimension("workers", (1, 2, 4), "cluster", digest_affecting=False,
-                  description="engine processes (1 = sharded "
-                              "in-process)"),
-    ], name="engine")
-
-
 #: CLI space registry.
-SPACES = {"leed": leed_space, "engine": engine_space}
+SPACES = {"leed": leed_space}

@@ -17,10 +17,10 @@ same proposal sequence exactly:
 
 Fitness is multi-objective lexicographic: *(feasible, primary, kqps)*
 where ``feasible`` means zero failed ops and p99 within the SLO,
-``primary`` is requests/Joule (or wall-clock ops/sec for engine
-sweeps), and sim-time kqps breaks ties.  The *budget* counts proposed
-evaluations whether they hit the memo cache or run live — a resumed
-search therefore walks the identical trajectory.
+``primary`` is requests/Joule, and sim-time kqps breaks ties.  The
+*budget* counts proposed evaluations whether they hit the memo cache
+or run live — a resumed search therefore walks the identical
+trajectory.
 """
 
 from __future__ import annotations
@@ -43,25 +43,18 @@ HALVING_RUNGS = (0.25, 0.5)
 class FitnessSpec:
     """What "better" means for this search.
 
-    ``objective`` is ``"rpj"`` (sim-derived requests/Joule — fully
-    deterministic) or ``"wall"`` (wall-clock ops/sec, for tuning
-    wall-clock-only knobs like the parallel engine; inherently
-    machine-noisy, so its *trajectory* digest stays deterministic but
-    its winner may not be).  ``slo_p99_us`` caps feasible p99; 0
-    disables the SLO.  ``min_availability`` additionally gates
+    The primary objective is sim-derived requests/Joule — fully
+    deterministic.  ``slo_p99_us`` caps feasible p99; 0 disables the
+    SLO.  ``min_availability`` additionally gates
     scenario-fitness rows (closed-loop rows report no availability and
     are unaffected): under churn a config is feasible only if it kept
     at least this fraction of issued requests succeeding.
     """
 
-    objective: str = "rpj"
     slo_p99_us: float = 0.0
     min_availability: float = 0.0
 
     def __post_init__(self):
-        if self.objective not in ("rpj", "wall"):
-            raise ValueError("objective must be 'rpj' or 'wall', not %r"
-                             % (self.objective,))
         if self.slo_p99_us < 0.0:
             raise ValueError("slo_p99_us must be >= 0")
         if not 0.0 <= self.min_availability <= 1.0:
@@ -78,9 +71,7 @@ class FitnessSpec:
         return True
 
     def fitness(self, row: dict) -> Tuple[int, float, float]:
-        primary = (row["requests_per_joule"] if self.objective == "rpj"
-                   else row["wall_ops_per_sec"])
-        return (int(self.feasible(row)), primary,
+        return (int(self.feasible(row)), row["requests_per_joule"],
                 row["sim_ops_per_sec"] / 1000.0)
 
 
@@ -136,9 +127,7 @@ class Evaluator:
             payloads.append(make_trial(
                 point, self.space.overrides(point), self.scale,
                 self.workload, self.value_size, self.seed,
-                ops_fraction=ops_fraction,
-                sim_signature=self.space.sim_signature(point),
-                scenario=self.scenario))
+                ops_fraction=ops_fraction, scenario=self.scenario))
         rows = self.runner.run(payloads)
         records = []
         for payload, row in zip(payloads, rows):

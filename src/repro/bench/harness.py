@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -159,7 +160,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
                   crrs: Optional[bool] = None, seed: int = 0,
                   num_nodes: Optional[int] = None,
                   num_clients: Optional[int] = None,
-                  replication: int = 3, workers: int = 0,
+                  replication: int = 3,
                   sanitize_seed: Optional[int] = None,
                   replication_protocol: str = "chain") -> LeedCluster:
     """A scaled-down deployment of one of the three systems.
@@ -169,10 +170,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     in seconds.  The functional flash is sparse, so unused capacity
     costs nothing.
 
-    ``workers`` selects the partition-parallel engine
-    (:class:`~repro.core.cluster.ClusterConfig.workers`): 0 keeps the
-    classic single-simulator engine.  ``sanitize_seed`` (exclusive
-    with ``workers > 0``) enables the order-dependence sanitizer:
+    ``sanitize_seed`` enables the order-dependence sanitizer:
     same-timestamp scheduling ties are permuted by the ``sim.sanitize``
     stream seeded with that value (see ``repro.lint.sanitize``).
     ``replication_protocol`` picks the write/read protocol
@@ -206,7 +204,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
                      else profile.num_clients),
         replication=replication,
         replication_protocol=replication_protocol,
-        store_config=store, options=options, seed=seed, workers=workers,
+        store_config=store, options=options, seed=seed,
         sanitize=sanitize_seed is not None,
         sanitize_seed=sanitize_seed if sanitize_seed is not None else 0)
     if flow_control is not None:
@@ -270,27 +268,25 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
 
     The one measurement protocol of ``repro.bench.perf`` and
     ``repro.bench.explore``: the YCSB load is setup, only the run
-    phase is timed, and events, energy and the parallel engine's
-    exchange counters are run-phase deltas — so requests/Joule and
-    the per-simulated-second barrier rates compare configurations on
+    phase is timed, and events, energy and ``failed_by_status`` are
+    run-phase deltas — so requests/Joule compares configurations on
     the work they did, not on load-phase accounting.  Wall-clock
-    fields and ``exchange`` (``workers > 0`` only) are host-side
-    diagnostics and stay out of ``figure_digest``.  The caller still
-    owns ``cluster.stop_workers()``.
+    fields and ``failed_by_status`` (the reason behind each ``failed``
+    op, e.g. ``store_full`` back-pressure) stay out of
+    ``figure_digest``.
     """
     load_cluster(cluster, workload, parallelism=load_parallelism)
-    cluster.settle_shards()
     energy_before = cluster.energy_joules()
-    events_before = cluster.total_events_dispatched()
-    exchange_before = cluster.exchange_stats()
+    events_before = cluster.sim.events_dispatched
+    failed_before = _failed_by_status(cluster)
     # Wall time around the whole run phase, outside the simulated world.
     started = time.perf_counter()  # simlint: ignore[SIM002]
     stats = run_closed_loop(cluster, workload, num_ops, concurrency)
     wall_s = time.perf_counter() - started  # simlint: ignore[SIM002]
-    cluster.settle_shards()
     energy = cluster.energy_joules() - energy_before
-    events = cluster.total_events_dispatched() - events_before
-    exchange_after = cluster.exchange_stats()
+    events = cluster.sim.events_dispatched - events_before
+    failed_by_status = dict(sorted(
+        (_failed_by_status(cluster) - failed_before).items()))
     cluster.shutdown()
     cluster.sim.run()
     row = {
@@ -308,21 +304,18 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
         "events": events,
         "events_per_sec": round(events / wall_s, 1),
         "events_per_op": round(events / max(stats.completed, 1), 2),
-        "workers": cluster.config.workers,
+        "failed_by_status": failed_by_status,
     }
     row["figure_digest"] = figure_digest(row)
-    if exchange_after is not None:
-        exchange = {key: exchange_after[key] - exchange_before.get(key, 0)
-                    for key in exchange_after}
-        sim_seconds = stats.elapsed_us / 1e6
-        # Barrier-cost visibility on 1-CPU boxes: fewer pipe
-        # round-trips (and windows) per simulated second is the win
-        # barrier elision buys even when there is no parallelism.
-        for counter in ("windows", "child_messages"):
-            exchange[counter + "_per_sim_sec"] = round(
-                exchange[counter] / sim_seconds, 1) if sim_seconds else 0.0
-        row["exchange"] = exchange
     return row
+
+
+def _failed_by_status(cluster: LeedCluster) -> Counter:
+    """Terminal non-ok statuses so far, summed over the clients."""
+    total: Counter = Counter()
+    for client in cluster.clients:
+        total.update(client.stats.failed_by_status)
+    return total
 
 
 def run_open_loop(cluster: LeedCluster, workload: YCSBWorkload,

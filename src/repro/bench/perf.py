@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python -m repro.bench.perf            # full run
     PYTHONPATH=src python -m repro.bench.perf --smoke    # CI-sized run
     PYTHONPATH=src python -m repro.bench.perf --check    # fail on regression
-    PYTHONPATH=src python -m repro.bench.perf --workers 4 --scale large
+    PYTHONPATH=src python -m repro.bench.perf --scale large
     PYTHONPATH=src python -m repro.bench.perf --rebaseline
 
 Runs fixed-seed YCSB-B / YCSB-C / write-heavy (WR) workloads against a
@@ -15,13 +15,9 @@ off (the digest-stable reference datapath) and once with
 wall-clock ops/sec, dispatched events/sec, and sim-time latency
 summaries into ``BENCH_perf.json``.
 
-``--workers N`` runs the same workloads on the partition-parallel
-engine (:mod:`repro.sim.parallel`).  Rows then also carry per-shard
-schedule digests so CI can assert that ``--workers 1`` and
-``--workers 4`` executed byte-identical schedules; ``figure_digest``
-(a hash of the sim-derived metrics) is recorded in every mode so the
-serial engine can be compared too.  ``cpu_count`` is recorded because
-parallel wall-clock numbers are meaningless without it.
+Every row carries ``figure_digest`` (a hash of its sim-derived
+metrics), so two commits or two machines can be checked for having
+simulated the same thing before their wall-clock numbers are compared.
 
 Wall-clock throughput on shared CI machines is noisy (we have observed
 +/-35% across back-to-back identical runs), so the harness interleaves
@@ -49,15 +45,14 @@ SEED = 11
 VALUE_SIZE = 256
 
 #: scale -> run shape.  The ``default`` and ``smoke`` shapes must match
-#: ``perf_baseline.json``; ``large`` exists for parallel-engine speedup
-#: measurements and is intentionally absent from the frozen baseline.
+#: ``perf_baseline.json``; ``large`` runs long enough for steady
+#: wall-clock numbers and is intentionally absent from the frozen
+#: baseline.
 #: ``xlarge`` is the rack-scale tier (16 JBOFs, 64 clients, 10^6 keys,
 #: 10^5 ops) backing the fig6/fig13-style claims; it runs the ``xlarge``
 #: store geometry (64 MB key / 256 MB value rings, 4096 segments) so
 #: three replicas of the keyspace fit with compaction headroom, and
 #: pins YCSB-B only — the other workloads add hours, not coverage.
-#: ``xlarge-smoke`` keeps the 16-JBOF/64-client geometry at CI-sized
-#: record/op counts for worker-count digest cross-checks.
 SCALES = {
     "default": {"records": 600, "ops": 3000, "concurrency": 24,
                 "num_jbofs": 3, "num_clients": 2},
@@ -68,9 +63,6 @@ SCALES = {
     "xlarge": {"records": 1_000_000, "ops": 100_000, "concurrency": 256,
                "num_jbofs": 16, "num_clients": 64, "profile": "xlarge",
                "load_parallelism": 64, "workloads": ("B",)},
-    "xlarge-smoke": {"records": 1200, "ops": 2400, "concurrency": 64,
-                     "num_jbofs": 16, "num_clients": 64,
-                     "workloads": ("B",)},
 }
 
 #: scales captured in perf_baseline.json (``--rebaseline`` rewrites
@@ -93,33 +85,22 @@ def fast_options() -> LeedOptions:
     return LeedOptions(fast_datapath=True, admission_batch=8)
 
 
-def run_once(workload_name: str, spec: dict, options,
-             workers: int = 0) -> dict:
+def run_once(workload_name: str, spec: dict, options) -> dict:
     """One measured closed-loop run; returns a BENCH_perf.json row.
 
     The row is :func:`repro.bench.harness.measure_run_phase`'s (only
-    the run phase is timed — cluster build and YCSB load are setup);
-    when ``workers > 0`` it also carries per-shard schedule digests.
+    the run phase is timed — cluster build and YCSB load are setup).
     """
     cluster = build_cluster("leed", scale=spec.get("profile", "quick"),
                             value_size=VALUE_SIZE,
                             seed=SEED, options=options,
                             num_nodes=spec["num_jbofs"],
-                            num_clients=spec["num_clients"],
-                            workers=workers)
-    if workers > 0:
-        # Before the first run(), hence before any fork: digests must
-        # be enabled while the shards still live in this process.
-        cluster.enable_schedule_digests()
+                            num_clients=spec["num_clients"])
     workload = YCSBWorkload(workload_name, num_records=spec["records"],
                             seed=SEED, value_size=VALUE_SIZE)
-    row = measure_run_phase(cluster, workload, spec["ops"],
-                            spec["concurrency"],
-                            load_parallelism=spec.get("load_parallelism", 16))
-    if workers > 0:
-        row["shard_digests"] = cluster.shard_digests()
-    cluster.stop_workers()
-    return row
+    return measure_run_phase(cluster, workload, spec["ops"],
+                             spec["concurrency"],
+                             load_parallelism=spec.get("load_parallelism", 16))
 
 
 def scale_workloads(scale: str, requested=None) -> tuple:
@@ -155,8 +136,7 @@ def trial_stats(samples: list) -> dict:
     }
 
 
-def measure_scale(scale: str, trials: int, workers: int = 0,
-                  workloads=None) -> dict:
+def measure_scale(scale: str, trials: int, workloads=None) -> dict:
     """Interleaved best-of-N knobs-off vs knobs-on rows per workload."""
     spec = SCALES[scale]
     names = scale_workloads(scale, workloads)
@@ -165,7 +145,7 @@ def measure_scale(scale: str, trials: int, workers: int = 0,
     for trial in range(trials):
         for name in names:
             for mode, options in (("baseline", None), ("fast", fast_options())):
-                row = run_once(name, spec, options, workers=workers)
+                row = run_once(name, spec, options)
                 row["trials"] = trials
                 samples[name][mode].append(row)
                 current = best[name][mode]
@@ -290,10 +270,6 @@ def main(argv=None) -> int:
                         help="run this scale (repeatable); without it "
                              "(or --smoke) the frozen-baseline scales "
                              "run")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="partition-parallel engine worker count "
-                             "(0 = classic serial engine; 1 = sharded "
-                             "in-process; N>=2 = forked workers)")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated workload filter, e.g. "
                              "'B' or 'B,WR' (default: all the scale "
@@ -344,7 +320,6 @@ def main(argv=None) -> int:
         "seed": SEED,
         "value_size": VALUE_SIZE,
         "trials": args.trials,
-        "workers": args.workers,
         "cpu_count": os.cpu_count(),
         "fast_options": {"fast_datapath": True, "admission_batch": 8},
         "scales": {},
@@ -352,13 +327,12 @@ def main(argv=None) -> int:
     for scale in scales:
         spec = SCALES[scale]
         print("scale %s (%d records, %d ops, %d concurrency, %d jbofs, "
-              "%d clients, profile=%s, workloads=%s, workers=%d)"
+              "%d clients, profile=%s, workloads=%s)"
               % (scale, spec["records"], spec["ops"], spec["concurrency"],
                  spec["num_jbofs"], spec["num_clients"],
                  spec.get("profile", "quick"),
-                 ",".join(scale_workloads(scale, workloads)), args.workers))
-        best = measure_scale(scale, args.trials, workers=args.workers,
-                             workloads=workloads)
+                 ",".join(scale_workloads(scale, workloads))))
+        best = measure_scale(scale, args.trials, workloads=workloads)
         report["scales"][scale] = summarize(scale, best, frozen)
 
     with open(args.output, "w") as handle:

@@ -65,7 +65,10 @@ class ClientStats:
     operations: int = 0
     ok: int = 0
     not_found: int = 0
-    failures: int = 0
+    #: Operations that ended in neither ok nor not_found, by terminal
+    #: status ("store_full", "overloaded", "unavailable", "no_ring"):
+    #: back-pressure the model intends must be told apart from loss.
+    failed_by_status: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
     nacks: int = 0
     timeouts: int = 0
@@ -81,8 +84,14 @@ class ClientStats:
         elif result.status == STATUS_NOT_FOUND:
             self.not_found += 1
         else:
-            self.failures += 1
+            self.failed_by_status[result.status] = (
+                self.failed_by_status.get(result.status, 0) + 1)
         self.histogram.record(result.latency_us)
+
+    @property
+    def failures(self) -> int:
+        """Operations that ended in neither ok nor not_found."""
+        return sum(self.failed_by_status.values())
 
     def mean_latency_us(self) -> float:
         """Average end-to-end latency over recorded operations."""
@@ -128,7 +137,7 @@ class FrontEndClient:
         self.tracer = tracer
         self.trace_sample_interval = trace_sample_interval
         self._trace_seq = 0
-        network.attach(address, nic_profile, sim=sim)
+        network.attach(address, nic_profile)
         self.rpc = RpcEndpoint(sim, network, address)
         self.flow = FlowController(sim, enabled=flow_control,
                                    name=address + ".flow")

@@ -219,7 +219,7 @@ class JBOFNode:
         self.rng = rng or RngRegistry()
         self.control_plane_address = control_plane_address
 
-        network.attach(address, nic_profile or NIC_100G, sim=sim)
+        network.attach(address, nic_profile or NIC_100G)
         self.rpc = RpcEndpoint(sim, network, address)
         self.cpu = CpuComplex(sim, spec.num_cores, spec.freq_ghz,
                               name=address + ".cpu")
@@ -755,8 +755,7 @@ class JBOFNode:
 
     def _handle_node_stop(self, src: str, body) -> None:
         """RPC entry point for cluster shutdown (the cluster reaches
-        nodes over the network, never through object references, so
-        the same teardown works when nodes live on other shards)."""
+        nodes over the network, never through object references)."""
         self.stop()
         return None
 

@@ -84,7 +84,7 @@ class ControlPlane:
         self.replication_protocol = replication_protocol
         self.heartbeat_timeout_us = heartbeat_timeout_us
         self.push_delay_jitter_us = push_delay_jitter_us
-        network.attach(address, sim=sim)
+        network.attach(address)
         self.rpc = RpcEndpoint(sim, network, address)
         self.vnodes: Dict[str, VNodeInfo] = {}
         self.ring_version = 0

@@ -4,8 +4,8 @@ A discrete-event reproduction is only credible if a fixed seed yields
 a bit-for-bit identical run.  The per-line rules catch RNG, clock,
 ordering, layering, and shared-state leaks; the dataflow rules
 (``repro.lint.races``, built on the CFG framework in
-``repro.lint.flow``) catch yield-point atomicity races, cross-shard
-node references escaping RPC, and hash-order data reaching digests.
+``repro.lint.flow``) catch yield-point atomicity races, peer-node
+references escaping RPC, and hash-order data reaching digests.
 This package provides the AST rule engine (``repro.lint.engine``),
 the generated rule catalog (``repro.lint.rules`` — run
 ``python -m repro.lint --list-rules`` for the authoritative list), a

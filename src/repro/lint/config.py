@@ -77,22 +77,22 @@ class LintConfig:
     #: Layer -> allowed imported layers (SIM004).
     layers: Dict[str, FrozenSet[str]] = field(default_factory=_default_layers)
 
-    #: Directories where peer-node object references cross shard
-    #: boundaries under the partition-parallel engine (SIM006).
+    #: Directories where a peer-node object reference stands for
+    #: another machine of the modelled rack (SIM006/SIM008).
     #: Scenario injectors reach node objects through the cluster's
-    #: registry, so they are held to the same rule (the serial-engine
-    #: guard in ``LeedCluster._injection_target`` is what makes the
-    #: suppressed sites safe).
+    #: registry, so they are held to the same rule (the suppressed
+    #: sites in ``LeedCluster`` are physical events — a pulled power
+    #: cord — that no modelled message carries).
     cross_shard_scopes: Tuple[str, ...] = ("repro/core/",
                                            "repro/scenarios/")
 
     #: Attribute names holding registries of peer JBOF node objects
-    #: (SIM006): objects fetched from these may live in another worker
-    #: process and must be reached over the simulated network.
+    #: (SIM006): objects fetched from these are other machines and
+    #: must be reached over the simulated network.
     cross_shard_registries: Tuple[str, ...] = ("jbofs", "_jbofs")
 
     #: Node methods exempt from SIM006: bootstrap-time delivery that
-    #: runs before any worker process exists (the control plane hands
+    #: runs before simulated time starts (the control plane hands
     #: every node its initial ring synchronously during ``start()``).
     cross_shard_allow_methods: Tuple[str, ...] = ("apply_membership",)
 

@@ -8,7 +8,7 @@ the CFG/dataflow machinery in :mod:`repro.lint.flow`:
   point and written after it from the stale value, without an
   intervening re-read.  This is the static signature of the
   CircularLog concurrent-flush lost update fixed in PR 1.
-* SIM008 — shard safety, dataflow edition: SIM006 flags method calls
+* SIM008 — network fidelity, dataflow edition: SIM006 flags method calls
   on names *directly* bound from a peer-node registry; SIM008 chases
   the reference through local rebinding, container stores, argument
   passing, and returns, and also flags attribute *mutations* and
@@ -318,7 +318,7 @@ class AtomicityAcrossYield(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SIM008: shard safety through dataflow
+# SIM008: network fidelity through dataflow
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ class ShardSafetyFlow(Rule):
     """
 
     rule_id = "SIM008"
-    title = "cross-shard node reference escapes to a non-RPC touch"
+    title = "peer node reference escapes to a non-RPC touch"
 
     #: Container methods that store their argument.
     _STORES = ("append", "add", "insert", "appendleft", "setdefault")
@@ -671,19 +671,18 @@ class ShardSafetyFlow(Rule):
                     findings.append(self.finding(
                         source, node,
                         "calls .%s() on a JBOF node reference (%s, line "
-                        "%d); under partition-parallel execution the node "
-                        "may live in another worker — use rpc.call/"
-                        "rpc.notify" % (node.func.attr, origin.via,
-                                        origin.line)))
+                        "%d); that skips the modelled network — use "
+                        "rpc.call/rpc.notify" % (node.func.attr,
+                                                 origin.via,
+                                                 origin.line)))
                     continue
                 deep = self._deep_chain_root(receiver)
                 if deep is not None and deep in names:
                     findings.append(self.finding(
                         source, node,
                         "calls .%s() through %s on a JBOF node object; "
-                        "this reads live peer state that may be a stale "
-                        "fork-time copy under partition-parallel "
-                        "execution — fetch it over RPC"
+                        "this reads another machine's live state in "
+                        "zero simulated time — fetch it over RPC"
                         % (node.func.attr,
                            dotted(receiver) or ("%s..." % deep))))
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -695,9 +694,9 @@ class ShardSafetyFlow(Rule):
                         findings.append(self.finding(
                             source, node,
                             "mutates attribute %s on a JBOF node object "
-                            "(%s, line %d); the write lands on a stale "
-                            "copy under partition-parallel execution — "
-                            "mutate over RPC"
+                            "(%s, line %d); the write reaches another "
+                            "machine without crossing the modelled "
+                            "network — mutate over RPC"
                             % (dotted(target) or root,
                                names[root].via, names[root].line)))
         for nested in nested_functions(scope):
@@ -737,7 +736,7 @@ class DigestOrderTaint(Rule):
 
     Schedule digests, figure digests, latency histograms, and BENCH
     records are the reproducibility contract: byte-identical across
-    runs, machines, and worker counts.  A value derived from iterating
+    runs and machines.  A value derived from iterating
     a ``set`` (hash order, randomized per process) or from ``id()``
     (allocation order) that flows into one of those sinks silently
     breaks the contract.  Sort the iterable or key by stable fields.

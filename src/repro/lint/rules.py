@@ -360,21 +360,22 @@ class MutableSharedState(Rule):
 class CrossShardNodeCall(Rule):
     """SIM006: peer JBOF nodes are reached over the network only.
 
-    Under the partition-parallel engine (:mod:`repro.sim.parallel`)
-    each JBOF's live state may be owned by another worker process.  A
-    method call on a node object pulled out of a peer registry
-    (``self.jbofs`` / ``self._jbofs``) silently operates on a stale
-    fork-time copy — results diverge from serial runs with no error.
-    Cross-shard interaction must ride ``rpc.call``/``rpc.notify``.
+    Every JBOF is a separate machine in the modelled rack.  A method
+    call on a node object pulled out of a peer registry
+    (``self.jbofs`` / ``self._jbofs``) acts on that machine in zero
+    simulated time, with no NIC serialization, switch hop, partition
+    check or RPC CPU charge — the latency and energy figures then
+    describe a system that cannot be built.  Node-to-node interaction
+    must ride ``rpc.call``/``rpc.notify``.
 
     Reading construction-time attributes (``node.address``,
     ``node.meter``) is fine — the rule flags only *method calls* on
-    node objects.  Bootstrap-time delivery methods that run before any
-    worker exists are allowlisted in :class:`LintConfig`.
+    node objects.  Bootstrap-time delivery methods that run before
+    simulated time starts are allowlisted in :class:`LintConfig`.
     """
 
     rule_id = "SIM006"
-    title = "direct cross-shard node call"
+    title = "direct call on a peer node bypasses the network"
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
         if not self.config.in_scope(self.config.cross_shard_scopes,
@@ -395,10 +396,10 @@ class CrossShardNodeCall(Rule):
             if self._is_node_expr(node.func.value, names):
                 yield self.finding(
                     source, node,
-                    "calls .%s() on a JBOF node object; under "
-                    "partition-parallel execution the node may live in "
-                    "another worker process — reach it over the network "
-                    "with rpc.call/rpc.notify" % node.func.attr)
+                    "calls .%s() on a JBOF node object; that skips the "
+                    "modelled network (no latency, partition check or "
+                    "RPC cost) — reach it with rpc.call/rpc.notify"
+                    % node.func.attr)
         for nested in _nested_functions(scope):
             yield from self._check_scope(source, nested)
 

@@ -17,13 +17,10 @@ fully described at transmit time by a plain record::
 
     (deliver_at, dst, src, seq, wire_bytes, payload)
 
-Records flow through a per-shard :class:`DeliveryPump` — a canonical
-inbox heap drained by :data:`~repro.sim.core.DELIVERY_PRIORITY` events.
-In the default single-shard configuration every message goes through
-the one pump; when :meth:`Network.configure_shards` partitions the
-fabric, records whose destination lives on another shard are captured
-on :attr:`Network.boundary` for the parallel engine
-(:mod:`repro.sim.parallel`) to exchange at window barriers.
+Every record flows through the fabric's one :class:`DeliveryPump` — a
+canonical inbox heap drained by
+:data:`~repro.sim.core.DELIVERY_PRIORITY` events — so same-instant
+deliveries land in record order, not in transmit order.
 """
 
 from __future__ import annotations
@@ -111,8 +108,7 @@ class Nic:
 
         Needed for mixed profiles (a small message can out-serialize a
         large predecessor at a slow receiver port); the clamp only ever
-        *delays* a delivery, so it preserves every lower bound used by
-        the parallel engine's lookahead.
+        *delays* a delivery.
         """
         last = self._pair_last.get(dst)
         if last is not None and deliver_at < last:
@@ -126,15 +122,14 @@ class Nic:
 
 
 class DeliveryPump:
-    """Per-shard delivery queue draining in canonical order.
+    """The fabric's delivery queue, draining in canonical order.
 
-    Every delivery on a shard — locally transmitted or injected at a
-    window barrier — flows through one inbox heap keyed by the
+    Every delivery flows through one inbox heap keyed by the
     :data:`MessageRecord` sort key.  A single outstanding drain event
     (at :data:`~repro.sim.core.DELIVERY_PRIORITY`) pops all records due
     at its timestamp, so the dispatch suffix is a pure function of the
     inbox contents: identical record sequences produce identical
-    schedules no matter which process inserted them.
+    schedules no matter in which order they were inserted.
     """
 
     def __init__(self, sim: Simulator, network: "Network"):
@@ -149,7 +144,7 @@ class DeliveryPump:
         when = record[0]
         if when < self.sim.now:
             raise ValueError(
-                "delivery at %r is in this shard's past (now=%r)"
+                "delivery at %r is in the past (now=%r)"
                 % (when, self.sim.now))
         heapq.heappush(self._inbox, record)
         head = self._inbox[0][0]
@@ -185,138 +180,16 @@ class Network:
         self.messages_delivered = 0
         #: When set, drops all traffic to/from these addresses (failure tests).
         self._partitioned: set = set()
-        #: Shard id per address; unlisted addresses live on shard 0.
-        self._shard_of: Dict[str, int] = {}
-        self._sims: Dict[int, Simulator] = {0: sim}
-        self._pumps: Dict[int, DeliveryPump] = {0: DeliveryPump(sim, self)}
-        #: Records destined for a different shard than their sender,
-        #: in transmit order.  The parallel engine collects these at
-        #: every window barrier (:meth:`take_boundary`).
-        self.boundary: List[MessageRecord] = []
-        #: Bumped whenever the NIC set or the shard map changes; the
-        #: lookahead matrix below (and the parallel engine's copy of it)
-        #: is cached against this counter.
-        self._topology_version = 0
-        self._lookahead_version: Optional[int] = None
-        self._lookahead_matrix: Dict[Tuple[int, int], float] = {}
-        self._lookahead_tx: Dict[int, float] = {}
-        self._lookahead_rx: Dict[int, float] = {}
+        self._pump = DeliveryPump(sim, self)
 
-    def attach(self, address: str, profile: Optional[NicProfile] = None,
-               sim: Optional[Simulator] = None) -> Nic:
-        """Create and register a NIC under ``address``.
-
-        ``sim`` binds the NIC (pacer clock, rx queue) to the owning
-        component's shard simulator; it defaults to the fabric's own.
-        """
+    def attach(self, address: str,
+               profile: Optional[NicProfile] = None) -> Nic:
+        """Create and register a NIC under ``address``."""
         if address in self._nics:
             raise ValueError("address %r already attached" % address)
-        nic = Nic(sim or self.sim, address, profile)
+        nic = Nic(self.sim, address, profile)
         self._nics[address] = nic
-        self._topology_version += 1
         return nic
-
-    @property
-    def topology_version(self) -> int:
-        """Counter tracking NIC attachments and shard-map changes."""
-        return self._topology_version
-
-    # -- sharding ----------------------------------------------------------------
-
-    def configure_shards(self, shard_of: Dict[str, int],
-                         sims: Dict[int, Simulator]) -> None:
-        """Partition the fabric for windowed parallel execution.
-
-        ``shard_of`` maps each address to a shard id (unlisted addresses
-        default to shard 0); ``sims`` provides the simulator that steps
-        each shard.  One :class:`DeliveryPump` is created per shard.
-        """
-        self._shard_of = dict(shard_of)
-        self._sims = dict(sims)
-        self._pumps = {sid: DeliveryPump(sim, self)
-                       for sid, sim in self._sims.items()}
-        self._topology_version += 1
-
-    def shard_of(self, address: str) -> int:
-        """Shard id owning ``address`` (0 unless configured otherwise)."""
-        return self._shard_of.get(address, 0)
-
-    def take_boundary(self) -> List[MessageRecord]:
-        """Drain and return the captured cross-shard records."""
-        records, self.boundary = self.boundary, []
-        return records
-
-    def inject(self, record: MessageRecord) -> None:
-        """Hand a (possibly remote-born) record to its destination pump."""
-        self._pumps[self._shard_of.get(record[1], 0)].insert(record)
-
-    def cross_shard_lookahead(self) -> Dict[Tuple[int, int], float]:
-        """Per-shard-pair lookahead matrix ``L[(src, dst)]``.
-
-        ``L[(s, d)]`` is the smallest possible delivery delay of any
-        message sent from a NIC on shard ``s`` to a NIC on shard ``d``:
-        one byte of transmit serialization plus the sender's base
-        latency (minimized over ``s``'s NICs), the switch hop, and one
-        byte of receive serialization (minimized over ``d``'s NICs).
-        :meth:`transmit` can only add to each term (pacer backlog, real
-        sizes, the in-order clamp), so ``neighbor_horizon + L[(s, d)]``
-        is a safe window end for shard ``d`` in the conservative
-        parallel engine.  Because every entry has the separable form
-        ``a_src + hop + b_dst``, the matrix obeys the triangle
-        inequality — a relayed influence can never undercut the direct
-        bound.
-
-        The matrix is cached per :attr:`topology_version` (attaching a
-        NIC or re-sharding invalidates it) so callers can hit it every
-        window without an O(NICs²) rescan.  Callers must not mutate the
-        returned dict.
-        """
-        if self._lookahead_version != self._topology_version:
-            tx_min: Dict[int, float] = {}
-            rx_min: Dict[int, float] = {}
-            inf = float("inf")
-            for address, nic in self._nics.items():
-                shard = self._shard_of.get(address, 0)
-                tx = (1.0 / nic.profile.bandwidth_bpus
-                      + nic.profile.base_latency_us)
-                rx = 1.0 / nic.profile.bandwidth_bpus
-                if tx < tx_min.get(shard, inf):
-                    tx_min[shard] = tx
-                if rx < rx_min.get(shard, inf):
-                    rx_min[shard] = rx
-            hop = self.switch.hop_latency_us
-            self._lookahead_tx = {shard: tx + hop
-                                  for shard, tx in tx_min.items()}
-            self._lookahead_rx = rx_min
-            self._lookahead_matrix = {
-                (src, dst): (tx_min[src] + hop) + rx_min[dst]
-                for src in tx_min for dst in rx_min if src != dst}
-            self._lookahead_version = self._topology_version
-        return self._lookahead_matrix
-
-    def cross_shard_lookahead_parts(self) -> Tuple[Dict[int, float],
-                                                   Dict[int, float]]:
-        """The separable halves of :meth:`cross_shard_lookahead`.
-
-        Returns ``(tx, rx)`` per-shard dicts with
-        ``L[(s, d)] == tx[s] + rx[d]`` (``tx`` folds in the switch
-        hop).  The separable form is what lets the parallel engine
-        compute chain-safe earliest-input times in O(shards) per
-        window instead of relaxing the full pair matrix.  Cached with
-        the matrix; callers must not mutate the returned dicts.
-        """
-        self.cross_shard_lookahead()
-        return self._lookahead_tx, self._lookahead_rx
-
-    def min_cross_shard_delay_us(self) -> float:
-        """Smallest entry of :meth:`cross_shard_lookahead`.
-
-        The single conservative window size used before per-pair
-        lookahead existed; kept as the cheap scalar summary.  Returns
-        +inf when no NIC pair crosses a shard boundary.
-        """
-        matrix = self.cross_shard_lookahead()
-        return min(matrix.values()) if matrix else float("inf")
 
     def nic(self, address: str) -> Nic:
         return self._nics[address]
@@ -346,10 +219,9 @@ class Network:
         Delivery is in order per (src, dst): the sender pacer is FIFO
         and :meth:`Nic.order_delivery` clamps the receive-side term.
 
-        Only *sender-local* state is read or written, so a transmit can
-        run on the sender's shard alone; a destination partition is
-        checked at delivery time (a sender cannot observe a remote
-        failure before its message crosses the fabric).
+        Only *sender-local* state is read or written; a destination
+        partition is checked at delivery time (a sender cannot observe
+        a remote failure before its message crosses the fabric).
         """
         if src not in self._nics or dst not in self._nics:
             raise KeyError("unknown endpoint in %r -> %r" % (src, dst))
@@ -363,19 +235,15 @@ class Network:
             dst, tx_done + sender.profile.base_latency_us
             + self.switch.hop_latency_us
             + wire / receiver.profile.bandwidth_bpus)
-        record = (deliver_at, dst, src, sender.tx_messages, wire, payload)
-        shard = self._shard_of.get(src, 0)
-        if self._shard_of.get(dst, 0) == shard:
-            self._pumps[shard].insert(record)
-        else:
-            self.boundary.append(record)
+        self._pump.insert(
+            (deliver_at, dst, src, sender.tx_messages, wire, payload))
 
     def deliver(self, record: MessageRecord) -> None:
         """Land one in-flight record on its destination NIC.
 
-        Called by the owning shard's :class:`DeliveryPump` at
-        ``record[0]``.  Partitions are re-checked here: a node that
-        died mid-flight does not receive the message.
+        Called by the :class:`DeliveryPump` at ``record[0]``.
+        Partitions are re-checked here: a node that died mid-flight
+        does not receive the message.
         """
         _deliver_at, dst, src, _seq, wire, payload = record
         if src in self._partitioned or dst in self._partitioned:

@@ -16,8 +16,6 @@ experiment:
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` whose
   periodic sampler turns cumulative counters/gauges/histograms into
   timeseries records the bench harness dumps as ``BENCH_*.json``.
-* :mod:`repro.obs.merge` — canonical merging of per-shard histogram /
-  counter / span exports from partition-parallel runs.
 * ``python -m repro.obs.trace`` — run a small traced benchmark and
   export its trace (see :mod:`repro.obs.trace`).
 
@@ -26,7 +24,6 @@ with the same seed produce byte-identical trace and metrics output.
 """
 
 from repro.obs.hist import LatencyHistogram
-from repro.obs.merge import merge_counters, merge_histograms, merge_span_exports
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, Tracer, span_coverage
 
@@ -36,8 +33,5 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "merge_counters",
-    "merge_histograms",
-    "merge_span_exports",
     "span_coverage",
 ]

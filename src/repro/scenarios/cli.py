@@ -18,8 +18,7 @@ from typing import List, Optional
 
 from repro.core.replication import protocol_names
 from repro.scenarios.dsl import SCALES, build_scenario, scenario_names
-from repro.scenarios.runner import (canonical_json, run_scenario,
-                                    scenario_max_workers)
+from repro.scenarios.runner import canonical_json, run_scenario
 
 
 def _resolve_names(name: str) -> List[str]:
@@ -61,24 +60,6 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _effective_workers(name: str, workers: int, batch: bool) -> int:
-    """Workers to use for one scenario of a ``run`` invocation.
-
-    A batch ('all') sweep clamps each scenario to its own limit and
-    says so — records are engine-invariant either way; a single named
-    scenario keeps the requested value so the runner's ValueError
-    explains the refusal.
-    """
-    if not workers or not batch:
-        return workers
-    cap = scenario_max_workers(build_scenario(name))
-    if cap is not None and workers > cap:
-        print("%-16s clamping workers %d -> %d (injections need more "
-              "ownership)" % (name, workers, cap))
-        return cap
-    return workers
-
-
 def cmd_run(args) -> int:
     records = []
     names = _resolve_names(args.name)
@@ -87,8 +68,7 @@ def cmd_run(args) -> int:
             name, scale=args.scale, seed=args.seed,
             replication_protocol=args.protocol,
             crrs=False if args.no_crrs else None,
-            trace_sample_interval=16 if args.trace else 0,
-            workers=_effective_workers(name, args.workers, len(names) > 1))
+            trace_sample_interval=16 if args.trace else 0)
         tracer = record.pop("_tracer", None)
         if args.trace and tracer is not None:
             trace_path = args.trace
@@ -162,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write BENCH_scenarios.json here")
     run_parser.add_argument("--trace", default=None, metavar="PATH",
                             help="write a Chrome trace here")
-    run_parser.add_argument("--workers", type=int, default=0,
-                            help="partition-parallel engine worker count "
-                                 "(0 = serial; scenarios with physical "
-                                 "fault injection require 0, membership "
-                                 "elasticity allows 1; 'all' clamps per "
-                                 "scenario)")
     run_parser.set_defaults(func=cmd_run)
 
     golden_parser = sub.add_parser(

@@ -3,9 +3,9 @@
 Each action is a generator taking the :class:`ScenarioRuntime` (see
 :mod:`repro.scenarios.runner`) plus the injection's kwargs.  Actions
 go through the cluster/control-plane scenario hooks — registry-safe
-RPC and the serial-engine-guarded physical-injection methods on
+RPC and the physical-injection methods on
 :class:`~repro.core.cluster.LeedCluster` — never through direct node
-method calls, so they stay within the simlint cross-shard rules.
+method calls, so they stay within simlint's SIM006/SIM008 rules.
 
 The registry is keyed by the ``action`` string in
 :class:`~repro.scenarios.dsl.Injection`.
@@ -19,20 +19,11 @@ from typing import Callable, Dict
 #: Module-level by design; mutated only at import time.
 ACTIONS: Dict[str, Callable] = {}
 
-#: Largest ``workers`` setting each action tolerates.  Physical
-#: injections (crash, power loss, in-place upgrade) mutate node
-#: objects directly and need the serial engine (0); membership
-#: elasticity (add/remove JBOF) goes over control-plane RPC but
-#: changes the shard plan, so it works sharded in-process (1) yet
-#: never with forked workers whose plans are fixed at the fork.
-ACTION_MAX_WORKERS: Dict[str, int] = {}
 
-
-def register_action(name: str, max_workers: int = 0):
+def register_action(name: str):
     """Decorator: register an injection action under ``name``."""
     def wrap(fn):
         ACTIONS[name] = fn
-        ACTION_MAX_WORKERS[name] = max_workers
         return fn
     return wrap
 
@@ -107,14 +98,14 @@ def rolling_upgrade(rt, version: str = "v2", pause_us: float = 0.0):
             duration_us=rt.sim.now - started)
 
 
-@register_action("add_jbof", max_workers=1)
+@register_action("add_jbof")
 def add_jbof(rt):
     """Provision one extra JBOF and join its vnodes (scale-out)."""
     node = yield from rt.cluster.add_jbof()
     rt.note("add_jbof", address=node.address)
 
 
-@register_action("remove_jbof", max_workers=1)
+@register_action("remove_jbof")
 def remove_jbof(rt, index: int):
     """Drain and power down one JBOF (scale-in)."""
     yield from rt.cluster.remove_jbof(index)

@@ -4,8 +4,8 @@
 and the golden-run tests all share.  It deterministically:
 
 1. builds a :class:`~repro.core.cluster.LeedCluster` from the
-   :class:`~repro.scenarios.dsl.ScenarioScale` (serial engine, tight
-   scenario heartbeats, schedule digests on),
+   :class:`~repro.scenarios.dsl.ScenarioScale` (tight scenario
+   heartbeats, schedule digests on),
 2. preloads the keyspace,
 3. runs every phase — per-client :class:`CurveDriver` traffic plus the
    phase's scheduled injections, with
@@ -36,7 +36,7 @@ from repro.core.jbof import LeedOptions
 from repro.scenarios.autoscaler import Autoscaler
 from repro.scenarios.dsl import (SCALES, Scenario, ScenarioScale,
                                  build_scenario)
-from repro.scenarios.injectors import ACTION_MAX_WORKERS, ACTIONS
+from repro.scenarios.injectors import ACTIONS
 from repro.scenarios.load import CurveDriver, PhaseStats, WriteLedger
 from repro.sim.rng import RngRegistry
 from repro.workloads.ycsb import YCSBWorkload
@@ -153,10 +153,6 @@ class ScenarioRuntime:
             sim.run(until=sim.all_of(procs))
             stats.finished_at_us = sim.now
             self.phase_stats.append(stats)
-            # Parallel engines: complete the global cut at this clock
-            # so the gauges (energy meters on JBOF shards) read the
-            # exact state a serial run would sample here.
-            cluster.settle_shards()
             metrics.sample_now()
         metrics.set_phase(None)
         # Traffic is over: stop the autoscaler *before* the settle
@@ -169,18 +165,15 @@ class ScenarioRuntime:
 
         sweep = sim.process(self._sweep(), name="scenario.sweep")
         sim.run(until=sweep)
-        cluster.settle_shards()
 
         record = self._assemble_record()
         cluster.shutdown()
         sim.run()   # drain the heap so the digest covers everything
-        digests = cluster.shard_digests()
         record["digests"] = {
             "figure": hashlib.sha256(
                 canonical_json(record).encode("ascii")).hexdigest(),
-            "schedule": digests.get(0),
+            "schedule": sim.schedule_digest,
         }
-        cluster.stop_workers()
         return record
 
     def _inject(self, injection, duration_us: float):
@@ -304,47 +297,16 @@ class ScenarioRuntime:
         return record
 
 
-def scenario_max_workers(scenario: Scenario) -> Optional[int]:
-    """Largest ``workers`` the scenario's injections tolerate.
-
-    ``None`` means unlimited (pure-traffic scenarios like ``diurnal``
-    or ``hot_key_storm`` run on any engine).  Unknown actions count as
-    serial-only — better a loud ValueError up front than a parallel
-    run mutating state it does not own.
-    """
-    cap: Optional[int] = None
-    for phase in scenario.phases:
-        for injection in phase.injections:
-            action_cap = ACTION_MAX_WORKERS.get(injection.action, 0)
-            cap = action_cap if cap is None else min(cap, action_cap)
-    if scenario.autoscaler is not None:
-        # The autoscaler's decisions are add/remove_jbof.
-        cap = 1 if cap is None else min(cap, 1)
-    return cap
-
-
 def run_scenario(name: Optional[str] = None, scale: Union[str, ScenarioScale] = "smoke",
                  seed: int = 0, replication_protocol: Optional[str] = None,
                  crrs: Optional[bool] = None,
                  trace_sample_interval: int = 0,
-                 scenario: Optional[Scenario] = None,
-                 workers: int = 0) -> dict:
+                 scenario: Optional[Scenario] = None) -> dict:
     """Run one scenario end to end; returns its BENCH record.
 
     ``scenario`` lets callers (property tests) pass an ad-hoc
     :class:`Scenario` instead of a catalog name.  ``crrs`` / ``scale``
     / ``replication_protocol`` override the scenario's defaults.
-
-    ``workers`` selects the engine: 0 (serial, the golden-pinned
-    schedule), 1 (sharded in-process), or ``N >= 2`` (forked workers).
-    Scenarios whose injections need more ownership than the engine
-    grants raise (see :func:`scenario_max_workers`).  For scenarios
-    with no mid-run cross-shard sampler the record is engine-invariant
-    (figure digests match workers=0 exactly; asserted by the test
-    suite).  Autoscaler scenarios sample cluster energy *during* a
-    run, where parallel shards sit at window granularity rather than
-    the sampler's instant, so their energy figures can differ from
-    serial in the last decimals — every invariant still holds.
     """
     if scenario is None:
         if name is None:
@@ -369,21 +331,13 @@ def run_scenario(name: Optional[str] = None, scale: Union[str, ScenarioScale] = 
         seed=seed,
         heartbeat_timeout_us=scale.heartbeat_timeout_us,
         trace_sample_interval=trace_sample_interval,
-        workers=workers,
     )
     if crrs is not None:
         overrides["crrs"] = crrs
     overrides.update(dict(scenario.config_overrides))
     config = ClusterConfig.from_overrides(**overrides)
-    cap = scenario_max_workers(scenario)
-    if cap is not None and config.workers > cap:
-        raise ValueError(
-            "scenario %r allows at most workers=%d (physical fault "
-            "injection mutates node objects the serial engine owns; "
-            "membership elasticity additionally needs workers <= 1), "
-            "got workers=%d" % (scenario.name, cap, config.workers))
     cluster = LeedCluster(config)
-    cluster.enable_schedule_digests()
+    cluster.sim.enable_schedule_digest()
     for client in cluster.clients:
         client.request_timeout_us = scale.request_timeout_us
     runtime = ScenarioRuntime(cluster, scenario, scale, seed)

@@ -15,9 +15,9 @@ Fast paths (see docs/performance.md):
   entry still consumes a sequence number, entries already on the heap
   for the current timestep always carry lower (priority, sequence)
   keys, and interrupts (priority 0) still preempt the queue.
-* :meth:`Simulator.run_batch` drains same-timestamp events in an
-  inlined inner loop without re-entering the dispatch preamble
-  (deadline checks, heap access) between events.
+* :meth:`Simulator.run` drains same-timestamp events in an inlined
+  inner loop without re-entering the dispatch preamble (deadline
+  checks, heap access) between events.
 * dispatched :class:`Timeout` objects that provably have no remaining
   references are recycled through a small pool (CPython only).
 """
@@ -42,8 +42,7 @@ NORMAL_PRIORITY = 1
 #: DeliveryPump`).  Strictly after normal events at the same timestamp,
 #: so handlers scheduled *at* t observe a stable world before new
 #: cross-NIC traffic lands — and so the drain order is a function of the
-#: pump inbox alone, which is what makes per-shard schedule digests
-#: comparable across worker counts.
+#: pump inbox alone, not of which sender happened to transmit first.
 DELIVERY_PRIORITY = 2
 
 #: Timeout recycling proves "no one else holds this object" via the
@@ -244,12 +243,6 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (self._now + delay, priority, self._sequence, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf when idle."""
-        if self._imm:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")
-
     def _pop_next(self):
         """Remove and return the next ``(when, priority, sequence, event)``.
 
@@ -286,7 +279,7 @@ class Simulator:
     def step(self) -> None:
         """Process the single next event.  Raises IndexError when empty.
 
-        This is the reference dispatcher; :meth:`run_batch` inlines the
+        This is the reference dispatcher; :meth:`run` inlines the
         same logic.  Keeping both lets the determinism tests replay a
         run event-by-event and compare schedule digests.
         """
@@ -314,15 +307,10 @@ class Simulator:
         * a number — run until simulated time reaches it;
         * an :class:`Event` — run until that event triggers, returning
           its value (re-raising its exception when it failed).
-        """
-        return self.run_batch(until)
 
-    def run_batch(self, until: Any = None) -> Any:
-        """Run with the batched dispatch loop (same semantics as ``run``).
-
-        Drains same-timestamp immediate events back-to-back without
+        Same-timestamp immediate events drain back-to-back without
         re-entering the dispatch preamble (deadline check, heap pop)
-        between them.  Dispatch order matches :meth:`step` exactly.
+        between them; dispatch order matches :meth:`step` exactly.
         In sanitize mode the inlined FIFO fast path is bypassed and
         every event goes through :meth:`step`, which applies the
         permuted tie-breaking.
@@ -412,7 +400,7 @@ class Simulator:
     def _run_sanitized(self, until: Any = None) -> Any:
         """Sanitize-mode dispatch loop: :meth:`step` per event.
 
-        Semantics match :meth:`run_batch`; only the tie order differs.
+        Semantics match :meth:`run`; only the tie order differs.
         Timeout pooling is skipped — the sanitizer optimizes for
         schedule coverage, not throughput.
         """
@@ -451,88 +439,6 @@ class Simulator:
         if deadline != float("inf"):
             self._now = deadline
         return None
-
-    def run_window(self, end: float,
-                   inclusive: bool = False) -> Optional[StopSimulation]:
-        """Dispatch every event scheduled before ``end``; keep the rest.
-
-        The windowed dispatcher for the conservative parallel engine
-        (:mod:`repro.sim.parallel`): events with ``when < end`` (or
-        ``when <= end`` when ``inclusive``) run exactly as
-        :meth:`run_batch` would run them; later events stay queued, and
-        — unlike ``run(until=end)`` — the clock is left at the last
-        dispatched event, so consecutive windows tile without skewing
-        timestamps.  Returns the :class:`StopSimulation` that escaped a
-        callback (``run(until=event)`` support), or ``None``.
-        """
-        if self._sanitize_rng is not None:
-            raise RuntimeError(
-                "sanitize mode is serial-only: the windowed parallel "
-                "dispatcher relies on FIFO tie order for its cross-shard "
-                "digest contract")
-        end = float(end)
-        heap = self._heap
-        imm = self._imm
-        pool = self._timeout_pool
-        recycle = _REFCOUNT_POOLING
-        getrefcount = sys.getrefcount
-        heappop = heapq.heappop
-        pack = struct.pack
-        dispatched = 0
-        try:
-            while heap or imm:
-                if imm:
-                    when = self._now
-                    if when > end or (when == end and not inclusive):
-                        break  # pragma: no cover - window protocol guard
-                    if heap:
-                        head = heap[0]
-                        if head[0] == when and (
-                                head[1] < NORMAL_PRIORITY
-                                or (head[1] == NORMAL_PRIORITY
-                                    and head[2] < imm[0][0])):
-                            when, priority, sequence, event = heappop(heap)
-                        else:
-                            sequence, event = imm.popleft()
-                            priority = NORMAL_PRIORITY
-                    else:
-                        sequence, event = imm.popleft()
-                        priority = NORMAL_PRIORITY
-                else:
-                    when = heap[0][0]
-                    if when > end or (when == end and not inclusive):
-                        break
-                    when, priority, sequence, event = heappop(heap)
-                    self._now = when
-                dispatched += 1
-                if self._digest is not None:
-                    self._digest.update(pack("<dqq", when, priority, sequence))
-                    self._digest.update(type(event).__name__.encode("ascii"))
-                    self._digest_events += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                if (recycle and type(event) is Timeout
-                        and getrefcount(event) == 2
-                        and len(pool) < _TIMEOUT_POOL_MAX):
-                    pool.append(event)
-        except StopSimulation as stop:
-            return stop
-        finally:
-            self._events_dispatched += dispatched
-        return None
-
-    def sync_now(self, when: float) -> None:
-        """Advance the idle clock to ``when`` without dispatching.
-
-        Used by the parallel engine to mirror ``run(until=number)``,
-        which leaves the clock at the deadline even when no event sits
-        exactly there.  Never moves time backwards.
-        """
-        if when > self._now:
-            self._now = float(when)
 
     @staticmethod
     def _event_outcome(event: Event) -> Any:

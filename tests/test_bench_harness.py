@@ -7,11 +7,15 @@ from repro.bench.harness import (
     build_cluster,
     build_single_store,
     drive_store,
+    figure_digest,
     load_cluster,
+    measure_run_phase,
     preload_store,
     run_closed_loop,
     scale_profile,
 )
+from repro.baselines import make_cluster
+from repro.core.datastore import StoreConfig
 from repro.workloads.ycsb import YCSBWorkload
 
 
@@ -97,3 +101,30 @@ class TestClusterHarness:
         assert not client.flow.enabled
         assert not client.crrs
         assert client.read_policy == "tail"
+
+
+class TestMeasureRunPhase:
+    @staticmethod
+    def _row(log_kb, records):
+        store = StoreConfig(num_segments=16, key_log_bytes=log_kb * 1024,
+                            value_log_bytes=log_kb * 1024)
+        cluster = make_cluster("leed", num_nodes=3, ssds_per_node=1,
+                               num_clients=1, store_config=store, seed=5)
+        workload = YCSBWorkload("WR", num_records=records, seed=5,
+                                value_size=256)
+        return measure_run_phase(cluster, workload, 300, concurrency=8)
+
+    def test_failed_ops_carry_their_status(self):
+        """A log too small for the write stream refuses at the 94 %
+        reserve: every failed op must say so, not just be counted."""
+        row = self._row(log_kb=64, records=100)
+        assert row["failed"] > 0
+        assert row["failed_by_status"] == {"store_full": row["failed"]}
+        # The reason is a diagnostic: it stays out of the figures.
+        assert figure_digest(dict(row, failed_by_status={})) \
+            == row["figure_digest"]
+
+    def test_healthy_run_reports_no_failure_reasons(self):
+        row = self._row(log_kb=1024, records=60)
+        assert row["failed"] == 0
+        assert row["failed_by_status"] == {}

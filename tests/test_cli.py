@@ -84,3 +84,20 @@ def test_help_of_every_entry_point_exits_zero(module):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "usage" in done.stdout.lower()
+
+
+@pytest.mark.parametrize("entry, argv", [
+    ("repro.bench.perf", ["--smoke", "--workers", "1"]),
+    ("repro.scenarios.cli", ["run", "diurnal", "--workers", "1"]),
+    ("repro.bench.explore.__main__", ["--space", "engine"]),
+    ("repro.bench.explore.__main__", ["--objective", "wall"]),
+])
+def test_engine_options_are_gone(entry, argv, capsys):
+    """There is one engine: its selectors are rejected at argparse,
+    before anything runs."""
+    import importlib
+
+    with pytest.raises(SystemExit) as refusal:
+        importlib.import_module(entry).main(argv)
+    assert refusal.value.code == 2
+    assert "usage" in capsys.readouterr().err.lower()

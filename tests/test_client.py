@@ -152,3 +152,4 @@ class TestRetries:
         result = drive(sim, proc())
         assert result.status in ("unavailable", "overloaded")
         assert client.stats.failures == 1
+        assert client.stats.failed_by_status == {result.status: 1}

@@ -232,3 +232,30 @@ class TestFeatureToggles:
                 assert result.ok and result.value == b"val%02d" % index
 
         drive(sim, proc())
+
+
+class TestFrozenBenchmarkContract:
+    """What ``leedbench/`` (frozen) still asks of a one-engine cluster:
+    it builds with ``workers=0``, calls the three engine accessors on
+    every repeat, and reports a failing ``workers=1`` build as
+    "not measured"."""
+
+    def test_only_workers_zero_exists(self):
+        with pytest.raises(ValueError, match="PR 18"):
+            ClusterConfig(workers=1)
+        with pytest.raises(ValueError, match="workers=2"):
+            make_cluster("leed", num_nodes=3, ssds_per_node=1,
+                         num_clients=1, workers=2)
+
+    def test_engine_accessors_keep_their_signatures(self):
+        cluster = make_cluster("leed", num_nodes=3, ssds_per_node=1,
+                               num_clients=1, workers=0)
+        cluster.start()
+        assert cluster.exchange_stats() is None
+        cluster.shutdown()
+        cluster.sim.run()
+        assert cluster.sim.events_dispatched > 0
+        assert cluster.total_events_dispatched() \
+            == cluster.sim.events_dispatched
+        cluster.stop_workers()
+        cluster.stop_workers()

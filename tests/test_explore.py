@@ -6,8 +6,7 @@ import pytest
 
 from repro.bench.explore import (ConfigSpace, Dimension, Evaluator,
                                  FitnessSpec, FleetRunner, config_digest,
-                                 engine_space, leed_space, pareto_front,
-                                 run_search)
+                                 leed_space, pareto_front, run_search)
 from repro.bench.explore.__main__ import main as explore_main
 from repro.bench.explore.fleet import make_trial, trial_key
 
@@ -20,7 +19,7 @@ def small_search(cache_path=None, seed=3, budget=3, strategy="random",
     """One tiny-scale search with a fresh runner; returns (ev, outcome)."""
     space = leed_space()
     runner = FleetRunner(cache_path=cache_path, fleet=fleet)
-    fitness = FitnessSpec(objective="rpj", slo_p99_us=2000.0)
+    fitness = FitnessSpec(slo_p99_us=2000.0)
     evaluator = Evaluator(space, runner, fitness, "tiny", "B",
                           VALUE_SIZE, SEED, budget)
     outcome = run_search(strategy, space, evaluator, seed)
@@ -29,12 +28,11 @@ def small_search(cache_path=None, seed=3, budget=3, strategy="random",
 
 class TestConfigSpace:
     def test_stock_spaces_validate(self):
-        for factory in (leed_space, engine_space):
-            space = factory()
-            space.validate()
-            assert space.size() > 1
-            # The default point must be inside the space.
-            space.check_point(space.default_point())
+        space = leed_space()
+        space.validate()
+        assert space.size() > 1
+        # The default point must be inside the space.
+        space.check_point(space.default_point())
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="target"):
@@ -84,10 +82,6 @@ class TestConfigSpace:
             diffs = [k for k in point if point[k] != neighbor[k]]
             assert len(diffs) == 1
 
-    def test_sim_signature_drops_wallclock_dims(self):
-        space = engine_space()
-        assert space.sim_signature(space.default_point()) == {}
-
     def test_grid_is_exhaustive_and_ordered(self):
         space = ConfigSpace([Dimension("a", (1, 2), "run"),
                              Dimension("b", ("x", "y"), "run")])
@@ -97,12 +91,8 @@ class TestConfigSpace:
 
 
 class TestFitness:
-    def test_objective_validated(self):
-        with pytest.raises(ValueError, match="objective"):
-            FitnessSpec(objective="latency")
-
     def test_slo_gates_feasibility(self):
-        spec = FitnessSpec(objective="rpj", slo_p99_us=100.0)
+        spec = FitnessSpec(slo_p99_us=100.0)
         row = {"failed": 0, "p99_latency_us": 150.0,
                "requests_per_joule": 5.0, "wall_ops_per_sec": 1.0,
                "sim_ops_per_sec": 1000.0}
@@ -114,7 +104,7 @@ class TestFitness:
         assert not spec.feasible(row)
 
     def test_feasibility_dominates_primary(self):
-        spec = FitnessSpec(objective="rpj", slo_p99_us=100.0)
+        spec = FitnessSpec(slo_p99_us=100.0)
         fast_infeasible = {"failed": 0, "p99_latency_us": 500.0,
                            "requests_per_joule": 99.0,
                            "wall_ops_per_sec": 9.0,
@@ -220,7 +210,7 @@ class TestScenarioFitness:
     def scenario_search(self, budget=2, seed=3, cache_path=None):
         space = leed_space()
         runner = FleetRunner(cache_path=cache_path)
-        fitness = FitnessSpec(objective="rpj", min_availability=0.5)
+        fitness = FitnessSpec(min_availability=0.5)
         evaluator = Evaluator(space, runner, fitness, "smoke", "B",
                               VALUE_SIZE, SEED, budget,
                               scenario="diurnal")

@@ -564,7 +564,7 @@ class TestWorkEvents:
 
     def test_held_event_keeps_its_value_and_is_not_pooled(self, sim,
                                                           quiet_ssd):
-        """``run_batch`` recycles a dispatched Timeout nobody references;
+        """``run`` recycles a dispatched Timeout nobody references;
         a held work-event must survive that, value intact."""
         drive(sim, quiet_ssd.write(0, b"held" + b"\x00" * 508))
         held = quiet_ssd.read_event(0, 4)

@@ -230,7 +230,7 @@ class TestSIM007Atomicity:
 
 
 # ---------------------------------------------------------------------------
-# SIM008: shard safety through dataflow
+# SIM008: network fidelity through dataflow
 # ---------------------------------------------------------------------------
 
 class TestSIM008ShardSafety:
@@ -526,11 +526,6 @@ class TestOrderDependenceSanitizer:
         second = run_probe("B", 1, **self.SHAPE)
         assert first.schedule_digest == second.schedule_digest
         assert first.figure_digest == second.figure_digest
-
-    def test_sanitize_rejected_with_workers(self):
-        from repro.core.cluster import ClusterConfig, LeedCluster
-        with pytest.raises(ValueError):
-            LeedCluster(ClusterConfig(workers=1, sanitize=True))
 
     def test_simulator_sanitize_flag(self):
         from repro.sim.core import Simulator

@@ -4,7 +4,8 @@ import pytest
 
 from repro.net.rdma import QueuePair, WIRE_OVERHEAD_BYTES
 from repro.net.rpc import RpcEndpoint, RpcError, RpcTimeout
-from repro.net.topology import NIC_1G_USB, NIC_100G, Network
+from repro.net.topology import (NIC_1G_USB, NIC_100G, DeliveryPump,
+                                Network)
 
 from conftest import drive
 
@@ -84,6 +85,65 @@ class TestFabric:
         network2.attach("fast2")
         fast = network2.one_way_latency_us("fast1", "fast2", 1500)
         assert slow > 10 * fast
+
+
+class TestDeliveryOrder:
+    """The pump's drain order is what every committed schedule and
+    figure digest was taken under; these pin it directly."""
+
+    @staticmethod
+    def _fabric(sim):
+        """Two senders, two receivers, one shared arrival log."""
+        network = Network(sim)
+        log = []
+        for address in ("s1", "s2", "r1", "r2"):
+            nic = network.attach(address)
+            nic.rx_handler = (
+                lambda payload, dst=address: log.append((dst, payload)))
+        return network, log
+
+    @pytest.mark.parametrize("sends, expected", [
+        # dst sorts before src ...
+        ([("s1", "r2"), ("s2", "r1")], [("r1", "s2"), ("r2", "s1")]),
+        # ... and src breaks a dst tie.
+        ([("s1", "r1"), ("s2", "r1")], [("r1", "s1"), ("r1", "s2")]),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_same_instant_records_drain_in_record_order(
+            self, sim, sends, expected, reverse):
+        network, log = self._fabric(sim)
+        for src, dst in (reversed(sends) if reverse else sends):
+            network.transmit(src, dst, 256, src)
+        # Equal sizes from idle ports: one arrival instant, one drain.
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == expected
+        assert sim.events_dispatched == 1
+
+    def test_earlier_record_rearms_the_drain(self, sim):
+        network, _log = self._fabric(sim)
+        arrivals = []
+        network.nic("r1").rx_handler = (
+            lambda payload: arrivals.append((sim.now, payload)))
+        network.transmit("s1", "r1", 64_000, "big")
+        assert sim.pending_events == 1
+        network.transmit("s2", "r1", 64, "small")
+        # The small message lands first, so a second, earlier drain
+        # was armed; the first one still delivers the big message.
+        assert sim.pending_events == 2
+        sim.run()
+        assert [payload for _when, payload in arrivals] == ["small", "big"]
+        assert arrivals[0][0] < arrivals[1][0]
+        assert sim.events_dispatched == 2
+
+    def test_insert_refuses_a_delivery_in_the_past(self, sim, net):
+        pump = DeliveryPump(sim, net)
+        sim.run(until=10.0)
+        with pytest.raises(ValueError, match="past"):
+            pump.insert((5.0, "b", "a", 1, 64, "late"))
+        pump.insert((10.0, "b", "a", 1, 64, "on time"))
+        sim.run()
+        assert net.nic("b").rx_queue.try_get() == "on time"
 
 
 class TestRdmaVerbs:

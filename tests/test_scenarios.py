@@ -229,64 +229,6 @@ def test_cli_run_writes_bench_record(tmp_path, capsys):
     assert "avail=" in capsys.readouterr().out
 
 
-# -- partition-parallel execution ---------------------------------------------
-
-
-def test_scenario_max_workers_classes():
-    """Injection-free scenarios run on any engine; elasticity is
-    capped at sharded-in-process; physical injection is serial-only."""
-    from repro.scenarios.runner import scenario_max_workers
-    assert scenario_max_workers(build_scenario("hot_key_storm")) is None
-    assert scenario_max_workers(build_scenario("diurnal")) is None
-    assert scenario_max_workers(build_scenario("autoscale")) == 1
-    assert scenario_max_workers(build_scenario("failure_burst")) == 0
-    assert scenario_max_workers(build_scenario("rolling_upgrade")) == 0
-
-
-def test_run_scenario_refuses_excess_workers():
-    with pytest.raises(ValueError, match="workers"):
-        run_scenario("failure_burst", workers=1)
-    with pytest.raises(ValueError, match="workers"):
-        run_scenario("autoscale", workers=2)
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_hot_key_storm_record_engine_invariant(workers):
-    """Sharded runs (in-process and forked) reproduce the serial
-    record byte for byte (the figure digest hashes the whole record
-    minus the digests block)."""
-    serial = records_for("hot_key_storm")[0]
-    sharded = run_scenario("hot_key_storm", workers=workers)
-    assert sharded["digests"]["figure"] == serial["digests"]["figure"]
-    assert sharded["totals"] == serial["totals"]
-    assert sharded["metrics"] == serial["metrics"]
-
-
-def test_cli_batch_clamps_workers(capsys):
-    """`run all --workers N` clamps each scenario to its own cap
-    (and says so) instead of refusing the whole sweep."""
-    from repro.scenarios.cli import _effective_workers
-    assert _effective_workers("hot_key_storm", 4, batch=True) == 4
-    assert _effective_workers("autoscale", 4, batch=True) == 1
-    assert _effective_workers("failure_burst", 4, batch=True) == 0
-    assert "clamping workers" in capsys.readouterr().out
-    # A single named scenario keeps the request so run_scenario's
-    # ValueError explains the refusal.
-    assert _effective_workers("failure_burst", 4, batch=False) == 4
-    assert _effective_workers("failure_burst", 0, batch=True) == 0
-
-
-def test_autoscale_sharded_in_process():
-    """Elasticity at workers=1: add_jbof attaches NICs mid-run, the
-    engine refreshes its lookahead matrix, and every invariant holds
-    (the conservative-window debug assert would trip on a stale
-    bound)."""
-    record = run_scenario("autoscale", workers=1)
-    assert record["invariants"]["lost_acked_writes"] == 0
-    assert record["invariants"]["membership_balanced"]
-    assert record["autoscaler"]["decisions"]
-
-
 # -- migration stamp guard (the COPY-vs-mirror race fix) ----------------------
 
 

@@ -393,11 +393,6 @@ class TestRun:
         sim.run()
         assert sim.now == 0.0
 
-    def test_peek(self, sim):
-        assert sim.peek() == float("inf")
-        sim.schedule(3, lambda: None)
-        assert sim.peek() == 3.0
-
 
 class TestProcessAfter:
     """``Simulator.process(generator, after=event)``: the process starts
