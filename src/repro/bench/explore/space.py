@@ -231,22 +231,17 @@ def leed_space() -> ConfigSpace:
     """The LEED deployment design space (sim-outcome dimensions).
 
     Covers the knobs the paper sampled by hand plus the ones this
-    reproduction grew since: datapath batching, RPC coalescing,
-    flow-control tokens, partitions per JBOF, platform mix, and the
-    replication protocol (a first-class dimension — protocol choice
-    alone shifts the throughput/latency frontier on wimpy NIC cores).
+    reproduction grew since: the fused GET, flow-control tokens,
+    partitions per JBOF, platform mix, and the replication protocol
+    (a first-class dimension — protocol choice alone shifts the
+    throughput/latency frontier on wimpy NIC cores).
     Defaults reproduce the stock ``ClusterConfig`` /
     ``LeedOptions``, so "the best point beats the default" compares
     against what a user gets out of the box.
     """
     return ConfigSpace([
         Dimension("fast_datapath", (False, True), "options",
-                  description="batched analytic datapath (PR 3 knobs)"),
-        Dimension("admission_batch", (1, 4, 8, 16), "options",
-                  description="engine commands drained per scheduler "
-                              "wakeup (each executed per command)"),
-        Dimension("rpc_coalesce_limit", (4, 8, 16), "options", default=8,
-                  description="max same-destination requests per SEND"),
+                  description="fused GET on the analytic clock"),
         Dimension("token_capacity", (48, 96, 192), "options", default=96,
                   description="flow-control token pool per partition "
                               "engine"),

@@ -9,15 +9,17 @@ Usage::
     PYTHONPATH=src python -m repro.bench.perf --rebaseline
 
 Runs fixed-seed YCSB-B / YCSB-C / write-heavy (WR) workloads against a
-quick-scale LEED cluster twice per trial: once with the batching knobs
-off (the digest-stable reference datapath) and once with
-``LeedOptions(fast_datapath=True, admission_batch=8)``.  Records
-wall-clock ops/sec, dispatched events/sec, and sim-time latency
-summaries into ``BENCH_perf.json``.
+quick-scale LEED cluster twice per trial: once on the digest-stable
+reference datapath and once with ``LeedOptions(fast_datapath=True)``
+(the fused GET).  Records wall-clock ops/sec, dispatched events/sec,
+and sim-time latency summaries into ``BENCH_perf.json``.
 
 Every row carries ``figure_digest`` (a hash of its sim-derived
 metrics), so two commits or two machines can be checked for having
 simulated the same thing before their wall-clock numbers are compared.
+``fast_datapath`` changes only how GETs are served, so ``--check``
+fails when a workload without GETs (WR) hashes differently on its
+``fast`` and ``baseline`` rows.
 
 Wall-clock throughput on shared CI machines is noisy (we have observed
 +/-35% across back-to-back identical runs), so the harness interleaves
@@ -39,6 +41,7 @@ import sys
 
 from repro.bench.harness import build_cluster, measure_run_phase
 from repro.core.jbof import LeedOptions
+from repro.workloads.ycsb import WORKLOADS as YCSB_MIXES
 from repro.workloads.ycsb import YCSBWorkload
 
 SEED = 11
@@ -82,7 +85,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), "perf_baseline.json")
 
 def fast_options() -> LeedOptions:
     """The knobs-on configuration under test."""
-    return LeedOptions(fast_datapath=True, admission_batch=8)
+    return LeedOptions(fast_datapath=True)
 
 
 def run_once(workload_name: str, spec: dict, options) -> dict:
@@ -212,6 +215,16 @@ def check_regressions(report: dict) -> list:
         # scale — including ones with no frozen throughput row.
         if entry["fast"]["failed"] or entry["baseline"]["failed"]:
             failures.append("%s: run reported failed operations" % name)
+        # fast_datapath only changes how GETs are served: a workload
+        # that issues none must simulate identically either way.
+        mix = YCSB_MIXES[name]
+        if (mix.read_fraction == 0 and mix.rmw_fraction == 0
+                and entry["fast"]["figure_digest"]
+                != entry["baseline"]["figure_digest"]):
+            failures.append(
+                "%s: no GETs, yet fast figure_digest %s != baseline %s"
+                % (name, entry["fast"]["figure_digest"],
+                   entry["baseline"]["figure_digest"]))
         frozen_ops = entry.get("frozen_baseline_ops_per_sec")
         if frozen_ops is None:
             continue
@@ -321,7 +334,7 @@ def main(argv=None) -> int:
         "value_size": VALUE_SIZE,
         "trials": args.trials,
         "cpu_count": os.cpu_count(),
-        "fast_options": {"fast_datapath": True, "admission_batch": 8},
+        "fast_options": {"fast_datapath": True},
         "scales": {},
     }
     for scale in scales:

@@ -141,10 +141,6 @@ class FrontEndClient:
         self.rpc = RpcEndpoint(sim, network, address)
         self.flow = FlowController(sim, enabled=flow_control,
                                    name=address + ".flow")
-        #: Fast path (``fast_datapath``): issue KV calls through a
-        #: completion callback instead of a per-call process, and defer
-        #: SENDs into the RPC coalescing buffer.
-        self.turbo = False
         self.local_ring: HashRing = HashRing([], replication=3, version=0)
         self.vnode_states: Dict[str, str] = {}
         self.stats = ClientStats()
@@ -303,27 +299,18 @@ class FrontEndClient:
         def send():
             if flow_ctx is not None:
                 flow_ctx.finish()
-            if self.turbo:
-                self._call_direct(body, vnode, target, waiter)
-            else:
-                self.sim.process(self._call(body, vnode, target, waiter),
-                                 name=self.address + ".call")
+            self._call(body, vnode, target, waiter)
 
         self.flow.enqueue(self.tenant, PendingRequest(
             target=target, token_cost=TOKEN_COST[body.op], send=send))
-        self.rpc.flush()
         reply = yield waiter
         return reply
 
-    def _call_direct(self, body: KVRequest, vnode: VNode, target: str,
-                     waiter: Event) -> None:
-        """Issue one KV call through a completion callback (fast path).
-
-        Equivalent to spawning :meth:`_call`, minus the per-call
-        process: the RPC waiter's callback folds the piggybacked
-        tokens into the flow controller and resolves ``waiter``.  The
-        SEND is deferred into the coalescing buffer; callers flush.
-        """
+    def _call(self, body: KVRequest, vnode: VNode, target: str,
+              waiter: Event) -> None:
+        """Issue one KV call; its completion callback folds the
+        piggybacked tokens into the flow controller and resolves
+        ``waiter`` — with the reply, or ``None`` for a lost one."""
         # Stamp the attempt's give-up deadline at send time — exactly
         # when the RPC timeout clock starts — so replicas can refuse a
         # copy that surfaces from a congested queue after this client
@@ -331,45 +318,26 @@ class FrontEndClient:
         body.deadline_us = self.sim.now + self.request_timeout_us
         event = self.rpc.call(vnode.jbof_address, "kv", body,
                               body.wire_bytes(),
-                              timeout_us=self.request_timeout_us, defer=True)
+                              timeout_us=self.request_timeout_us)
 
         def finish(evt: Event) -> None:
-            if not evt._ok:
+            reply: Optional[KVReply] = None
+            if evt._ok:
+                reply = evt._value
+                # The reply may come from a different vnode (request
+                # shipping); credit the partition that served us.
+                self.flow.on_response(reply.served_by or target,
+                                      reply.tokens)
+            elif isinstance(evt._value, (RpcTimeout, RpcError)):
                 evt.defuse()
-                self.flow.on_complete(target)
-                self.rpc.flush()
-                if not waiter.triggered:
-                    waiter.succeed(None)
+            else:
+                # Not a lost reply: leave it to surface from sim.run.
                 return
-            reply: KVReply = evt._value
-            credited = reply.served_by or target
-            self.flow.on_response(credited, reply.tokens)
             self.flow.on_complete(target)
-            self.rpc.flush()
             if not waiter.triggered:
                 waiter.succeed(reply)
 
         event.callbacks.append(finish)
-
-    def _call(self, body: KVRequest, vnode: VNode, target: str,
-              waiter: Event):
-        body.deadline_us = self.sim.now + self.request_timeout_us
-        try:
-            reply: KVReply = yield self.rpc.call(
-                vnode.jbof_address, "kv", body, body.wire_bytes(),
-                timeout_us=self.request_timeout_us)
-        except (RpcTimeout, RpcError):
-            self.flow.on_complete(target)
-            if not waiter.triggered:
-                waiter.succeed(None)
-            return
-        # The reply may come from a different vnode (request shipping);
-        # credit the partition that actually served us.
-        credited = reply.served_by or target
-        self.flow.on_response(credited, reply.tokens)
-        self.flow.on_complete(target)
-        if not waiter.triggered:
-            waiter.succeed(reply)
 
     def __repr__(self):
         return "<FrontEndClient %s ops=%d>" % (self.address,

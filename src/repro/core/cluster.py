@@ -152,12 +152,6 @@ class LeedCluster:
                 read_policy=config.read_policy,
                 tracer=self.tracer,
                 trace_sample_interval=config.trace_sample_interval)
-            if getattr(config.options, "fast_datapath", False):
-                client.turbo = True
-                client.flow.inline_rounds = True
-                client.rpc.coalesce = True
-                client.rpc.coalesce_limit = getattr(
-                    config.options, "rpc_coalesce_limit", 8)
             self.clients.append(client)
             self.control_plane.subscribe(client.address)
             self.metrics.register_histogram(

@@ -22,7 +22,6 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.hist import LatencyHistogram
 from repro.sim.core import Simulator
-from repro.sim.events import Event
 
 
 @dataclass
@@ -80,15 +79,10 @@ class FlowController:
         self._tenant_order: List[str] = []
         self._rr_index = 0
         self.stats = FlowStats()
-        self._kick = Event(sim)
-        #: Fast path (``fast_datapath``): run scheduling rounds
-        #: synchronously from :meth:`_wake` instead of kicking the
-        #: scheduler process — saves one event per wake at the cost of
-        #: running the round inside the caller's stack frame.
-        self.inline_rounds = False
+        #: Set while a round runs: a ``send`` callback that re-enters
+        #: :meth:`_wake` must not nest a second round inside it.
         self._in_round = False
         self._queued_count = 0
-        self._runner = sim.process(self._run(), name=name + ".sched")
 
     # -- target state ------------------------------------------------------------
 
@@ -133,32 +127,20 @@ class FlowController:
 
     def queued(self) -> int:
         """Requests still waiting in the front-end tenant queues."""
-        return sum(len(q) for q in self._tenant_queues.values())
+        return self._queued_count
 
     # -- scheduling loop (Algorithm 1) -------------------------------------------------
 
     def _wake(self) -> None:
-        if self.inline_rounds:
-            # Nothing queued -> nothing a round could submit.  (Inline
-            # mode only: the event-driven scheduler keeps its exact
-            # kick-per-wake schedule.)
-            if self.enabled and not self._in_round and self._queued_count:
-                self._in_round = True
-                try:
-                    self._schedule_round()
-                finally:
-                    self._in_round = False
-            return
-        if not self._kick.triggered:
-            self._kick.succeed()
-
-    def _run(self):
-        while True:
-            yield self._kick
-            self._kick = Event(self.sim)
-            if not self.enabled:
-                continue
-            self._schedule_round()
+        """Run a scheduling round in the caller's frame — there is no
+        scheduler process.  Nothing queued: nothing a round could
+        submit."""
+        if self.enabled and not self._in_round and self._queued_count:
+            self._in_round = True
+            try:
+                self._schedule_round()
+            finally:
+                self._in_round = False
 
     def _schedule_round(self) -> None:
         self.stats.rounds += 1

@@ -85,8 +85,7 @@ class PartitionIOEngine:
 
     def __init__(self, sim: Simulator, store: LeedDataStore,
                  token_capacity: int = DEFAULT_TOKEN_CAPACITY,
-                 waiting_capacity: int = 64, name: str = "engine",
-                 admission_batch: int = 1):
+                 waiting_capacity: int = 64, name: str = "engine"):
         self.sim = sim
         self.store = store
         self.name = name
@@ -102,11 +101,6 @@ class PartitionIOEngine:
         self.tenant_weights: Dict[str, float] = {}
         self._weight_total = 0.0
         self._release_waiters: Deque[Event] = deque()
-        #: Max commands pulled from the waiting queue per scheduler
-        #: wakeup; each is then admitted FCFS and executed on the
-        #: per-command path.  1 keeps the exact one-command-per-wakeup
-        #: schedule.
-        self.admission_batch = max(int(admission_batch), 1)
         #: Commands queued and not admitted yet (in the queue, handed to
         #: the scheduler, or there waiting for tokens): ahead of arrivals.
         self._unadmitted = 0
@@ -240,33 +234,27 @@ class PartitionIOEngine:
 
     def _run(self):
         while True:
-            batch = [(yield self.waiting.get())]
-            while len(batch) < self.admission_batch:
-                extra = self.waiting.try_get()
-                if extra is None:
-                    break
-                batch.append(extra)
-            for command in batch:
-                if self._tokens < command.token_cost:
-                    # The queue wait ends here; the wait for tokens (the
-                    # active queue's serving capability) is its own span.
-                    token_ctx = None
-                    if command.trace is not None:
-                        command.queue_span.finish()
-                        command.queue_span = None
-                        token_ctx = command.trace.child(
-                            "engine.tokens", cat="engine",
-                            args={"cost": command.token_cost})
-                    while self._tokens < command.token_cost:
-                        released = Event(self.sim)
-                        self._release_waiters.append(released)
-                        yield released
-                    if token_ctx is not None:
-                        token_ctx.finish()
-                self._admit(command)
-                self._unadmitted -= 1
-                self.sim.process(self._execute(command),
-                                 name=self.name + ".exec")
+            command = yield self.waiting.get()
+            if self._tokens < command.token_cost:
+                # The queue wait ends here; the wait for tokens (the
+                # active queue's serving capability) is its own span.
+                token_ctx = None
+                if command.trace is not None:
+                    command.queue_span.finish()
+                    command.queue_span = None
+                    token_ctx = command.trace.child(
+                        "engine.tokens", cat="engine",
+                        args={"cost": command.token_cost})
+                while self._tokens < command.token_cost:
+                    released = Event(self.sim)
+                    self._release_waiters.append(released)
+                    yield released
+                if token_ctx is not None:
+                    token_ctx.finish()
+            self._admit(command)
+            self._unadmitted -= 1
+            self.sim.process(self._execute(command),
+                             name=self.name + ".exec")
 
     #: Writes hitting a full log wait for compaction and retry (the
     #: paper: "PUTs would be served slowly if the new log entry

@@ -98,18 +98,16 @@ class LeedOptions:
     maintenance_poll_us: float = 500.0
     #: Heartbeat period, µs.
     heartbeat_period_us: float = 50_000.0
-    #: The figure-moving half of the batched datapath
-    #: (docs/performance.md): fused GETs dispatched without a process,
-    #: inline client flow rounds, callback client calls and
-    #: same-destination SEND coalescing.  Default off: paper figures
-    #: come from the reference pipeline.
+    #: The fused GET (docs/performance.md) and nothing else: an
+    #: untraced GET is dispatched when it arrives and served on the
+    #: analytic clock (``store.get_at``) without a process.  Clients,
+    #: RPC and every write run the same code either way.  Default off:
+    #: paper figures come from the reference pipeline.
     fast_datapath: bool = False
-    #: Commands the partition engine may drain per scheduler wakeup,
-    #: each then executed on the per-command path.  1 = exact
-    #: one-command-per-wakeup admission schedule.
+    #: No reader.  The field survives because the frozen ``leedbench/``
+    #: passes ``admission_batch=8``; it leaves with the next
+    #: benchmark-owning PR.
     admission_batch: int = 1
-    #: Max deferred same-destination requests packed into one SEND.
-    rpc_coalesce_limit: int = 8
     #: Journal replicated writes in the per-partition WAL
     #: (:mod:`repro.core.wal`) so :meth:`JBOFNode.recover` can replay
     #: intents whose acknowledgment was lost to a crash.  Appends are
@@ -328,8 +326,7 @@ class JBOFNode:
             self.sim, store,
             token_capacity=self.options.token_capacity,
             waiting_capacity=self.options.waiting_capacity,
-            name=vnode_id + ".engine",
-            admission_batch=self.options.admission_batch)
+            name=vnode_id + ".engine")
         compactor = Compactor(store, self.options.compaction)
         return VNodeRuntime(vnode_id, store, engine, compactor)
 
@@ -419,14 +416,14 @@ class JBOFNode:
 
         The reference pipeline starts the handler process when that
         CPU slice ends.  ``fast_datapath`` (docs/performance.md) books
-        the slice on the core's calendar (busy accounting unchanged)
-        without waiting out the sub-microsecond charge: an untraced
-        request is dispatched right here, and a clean-replica GET —
-        the bulk of read traffic — is served callback-style with no
-        process at all.
+        an untraced GET's slice on the core's calendar (busy accounting
+        unchanged) without waiting out the sub-microsecond charge: the
+        GET is dispatched right here, and on a clean replica — the bulk
+        of read traffic — served callback-style with no process at all.
         """
         body: KVRequest = request.body
-        if self.options.fast_datapath and body.trace is None:
+        if (self.options.fast_datapath and body.op == "get"
+                and body.trace is None):
             self._net_core().charge_at(CYCLE_COSTS["rpc_receive"],
                                        self.sim.now)
             serve = self._dispatch_kv(request, body, fused=True)

@@ -63,19 +63,6 @@ class OneWay:
     nbytes: int
 
 
-@dataclass
-class RpcBatch:
-    """Several coalesced requests sharing one SEND (one envelope).
-
-    Produced by :meth:`RpcEndpoint.flush` when op coalescing packs
-    multiple same-destination deferred calls into a single doorbell;
-    the receiving dispatcher unpacks and serves each request
-    individually.
-    """
-
-    requests: list
-
-
 #: Fixed envelope overhead added to every request/response body.
 ENVELOPE_BYTES = 32
 
@@ -90,7 +77,6 @@ class RpcEndpoint:
         self.address = address
         self.qp = QueuePair(sim, network, address)
         self._handlers: Dict[str, Handler] = {}
-        self._raw_handlers: Dict[str, Handler] = {}
         self._sync_handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
         self._request_ids = itertools.count(1)
@@ -107,15 +93,6 @@ class RpcEndpoint:
         self.calls_sent = 0
         self.calls_served = 0
         self.notifications_sent = 0
-        #: Op coalescing (client side of the batched datapath): when
-        #: set, calls issued with ``defer=True`` buffer until
-        #: :meth:`flush`, which packs same-destination requests into
-        #: one SEND.  Callers that defer must flush before yielding.
-        self.coalesce = False
-        self.coalesce_limit = 8
-        self._send_buf: Dict[str, list] = {}
-        self.batches_sent = 0
-        self.batched_requests = 0
         # Inbound SENDs dispatch straight from delivery and inbound
         # response WRITEs complete their pending call inline: no CQ
         # consumer processes.
@@ -123,19 +100,6 @@ class RpcEndpoint:
         self.qp.write_handler = self._on_response_delivery
 
     # -- server side ---------------------------------------------------------------
-
-    def register_raw(self, method: str, handler) -> None:
-        """Register a handler that manages its own response.
-
-        The handler is invoked as ``handler(src_address, request)``
-        with the full :class:`RpcRequest` envelope and must arrange
-        for *some* endpoint to call :meth:`respond` on it — possibly a
-        different node, after the request was forwarded along a
-        replication chain (§3.7's request shipping).
-        """
-        if method in self._handlers or method in self._raw_handlers:
-            raise ValueError("handler for %r already registered" % method)
-        self._raw_handlers[method] = handler
 
     def respond(self, request: RpcRequest, body: Any, nbytes: int) -> None:
         """Answer ``request`` from this endpoint with a one-sided WRITE.
@@ -167,10 +131,14 @@ class RpcEndpoint:
     def register_sync(self, method: str, handler) -> None:
         """Register a synchronous handler: invoked inline in the
         delivery event — no handler process — and must not yield.
-        For a request it is a raw handler, ``handler(src, request)``,
-        that arranges the response itself (from a callback or a process
-        it starts); a one-way message comes as ``handler(src, body)``.
-        Takes priority over a generator handler for the same method."""
+        For a request it gets the full envelope, ``handler(src,
+        request)``, and must arrange for *some* endpoint to call
+        :meth:`respond` on it (from a callback or a process it starts)
+        — possibly a different node, after the request was forwarded
+        along a replication chain (§3.7's request shipping).  A one-way
+        message comes as ``handler(src, body)``."""
+        if method in self._handlers or method in self._sync_handlers:
+            raise ValueError("handler for %r already registered" % method)
         self._sync_handlers[method] = handler
 
     def register(self, method: str, handler: Handler) -> None:
@@ -186,28 +154,16 @@ class RpcEndpoint:
         self._handlers[method] = handler
 
     def _on_request_delivery(self, completion: SendCompletion) -> None:
+        src = completion.src
         envelope = completion.payload
-        if isinstance(envelope, RpcBatch):
-            for request in envelope.requests:
-                self._dispatch_one(completion.src, request)
-        else:
-            self._dispatch_one(completion.src, envelope)
-
-    def _dispatch_one(self, src: str, envelope) -> None:
         sync = self._sync_handlers.get(getattr(envelope, "method", None))
         if isinstance(envelope, RpcRequest):
             if sync is not None:
                 sync(src, envelope)
                 return
-            raw = self._raw_handlers.get(envelope.method)
-            if raw is not None:
-                self.sim.process(
-                    self._run(raw, src, envelope),
-                    name="rpc-raw-%s@%s" % (envelope.method, self.address))
-            else:
-                self.sim.process(
-                    self._serve(src, envelope),
-                    name="rpc-serve-%s@%s" % (envelope.method, self.address))
+            self.sim.process(
+                self._serve(src, envelope),
+                name="rpc-serve-%s@%s" % (envelope.method, self.address))
         elif isinstance(envelope, OneWay):
             if sync is not None:
                 sync(src, envelope.body)
@@ -221,7 +177,7 @@ class RpcEndpoint:
             raise RpcError("unexpected envelope %r" % (envelope,))
 
     def _run(self, handler: Handler, src: str, payload: Any):
-        """Process body of a raw (request) or one-way (body) handler."""
+        """Process body of a one-way handler."""
         result = handler(src, payload)
         if hasattr(result, "send"):
             yield from result
@@ -264,20 +220,12 @@ class RpcEndpoint:
                 waiter.succeed(response.body)
 
     def call(self, dst: str, method: str, body: Any, nbytes: int,
-             timeout_us: Optional[float] = None, defer: bool = False) -> Event:
+             timeout_us: Optional[float] = None) -> Event:
         """Issue a request; returns an event yielding the response body.
 
         When ``timeout_us`` is given the event fails with
         :class:`RpcTimeout` if no response arrives in time (needed for
         failure handling — a partitioned node never answers).
-
-        ``defer=True`` (with :attr:`coalesce` set) buffers the SEND
-        until the next :meth:`flush` so several same-destination calls
-        share one doorbell; otherwise the SEND posts immediately.
-        Deferral only pays off when the TX port is busy (the batch
-        rides behind the in-flight message for free) — on an idle link
-        with nothing else buffered it would just add latency, so that
-        case posts immediately too.
 
         Tracing: when ``body`` carries a trace context (duck-typed —
         this layer never imports :mod:`repro.obs`), a ``rpc.<method>``
@@ -298,11 +246,7 @@ class RpcEndpoint:
         request = RpcRequest(request_id, method, body,
                              nbytes, self.address, self._response_region.key)
         self.calls_sent += 1
-        if defer and self.coalesce and (
-                self._send_buf or not self.qp.nic.tx_idle()):
-            self._send_buf.setdefault(dst, []).append(request)
-        else:
-            self.qp.post_send(dst, request, nbytes + ENVELOPE_BYTES)
+        self.qp.post_send(dst, request, nbytes + ENVELOPE_BYTES)
         if timeout_us is not None:
             heapq.heappush(self._deadlines, (self.sim.now + timeout_us,
                                              request_id, dst, method,
@@ -334,32 +278,6 @@ class RpcEndpoint:
                     "%s->%s %s timed out after %gus"
                     % (self.address, dst, method, timeout_us)))
         self._arm_deadline_timer()
-
-    def flush(self) -> None:
-        """Post deferred calls; same-destination requests share a SEND.
-
-        Runs of up to :attr:`coalesce_limit` requests to one
-        destination wrap into an :class:`RpcBatch` paying a single
-        envelope (and, below, a single wire-overhead charge); a lone
-        request posts exactly as an undeferred call would.  No-op when
-        nothing is buffered, so callers may invoke it unconditionally.
-        """
-        if not self._send_buf:
-            return
-        buffered, self._send_buf = self._send_buf, {}
-        for dst, requests in buffered.items():
-            for i in range(0, len(requests), self.coalesce_limit):
-                chunk = requests[i:i + self.coalesce_limit]
-                if len(chunk) == 1:
-                    request = chunk[0]
-                    self.qp.post_send(dst, request,
-                                      request.nbytes + ENVELOPE_BYTES)
-                    continue
-                nbytes = sum(request.nbytes for request in chunk)
-                self.qp.post_send(dst, RpcBatch(chunk),
-                                  nbytes + ENVELOPE_BYTES)
-                self.batches_sent += 1
-                self.batched_requests += len(chunk)
 
     def notify(self, dst: str, method: str, body: Any, nbytes: int) -> None:
         """One-way message; fire-and-forget."""

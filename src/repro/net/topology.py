@@ -99,10 +99,6 @@ class Nic:
         self.tx_messages += 1
         return self._tx_free_at
 
-    def tx_idle(self) -> bool:
-        """True when the transmit port has no serialization backlog."""
-        return self._tx_free_at <= self.sim.now
-
     def order_delivery(self, dst: str, deliver_at: float) -> float:
         """Clamp ``deliver_at`` so (src, dst) delivery stays in order.
 

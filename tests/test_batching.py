@@ -1,12 +1,14 @@
-"""Batched-datapath semantics: batched admission, coalesced RPC, fast paths.
+"""Fast-datapath semantics: engine admission, token accounting, determinism.
 
-The batching layer must change *wall-clock* behaviour only: results,
-ordering, token accounting, and (with knobs off) the event-schedule
-digest all have to match the unbatched reference paths.
+``fast_datapath`` must change how GETs are *simulated* only: results,
+ordering, token accounting, and (with the flag off) the event-schedule
+digest all have to match the reference pipeline, and a workload without
+GETs is the same program either way.
 """
 
 import pytest
 
+from repro.bench import perf
 from repro.bench.harness import build_cluster, load_cluster, run_closed_loop
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.io_engine import KVCommand, PartitionIOEngine
@@ -30,12 +32,11 @@ def make_store(sim, jitter=0.0):
 
 
 class TestEngineBatchedAdmission:
-    def _run_burst(self, admission_batch):
+    def _run_burst(self):
         sim = Simulator()
         store, _ssd = make_store(sim)
         engine = PartitionIOEngine(sim, store, token_capacity=6,
-                                   waiting_capacity=64, name="eng",
-                                   admission_batch=admission_batch)
+                                   waiting_capacity=64, name="eng")
 
         def proc():
             results = []
@@ -52,9 +53,8 @@ class TestEngineBatchedAdmission:
         results, gets = drive(sim, proc())
         return engine, results, gets
 
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_all_commands_complete(self, batch):
-        engine, results, gets = self._run_burst(batch)
+    def test_all_commands_complete(self):
+        engine, results, gets = self._run_burst()
         assert all(r.ok for r in results)
         assert all(g.ok for g in gets)
         assert [g.value for g in gets] == [b"v%d" % i for i in range(16)]
@@ -76,24 +76,55 @@ class TestCoalescedRpc:
         return cluster, stats
 
     def test_coalescing_batches_and_token_accounting(self):
-        cluster, stats = self._drive_cluster(
-            LeedOptions(fast_datapath=True, admission_batch=8))
-        assert stats.failed == 0
-        # At least one SEND actually carried multiple requests.
-        assert sum(c.rpc.batched_requests for c in cluster.clients) >= 2
-        # Flow-control token accounting drains cleanly: nothing left
-        # outstanding or queued once the run completes.
-        for client in cluster.clients:
-            assert client.flow.queued() == 0
-            for view in client.flow.targets.values():
-                assert view.outstanding == 0
+        """Flow-control token accounting drains cleanly under both
+        datapaths: nothing left outstanding or queued once the run
+        completes.  (The name predates the removal of RPC coalescing;
+        kept so the test id stays stable.)"""
+        for options in (None, LeedOptions(fast_datapath=True)):
+            cluster, stats = self._drive_cluster(options)
+            assert stats.failed == 0
+            for client in cluster.clients:
+                assert client.flow.queued() == 0
+                for view in client.flow.targets.values():
+                    assert view.outstanding == 0
 
     def test_fast_datapath_matches_reference_results(self):
         _off_cluster, off = self._drive_cluster(None)
         _on_cluster, on = self._drive_cluster(
-            LeedOptions(fast_datapath=True, admission_batch=8))
+            LeedOptions(fast_datapath=True))
         assert off.failed == 0 and on.failed == 0
         assert on.completed == off.completed
+
+    def test_no_get_workload_ignores_fast_datapath(self):
+        """``fast_datapath`` selects the fused GET and nothing else: a
+        workload that issues no GET (perf ``smoke`` WR shape) simulates
+        bit for bit the same with the flag on and off."""
+        spec = perf.SCALES["smoke"]
+        off = perf.run_once("WR", spec, None)
+        on = perf.run_once("WR", spec, perf.fast_options())
+        assert off["failed"] == 0
+        assert on["figure_digest"] == off["figure_digest"]
+        assert on["events"] == off["events"]
+
+
+class TestPerfCheckGate:
+    def test_no_get_workload_must_hash_equal_on_both_rows(self):
+        row = {"failed": 0, "figure_digest": "a", "wall_ops_per_sec": 1.0}
+        moved = {"baseline": row, "fast": dict(row, figure_digest="b")}
+        failures = perf.check_regressions({"WR": moved})
+        assert len(failures) == 1 and "figure_digest" in failures[0]
+        assert perf.check_regressions(
+            {"WR": {"baseline": row, "fast": row}}) == []
+        # With GETs the rows may differ: that is the fused GET.
+        assert perf.check_regressions({"B": moved}) == []
+
+
+class TestRemovedKnobs:
+    def test_coalesce_limit_is_gone_and_admission_batch_is_inert(self):
+        with pytest.raises(TypeError):
+            LeedOptions(rpc_coalesce_limit=8)
+        # Still accepted (the frozen leedbench passes it); nothing reads it.
+        LeedOptions(fast_datapath=True, admission_batch=8)
 
 
 class TestBatchingDeterminism:
@@ -164,7 +195,7 @@ class TestBatchingDeterminism:
     def test_knobs_on_same_seed_digest_stable(self):
         """The fast datapath may *differ* from the reference schedule,
         but it must still be deterministic for a fixed seed."""
-        options = LeedOptions(fast_datapath=True, admission_batch=8)
+        options = LeedOptions(fast_datapath=True)
         first = self._digest(self._run, options=options)
         second = self._digest(self._run, options=options)
         assert first == second

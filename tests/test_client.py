@@ -135,6 +135,20 @@ class TestRetries:
         assert client.stats.not_found == 1
         assert client.stats.mean_latency_us() > 0
 
+    def test_only_lost_replies_are_swallowed(self):
+        """A timeout or transport error resolves the attempt as a lost
+        reply; any other failure of the RPC waiter is a bug and must
+        surface from ``sim.run``, not be counted as a timeout."""
+        cluster = small_cluster()
+        sim = cluster.sim
+        client = cluster.clients[0]
+        waiter = sim.event()
+        client.rpc.call = lambda *args, **kwargs: waiter
+        sim.schedule(5.0, lambda: waiter.fail(ValueError("boom")))
+        with pytest.raises(ValueError, match="boom"):
+            drive(sim, client.get(b"k"))
+        assert client.stats.timeouts == 0
+
     def test_unavailable_after_total_outage(self):
         cluster = small_cluster(num_jbofs=2)
         sim = cluster.sim

@@ -73,7 +73,12 @@ class TestConfigSpace:
         with pytest.raises(ValueError, match="missing"):
             space.check_point(missing)
         with pytest.raises(ValueError, match="allowed values"):
-            space.check_point(dict(point, admission_batch=999))
+            space.check_point(dict(point, token_capacity=999))
+        # Dimensions deleted with the paths they tuned (multi-drain,
+        # RPC coalescing) are unknown, not silently ignored.
+        for removed in ("admission_batch", "rpc_coalesce_limit"):
+            with pytest.raises(ValueError, match="unknown dimension"):
+                space.check_point(dict(point, **{removed: 8}))
 
     def test_neighbors_step_one_dimension(self):
         space = leed_space()

@@ -255,11 +255,12 @@ class TestWritePathEventBudget:
     #: flush submit hop, value write, bucket_update, segment append,
     #: replication_forward (not the tail) = 26; client reply delivery
     #: 1; two backward acks x (delivery + dirty_map_op) = 4; client
-    #: call / flow-control / worker hops 5; the test process itself 3.
-    PUT_EVENTS = 39
-    DEL_EVENTS = 33          # no value write: 2 events fewer per replica
-    #: client call process + one handler process per replica.
-    PROCESSES = 4
+    #: worker hops 2 (the call is a callback, the flow-control round
+    #: runs inline); the test process itself 3.
+    PUT_EVENTS = 36
+    DEL_EVENTS = 30          # no value write: 2 events fewer per replica
+    #: one handler process per replica.
+    PROCESSES = 3
 
     @staticmethod
     def _measure(cluster, make_op):

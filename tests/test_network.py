@@ -258,8 +258,9 @@ class TestRpc:
         assert heard == [("a", "knock")]
 
     def test_raw_handler_forwarding(self, sim, net):
-        """A raw handler forwards the envelope; the remote responds
-        directly to the original caller (request shipping)."""
+        """A sync handler gets the raw envelope and forwards it; the
+        remote responds directly to the original caller (request
+        shipping), from a scheduled callback."""
         net.attach("c")
         client = RpcEndpoint(sim, net, "a")
         middle = RpcEndpoint(sim, net, "b")
@@ -267,14 +268,12 @@ class TestRpc:
 
         def middle_handler(src, request):
             middle.forward("c", request)
-            yield sim.timeout(0)
 
         def tail_handler(src, request):
-            yield sim.timeout(1)
-            tail.respond(request, "from-tail", 9)
+            sim.schedule(1.0, lambda: tail.respond(request, "from-tail", 9))
 
-        middle.register_raw("kv", middle_handler)
-        tail.register_raw("kv", tail_handler)
+        middle.register_sync("kv", middle_handler)
+        tail.register_sync("kv", tail_handler)
 
         def proc():
             return (yield client.call("b", "kv", "get-x", 5))
@@ -287,4 +286,7 @@ class TestRpc:
         with pytest.raises(ValueError):
             server.register("m", lambda s, b: None)
         with pytest.raises(ValueError):
-            server.register_raw("m", lambda s, r: None)
+            server.register_sync("m", lambda s, r: None)
+        server.register_sync("s", lambda s, r: None)
+        with pytest.raises(ValueError):
+            server.register_sync("s", lambda s, r: None)
