@@ -12,6 +12,7 @@ celebrity keys across the chain).
 Run:  python examples/hot_key_mitigation.py
 """
 
+from repro.core.protocol import ReadPolicy
 from repro.scenarios import run_scenario
 
 
@@ -21,7 +22,9 @@ def main():
                                         "p99 us", "avail"))
     records = {}
     for crrs in (False, True):
-        record = run_scenario("hot_key_storm", crrs=crrs)
+        record = run_scenario(
+            "hot_key_storm",
+            read_policy=ReadPolicy.CRRS if crrs else ReadPolicy.TAIL)
         assert record["invariants"]["lost_acked_writes"] == 0
         storm = next(p for p in record["phases"] if p["name"] == "storm")
         label = "CRRS (ship + tokens)" if crrs else "plain chain (tail)"

@@ -7,9 +7,9 @@ membership, heartbeats) with their own stores plugged in through the
 * no token admission control — the engine gets an effectively
   unbounded token pool, so execution is plain FCFS (what §4.5's
   ablation calls "w/o LS" behaviour, and what FAWN/KVell actually do);
-* no CRRS and no swapping — run these clusters with client-side
-  ``crrs=False`` so reads go to the tail, as in classic chain
-  replication (FAWN) or a replicated KVell deployment.
+* no CRRS and no swapping — their clients read at the tail, as in
+  classic chain replication (FAWN), or round robin over replicas (a
+  replicated KVell deployment).
 
 :func:`make_cluster` builds any of the paper's three deployments:
 
@@ -97,14 +97,18 @@ def make_cluster(system: str = "leed", platform: str = "auto",
                  ssds_per_node: Optional[int] = None,
                  num_clients: int = 2, replication: int = 3,
                  store_config=None, options: Optional[LeedOptions] = None,
-                 seed: int = 0, **cluster_kwargs) -> LeedCluster:
+                 seed: int = 0, flow_control: Optional[bool] = None,
+                 read_policy: Optional[ReadPolicy] = None,
+                 **cluster_kwargs) -> LeedCluster:
     """Assemble one of the paper's deployments.
 
     ``platform`` is "stingray", "server", "pi", or "auto" (the
     platform each system was designed for: LEED→Stingray,
-    KVell→server JBOF, FAWN→Raspberry Pi).  LEED's intra-/inter-JBOF
+    KVell→server JBOF, FAWN→Raspberry Pi).  ``flow_control`` and
+    ``read_policy`` default per system — LEED's intra-/inter-JBOF
     mechanisms stay on only for the LEED system; baselines run without
-    flow control or CRRS, matching their original designs.
+    flow control or CRRS, matching their original designs — and an
+    explicit value (the Fig. 7 / Fig. 8 ablations) overrides that.
     """
     system = system.lower()
     if system not in SYSTEMS:
@@ -132,7 +136,7 @@ def make_cluster(system: str = "leed", platform: str = "auto",
     if options is None:
         options = LeedOptions()
         if system != "leed":
-            options = replace(options, enable_crrs=False, enable_swap=False)
+            options = replace(options, enable_swap=False)
 
     # KVell is share-nothing with one worker per core: give each SSD
     # several worker partitions so a beefy server actually uses its
@@ -150,10 +154,11 @@ def make_cluster(system: str = "leed", platform: str = "auto",
         platform=spec,
         store=store_config,
         options=options,
-        flow_control=(system == "leed"),
-        crrs=(system == "leed"),
-        read_policy={"leed": ReadPolicy.CRRS, "fawn": ReadPolicy.TAIL,
-                     "kvell": ReadPolicy.ANY}[system],
+        flow_control=(system == "leed" if flow_control is None
+                      else flow_control),
+        read_policy=(read_policy or {"leed": ReadPolicy.CRRS,
+                                     "fawn": ReadPolicy.TAIL,
+                                     "kvell": ReadPolicy.ANY}[system]),
         seed=seed,
         nic_profile=nic,
         node_class=node_class,

@@ -39,17 +39,12 @@ class LsmConfig:
     """Geometry for one LSM store."""
 
     region_bytes: int = 32 << 20
-    block_size_hint: Optional[int] = None     # defaults to device block
     #: Memtable flush threshold, bytes of raw records.
     memtable_bytes: int = 256 << 10
     #: L0 runs allowed before compaction into L1.
     l0_limit: int = 4
-    #: Per-level size ratio (level i holds ratio^i x L1 budget).
-    level_ratio: int = 4
     #: L1 size budget in bytes.
     l1_bytes: int = 1 << 20
-    #: Number of levels past L0.
-    max_levels: int = 4
     bits_per_key: int = 10
 
 
@@ -84,6 +79,11 @@ class LsmStats:
 class LsmDataStore:
     """A leveled LSM-tree key-value store on one device region."""
 
+    #: Per-level size ratio (level i holds ratio^i x L1 budget).
+    LEVEL_RATIO = 4
+    #: Number of levels past L0.
+    MAX_LEVELS = 4
+
     def __init__(self, sim: Simulator, ssd: NVMeSSD, config: LsmConfig,
                  region_offset: int = 0, dram: Optional[Dram] = None,
                  core: Optional[Core] = None, name: str = "lsm",
@@ -95,7 +95,7 @@ class LsmDataStore:
         self.store_id = store_id
         self.core = core
         self.dram = dram
-        self.block_size = config.block_size_hint or ssd.block_size
+        self.block_size = ssd.block_size
         self.region_offset = region_offset
         # Extent allocator: fixed-size slabs big enough for the largest
         # single table we expect (one level's budget).
@@ -111,7 +111,7 @@ class LsmDataStore:
         #: levels[0] = list of L0 runs (newest first); levels[i>0] =
         #: one sorted run per level (merged).
         self.levels: List[List[SSTable]] = [[] for _ in
-                                            range(config.max_levels + 1)]
+                                            range(self.MAX_LEVELS + 1)]
         self._table_ids = 0
         #: table_id -> allocated extent size (for exact recycling).
         self._extent_sizes: Dict[int, int] = {}
@@ -146,7 +146,7 @@ class LsmDataStore:
         self._free_extents.setdefault(nbytes, []).append(offset)
 
     def _level_budget(self, level: int) -> int:
-        return self.config.l1_bytes * (self.config.level_ratio
+        return self.config.l1_bytes * (self.LEVEL_RATIO
                                        ** max(level - 1, 0))
 
     def _account_index(self) -> None:

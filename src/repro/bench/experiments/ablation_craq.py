@@ -5,15 +5,14 @@ a version query message (similar to CRAQ) to implicitly serialize
 command processing.  We find that this approach generates more
 internal traffic across JBOFs and perturbs the traffic pattern."
 
-Both mechanisms are implemented (``LeedOptions.dirty_read_mode``).
-This experiment runs a read/write mix hot enough to keep dirty bits
-set — so dirty reads actually occur — and compares throughput,
-latency, and the cross-JBOF messages each mode generates.
+Both mechanisms are implemented, as the ``"chain"`` and ``"craq"``
+replication protocols.  This experiment runs a read/write mix hot
+enough to keep dirty bits set — so dirty reads actually occur — and
+compares throughput, latency, and the cross-JBOF messages each mode
+generates.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro.bench.harness import (
     QUICK,
@@ -23,8 +22,6 @@ from repro.bench.harness import (
     run_closed_loop,
     scale_profile,
 )
-from repro.core.jbof import LeedOptions
-from repro.core.replication import DirtyReadMode
 from repro.workloads.ycsb import YCSBWorkload
 
 
@@ -37,12 +34,11 @@ def run(scale: str = QUICK) -> ExperimentResult:
                  "version_queries", "extra_bytes"])
     # Few records + write-heavy mix keeps keys dirty while reads race.
     records = max(profile.num_records // 10, 40)
-    for mode in (DirtyReadMode.SHIP, DirtyReadMode.CRAQ):
-        options = replace(LeedOptions(), dirty_read_mode=mode)
+    for protocol, mode in (("chain", "ship"), ("craq", "craq")):
         workload = YCSBWorkload("A", records, value_size=1024,
                                 skew=0.99, seed=77)
-        cluster = build_cluster("leed", scale=scale, options=options,
-                                seed=77)
+        cluster = build_cluster("leed", scale=scale, seed=77,
+                                replication_protocol=protocol)
         load_cluster(cluster, workload)
         stats = run_closed_loop(cluster, workload, profile.num_ops,
                                 profile.concurrency * 4)
@@ -52,7 +48,7 @@ def run(scale: str = QUICK) -> ExperimentResult:
                 shipped += runtime.stats.reads_shipped
                 queries += runtime.stats.version_queries
                 extra += runtime.stats.version_query_bytes
-        result.add(mode=str(mode), kqps=stats.throughput_qps / 1e3,
+        result.add(mode=mode, kqps=stats.throughput_qps / 1e3,
                    avg_ms=stats.mean_latency_us() / 1e3,
                    p999_ms=stats.percentile_us(0.999) / 1e3,
                    reads_shipped=shipped, version_queries=queries,

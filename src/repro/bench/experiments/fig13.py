@@ -168,7 +168,7 @@ def run_inter(scale: str = QUICK) -> ExperimentResult:
                                 or store.needs_value_compaction()):
                             slots[0] += 1
 
-                            def one(compactor=compactor):
+                            def one(compactor=compactor, slots=slots):
                                 try:
                                     yield from compactor.maintenance()
                                 finally:

@@ -17,6 +17,7 @@ from repro.bench.harness import (
     run_closed_loop,
     scale_profile,
 )
+from repro.core.protocol import ReadPolicy
 from repro.workloads.ycsb import YCSBWorkload
 
 SKEWS_QUICK = (0.1, 0.5, 0.9, 0.99)
@@ -35,8 +36,10 @@ def run(scale: str = QUICK) -> ExperimentResult:
             for crrs in (True, False):
                 workload = YCSBWorkload(workload_name, profile.num_records,
                                         value_size=1024, skew=skew, seed=7)
-                cluster = build_cluster("leed", scale=scale, crrs=crrs,
-                                        seed=7)
+                cluster = build_cluster(
+                    "leed", scale=scale, seed=7,
+                    read_policy=(ReadPolicy.CRRS if crrs
+                                 else ReadPolicy.TAIL))
                 load_cluster(cluster, workload)
                 stats = run_closed_loop(cluster, workload,
                                         profile.num_ops,

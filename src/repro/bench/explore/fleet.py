@@ -113,7 +113,7 @@ def run_trial(payload: dict) -> dict:
         return _run_scenario_trial(payload)
     spec = TRIAL_SCALES[payload["scale"]]
     value_size = payload["value_size"]
-    profile = scale_profile(spec.get("profile", "quick"), value_size)
+    profile = scale_profile("quick", value_size)
     store = StoreConfig(num_segments=profile.num_segments,
                         key_log_bytes=profile.key_log_bytes,
                         value_log_bytes=profile.value_log_bytes)
@@ -133,9 +133,7 @@ def run_trial(payload: dict) -> dict:
     num_ops = max(int(spec["ops"] * payload["ops_fraction"]), MIN_TRIAL_OPS)
     concurrency = int(payload["run"].get("concurrency", spec["concurrency"]))
     try:
-        return measure_run_phase(
-            cluster, workload, num_ops, concurrency,
-            load_parallelism=spec.get("load_parallelism", 16))
+        return measure_run_phase(cluster, workload, num_ops, concurrency)
     except Exception as exc:
         # Some design points are simply broken deployments (e.g. a
         # protocol that deterministically times out on a too-slow

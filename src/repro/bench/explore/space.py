@@ -231,17 +231,17 @@ def leed_space() -> ConfigSpace:
     """The LEED deployment design space (sim-outcome dimensions).
 
     Covers the knobs the paper sampled by hand plus the ones this
-    reproduction grew since: the fused GET, flow-control tokens,
-    partitions per JBOF, platform mix, and the replication protocol
-    (a first-class dimension — protocol choice alone shifts the
-    throughput/latency frontier on wimpy NIC cores).
+    reproduction grew since: flow-control tokens, partitions per
+    JBOF, platform mix, and the replication protocol (a first-class
+    dimension — protocol choice alone shifts the throughput/latency
+    frontier on wimpy NIC cores).  ``fast_datapath`` is not one: the
+    objective is sim-derived, so searching over it would optimise the
+    fused GET's model error (docs/performance.md), not the design.
     Defaults reproduce the stock ``ClusterConfig`` /
     ``LeedOptions``, so "the best point beats the default" compares
     against what a user gets out of the box.
     """
     return ConfigSpace([
-        Dimension("fast_datapath", (False, True), "options",
-                  description="fused GET on the analytic clock"),
         Dimension("token_capacity", (48, 96, 192), "options", default=96,
                   description="flow-control token pool per partition "
                               "engine"),

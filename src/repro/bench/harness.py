@@ -40,7 +40,6 @@ from repro.workloads.ycsb import YCSBWorkload, make_key, make_value
 
 QUICK = "quick"
 FULL = "full"
-XLARGE = "xlarge"
 
 
 @dataclass
@@ -50,10 +49,8 @@ class ScaleProfile:
     num_records: int
     num_ops: int
     concurrency: int
-    ssd_capacity_bytes: int
     key_log_bytes: int
     value_log_bytes: int
-    block_size: int = 512
     num_jbofs: int = 3
     ssds_per_jbof: int = 2
     num_clients: int = 2
@@ -67,36 +64,13 @@ def scale_profile(scale: str = QUICK, value_size: int = 1024) -> ScaleProfile:
             num_records=600,
             num_ops=1500,
             concurrency=24,
-            ssd_capacity_bytes=96 << 20,
             key_log_bytes=4 << 20,
             value_log_bytes=24 << 20,
-        )
-    if scale == XLARGE:
-        # Rack-scale geometry for the perf suite's 10^6-key tier: the
-        # ``full`` rings are sized for thousands of keys per partition
-        # and a million-key load appends an order of magnitude more
-        # segment-blob churn than key-log compaction can reclaim
-        # through a 16 MB ring (LogFullError mid-load).  Live state
-        # per partition is ~8 MB of segments + ~30 MB of values, so
-        # these rings keep fill fractions in compaction's comfortable
-        # range.  Flash is dict-backed sparse storage, so the larger
-        # regions only cost what is actually written.
-        return ScaleProfile(
-            num_records=1_000_000,
-            num_ops=100_000,
-            concurrency=256,
-            ssd_capacity_bytes=2 << 30,
-            key_log_bytes=64 << 20,
-            value_log_bytes=256 << 20,
-            num_segments=4096,
-            num_jbofs=16,
-            num_clients=64,
         )
     return ScaleProfile(
         num_records=4000,
         num_ops=12000,
         concurrency=48,
-        ssd_capacity_bytes=512 << 20,
         key_log_bytes=16 << 20,
         value_log_bytes=96 << 20,
     )
@@ -157,7 +131,7 @@ def _fmt(value) -> str:
 def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
                   options: Optional[LeedOptions] = None,
                   flow_control: Optional[bool] = None,
-                  crrs: Optional[bool] = None, seed: int = 0,
+                  read_policy: Optional[ReadPolicy] = None, seed: int = 0,
                   num_nodes: Optional[int] = None,
                   num_clients: Optional[int] = None,
                   replication: int = 3,
@@ -170,6 +144,8 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     in seconds.  The functional flash is sparse, so unused capacity
     costs nothing.
 
+    ``flow_control`` / ``read_policy`` override the system's defaults
+    (the Fig. 8 / Fig. 7 ablations); ``None`` keeps them.
     ``sanitize_seed`` enables the order-dependence sanitizer:
     same-timestamp scheduling ties are permuted by the ``sim.sanitize``
     stream seeded with that value (see ``repro.lint.sanitize``).
@@ -195,7 +171,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     else:
         raise ValueError("unknown system %r" % system)
 
-    cluster = make_cluster(
+    return make_cluster(
         system,
         num_nodes=(num_nodes if num_nodes is not None
                    else (10 if system == "fawn" else profile.num_jbofs)),
@@ -205,16 +181,8 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
         replication=replication,
         replication_protocol=replication_protocol,
         store_config=store, options=options, seed=seed,
-        sanitize=sanitize_seed is not None,
-        sanitize_seed=sanitize_seed if sanitize_seed is not None else 0)
-    if flow_control is not None:
-        for client in cluster.clients:
-            client.flow.enabled = flow_control
-    if crrs is not None:
-        for client in cluster.clients:
-            client.crrs = crrs
-            client.read_policy = ReadPolicy.CRRS if crrs else ReadPolicy.TAIL
-    return cluster
+        flow_control=flow_control, read_policy=read_policy,
+        sanitize_seed=sanitize_seed)
 
 
 def load_cluster(cluster: LeedCluster, workload: YCSBWorkload,
@@ -333,17 +301,6 @@ def run_open_loop(cluster: LeedCluster, workload: YCSBWorkload,
     for driver in drivers[1:]:
         stats = stats.merge(driver.stats)
     return stats
-
-
-def latency_summary(cluster: LeedCluster, label: str = "bench") -> list:
-    """BENCH_*.json-ready latency rows from the cluster's histograms.
-
-    One row per registered client histogram, with ``count`` /
-    ``mean_us`` / ``p50_us`` / ``p95_us`` / ``p99_us`` / ``p999_us``
-    columns — the digest-friendly replacement for dumping raw latency
-    lists.
-    """
-    return cluster.metrics.bench_records(label)
 
 
 # -- single-store (no network) harness: Table 3, Figs 11-13 ----------------------------------

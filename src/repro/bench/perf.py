@@ -4,9 +4,8 @@ Usage::
 
     PYTHONPATH=src python -m repro.bench.perf            # full run
     PYTHONPATH=src python -m repro.bench.perf --smoke    # CI-sized run
-    PYTHONPATH=src python -m repro.bench.perf --check    # fail on regression
+    PYTHONPATH=src python -m repro.bench.perf --check    # gate the figures
     PYTHONPATH=src python -m repro.bench.perf --scale large
-    PYTHONPATH=src python -m repro.bench.perf --rebaseline
 
 Runs fixed-seed YCSB-B / YCSB-C / write-heavy (WR) workloads against a
 quick-scale LEED cluster twice per trial: once on the digest-stable
@@ -17,18 +16,20 @@ and sim-time latency summaries into ``BENCH_perf.json``.
 Every row carries ``figure_digest`` (a hash of its sim-derived
 metrics), so two commits or two machines can be checked for having
 simulated the same thing before their wall-clock numbers are compared.
-``fast_datapath`` changes only how GETs are served, so ``--check``
-fails when a workload without GETs (WR) hashes differently on its
-``fast`` and ``baseline`` rows.
+``--check`` is that check, and it is machine-independent: a measured
+row must hash to the committed ``BENCH_perf.json`` row of the same
+scale / workload / mode (compared only under the python version the
+committed file records — float repr differs across versions), no row
+may report a failed op, and — ``fast_datapath`` changes only how GETs
+are served — a workload without GETs (WR) must hash the same on its
+``fast`` and ``baseline`` rows.  Wall-clock is not gated here;
+``leedbench/`` owns that, with calibrated timing.
 
 Wall-clock throughput on shared CI machines is noisy (we have observed
 +/-35% across back-to-back identical runs), so the harness interleaves
 knobs-off and knobs-on trials and reports the best of N for each mode:
 best-of is far more stable than mean under external interference, and
-interleaving means both modes sample the same machine conditions.  The
-frozen numbers in ``perf_baseline.json`` (measured pre-batching) are
-reported alongside for cross-commit context, but ``--check`` compares
-against them with a generous margin for exactly this reason.
+interleaving means both modes sample the same machine conditions.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import json
 import os
 import statistics
 import sys
+from typing import Optional
 
 from repro.bench.harness import build_cluster, measure_run_phase
 from repro.core.jbof import LeedOptions
@@ -47,15 +49,8 @@ from repro.workloads.ycsb import YCSBWorkload
 SEED = 11
 VALUE_SIZE = 256
 
-#: scale -> run shape.  The ``default`` and ``smoke`` shapes must match
-#: ``perf_baseline.json``; ``large`` runs long enough for steady
-#: wall-clock numbers and is intentionally absent from the frozen
-#: baseline.
-#: ``xlarge`` is the rack-scale tier (16 JBOFs, 64 clients, 10^6 keys,
-#: 10^5 ops) backing the fig6/fig13-style claims; it runs the ``xlarge``
-#: store geometry (64 MB key / 256 MB value rings, 4096 segments) so
-#: three replicas of the keyspace fit with compaction headroom, and
-#: pins YCSB-B only — the other workloads add hours, not coverage.
+#: scale -> run shape.  ``large`` runs long enough for steady
+#: wall-clock numbers.
 SCALES = {
     "default": {"records": 600, "ops": 3000, "concurrency": 24,
                 "num_jbofs": 3, "num_clients": 2},
@@ -63,24 +58,16 @@ SCALES = {
               "num_jbofs": 3, "num_clients": 2},
     "large": {"records": 2000, "ops": 20000, "concurrency": 64,
               "num_jbofs": 4, "num_clients": 8},
-    "xlarge": {"records": 1_000_000, "ops": 100_000, "concurrency": 256,
-               "num_jbofs": 16, "num_clients": 64, "profile": "xlarge",
-               "load_parallelism": 64, "workloads": ("B",)},
 }
 
-#: scales captured in perf_baseline.json (``--rebaseline`` rewrites
-#: exactly these; ``large`` stays out so the frozen file never churns).
-FROZEN_SCALES = ("default", "smoke")
+#: scales a run without ``--scale`` / ``--smoke`` measures.
+DEFAULT_SCALES = ("default", "smoke")
 
 WORKLOADS = ("B", "C", "WR")
 
-#: ``--check`` fails if best knobs-on throughput drops below this
-#: fraction of the frozen baseline's knobs-off throughput.  The fast
-#: datapath measures ~1.7-2x the baseline, so even a 35% slower
-#: machine stays comfortably above 0.7x.
-CHECK_FLOOR = 0.7
-
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "perf_baseline.json")
+#: The committed report whose figure digests ``--check`` compares
+#: against (read before this run's report is written over it).
+COMMITTED_PATH = "BENCH_perf.json"
 
 
 def fast_options() -> LeedOptions:
@@ -94,36 +81,14 @@ def run_once(workload_name: str, spec: dict, options) -> dict:
     The row is :func:`repro.bench.harness.measure_run_phase`'s (only
     the run phase is timed — cluster build and YCSB load are setup).
     """
-    cluster = build_cluster("leed", scale=spec.get("profile", "quick"),
-                            value_size=VALUE_SIZE,
+    cluster = build_cluster("leed", value_size=VALUE_SIZE,
                             seed=SEED, options=options,
                             num_nodes=spec["num_jbofs"],
                             num_clients=spec["num_clients"])
     workload = YCSBWorkload(workload_name, num_records=spec["records"],
                             seed=SEED, value_size=VALUE_SIZE)
     return measure_run_phase(cluster, workload, spec["ops"],
-                             spec["concurrency"],
-                             load_parallelism=spec.get("load_parallelism", 16))
-
-
-def scale_workloads(scale: str, requested=None) -> tuple:
-    """Workloads to run for ``scale``: the CLI filter if given, else
-    the scale's own pin (xlarge runs YCSB-B only), else all three.
-
-    A requested workload the scale does not allow is an error, not a
-    silent filter — asking xlarge for WR should fail fast, never
-    quietly run B instead.
-    """
-    allowed = tuple(SCALES[scale].get("workloads", WORKLOADS))
-    if requested:
-        unknown = [name for name in requested if name not in allowed]
-        if unknown:
-            raise ValueError(
-                "workload(s) %s not available at scale %r "
-                "(this scale allows: %s)"
-                % (",".join(unknown), scale, ",".join(allowed)))
-        return tuple(requested)
-    return allowed
+                             spec["concurrency"])
 
 
 def trial_stats(samples: list) -> dict:
@@ -142,7 +107,7 @@ def trial_stats(samples: list) -> dict:
 def measure_scale(scale: str, trials: int, workloads=None) -> dict:
     """Interleaved best-of-N knobs-off vs knobs-on rows per workload."""
     spec = SCALES[scale]
-    names = scale_workloads(scale, workloads)
+    names = workloads or WORKLOADS
     best = {name: {"baseline": None, "fast": None} for name in names}
     samples = {name: {"baseline": [], "fast": []} for name in names}
     for trial in range(trials):
@@ -172,14 +137,8 @@ def measure_scale(scale: str, trials: int, workloads=None) -> dict:
     return best
 
 
-def load_frozen_baseline() -> dict:
-    with open(BASELINE_PATH) as handle:
-        return json.load(handle)
-
-
-def summarize(scale: str, best: dict, frozen: dict) -> dict:
-    """Attach frozen-baseline numbers, speedups, and latency parity."""
-    frozen_rows = frozen.get("scales", {}).get(scale, {})
+def summarize(best: dict) -> dict:
+    """Attach the measured speedup and latency parity to each row pair."""
     report = {}
     for name in best:
         baseline = best[name]["baseline"]
@@ -197,22 +156,20 @@ def summarize(scale: str, best: dict, frozen: dict) -> dict:
             "p99_ratio": round(fast["p99_latency_us"]
                                / baseline["p99_latency_us"], 4),
         }
-        frozen_row = frozen_rows.get(name)
-        if frozen_row:
-            entry["frozen_baseline_ops_per_sec"] = (
-                frozen_row["wall_ops_per_sec"])
-            entry["speedup_vs_frozen_baseline"] = round(
-                fast["wall_ops_per_sec"] / frozen_row["wall_ops_per_sec"], 2)
         report[name] = entry
     return report
 
 
-def check_regressions(report: dict) -> list:
-    """Rows failing the ``--check`` floor, as human-readable strings."""
+def check_regressions(report: dict, committed: Optional[dict] = None) -> list:
+    """Rows of one scale failing ``--check``, as human-readable strings.
+
+    ``committed`` is the same scale of the committed report; a measured
+    row with no committed counterpart is not compared.
+    """
+    committed = committed or {}
     failures = []
     for name, entry in report.items():
-        # Failed ops are a correctness signal, so they gate every
-        # scale — including ones with no frozen throughput row.
+        # Failed ops are a correctness signal, so they gate every scale.
         if entry["fast"]["failed"] or entry["baseline"]["failed"]:
             failures.append("%s: run reported failed operations" % name)
         # fast_datapath only changes how GETs are served: a workload
@@ -225,51 +182,13 @@ def check_regressions(report: dict) -> list:
                 "%s: no GETs, yet fast figure_digest %s != baseline %s"
                 % (name, entry["fast"]["figure_digest"],
                    entry["baseline"]["figure_digest"]))
-        frozen_ops = entry.get("frozen_baseline_ops_per_sec")
-        if frozen_ops is None:
-            continue
-        fast_ops = entry["fast"]["wall_ops_per_sec"]
-        if fast_ops < CHECK_FLOOR * frozen_ops:
-            failures.append(
-                "%s: fast datapath %.0f ops/s is below %.0f%% of the "
-                "frozen baseline %.0f ops/s"
-                % (name, fast_ops, CHECK_FLOOR * 100, frozen_ops))
+        for mode in ("baseline", "fast"):
+            want = committed.get(name, {}).get(mode, {}).get("figure_digest")
+            if want is not None and entry[mode]["figure_digest"] != want:
+                failures.append(
+                    "%s %s: figure_digest %s != committed %s"
+                    % (name, mode, entry[mode]["figure_digest"], want))
     return failures
-
-
-def rebaseline(trials: int) -> None:
-    """Re-measure the knobs-off reference and rewrite perf_baseline.json."""
-    scales = {}
-    for scale in FROZEN_SCALES:
-        spec = SCALES[scale]
-        rows = {}
-        for name in WORKLOADS:
-            best = None
-            for _ in range(trials):
-                row = run_once(name, spec, None)
-                row.pop("events", None)
-                row.pop("events_per_sec", None)
-                row.pop("events_per_op", None)
-                if (best is None
-                        or row["wall_ops_per_sec"]
-                        > best["wall_ops_per_sec"]):
-                    best = row
-            rows[name] = best
-            print("rebaseline %s %s: %.0f ops/s"
-                  % (scale, name, best["wall_ops_per_sec"]))
-        scales[scale] = rows
-    payload = {
-        "note": ("Knobs-off wall-clock baseline for repro.bench.perf. "
-                 "Regenerate with: python -m repro.bench.perf --rebaseline "
-                 "(only on a machine comparable to CI)."),
-        "seed": SEED,
-        "value_size": VALUE_SIZE,
-        "scales": scales,
-    }
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % BASELINE_PATH)
 
 
 def main(argv=None) -> int:
@@ -281,24 +200,22 @@ def main(argv=None) -> int:
                              "(alias for --scale smoke)")
     parser.add_argument("--scale", choices=tuple(SCALES), action="append",
                         help="run this scale (repeatable); without it "
-                             "(or --smoke) the frozen-baseline scales "
-                             "run")
+                             "(or --smoke) %s run"
+                             % " and ".join(DEFAULT_SCALES))
     parser.add_argument("--workloads", default=None,
                         help="comma-separated workload filter, e.g. "
-                             "'B' or 'B,WR' (default: all the scale "
-                             "allows)")
+                             "'B' or 'B,WR' (default: all)")
     parser.add_argument("--check", action="store_true",
-                        help="exit nonzero if throughput regresses more "
-                             "than %d%%%% below the frozen baseline"
-                             % round((1 - CHECK_FLOOR) * 100))
+                        help="exit nonzero when a row's figure_digest "
+                             "differs from the committed ./%s row, a row "
+                             "reports a failed op, or a workload without "
+                             "GETs differs between its two rows"
+                             % COMMITTED_PATH)
     parser.add_argument("--trials", type=int, default=3,
                         help="interleaved trials per mode (default 3); "
                              "best-of is reported")
     parser.add_argument("--output", default="BENCH_perf.json",
                         help="report path (default BENCH_perf.json)")
-    parser.add_argument("--rebaseline", action="store_true",
-                        help="re-measure the knobs-off baseline and "
-                             "rewrite perf_baseline.json")
     args = parser.parse_args(argv)
 
     workloads = None
@@ -310,43 +227,46 @@ def main(argv=None) -> int:
             parser.error("unknown workloads: %s (choose from %s)"
                          % (",".join(unknown), ",".join(WORKLOADS)))
 
-    if args.rebaseline:
-        rebaseline(args.trials)
-        return 0
-
-    frozen = load_frozen_baseline()
     if args.scale:
         scales = tuple(args.scale)
     elif args.smoke:
         scales = ("smoke",)
     else:
-        scales = FROZEN_SCALES
-    # Fail before any measurement if a requested workload is not
-    # available at one of the requested scales.
-    if workloads:
-        for scale in scales:
-            try:
-                scale_workloads(scale, workloads)
-            except ValueError as exc:
-                parser.error(str(exc))
+        scales = DEFAULT_SCALES
+    python = "%d.%d" % sys.version_info[:2]
+    # Read the committed rows now: --output defaults to the same file.
+    committed = {}
+    if args.check:
+        try:
+            with open(COMMITTED_PATH) as handle:
+                recorded = json.load(handle)
+        except (OSError, ValueError) as exc:
+            parser.error("--check compares against ./%s: %s"
+                         % (COMMITTED_PATH, exc))
+        if recorded.get("python") == python:
+            committed = recorded["scales"]
+        else:
+            print("figure digests not compared: ./%s was recorded under "
+                  "python %s, this is %s"
+                  % (COMMITTED_PATH, recorded.get("python"), python))
     report = {
         "seed": SEED,
         "value_size": VALUE_SIZE,
         "trials": args.trials,
         "cpu_count": os.cpu_count(),
+        "python": python,
         "fast_options": {"fast_datapath": True},
         "scales": {},
     }
     for scale in scales:
         spec = SCALES[scale]
         print("scale %s (%d records, %d ops, %d concurrency, %d jbofs, "
-              "%d clients, profile=%s, workloads=%s)"
+              "%d clients, workloads=%s)"
               % (scale, spec["records"], spec["ops"], spec["concurrency"],
                  spec["num_jbofs"], spec["num_clients"],
-                 spec.get("profile", "quick"),
-                 ",".join(scale_workloads(scale, workloads))))
-        best = measure_scale(scale, args.trials, workloads=workloads)
-        report["scales"][scale] = summarize(scale, best, frozen)
+                 ",".join(workloads or WORKLOADS)))
+        report["scales"][scale] = summarize(
+            measure_scale(scale, args.trials, workloads=workloads))
 
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -356,27 +276,30 @@ def main(argv=None) -> int:
     for scale, rows in report["scales"].items():
         for name, entry in rows.items():
             print("%s/%s: baseline %.0f ops/s, fast %.0f ops/s "
-                  "(%.2fx measured%s), latency parity mean %.3f p99 %.3f"
+                  "(%.2fx measured), latency parity mean %.3f p99 %.3f"
                   % (scale, name,
                      entry["baseline"]["wall_ops_per_sec"],
                      entry["fast"]["wall_ops_per_sec"],
                      entry["speedup_vs_measured_baseline"],
-                     ", %.2fx vs frozen"
-                     % entry["speedup_vs_frozen_baseline"]
-                     if "speedup_vs_frozen_baseline" in entry else "",
                      entry["latency_parity"]["mean_ratio"],
                      entry["latency_parity"]["p99_ratio"]))
 
     if args.check:
         failures = []
-        for rows in report["scales"].values():
-            failures.extend(check_regressions(rows))
+        compared = 0
+        for scale, rows in report["scales"].items():
+            reference = committed.get(scale, {})
+            failures.extend(check_regressions(rows, reference))
+            compared += sum(mode in reference.get(name, {})
+                            for name in rows for mode in ("baseline", "fast"))
         if failures:
             for line in failures:
                 print("PERF REGRESSION: %s" % line, file=sys.stderr)
             return 1
-        print("perf check passed (floor %.0f%% of frozen baseline)"
-              % (CHECK_FLOOR * 100))
+        print("perf check passed (no failed op, no-GET rows equal, %d of %d "
+              "figure digests compared with ./%s and equal)"
+              % (compared, 2 * sum(map(len, report["scales"].values())),
+                 COMMITTED_PATH))
     return 0
 
 

@@ -37,7 +37,6 @@ from repro.core.replication import (
     AbdQuorum,
     ChainReplication,
     CraqChain,
-    DirtyReadMode,
     ReplicationPolicy,
     make_policy,
     protocol_names,
@@ -64,6 +63,6 @@ __all__ = [
     "LeedCluster", "ClusterConfig",
     "recover_store", "RecoveryReport",
     "ReplicationPolicy", "ChainReplication", "CraqChain", "AbdQuorum",
-    "DirtyReadMode", "make_policy", "protocol_names", "register_protocol",
+    "make_policy", "protocol_names", "register_protocol",
     "WriteAheadLog", "WalRecord", "WalStats",
 ]

@@ -4,8 +4,8 @@ Co-located with each application client, the front-end:
 
 * keeps a local ring snapshot (pushed by the control plane) and routes
   each command to the right chain position — writes to the head, reads
-  to the *replica with the most available tokens* (CRRS, §3.7), or to
-  the tail when CRRS is disabled;
+  to the *replica with the most available tokens* (CRRS, §3.7), or as
+  the :class:`ReadPolicy` says (tail only, round robin);
 * runs the flow-control scheduler of Algorithm 1, spending the token
   allocations that back-end partitions piggyback on responses;
 * reacts to NACK / UNAVAILABLE / timeout by refreshing its ring view
@@ -110,27 +110,27 @@ class ClientStats:
 class FrontEndClient:
     """One application client with its co-located front-end library."""
 
+    #: Retries (NACK, timeout, overload) before an operation fails.
+    MAX_RETRIES = 6
+
     def __init__(self, sim: Simulator, network: Network, address: str,
                  control_plane_address: str = "controlplane",
-                 flow_control: bool = True, crrs: bool = True,
-                 read_policy: Optional[ReadPolicy] = None,
+                 flow_control: bool = True,
+                 read_policy: ReadPolicy = ReadPolicy.CRRS,
                  request_timeout_us: float = 100_000.0,
-                 max_retries: int = 6, tenant: Optional[str] = None,
+                 tenant: Optional[str] = None,
                  nic_profile: Optional[NicProfile] = None,
                  tracer: Optional[object] = None,
                  trace_sample_interval: int = 0):
         self.sim = sim
         self.address = address
         self.control_plane_address = control_plane_address
-        self.crrs = crrs
         #: Replica choice for GETs (:class:`ReadPolicy`): CRRS = most
         #: tokens (LEED §3.7), TAIL = classic chain replication (FAWN),
         #: ANY = round robin over replicas (a sharded KVell deployment).
-        self.read_policy = (ReadPolicy.coerce(read_policy)
-                            or (ReadPolicy.CRRS if crrs else ReadPolicy.TAIL))
+        self.read_policy = ReadPolicy.coerce(read_policy) or ReadPolicy.CRRS
         self._read_rr = 0
         self.request_timeout_us = request_timeout_us
-        self.max_retries = max_retries
         self.tenant = tenant or address
         #: Tracing: a :class:`repro.obs.Tracer` plus the sampling
         #: interval — every Nth operation gets a trace; 0 disables.
@@ -188,7 +188,7 @@ class FrontEndClient:
             if self.vnode_states.get(vnode.vnode_id, RUNNING) == RUNNING]
         if not candidates:
             return len(chain) - 1, chain[-1]
-        policy = ReadPolicy.CRRS if self.crrs else self.read_policy
+        policy = self.read_policy
         if policy == ReadPolicy.CRRS:
             return max(candidates,
                        key=lambda hv: self.flow.view(hv[1].vnode_id).tokens)
@@ -266,7 +266,7 @@ class FrontEndClient:
                 # ring refresh (the view is fine, the node is busy).
                 self.stats.overloads += 1
                 retries += 1
-                if retries > self.max_retries:
+                if retries > self.MAX_RETRIES:
                     result = ClientResult(STATUS_OVERLOADED,
                                           latency_us=self.sim.now - start,
                                           retries=retries)
@@ -277,7 +277,7 @@ class FrontEndClient:
             elif reply.status == STATUS_UNAVAILABLE:
                 pass
             retries += 1
-            if retries > self.max_retries:
+            if retries > self.MAX_RETRIES:
                 result = ClientResult("unavailable",
                                       latency_us=self.sim.now - start,
                                       retries=retries)

@@ -17,7 +17,7 @@ no deadline drains the event heap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.datastore import StoreConfig
 from repro.core.client import FrontEndClient
@@ -45,11 +45,11 @@ class ClusterConfig:
     replication: int = 3
     platform: PlatformSpec = field(default_factory=lambda: STINGRAY)
     options: LeedOptions = field(default_factory=LeedOptions)
-    #: Client-side feature switches (ablations).
+    #: Client-side token flow control (Fig. 8 ablates it).
     flow_control: bool = True
-    crrs: bool = True
-    #: GET replica choice (:class:`ReadPolicy`, or its string value).
-    read_policy: Optional[ReadPolicy] = None
+    #: GET replica choice, the only selector: ``CRRS`` (LEED),
+    #: ``TAIL`` (plain chain replication; Fig. 7's "CRRS off"), ``ANY``.
+    read_policy: ReadPolicy = ReadPolicy.CRRS
     #: Replication protocol every node runs ("chain" | "craq" | "abd",
     #: or any name registered via
     #: :func:`repro.core.replication.register_protocol`).  Validated
@@ -73,13 +73,11 @@ class ClusterConfig:
     #: ``leedbench/`` passes ``workers=0`` on every build; it leaves
     #: with the next benchmark-owning PR.
     workers: int = 0
-    #: Order-dependence sanitizer (``repro.lint.sanitize``): break
-    #: same-timestamp scheduling ties with a named RNG stream instead
-    #: of FIFO order.
-    sanitize: bool = False
-    #: Seed for the ``sim.sanitize`` permutation stream; distinct
-    #: seeds yield distinct legal schedules of the same model.
-    sanitize_seed: int = 0
+    #: Order-dependence sanitizer (``repro.lint.sanitize``): with a
+    #: seed, same-timestamp scheduling ties are broken by the
+    #: ``sim.sanitize`` stream of that seed instead of FIFO order;
+    #: distinct seeds yield distinct legal schedules of the same model.
+    sanitize_seed: Optional[int] = None
 
     def __post_init__(self):
         names = protocol_names()
@@ -119,8 +117,7 @@ class LeedCluster:
         elif overrides:
             raise ValueError("pass either a config or keyword overrides")
         self.config = config
-        self.sim = Simulator(sanitize=config.sanitize,
-                             sanitize_seed=config.sanitize_seed)
+        self.sim = Simulator(sanitize_seed=config.sanitize_seed)
         self.rng = RngRegistry(config.seed)
         self.network = Network(self.sim)
         #: Observability layer: spans + metrics for this deployment.
@@ -148,7 +145,7 @@ class LeedCluster:
             client = FrontEndClient(
                 self.sim, self.network, "client%d" % index,
                 control_plane_address=self.control_plane.address,
-                flow_control=config.flow_control, crrs=config.crrs,
+                flow_control=config.flow_control,
                 read_policy=config.read_policy,
                 tracer=self.tracer,
                 trace_sample_interval=config.trace_sample_interval)
@@ -366,15 +363,6 @@ class LeedCluster:
             elapsed_us=self.sim.now,
             energy_joules=self.energy_joules(),
             label=label)
-
-    def all_vnode_stats(self) -> Dict[str, object]:
-        """Per-vnode protocol statistics, keyed by vnode id."""
-        stats = {}
-        for node in self.jbofs:
-            # Reporting reads counters from outside the model.
-            for vnode_id, runtime in node.vnodes.items():  # simlint: ignore[SIM008]
-                stats[vnode_id] = runtime.stats
-        return stats
 
     def __repr__(self):
         return "<LeedCluster jbofs=%d clients=%d R=%d>" % (

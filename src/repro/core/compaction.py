@@ -47,10 +47,6 @@ class CompactionConfig:
     prefetch: bool = True
     #: Number of parallel sub-compaction workers (intra-parallelism).
     subcompactions: int = 4
-    #: Value entries examined per scan chunk (one relocation
-    #: wave; more entries expose more work to the parallel
-    #: sub-compaction workers).
-    value_scan_chunk: int = 64
 
 
 @dataclass
@@ -88,6 +84,9 @@ class Compactor:
     #: this many times, then the round is abandoned.
     KEY_APPEND_RETRIES = 20
     KEY_APPEND_BACKOFF_US = 100.0
+    #: Value entries examined per scan chunk (one relocation wave; more
+    #: entries expose more work to the parallel sub-compaction workers).
+    VALUE_SCAN_CHUNK = 64
 
     # ------------------------------------------------------------------ key log
 
@@ -273,13 +272,13 @@ class Compactor:
         end_tail = log.tail  # do not chase our own re-appended entries
         while log.fill_fraction() > target_fill and scan < end_tail:
             # Read a chunk of entries (one device read amortized over
-            # value_scan_chunk entries on average).
+            # VALUE_SCAN_CHUNK entries on average).
             chunk_len = min(end_tail - scan, 64 * 1024)
             blob = yield from log.read(scan, chunk_len)
             cursor = 0
             batch: List[tuple] = []
             while cursor + header_size <= len(blob) and len(batch) < \
-                    self.config.value_scan_chunk:
+                    self.VALUE_SCAN_CHUNK:
                 try:
                     seg_id, key, value, size, owner = unpack_value_entry(
                         blob, cursor)

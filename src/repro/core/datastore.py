@@ -24,7 +24,6 @@ from repro.core.segment import (
     TOMBSTONE_VLEN,
     key_hash,
     pack_value_entry,
-    segment_of,
     unpack_value_entry,
     value_entry_size,
 )
@@ -62,8 +61,6 @@ class StoreConfig:
 
     #: Segments in the key space of this (virtual) node.
     num_segments: int = 1024
-    #: Max overflow buckets per segment (the paper's M).
-    max_chain: int = 4
     #: Key-log region size in bytes (block multiple).
     key_log_bytes: int = 4 << 20
     #: Value-log region size in bytes (block multiple).
@@ -72,12 +69,6 @@ class StoreConfig:
     compact_high_watermark: float = 0.80
     #: Fill fraction compaction tries to reach before stopping.
     compact_low_watermark: float = 0.60
-    #: Retries for optimistic reads racing compaction.
-    max_get_retries: int = 4
-    #: Fraction of each log kept free for compaction relocations:
-    #: client writes fail with STORE_FULL before eating the headroom
-    #: the compactor needs to make progress (no reclaim deadlock).
-    compaction_reserve_fraction: float = 0.06
 
     def total_bytes(self) -> int:
         """Combined on-SSD footprint of one partition's two logs."""
@@ -103,10 +94,6 @@ class StoreStats:
     cpu_time_us: float = 0.0
     op_latency_us: Dict[str, float] = field(default_factory=lambda: {
         "get": 0.0, "put": 0.0, "del": 0.0})
-
-    def mean_latency_us(self, op: str, count: int) -> float:
-        """Average latency of one command type over ``count`` ops."""
-        return self.op_latency_us[op] / count if count else 0.0
 
 
 #: Signature for swap-aware value placement: (store, key, value) ->
@@ -167,13 +154,17 @@ class LeedDataStore:
         #: unpack a private copy.  Device timing is still charged in
         #: full on a hit; only the decode compute is skipped.
         self._seg_cache: Dict[int, tuple] = {}
-        #: Serve untraced :meth:`get` calls on the analytic clock
-        #: (``LeedOptions.fast_datapath``; needs a bound core).  Off:
-        #: the stage-per-yield reference clock.
-        self.fused_get = False
 
     #: Bound on the decoded-segment cache (entries, not bytes).
     SEG_CACHE_MAX = 8192
+    #: Max overflow buckets per segment (the paper's M).
+    MAX_CHAIN = 4
+    #: Retries for optimistic reads racing compaction.
+    MAX_GET_RETRIES = 4
+    #: Fraction of each log kept free for compaction relocations:
+    #: client writes fail with STORE_FULL before eating the headroom
+    #: the compactor needs to make progress (no reclaim deadlock).
+    COMPACTION_RESERVE_FRACTION = 0.06
 
     # -- helpers -------------------------------------------------------------------
 
@@ -205,8 +196,8 @@ class LeedDataStore:
         always land, but never so much that it sits below the
         compaction watermark (which would deadlock tiny test logs).
         """
-        floor = 2 * self.config.max_chain * log.block_size
-        fraction = int(log.size * self.config.compaction_reserve_fraction)
+        floor = 2 * self.MAX_CHAIN * log.block_size
+        fraction = int(log.size * self.COMPACTION_RESERVE_FRACTION)
         return min(max(fraction, floor), log.size // 4)
 
     def _write_segment(self, segment: Segment, enforce_reserve: bool = False,
@@ -235,29 +226,21 @@ class LeedDataStore:
     # -- commands ---------------------------------------------------------------------
 
     def get(self, key: bytes, trace=None):
-        """Generator: GET — SegTbl lookup, segment read, value read.
-
-        Untraced GETs on a ``fused_get`` store run the pipeline on the
-        analytic clock and sleep once for the result (one timeout
-        event); everything else runs it stage by stage on the
-        reference clock.  ``trace`` (a
+        """Generator: GET — SegTbl lookup, segment read, value read,
+        stage by stage on the reference clock.  ``trace`` (a
         :class:`repro.obs.spans.TraceContext`) attributes the device
         accesses to the request's trace.
         """
-        if trace is None and self.fused_get:
-            result, done = self.get_at(key)
-            if done > self.sim.now:
-                yield self.sim.timeout(done - self.sim.now)
-            return result
         result, _done = yield from self._get_stages(key, trace, False)
         return result
 
     def get_at(self, key: bytes):
-        """Analytic GET (fast datapath): returns ``(OpResult, done_us)``.
+        """Analytic GET (the fused GET of ``PartitionIOEngine.submit``):
+        returns ``(OpResult, done_us)``.
 
         Runs the pipeline to completion without yielding — the caller
-        sleeps (or schedules a completion callback) for ``done_us``.
-        Needs a bound core.
+        schedules a completion callback for ``done_us``.  Needs a
+        bound core.
         """
         try:
             next(self._get_stages(key, None, True))
@@ -285,7 +268,7 @@ class LeedDataStore:
 
         Optimistic with respect to compaction: if the segment or value
         moved underneath us (LogRangeError / key mismatch) the lookup
-        restarts from the SegTbl, up to ``max_get_retries`` times.
+        restarts from the SegTbl, up to ``MAX_GET_RETRIES`` times.
         """
         key_log = self.key_log
         core = self.core
@@ -301,7 +284,7 @@ class LeedDataStore:
               else (yield from self._cpu_now(cycles)))
 
         result: Optional[OpResult] = None
-        for attempt in range(self.config.max_get_retries):
+        for attempt in range(self.MAX_GET_RETRIES):
             if attempt:
                 self.stats.get_retries += 1
             location = self.segtbl.location(seg_id)
@@ -492,7 +475,7 @@ class LeedDataStore:
                         segment.upsert(
                             KeyItem(key, len(value), voffset,
                                     ssd_id=holder_id, khash=khash),
-                            block, self.config.max_chain)
+                            block, self.MAX_CHAIN)
                     yield from self._write_segment(
                         segment, enforce_reserve=True, trace=trace)
                     accesses += 1
@@ -586,14 +569,6 @@ class LeedDataStore:
         return collected
 
     # -- occupancy & maintenance signals ----------------------------------------------
-
-    def key_log_pressure(self) -> float:
-        """Key-log fill fraction (the compaction trigger signal)."""
-        return self.key_log.fill_fraction()
-
-    def value_log_pressure(self) -> float:
-        """Value-log fill fraction (the compaction trigger signal)."""
-        return self.value_log.fill_fraction()
 
     def needs_key_compaction(self) -> bool:
         """True when the key log is past its high watermark."""

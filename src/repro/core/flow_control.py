@@ -105,11 +105,6 @@ class FlowController:
         view.outstanding = max(view.outstanding - 1, 0)
         self._wake()
 
-    def best_target(self, candidates: List[str]) -> str:
-        """The candidate with the most available tokens (CRRS replica
-        choice, §3.7)."""
-        return max(candidates, key=lambda t: self.view(t).tokens)
-
     # -- request intake --------------------------------------------------------------
 
     def enqueue(self, tenant: str, request: PendingRequest) -> None:

@@ -153,13 +153,6 @@ class HashRing:
                         arcs.append((0, arc_hi))
         return _merge_arcs(arcs)
 
-    def position_in_chain(self, key: bytes, vnode_id: str) -> Optional[int]:
-        """This vnode's hop position in the key's chain, or None."""
-        for index, vnode in enumerate(self.chain_for_key(key)):
-            if vnode.vnode_id == vnode_id:
-                return index
-        return None
-
     def with_vnode(self, vnode: VNode, version: Optional[int] = None) -> "HashRing":
         """A new ring snapshot including ``vnode``."""
         vnodes = list(self.vnodes.values()) + [vnode]

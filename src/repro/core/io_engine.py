@@ -88,6 +88,11 @@ class PartitionIOEngine:
                  waiting_capacity: int = 64, name: str = "engine"):
         self.sim = sim
         self.store = store
+        #: The store's analytic GET clock, which :meth:`submit` fuses
+        #: on: only a ``LeedDataStore`` with a bound core has one.
+        self._get_at = (getattr(store, "get_at", None)
+                        if getattr(store, "core", None) is not None
+                        else None)
         self.name = name
         self.token_capacity = token_capacity
         self._tokens = token_capacity
@@ -164,19 +169,20 @@ class PartitionIOEngine:
         return (yield completion)
 
     def submit(self, command: KVCommand) -> Event:
-        """Event form of :meth:`execute` for callers that are not a
-        process; the event fails where ``execute`` raises.  An untraced
-        GET admitted on arrival at a ``fused_get`` store is fully
-        fused: result and completion time are computed synchronously
-        and one scheduled callback retires the command."""
+        """The fused GET (its one caller, the node's KV dispatch, has
+        decided): event form of :meth:`execute` for a caller that is
+        not a process; the event fails where ``execute`` raises.  An
+        untraced GET admitted on arrival at a store with an analytic
+        clock is fully fused: result and completion time are computed
+        synchronously and one scheduled callback retires the command.
+        Anything else queues and runs the reference clock."""
         if not (self._arrive(command) and command.op == "get"
-                and command.trace is None
-                and getattr(self.store, "fused_get", False)):
+                and command.trace is None and self._get_at is not None):
             return self._enqueue(command)
         self._admit(command)
         command.completion = Event(self.sim)
         try:
-            result, done = self.store.get_at(command.key)
+            result, done = self._get_at(command.key)
         except Exception as exc:
             self._retire(command)
             return command.completion.fail(exc)

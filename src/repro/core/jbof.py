@@ -22,10 +22,10 @@ The node implements:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.compaction import CompactionConfig, Compactor
+from repro.core.compaction import Compactor
 from repro.core.datastore import LeedDataStore, OpResult, StoreConfig
 from repro.core.hashring import HashRing, VNode
 from repro.core.io_engine import (
@@ -47,11 +47,7 @@ from repro.core.protocol import (
     KVRequest,
     MembershipUpdate,
 )
-from repro.core.replication import (
-    VERSION_QUERY_BYTES,
-    DirtyReadMode,
-    make_policy,
-)
+from repro.core.replication import make_policy
 from repro.core.wal import WriteAheadLog
 from repro.hw.cpu import CYCLE_COSTS, CpuComplex
 from repro.hw.dram import Dram
@@ -68,22 +64,11 @@ JOINING = "JOINING"
 RUNNING = "RUNNING"
 LEAVING = "LEAVING"
 
-# VERSION_QUERY_BYTES and DirtyReadMode moved to
-# repro.core.replication; re-exported here for compatibility.
-
 
 @dataclass
 class LeedOptions:
     """Feature switches for the ablation experiments."""
 
-    #: CRRS request shipping: reads at any clean replica (Fig. 7).
-    enable_crrs: bool = True
-    #: Dirty-read resolution (:class:`DirtyReadMode`): ``SHIP``
-    #: forwards the whole request to the tail (LEED's CRRS, §3.7);
-    #: ``CRAQ`` sends a small version query to the tail and serves
-    #: locally when the replica is up to date (the alternative the
-    #: paper rejected for its extra internal traffic).
-    dirty_read_mode: DirtyReadMode = DirtyReadMode.SHIP
     #: Intra-JBOF write swapping (Fig. 10).
     enable_swap: bool = True
     #: Waiting-queue depth that marks an engine overloaded.
@@ -92,32 +77,19 @@ class LeedOptions:
     token_capacity: int = 96
     #: Waiting queue capacity per partition engine.
     waiting_capacity: int = 96
-    #: Compactor policy.
-    compaction: CompactionConfig = field(default_factory=CompactionConfig)
-    #: Background compaction poll period, µs.
-    maintenance_poll_us: float = 500.0
     #: Heartbeat period, µs.
     heartbeat_period_us: float = 50_000.0
     #: The fused GET (docs/performance.md) and nothing else: an
     #: untraced GET is dispatched when it arrives and served on the
     #: analytic clock (``store.get_at``) without a process.  Clients,
-    #: RPC and every write run the same code either way.  Default off:
-    #: paper figures come from the reference pipeline.
+    #: RPC and every write run the same code either way.  Read in one
+    #: place, :meth:`JBOFNode._handle_kv`.  Default off: paper figures
+    #: come from the reference pipeline.
     fast_datapath: bool = False
     #: No reader.  The field survives because the frozen ``leedbench/``
     #: passes ``admission_batch=8``; it leaves with the next
     #: benchmark-owning PR.
     admission_batch: int = 1
-    #: Journal replicated writes in the per-partition WAL
-    #: (:mod:`repro.core.wal`) so :meth:`JBOFNode.recover` can replay
-    #: intents whose acknowledgment was lost to a crash.  Appends are
-    #: pure memory, so the default-on journal never perturbs the
-    #: event schedule.
-    wal_enabled: bool = True
-
-    def __post_init__(self):
-        self.dirty_read_mode = (DirtyReadMode.coerce(self.dirty_read_mode)
-                                or DirtyReadMode.SHIP)
 
 
 @dataclass
@@ -196,6 +168,9 @@ class VNodeRuntime:
 class JBOFNode:
     """A SmartNIC JBOF running the LEED stack."""
 
+    #: Background compaction poll period, µs.
+    MAINTENANCE_POLL_US = 500.0
+
     def __init__(self, sim: Simulator, network: Network, address: str,
                  spec: PlatformSpec = STINGRAY, num_ssds: int = 4,
                  vnodes_per_ssd: int = 1,
@@ -204,7 +179,7 @@ class JBOFNode:
                  rng: Optional[RngRegistry] = None,
                  nic_profile: Optional[NicProfile] = None,
                  control_plane_address: Optional[str] = None,
-                 replication_protocol: Optional[str] = None):
+                 replication_protocol: str = "chain"):
         if num_ssds < 1 or num_ssds > spec.max_ssds:
             raise ValueError("platform %s takes 1..%d SSDs"
                              % (spec.name, spec.max_ssds))
@@ -267,14 +242,8 @@ class JBOFNode:
         self.wal_recovery: Optional[dict] = None
 
         #: The replication protocol driving this node's write fan-out,
-        #: read resolution, and recovery replay.  ``dirty_read_mode``
-        #: is routed through the policy choice: the legacy CRAQ knob
-        #: selects the "craq" protocol when no explicit name is given.
-        protocol = replication_protocol or "chain"
-        if (protocol == "chain"
-                and self.options.dirty_read_mode is DirtyReadMode.CRAQ):
-            protocol = "craq"
-        self.policy = make_policy(protocol, self)
+        #: read resolution, and recovery replay.
+        self.policy = make_policy(replication_protocol, self)
 
         self.rpc.register_sync("kv", self._handle_kv)
         self.policy.register_handlers()
@@ -285,7 +254,6 @@ class JBOFNode:
         self.rpc.register("mirror_end", self._handle_mirror_end)
         self.rpc.register("node_stop", self._handle_node_stop)
         self.rpc.register("membership", self._handle_membership)
-        self.rpc.register("vnode_create", self._handle_vnode_create)
         self.rpc.register("vnode_retire", self._handle_vnode_retire)
         self._spawn_background()
 
@@ -321,13 +289,12 @@ class JBOFNode:
             core=self.storage_core_for(store_id),
             name=vnode_id,
             store_id=store_id)
-        store.fused_get = self.options.fast_datapath
         engine = PartitionIOEngine(
             self.sim, store,
             token_capacity=self.options.token_capacity,
             waiting_capacity=self.options.waiting_capacity,
             name=vnode_id + ".engine")
-        compactor = Compactor(store, self.options.compaction)
+        compactor = Compactor(store)
         return VNodeRuntime(vnode_id, store, engine, compactor)
 
     def storage_core_for(self, store_id: int) -> object:
@@ -734,7 +701,7 @@ class JBOFNode:
     def _maintenance(self):
         """Background compaction driver for all hosted stores."""
         while True:
-            yield self.sim.timeout(self.options.maintenance_poll_us)
+            yield self.sim.timeout(self.MAINTENANCE_POLL_US)
             if not self.alive:
                 self._maintenance_running = False
                 return
@@ -775,8 +742,6 @@ class JBOFNode:
         self.network.heal(self.address)
         self._spawn_background()
         self.wal_recovery = None
-        if not self.options.wal_enabled:
-            return
         pending = sum(len(self.vnodes[vnode_id].wal)
                       for vnode_id in sorted(self.vnodes))
         if pending == 0:
@@ -903,53 +868,10 @@ class JBOFNode:
         fresh.stats = old.stats
         return fresh
 
-    def _handle_vnode_create(self, src: str, body: dict):
-        """RPC: provision a fresh vnode (control-plane scale-out).
-
-        The new partition lands on the SSD currently hosting the
-        fewest stores (lowest index on ties) and starts JOINING — it
-        serves no traffic until the control plane completes the join.
-        Replies with the new vnode id, or an empty id when no SSD has
-        a free region.
-        """
-        vnode_id = "%s/%s" % (self.address, body["suffix"])
-        yield from self._control_core.execute(CYCLE_COSTS["rpc_receive"])
-        if vnode_id in self.vnodes:
-            return vnode_id, 64  # idempotent retry
-        per_store = self.store_config.total_bytes()
-        slots_used = [0] * len(self.ssds)
-        for _, runtime in sorted(self.vnodes.items()):
-            for index, ssd in enumerate(self.ssds):
-                if ssd is runtime.store.ssd:
-                    slots_used[index] += 1
-                    break
-        candidates = [i for i in range(len(self.ssds))
-                      if per_store * (slots_used[i] + 1)
-                      <= self.ssds[i].capacity_bytes]
-        if not candidates:
-            return "", 64
-        ssd_index = min(candidates, key=lambda i: (slots_used[i], i))
-        store_id = 1 + max((r.store.store_id
-                            for _, r in sorted(self.vnodes.items())),
-                           default=-1)
-        runtime = self._make_vnode(vnode_id, self.ssds[ssd_index],
-                                   ssd_index, slots_used[ssd_index],
-                                   store_id)
-        runtime.state = JOINING
-        self.vnodes[vnode_id] = runtime
-        self._cross_register([r.store for _, r in sorted(self.vnodes.items())])
-        return vnode_id, 64
-
     def _handle_vnode_retire(self, src: str, vnode_id: str) -> None:
         """RPC: drop a vnode runtime after its graceful leave."""
         self.vnodes.pop(vnode_id, None)
         return None
-
-    # -- reporting ----------------------------------------------------------------------------
-
-    def total_completed(self) -> int:
-        """Requests this node has executed across all vnodes."""
-        return self.requests_completed
 
     def __repr__(self):
         return "<JBOFNode %s vnodes=%d completed=%d>" % (

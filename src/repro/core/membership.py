@@ -72,10 +72,13 @@ def _split_arc(arc: Tuple[int, int], ring: HashRing) -> List[Tuple[int, int]]:
 class ControlPlane:
     """Centralized (etcd-like, quorum-backed in the paper) manager."""
 
+    #: Spread of membership pushes over subscribers (etcd-watch
+    #: jitter), µs.
+    PUSH_DELAY_JITTER_US = 2_000.0
+
     def __init__(self, sim: Simulator, network: Network,
                  address: str = "controlplane", replication: int = 3,
                  heartbeat_timeout_us: float = 200_000.0,
-                 push_delay_jitter_us: float = 2_000.0,
                  replication_protocol: str = "chain"):
         self.sim = sim
         self.network = network
@@ -83,7 +86,6 @@ class ControlPlane:
         self.replication = replication
         self.replication_protocol = replication_protocol
         self.heartbeat_timeout_us = heartbeat_timeout_us
-        self.push_delay_jitter_us = push_delay_jitter_us
         network.attach(address)
         self.rpc = RpcEndpoint(sim, network, address)
         self.vnodes: Dict[str, VNodeInfo] = {}
@@ -156,7 +158,7 @@ class ControlPlane:
                 if node is not None:
                     node.apply_membership(payload)
                     continue
-            delay = (index * 37.0) % max(self.push_delay_jitter_us, 1.0)
+            delay = (index * 37.0) % self.PUSH_DELAY_JITTER_US
             self.sim.schedule(delay, lambda a=address: self.rpc.notify(
                 a, "membership", payload, payload.wire_bytes()))
         # Clients registered with immediate bootstrap still get the push
@@ -242,23 +244,6 @@ class ControlPlane:
         self._broadcast()
         self._end_mirrors(mirrored)
         self.membership_events.append((self.sim.now, "leave_end", vnode_id))
-
-    def add_vnode(self, jbof_address: str, suffix: str):
-        """Generator: provision a fresh vnode on a JBOF, then join it.
-
-        Scale-out primitive for the scenario library's autoscaler: the
-        node is asked over RPC (``vnode_create``) to build an empty
-        partition on its least-loaded SSD; the standard join flow then
-        COPYs the stipulated ranges in.  Returns the new vnode id, or
-        None when the node had no free SSD region.
-        """
-        vnode_id = yield self.rpc.call(jbof_address, "vnode_create",
-                                       {"suffix": suffix}, 64,
-                                       timeout_us=5e6)
-        if not vnode_id:
-            return None
-        yield from self.join_vnode(vnode_id, jbof_address)
-        return vnode_id
 
     def remove_vnode(self, vnode_id: str):
         """Generator: gracefully retire a vnode (scale-in primitive).

@@ -81,7 +81,7 @@ def recover_store(store: LeedDataStore):
         if parsed is None:
             continue
         seg_id, chain_len, position, tail_snapshot = parsed
-        if position != 0 or not (0 < chain_len <= store.config.max_chain):
+        if position != 0 or not (0 < chain_len <= store.MAX_CHAIN):
             continue
         if seg_id >= store.config.num_segments:
             continue

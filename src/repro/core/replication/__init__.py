@@ -13,7 +13,6 @@ Select one with ``ClusterConfig(replication_protocol="...")``; see
 
 from repro.core.replication.abd import ZERO_STAMP, AbdQuorum
 from repro.core.replication.base import (
-    DirtyReadMode,
     ReplicationPolicy,
     make_policy,
     protocol_names,
@@ -26,7 +25,7 @@ from repro.core.replication.chain import (
 )
 
 __all__ = [
-    "ReplicationPolicy", "DirtyReadMode",
+    "ReplicationPolicy",
     "make_policy", "protocol_names", "register_protocol",
     "ChainReplication", "CraqChain", "AbdQuorum",
     "VERSION_QUERY_BYTES", "ZERO_STAMP",

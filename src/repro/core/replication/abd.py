@@ -222,15 +222,12 @@ class AbdQuorum(ReplicationPolicy):
         stamp = (max_n + 1, self._next_writer())
         # Journal the intent before touching any replica: a crash
         # between the phases leaves the record for recovery replay.
-        wal = self._wal(runtime)
-        record = None
-        if wal is not None:
-            record = wal.append(body.op, body.key, body.value, stamp)
+        wal = runtime.wal
+        record = wal.append(body.op, body.key, body.value, stamp)
         # Apply locally (the coordinator counts toward the quorum).
         result = yield from node._execute(runtime, body)
         if not result.ok and result.status != STATUS_NOT_FOUND:
-            if record is not None:
-                wal.ack_record(record.lsn)
+            wal.ack_record(record.lsn)
             node._respond(request, node._reply_for(runtime, body, result))
             return
         self._set_stamp(runtime.vnode_id, body.key, stamp)
@@ -244,8 +241,7 @@ class AbdQuorum(ReplicationPolicy):
             node._respond(request, KVReply(
                 STATUS_UNAVAILABLE, ring_version=node.local_ring.version))
             return
-        if record is not None:
-            wal.ack_record(record.lsn)
+        wal.ack_record(record.lsn)
         runtime.stats.writes_committed += 1
         node._respond(request, node._reply_for(runtime, body, result))
         if result.ok and body.op == "put":

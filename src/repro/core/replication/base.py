@@ -21,43 +21,7 @@ perturbs the schedule of runs that don't exercise the new paths.
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, List, Optional
-
-
-class DirtyReadMode(str, enum.Enum):
-    """How a non-tail chain replica resolves a read of a dirty key.
-
-    * ``SHIP`` — forward the whole request envelope to the tail,
-      LEED's CRRS request shipping (§3.7);
-    * ``CRAQ`` — send a small version query to the tail and serve
-      locally when this replica already holds the committed version
-      (the alternative the paper rejected for its internal traffic).
-
-    The enum subclasses :class:`str`, so ``DirtyReadMode.SHIP ==
-    "ship"`` holds and string comparisons keep working; arguments
-    that take a mode accept the members only.
-    """
-
-    SHIP = "ship"
-    CRAQ = "craq"
-
-    @classmethod
-    def coerce(cls, value: Optional[object]) -> Optional["DirtyReadMode"]:
-        """Validate a mode argument.
-
-        ``None`` passes through (callers apply their own default) and
-        so do members; anything else raises ``ValueError`` listing
-        the valid modes.
-        """
-        if value is None or isinstance(value, cls):
-            return value
-        raise ValueError(
-            "invalid dirty-read mode %r; valid modes: %s"
-            % (value, ", ".join(mode.value for mode in cls)))
-
-    def __str__(self) -> str:
-        return self.value
+from typing import Dict, List
 
 
 class ReplicationPolicy:
@@ -102,12 +66,6 @@ class ReplicationPolicy:
 
     def register_handlers(self) -> None:
         """Register this protocol's RPC methods on the node."""
-
-    def _wal(self, runtime):
-        """The runtime's WAL, or None when journaling is disabled."""
-        if not getattr(self.node.options, "wal_enabled", True):
-            return None
-        return getattr(runtime, "wal", None)
 
     # -- datapath hooks ------------------------------------------------------
 

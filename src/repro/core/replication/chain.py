@@ -60,7 +60,7 @@ class ChainReplication(ReplicationPolicy):
 
     def _write(self, runtime, request, body, chain):
         node = self.node
-        wal = self._wal(runtime)
+        wal = runtime.wal
         is_tail = body.hop == len(chain) - 1
         # Client retries make writes at-least-once: an attempt that sat
         # in a COPY-congested queue past its deadline may have been
@@ -80,10 +80,8 @@ class ChainReplication(ReplicationPolicy):
             runtime.mark_dirty(body.key)
             version = runtime.applied_version.get(body.key, 0) + 1
             runtime.applied_version[body.key] = version
-            record = None
-            if wal is not None:
-                record = wal.append(body.op, body.key, body.value, version,
-                                    ring_version=node.local_ring.version)
+            record = wal.append(body.op, body.key, body.value, version,
+                                ring_version=node.local_ring.version)
             result = yield from node._execute(runtime, body)
             if not result.ok and result.status != STATUS_NOT_FOUND:
                 # Local failure (e.g. store full): surface immediately.
@@ -92,8 +90,7 @@ class ChainReplication(ReplicationPolicy):
                 # write still awaiting its backward ack would retire
                 # that write's record instead of this one's.
                 runtime.clear_dirty(body.key)
-                if record is not None:
-                    wal.ack_record(record.lsn)
+                wal.ack_record(record.lsn)
                 node._respond(request,
                               node._reply_for(runtime, body, result))
                 return
@@ -102,8 +99,7 @@ class ChainReplication(ReplicationPolicy):
             next_vnode = node.local_ring.vnodes.get(next_id)
             if next_vnode is None:
                 runtime.clear_dirty(body.key)
-                if record is not None:
-                    wal.ack_record(record.lsn)
+                wal.ack_record(record.lsn)
                 node._respond(request, KVReply(
                     STATUS_NACK, ring_version=node.local_ring.version))
                 return
@@ -120,14 +116,11 @@ class ChainReplication(ReplicationPolicy):
         version = runtime.applied_version.get(body.key, 0) + 1
         runtime.applied_version[body.key] = version
         runtime.committed_version[body.key] = version
-        record = None
-        if wal is not None:
-            record = wal.append(body.op, body.key, body.value, version,
-                                ring_version=node.local_ring.version)
+        record = wal.append(body.op, body.key, body.value, version,
+                            ring_version=node.local_ring.version)
         result = yield from node._execute(runtime, body)
-        if record is not None:
-            # The tail IS the commit: the intent is durable now.
-            wal.ack_record(record.lsn)
+        # The tail IS the commit: the intent is durable now.
+        wal.ack_record(record.lsn)
         runtime.stats.writes_committed += 1
         node._respond(request, node._reply_for(runtime, body, result))
         # Backward ack cascade clears dirty bits.
@@ -162,9 +155,7 @@ class ChainReplication(ReplicationPolicy):
             runtime = node.vnodes.get(ack.vnode_id)
             if runtime is not None:
                 runtime.clear_dirty(ack.key)
-                wal = self._wal(runtime)
-                if wal is not None:
-                    wal.ack(ack.key)
+                runtime.wal.ack(ack.key)
             self.send_ack(ack.chain, ack.index - 1, ack.key)
 
         node._net_core().execute_event(

@@ -40,11 +40,6 @@ def key_hash(key: bytes) -> int:
     return zlib.crc32(key) & 0xFFFFFFFF
 
 
-def segment_of(key: bytes, num_segments: int) -> int:
-    """Map a key to its segment within one (virtual) node."""
-    return key_hash(key) % num_segments
-
-
 @dataclass
 class KeyItem:
     """One key's index entry inside a bucket."""
@@ -231,10 +226,6 @@ class Segment:
         if not buckets:
             raise ValueError("empty segment blob")
         return cls(seg_id=buckets[0].seg_id, buckets=buckets)
-
-    def byte_size(self, block_size: int) -> int:
-        """On-SSD size of the serialized segment (whole buckets)."""
-        return max(len(self.buckets), 1) * block_size
 
 
 class SegmentFullError(Exception):

@@ -65,10 +65,6 @@ class SegTbl:
         """Modeled DRAM footprint of the table."""
         return self.num_segments * SEGTBL_ENTRY_BYTES
 
-    def entry(self, seg_id: int) -> SegmentEntry:
-        """Direct access to one segment's DRAM entry."""
-        return self.entries[seg_id]
-
     # -- index updates -----------------------------------------------------------
 
     def update(self, seg_id: int, offset: int, chain_len: int) -> None:
@@ -119,10 +115,6 @@ class SegTbl:
                 waiter.succeed(seg_id)
                 return
         entry.locked = False
-
-    def is_locked(self, seg_id: int) -> bool:
-        """Whether the segment's lock bit is currently held."""
-        return self.entries[seg_id].locked
 
     # -- iteration ------------------------------------------------------------------
 

@@ -9,7 +9,6 @@ from repro.hw.platforms import (
     STINGRAY,
     PlatformSpec,
     platform_by_name,
-    with_ssds,
 )
 from repro.hw.ssd import SDCARD_PROFILE, NVMeSSD, SSDProfile, SSDStats
 
@@ -30,5 +29,4 @@ __all__ = [
     "SERVER_JBOF",
     "RASPBERRY_PI",
     "platform_by_name",
-    "with_ssds",
 ]

@@ -107,14 +107,6 @@ class Core:
         self.busy_time_us += duration
         return start + duration
 
-    @property
-    def busy(self) -> bool:
-        return self._free_at > self.sim.now
-
-    def backlog_us(self) -> float:
-        """Time until the last reserved slice on the calendar ends."""
-        return max(self._free_at - self.sim.now, 0.0)
-
     def utilization(self) -> float:
         """Fraction of wall time spent executing since creation."""
         if self.sim.now <= 0:
@@ -122,7 +114,8 @@ class Core:
         return min(self.busy_time_us / self.sim.now, 1.0)
 
     def __repr__(self):
-        return "<Core %s %.1fGHz busy=%s>" % (self.name, self.freq_ghz, self.busy)
+        return "<Core %s %.1fGHz busy=%s>" % (
+            self.name, self.freq_ghz, self._free_at > self.sim.now)
 
 
 class CpuComplex:
@@ -142,13 +135,6 @@ class CpuComplex:
 
     def __getitem__(self, index: int) -> Core:
         return self.cores[index]
-
-    def least_loaded(self) -> Core:
-        """Core with the least reserved work (for work placement)."""
-        return min(self.cores, key=Core.backlog_us)
-
-    def total_cycles(self) -> int:
-        return sum(core.cycles_executed for core in self.cores)
 
     def mean_utilization(self) -> float:
         return sum(c.utilization() for c in self.cores) / len(self.cores)

@@ -7,13 +7,12 @@ timing model in :mod:`repro.hw.ssd`.
 
 The device is block-addressed.  Writes must be whole blocks (the LEED
 bucket is sized to the SSD block for exactly this reason, §3.2.2);
-reads may span multiple blocks.  Erase-block accounting tracks
-program/erase counters so wear behaviour is observable in tests.
+reads may span multiple blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 
 class FlashError(Exception):
@@ -29,12 +28,9 @@ class FlashArray:
         Total device capacity.  Must be a multiple of ``block_size``.
     block_size:
         The write granularity (512 B or 4 KB on real devices).
-    erase_block_blocks:
-        Blocks per erase block, for wear accounting only.
     """
 
-    def __init__(self, capacity_bytes: int, block_size: int = 4096,
-                 erase_block_blocks: int = 256):
+    def __init__(self, capacity_bytes: int, block_size: int = 4096):
         if capacity_bytes <= 0 or block_size <= 0:
             raise ValueError("capacity and block size must be positive")
         if capacity_bytes % block_size:
@@ -43,14 +39,12 @@ class FlashArray:
         self.capacity_bytes = int(capacity_bytes)
         self.block_size = int(block_size)
         self.num_blocks = capacity_bytes // block_size
-        self.erase_block_blocks = int(erase_block_blocks)
         self._blocks: Dict[int, bytes] = {}
-        # Counters for observability / wear tests.
+        # Counters for observability.
         self.reads = 0
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self._program_counts: Dict[int, int] = {}
 
     # -- address helpers ------------------------------------------------------
 
@@ -59,10 +53,6 @@ class FlashArray:
             raise FlashError(
                 "access [%d, %d) outside device of %d bytes"
                 % (offset, offset + length, self.capacity_bytes))
-
-    def block_of(self, offset: int) -> int:
-        """Block index containing byte ``offset``."""
-        return offset // self.block_size
 
     # -- I/O -------------------------------------------------------------------
 
@@ -78,8 +68,6 @@ class FlashArray:
         self._blocks[block_index] = bytes(data)
         self.writes += 1
         self.bytes_written += self.block_size
-        erase_block = block_index // self.erase_block_blocks
-        self._program_counts[erase_block] = self._program_counts.get(erase_block, 0) + 1
 
     def write(self, offset: int, data: bytes) -> None:
         """Program ``data`` starting at a block-aligned ``offset``."""
@@ -91,14 +79,6 @@ class FlashArray:
         for start in range(0, len(data), self.block_size):
             self.write_block(block, bytes(view[start:start + self.block_size]))
             block += 1
-
-    def read_block(self, block_index: int) -> bytes:
-        """Read one whole block (unwritten blocks read as zeros)."""
-        if not 0 <= block_index < self.num_blocks:
-            raise FlashError("block %d out of range" % block_index)
-        self.reads += 1
-        self.bytes_read += self.block_size
-        return self._blocks.get(block_index, b"\x00" * self.block_size)
 
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes from an arbitrary ``offset``."""
@@ -115,29 +95,6 @@ class FlashArray:
         blob = b"".join(chunks)
         start = offset - first * self.block_size
         return blob[start:start + length]
-
-    def trim(self, offset: int, length: int) -> None:
-        """Discard whole blocks in the range (partial blocks are kept)."""
-        self._check_range(offset, length)
-        first = -(-offset // self.block_size)  # ceil: only fully-covered blocks
-        last = (offset + length) // self.block_size
-        for block in range(first, last):
-            self._blocks.pop(block, None)
-
-    # -- observability ----------------------------------------------------------
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks that have been programmed and not trimmed."""
-        return len(self._blocks)
-
-    def max_program_count(self) -> int:
-        """Worst-case per-erase-block program count (wear proxy)."""
-        return max(self._program_counts.values(), default=0)
-
-    def snapshot(self) -> Dict[int, bytes]:
-        """Copy of programmed blocks — used by recovery tests."""
-        return dict(self._blocks)
 
     def __repr__(self):
         return "<FlashArray %dB blocks=%d/%d>" % (

@@ -16,7 +16,7 @@ referenced product sheets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.ssd import SDCARD_PROFILE, SSDProfile
@@ -125,11 +125,3 @@ def platform_by_name(name: str) -> PlatformSpec:
     if name not in table:
         raise KeyError("unknown platform %r (have %s)" % (name, sorted(table)))
     return table[name]
-
-
-def with_ssds(spec: PlatformSpec, num_ssds: int) -> PlatformSpec:
-    """A copy of ``spec`` limited to ``num_ssds`` drive bays."""
-    if num_ssds < 1 or num_ssds > spec.max_ssds:
-        raise ValueError("platform %s supports 1..%d SSDs, got %d"
-                         % (spec.name, spec.max_ssds, num_ssds))
-    return replace(spec, max_ssds=num_ssds)

@@ -60,10 +60,6 @@ class SSDProfile:
     write_bw_bpus: float = 1400.0
     #: Multiplicative jitter half-width (0.1 -> +/-10%).
     jitter: float = 0.10
-    #: Active power draw when serving I/O, watts.
-    active_power_w: float = 8.5
-    #: Idle power draw, watts.
-    idle_power_w: float = 1.9
 
     def read_service_us(self, nbytes: int) -> float:
         """Mean read service time for ``nbytes``."""
@@ -76,12 +72,6 @@ class SSDProfile:
     def peak_read_iops(self, io_bytes: int = 4096) -> float:
         """Theoretical random-read IOPS ceiling for ``io_bytes`` I/Os."""
         return self.channels / (self.read_service_us(io_bytes) * 1e-6)
-
-    def peak_write_iops(self, io_bytes: int = 4096) -> float:
-        """Write IOPS ceiling: channel-bound or bandwidth-bound."""
-        channel_bound = self.channels / (self.write_service_us(io_bytes) * 1e-6)
-        bandwidth_bound = (self.write_bw_bpus * 1e6) / io_bytes
-        return min(channel_bound, bandwidth_bound)
 
 
 #: The 32 GB SanDisk SD card of the Raspberry Pi 3B+ testbed
@@ -99,8 +89,6 @@ SDCARD_PROFILE = SSDProfile(
     read_bw_bpus=80.0,   # 80 MB/s
     write_bw_bpus=60.0,  # 60 MB/s
     jitter=0.15,
-    active_power_w=0.4,
-    idle_power_w=0.05,
 )
 
 
@@ -311,17 +299,6 @@ class NVMeSSD:
     def write(self, offset: int, data: bytes, trace=None):
         """Generator: :meth:`write_event`, waited for; returns len(data)."""
         return (yield self.write_event(offset, data, trace))
-
-    # -- energy ---------------------------------------------------------------
-
-    def energy_joules(self, elapsed_us: Optional[float] = None) -> float:
-        """Energy consumed: idle draw over elapsed time + active premium."""
-        if elapsed_us is None:
-            elapsed_us = self.sim.now
-        busy = min(self.stats.busy_time_us / max(self.profile.channels, 1), elapsed_us)
-        active_premium = self.profile.active_power_w - self.profile.idle_power_w
-        return (self.profile.idle_power_w * elapsed_us
-                + active_premium * busy) * 1e-6
 
     def __repr__(self):
         return "<NVMeSSD %s busy_channels=%d reads=%d writes=%d>" % (

@@ -4,7 +4,7 @@ The static rules claim that handlers are atomic between scheduling
 points and that no code depends on the *accidental* FIFO order of
 same-timestamp ties.  This module checks the claim TSan-style: run
 the same seeded YCSB workload several times with
-``Simulator(sanitize=True)`` breaking every same-timestamp tie with a
+``Simulator(sanitize_seed=N)`` breaking every same-timestamp tie with a
 named RNG stream (``sim.sanitize``), and assert that the **figure
 digest** — a hash of the run's functional outcome — is byte-identical
 across permutations while the *schedule* digests differ (proving the

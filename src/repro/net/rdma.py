@@ -22,7 +22,6 @@ from typing import Any, Dict, Optional
 
 from repro.net.topology import Network
 from repro.sim.core import Simulator
-from repro.sim.queues import Store
 
 #: Wire overhead per message: Ethernet + IP + UDP + RoCE BTH headers.
 WIRE_OVERHEAD_BYTES = 58
@@ -68,18 +67,13 @@ class QueuePair:
         self.sim = sim
         self.network = network
         self.address = address
-        #: Completion queue for inbound two-sided SENDs.
-        self.recv_cq: Store = Store(sim, name="recv_cq@" + address)
-        #: Completion queue for inbound one-sided WRITE IMMs.
-        self.write_cq: Store = Store(sim, name="write_cq@" + address)
         self._regions: Dict[int, MemoryRegion] = {}
         self._next_key = 1
         self.sends_posted = 0
         self.writes_posted = 0
         #: Synchronous completion sinks, invoked at routing time with
         #: the completion record (:class:`~repro.net.rpc.RpcEndpoint`
-        #: installs both).  A bare QP with no consumer leaves them
-        #: unset and completions queue on the CQ Stores instead.
+        #: installs both); a completion nobody consumes is dropped.
         self.recv_handler = None
         self.write_handler = None
         self.nic = network.nic(address)
@@ -98,9 +92,6 @@ class QueuePair:
 
     def deregister_region(self, key: int) -> None:
         self._regions.pop(key, None)
-
-    def region(self, key: int) -> MemoryRegion:
-        return self._regions[key]
 
     # -- verbs ----------------------------------------------------------------------
 
@@ -123,15 +114,12 @@ class QueuePair:
     # -- delivery ----------------------------------------------------------------------
 
     def _route(self, message) -> None:
-        """Dispatch one fabric delivery to its completion sink or CQ."""
+        """Dispatch one fabric delivery to its completion sink."""
         kind = message[0]
         if kind == "SEND":
             _, src, payload, nbytes = message
-            completion = SendCompletion(src, payload, nbytes)
             if self.recv_handler is not None:
-                self.recv_handler(completion)
-            else:
-                self.recv_cq.try_put(completion)
+                self.recv_handler(SendCompletion(src, payload, nbytes))
         elif kind == "WRITE_IMM":
             _, src, rkey, payload, nbytes, imm = message
             region = self._regions.get(rkey)
@@ -140,11 +128,9 @@ class QueuePair:
                 # fault on real hardware; drop here.
                 return
             region.data = payload
-            completion = WriteCompletion(src, imm, payload, nbytes)
             if self.write_handler is not None:
-                self.write_handler(completion)
-            else:
-                self.write_cq.try_put(completion)
+                self.write_handler(
+                    WriteCompletion(src, imm, payload, nbytes))
         else:  # pragma: no cover - future verb kinds
             raise ValueError("unknown verb %r" % (kind,))
 

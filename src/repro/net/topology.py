@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.core import Simulator
-from repro.sim.queues import Store
 
 #: An in-flight message: ``(deliver_at, dst, src, seq, wire_bytes,
 #: payload)``.  The first four fields form a globally unique sort key
@@ -69,18 +68,16 @@ class SwitchProfile:
 
 
 class Nic:
-    """One network port: paced transmit, FIFO receive queue."""
+    """One network port: paced transmit, callback receive."""
 
     def __init__(self, sim: Simulator, address: str,
                  profile: Optional[NicProfile] = None):
         self.sim = sim
         self.address = address
         self.profile = profile or NIC_100G
-        self.rx_queue: Store = Store(sim, name="rx@" + address)
         #: Delivery callback (a :class:`~repro.net.rdma.QueuePair`
         #: installs its router): the fabric hands arriving payloads
-        #: straight to it.  A bare NIC with no consumer leaves it unset
-        #: and payloads queue on :attr:`rx_queue` instead.
+        #: straight to it.  A port nobody listens on drops them.
         self.rx_handler = None
         self._tx_free_at = 0.0
         #: Last granted delivery time per destination (in-order clamp).
@@ -190,9 +187,6 @@ class Network:
     def nic(self, address: str) -> Nic:
         return self._nics[address]
 
-    def addresses(self):
-        return list(self._nics)
-
     # -- failure injection -------------------------------------------------------
 
     def partition(self, address: str) -> None:
@@ -202,16 +196,13 @@ class Network:
     def heal(self, address: str) -> None:
         self._partitioned.discard(address)
 
-    def is_partitioned(self, address: str) -> bool:
-        return address in self._partitioned
-
     # -- transmission --------------------------------------------------------------
 
     def transmit(self, src: str, dst: str, nbytes: int, payload: Any) -> None:
         """Send ``payload`` of ``nbytes`` from ``src`` to ``dst``.
 
-        Fire-and-forget: the payload appears on the destination NIC's
-        rx queue after serialization + switch + propagation delays.
+        Fire-and-forget: the payload reaches the destination NIC's
+        ``rx_handler`` after serialization + switch + propagation delays.
         Delivery is in order per (src, dst): the sender pacer is FIFO
         and :meth:`Nic.order_delivery` clamps the receive-side term.
 
@@ -248,17 +239,5 @@ class Network:
         receiver.rx_bytes += wire
         receiver.rx_messages += 1
         self.messages_delivered += 1
-        handler = receiver.rx_handler
-        if handler is not None:
-            handler(payload)
-        else:
-            receiver.rx_queue.try_put(payload)
-
-    def one_way_latency_us(self, src: str, dst: str, nbytes: int) -> float:
-        """Unloaded delivery latency estimate for sizing timeouts."""
-        sender = self._nics[src]
-        receiver = self._nics[dst]
-        return (nbytes / sender.profile.bandwidth_bpus
-                + sender.profile.base_latency_us
-                + self.switch.hop_latency_us
-                + nbytes / receiver.profile.bandwidth_bpus)
+        if receiver.rx_handler is not None:
+            receiver.rx_handler(payload)

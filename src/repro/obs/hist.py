@@ -77,18 +77,6 @@ class LatencyHistogram:
         if self._max_us is None or value_us > self._max_us:
             self._max_us = value_us
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self._count += other._count
-        self._sum_us += other._sum_us
-        if other._min_us is not None:
-            if self._min_us is None or other._min_us < self._min_us:
-                self._min_us = other._min_us
-        if other._max_us is not None:
-            if self._max_us is None or other._max_us > self._max_us:
-                self._max_us = other._max_us
-
     # -- inspection ---------------------------------------------------------
 
     @property

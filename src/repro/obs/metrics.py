@@ -55,12 +55,6 @@ class MetricsRegistry:
         self._histograms[name] = hist
         return hist
 
-    def histogram(self, name: str) -> LatencyHistogram:
-        """Fetch-or-create a histogram by name."""
-        if name not in self._histograms:
-            self._histograms[name] = LatencyHistogram()
-        return self._histograms[name]
-
     def set_phase(self, name: Optional[str]) -> None:
         """Tag subsequent samples with a scenario phase name.
 

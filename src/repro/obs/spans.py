@@ -96,10 +96,6 @@ class TraceContext:
         if self.span.end_us is None:
             self.span.end_us = self.tracer.sim.now
 
-    def annotate(self, **kwargs: object) -> None:
-        """Attach key/value arguments to the span."""
-        self.span.args.update(kwargs)
-
 
 class Tracer:
     """Records spans against a simulator clock and exports them.
@@ -158,9 +154,6 @@ class Tracer:
 
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def spans_in_trace(self, trace_id: int) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
 
     # -- export -------------------------------------------------------------
 

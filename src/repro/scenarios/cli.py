@@ -16,6 +16,7 @@ import platform
 import sys
 from typing import List, Optional
 
+from repro.core.protocol import ReadPolicy
 from repro.core.replication import protocol_names
 from repro.scenarios.dsl import SCALES, build_scenario, scenario_names
 from repro.scenarios.runner import canonical_json, run_scenario
@@ -67,7 +68,7 @@ def cmd_run(args) -> int:
         record = run_scenario(
             name, scale=args.scale, seed=args.seed,
             replication_protocol=args.protocol,
-            crrs=False if args.no_crrs else None,
+            read_policy=ReadPolicy.TAIL if args.no_crrs else None,
             trace_sample_interval=16 if args.trace else 0)
         tracer = record.pop("_tracer", None)
         if args.trace and tracer is not None:
@@ -137,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=protocol_names(),
                             help="replication protocol override")
     run_parser.add_argument("--no-crrs", action="store_true",
-                            help="disable CRRS request shipping")
+                            help="read at the chain tail only "
+                                 "(ReadPolicy.TAIL) instead of CRRS")
     run_parser.add_argument("--output", default=None, metavar="PATH",
                             help="write BENCH_scenarios.json here")
     run_parser.add_argument("--trace", default=None, metavar="PATH",

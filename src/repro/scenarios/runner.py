@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.jbof import LeedOptions
+from repro.core.protocol import ReadPolicy
 from repro.scenarios.autoscaler import Autoscaler
 from repro.scenarios.dsl import (SCALES, Scenario, ScenarioScale,
                                  build_scenario)
@@ -299,13 +300,13 @@ class ScenarioRuntime:
 
 def run_scenario(name: Optional[str] = None, scale: Union[str, ScenarioScale] = "smoke",
                  seed: int = 0, replication_protocol: Optional[str] = None,
-                 crrs: Optional[bool] = None,
+                 read_policy: Optional[ReadPolicy] = None,
                  trace_sample_interval: int = 0,
                  scenario: Optional[Scenario] = None) -> dict:
     """Run one scenario end to end; returns its BENCH record.
 
     ``scenario`` lets callers (property tests) pass an ad-hoc
-    :class:`Scenario` instead of a catalog name.  ``crrs`` / ``scale``
+    :class:`Scenario` instead of a catalog name.  ``read_policy`` / ``scale``
     / ``replication_protocol`` override the scenario's defaults.
     """
     if scenario is None:
@@ -332,8 +333,8 @@ def run_scenario(name: Optional[str] = None, scale: Union[str, ScenarioScale] = 
         heartbeat_timeout_us=scale.heartbeat_timeout_us,
         trace_sample_interval=trace_sample_interval,
     )
-    if crrs is not None:
-        overrides["crrs"] = crrs
+    if read_policy is not None:
+        overrides["read_policy"] = read_policy
     overrides.update(dict(scenario.config_overrides))
     config = ClusterConfig.from_overrides(**overrides)
     cluster = LeedCluster(config)

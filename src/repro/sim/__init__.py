@@ -1,16 +1,16 @@
 """A from-scratch discrete-event simulation engine.
 
 Provides the execution substrate for the LEED reproduction: generator
-processes, one-shot events, timeouts, counted resources, token
-buckets, and FIFO stores.  Time is measured in **microseconds**.
+processes, one-shot events, timeouts, counted resources, and FIFO
+stores.  Time is measured in **microseconds**.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.errors import EventAlreadyTriggered, Interrupt, SimulationError
-from repro.sim.events import Condition, Event, Timeout, all_of, any_of
+from repro.sim.errors import EventAlreadyTriggered, SimulationError
+from repro.sim.events import Condition, Event, Timeout, all_of
 from repro.sim.process import Process
-from repro.sim.queues import PriorityStore, Store
-from repro.sim.resources import Resource, TokenBucket
+from repro.sim.queues import Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -20,13 +20,9 @@ __all__ = [
     "Condition",
     "Process",
     "Resource",
-    "TokenBucket",
     "Store",
-    "PriorityStore",
     "RngRegistry",
-    "Interrupt",
     "SimulationError",
     "EventAlreadyTriggered",
     "all_of",
-    "any_of",
 ]

@@ -12,9 +12,8 @@ Fast paths (see docs/performance.md):
   process wakeups, ``Event.succeed``, immediate resumes — bypass the
   heap through a FIFO ``deque``.  Dispatch order (and therefore the
   schedule digest) is byte-identical to the pure-heap engine: every
-  entry still consumes a sequence number, entries already on the heap
-  for the current timestep always carry lower (priority, sequence)
-  keys, and interrupts (priority 0) still preempt the queue.
+  entry still consumes a sequence number, and a normal-priority heap
+  entry for the current timestep goes first when its number is lower.
 * :meth:`Simulator.run` drains same-timestamp events in an inlined
   inner loop without re-entering the dispatch preamble (deadline
   checks, heap access) between events.
@@ -32,10 +31,10 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import StopSimulation
-from repro.sim.events import Delivery, Event, Timeout, all_of, any_of
+from repro.sim.events import Delivery, Event, Timeout, all_of
 from repro.sim.process import Process
 
-#: Default priority for scheduled events.  Interrupts use 0 (urgent).
+#: Default (and lowest-numbered) priority of scheduled events.
 NORMAL_PRIORITY = 1
 
 #: Priority for network delivery drains (:class:`repro.net.topology.
@@ -69,27 +68,27 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    def __init__(self, start_time: float = 0.0, sanitize: bool = False,
-                 sanitize_seed: int = 0):
-        self._now = float(start_time)
+    def __init__(self, sanitize_seed: Optional[int] = None):
+        self._now = 0.0
         self._heap: list = []
         #: FIFO of (sequence, event) for zero-delay normal-priority
         #: entries at the current timestep.
         self._imm: deque = deque()
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self._digest = None
         self._digest_events = 0
         self._events_dispatched = 0
         self._timeout_pool: list = []
-        #: Order-dependence sanitizer (TSan-style runtime oracle): when
-        #: enabled, same-timestamp normal-priority ties are broken by a
-        #: named RNG stream instead of FIFO order.  Every such order is
-        #: a legal cooperative schedule, so *functional* outcomes must
-        #: not change; code whose results move under the permutation
-        #: has a hidden order dependence (see docs/static-analysis.md).
+        #: Order-dependence sanitizer (TSan-style runtime oracle): with
+        #: a ``sanitize_seed``, same-timestamp normal-priority ties are
+        #: broken by the ``sim.sanitize`` stream of that seed instead
+        #: of FIFO order (distinct seeds, distinct legal schedules of
+        #: the same model).  Every such order is a legal cooperative
+        #: schedule, so *functional* outcomes must not change; code
+        #: whose results move under the permutation has a hidden order
+        #: dependence (see docs/static-analysis.md).
         self._sanitize_rng = None
-        if sanitize:
+        if sanitize_seed is not None:
             from repro.sim.rng import derive_stream
             self._sanitize_rng = derive_stream(sanitize_seed, "sim.sanitize")
 
@@ -104,11 +103,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time (microseconds by project convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def pending_events(self) -> int:
@@ -176,10 +170,6 @@ class Simulator:
         """Composite event firing once all ``events`` fire."""
         return all_of(self, events)
 
-    def any_of(self, events):
-        """Composite event firing once any of ``events`` fires."""
-        return any_of(self, events)
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run a plain callable ``delay`` time units from now."""
         event = self.timeout(delay)
@@ -246,31 +236,27 @@ class Simulator:
     def _pop_next(self):
         """Remove and return the next ``(when, priority, sequence, event)``.
 
-        Heap entries for the current timestep dispatch before immediate
-        entries whenever their (priority, sequence) key is lower —
-        exactly the order the pure-heap engine would have produced.
+        Normal-priority heap entries for the current timestep dispatch
+        before immediate entries whenever their sequence number is
+        lower — exactly the order the pure-heap engine would have
+        produced.
         """
         imm = self._imm
         heap = self._heap
         if imm:
             now = self._now
             if self._sanitize_rng is not None:
-                # Sanitize mode: interrupts still preempt, but the
-                # FIFO tie among same-timestep normal events is broken
-                # at random — any pick is a legal schedule.
-                if heap:
-                    head = heap[0]
-                    if head[0] == now and head[1] < NORMAL_PRIORITY:
-                        return heapq.heappop(heap)
+                # Sanitize mode: the FIFO tie among same-timestep
+                # normal events is broken at random — any pick is a
+                # legal schedule.
                 pick = self._sanitize_rng.randrange(len(imm))
                 sequence, event = imm[pick]
                 del imm[pick]
                 return (now, NORMAL_PRIORITY, sequence, event)
             if heap:
                 head = heap[0]
-                if head[0] == now and (
-                        head[1] < NORMAL_PRIORITY
-                        or (head[1] == NORMAL_PRIORITY and head[2] < imm[0][0])):
+                if (head[0] == now and head[1] == NORMAL_PRIORITY
+                        and head[2] < imm[0][0]):
                     return heapq.heappop(heap)
             sequence, event = imm.popleft()
             return (now, NORMAL_PRIORITY, sequence, event)
@@ -347,10 +333,8 @@ class Simulator:
                     when = self._now
                     if heap:
                         head = heap[0]
-                        if head[0] == when and (
-                                head[1] < NORMAL_PRIORITY
-                                or (head[1] == NORMAL_PRIORITY
-                                    and head[2] < imm[0][0])):
+                        if (head[0] == when and head[1] == NORMAL_PRIORITY
+                                and head[2] < imm[0][0]):
                             when, priority, sequence, event = heappop(heap)
                         else:
                             sequence, event = imm.popleft()

@@ -15,18 +15,5 @@ class StopSimulation(SimulationError):
         self.value = value
 
 
-class Interrupt(SimulationError):
-    """Thrown into a process that another process interrupted.
-
-    The interrupted process may catch the interrupt and continue; the
-    ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class EventAlreadyTriggered(SimulationError):
     """An event was succeeded or failed more than once."""

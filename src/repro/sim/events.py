@@ -89,14 +89,6 @@ class Event:
         self.sim._schedule_event(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def __repr__(self):
         state = "pending"
         if self.triggered:
@@ -155,15 +147,14 @@ class ConditionValue(dict):
 
 
 class Condition(Event):
-    """Composite event over several sub-events (all-of / any-of)."""
+    """Composite event that fires once all its sub-events have fired."""
 
-    __slots__ = ("events", "_evaluate", "_remaining")
+    __slots__ = ("events", "_fired")
 
-    def __init__(self, sim, evaluate: Callable[[int, int], bool], events):
+    def __init__(self, sim, events):
         super().__init__(sim)
         self.events = list(events)
-        self._evaluate = evaluate
-        self._remaining = 0
+        self._fired = 0
         if not self.events:
             self.succeed(ConditionValue())
             return
@@ -188,9 +179,8 @@ class Condition(Event):
             event._defused = True
             self.fail(event._value)
             return
-        self._remaining += 1
-        total = len(self.events)
-        if self._evaluate(self._remaining, total):
+        self._fired += 1
+        if self._fired == len(self.events):
             value = ConditionValue()
             for sub in self.events:
                 # Only sub-events that actually fired (processed), not
@@ -202,9 +192,4 @@ class Condition(Event):
 
 def all_of(sim, events) -> Condition:
     """Condition that fires once every event in ``events`` has fired."""
-    return Condition(sim, lambda done, total: done == total, events)
-
-
-def any_of(sim, events) -> Condition:
-    """Condition that fires once at least one event in ``events`` fires."""
-    return Condition(sim, lambda done, total: done >= 1, events)
+    return Condition(sim, events)

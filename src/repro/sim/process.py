@@ -12,9 +12,8 @@ so there is no preemption inside a code block.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
-from repro.sim.errors import Interrupt
 from repro.sim.events import Event
 
 
@@ -31,10 +30,11 @@ class Process(Event):
     starts the process inside that event's dispatch instead of from an
     initialization event of its own — a handler whose first act would
     be to wait out a CPU slice starts when the slice ends.  Until then
-    it waits on ``after`` as on any yielded event (interrupt, failure).
+    it waits on ``after`` as on any yielded event (its failure is
+    thrown in).
     """
 
-    __slots__ = ("generator", "name", "_target", "_interrupts")
+    __slots__ = ("generator", "name")
 
     def __init__(self, sim, generator: Generator, name: Optional[str] = None,
                  after: Optional[Event] = None):
@@ -43,12 +43,8 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process currently waits on (None while running).
-        self._target: Optional[Event] = None
-        self._interrupts: list = []
         if after is not None and after.callbacks is not None:
             after.callbacks.append(self._resume)
-            self._target = after
             return
         # Kick off the process via an immediately-scheduled initialization
         # event so creation order does not matter within a timestep (also
@@ -65,39 +61,12 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resume.
-
-        Interrupting a finished process is an error; interrupting a
-        process from itself is also an error.
-        """
-        if self.triggered:
-            raise RuntimeError("cannot interrupt finished process %r" % self)
-        if self.sim.active_process is self:
-            raise RuntimeError("a process cannot interrupt itself")
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule_event(interrupt_event, priority=0)
-
     # -- engine plumbing ----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         if self.triggered:
             return
-        # Detach from the event we were waiting on (relevant for interrupts,
-        # where the original target is still pending).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
-        self.sim._active_process = self
         try:
             if event._ok:
                 next_event = self.generator.send(event._value)
@@ -106,8 +75,6 @@ class Process(Event):
                 event._defused = True
                 next_event = self.generator.throw(event._value)
         except StopIteration as stop:
-            sim = self.sim
-            sim._active_process = None
             if self.callbacks:
                 self.succeed(stop.value)
             else:
@@ -120,15 +87,13 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 self.callbacks = None
-                sim._sequence += 1
+                self.sim._sequence += 1
             return
         except BaseException as exc:
-            self.sim._active_process = None
             self._ok = False
             self._value = exc
             self.sim._schedule_event(self)
             return
-        self.sim._active_process = None
 
         if not isinstance(next_event, Event):
             raise TypeError(
@@ -146,10 +111,8 @@ class Process(Event):
                 immediate._defused = True
             immediate.callbacks.append(self._resume)
             self.sim._schedule_event(immediate)
-            self._target = immediate
         else:
             next_event.callbacks.append(self._resume)
-            self._target = next_event
 
     def __repr__(self):
         return "<Process %s %s>" % (self.name, "done" if self.triggered else "alive")

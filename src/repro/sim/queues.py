@@ -29,13 +29,6 @@ class StoreGet(Event):
 
     __slots__ = ()
 
-    def cancel(self, store: "Store") -> None:
-        if not self.triggered:
-            try:
-                store._getters.remove(self)
-            except ValueError:
-                pass
-
 
 class Store:
     """A bounded FIFO channel."""
@@ -54,22 +47,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
-    @property
-    def pending_puts(self) -> int:
-        return len(self._putters)
-
-    @property
-    def pending_gets(self) -> int:
-        return len(self._getters)
-
-    def peek(self) -> Any:
-        """Head item without removing it (raises IndexError when empty)."""
-        return self.items[0]
 
     # -- operations -------------------------------------------------------------
 
@@ -125,48 +102,3 @@ class Store:
 
     def __repr__(self):
         return "<Store %s len=%d cap=%s>" % (self.name, len(self.items), self.capacity)
-
-
-class PriorityStore(Store):
-    """A store that serves the smallest item first.
-
-    Items must be orderable; wrap payloads in ``(priority, seq, item)``
-    tuples when needed.
-    """
-
-    def __init__(self, sim, capacity: float = float("inf"), name: str = "pstore"):
-        super().__init__(sim, capacity=capacity, name=name)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                put_event = self._putters.popleft()
-                if put_event.triggered:
-                    continue
-                self._insort(put_event.item)
-                put_event.succeed()
-                progressed = True
-            while self._getters and self.items:
-                get_event = self._getters.popleft()
-                if get_event.triggered:
-                    continue
-                get_event.succeed(self.items.popleft())
-                progressed = True
-
-    def try_put(self, item: Any) -> bool:
-        if len(self.items) < self.capacity:
-            self._insort(item)
-            self._dispatch()
-            return True
-        return False
-
-    def _insort(self, item: Any) -> None:
-        # deque has no bisect support; linear insert keeps this simple and
-        # the queues in this project are shallow by design (§3.4).
-        for index, existing in enumerate(self.items):
-            if item < existing:
-                self.items.insert(index, item)
-                return
-        self.items.append(item)

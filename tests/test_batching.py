@@ -118,6 +118,18 @@ class TestPerfCheckGate:
         # With GETs the rows may differ: that is the fused GET.
         assert perf.check_regressions({"B": moved}) == []
 
+    def test_row_must_hash_to_its_committed_row(self):
+        row = {"failed": 0, "figure_digest": "a", "wall_ops_per_sec": 1.0}
+        fast = dict(row, figure_digest="b")
+        measured = {"B": {"baseline": row, "fast": fast}}
+        committed = {"B": {"baseline": row, "fast": fast}}
+        assert perf.check_regressions(measured, committed) == []
+        committed["B"]["fast"] = dict(fast, figure_digest="c")
+        failures = perf.check_regressions(measured, committed)
+        assert failures == ["B fast: figure_digest b != committed c"]
+        # A row the committed report does not have is not compared.
+        assert perf.check_regressions(measured, {"C": committed["B"]}) == []
+
 
 class TestRemovedKnobs:
     def test_coalesce_limit_is_gone_and_admission_batch_is_inert(self):

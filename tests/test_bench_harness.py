@@ -16,7 +16,14 @@ from repro.bench.harness import (
 )
 from repro.baselines import make_cluster
 from repro.core.datastore import StoreConfig
+from repro.core.protocol import ReadPolicy
 from repro.workloads.ycsb import YCSBWorkload
+
+
+def _assert_config_is_the_cluster(cluster):
+    for client in cluster.clients:
+        assert client.read_policy is cluster.config.read_policy
+        assert client.flow.enabled is cluster.config.flow_control
 
 
 class TestExperimentResult:
@@ -95,12 +102,28 @@ class TestClusterHarness:
         assert stats.failed == 0
 
     def test_ablation_toggles_apply(self):
-        cluster = build_cluster("leed", flow_control=False, crrs=False,
-                                num_clients=1)
-        client = cluster.clients[0]
-        assert not client.flow.enabled
-        assert not client.crrs
-        assert client.read_policy == "tail"
+        """Both ablation switches travel through the config: it
+        describes the cluster it built (Fig. 7 / Fig. 8 "off")."""
+        cluster = build_cluster("leed", flow_control=False,
+                                read_policy=ReadPolicy.TAIL)
+        assert cluster.config.read_policy is ReadPolicy.TAIL
+        assert cluster.config.flow_control is False
+        _assert_config_is_the_cluster(cluster)
+
+    @pytest.mark.parametrize("system, read_policy, flow_control", [
+        ("leed", ReadPolicy.CRRS, True), ("fawn", ReadPolicy.TAIL, False),
+        ("kvell", ReadPolicy.ANY, False)])
+    def test_config_is_the_cluster(self, system, read_policy, flow_control):
+        cluster = make_cluster(system, num_nodes=3, num_clients=2)
+        assert cluster.config.read_policy is read_policy
+        assert cluster.config.flow_control is flow_control
+        _assert_config_is_the_cluster(cluster)
+
+    def test_per_system_default_is_overridable(self):
+        cluster = make_cluster("kvell", num_nodes=3,
+                               read_policy=ReadPolicy.TAIL)
+        assert cluster.config.read_policy is ReadPolicy.TAIL
+        _assert_config_is_the_cluster(cluster)
 
 
 class TestMeasureRunPhase:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.client import FrontEndClient
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
 from repro.core.hashring import HashRing, VNode
@@ -37,14 +38,14 @@ class TestRouting:
         assert hop == 0
 
     def test_tail_policy(self):
-        cluster = small_cluster(crrs=False, read_policy=ReadPolicy.TAIL)
+        cluster = small_cluster(read_policy=ReadPolicy.TAIL)
         client = cluster.clients[0]
         chain = client.local_ring.chain_for_key(b"k")
         hop, vnode = client._pick_target("get", b"k")
         assert vnode.vnode_id == chain[-1].vnode_id
 
     def test_any_policy_round_robins(self):
-        cluster = small_cluster(crrs=False, read_policy=ReadPolicy.ANY)
+        cluster = small_cluster(read_policy=ReadPolicy.ANY)
         client = cluster.clients[0]
         picks = {client._pick_target("get", b"k")[1].vnode_id
                  for _ in range(10)}
@@ -149,12 +150,12 @@ class TestRetries:
             drive(sim, client.get(b"k"))
         assert client.stats.timeouts == 0
 
-    def test_unavailable_after_total_outage(self):
+    def test_unavailable_after_total_outage(self, monkeypatch):
+        monkeypatch.setattr(FrontEndClient, "MAX_RETRIES", 2)
         cluster = small_cluster(num_jbofs=2)
         sim = cluster.sim
         client = cluster.clients[0]
         client.request_timeout_us = 500.0
-        client.max_retries = 2
         for node in cluster.jbofs:
             node.crash()
         cluster.network.partition(cluster.control_plane.address)

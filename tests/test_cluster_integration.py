@@ -1,15 +1,19 @@
 """End-to-end integration tests for the full LEED cluster."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from repro.core.cluster import ClusterConfig, LeedCluster
+from repro.core.compaction import CompactionConfig
 from repro.core.datastore import StoreConfig
 from repro.core.jbof import LeedOptions
+from repro.core.protocol import ReadPolicy
 from repro.baselines import make_cluster
 from repro.baselines.fawn.datastore import FawnConfig
 from repro.baselines.kvell.datastore import KVellConfig
+from repro.sim.core import Simulator
 
 from conftest import drive
 
@@ -216,8 +220,9 @@ class TestBaselineClusters:
 
 class TestFeatureToggles:
     def test_cluster_without_features_still_correct(self):
-        options = LeedOptions(enable_crrs=False, enable_swap=False)
-        cluster = leed_cluster(options=options, crrs=False,
+        options = LeedOptions(enable_swap=False)
+        cluster = leed_cluster(options=options,
+                               read_policy=ReadPolicy.TAIL,
                                flow_control=False)
         sim = cluster.sim
         client = cluster.clients[0]
@@ -259,3 +264,30 @@ class TestFrozenBenchmarkContract:
             == cluster.sim.events_dispatched
         cluster.stop_workers()
         cluster.stop_workers()
+
+
+class TestOneSelectorPerDecision:
+    """Each decision has one selector and every option a setter: the
+    second doors and the never-set fields are gone, not aliased."""
+
+    @pytest.mark.parametrize("build, spelling", [
+        (ClusterConfig, {"crrs": False}),
+        (ClusterConfig, {"sanitize": True}),
+        (LeedOptions, {"dirty_read_mode": "craq"}),
+        (LeedOptions, {"enable_crrs": False}),
+        (LeedOptions, {"wal_enabled": False}),
+        (StoreConfig, {"max_chain": 1}),
+        (Simulator, {"sanitize": True}),
+    ], ids=lambda value: getattr(value, "__name__", None) or next(iter(value)))
+    def test_removed_spellings_fail_loudly(self, build, spelling):
+        with pytest.raises(TypeError, match=next(iter(spelling))):
+            build(**spelling)
+
+    def test_what_the_frozen_benchmark_passes_still_builds(self):
+        LeedOptions(fast_datapath=True, admission_batch=8)
+        ClusterConfig(workers=0)
+
+    def test_field_counts(self):
+        assert [len(fields(config)) for config in (
+            ClusterConfig, LeedOptions, StoreConfig, CompactionConfig)
+        ] == [19, 7, 5, 2]

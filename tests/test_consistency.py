@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
+from repro.core.protocol import ReadPolicy
 
 from conftest import drive
 
@@ -29,7 +30,7 @@ def make_cluster(seed=11, crrs=True):
         num_jbofs=3, ssds_per_jbof=2, num_clients=2, replication=3,
         store=StoreConfig(num_segments=64, key_log_bytes=1 << 20,
                           value_log_bytes=4 << 20),
-        crrs=crrs, seed=seed)
+        read_policy=ReadPolicy.CRRS if crrs else ReadPolicy.TAIL, seed=seed)
     cluster = LeedCluster(config)
     cluster.start()
     return cluster

@@ -2,8 +2,9 @@
 
 The paper considered letting a dirty replica resolve reads with a
 version query to the tail (as in CRAQ) and rejected it because it
-"generates more internal traffic across JBOFs".  Both modes are
-implemented; these tests check that CRAQ mode (a) stays consistent,
+"generates more internal traffic across JBOFs".  Both are
+implemented, as the ``"chain"`` and ``"craq"`` replication protocols;
+these tests check that CRAQ (a) stays consistent,
 (b) actually serves up-to-date dirty reads locally, and (c) produces
 the extra internal traffic the paper predicted.
 """
@@ -12,20 +13,17 @@ import pytest
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
-from repro.core.jbof import LeedOptions
 from repro.core.protocol import KVRequest
-from repro.core.replication import DirtyReadMode
 
 from conftest import drive
 
 
-def make_cluster(mode=DirtyReadMode.CRAQ, seed=21):
+def make_cluster(protocol="craq", seed=21):
     config = ClusterConfig(
         num_jbofs=3, ssds_per_jbof=1, num_clients=1, replication=3,
         store=StoreConfig(num_segments=32, key_log_bytes=1 << 20,
                           value_log_bytes=4 << 20),
-        options=LeedOptions(dirty_read_mode=mode),
-        seed=seed)
+        replication_protocol=protocol, seed=seed)
     cluster = LeedCluster(config)
     cluster.start()
     return cluster
@@ -61,7 +59,7 @@ class TestCraqMode:
     def test_up_to_date_replica_serves_locally(self):
         """The head applied the write (versions match), so the version
         query lets it answer without shipping."""
-        cluster = make_cluster(DirtyReadMode.CRAQ)
+        cluster = make_cluster("craq")
         reply, head = dirty_read_at_head(cluster)
         assert reply.status == "ok"
         assert reply.value == b"committed-value"
@@ -70,7 +68,7 @@ class TestCraqMode:
         assert reply.served_by == head.vnode_id  # local, not the tail
 
     def test_ship_mode_forwards_instead(self):
-        cluster = make_cluster(DirtyReadMode.SHIP)
+        cluster = make_cluster("chain")
         reply, head = dirty_read_at_head(cluster)
         assert reply.status == "ok"
         assert reply.value == b"committed-value"
@@ -81,7 +79,7 @@ class TestCraqMode:
     def test_stale_replica_still_ships(self):
         """If the replica lags the committed version, CRAQ mode must
         fall back to shipping — never serve stale data."""
-        cluster = make_cluster(DirtyReadMode.CRAQ)
+        cluster = make_cluster("craq")
         sim = cluster.sim
         client = cluster.clients[0]
 
@@ -117,17 +115,17 @@ class TestCraqMode:
         """The paper's reason for rejecting CRAQ: extra cross-JBOF
         messages per dirty read."""
         traffic = {}
-        for mode in (DirtyReadMode.CRAQ, DirtyReadMode.SHIP):
-            cluster = make_cluster(mode)
+        for protocol in ("craq", "chain"):
+            cluster = make_cluster(protocol)
             reply, head = dirty_read_at_head(cluster)
             assert reply.status == "ok"
-            traffic[mode] = head.stats.version_query_bytes
-        assert traffic[DirtyReadMode.CRAQ] > 0
-        assert traffic[DirtyReadMode.SHIP] == 0
+            traffic[protocol] = head.stats.version_query_bytes
+        assert traffic["craq"] > 0
+        assert traffic["chain"] == 0
 
     def test_craq_cluster_consistency(self):
         """Full workload under CRAQ mode stays read-your-writes."""
-        cluster = make_cluster(DirtyReadMode.CRAQ)
+        cluster = make_cluster("craq")
         sim = cluster.sim
         client = cluster.clients[0]
 

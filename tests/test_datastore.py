@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.compaction import CompactionConfig, Compactor
 from repro.core.datastore import LeedDataStore, StoreConfig
+from repro.core.io_engine import KVCommand, PartitionIOEngine
 from repro.core.segment import key_hash
 from repro.hw.cpu import Core
 from repro.hw.dram import Dram
@@ -182,8 +183,9 @@ class TestCapacityLimits:
 
         assert drive(sim, proc()) == "store_full"
 
-    def test_segment_full(self, sim):
-        store = make_store(sim, num_segments=1, max_chain=1)
+    def test_segment_full(self, sim, monkeypatch):
+        monkeypatch.setattr(LeedDataStore, "MAX_CHAIN", 1)
+        store = make_store(sim, num_segments=1)
 
         def proc():
             status = None
@@ -362,7 +364,7 @@ class TestTwoClocks:
         log = store.key_log
         return offset % log.size + chain_len * log.block_size > log.size
 
-    def _twin(self, fused=False):
+    def _twin(self):
         """A store with a bound core whose key log has wrapped, holding
         live keys, one tombstone and one segment astride the wrap.
         Built through the reference paths only, so every twin is in
@@ -376,7 +378,6 @@ class TestTwoClocks:
                                   compact_high_watermark=0.5,
                                   compact_low_watermark=0.25),
             core=Core(sim, 3.0))
-        store.fused_get = fused
         compactor = Compactor(store, CompactionConfig(subcompactions=1))
 
         def setup():
@@ -446,23 +447,28 @@ class TestTwoClocks:
         assert result == expected and done == ref.sim.now
 
     def test_traced_get_on_fused_store_takes_reference_clock(self):
+        """The engine's ``submit`` is where a GET is fused, and a
+        traced one is not."""
         ref_sim, ref, astride, dead = self._twin()
-        sim, fused, _astride, _dead = self._twin(fused=True)
+        sim, store, _astride, _dead = self._twin()
+        engine = PartitionIOEngine(sim, store)
         key = next(k for k in self.LIVE
                    if k != dead and not self._wraps(ref, k))
         root = Tracer(sim).trace("get", track="test")
         expected = drive(ref_sim, ref.get(key))
         before = sim.events_dispatched
-        result = drive(sim, fused.get(key, trace=root))
+        result = sim.run(until=engine.submit(
+            KVCommand("get", key, trace=root)))
         traced_events = sim.events_dispatched - before
         assert result == expected and result.ok
         # Device spans only exist on the reference clock, one per access.
         reads = [span for span in root.tracer.spans
                  if span.name == "ssd.read"]
         assert len(reads) == result.nvme_accesses == 2
-        # Untraced, the same store fuses the four stages into one sleep.
+        # Untraced, the same GET is fused: its four stages are one event.
         before = sim.events_dispatched
-        assert drive(sim, fused.get(key)).value == expected.value
+        fused = sim.run(until=engine.submit(KVCommand("get", key)))
+        assert fused.value == expected.value
         assert sim.events_dispatched - before <= traced_events - 3
 
 
@@ -512,8 +518,9 @@ class TestRefusedWritesLeaveAccountingAlone:
         assert store.stats.value_garbage_bytes == garbage
         assert drive(sim, store.get(key)).ok
 
-    def test_segment_full_put_is_not_counted_either(self, sim):
-        store = make_store(sim, num_segments=1, max_chain=1)
+    def test_segment_full_put_is_not_counted_either(self, sim, monkeypatch):
+        monkeypatch.setattr(LeedDataStore, "MAX_CHAIN", 1)
+        store = make_store(sim, num_segments=1)
 
         def fill():
             index = 0

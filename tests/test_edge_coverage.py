@@ -8,7 +8,6 @@ from repro.baselines.fawn.datastore import FawnConfig
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.recovery import recover_store
 from repro.hw.ssd import NVMeSSD, SSDProfile
-from repro.sim.queues import PriorityStore
 from repro.sim.rng import RngRegistry
 from repro.telemetry import render, snapshot
 
@@ -90,30 +89,6 @@ class TestRecoveryEdgeCases:
         assert report.blocks_scanned == config.key_log_bytes // 512
         # Most segments recover; at most a couple straddle the wrap.
         assert ok >= 6
-
-
-class TestPriorityStoreBlocking:
-    def test_bounded_put_blocks(self, sim):
-        store = PriorityStore(sim, capacity=1)
-        sequence = []
-
-        def producer():
-            yield store.put(5)
-            sequence.append(("put5", sim.now))
-            yield store.put(1)
-            sequence.append(("put1", sim.now))
-
-        def consumer():
-            yield sim.timeout(10)
-            first = yield store.get()
-            sequence.append(("got", first, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert sequence[0] == ("put5", 0.0)
-        assert sequence[1][0] == "got"
-        assert sequence[2] == ("put1", 10.0)
 
 
 class TestOpenLoopHarness:

@@ -75,8 +75,11 @@ class TestConfigSpace:
         with pytest.raises(ValueError, match="allowed values"):
             space.check_point(dict(point, token_capacity=999))
         # Dimensions deleted with the paths they tuned (multi-drain,
-        # RPC coalescing) are unknown, not silently ignored.
-        for removed in ("admission_batch", "rpc_coalesce_limit"):
+        # RPC coalescing), and the fused GET — a model-error switch,
+        # not a design choice — are unknown, not silently ignored.
+        assert len(space.dimensions) == 5 and len(list(space.grid())) == 162
+        for removed in ("admission_batch", "rpc_coalesce_limit",
+                        "fast_datapath"):
             with pytest.raises(ValueError, match="unknown dimension"):
                 space.check_point(dict(point, **{removed: 8}))
 

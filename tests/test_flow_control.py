@@ -64,13 +64,6 @@ class TestAlgorithm1:
         assert len(sent) == 5  # immediate, no scheduling
         assert flow.queued() == 0
 
-    def test_best_target_picks_max_tokens(self, sim):
-        flow = FlowController(sim)
-        flow.on_response("a", 2)
-        flow.on_response("b", 9)
-        flow.on_response("c", 5)
-        assert flow.best_target(["a", "b", "c"]) == "b"
-
     def test_outstanding_accounting(self, sim):
         flow = FlowController(sim)
         flow.on_response("t", 10)

@@ -42,13 +42,6 @@ class TestChains:
         assert (ring.chain_ids_for_key(b"stable")
                 == ring.chain_ids_for_key(b"stable"))
 
-    def test_position_in_chain(self):
-        ring = make_ring()
-        chain = ring.chain_ids_for_key(b"key")
-        for hop, vnode_id in enumerate(chain):
-            assert ring.position_in_chain(b"key", vnode_id) == hop
-        assert ring.position_in_chain(b"key", "not-a-node") is None
-
     def test_empty_ring(self):
         ring = HashRing([], replication=3)
         assert ring.chain_for_key(b"k") == []

@@ -4,13 +4,14 @@ import pytest
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
-from repro.core.jbof import LeedOptions
-from repro.core.protocol import KVRequest
+from repro.core.jbof import JBOFNode, LeedOptions
+from repro.core.protocol import KVRequest, ReadPolicy
 
 from conftest import drive
 
 
-def small_cluster(num_jbofs=3, replication=3, crrs=True, num_clients=1,
+def small_cluster(num_jbofs=3, replication=3,
+                  read_policy=ReadPolicy.CRRS, num_clients=1,
                   seed=0, **options_kwargs):
     options = LeedOptions(**options_kwargs) if options_kwargs else LeedOptions()
     config = ClusterConfig(
@@ -18,7 +19,7 @@ def small_cluster(num_jbofs=3, replication=3, crrs=True, num_clients=1,
         replication=replication,
         store=StoreConfig(num_segments=64, key_log_bytes=1 << 20,
                           value_log_bytes=4 << 20),
-        options=options, crrs=crrs, seed=seed)
+        options=options, read_policy=read_policy, seed=seed)
     cluster = LeedCluster(config)
     cluster.start()
     return cluster
@@ -140,7 +141,7 @@ class TestReadPath:
         assert reply.served_by == chain[-1]
 
     def test_read_without_crrs_goes_to_tail(self):
-        cluster = small_cluster(crrs=False)
+        cluster = small_cluster(read_policy=ReadPolicy.TAIL)
         sim = cluster.sim
         client = cluster.clients[0]
 
@@ -285,10 +286,10 @@ class TestWritePathEventBudget:
             del sim.process
         return sim.events_dispatched - before, spawned
 
-    def test_put_and_delete_stay_inside_their_budget(self):
+    def test_put_and_delete_stay_inside_their_budget(self, monkeypatch):
         # No background polls inside the measured windows.
-        cluster = small_cluster(maintenance_poll_us=1e9,
-                                heartbeat_period_us=1e9)
+        monkeypatch.setattr(JBOFNode, "MAINTENANCE_POLL_US", 1e9)
+        cluster = small_cluster(heartbeat_period_us=1e9)
         client = cluster.clients[0]
         key = b"budget-key"
         # Unmeasured warm-up: start-of-run membership pushes drain.

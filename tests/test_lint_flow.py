@@ -529,5 +529,5 @@ class TestOrderDependenceSanitizer:
 
     def test_simulator_sanitize_flag(self):
         from repro.sim.core import Simulator
-        assert Simulator(sanitize=True, sanitize_seed=3).sanitizing
+        assert Simulator(sanitize_seed=3).sanitizing
         assert not Simulator().sanitizing

@@ -18,29 +18,40 @@ def net(sim):
     return network
 
 
+def listen(nic):
+    """Install an ``rx_handler`` on a bare NIC; returns the arrival
+    list of ``(time, payload)``."""
+    arrivals = []
+    nic.rx_handler = (
+        lambda payload: arrivals.append((nic.sim.now, payload)))
+    return arrivals
+
+
+def payloads(arrivals):
+    return [payload for _when, payload in arrivals]
+
+
 class TestFabric:
     def test_delivery(self, sim, net):
+        received = listen(net.nic("b"))
         net.transmit("a", "b", 100, "hello")
         sim.run()
-        assert net.nic("b").rx_queue.try_get() == "hello"
+        assert payloads(received) == ["hello"]
         assert net.messages_delivered == 1
 
     def test_in_order_per_pair(self, sim, net):
+        received = listen(net.nic("b"))
         for index in range(5):
             net.transmit("a", "b", 1000, index)
         sim.run()
-        received = []
-        while True:
-            item = net.nic("b").rx_queue.try_get()
-            if item is None:
-                break
-            received.append(item)
-        assert received == [0, 1, 2, 3, 4]
+        assert payloads(received) == [0, 1, 2, 3, 4]
 
     def test_latency_scales_with_size(self, sim, net):
-        small = net.one_way_latency_us("a", "b", 64)
-        large = net.one_way_latency_us("a", "b", 64 * 1024)
-        assert large > small
+        at_a, at_b = listen(net.nic("a")), listen(net.nic("b"))
+        net.transmit("a", "b", 64, "small")
+        net.transmit("b", "a", 64 * 1024, "large")  # both ports idle
+        sim.run()
+        assert at_a[0][0] > at_b[0][0]
 
     def test_serialization_paces_sender(self, sim, net):
         # Two 125000-byte messages at 12.5 GB/s: second is delayed by
@@ -52,20 +63,22 @@ class TestFabric:
         assert sim.now >= 2 * 125000 / NIC_100G.bandwidth_bpus
 
     def test_partition_drops_traffic(self, sim, net):
+        received = listen(net.nic("b"))
         net.partition("b")
         net.transmit("a", "b", 10, "lost")
         sim.run()
-        assert net.nic("b").rx_queue.try_get() is None
+        assert received == []
         net.heal("b")
         net.transmit("a", "b", 10, "found")
         sim.run()
-        assert net.nic("b").rx_queue.try_get() == "found"
+        assert payloads(received) == ["found"]
 
     def test_partition_mid_flight(self, sim, net):
+        received = listen(net.nic("b"))
         net.transmit("a", "b", 10, "doomed")
         net.partition("b")  # dies before delivery
         sim.run()
-        assert net.nic("b").rx_queue.try_get() is None
+        assert received == []
 
     def test_unknown_endpoint_rejected(self, sim, net):
         with pytest.raises(KeyError):
@@ -78,13 +91,14 @@ class TestFabric:
     def test_slow_nic_profile(self, sim):
         network = Network(sim)
         network.attach("pi", NIC_1G_USB)
-        network.attach("host")
-        slow = network.one_way_latency_us("pi", "host", 1500)
+        slow = listen(network.attach("host"))
+        network.transmit("pi", "host", 1500, "slow")
         network2 = Network(sim)
         network2.attach("fast1")
-        network2.attach("fast2")
-        fast = network2.one_way_latency_us("fast1", "fast2", 1500)
-        assert slow > 10 * fast
+        fast = listen(network2.attach("fast2"))
+        network2.transmit("fast1", "fast2", 1500, "fast")
+        sim.run()
+        assert slow[0][0] > 10 * fast[0][0]
 
 
 class TestDeliveryOrder:
@@ -137,26 +151,25 @@ class TestDeliveryOrder:
         assert sim.events_dispatched == 2
 
     def test_insert_refuses_a_delivery_in_the_past(self, sim, net):
+        received = listen(net.nic("b"))
         pump = DeliveryPump(sim, net)
         sim.run(until=10.0)
         with pytest.raises(ValueError, match="past"):
             pump.insert((5.0, "b", "a", 1, 64, "late"))
         pump.insert((10.0, "b", "a", 1, 64, "on time"))
         sim.run()
-        assert net.nic("b").rx_queue.try_get() == "on time"
+        assert payloads(received) == ["on time"]
 
 
 class TestRdmaVerbs:
     def test_send_reaches_recv_cq(self, sim, net):
         qp_a = QueuePair(sim, net, "a")
         qp_b = QueuePair(sim, net, "b")
-
-        def proc():
-            qp_a.post_send("b", {"cmd": "get"}, 64)
-            completion = yield qp_b.recv_cq.get()
-            return completion
-
-        completion = drive(sim, proc())
+        completions = []
+        qp_b.recv_handler = completions.append
+        qp_a.post_send("b", {"cmd": "get"}, 64)
+        sim.run()
+        completion, = completions
         assert completion.src == "a"
         assert completion.payload == {"cmd": "get"}
 
@@ -164,13 +177,11 @@ class TestRdmaVerbs:
         qp_a = QueuePair(sim, net, "a")
         qp_b = QueuePair(sim, net, "b")
         region = qp_a.register_region(4096)
-
-        def proc():
-            qp_b.post_write_imm("a", region.key, b"response", 8, imm=77)
-            completion = yield qp_a.write_cq.get()
-            return completion
-
-        completion = drive(sim, proc())
+        completions = []
+        qp_a.write_handler = completions.append
+        qp_b.post_write_imm("a", region.key, b"response", 8, imm=77)
+        sim.run()
+        completion, = completions
         assert completion.imm == 77
         assert region.data == b"response"
 
@@ -178,10 +189,12 @@ class TestRdmaVerbs:
         qp_a = QueuePair(sim, net, "a")
         qp_b = QueuePair(sim, net, "b")
         region = qp_a.register_region(64)
+        completions = []
+        qp_a.write_handler = completions.append
         qp_a.deregister_region(region.key)
         qp_b.post_write_imm("a", region.key, b"x", 1, imm=1)
         sim.run(until=100)
-        assert len(qp_a.write_cq) == 0
+        assert completions == [] and region.data is None
 
     def test_verb_counters(self, sim, net):
         qp_a = QueuePair(sim, net, "a")

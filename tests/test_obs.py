@@ -53,15 +53,6 @@ class TestLatencyHistogram:
         # Reported percentiles stay within the observed range.
         assert 0.001 <= hist.p50 <= 1e12
 
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(10.0)
-        b.record(1000.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max_us == 1000.0
-        assert a.sum_us == pytest.approx(1010.0)
-
     def test_to_dict_shape(self):
         hist = LatencyHistogram()
         hist.record(42.0)
@@ -138,7 +129,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry(sim)
         registry.counter("ops", 3)
         registry.register_gauge("depth", lambda: 7)
-        registry.histogram("lat").record(100.0)
+        registry.register_histogram("lat").record(100.0)
         record = registry.sample_now()
         assert record["t_us"] == 0.0
         assert record["counters"] == {"ops": 3.0}
@@ -164,7 +155,7 @@ class TestMetricsRegistry:
     def test_bench_records_flat(self):
         sim = Simulator()
         registry = MetricsRegistry(sim)
-        registry.histogram("client0.latency").record(50.0)
+        registry.register_histogram("client0.latency").record(50.0)
         registry.sample_now()
         rows = registry.bench_records("smoke")
         assert rows[0]["label"] == "smoke"

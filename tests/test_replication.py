@@ -3,11 +3,9 @@
 Every registered protocol (chain, craq, abd) must provide the same
 client-observable guarantees: acknowledged writes are readable,
 per-key committed stamps never move backwards, and writes journaled
-in the WAL survive a crash via replay.  Protocol selection and the
-``DirtyReadMode`` deprecation shim are covered here too.
+in the WAL survive a crash via replay.  Protocol selection — by
+name, the only selector — is covered here too.
 """
-
-import warnings
 
 import pytest
 
@@ -19,7 +17,6 @@ from repro.core.replication import (
     AbdQuorum,
     ChainReplication,
     CraqChain,
-    DirtyReadMode,
     make_policy,
     protocol_names,
 )
@@ -158,23 +155,6 @@ class TestConformance:
             for runtime in node.vnodes.values():
                 assert len(runtime.wal) == 0, (protocol, runtime.vnode_id)
 
-    def test_wal_disabled_journals_nothing(self):
-        cluster = make_cluster(
-            "chain", options=LeedOptions(wal_enabled=False))
-        client = cluster.clients[0]
-
-        def proc():
-            result = yield from client.put(b"k", b"v")
-            assert result.ok
-
-        drive(cluster.sim, proc())
-        for node in cluster.jbofs:
-            assert node.wal_recovery is None
-            for runtime in node.vnodes.values():
-                assert runtime.wal.stats.appended == 0
-            node.recover()
-            assert node.wal_recovery is None
-
 
 class TestAbdFaultTolerance:
     def test_writes_survive_one_replica_down(self):
@@ -252,11 +232,20 @@ class TestSelection:
         for node in cluster.jbofs:
             assert type(node.policy) is ChainReplication
 
-    def test_dirty_read_mode_selects_craq(self):
-        cluster = make_cluster(
-            "chain", options=LeedOptions(dirty_read_mode=DirtyReadMode.CRAQ))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_protocol_name_is_visible_end_to_end(self, protocol):
+        """The name picks the policy and every layer reports it (the
+        scenario record's ``protocol`` is checked by
+        ``test_scenarios.test_failure_burst_per_protocol``)."""
+        policy = {"chain": ChainReplication, "craq": CraqChain,
+                  "abd": AbdQuorum}[protocol]
+        cluster = make_cluster(protocol)
         for node in cluster.jbofs:
-            assert type(node.policy) is CraqChain
+            assert type(node.policy) is policy
+        assert cluster.config.replication_protocol == protocol
+        assert cluster.control_plane.replication_protocol == protocol
+        snapshot = cluster.control_plane.membership_snapshot()
+        assert snapshot.replication_protocol == protocol
 
     def test_explicit_abd(self):
         cluster = make_cluster("abd")
@@ -282,24 +271,6 @@ class TestSelection:
     def test_make_policy_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_policy("raft", None)
-
-
-class TestDirtyReadMode:
-    def test_member_passes_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            options = LeedOptions(dirty_read_mode=DirtyReadMode.CRAQ)
-        assert options.dirty_read_mode is DirtyReadMode.CRAQ
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LeedOptions(dirty_read_mode="gossip")
-        with pytest.raises(ValueError):
-            LeedOptions(dirty_read_mode="craq")
-
-    def test_str_roundtrip(self):
-        assert str(DirtyReadMode.SHIP) == "ship"
-        assert DirtyReadMode.SHIP == "ship"
 
 
 class TestDeterminism:

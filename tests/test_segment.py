@@ -15,7 +15,6 @@ from repro.core.segment import (
     key_hash,
     pack_value_entry,
     peek_segment_header,
-    segment_of,
     unpack_value_entry,
     value_entry_size,
 )
@@ -172,10 +171,6 @@ class TestValueEntry:
 
 
 class TestHashing:
-    def test_segment_of_in_range(self):
-        for key in (b"a", b"b", b"hello", b"user999"):
-            assert 0 <= segment_of(key, 64) < 64
-
     def test_hash_stable(self):
         assert key_hash(b"stable") == key_hash(b"stable")
 

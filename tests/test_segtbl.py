@@ -12,7 +12,7 @@ class TestIndex:
     def test_initially_absent(self, sim):
         table = SegTbl(sim, 8)
         assert table.location(0) is None
-        assert not table.entry(0).exists
+        assert list(table.existing_segments()) == []
 
     def test_update_and_lookup(self, sim):
         table = SegTbl(sim, 8)
@@ -77,7 +77,7 @@ class TestLockBit:
             sim.process(worker(name, 10))
         sim.run()
         assert order == ["first", "second", "third"]
-        assert not table.is_locked(2)
+        assert table.try_lock(2)  # released by the last holder
 
     def test_unlock_without_lock_rejected(self, sim):
         table = SegTbl(sim, 4)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import Simulator
-from repro.sim.errors import EventAlreadyTriggered, Interrupt
+from repro.sim.errors import EventAlreadyTriggered
 from repro.sim.events import Event, Timeout
 
 from conftest import drive
@@ -267,64 +267,6 @@ class TestUnwaitedProcessElision:
         assert sim.now == 9.0
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-                return "overslept"
-            except Interrupt as interrupt:
-                return interrupt.cause
-
-        target = sim.process(sleeper())
-
-        def killer():
-            yield sim.timeout(10)
-            target.interrupt("wake-up")
-
-        sim.process(killer())
-        assert sim.run(until=target) == "wake-up"
-        assert sim.now == 10.0
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def quick():
-            yield sim.timeout(1)
-
-        process = sim.process(quick())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            process.interrupt()
-
-    def test_self_interrupt_rejected(self, sim):
-        def suicidal(handle):
-            yield sim.timeout(1)
-            handle[0].interrupt()
-
-        handle = [None]
-        process = sim.process(suicidal(handle))
-        handle[0] = process
-        with pytest.raises(RuntimeError):
-            sim.run()
-
-    def test_interrupted_process_can_continue(self, sim):
-        def resilient():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                pass
-            yield sim.timeout(5)
-            return sim.now
-
-        target = sim.process(resilient())
-
-        def poker():
-            yield sim.timeout(3)
-            target.interrupt()
-
-        sim.process(poker())
-        assert sim.run(until=target) == 8.0
-
-
 class TestConditions:
     def test_all_of_waits_for_all(self, sim):
         def proc():
@@ -333,16 +275,6 @@ class TestConditions:
             return sim.now
 
         assert drive(sim, proc()) == 7.0
-
-    def test_any_of_fires_on_first(self, sim):
-        def proc():
-            timeouts = [sim.timeout(t, value=t) for t in (3, 1, 7)]
-            result = yield sim.any_of(timeouts)
-            return sim.now, list(result.values())
-
-        now, values = drive(sim, proc())
-        assert now == 1.0
-        assert values == [1]
 
     def test_all_of_empty_fires_immediately(self, sim):
         def proc():
@@ -428,31 +360,6 @@ class TestProcessAfter:
         sim.run(until=sim.process(proc(), after=sim.timeout(0)))
         # The zero-delay gate stands in for the init event.
         assert sim.events_dispatched - before == plain
-
-    def test_interrupt_before_the_event_detaches(self, sim):
-        started = []
-
-        def proc():
-            started.append(sim.now)
-            yield sim.timeout(1)
-
-        gate = sim.event()
-        process = sim.process(proc(), after=gate)
-        process.defuse()
-
-        def killer():
-            yield sim.timeout(1)
-            process.interrupt("stop")
-
-        sim.process(killer())
-        sim.run()
-        # Like any waiting process: Interrupt is thrown in (an
-        # unstarted generator cannot catch it) and the wait is dropped.
-        assert isinstance(process.value, Interrupt) and not process.ok
-        assert gate.callbacks == [] and not started
-        gate.succeed()
-        sim.run()
-        assert not started
 
     def test_failure_of_after_is_thrown_in(self, sim):
         def proc():

@@ -1,24 +1,27 @@
-"""Tests for Resource, TokenBucket, Store, and PriorityStore."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.sim.queues import PriorityStore, Store
-from repro.sim.resources import Resource, TokenBucket
+from repro.sim.queues import Store
+from repro.sim.resources import Resource
 
 from conftest import drive
 
 
 class TestResource:
     def test_acquire_release(self, sim):
-        resource = Resource(sim, capacity=2)
+        resource = Resource(sim, capacity=1)
 
         def proc():
             yield resource.acquire()
-            assert resource.in_use == 1
+            blocked = resource.acquire()
+            assert not blocked.triggered  # the one slot is held
             resource.release()
-            return resource.in_use
+            assert blocked.triggered      # ... and handed over
+            resource.release()
+            return resource.acquire().triggered
 
-        assert drive(sim, proc()) == 0
+        assert drive(sim, proc())
 
     def test_fcfs_ordering(self, sim):
         resource = Resource(sim, capacity=1)
@@ -38,25 +41,30 @@ class TestResource:
     def test_capacity_enforced(self, sim):
         resource = Resource(sim, capacity=2)
         concurrent = []
+        holders = [0]
 
         def worker():
             yield resource.acquire()
-            concurrent.append(resource.in_use)
+            holders[0] += 1
+            concurrent.append(holders[0])
             yield sim.timeout(10)
+            holders[0] -= 1
             resource.release()
 
         for _ in range(5):
             sim.process(worker())
         sim.run()
-        assert max(concurrent) <= 2
+        assert max(concurrent) == 2
 
     def test_multi_slot_acquire(self, sim):
         resource = Resource(sim, capacity=4)
 
         def proc():
             yield resource.acquire(3)
-            assert resource.available == 1
+            two = resource.acquire(2)
+            assert not two.triggered      # one slot left
             resource.release(3)
+            assert two.triggered
 
         drive(sim, proc())
 
@@ -70,87 +78,9 @@ class TestResource:
         with pytest.raises(ValueError):
             resource.release()
 
-    def test_cancel_pending_request(self, sim):
-        resource = Resource(sim, capacity=1)
-
-        def holder():
-            yield resource.acquire()
-            yield sim.timeout(100)
-            resource.release()
-
-        sim.process(holder())
-        sim.run(until=1)
-        request = resource.acquire()
-        assert resource.queue_length == 1
-        request.cancel()
-        assert resource.queue_length == 0
-
-    def test_utilization_tracks_busy_time(self, sim):
-        resource = Resource(sim, capacity=1)
-
-        def proc():
-            yield resource.acquire()
-            yield sim.timeout(50)
-            resource.release()
-            yield sim.timeout(50)
-
-        drive(sim, proc())
-        assert resource.utilization() == pytest.approx(0.5)
-
     def test_invalid_capacity(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
-
-
-class TestTokenBucket:
-    def test_try_consume(self, sim):
-        bucket = TokenBucket(sim, tokens=3)
-        assert bucket.try_consume(2)
-        assert bucket.tokens == 1
-        assert not bucket.try_consume(2)
-
-    def test_consume_waits_for_grant(self, sim):
-        bucket = TokenBucket(sim, tokens=0)
-        got_at = []
-
-        def consumer():
-            yield bucket.consume(5)
-            got_at.append(sim.now)
-
-        sim.process(consumer())
-        sim.schedule(20, lambda: bucket.grant(5))
-        sim.run()
-        assert got_at == [20.0]
-
-    def test_capacity_clamps(self, sim):
-        bucket = TokenBucket(sim, tokens=0, capacity=10)
-        bucket.grant(100)
-        assert bucket.tokens == 10
-
-    def test_set_level(self, sim):
-        bucket = TokenBucket(sim, tokens=7)
-        bucket.set_level(2)
-        assert bucket.tokens == 2
-
-    def test_fcfs_consumers(self, sim):
-        bucket = TokenBucket(sim, tokens=0)
-        order = []
-
-        def consumer(name, amount):
-            yield bucket.consume(amount)
-            order.append(name)
-
-        sim.process(consumer("big", 5))
-        sim.process(consumer("small", 1))
-        sim.schedule(1, lambda: bucket.grant(6))
-        sim.run()
-        # Head-of-line: big waits first and is served first.
-        assert order == ["big", "small"]
-
-    def test_negative_grant_rejected(self, sim):
-        bucket = TokenBucket(sim)
-        with pytest.raises(ValueError):
-            bucket.grant(-1)
 
 
 class TestStore:
@@ -219,7 +149,7 @@ class TestStore:
         assert store.try_put(1)
         assert store.try_put(2)
         assert not store.try_put(3)
-        assert store.is_full
+        assert len(store) == 2
 
     def test_try_get_empty_returns_none(self, sim):
         store = Store(sim)
@@ -230,35 +160,8 @@ class TestStore:
         store.try_put("first")
         store.try_put("second")
         assert len(store) == 2
-        assert store.peek() == "first"
+        assert store.items[0] == "first"
 
     def test_invalid_capacity(self, sim):
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
-
-
-class TestPriorityStore:
-    def test_orders_by_item(self, sim):
-        store = PriorityStore(sim)
-        for value in (5, 1, 3):
-            store.try_put(value)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        drive(sim, consumer())
-        assert got == [1, 3, 5]
-
-    def test_tuple_priorities(self, sim):
-        store = PriorityStore(sim)
-        store.try_put((2, "low"))
-        store.try_put((1, "high"))
-
-        def consumer():
-            first = yield store.get()
-            return first
-
-        assert drive(sim, consumer()) == (1, "high")
