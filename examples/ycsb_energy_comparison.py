@@ -14,7 +14,7 @@ a miniature of the paper's Figure 5.
 Run:  python examples/ycsb_energy_comparison.py
 """
 
-from repro.bench.harness import build_cluster, load_cluster, run_closed_loop
+from repro.bench.harness import build_cluster, load_cluster, run_metered
 from repro.workloads.ycsb import YCSBWorkload
 
 NUM_RECORDS = 600
@@ -39,12 +39,11 @@ def main():
                                 seed=42)
         cluster = build_cluster(system, value_size=VALUE_SIZE, seed=42)
         load_cluster(cluster, workload)
-        energy_before = cluster.energy_joules()
         time_before = cluster.sim.now
         ops = NUM_OPS if system != "fawn" else NUM_OPS // 6
-        stats = run_closed_loop(cluster, workload, ops,
-                                concurrency=144 if system != "fawn" else 24)
-        energy = cluster.energy_joules() - energy_before
+        stats, energy = run_metered(
+            cluster, workload, ops,
+            concurrency=144 if system != "fawn" else 24)
         watts = energy / ((cluster.sim.now - time_before) * 1e-6)
         kqpj = stats.completed / energy / 1e3
         rows.append((system, stats.throughput_qps / 1e3, watts, kqpj))

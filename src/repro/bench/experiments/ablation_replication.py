@@ -35,7 +35,7 @@ from repro.bench.harness import (
     ExperimentResult,
     build_cluster,
     load_cluster,
-    run_closed_loop,
+    run_metered,
     scale_profile,
 )
 from repro.core.replication import protocol_names
@@ -53,10 +53,8 @@ def _steady_state(protocol: str, scale: str) -> dict:
     cluster = build_cluster("leed", scale=scale, seed=SEED,
                             replication_protocol=protocol)
     load_cluster(cluster, workload)
-    energy_before = cluster.energy_joules()
-    stats = run_closed_loop(cluster, workload, profile.num_ops,
-                            profile.concurrency)
-    energy = cluster.energy_joules() - energy_before
+    stats, energy = run_metered(cluster, workload, profile.num_ops,
+                                profile.concurrency)
     quorum_bytes = 0
     for node in cluster.jbofs:
         for runtime in node.vnodes.values():

@@ -17,7 +17,7 @@ from repro.bench.harness import (
     ExperimentResult,
     build_cluster,
     load_cluster,
-    run_closed_loop,
+    run_metered,
     scale_profile,
 )
 from repro.workloads.ycsb import YCSBWorkload
@@ -41,18 +41,14 @@ def run(scale: str = QUICK, value_sizes=(256, 1024)) -> ExperimentResult:
                 cluster = build_cluster(system, scale=scale,
                                         value_size=value_size, seed=5)
                 load_cluster(cluster, workload)
-                # Reset meters after the load phase so only the run
-                # phase is billed (as the paper measures).
-                energy_before = cluster.energy_joules()
                 time_before = cluster.sim.now
                 num_ops = profile.num_ops
                 concurrency = profile.concurrency * 6
                 if system == "fawn":
                     num_ops = max(num_ops // 6, 300)  # Pi nodes are slow
                     concurrency = profile.concurrency
-                stats = run_closed_loop(cluster, workload, num_ops,
-                                        concurrency)
-                energy = cluster.energy_joules() - energy_before
+                stats, energy = run_metered(cluster, workload, num_ops,
+                                            concurrency)
                 elapsed_s = (cluster.sim.now - time_before) * 1e-6
                 watts = energy / max(elapsed_s, 1e-9)
                 result.add(workload="YCSB-" + workload_name,

@@ -11,7 +11,7 @@ Layers (see docs/explore.md):
 CLI: ``python -m repro.bench.explore --budget N --seed S``.
 """
 
-from .fleet import TRIAL_SCALES, FleetRunner, make_trial, run_trial
+from .fleet import FleetRunner, make_trial, run_trial
 from .report import build_report, pareto_front, write_markdown
 from .space import (SPACES, ConfigSpace, Dimension, config_digest,
                     leed_space)
@@ -19,7 +19,7 @@ from .strategies import (STRATEGIES, Evaluator, FitnessSpec, run_search,
                          search_grid, search_hill, search_random)
 
 __all__ = [
-    "TRIAL_SCALES", "FleetRunner", "make_trial", "run_trial",
+    "FleetRunner", "make_trial", "run_trial",
     "build_report", "pareto_front", "write_markdown",
     "SPACES", "ConfigSpace", "Dimension", "config_digest",
     "leed_space",

@@ -20,7 +20,9 @@ import json
 import os
 import sys
 
-from .fleet import TRIAL_SCALES, FleetRunner
+from repro.bench.harness import RUN_SHAPES
+
+from .fleet import FleetRunner
 from .report import build_report, write_markdown
 from .space import SPACES
 from .strategies import STRATEGIES, Evaluator, FitnessSpec, run_search
@@ -46,9 +48,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for both the simulations and the "
                              "search's RNG streams (default 0)")
-    parser.add_argument("--scale", choices=tuple(sorted(TRIAL_SCALES)),
+    parser.add_argument("--scale", choices=tuple(sorted(RUN_SHAPES)),
                         default="small",
-                        help="trial scale (default small)")
+                        help="trial run shape, a key of "
+                             "repro.bench.harness.RUN_SHAPES "
+                             "(default small)")
     parser.add_argument("--workload", choices=WORKLOAD_CHOICES,
                         default="B", help="YCSB workload (default B)")
     parser.add_argument("--value-size", type=int, default=256,
@@ -56,14 +60,6 @@ def main(argv=None) -> int:
     parser.add_argument("--slo-p99-us", type=float, default=2000.0,
                         help="feasibility cap on p99 latency in µs "
                              "(default 2000; 0 disables)")
-    parser.add_argument("--scenario", default=None, metavar="NAME",
-                        help="score points under this repro.scenarios "
-                             "episode instead of the closed-loop YCSB "
-                             "driver (use with --strategy grid/random; "
-                             "--scale must be a scenario scale)")
-    parser.add_argument("--min-availability", type=float, default=0.0,
-                        help="feasibility floor on availability for "
-                             "scenario trials (default 0 = disabled)")
     parser.add_argument("--fleet", type=int, default=0,
                         help="trial process-pool width (default 0 = "
                              "run trials in-process; pointless above "
@@ -81,36 +77,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.budget < 1:
         parser.error("--budget must be >= 1")
-    if args.scenario is not None:
-        from repro.scenarios.dsl import SCALES as SCENARIO_SCALES
-        from repro.scenarios.dsl import scenario_names
-        if args.scenario not in scenario_names():
-            parser.error("unknown scenario %r (have: %s)"
-                         % (args.scenario,
-                            ", ".join(scenario_names())))
-        if args.scale not in SCENARIO_SCALES:
-            parser.error("--scenario needs a scenario scale (%s), "
-                         "not %r" % (", ".join(sorted(SCENARIO_SCALES)),
-                                     args.scale))
-        if args.strategy == "hill":
-            parser.error("--scenario pairs with --strategy grid or "
-                         "random (scenarios own their run shape, so "
-                         "hill's reduced-fidelity rungs would re-run "
-                         "full episodes)")
 
     space = SPACES[args.space]()
     space.validate()
-    fitness = FitnessSpec(slo_p99_us=args.slo_p99_us,
-                          min_availability=args.min_availability)
+    fitness = FitnessSpec(slo_p99_us=args.slo_p99_us)
     runner = FleetRunner(cache_path=args.cache, fleet=args.fleet)
     evaluator = Evaluator(space, runner, fitness, args.scale,
                           args.workload, args.value_size, args.seed,
-                          args.budget, scenario=args.scenario)
+                          args.budget)
     print("explore: space=%s strategy=%s budget=%d seed=%d scale=%s "
-          "workload=%s slo_p99_us=%g fleet=%d%s"
+          "workload=%s slo_p99_us=%g fleet=%d"
           % (args.space, args.strategy, args.budget, args.seed,
-             args.scale, args.workload, args.slo_p99_us, args.fleet,
-             " scenario=%s" % args.scenario if args.scenario else ""))
+             args.scale, args.workload, args.slo_p99_us, args.fleet))
     outcome = run_search(args.strategy, space, evaluator, args.seed)
     report = build_report(space, evaluator, fitness, outcome,
                           strategy=args.strategy, seed=args.seed,

@@ -18,31 +18,15 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional
 
-from repro.baselines import make_cluster
-from repro.bench.harness import (figure_digest, measure_run_phase,
-                                 scale_profile)
-from repro.bench.perf import SCALES as PERF_SCALES
-from repro.core.datastore import StoreConfig
+from repro.bench.harness import (RUN_SHAPES, build_cluster, figure_digest,
+                                 measure_run_phase)
 from repro.core.jbof import LeedOptions
 from repro.workloads.ycsb import YCSBWorkload
 
 from .space import canonical_json, config_digest
-
-#: scale -> trial run shape.  ``tiny``/``small`` are explorer-native
-#: (search loops run dozens of trials, so each must finish in
-#: seconds); ``smoke`` is the perf harness's tier, so explorer rows and
-#: perf rows with matching configs digest identically.
-TRIAL_SCALES = {
-    "tiny": {"records": 200, "ops": 480, "concurrency": 16,
-             "num_jbofs": 3, "num_clients": 2},
-    "small": {"records": 400, "ops": 1600, "concurrency": 24,
-              "num_jbofs": 3, "num_clients": 2},
-    "smoke": PERF_SCALES["smoke"],
-}
 
 #: Least ops a reduced-fidelity rung may run (successive halving
 #: shrinks ``ops`` by ``ops_fraction``; below this the closed loop
@@ -59,33 +43,20 @@ def trial_key(payload: dict) -> str:
         "workload": payload["workload"],
         "value_size": payload["value_size"],
         "ops_fraction": payload["ops_fraction"],
-        "scenario": payload.get("scenario"),
     })
 
 
 def make_trial(point: dict, overrides, scale: str, workload: str,
                value_size: int, seed: int,
-               ops_fraction: float = 1.0,
-               scenario: Optional[str] = None) -> dict:
+               ops_fraction: float = 1.0) -> dict:
     """Assemble one picklable trial payload.
 
     ``overrides`` is the ``(cluster, options, run)`` triple from
-    :meth:`ConfigSpace.overrides`.  ``scenario`` switches the trial
-    from the closed-loop YCSB driver to a :mod:`repro.scenarios`
-    episode of that name — fitness then
-    scores the config under churn/faults instead of steady state
-    (``scale`` must name a scenario scale, and ``workload`` /
-    ``value_size`` / ``ops_fraction`` are owned by the scenario).
+    :meth:`ConfigSpace.overrides`.
     """
-    if scenario is not None:
-        from repro.scenarios.dsl import SCALES as SCENARIO_SCALES
-        if scale not in SCENARIO_SCALES:
-            raise ValueError(
-                "unknown scenario scale %r (have %s)"
-                % (scale, ", ".join(sorted(SCENARIO_SCALES))))
-    elif scale not in TRIAL_SCALES:
+    if scale not in RUN_SHAPES:
         raise ValueError("unknown trial scale %r (have %s)"
-                         % (scale, ", ".join(sorted(TRIAL_SCALES))))
+                         % (scale, ", ".join(sorted(RUN_SHAPES))))
     cluster, options, run = overrides
     return {
         "point": point,
@@ -97,36 +68,25 @@ def make_trial(point: dict, overrides, scale: str, workload: str,
         "value_size": value_size,
         "seed": seed,
         "ops_fraction": ops_fraction,
-        "scenario": scenario,
     }
 
 
 def run_trial(payload: dict) -> dict:
     """Execute one trial (module-level, hence pool-picklable).
 
-    The row is :func:`repro.bench.harness.measure_run_phase`'s — the
-    same run-phase protocol as :func:`repro.bench.perf.run_once`, so
-    explorer rows and perf rows with matching configs digest
-    identically.
+    The row is :func:`repro.bench.harness.measure_run_phase`'s on a
+    :func:`~repro.bench.harness.build_cluster` cluster, so an explorer
+    row and a figure-gate row with matching configs digest identically.
     """
-    if payload.get("scenario"):
-        return _run_scenario_trial(payload)
-    spec = TRIAL_SCALES[payload["scale"]]
+    spec = RUN_SHAPES[payload["scale"]]
     value_size = payload["value_size"]
-    profile = scale_profile("quick", value_size)
-    store = StoreConfig(num_segments=profile.num_segments,
-                        key_log_bytes=profile.key_log_bytes,
-                        value_log_bytes=profile.value_log_bytes)
-    options = LeedOptions(**payload["options"])
     cluster_kwargs = dict(payload["cluster"])
-    platform = cluster_kwargs.pop("platform", "auto")
-    ssds = cluster_kwargs.pop("ssds_per_jbof", profile.ssds_per_jbof)
-    cluster = make_cluster(
-        "leed", platform=platform, num_nodes=spec["num_jbofs"],
-        ssds_per_node=ssds, num_clients=spec["num_clients"],
-        store_config=store, options=options, seed=payload["seed"],
+    cluster = build_cluster(
+        "leed", value_size=value_size, seed=payload["seed"],
+        options=LeedOptions(**payload["options"]),
+        num_nodes=spec["num_jbofs"], num_clients=spec["num_clients"],
+        ssds_per_node=cluster_kwargs.pop("ssds_per_jbof", None),
         **cluster_kwargs)
-
     workload = YCSBWorkload(payload["workload"],
                             num_records=spec["records"],
                             seed=payload["seed"], value_size=value_size)
@@ -141,89 +101,7 @@ def run_trial(payload: dict) -> dict:
         # move on, not abort the search — and since the failure is
         # sim-deterministic, the row (and its digest) still replays
         # identically.
-        return _failure_row(payload, exc)
-
-
-def _run_scenario_trial(payload: dict) -> dict:
-    """Score a design point under a :mod:`repro.scenarios` episode.
-
-    The point's cluster overrides are appended to the scenario's
-    ``config_overrides`` tuple — the runner applies that tuple *last*,
-    so the point wins over both the scale's defaults and the
-    scenario's own overrides.  Options are merged *into* the
-    scenario's options (scale-tuned heartbeat first, then any
-    scenario-override options, then the point), because an ``options``
-    entry in ``config_overrides`` replaces the whole ``LeedOptions``.
-
-    The scenario owns workload, value size, and run shape, so the
-    payload's ``workload`` / ``value_size`` / ``run`` / ``ops_fraction``
-    are inert — pair scenario fitness with ``grid`` or ``random``
-    rather than successive halving.
-    """
-    import dataclasses
-
-    from repro.hw.platforms import platform_by_name
-    from repro.scenarios.dsl import SCALES as SCENARIO_SCALES
-    from repro.scenarios.dsl import build_scenario
-    from repro.scenarios.runner import run_scenario
-
-    scale = SCENARIO_SCALES[payload["scale"]]
-    try:
-        scenario = build_scenario(payload["scenario"])
-        extra = dict(payload["cluster"])
-        if "platform" in extra:
-            extra["platform"] = platform_by_name(extra["platform"])
-        merged = {"heartbeat_period_us": scale.heartbeat_period_us}
-        existing = dict(scenario.config_overrides).get("options")
-        if existing is not None:
-            merged.update({field.name: getattr(existing, field.name)
-                           for field in dataclasses.fields(existing)})
-        merged.update(payload["options"])
-        extra["options"] = LeedOptions(**merged)
-        scenario = dataclasses.replace(
-            scenario,
-            config_overrides=(tuple(scenario.config_overrides)
-                              + tuple(extra.items())))
-        started = time.perf_counter()
-        record = run_scenario(scenario=scenario, scale=payload["scale"],
-                              seed=payload["seed"])
-        wall_s = time.perf_counter() - started
-    except Exception as exc:
-        # Same contract as the closed-loop path: broken deployments
-        # (protocol timeouts) are worst-case infeasible
-        # rows, and the failure is sim-deterministic.
-        return _failure_row(payload, exc)
-
-    totals = record["totals"]
-    elapsed_us = totals["elapsed_us"]
-    lost = record["invariants"]["lost_acked_writes"]
-    row = {
-        "ops": totals["ok"],
-        # "failed" carries the *hard* failure count so the standard
-        # feasibility gate (failed == 0) means "no lost acked writes";
-        # soft failures under churn are judged via availability.
-        "failed": lost,
-        "sim_elapsed_us": round(elapsed_us, 3),
-        "sim_ops_per_sec": round(totals["ok"] / elapsed_us * 1e6, 1)
-        if elapsed_us else 0.0,
-        "mean_latency_us": totals["p50_us"],
-        "p99_latency_us": totals["p99_us"],
-        "energy_joules": totals["energy_joules"],
-        "requests_per_joule": totals["requests_per_joule"],
-        "availability": totals["availability"],
-        "issued": totals["issued"],
-        "soft_failed": totals["failed"],
-        "dropped": totals["dropped"],
-        "wall_s": round(wall_s, 4),
-        "wall_ops_per_sec": round(totals["ok"] / wall_s, 1)
-        if wall_s else 0.0,
-        "events": 0,
-        "events_per_sec": 0.0,
-        "scenario": payload["scenario"],
-        "scenario_digest": record["digests"]["figure"],
-    }
-    row["figure_digest"] = figure_digest(row)
-    return row
+        return _failure_row(exc)
 
 
 #: p99 sentinel for failed trials: far above any plausible SLO, but
@@ -231,7 +109,7 @@ def _run_scenario_trial(payload: dict) -> dict:
 FAILED_P99_US = 1e12
 
 
-def _failure_row(payload: dict, exc: Exception) -> dict:
+def _failure_row(exc: Exception) -> dict:
     row = {
         "ops": 0,
         "failed": 1,
@@ -247,9 +125,6 @@ def _failure_row(payload: dict, exc: Exception) -> dict:
         "events_per_sec": 0.0,
         "error": "%s: %s" % (type(exc).__name__, exc),
     }
-    if payload.get("scenario"):
-        row["availability"] = 0.0
-        row["scenario"] = payload["scenario"]
     row["figure_digest"] = figure_digest(row)
     return row
 

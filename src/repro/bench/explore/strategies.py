@@ -45,28 +45,19 @@ class FitnessSpec:
 
     The primary objective is sim-derived requests/Joule — fully
     deterministic.  ``slo_p99_us`` caps feasible p99; 0 disables the
-    SLO.  ``min_availability`` additionally gates
-    scenario-fitness rows (closed-loop rows report no availability and
-    are unaffected): under churn a config is feasible only if it kept
-    at least this fraction of issued requests succeeding.
+    SLO.
     """
 
     slo_p99_us: float = 0.0
-    min_availability: float = 0.0
 
     def __post_init__(self):
         if self.slo_p99_us < 0.0:
             raise ValueError("slo_p99_us must be >= 0")
-        if not 0.0 <= self.min_availability <= 1.0:
-            raise ValueError("min_availability must be within [0, 1]")
 
     def feasible(self, row: dict) -> bool:
         if row["failed"]:
             return False
         if self.slo_p99_us > 0.0 and row["p99_latency_us"] > self.slo_p99_us:
-            return False
-        if (self.min_availability > 0.0
-                and row.get("availability", 1.0) < self.min_availability):
             return False
         return True
 
@@ -88,8 +79,7 @@ class Evaluator:
 
     def __init__(self, space: ConfigSpace, runner: FleetRunner,
                  fitness: FitnessSpec, scale: str, workload: str,
-                 value_size: int, seed: int, budget: int,
-                 scenario: Optional[str] = None):
+                 value_size: int, seed: int, budget: int):
         self.space = space
         self.runner = runner
         self.fitness = fitness
@@ -98,7 +88,6 @@ class Evaluator:
         self.value_size = value_size
         self.seed = seed
         self.budget = budget
-        self.scenario = scenario
         self.spent = 0
         self.trials: List[dict] = []
 
@@ -127,7 +116,7 @@ class Evaluator:
             payloads.append(make_trial(
                 point, self.space.overrides(point), self.scale,
                 self.workload, self.value_size, self.seed,
-                ops_fraction=ops_fraction, scenario=self.scenario))
+                ops_fraction=ops_fraction))
         rows = self.runner.run(payloads)
         records = []
         for payload, row in zip(payloads, rows):

@@ -20,7 +20,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import make_cluster
 from repro.baselines.fawn.datastore import FawnConfig, FawnDataStore
@@ -29,13 +29,13 @@ from repro.core.cluster import LeedCluster
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.jbof import LeedOptions
 from repro.core.protocol import ReadPolicy
-from repro.hw.platforms import RASPBERRY_PI, SERVER_JBOF, STINGRAY
-from repro.hw.ssd import SSDProfile
+from repro.hw.cpu import Core
+from repro.hw.platforms import RASPBERRY_PI, STINGRAY
+from repro.hw.ssd import SDCARD_PROFILE, NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry, derive_stream
-from repro.hw.ssd import NVMeSSD
-from repro.hw.cpu import Core
-from repro.workloads.driver import ClosedLoopDriver, DriverStats, OpenLoopDriver
+from repro.workloads.driver import (ClosedLoopDriver, DriverStats,
+                                    OpenLoopDriver, merge_stats)
 from repro.workloads.ycsb import YCSBWorkload, make_key, make_value
 
 QUICK = "quick"
@@ -74,6 +74,28 @@ def scale_profile(scale: str = QUICK, value_size: int = 1024) -> ScaleProfile:
         key_log_bytes=16 << 20,
         value_log_bytes=96 << 20,
     )
+
+
+#: The closed-loop run shapes of :func:`measure_run_phase`, on the
+#: quick-scale store geometry.  ``smoke`` / ``default`` are the figure
+#: gate's (``tests/test_figure_gate.py``) and ``smoke`` is also the
+#: order-dependence sanitizer's; the design-space explorer's ``--scale``
+#: names any of them (its searches run dozens of trials, which is what
+#: ``tiny`` / ``small`` are for).
+RUN_SHAPES = {
+    "tiny": {"records": 200, "ops": 480, "concurrency": 16,
+             "num_jbofs": 3, "num_clients": 2},
+    "small": {"records": 400, "ops": 1600, "concurrency": 24,
+              "num_jbofs": 3, "num_clients": 2},
+    "smoke": {"records": 300, "ops": 600, "concurrency": 24,
+              "num_jbofs": 3, "num_clients": 2},
+    "default": {"records": 600, "ops": 3000, "concurrency": 24,
+                "num_jbofs": 3, "num_clients": 2},
+}
+
+#: Seed and value size the figure gate's golden rows were taken at.
+RUN_SEED = 11
+RUN_VALUE_SIZE = 256
 
 
 @dataclass
@@ -136,7 +158,10 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
                   num_clients: Optional[int] = None,
                   replication: int = 3,
                   sanitize_seed: Optional[int] = None,
-                  replication_protocol: str = "chain") -> LeedCluster:
+                  replication_protocol: str = "chain",
+                  platform: str = "auto",
+                  ssds_per_node: Optional[int] = None,
+                  **cluster_kwargs) -> LeedCluster:
     """A scaled-down deployment of one of the three systems.
 
     Platforms keep their stock hardware models (full-speed SSDs, real
@@ -151,6 +176,9 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     stream seeded with that value (see ``repro.lint.sanitize``).
     ``replication_protocol`` picks the write/read protocol
     (``"chain"`` | ``"craq"`` | ``"abd"``, see ``repro.core.replication``).
+    ``platform`` / ``ssds_per_node`` / ``cluster_kwargs`` go to
+    :func:`repro.baselines.make_cluster` (the explorer's ``cluster``
+    dimensions); ``None`` keeps the scale's SSD count.
     """
     profile = scale_profile(scale, value_size)
     if system == "leed":
@@ -171,18 +199,20 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     else:
         raise ValueError("unknown system %r" % system)
 
+    if ssds_per_node is None:
+        ssds_per_node = 1 if system == "fawn" else profile.ssds_per_jbof
     return make_cluster(
-        system,
+        system, platform=platform,
         num_nodes=(num_nodes if num_nodes is not None
                    else (10 if system == "fawn" else profile.num_jbofs)),
-        ssds_per_node=(1 if system == "fawn" else profile.ssds_per_jbof),
+        ssds_per_node=ssds_per_node,
         num_clients=(num_clients if num_clients is not None
                      else profile.num_clients),
         replication=replication,
         replication_protocol=replication_protocol,
         store_config=store, options=options, seed=seed,
         flow_control=flow_control, read_policy=read_policy,
-        sanitize_seed=sanitize_seed)
+        sanitize_seed=sanitize_seed, **cluster_kwargs)
 
 
 def load_cluster(cluster: LeedCluster, workload: YCSBWorkload,
@@ -208,10 +238,19 @@ def run_closed_loop(cluster: LeedCluster, workload: YCSBWorkload,
                for client in cluster.clients]
     procs = [sim.process(d.run(), name="bench.driver") for d in drivers]
     sim.run(until=sim.all_of(procs))
-    stats = drivers[0].stats
-    for driver in drivers[1:]:
-        stats = stats.merge(driver.stats)
-    return stats
+    return merge_stats([driver.stats for driver in drivers])
+
+
+def run_metered(cluster: LeedCluster, workload: YCSBWorkload,
+                num_ops: int, concurrency: int) -> Tuple[DriverStats, float]:
+    """:func:`run_closed_loop` plus the Joules that run drew.
+
+    Call it after :func:`load_cluster`: the meters are read around the
+    run phase only, so the load is not billed (as the paper measures).
+    """
+    energy_before = cluster.energy_joules()
+    stats = run_closed_loop(cluster, workload, num_ops, concurrency)
+    return stats, cluster.energy_joules() - energy_before
 
 
 def figure_digest(row: dict) -> str:
@@ -234,8 +273,9 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
     """Load ``workload``, time one closed-loop run phase, shut the
     cluster down; returns the result row.
 
-    The one measurement protocol of ``repro.bench.perf`` and
-    ``repro.bench.explore``: the YCSB load is setup, only the run
+    The one measured run in ``src/`` — the figure gate
+    (``tests/test_figure_gate.py``) and every ``repro.bench.explore``
+    trial are this row: the YCSB load is setup, only the run
     phase is timed, and events, energy and ``failed_by_status`` are
     run-phase deltas — so requests/Joule compares configurations on
     the work they did, not on load-phase accounting.  Wall-clock
@@ -244,14 +284,12 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
     ``figure_digest``.
     """
     load_cluster(cluster, workload, parallelism=load_parallelism)
-    energy_before = cluster.energy_joules()
     events_before = cluster.sim.events_dispatched
     failed_before = _failed_by_status(cluster)
     # Wall time around the whole run phase, outside the simulated world.
     started = time.perf_counter()  # simlint: ignore[SIM002]
-    stats = run_closed_loop(cluster, workload, num_ops, concurrency)
+    stats, energy = run_metered(cluster, workload, num_ops, concurrency)
     wall_s = time.perf_counter() - started  # simlint: ignore[SIM002]
-    energy = cluster.energy_joules() - energy_before
     events = cluster.sim.events_dispatched - events_before
     failed_by_status = dict(sorted(
         (_failed_by_status(cluster) - failed_before).items()))
@@ -297,10 +335,7 @@ def run_open_loop(cluster: LeedCluster, workload: YCSBWorkload,
                for index, client in enumerate(cluster.clients)]
     procs = [sim.process(d.run(), name="bench.odriver") for d in drivers]
     sim.run(until=sim.all_of(procs))
-    stats = drivers[0].stats
-    for driver in drivers[1:]:
-        stats = stats.merge(driver.stats)
-    return stats
+    return merge_stats([driver.stats for driver in drivers])
 
 
 # -- single-store (no network) harness: Table 3, Figs 11-13 ----------------------------------
@@ -331,15 +366,13 @@ def build_single_store(system: str, value_size: int = 1024,
     Fig. 12).  Pass ``sim``/``ssd``/``core`` to co-locate several
     stores on shared hardware (the Table 3 four-SSD node).
     """
-    from dataclasses import replace as _replace
-    from repro.hw.ssd import SDCARD_PROFILE
     sim = sim or Simulator()
     rng = RngRegistry(seed)
     if ssd is None:
         if platform == "pi":
-            profile = _replace(SDCARD_PROFILE,
-                               capacity_bytes=capacity_bytes,
-                               block_size=block_size)
+            profile = replace(SDCARD_PROFILE,
+                              capacity_bytes=capacity_bytes,
+                              block_size=block_size)
         else:
             profile = SSDProfile(capacity_bytes=capacity_bytes,
                                  block_size=block_size)

@@ -27,7 +27,7 @@ What the figure digest covers, and what it deliberately does not:
 
 Usage::
 
-    python -m repro.lint.sanitize                # perf-smoke shape
+    python -m repro.lint.sanitize                # the smoke run shape
     python -m repro.lint.sanitize -w WR --permutations 4
 
 Exit codes: 0 invariant, 1 order dependence detected.
@@ -42,14 +42,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-#: The perf-smoke shape (mirrors ``repro.bench.perf`` --smoke).
-SMOKE_SEED = 11
-SMOKE_VALUE_SIZE = 256
-SMOKE_RECORDS = 300
-SMOKE_OPS = 600
-SMOKE_CONCURRENCY = 24
-SMOKE_JBOFS = 3
-SMOKE_CLIENTS = 2
+from repro.bench.harness import (RUN_SEED, RUN_SHAPES, RUN_VALUE_SIZE,
+                                 build_cluster, load_cluster,
+                                 run_closed_loop)
+from repro.workloads.ycsb import YCSBWorkload
+
+#: The figure gate's smoke shape, so a sanitized run is a gated run.
+SMOKE = RUN_SHAPES["smoke"]
 
 
 class RecordingWorkload:
@@ -175,20 +174,13 @@ def _verification_sweep(cluster, written: Dict[bytes, Set[bytes]]):
 
 
 def run_probe(workload_name: str, sanitize_seed: Optional[int],
-              records: int = SMOKE_RECORDS, ops: int = SMOKE_OPS,
-              concurrency: int = SMOKE_CONCURRENCY,
-              num_jbofs: int = SMOKE_JBOFS,
-              num_clients: int = SMOKE_CLIENTS,
-              value_size: int = SMOKE_VALUE_SIZE,
-              seed: int = SMOKE_SEED) -> SanitizeProbe:
+              records: int = SMOKE["records"], ops: int = SMOKE["ops"],
+              concurrency: int = SMOKE["concurrency"],
+              num_jbofs: int = SMOKE["num_jbofs"],
+              num_clients: int = SMOKE["num_clients"],
+              value_size: int = RUN_VALUE_SIZE,
+              seed: int = RUN_SEED) -> SanitizeProbe:
     """One seeded run under the given tie order; returns its probe."""
-    from repro.bench.harness import (
-        build_cluster,
-        load_cluster,
-        run_closed_loop,
-    )
-    from repro.workloads.ycsb import YCSBWorkload
-
     cluster = build_cluster(
         "leed", scale="quick", value_size=value_size, seed=seed,
         num_nodes=num_jbofs, num_clients=num_clients,
@@ -261,13 +253,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="YCSB mix to probe (repeatable; default: B)")
     parser.add_argument("--permutations", type=int, default=3,
                         help="number of sanitized tie orders (default 3)")
-    parser.add_argument("--records", type=int, default=SMOKE_RECORDS)
-    parser.add_argument("--ops", type=int, default=SMOKE_OPS)
-    parser.add_argument("--concurrency", type=int, default=SMOKE_CONCURRENCY)
-    parser.add_argument("--jbofs", type=int, default=SMOKE_JBOFS)
-    parser.add_argument("--clients", type=int, default=SMOKE_CLIENTS)
-    parser.add_argument("--value-size", type=int, default=SMOKE_VALUE_SIZE)
-    parser.add_argument("--seed", type=int, default=SMOKE_SEED)
+    parser.add_argument("--records", type=int, default=SMOKE["records"])
+    parser.add_argument("--ops", type=int, default=SMOKE["ops"])
+    parser.add_argument("--concurrency", type=int,
+                        default=SMOKE["concurrency"])
+    parser.add_argument("--jbofs", type=int, default=SMOKE["num_jbofs"])
+    parser.add_argument("--clients", type=int, default=SMOKE["num_clients"])
+    parser.add_argument("--value-size", type=int, default=RUN_VALUE_SIZE)
+    parser.add_argument("--seed", type=int, default=RUN_SEED)
     args = parser.parse_args(argv)
 
     shape = dict(records=args.records, ops=args.ops,

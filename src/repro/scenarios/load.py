@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.sim.core import Simulator
+from repro.workloads.driver import percentile
 from repro.workloads.ycsb import YCSBWorkload, make_key
 
 #: Value-token prefix length: b"w%016x." — unique per ledger sequence
@@ -136,11 +137,7 @@ class PhaseStats:
         self.latencies_us: List[float] = []
 
     def percentile_us(self, quantile: float) -> float:
-        if not self.latencies_us:
-            return 0.0
-        ordered = sorted(self.latencies_us)
-        index = min(int(quantile * len(ordered)), len(ordered) - 1)
-        return ordered[index]
+        return percentile(self.latencies_us, quantile)
 
     def availability(self) -> float:
         denom = self.ok + self.failed + self.dropped

@@ -40,6 +40,7 @@ from repro.scenarios.dsl import (SCALES, Scenario, ScenarioScale,
 from repro.scenarios.injectors import ACTIONS
 from repro.scenarios.load import CurveDriver, PhaseStats, WriteLedger
 from repro.sim.rng import RngRegistry
+from repro.workloads.driver import percentile
 from repro.workloads.ycsb import YCSBWorkload
 
 #: Sweep reads retry transient failures this many times before the
@@ -97,8 +98,7 @@ class ScenarioRuntime:
         """p99 over the rolling latency window (None until warmed)."""
         if len(self.latency_window) < 32:
             return None
-        ordered = sorted(self.latency_window)
-        return ordered[min(int(0.99 * len(ordered)), len(ordered) - 1)]
+        return percentile(self.latency_window, 0.99)
 
     # -- execution ---------------------------------------------------------
 

@@ -23,6 +23,19 @@ from repro.sim.rng import derive_stream
 from repro.workloads.ycsb import Operation, YCSBWorkload
 
 
+def percentile(samples, quantile: float) -> float:
+    """The ``quantile`` order statistic of ``samples`` (0.0 if empty).
+
+    Exact (sorts the samples), index ``min(int(q * n), n - 1)``: every
+    latency percentile in a figure cell or a scenario golden uses this
+    rule, so they stay comparable — and byte-stable.
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[min(int(quantile * len(ordered)), len(ordered) - 1)]
+
+
 @dataclass
 class DriverStats:
     """Completed-operation accounting for one driver."""
@@ -60,11 +73,7 @@ class DriverStats:
         return sum(self.latencies_us) / len(self.latencies_us)
 
     def percentile_us(self, quantile: float) -> float:
-        if not self.latencies_us:
-            return 0.0
-        ordered = sorted(self.latencies_us)
-        index = min(int(quantile * len(ordered)), len(ordered) - 1)
-        return ordered[index]
+        return percentile(self.latencies_us, quantile)
 
     def merge(self, other: "DriverStats") -> "DriverStats":
         merged = DriverStats(

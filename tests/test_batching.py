@@ -2,13 +2,13 @@
 
 ``fast_datapath`` must change how GETs are *simulated* only: results,
 ordering, token accounting, and (with the flag off) the event-schedule
-digest all have to match the reference pipeline, and a workload without
-GETs is the same program either way.
+digest all have to match the reference pipeline.  (That a workload
+without GETs is the same program either way is case (c) of
+``tests/test_figure_gate.py``.)
 """
 
 import pytest
 
-from repro.bench import perf
 from repro.bench.harness import build_cluster, load_cluster, run_closed_loop
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.io_engine import KVCommand, PartitionIOEngine
@@ -94,41 +94,6 @@ class TestCoalescedRpc:
             LeedOptions(fast_datapath=True))
         assert off.failed == 0 and on.failed == 0
         assert on.completed == off.completed
-
-    def test_no_get_workload_ignores_fast_datapath(self):
-        """``fast_datapath`` selects the fused GET and nothing else: a
-        workload that issues no GET (perf ``smoke`` WR shape) simulates
-        bit for bit the same with the flag on and off."""
-        spec = perf.SCALES["smoke"]
-        off = perf.run_once("WR", spec, None)
-        on = perf.run_once("WR", spec, perf.fast_options())
-        assert off["failed"] == 0
-        assert on["figure_digest"] == off["figure_digest"]
-        assert on["events"] == off["events"]
-
-
-class TestPerfCheckGate:
-    def test_no_get_workload_must_hash_equal_on_both_rows(self):
-        row = {"failed": 0, "figure_digest": "a", "wall_ops_per_sec": 1.0}
-        moved = {"baseline": row, "fast": dict(row, figure_digest="b")}
-        failures = perf.check_regressions({"WR": moved})
-        assert len(failures) == 1 and "figure_digest" in failures[0]
-        assert perf.check_regressions(
-            {"WR": {"baseline": row, "fast": row}}) == []
-        # With GETs the rows may differ: that is the fused GET.
-        assert perf.check_regressions({"B": moved}) == []
-
-    def test_row_must_hash_to_its_committed_row(self):
-        row = {"failed": 0, "figure_digest": "a", "wall_ops_per_sec": 1.0}
-        fast = dict(row, figure_digest="b")
-        measured = {"B": {"baseline": row, "fast": fast}}
-        committed = {"B": {"baseline": row, "fast": fast}}
-        assert perf.check_regressions(measured, committed) == []
-        committed["B"]["fast"] = dict(fast, figure_digest="c")
-        failures = perf.check_regressions(measured, committed)
-        assert failures == ["B fast: figure_digest b != committed c"]
-        # A row the committed report does not have is not compared.
-        assert perf.check_regressions(measured, {"C": committed["B"]}) == []
 
 
 class TestRemovedKnobs:

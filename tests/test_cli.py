@@ -67,7 +67,7 @@ class TestTraceCli:
 
 
 @pytest.mark.parametrize("module", [
-    "repro.bench", "repro.bench.perf", "repro.bench.explore",
+    "repro.bench", "repro.bench.explore",
     "repro.scenarios", "repro.lint", "repro.lint.sanitize"])
 def test_help_of_every_entry_point_exits_zero(module):
     """``--help`` formats every option's help string (argparse applies
@@ -87,14 +87,16 @@ def test_help_of_every_entry_point_exits_zero(module):
 
 
 @pytest.mark.parametrize("entry, argv", [
-    ("repro.bench.perf", ["--smoke", "--workers", "1"]),
+    ("repro.bench.explore.__main__", ["--scenario", "diurnal"]),
     ("repro.scenarios.cli", ["run", "diurnal", "--workers", "1"]),
     ("repro.bench.explore.__main__", ["--space", "engine"]),
     ("repro.bench.explore.__main__", ["--objective", "wall"]),
+    ("repro.bench.explore.__main__", ["--min-availability", "0.5"]),
 ])
 def test_engine_options_are_gone(entry, argv, capsys):
-    """There is one engine: its selectors are rejected at argparse,
-    before anything runs."""
+    """There is one engine and one measured run (the closed-loop YCSB
+    row): selectors of anything else are rejected at argparse, before
+    anything runs."""
     import importlib
 
     with pytest.raises(SystemExit) as refusal:

@@ -124,6 +124,12 @@ class TestFitness:
         assert (spec.fitness(slow_feasible)
                 > spec.fitness(fast_infeasible))
 
+    def test_slo_is_the_only_feasibility_knob(self):
+        """Trials are closed-loop YCSB rows; there is no availability
+        to gate on."""
+        with pytest.raises(TypeError):
+            FitnessSpec(min_availability=0.5)
+
 
 def synthetic(rpj, kqps, p99, failed=0, fraction=1.0, tag=None):
     """A fake full-fidelity trial record for the analytic Pareto test."""
@@ -210,78 +216,6 @@ class TestMemoCache:
                           VALUE_SIZE, SEED + 1)
         keys = {trial_key(base), trial_key(frac), trial_key(seed)}
         assert len(keys) == 3
-
-
-class TestScenarioFitness:
-    """Scoring design points under a repro.scenarios episode."""
-
-    def scenario_search(self, budget=2, seed=3, cache_path=None):
-        space = leed_space()
-        runner = FleetRunner(cache_path=cache_path)
-        fitness = FitnessSpec(min_availability=0.5)
-        evaluator = Evaluator(space, runner, fitness, "smoke", "B",
-                              VALUE_SIZE, SEED, budget,
-                              scenario="diurnal")
-        outcome = run_search("random", space, evaluator, seed)
-        return evaluator, outcome
-
-    def test_scenario_rows_reported_and_deterministic(self):
-        ev1, outcome1 = self.scenario_search()
-        row = outcome1["default"]["metrics"]
-        assert row["scenario"] == "diurnal"
-        assert row["scenario_digest"]
-        assert 0.0 <= row["availability"] <= 1.0
-        assert row["ops"] > 0 and row["failed"] == 0
-        ev2, outcome2 = self.scenario_search()
-        assert ev1.trajectory_digest() == ev2.trajectory_digest()
-        assert outcome1["best"]["point"] == outcome2["best"]["point"]
-
-    def test_scenario_trials_memoize(self, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        ev1, _ = self.scenario_search(cache_path=cache)
-        assert ev1.runner.live_trials == len(ev1.trials)
-        ev2, _ = self.scenario_search(cache_path=cache)
-        assert ev2.runner.live_trials == 0
-
-    def test_trial_key_distinguishes_scenario(self):
-        space = leed_space()
-        point = space.default_point()
-        plain = make_trial(point, space.overrides(point), "smoke", "B",
-                           VALUE_SIZE, SEED)
-        episode = make_trial(point, space.overrides(point), "smoke",
-                             "B", VALUE_SIZE, SEED, scenario="diurnal")
-        assert trial_key(plain) != trial_key(episode)
-
-    def test_scenario_scale_validated(self):
-        space = leed_space()
-        point = space.default_point()
-        with pytest.raises(ValueError, match="scenario scale"):
-            make_trial(point, space.overrides(point), "tiny", "B",
-                       VALUE_SIZE, SEED, scenario="diurnal")
-
-    def test_min_availability_gates_feasibility(self):
-        spec = FitnessSpec(min_availability=0.9)
-        row = {"failed": 0, "p99_latency_us": 10.0,
-               "requests_per_joule": 5.0, "wall_ops_per_sec": 1.0,
-               "sim_ops_per_sec": 1000.0, "availability": 0.8}
-        assert not spec.feasible(row)
-        row["availability"] = 0.95
-        assert spec.feasible(row)
-        # Closed-loop rows carry no availability and are unaffected.
-        del row["availability"]
-        assert spec.feasible(row)
-        with pytest.raises(ValueError, match="min_availability"):
-            FitnessSpec(min_availability=1.5)
-
-    def test_cli_rejects_bad_scenario_pairings(self):
-        with pytest.raises(SystemExit):
-            explore_main(["--scenario", "no_such_episode"])
-        with pytest.raises(SystemExit):
-            explore_main(["--scenario", "diurnal", "--scale", "tiny",
-                          "--strategy", "random"])
-        with pytest.raises(SystemExit):
-            explore_main(["--scenario", "diurnal", "--scale", "smoke",
-                          "--strategy", "hill"])
 
 
 class TestCLI:

@@ -502,7 +502,7 @@ class TestEngineExtensions:
 
 class TestOrderDependenceSanitizer:
     # A reduced shape keeps the three sanitized runs inside the
-    # tier-1 budget; the full perf-smoke shape runs in CI via
+    # tier-1 budget; the full ``RUN_SHAPES["smoke"]`` shape runs in CI via
     # ``python -m repro.lint.sanitize``.
     SHAPE = dict(records=60, ops=120, concurrency=8,
                  num_jbofs=2, num_clients=2, value_size=64, seed=11)
