@@ -101,7 +101,7 @@ def _recovery(protocol: str, scale: str) -> dict:
         new_vnode_id = host.address + "/pjoin"
         runtime = host._make_vnode(new_vnode_id, host.ssds[-1],
                                    len(host.ssds) - 1, 1, 100)
-        host.vnodes[new_vnode_id] = runtime
+        host.install_vnode(runtime)
         joining = sim.process(
             cluster.control_plane.join_vnode(new_vnode_id, host.address),
             name="ablation.join")

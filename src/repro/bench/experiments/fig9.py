@@ -67,7 +67,7 @@ def run(scale: str = QUICK, workloads=("A", "B")) -> ExperimentResult:
             runtime = host._make_vnode(new_vnode_id, host.ssds[-1],
                                        len(host.ssds) - 1,
                                        1, 100)
-            host.vnodes[new_vnode_id] = runtime
+            host.install_vnode(runtime)
             yield from cluster.control_plane.join_vnode(new_vnode_id,
                                                         host.address)
             yield sim.timeout(phase_us)

@@ -15,8 +15,8 @@ window, strictly sequential writes at the tail, no in-place updates.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, List, Optional, Set
 
 from repro.hw.ssd import NVMeSSD
 from repro.sim.events import Event
@@ -35,7 +35,9 @@ class CommitTicket(Event):
     covered every block it touched.  With no waiter attached by then
     it is just marked processed — check ``processed`` before yielding."""
 
-    __slots__ = ("blocks", "generation", "nbytes", "ctx")
+    #: ``blocks`` the entry touches, ``pending`` of them not yet
+    #: covered by a completed flush; ``sequence`` is the commit order.
+    __slots__ = ("blocks", "pending", "sequence", "nbytes", "ctx")
 
 
 class CircularLog:
@@ -83,12 +85,20 @@ class CircularLog:
         # write covers every byte merged before it was issued) keeps
         # concurrent writers fast — the append-buffer group commit a
         # real SPDK-driven store performs.
-        self._generation = 0
-        self._dirty_gen: Dict[int, int] = {}
-        self._flushed_gen: Dict[int, int] = {}
+        #: Blocks holding bytes merged since their last flush was issued.
+        self._dirty: Set[int] = set()
+        #: Per block, the committed entries (commit order) that no
+        #: flush issued so far covers there.
+        self._waiting: Dict[int, List[CommitTicket]] = {}
+        self._commits = 0
         self._flusher_active = False
-        #: Committed entries not yet durable, in commit order.
-        self._uncommitted: List[CommitTicket] = []
+        #: The flush in flight: the entry-blocks it covers, and the
+        #: second device write of a run that wraps the region.
+        self._flush_covers: List[CommitTicket] = []
+        self._flush_rest: Optional[tuple] = None
+        #: Headroom the owning store keeps free for its compactor (the
+        #: store sets and enforces it; appends here do not).
+        self.compaction_reserve = 0
         self.appends = 0
         self.bytes_appended = 0
 
@@ -100,7 +110,7 @@ class CircularLog:
 
     @property
     def free_bytes(self) -> int:
-        return self.size - self.used_bytes
+        return self.size - (self.tail - self.head)
 
     def fill_fraction(self) -> float:
         """Used fraction of the log region (compaction trigger input)."""
@@ -111,9 +121,8 @@ class CircularLog:
         return self.head <= virtual_offset and virtual_offset + length <= self.tail
 
     def _touched_blocks(self, offset: int, length: int):
-        first = offset // self.block_size
-        last = (offset + max(length, 1) - 1) // self.block_size
-        return range(first, last + 1)
+        size = self.block_size
+        return range(offset // size, (offset + (length or 1) - 1) // size + 1)
 
     # -- appends -----------------------------------------------------------------
 
@@ -125,13 +134,14 @@ class CircularLog:
         complete — this is what lets LEED overlap the key-segment read
         with the value-log write (§3.3).
         """
-        if nbytes > self.free_bytes:
+        offset = self.tail
+        if nbytes > self.size - (offset - self.head):
             raise LogFullError("%s: need %d bytes, %d free"
                                % (self.name, nbytes, self.free_bytes))
-        offset = self.tail
-        self.tail += nbytes
+        self.tail = offset + nbytes
+        refs = self._stage_refs
         for block in self._touched_blocks(offset, nbytes):
-            self._stage_refs[block] = self._stage_refs.get(block, 0) + 1
+            refs[block] = refs.get(block, 0) + 1
         return offset
 
     def append_blocks(self, data: bytes, trace=None):
@@ -144,17 +154,18 @@ class CircularLog:
         parallel with other appends.
         """
         padded = self._pad_to_block(data)
-        if self.tail % self.block_size:
-            return (yield from self.append_bytes(padded, trace))
-        if len(padded) > self.free_bytes:
-            raise LogFullError("%s: need %d bytes, %d free"
-                               % (self.name, len(padded), self.free_bytes))
         offset = self.tail
-        self.tail += len(padded)
+        if offset % self.block_size:
+            return (yield from self.append_bytes(padded, trace))
+        nbytes = len(padded)
+        if nbytes > self.size - (offset - self.head):
+            raise LogFullError("%s: need %d bytes, %d free"
+                               % (self.name, nbytes, self.free_bytes))
+        self.tail = offset + nbytes
         for part_offset, part in self._write_spans(offset, padded):
             yield self.ssd.write_event(part_offset, part, trace)
         self.appends += 1
-        self.bytes_appended += len(padded)
+        self.bytes_appended += nbytes
         return offset
 
     def append_bytes(self, data: bytes, trace=None):
@@ -186,37 +197,45 @@ class CircularLog:
         flush is shared across writers, so this span is the
         per-request attribution of commit time).
         """
-        if offset + len(data) > self.tail:
+        nbytes = len(data)
+        end = offset + nbytes
+        if end > self.tail:
             raise LogRangeError("writing past tail of %s" % self.name)
         ctx = None
         if trace is not None:
             ctx = trace.child("log.commit", cat="device",
-                              args={"log": self.name, "bytes": len(data)})
-        blocks = self._touched_blocks(offset, len(data))
+                              args={"log": self.name, "bytes": nbytes})
+        size = self.block_size
+        blocks = self._touched_blocks(offset, nbytes)
+        self._commits += 1
+        ticket = CommitTicket(self.sim)
+        ticket.blocks = blocks
+        ticket.pending = len(blocks)
+        ticket.sequence = self._commits
+        ticket.nbytes = nbytes
+        ticket.ctx = ctx
         # Synchronous merge into staged block images.  A block staged
         # for the first time starts from its on-flash content, not
         # zeros: after crash recovery the partially-filled tail block
         # already holds live bytes that a flush must not clobber (a
         # real store reloads its append buffer the same way).
+        staged = self._staged
+        dirty = self._dirty
+        waiting = self._waiting
         for block in blocks:
-            image = self._staged.get(block)
+            block_start = block * size
+            image = staged.get(block)
             if image is None:
-                physical = self.region_offset + (block * self.block_size
-                                                 % self.size)
-                image = bytearray(self.ssd.flash.read(physical,
-                                                      self.block_size))
-                self._staged[block] = image
-            block_start = block * self.block_size
-            lo = max(offset, block_start)
-            hi = min(offset + len(data), block_start + self.block_size)
+                image = staged[block] = bytearray(self.ssd.flash.read(
+                    self.region_offset + block_start % self.size, size))
+            lo = offset if offset > block_start else block_start
+            hi = end if end < block_start + size else block_start + size
             image[lo - block_start:hi - block_start] = data[lo - offset:hi - offset]
-        self._generation += 1
-        for block in blocks:
-            self._dirty_gen[block] = self._generation
-        ticket = CommitTicket(self.sim)
-        ticket.blocks, ticket.generation, ticket.nbytes, ticket.ctx = (
-            blocks, self._generation, len(data), ctx)
-        self._uncommitted.append(ticket)
+            if block in dirty:
+                waiting[block].append(ticket)
+            else:
+                dirty.add(block)
+                waiting[block] = [ticket]
         if not self._flusher_active:
             # Submitted one zero-delay event later, not here: entries
             # committed at this same instant ride the first flush, and
@@ -226,63 +245,61 @@ class CircularLog:
             self.sim.schedule(0.0, self._flush_next)
         return ticket
 
-    def _next_dirty_run(self):
-        """The lowest contiguous run of blocks still awaiting a flush."""
-        dirty = sorted(block for block, generation in self._dirty_gen.items()
-                       if self._flushed_gen.get(block, 0) < generation)
-        if not dirty:
-            return None
-        low = high = dirty[0]
-        for block in dirty[1:]:
-            if block != high + 1:
-                break
-            high = block
-        return low, high
-
     def _flush_next(self) -> None:
         """Group-commit flusher: one in-flight device write at a time.
 
-        Snapshots the current images of the lowest dirty run — so the
-        write carries every byte merged before it was issued — and
-        submits it (two back-to-back device writes when the run wraps
-        the region).  Bytes merged while it is in flight stay dirty
-        and are picked up by the next run.
+        Snapshots the current images of the lowest contiguous run of
+        dirty blocks — so the write carries every byte merged before
+        it was issued, and covers every entry committed there by now —
+        and submits it (two back-to-back device writes when the run
+        wraps the region).  Bytes merged while it is in flight make
+        their blocks dirty again and are picked up by the next run.
         """
-        run = self._next_dirty_run()
-        if run is None:
+        dirty = self._dirty
+        if not dirty:
             self._flusher_active = False
             return
-        low, high = run
-        captured = {block: self._dirty_gen[block]
-                    for block in range(low, high + 1)}
-        data = b"".join(bytes(self._staged[block])
-                        for block in range(low, high + 1))
-        self._write_run(self._write_spans(low * self.block_size, data),
-                        captured)
-
-    def _write_run(self, spans, captured: Dict[int, int], _event=None) -> None:
-        """Submit a flush's next device write; after the last, finish."""
-        if spans:
-            self.ssd.write_event(*spans[0]).callbacks.append(
-                partial(self._write_run, spans[1:], captured))
+        low = high = min(dirty)
+        while high + 1 in dirty:
+            high += 1
+        staged = self._staged
+        waiting = self._waiting
+        if low == high:
+            dirty.remove(low)
+            self._flush_covers = waiting.pop(low)
+            data = bytes(staged[low])
         else:
-            self._flushed(captured)
+            covers = self._flush_covers = []
+            images = []
+            for block in range(low, high + 1):
+                dirty.remove(block)
+                covers += waiting.pop(block)
+                images.append(staged[block])
+            data = b"".join(images)
+        first, *rest = self._write_spans(low * self.block_size, data)
+        self._flush_rest = rest[0] if rest else None
+        self.ssd.write_event(*first).callbacks.append(self._flush_written)
 
-    def _flushed(self, captured: Dict[int, int]) -> None:
-        """Record the generations a completed flush captured, retire the
-        entries it made durable (commit order), start the next run."""
-        flushed = self._flushed_gen
-        for block, generation in captured.items():
-            if flushed.get(block, 0) < generation:
-                flushed[block] = generation
-        waiting = []
-        for ticket in self._uncommitted:
-            if any(flushed.get(block, 0) < ticket.generation
-                   for block in ticket.blocks):
-                waiting.append(ticket)
-            else:
-                self._retire(ticket)
-        self._uncommitted = waiting
+    def _flush_written(self, _event) -> None:
+        """A device write of the flush in flight completed: submit its
+        second one if the run wrapped; else retire the entries it made
+        durable (commit order) and start the next run."""
+        rest = self._flush_rest
+        if rest is not None:
+            self._flush_rest = None
+            self.ssd.write_event(*rest).callbacks.append(self._flush_written)
+            return
+        durable = []
+        for ticket in self._flush_covers:
+            ticket.pending -= 1
+            if not ticket.pending:
+                durable.append(ticket)
+        self._flush_covers = []
+        if len(durable) > 1:
+            # Block by block is commit order only within a block.
+            durable.sort(key=attrgetter("sequence"))
+        for ticket in durable:
+            self._retire(ticket)
         self._flush_next()
 
     def _retire(self, ticket: "CommitTicket") -> None:
@@ -291,14 +308,15 @@ class CircularLog:
         which future appends extend), close its span, count the append
         and wake its waiter if one was attached."""
         tail_block = self.tail // self.block_size
+        refs = self._stage_refs
         for block in ticket.blocks:
-            self._stage_refs[block] -= 1
-            if self._stage_refs[block] <= 0:
-                del self._stage_refs[block]
+            count = refs[block] - 1
+            if count > 0:
+                refs[block] = count
+            else:
+                del refs[block]
                 if block != tail_block:
                     self._staged.pop(block, None)
-                    self._dirty_gen.pop(block, None)
-                    self._flushed_gen.pop(block, None)
         if ticket.ctx is not None:
             ticket.ctx.finish()
         self.appends += 1
@@ -312,17 +330,17 @@ class CircularLog:
         remainder = len(data) % self.block_size
         if remainder:
             return bytes(data) + b"\x00" * (self.block_size - remainder)
-        return bytes(data)
+        return bytes(data)  # itself when already immutable
 
     def _write_spans(self, virtual_offset: int, data: bytes):
         """Device ``(offset, bytes)`` writes of ``data`` at a virtual
         offset: two when the range wraps the end of the region."""
         start_physical = virtual_offset % self.size
-        first_len = min(len(data), self.size - start_physical)
-        spans = [(self.region_offset + start_physical, data[:first_len])]
-        if first_len < len(data):
-            spans.append((self.region_offset, data[first_len:]))
-        return spans
+        room = self.size - start_physical
+        if len(data) <= room:
+            return ((self.region_offset + start_physical, data),)
+        return ((self.region_offset + start_physical, data[:room]),
+                (self.region_offset, data[room:]))
 
     # -- reads --------------------------------------------------------------------
 
@@ -333,16 +351,16 @@ class CircularLog:
         range is not wholly inside ``[head, tail)``; a read that wraps
         the end of the region splits into two spans.
         """
-        if not self.contains(virtual_offset, length):
+        if virtual_offset < self.head or virtual_offset + length > self.tail:
             raise LogRangeError(
                 "%s: read [%d,+%d) outside window [%d,%d)"
                 % (self.name, virtual_offset, length, self.head, self.tail))
         start_physical = virtual_offset % self.size
-        first_len = min(length, self.size - start_physical)
-        spans = [(self.region_offset + start_physical, first_len)]
-        if first_len < length:
-            spans.append((self.region_offset, length - first_len))
-        return spans
+        room = self.size - start_physical
+        if length <= room:
+            return ((self.region_offset + start_physical, length),)
+        return ((self.region_offset + start_physical, room),
+                (self.region_offset, length - room))
 
     def read(self, virtual_offset: int, length: int, trace=None):
         """Generator: read ``length`` bytes at a virtual offset.
@@ -384,7 +402,8 @@ class CircularLog:
         for offset, span in self._read_spans(virtual_offset, length):
             part, part_done = self.ssd.read_at(offset, span, at)
             data += part
-            done = max(done, part_done)
+            if part_done > done:
+                done = part_done
         return self._overlay_staged(virtual_offset, data), done
 
     def charge_read_at(self, virtual_offset: int, length: int,
@@ -397,23 +416,30 @@ class CircularLog:
         """
         done = at
         for _offset, span in self._read_spans(virtual_offset, length):
-            done = max(done, self.ssd.charge_read_at(span, at))
+            part_done = self.ssd.charge_read_at(span, at)
+            if part_done > done:
+                done = part_done
         return done
 
     def _overlay_staged(self, offset: int, data: bytes) -> bytes:
         """``data`` with bytes of blocks still staged in DRAM laid over."""
-        if not self._staged:
+        staged = self._staged
+        if not staged:
             return data
-        data = bytearray(data)
+        size = self.block_size
+        end = offset + len(data)
+        patched = None
         for block in self._touched_blocks(offset, len(data)):
-            image = self._staged.get(block)
+            image = staged.get(block)
             if image is None:
                 continue
-            block_start = block * self.block_size
-            lo = max(offset, block_start)
-            hi = min(offset + len(data), block_start + self.block_size)
-            data[lo - offset:hi - offset] = image[lo - block_start:hi - block_start]
-        return bytes(data)
+            if patched is None:
+                patched = bytearray(data)
+            block_start = block * size
+            lo = offset if offset > block_start else block_start
+            hi = end if end < block_start + size else block_start + size
+            patched[lo - offset:hi - offset] = image[lo - block_start:hi - block_start]
+        return data if patched is None else bytes(patched)
 
     # -- reclamation ------------------------------------------------------------------
 

@@ -132,6 +132,8 @@ class LeedDataStore:
         self.value_log = CircularLog(ssd, region_offset + config.key_log_bytes,
                                      config.value_log_bytes,
                                      name=name + ".vlog")
+        for log in (self.key_log, self.value_log):
+            log.compaction_reserve = self._log_reserve_bytes(log)
         self.segtbl = SegTbl(sim, config.num_segments, dram=dram,
                              name=name + ".segtbl")
         self.stats = StoreStats()
@@ -190,7 +192,8 @@ class LeedDataStore:
         return Segment.unpack(blob, self.key_log.block_size)
 
     def _log_reserve_bytes(self, log: CircularLog) -> int:
-        """Headroom kept free for the compactor on ``log``.
+        """Headroom kept free for the compactor on ``log`` (computed
+        once, into ``log.compaction_reserve``).
 
         At least a couple of max-length segments so relocation can
         always land, but never so much that it sits below the
@@ -214,14 +217,15 @@ class LeedDataStore:
                             head=self.key_log.head % (1 << 32),
                             tail=self.key_log.tail % (1 << 32))
         if enforce_reserve and (self.key_log.free_bytes - len(blob)
-                                < self._log_reserve_bytes(self.key_log)):
+                                < self.key_log.compaction_reserve):
             raise LogFullError("%s: write would eat compaction reserve"
                                % self.key_log.name)
         offset = yield from self.key_log.append_blocks(blob, trace=trace)
-        self.segtbl.update(segment.seg_id, offset, segment.chain_len)
+        chain_len = segment.chain_len
+        self.segtbl.update(segment.seg_id, offset, chain_len)
         if old is not None:
             self.stats.key_log_garbage_bytes += old[1] * self.key_log.block_size
-        return offset, segment.chain_len
+        return offset, chain_len
 
     # -- commands ---------------------------------------------------------------------
 
@@ -258,7 +262,7 @@ class LeedDataStore:
 
         The clock is the only parameter.  *Reference* (``analytic``
         false): each stage executes at ``sim.now`` and yields until it
-        completes (:meth:`Core.execute`, :meth:`CircularLog.read`), so
+        completes (:meth:`Core.execute_event`, :meth:`CircularLog.read`), so
         a compaction can move data while a read is in flight.
         *Analytic*: each stage is charged at the running ``at``
         (:meth:`Core.charge_at`, :meth:`CircularLog.read_at`) and the
@@ -272,7 +276,8 @@ class LeedDataStore:
         """
         key_log = self.key_log
         core = self.core
-        start = at = self.sim.now
+        sim = self.sim
+        start = at = sim.now
         ssd_us = 0.0
         accesses = 0
         self.stats.gets += 1
@@ -280,8 +285,11 @@ class LeedDataStore:
         seg_id = khash % self.config.num_segments
 
         cycles = CYCLE_COSTS["hash_lookup"]
-        at = (core.charge_at(cycles, at) if analytic
-              else (yield from self._cpu_now(cycles)))
+        if analytic:
+            at = core.charge_at(cycles, at)
+        else:
+            yield self._cpu_event(cycles)
+            at = sim.now
 
         result: Optional[OpResult] = None
         for attempt in range(self.MAX_GET_RETRIES):
@@ -296,8 +304,8 @@ class LeedDataStore:
             cached = self._seg_cache.get(offset)
             try:
                 if not analytic:
-                    blob, done = yield from self._read_now(
-                        key_log, offset, nbytes, trace)
+                    blob = yield from key_log.read(offset, nbytes, trace)
+                    done = sim.now
                 elif cached is None:
                     blob, done = key_log.read_at(offset, nbytes, at)
                 else:
@@ -323,8 +331,11 @@ class LeedDataStore:
             segment, scan_items = cached
 
             cycles = CYCLE_COSTS["bucket_scan_per_key"] * scan_items
-            at = (core.charge_at(cycles, at) if analytic
-                  else (yield from self._cpu_now(cycles)))
+            if analytic:
+                at = core.charge_at(cycles, at)
+            else:
+                yield self._cpu_event(cycles)
+                at = sim.now
 
             item = segment.find(key, khash)
             if item is None or item.is_tombstone:
@@ -334,10 +345,12 @@ class LeedDataStore:
             value_log = self._value_log_for(item.ssd_id)
             nbytes = value_entry_size(len(key), item.vlen)
             try:
-                blob, done = (
-                    value_log.read_at(item.voffset, nbytes, at) if analytic
-                    else (yield from self._read_now(value_log, item.voffset,
-                                                    nbytes, trace)))
+                if analytic:
+                    blob, done = value_log.read_at(item.voffset, nbytes, at)
+                else:
+                    blob = yield from value_log.read(item.voffset, nbytes,
+                                                     trace)
+                    done = sim.now
             except LogRangeError:
                 continue
             ssd_us += done - at
@@ -366,17 +379,6 @@ class LeedDataStore:
         self.stats.cpu_time_us += result.cpu_us
         self.stats.op_latency_us["get"] += result.total_us
         return result, at
-
-    def _cpu_now(self, cycles: int):
-        """Generator (reference clock): CPU work now; returns its end."""
-        yield self._cpu_event(cycles)
-        return self.sim.now
-
-    def _read_now(self, log: CircularLog, offset: int, nbytes: int, trace):
-        """Generator (reference clock): a log read now; returns
-        ``(bytes, done_us)``."""
-        blob = yield from log.read(offset, nbytes, trace=trace)
-        return blob, self.sim.now
 
     def put(self, key: bytes, value: bytes, trace=None):
         """Generator: PUT — 3 NVMe accesses, first two overlapped.
@@ -435,7 +437,7 @@ class LeedDataStore:
                 entry = pack_value_entry(seg_id, key, value,
                                          owner_id=self.store_id)
                 if (value_log.free_bytes - len(entry)
-                        < self._log_reserve_bytes(value_log)):
+                        < value_log.compaction_reserve):
                     status = STORE_FULL
                 else:
                     voffset = value_log.reserve(len(entry))
@@ -450,8 +452,9 @@ class LeedDataStore:
                 if location is None:
                     segment = Segment(seg_id)
                 else:
-                    segment = yield from self._read_segment(
-                        location[0], location[1], trace)
+                    blob = yield from self.key_log.read(
+                        location[0], location[1] * block, trace)
+                    segment = Segment.unpack(blob, block)
                     accesses += 1
                 if ticket is not None and not ticket.processed:
                     yield ticket

@@ -59,6 +59,13 @@ from repro.power.meter import PowerMeter
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 
+#: Data-store result status -> wire status (others pass through).
+_REPLY_STATUS = {
+    "ok": STATUS_OK,
+    "not_found": STATUS_NOT_FOUND,
+    "store_full": STATUS_STORE_FULL,
+}
+
 #: Virtual-node lifecycle states (§3.8).
 JOINING = "JOINING"
 RUNNING = "RUNNING"
@@ -213,8 +220,11 @@ class JBOFNode:
         self._net_core_rr = 0
         self._control_core = self.cpu[spec.num_cores - 1]
 
-        #: vnode_id -> runtime.
+        #: vnode_id -> runtime; changed through :meth:`install_vnode`
+        #: and :meth:`_handle_vnode_retire`, which keep the store ->
+        #: runtime index the swap router reads in step.
         self.vnodes: Dict[str, VNodeRuntime] = {}
+        self._runtime_by_store: Dict[object, VNodeRuntime] = {}
         self._build_vnodes(num_ssds, vnodes_per_ssd)
 
         #: This node's view of the ring (updated by membership pushes).
@@ -267,10 +277,19 @@ class JBOFNode:
                 vnode_id = "%s/p%d" % (self.address, store_id)
                 runtime = self._make_vnode(vnode_id, ssd, ssd_index, slot,
                                            store_id)
-                self.vnodes[vnode_id] = runtime
+                self.install_vnode(runtime)
                 all_stores.append(runtime.store)
                 store_id += 1
         self._cross_register(all_stores)
+
+    def install_vnode(self, runtime: VNodeRuntime) -> None:
+        """Host ``runtime`` under its vnode id, replacing the runtime
+        (and forgetting the store) hosted there before."""
+        previous = self.vnodes.get(runtime.vnode_id)
+        if previous is not None:
+            self._runtime_by_store.pop(previous.store, None)
+        self.vnodes[runtime.vnode_id] = runtime
+        self._runtime_by_store[runtime.store] = runtime
 
     def _make_vnode(self, vnode_id: str, ssd: NVMeSSD, ssd_index: int,
                     slot: int, store_id: int) -> VNodeRuntime:
@@ -341,7 +360,7 @@ class JBOFNode:
         capacity, the value write is redirected there; the key item
         records the holder so GETs and merge-back find it.
         """
-        home = self._runtime_of(store)
+        home = self._runtime_by_store.get(store)
         if home is None or not home.engine.is_overloaded(
                 self.options.swap_threshold):
             return store.store_id, store.value_log
@@ -368,12 +387,6 @@ class JBOFNode:
             return store.store_id, store.value_log
         self.swap_redirects += 1
         return best.store_id, best.value_log
-
-    def _runtime_of(self, store: LeedDataStore) -> Optional[VNodeRuntime]:
-        for runtime in self.vnodes.values():
-            if runtime.store is store:
-                return runtime
-        return None
 
     # -- request handling (CRRS, §3.7) -----------------------------------------------------
 
@@ -489,12 +502,8 @@ class JBOFNode:
 
     def _reply_for(self, runtime: VNodeRuntime, body: KVRequest,
                    result: OpResult) -> KVReply:
-        status = {
-            "ok": STATUS_OK,
-            "not_found": STATUS_NOT_FOUND,
-            "store_full": STATUS_STORE_FULL,
-        }.get(result.status, result.status)
-        return KVReply(status, value=result.value,
+        status = result.status
+        return KVReply(_REPLY_STATUS.get(status, status), value=result.value,
                        tokens=runtime.engine.allocation_for(
                            body.tenant, TOKEN_COST.get(body.op, 0)),
                        served_by=runtime.vnode_id,
@@ -817,7 +826,7 @@ class JBOFNode:
             fresh = self._rebuild_vnode(self.vnodes[vnode_id],
                                         carry_wal=True)
             scan = yield from recover_store(fresh.store)
-            self.vnodes[vnode_id] = fresh
+            self.install_vnode(fresh)
             report["vnodes"][vnode_id] = {
                 "blocks_scanned": scan.blocks_scanned,
                 "segments_recovered": scan.segments_recovered,
@@ -846,7 +855,7 @@ class JBOFNode:
             fresh = self._rebuild_vnode(self.vnodes[vnode_id],
                                         carry_wal=False)
             fresh.state = JOINING
-            self.vnodes[vnode_id] = fresh
+            self.install_vnode(fresh)
         self._cross_register([r.store for _, r in sorted(self.vnodes.items())])
         self.software_version = version
 
@@ -870,7 +879,9 @@ class JBOFNode:
 
     def _handle_vnode_retire(self, src: str, vnode_id: str) -> None:
         """RPC: drop a vnode runtime after its graceful leave."""
-        self.vnodes.pop(vnode_id, None)
+        retired = self.vnodes.pop(vnode_id, None)
+        if retired is not None:
+            self._runtime_by_store.pop(retired.store, None)
         return None
 
     def __repr__(self):

@@ -103,7 +103,7 @@ class ChainReplication(ReplicationPolicy):
                 node._respond(request, KVReply(
                     STATUS_NACK, ring_version=node.local_ring.version))
                 return
-            yield from node._net_core().execute(
+            yield node._net_core().execute_event(
                 CYCLE_COSTS["replication_forward"])
             forwarded = KVRequest(body.op, body.key, body.value, next_id,
                                   body.ring_version, body.hop + 1,

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 KEY_ITEM_HEADER = struct.Struct("<IHIIB")   # hash, klen, vlen, voffset, ssd_id
 BUCKET_HEADER = struct.Struct("<IBBHII")    # seg_id, chain_len, position, nkeys, head, tail
 VALUE_ENTRY_HEADER = struct.Struct("<HIHI")  # owner_id, seg_id, klen, vlen
+_KEY_ITEM_FIXED = KEY_ITEM_HEADER.size
+_BUCKET_FIXED = BUCKET_HEADER.size
 
 #: Deletion marker: a key item whose value length is zero.
 TOMBSTONE_VLEN = 0
@@ -40,27 +41,53 @@ def key_hash(key: bytes) -> int:
     return zlib.crc32(key) & 0xFFFFFFFF
 
 
-@dataclass
-class KeyItem:
-    """One key's index entry inside a bucket."""
+class _Record:
+    """Value semantics of the codec classes, as the dataclasses they
+    were: equal when of one class with equal ``_FIELDS``, unhashable
+    (they are mutable), repr in constructor form."""
 
-    key: bytes
-    vlen: int
-    voffset: int
-    ssd_id: int = 0
-    khash: Optional[int] = None
+    __slots__ = ()
+    _FIELDS: tuple = ()
 
-    def __post_init__(self):
-        if self.khash is None:
-            self.khash = key_hash(self.key)
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._FIELDS, self._values())))
+
+
+class KeyItem(_Record):
+    """One key's index entry inside a bucket.
+
+    ``key`` and ``khash`` (derived from the key unless given) are fixed
+    at construction, and with them ``wire_size``; ``vlen``, ``voffset``
+    and ``ssd_id`` follow the key's latest write.
+    """
+
+    __slots__ = ("key", "vlen", "voffset", "ssd_id", "khash", "wire_size")
+    _FIELDS = ("key", "vlen", "voffset", "ssd_id", "khash")
+
+    def __init__(self, key: bytes, vlen: int, voffset: int, ssd_id: int = 0,
+                 khash: Optional[int] = None):
+        self.key = key
+        self.vlen = vlen
+        self.voffset = voffset
+        self.ssd_id = ssd_id
+        self.khash = key_hash(key) if khash is None else khash
+        #: Serialized size: header plus key bytes.
+        self.wire_size = _KEY_ITEM_FIXED + len(key)
 
     @property
     def is_tombstone(self) -> bool:
         return self.vlen == TOMBSTONE_VLEN
-
-    @property
-    def wire_size(self) -> int:
-        return KEY_ITEM_HEADER.size + len(self.key)
 
     def pack(self) -> bytes:
         """Serialize header + key bytes (the on-bucket wire format)."""
@@ -71,25 +98,31 @@ class KeyItem:
     def unpack_from(cls, buffer: bytes, offset: int) -> "KeyItem":
         khash, klen, vlen, voffset, ssd_id = KEY_ITEM_HEADER.unpack_from(
             buffer, offset)
-        start = offset + KEY_ITEM_HEADER.size
-        key = bytes(buffer[start:start + klen])
-        return cls(key=key, vlen=vlen, voffset=voffset, ssd_id=ssd_id,
-                   khash=khash)
+        start = offset + _KEY_ITEM_FIXED
+        return cls(bytes(buffer[start:start + klen]), vlen, voffset, ssd_id,
+                   khash)
 
 
-@dataclass
-class Bucket:
+class Bucket(_Record):
     """A block-sized container of key items."""
 
-    seg_id: int
-    position: int = 0
-    items: List[KeyItem] = field(default_factory=list)
-    head: int = 0
-    tail: int = 0
+    __slots__ = _FIELDS = ("seg_id", "position", "items", "head", "tail")
+
+    def __init__(self, seg_id: int, position: int = 0,
+                 items: Optional[List[KeyItem]] = None, head: int = 0,
+                 tail: int = 0):
+        self.seg_id = seg_id
+        self.position = position
+        self.items: List[KeyItem] = [] if items is None else items
+        self.head = head
+        self.tail = tail
 
     def bytes_used(self) -> int:
         """Serialized size of the bucket header plus its items."""
-        return BUCKET_HEADER.size + sum(item.wire_size for item in self.items)
+        used = _BUCKET_FIXED
+        for item in self.items:
+            used += item.wire_size
+        return used
 
     def has_room(self, item: KeyItem, block_size: int) -> bool:
         """Whether ``item`` still fits in this block-sized bucket."""
@@ -104,38 +137,58 @@ class Bucket:
 
     def pack(self, chain_len: int, block_size: int) -> bytes:
         """Serialize to exactly one zero-padded device block."""
-        body = b"".join(item.pack() for item in self.items)
-        header = BUCKET_HEADER.pack(self.seg_id, chain_len, self.position,
-                                    len(self.items), self.head & 0xFFFFFFFF,
-                                    self.tail & 0xFFFFFFFF)
-        blob = header + body
-        if len(blob) > block_size:
+        block = bytearray(block_size)
+        self.pack_into(block, 0, chain_len, block_size)
+        return bytes(block)
+
+    def pack_into(self, buffer: bytearray, offset: int, chain_len: int,
+                  block_size: int) -> None:
+        """Serialize into the zeroed block at ``buffer[offset:]``."""
+        used = self.bytes_used()
+        if used > block_size:
             raise ValueError("bucket of %d bytes exceeds block %d"
-                             % (len(blob), block_size))
-        return blob + b"\x00" * (block_size - len(blob))
+                             % (used, block_size))
+        items = self.items
+        BUCKET_HEADER.pack_into(buffer, offset, self.seg_id, chain_len,
+                                self.position, len(items),
+                                self.head & 0xFFFFFFFF,
+                                self.tail & 0xFFFFFFFF)
+        cursor = offset + _BUCKET_FIXED
+        pack_header = KEY_ITEM_HEADER.pack_into
+        for item in items:
+            end = cursor + item.wire_size
+            pack_header(buffer, cursor, item.khash,
+                        item.wire_size - _KEY_ITEM_FIXED, item.vlen,
+                        item.voffset, item.ssd_id)
+            buffer[cursor + _KEY_ITEM_FIXED:end] = item.key
+            cursor = end
 
     @classmethod
     def unpack(cls, block: bytes) -> "Bucket":
-        seg_id, chain_len, position, nkeys, head, tail = BUCKET_HEADER.unpack_from(
-            block, 0)
+        if type(block) is not bytes:
+            block = bytes(block)  # key slices below must be bytes
+        seg_id, _chain_len, position, nkeys, head, tail = (
+            BUCKET_HEADER.unpack_from(block, 0))
         items: List[KeyItem] = []
-        cursor = BUCKET_HEADER.size
+        cursor = _BUCKET_FIXED
+        unpack_header = KEY_ITEM_HEADER.unpack_from
         for _ in range(nkeys):
-            item = KeyItem.unpack_from(block, cursor)
-            cursor += item.wire_size
-            items.append(item)
-        bucket = cls(seg_id=seg_id, position=position, items=items,
-                     head=head, tail=tail)
-        bucket._chain_len = chain_len  # type: ignore[attr-defined]
-        return bucket
+            khash, klen, vlen, voffset, ssd_id = unpack_header(block, cursor)
+            start = cursor + _KEY_ITEM_FIXED
+            cursor = start + klen
+            items.append(KeyItem(block[start:cursor], vlen, voffset, ssd_id,
+                                 khash))
+        return cls(seg_id, position, items, head, tail)
 
 
-@dataclass
-class Segment:
+class Segment(_Record):
     """A chain of buckets; the unit read/written by one NVMe access."""
 
-    seg_id: int
-    buckets: List[Bucket] = field(default_factory=list)
+    __slots__ = _FIELDS = ("seg_id", "buckets")
+
+    def __init__(self, seg_id: int, buckets: Optional[List[Bucket]] = None):
+        self.seg_id = seg_id
+        self.buckets: List[Bucket] = [] if buckets is None else buckets
 
     @property
     def chain_len(self) -> int:
@@ -181,9 +234,7 @@ class Segment:
             raise SegmentFullError(
                 "segment %d: %d buckets full (max chain %d)"
                 % (self.seg_id, len(self.buckets), max_chain))
-        bucket = Bucket(seg_id=self.seg_id, position=len(self.buckets))
-        bucket.items.append(item)
-        self.buckets.append(bucket)
+        self.buckets.append(Bucket(self.seg_id, len(self.buckets), [item]))
 
     def drop_tombstones(self) -> int:
         """Remove deletion markers; returns how many were dropped.
@@ -206,26 +257,26 @@ class Segment:
     def pack(self, block_size: int, head: int = 0, tail: int = 0) -> bytes:
         """Serialize as a contiguous array of block-sized buckets."""
         if not self.buckets:
-            self.buckets = [Bucket(seg_id=self.seg_id, position=0)]
+            self.buckets = [Bucket(self.seg_id)]
         chain = len(self.buckets)
-        parts = []
+        blob = bytearray(chain * block_size)
         for position, bucket in enumerate(self.buckets):
             bucket.position = position
             bucket.head = head
             bucket.tail = tail
-            parts.append(bucket.pack(chain, block_size))
-        return b"".join(parts)
+            bucket.pack_into(blob, position * block_size, chain, block_size)
+        return bytes(blob)
 
     @classmethod
     def unpack(cls, data: bytes, block_size: int) -> "Segment":
         if len(data) % block_size:
             raise ValueError("segment blob of %d bytes not block-aligned"
                              % len(data))
+        if not data:
+            raise ValueError("empty segment blob")
         buckets = [Bucket.unpack(data[start:start + block_size])
                    for start in range(0, len(data), block_size)]
-        if not buckets:
-            raise ValueError("empty segment blob")
-        return cls(seg_id=buckets[0].seg_id, buckets=buckets)
+        return cls(buckets[0].seg_id, buckets)
 
 
 class SegmentFullError(Exception):

@@ -76,7 +76,7 @@ class SegTbl:
     def location(self, seg_id: int):
         """(offset, chain_len) or None when the segment does not exist."""
         entry = self.entries[seg_id]
-        if not entry.exists:
+        if entry.offset == NO_OFFSET:
             return None
         return entry.offset, entry.chain_len
 

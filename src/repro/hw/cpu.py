@@ -35,8 +35,7 @@ class Core:
         #: single-server queue would; fused callers that reserve at
         #: future instants (:meth:`charge_at`) leave gaps that
         #: concurrent items backfill (see :meth:`_reserve`).
-        self._free_at = 0.0
-        #: Future reserved slices ``(start, end)``, sorted by start.
+        #: Future reserved slices ``(start, end)``: disjoint, sorted.
         self._reserved: List[Tuple[float, float]] = []
 
     def us_for_cycles(self, cycles: int) -> float:
@@ -54,11 +53,30 @@ class Core:
         roughly doubled at closed-loop concurrency).  Scanning the
         reservation calendar for the first wide-enough gap restores
         the interleaving the process-based model produces.
+
+        Work arriving at or after the last slice's start has no gap to
+        scan for — the slices are disjoint and sorted, so only the
+        last one can still be in its way — and is appended without a
+        scan (zero-length work excepted: it fits *before* a slice
+        starting at the same instant).
         """
         reserved = self._reserved
         now = self.sim.now
-        while reserved and reserved[0][1] <= now:
-            reserved.pop(0)
+        expired = 0
+        for _begin, end in reserved:
+            if end > now:
+                break
+            expired += 1
+        if expired:
+            del reserved[:expired]
+        if not reserved:
+            reserved.append((at, at + duration))
+            return at
+        last_begin, last_end = reserved[-1]
+        if at >= last_begin and duration > 0.0:
+            start = at if at >= last_end else last_end
+            reserved.append((start, start + duration))
+            return start
         start = at
         index = len(reserved)
         for i, (begin, end) in enumerate(reserved):
@@ -68,8 +86,6 @@ class Core:
             if end > start:
                 start = end
         reserved.insert(index, (start, start + duration))
-        if start + duration > self._free_at:
-            self._free_at = start + duration
         return start
 
     def execute_event(self, cycles: int) -> Timeout:
@@ -114,8 +130,10 @@ class Core:
         return min(self.busy_time_us / self.sim.now, 1.0)
 
     def __repr__(self):
+        reserved = self._reserved
         return "<Core %s %.1fGHz busy=%s>" % (
-            self.name, self.freq_ghz, self._free_at > self.sim.now)
+            self.name, self.freq_ghz,
+            bool(reserved) and reserved[-1][1] > self.sim.now)
 
 
 class CpuComplex:

@@ -136,12 +136,19 @@ class NVMeSSD:
                 **self.profile.__dict__, "capacity_bytes": capacity_bytes})
         self.name = name
         self.flash = FlashArray(self.profile.capacity_bytes, self.profile.block_size)
-        self._rng = (rng or RngRegistry()).stream("ssd/" + name)
+        #: One draw per I/O from the device's named stream scales its
+        #: service time by ``uniform(1 - jitter, 1 + jitter)``, spelled
+        #: ``low + span * random()`` as ``Random.uniform`` computes it.
+        self._draw = (rng or RngRegistry()).stream("ssd/" + name).random
+        jitter = self.profile.jitter
+        self._jitter_low = 1.0 - jitter
+        self._jitter_span = (1.0 + jitter) - (1.0 - jitter)
         self.stats = SSDStats()
         # Aggregate write-bandwidth pacing: sustained writes cannot exceed
         # profile.write_bw_bpus even when channels are free.
         self._write_drain_free_at = 0.0
-        #: Heap of busy-until times, one entry per occupied channel.
+        #: Heap of busy-until times, one entry per channel used so far
+        #: (a time in the past: the channel is idle again).
         self._chan_busy: list = []
 
     # -- properties ----------------------------------------------------------
@@ -155,22 +162,19 @@ class NVMeSSD:
         return self.profile.capacity_bytes
 
     def _jittered(self, mean_us: float) -> float:
-        j = self.profile.jitter
-        if j <= 0:
+        if self._jitter_span <= 0.0:
             return mean_us
-        return mean_us * self._rng.uniform(1.0 - j, 1.0 + j)
+        return mean_us * (self._jitter_low + self._jitter_span * self._draw())
 
     def _admit_read(self, length: int, at: float) -> Tuple[float, float, float]:
         """Analytic channel admission of a read submitted at ``at``
         (>= now): draws the jittered service time and returns
         ``(service, start, done)``.
 
-        Expired busy-until entries are pruned against ``sim.now`` (so
-        traffic submitted between now and ``at`` still sees them as
-        busy); when all channels are busy the I/O starts when the
-        earliest one frees (FCFS).
+        With all channels busy the I/O starts when the earliest one
+        frees (FCFS).
         """
-        service = self._jittered(self.profile.read_service_us(max(length, 1)))
+        service = self._jittered(self.profile.read_service_us(length or 1))
         start = self._take_channel(at)
         done = start + service
         heapq.heappush(self._chan_busy, done)
@@ -192,15 +196,16 @@ class NVMeSSD:
         stats.busy_time_us += service
 
     def _take_channel(self, at: float) -> float:
-        """Start time of an I/O submitted at ``at``: now-idle channels
-        are pruned, and with all channels busy the earliest one to
-        free is taken.  The caller pushes the new busy-until time."""
+        """Start time of an I/O submitted at ``at`` (>= now): ``at``
+        while a channel is unused, else when the earliest one to free
+        does (it is taken off the heap).  The caller pushes the new
+        busy-until time.  Entries already in the past are not pruned:
+        they only ever lose the ``max`` against ``at``."""
         busy = self._chan_busy
-        now = self.sim.now
-        while busy and busy[0] <= now:
-            heapq.heappop(busy)
         if len(busy) >= self.profile.channels:
-            return max(heapq.heappop(busy), at)
+            freed = heapq.heappop(busy)
+            if freed > at:
+                return freed
         return at
 
     # -- I/O: a device access is its completion event ------------------------
@@ -262,32 +267,35 @@ class NVMeSSD:
     def write_event(self, offset: int, data: bytes, trace=None) -> Timeout:
         """Submit a program of ``data`` at a block-aligned ``offset``;
         the event fires once durable (flash changes then, not now)."""
+        nbytes = len(data)
         ctx = None
         if trace is not None:
             ctx = trace.child("ssd.write", track=self.name, cat="device",
-                              args={"bytes": len(data)})
-        submitted = self.sim.now
-        service = self._jittered(self.profile.write_service_us(max(len(data), 1)))
+                              args={"bytes": nbytes})
+        sim = self.sim
+        submitted = sim.now
+        service = self._jittered(self.profile.write_service_us(nbytes or 1))
         admitted = self._take_channel(submitted)
         # Aggregate bandwidth pacing: once it has a channel, each write
         # reserves drain time on the device's shared program path and
         # holds the channel until its drain slot starts.  Admission is
         # FCFS, so the reservations are made in submission order and
         # can all be computed here, at submission.
-        drain = len(data) / self.profile.write_bw_bpus
-        dstart = max(admitted, self._write_drain_free_at)
-        self._write_drain_free_at = dstart + drain
+        dstart = self._write_drain_free_at
+        if dstart < admitted:
+            dstart = admitted
+        self._write_drain_free_at = dstart + nbytes / self.profile.write_bw_bpus
         extra_wait = dstart - admitted
         done = admitted + (service + extra_wait)
         heapq.heappush(self._chan_busy, done)
-        event = self.sim.timeout_at(done, len(data))
+        event = sim.timeout_at(done, nbytes)
 
         def complete(_event) -> None:
             self.flash.write(offset, data)
             stats = self.stats
             stats.writes_completed += 1
-            stats.write_bytes += len(data)
-            stats.total_write_latency_us += self.sim.now - submitted
+            stats.write_bytes += nbytes
+            stats.total_write_latency_us += sim.now - submitted
             stats.queue_wait_us += admitted - submitted
             stats.busy_time_us += service + extra_wait
             if ctx is not None:
@@ -301,6 +309,7 @@ class NVMeSSD:
         return (yield self.write_event(offset, data, trace))
 
     def __repr__(self):
+        now = self.sim.now
         return "<NVMeSSD %s busy_channels=%d reads=%d writes=%d>" % (
-            self.name, len(self._chan_busy),
+            self.name, sum(1 for until in self._chan_busy if until > now),
             self.stats.reads_completed, self.stats.writes_completed)

@@ -463,6 +463,37 @@ class CrossShardNodeCall(Rule):
         return names
 
 
+#: The one package that owns the simulation clock (SIM010).
+CLOCK_OWNER_SCOPE = "repro/sim/"
+
+
+class ClockAssignment(Rule):
+    """SIM010: only the event loop moves the clock.
+
+    ``Simulator.now`` is a plain attribute (the run loop assigns it
+    once per timestep; a property cost every model step a call), so
+    nothing at runtime stops model code from writing ``sim.now = t``
+    or ``sim.now += dt`` — which would desynchronise the clock from
+    the event heap.  Any store to an attribute named ``now`` outside
+    ``repro/sim/`` is flagged: plain, augmented and annotated
+    assignment, unpacking, ``for`` / ``with`` targets.
+    """
+
+    rule_id = "SIM010"
+    title = "simulation clock assigned outside repro.sim"
+
+    def check(self, source: ModuleSource) -> Iterator[Finding]:
+        if CLOCK_OWNER_SCOPE in source.relpath:
+            return
+        for node in source.index.nodes(ast.Attribute):
+            if node.attr == "now" and isinstance(node.ctx, ast.Store):
+                yield self.finding(
+                    source, node,
+                    "assigns %s; the clock belongs to the event loop — "
+                    "schedule an event (sim.timeout / sim.timeout_at) "
+                    "instead of moving time" % (_dotted(node) or ".now"))
+
+
 def default_rules(config: LintConfig) -> List[Rule]:
     """The shipped rule catalog, in rule-id order."""
     from repro.lint.races import flow_rules
@@ -474,7 +505,7 @@ def default_rules(config: LintConfig) -> List[Rule]:
         ImportLayering(config),
         MutableSharedState(config),
         CrossShardNodeCall(config),
-    ] + flow_rules(config)
+    ] + flow_rules(config) + [ClockAssignment(config)]
 
 
 def catalog_lines() -> List[str]:
@@ -484,7 +515,7 @@ def catalog_lines() -> List[str]:
 
 
 def catalog_range() -> str:
-    """The inclusive rule-id span, e.g. ``SIM001-SIM009``."""
+    """The inclusive rule-id span, e.g. ``SIM001-SIM010``."""
     rules = default_rules(LintConfig())
     return "%s-%s" % (rules[0].rule_id, rules[-1].rule_id)
 

@@ -69,7 +69,10 @@ class Simulator:
     """
 
     def __init__(self, sanitize_seed: Optional[int] = None):
-        self._now = 0.0
+        #: Current simulated time (microseconds by project convention).
+        #: A plain attribute, read on every model step; only the
+        #: dispatch loops of :mod:`repro.sim` assign it (simlint SIM010).
+        self.now = 0.0
         self._heap: list = []
         #: FIFO of (sequence, event) for zero-delay normal-priority
         #: entries at the current timestep.
@@ -98,11 +101,6 @@ class Simulator:
         return self._sanitize_rng is not None
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (microseconds by project convention)."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -184,11 +182,11 @@ class Simulator:
         models that compute a completion instant (and deadlines armed
         after they were computed) land on that very timestamp.
         """
-        delay = when - self._now
+        delay = when - self.now
         if delay <= 0.0:
             if delay < 0.0:
                 raise ValueError("cannot fire at %r, now is %r"
-                                 % (when, self._now))
+                                 % (when, self.now))
             return self.timeout(0.0, value)
         pool = self._timeout_pool
         if pool:
@@ -231,7 +229,7 @@ class Simulator:
         if delay == 0.0 and priority == NORMAL_PRIORITY:
             self._imm.append((self._sequence, event))
         else:
-            heapq.heappush(self._heap, (self._now + delay, priority, self._sequence, event))
+            heapq.heappush(self._heap, (self.now + delay, priority, self._sequence, event))
 
     def _pop_next(self):
         """Remove and return the next ``(when, priority, sequence, event)``.
@@ -244,7 +242,7 @@ class Simulator:
         imm = self._imm
         heap = self._heap
         if imm:
-            now = self._now
+            now = self.now
             if self._sanitize_rng is not None:
                 # Sanitize mode: the FIFO tie among same-timestep
                 # normal events is broken at random — any pick is a
@@ -270,9 +268,9 @@ class Simulator:
         run event-by-event and compare schedule digests.
         """
         when, priority, sequence, event = self._pop_next()
-        if when < self._now:  # pragma: no cover - heap invariant guard
-            raise RuntimeError("time went backwards: %r < %r" % (when, self._now))
-        self._now = when
+        if when < self.now:  # pragma: no cover - heap invariant guard
+            raise RuntimeError("time went backwards: %r < %r" % (when, self.now))
+        self.now = when
         self._events_dispatched += 1
         if self._digest is not None:
             self._digest.update(struct.pack("<dqq", when, priority, sequence))
@@ -315,8 +313,8 @@ class Simulator:
                 return self._event_outcome(stop_event)
         else:
             deadline = float(until)
-            if deadline < self._now:
-                raise ValueError("cannot run until %r, now is %r" % (deadline, self._now))
+            if deadline < self.now:
+                raise ValueError("cannot run until %r, now is %r" % (deadline, self.now))
 
         heap = self._heap
         imm = self._imm
@@ -330,7 +328,7 @@ class Simulator:
             while heap or imm:
                 if imm:
                     # Inner fast path: stay at the current timestep.
-                    when = self._now
+                    when = self.now
                     if heap:
                         head = heap[0]
                         if (head[0] == when and head[1] == NORMAL_PRIORITY
@@ -346,10 +344,10 @@ class Simulator:
                     # Dispatch preamble: advance time via the heap.
                     when = heap[0][0]
                     if when > deadline:
-                        self._now = deadline
+                        self.now = deadline
                         return None
                     when, priority, sequence, event = heappop(heap)
-                    self._now = when
+                    self.now = when
                 dispatched += 1
                 if self._digest is not None:
                     self._digest.update(pack("<dqq", when, priority, sequence))
@@ -378,7 +376,7 @@ class Simulator:
         if stop_event is not None:
             return self._event_outcome(stop_event)
         if deadline != float("inf"):
-            self._now = deadline
+            self.now = deadline
         return None
 
     def _run_sanitized(self, until: Any = None) -> Any:
@@ -400,13 +398,13 @@ class Simulator:
                 return self._event_outcome(stop_event)
         else:
             deadline = float(until)
-            if deadline < self._now:
+            if deadline < self.now:
                 raise ValueError("cannot run until %r, now is %r"
-                                 % (deadline, self._now))
+                                 % (deadline, self.now))
         try:
             while self._heap or self._imm:
                 if not self._imm and self._heap[0][0] > deadline:
-                    self._now = deadline
+                    self.now = deadline
                     return None
                 self.step()
         except StopSimulation as stop:
@@ -421,7 +419,7 @@ class Simulator:
         if stop_event is not None:
             return self._event_outcome(stop_event)
         if deadline != float("inf"):
-            self._now = deadline
+            self.now = deadline
         return None
 
     @staticmethod
@@ -437,4 +435,4 @@ class Simulator:
         raise StopSimulation(event._value if event._ok else None)
 
     def __repr__(self):
-        return "<Simulator t=%.3f pending=%d>" % (self._now, self.pending_events)
+        return "<Simulator t=%.3f pending=%d>" % (self.now, self.pending_events)

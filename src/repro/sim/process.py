@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 
 class Process(Event):
@@ -65,7 +65,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        if self.triggered:
+        if self._value is not PENDING:  # already finished
             return
         try:
             if event._ok:
@@ -95,13 +95,18 @@ class Process(Event):
             self.sim._schedule_event(self)
             return
 
-        if not isinstance(next_event, Event):
+        # An Event is recognised by its two attributes, not by an
+        # isinstance() call per resume.
+        try:
+            callbacks = next_event.callbacks
+            foreign = next_event.sim is not self.sim
+        except AttributeError:
             raise TypeError(
                 "process %r yielded %r, expected an Event" % (self.name, next_event)
-            )
-        if next_event.sim is not self.sim:
+            ) from None
+        if foreign:
             raise ValueError("process yielded an event from another simulator")
-        if next_event.callbacks is None:
+        if callbacks is None:
             # Already processed -> resume immediately at the current time.
             immediate = Event(self.sim)
             immediate._ok = next_event._ok
@@ -112,7 +117,7 @@ class Process(Event):
             immediate.callbacks.append(self._resume)
             self.sim._schedule_event(immediate)
         else:
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
 
     def __repr__(self):
         return "<Process %s %s>" % (self.name, "done" if self.triggered else "alive")

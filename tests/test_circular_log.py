@@ -222,11 +222,30 @@ class ProcessFlusherLog(CircularLog):
     that every flush completion wakes, and a flusher *process* issues
     the device writes.  Kept so the callback form can be held to it,
     exactly, the way ``TestResourceEquivalence`` holds the calendars
-    to the ``Resource`` models they replaced."""
+    to the ``Resource`` models they replaced.  It also keeps that
+    version's own bookkeeping — a commit generation per dirty block and
+    per flushed block, compared on every wake-up — which the log itself
+    replaced by a dirty set and per-block waiting lists."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._flush_waiters = []
+        self._generation = 0
+        self._dirty_gen = {}
+        self._flushed_gen = {}
+
+    def _next_dirty_run(self):
+        """The lowest contiguous run of blocks still awaiting a flush."""
+        dirty = sorted(block for block, generation in self._dirty_gen.items()
+                       if self._flushed_gen.get(block, 0) < generation)
+        if not dirty:
+            return None
+        low = high = dirty[0]
+        for block in dirty[1:]:
+            if block != high + 1:
+                break
+            high = block
+        return low, high
 
     def write_reserved(self, offset, data, trace=None):
         blocks = list(self._touched_blocks(offset, len(data)))
@@ -340,6 +359,56 @@ class TestGroupCommitEquivalence:
         old = self._run(ProcessFlusherLog, start, writers)
         assert len(new[0]) == len(writers)
         assert new == old
+
+    def test_shared_tail_block_and_a_wrapping_run(self):
+        """Four writers fill what is left of one tail block 700 bytes
+        before the region wraps; the fifth entry spans three blocks
+        across the wrap and the sixth lands behind it, so one flush run
+        is astride the region end (two device writes) while entries of
+        several blocks retire out of block order."""
+        writers = [(0, 50), (0, 60), (0, 70), (0, 8), (0.5, 1100),
+                   (0, 30), (13, 513), (0, 1), (26, 300)]
+        new = self._run(CircularLog, self.SIZE - 700, writers)
+        old = self._run(ProcessFlusherLog, self.SIZE - 700, writers)
+        assert new == old
+        durable, flash, appends, nbytes, stats, _end = new
+        assert appends == len(writers) == len(durable)
+        assert nbytes == sum(size for _gap, size in writers)
+        # The first four share one flush: durable at the same instant.
+        assert len({durable[index][1] for index in range(4)}) == 1
+        # Fewer device writes than entry-blocks, more than entries/2:
+        # grouping happened, and a wrapped run cost two writes.
+        assert 4 <= stats.writes_completed < 14
+        assert flash[:400].count(b"E"[0]) > 0  # entry 4 wrapped to offset 0
+
+    def _commit_against_offset_order(self, log_class):
+        sim = Simulator()
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=1 << 20, block_size=512,
+                                      jitter=0.1), rng=RngRegistry(9))
+        log = log_class(ssd, 0, self.SIZE, name="twin")
+        log.head = log.tail = 5 * 512 + 200
+        low = log.reserve(400)    # blocks 5-6
+        high = log.reserve(700)   # blocks 6-7
+        woke = []
+
+        def writer(name, offset, data):
+            yield from log.write_reserved(offset, data)
+            woke.append((name, sim.now))
+
+        sim.process(writer("high", high, b"H" * 700))  # commits first
+        sim.process(writer("low", low, b"L" * 400))
+        sim.run()
+        return woke, ssd.flash.read(0, self.SIZE), log.appends
+
+    def test_entries_of_one_flush_retire_in_commit_order(self):
+        """Both entries become durable with the one run [5, 7]; the one
+        committed first finishes at the *higher* block, so walking the
+        run block by block meets it last — it still wakes first."""
+        new = self._commit_against_offset_order(CircularLog)
+        assert new == self._commit_against_offset_order(ProcessFlusherLog)
+        woke = new[0]
+        assert [name for name, _when in woke] == ["high", "low"]
+        assert woke[0][1] == woke[1][1]
 
     def test_wrapped_flush_is_two_back_to_back_writes(self):
         durable, _flash, appends, _bytes, stats, _now = self._run(

@@ -66,6 +66,93 @@ class TestFlashArray:
             FlashArray(1000, block_size=512)
 
 
+class BlockwiseFlash(FlashArray):
+    """Test-only reference: ``write`` / ``read`` as they were, block by
+    block (``bytes`` → ``memoryview`` → per-block ``bytes`` into
+    ``write_block``; a zero page built as the ``dict.get`` default for
+    every block read, joined and sliced)."""
+
+    def write(self, offset, data):
+        if offset % self.block_size:
+            raise FlashError("write offset %d not block-aligned" % offset)
+        self._check_range(offset, len(data))
+        block = offset // self.block_size
+        view = memoryview(bytes(data))
+        for start in range(0, len(data), self.block_size):
+            self.write_block(block, bytes(view[start:start + self.block_size]))
+            block += 1
+
+    def read(self, offset, length):
+        self._check_range(offset, length)
+        if length == 0:
+            return b""
+        first = offset // self.block_size
+        last = (offset + length - 1) // self.block_size
+        chunks = []
+        for block in range(first, last + 1):
+            self.reads += 1
+            self.bytes_read += self.block_size
+            chunks.append(self._blocks.get(block, b"\x00" * self.block_size))
+        blob = b"".join(chunks)
+        start = offset - first * self.block_size
+        return blob[start:start + length]
+
+
+class TestFlashFastPaths:
+    """The whole-block write and the single-block / aligned read are the
+    block-by-block path, byte for byte and counter for counter."""
+
+    BLOCK = 64
+    BLOCKS = 12
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("write"), st.integers(0, BLOCKS - 1),
+                  st.integers(0, 4 * BLOCK + 5), st.booleans()),
+        st.tuples(st.just("read"), st.integers(0, BLOCKS * BLOCK),
+                  st.integers(0, 4 * BLOCK + 5), st.booleans())),
+        min_size=1, max_size=40))
+    def test_matches_blockwise_reference(self, ops):
+        fast = FlashArray(self.BLOCKS * self.BLOCK, self.BLOCK)
+        slow = BlockwiseFlash(self.BLOCKS * self.BLOCK, self.BLOCK)
+        stamp = 0
+        for verb, where, length, flag in ops:
+            outcomes = []
+            stamp += 1
+            for flash in (fast, slow):
+                try:
+                    if verb == "write":
+                        data = bytes([1 + stamp % 255]) * length
+                        # ``flag``: a mutable buffer the caller reuses.
+                        buffer = bytearray(data) if flag else data
+                        flash.write(where * self.BLOCK, buffer)
+                        if flag:
+                            buffer[:] = b"\xee" * length
+                        outcomes.append(None)
+                    else:
+                        # ``flag``: snap the offset to a block boundary.
+                        offset = where - where % self.BLOCK if flag else where
+                        outcomes.append(flash.read(offset, length))
+                except FlashError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            assert type(outcomes[0]) is type(outcomes[1])
+            assert fast._blocks == slow._blocks
+            assert all(type(block) is bytes and len(block) == self.BLOCK
+                       for block in fast._blocks.values())
+            assert ((fast.reads, fast.writes, fast.bytes_read,
+                     fast.bytes_written)
+                    == (slow.reads, slow.writes, slow.bytes_read,
+                        slow.bytes_written))
+
+    def test_stored_block_is_not_the_callers_buffer(self):
+        flash = FlashArray(4 * self.BLOCK, self.BLOCK)
+        data = b"d" * self.BLOCK
+        flash.write(0, data)
+        assert flash.read(0, self.BLOCK) == data
+        assert flash._blocks[0] is not data
+
+
 class TestNVMeSSD:
     def test_write_read_roundtrip(self, sim, quiet_ssd):
         def proc():
@@ -295,6 +382,63 @@ class TestFcfsRecurrence:
         sim.run()
         assert all(finish == expected for finish, expected in finishes)
         assert core.busy_time_us == sum(work for _gap, work, _lead in ops)
+
+    class ScanCore(Core):
+        """Test-only reference: ``_reserve`` as it was — expired slices
+        popped one by one, then always the first-fit scan and an
+        ``insert``."""
+
+        def _reserve(self, at, duration):
+            reserved = self._reserved
+            now = self.sim.now
+            while reserved and reserved[0][1] <= now:
+                reserved.pop(0)
+            start = at
+            index = len(reserved)
+            for i, (begin, end) in enumerate(reserved):
+                if start + duration <= begin:
+                    index = i
+                    break
+                if end > start:
+                    start = end
+            reserved.insert(index, (start, start + duration))
+            return start
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.4, 1.0, 3.0]),
+                  st.sampled_from([0, 7, 300, 1200, 2500, 9000]),
+                  st.sampled_from([0.0, 0.0, 0.0, 0.2, 0.4, 1.0, 2.5, 8.0])),
+        min_size=1, max_size=50))
+    def test_reserve_matches_the_scan_slice_by_slice(self, ops):
+        """``(gap_us, cycles, lead_us)`` at 3 GHz (inexact floats): lead
+        0 is an ``execute_event`` now, lead > 0 a fused ``charge_at`` in
+        the future, cycles 0 a zero-length slice.  After every
+        reservation the calendar — order included — the start handed
+        out and the finish times equal the scan's."""
+        calendars = []
+        for core_class in (Core, self.ScanCore):
+            sim = Simulator()
+            core = core_class(sim, freq_ghz=3.0)
+            trail = []
+
+            def source(sim=sim, core=core, trail=trail):
+                for gap, cycles, lead in ops:
+                    if gap:
+                        yield sim.timeout(gap)
+                    if lead:
+                        trail.append(core.charge_at(cycles, sim.now + lead))
+                    else:
+                        event = core.execute_event(cycles)
+                        event.callbacks.append(
+                            lambda _event: trail.append(("done", sim.now)))
+                    trail.append(list(core._reserved))
+
+            sim.process(source())
+            sim.run()
+            trail.append((core.cycles_executed, core.busy_time_us))
+            calendars.append(trail)
+        assert calendars[0] == calendars[1]
 
     @settings(max_examples=60, deadline=None)
     @given(channels=st.integers(1, 4),

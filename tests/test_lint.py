@@ -337,6 +337,57 @@ class TestSIM006CrossShardNodeCall:
         assert report.exit_code == 0
 
 
+class TestSIM010ClockAssignment:
+    def test_plain_assignment_flagged(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/core/bad.py", """\
+            def fast_forward(sim, when):
+                sim.now = when
+            """)
+        assert "SIM010" in rules_hit(report)
+        assert report.exit_code == 1
+
+    def test_augmented_assignment_flagged(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/hw/bad.py", """\
+            class Device:
+                def stall(self, delay):
+                    self.sim.now += delay
+            """)
+        assert "SIM010" in rules_hit(report)
+
+    def test_unpacking_and_loop_targets_flagged(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/workloads/bad.py", """\
+            def replay(sim, stamps):
+                sim.now, first = stamps[0], stamps[1]
+                for sim.now in stamps:
+                    pass
+            """)
+        assert [f.rule for f in report.findings].count("SIM010") == 2
+
+    def test_reads_and_local_names_clean(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/core/good.py", """\
+            def elapsed(sim, started):
+                now = sim.now
+                later = now + 1.0
+                return sim.now - started, later
+            """)
+        assert report.exit_code == 0
+
+    def test_the_event_loop_itself_is_exempt(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/sim/loop.py", """\
+            class Simulator:
+                def step(self, when):
+                    self.now = when
+            """)
+        assert report.exit_code == 0
+
+    def test_suppression(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/core/meh.py", """\
+            def rewind(sim):
+                sim.now = 0.0  # simlint: ignore[SIM010]
+            """)
+        assert report.exit_code == 0
+
+
 class TestSuppressions:
     def test_bare_ignore_covers_all_rules(self, tmp_path):
         report = lint_snippet(tmp_path, "repro/core/bad.py", """\

@@ -491,7 +491,7 @@ class TestEngineExtensions:
     def test_catalog_header_is_generated(self):
         import repro.lint.rules as rules_mod
         from repro.lint.rules import catalog_lines, catalog_range
-        assert catalog_range() == "SIM001-SIM009"
+        assert catalog_range() == "SIM001-SIM010"
         for line in catalog_lines():
             assert line in rules_mod.__doc__
 

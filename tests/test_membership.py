@@ -77,7 +77,7 @@ class TestJoin:
         host = cluster.jbofs[0]
         new_id = host.address + "/pnew"
         runtime = host._make_vnode(new_id, host.ssds[0], 0, 1, 50)
-        host.vnodes[new_id] = runtime
+        host.install_vnode(runtime)
 
         def proc():
             yield from cluster.control_plane.join_vnode(new_id, host.address)
@@ -95,7 +95,7 @@ class TestJoin:
         host = cluster.jbofs[0]
         new_id = host.address + "/pnew"
         runtime = host._make_vnode(new_id, host.ssds[0], 0, 1, 50)
-        host.vnodes[new_id] = runtime
+        host.install_vnode(runtime)
 
         def proc():
             yield from cluster.control_plane.join_vnode(new_id, host.address)
@@ -114,7 +114,7 @@ class TestJoin:
         sim = cluster.sim
         host = cluster.jbofs[0]
         new_id = host.address + "/pnew"
-        host.vnodes[new_id] = host._make_vnode(new_id, host.ssds[0], 0, 1, 50)
+        host.install_vnode(host._make_vnode(new_id, host.ssds[0], 0, 1, 50))
 
         def proc():
             yield from cluster.control_plane.join_vnode(new_id, host.address)

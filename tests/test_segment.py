@@ -201,3 +201,181 @@ class TestHashing:
         for key, vlen in pairs.items():
             item = restored.find(key)
             assert item is not None and item.vlen == vlen
+
+
+# -- the slotted codec against the dataclass codec it replaced ---------------
+
+from dataclasses import dataclass, field  # noqa: E402
+from typing import List, Optional  # noqa: E402
+
+
+@dataclass
+class RefKeyItem:
+    """Test-only reference: ``KeyItem`` as the dataclass it was."""
+
+    key: bytes
+    vlen: int
+    voffset: int
+    ssd_id: int = 0
+    khash: Optional[int] = None
+
+    def __post_init__(self):
+        if self.khash is None:
+            self.khash = key_hash(self.key)
+
+    @property
+    def wire_size(self) -> int:
+        return KEY_ITEM_HEADER.size + len(self.key)
+
+    def pack(self) -> bytes:
+        return KEY_ITEM_HEADER.pack(self.khash, len(self.key), self.vlen,
+                                    self.voffset, self.ssd_id) + self.key
+
+
+@dataclass
+class RefBucket:
+    """Test-only reference: ``Bucket`` as the dataclass it was (pack by
+    concatenation, ``bytes_used`` by summing the items' properties)."""
+
+    seg_id: int
+    position: int = 0
+    items: List[RefKeyItem] = field(default_factory=list)
+    head: int = 0
+    tail: int = 0
+
+    def bytes_used(self) -> int:
+        return BUCKET_HEADER.size + sum(item.wire_size for item in self.items)
+
+    def pack(self, chain_len: int, block_size: int) -> bytes:
+        body = b"".join(item.pack() for item in self.items)
+        header = BUCKET_HEADER.pack(self.seg_id, chain_len, self.position,
+                                    len(self.items), self.head & 0xFFFFFFFF,
+                                    self.tail & 0xFFFFFFFF)
+        blob = header + body
+        if len(blob) > block_size:
+            raise ValueError("bucket of %d bytes exceeds block %d"
+                             % (len(blob), block_size))
+        return blob + b"\x00" * (block_size - len(blob))
+
+
+@dataclass
+class RefSegment:
+    seg_id: int
+    buckets: List[RefBucket] = field(default_factory=list)
+
+
+def _as_ref(text: str) -> str:
+    return (text.replace("KeyItem(", "RefKeyItem(")
+            .replace("Bucket(", "RefBucket(")
+            .replace("Segment(", "RefSegment("))
+
+
+_item_fields = st.tuples(
+    st.binary(min_size=0, max_size=40),
+    st.one_of(st.just(TOMBSTONE_VLEN), st.integers(1, 2**32 - 1)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 255),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+
+_bucket_fields = st.lists(_item_fields, min_size=0, max_size=7)
+
+
+class TestSlottedCodec:
+    """``KeyItem`` / ``Bucket`` / ``Segment`` are slotted plain classes
+    with ``wire_size`` fixed at construction and buckets serialized in
+    place; everything observable must be what the dataclasses gave."""
+
+    @staticmethod
+    def _build(chain, seg_id, head, tail):
+        new = Segment(seg_id, [
+            Bucket(seg_id, position, [KeyItem(*f) for f in fields], head, tail)
+            for position, fields in enumerate(chain)])
+        ref = RefSegment(seg_id, [
+            RefBucket(seg_id, position, [RefKeyItem(*f) for f in fields],
+                      head, tail)
+            for position, fields in enumerate(chain)])
+        return new, ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(chain=st.lists(_bucket_fields, min_size=1, max_size=4),
+           seg_id=st.integers(0, 2**32 - 1),
+           head=st.integers(0, 2**40), tail=st.integers(0, 2**40))
+    def test_round_trip_sizes_equality_and_repr(self, chain, seg_id, head,
+                                                tail):
+        new, ref = self._build(chain, seg_id, head, tail)
+        for bucket, ref_bucket in zip(new.buckets, ref.buckets):
+            for item, ref_item in zip(bucket.items, ref_bucket.items):
+                assert item.wire_size == ref_item.wire_size == len(item.pack())
+                assert item.pack() == ref_item.pack()
+                assert item.khash == ref_item.khash
+                assert item.is_tombstone == (item.vlen == TOMBSTONE_VLEN)
+                assert KeyItem.unpack_from(b"\xff" + item.pack(), 1) == item
+            assert bucket.bytes_used() == ref_bucket.bytes_used()
+        assert _as_ref(repr(new)) == repr(ref)
+
+        # Same bytes on the wire, block by block and as a whole.
+        wire = b"".join(
+            RefBucket(seg_id, position, ref_bucket.items, head % (1 << 32),
+                      tail % (1 << 32)).pack(len(chain), BLOCK)
+            for position, ref_bucket in enumerate(ref.buckets))
+        assert new.pack(BLOCK, head % (1 << 32), tail % (1 << 32)) == wire
+        for position, bucket in enumerate(new.buckets):
+            assert (bucket.pack(len(chain), BLOCK)
+                    == wire[position * BLOCK:(position + 1) * BLOCK])
+
+        restored = Segment.unpack(wire, BLOCK)
+        assert restored == new and restored is not new
+        assert restored.chain_len == len(chain)
+        assert [item.wire_size for item in restored.iter_items()] == [
+            item.wire_size for item in new.iter_items()]
+        assert restored.live_items() == [
+            item for item in new.iter_items() if not item.is_tombstone]
+        # A bytearray or memoryview decodes to the same (bytes) keys.
+        assert Bucket.unpack(bytearray(wire[:BLOCK])) == new.buckets[0]
+        assert Bucket.unpack(memoryview(wire)[:BLOCK]) == new.buckets[0]
+        assert all(type(item.key) is bytes
+                   for item in Bucket.unpack(memoryview(wire)[:BLOCK]).items)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=_item_fields, b=_item_fields)
+    def test_equality_is_by_field_and_nothing_hashes(self, a, b):
+        assert (KeyItem(*a) == KeyItem(*b)) == (RefKeyItem(*a)
+                                                == RefKeyItem(*b))
+        assert KeyItem(*a) != RefKeyItem(*a)  # another class: never equal
+        bucket = Bucket(3, 1, [KeyItem(*a)], 5, 6)
+        assert bucket == Bucket(3, 1, [KeyItem(*a)], 5, 6)
+        assert bucket != Bucket(3, 1, [KeyItem(*a)], 5, 7)
+        assert Segment(3, [bucket]) == Segment(3, [Bucket(3, 1, [KeyItem(*a)],
+                                                          5, 6)])
+        assert Segment(3, [bucket]) != Segment(4, [bucket])
+        for value in (KeyItem(*a), bucket, Segment(3, [bucket])):
+            with pytest.raises(TypeError):
+                hash(value)
+
+    def test_no_instance_dict_and_defaults_are_not_shared(self):
+        for value in (KeyItem(b"k", 1, 2), Bucket(0), Segment(0)):
+            assert not hasattr(value, "__dict__")
+        first, second = Bucket(0), Bucket(0)
+        first.items.append(KeyItem(b"k", 1, 2))
+        assert second.items == [] and Segment(0).buckets == []
+
+    def test_a_mutated_item_packs_its_new_fields(self):
+        segment = Segment(seg_id=5)
+        segment.upsert(KeyItem(b"alpha", vlen=7, voffset=70), BLOCK, 4)
+        segment.upsert(KeyItem(b"beta", vlen=8, voffset=80), BLOCK, 4)
+        segment = Segment.unpack(segment.pack(BLOCK), BLOCK)
+        segment.upsert(KeyItem(b"alpha", vlen=9, voffset=90, ssd_id=3),
+                       BLOCK, 4)
+        segment.find(b"beta").vlen = TOMBSTONE_VLEN
+        restored = Segment.unpack(segment.pack(BLOCK), BLOCK)
+        alpha = restored.find(b"alpha")
+        assert (alpha.vlen, alpha.voffset, alpha.ssd_id) == (9, 90, 3)
+        assert restored.find(b"beta").is_tombstone
+        assert restored.drop_tombstones() == 1
+
+    def test_overfull_bucket_is_rejected_before_any_byte_is_written(self):
+        bucket = Bucket(0, 0, [KeyItem(b"x" * 100, 1, 0) for _ in range(6)])
+        target = bytearray(2 * BLOCK)
+        with pytest.raises(ValueError, match="exceeds block"):
+            bucket.pack_into(target, BLOCK, 1, BLOCK)
+        assert target == bytearray(2 * BLOCK)
