@@ -397,14 +397,20 @@ class CircularLog:
         a wrapped read at once) and the completion time is returned
         instead of yielded on.
         """
-        data = b""
-        done = at
-        for offset, span in self._read_spans(virtual_offset, length):
-            part, part_done = self.ssd.read_at(offset, span, at)
-            data += part
-            if part_done > done:
-                done = part_done
-        return self._overlay_staged(virtual_offset, data), done
+        spans = self._read_spans(virtual_offset, length)
+        if len(spans) == 1:
+            data, done = self.ssd.read_at(spans[0][0], length, at)
+        else:
+            data = b""
+            done = at
+            for offset, span in spans:
+                part, part_done = self.ssd.read_at(offset, span, at)
+                data += part
+                if part_done > done:
+                    done = part_done
+        if self._staged:
+            data = self._overlay_staged(virtual_offset, data)
+        return data, done
 
     def charge_read_at(self, virtual_offset: int, length: int,
                        at: float) -> float:

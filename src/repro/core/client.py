@@ -15,6 +15,7 @@ Co-located with each application client, the front-end:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
 from repro.core.flow_control import FlowController, PendingRequest
@@ -36,18 +37,24 @@ from repro.net.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.net.topology import Network, NicProfile
 from repro.obs.hist import LatencyHistogram
 from repro.sim.core import Simulator
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
+from repro.sim.record import Record
 
 
-@dataclass
-class ClientResult:
+class ClientResult(Record):
     """Outcome of one client-level operation."""
 
-    status: str
-    value: Optional[bytes] = None
-    latency_us: float = 0.0
-    retries: int = 0
-    served_by: str = ""
+    __slots__ = _FIELDS = ("status", "value", "latency_us", "retries",
+                           "served_by")
+
+    def __init__(self, status: str, value: Optional[bytes] = None,
+                 latency_us: float = 0.0, retries: int = 0,
+                 served_by: str = ""):
+        self.status = status
+        self.value = value
+        self.latency_us = latency_us
+        self.retries = retries
+        self.served_by = served_by
 
     @property
     def ok(self) -> bool:
@@ -183,16 +190,31 @@ class FrontEndClient:
         if op in ("put", "del"):
             return 0, chain[0]
         # GET: prefer serving replicas; never a LEAVING/JOINING one.
+        states = self.vnode_states
+        if self.read_policy == ReadPolicy.CRRS:
+            # The serving replica with the most tokens in this client's
+            # view; the first one on a tie.
+            flow = self.flow
+            best = None
+            best_tokens = 0
+            for hop, vnode in enumerate(chain):
+                if states.get(vnode.vnode_id, RUNNING) == RUNNING:
+                    view = flow.targets.get(vnode.vnode_id)
+                    if view is None:
+                        view = flow.view(vnode.vnode_id)
+                    tokens = view.tokens
+                    if best is None or tokens > best_tokens:
+                        best = (hop, vnode)
+                        best_tokens = tokens
+            if best is None:
+                return len(chain) - 1, chain[-1]
+            return best
         candidates = [
             (hop, vnode) for hop, vnode in enumerate(chain)
-            if self.vnode_states.get(vnode.vnode_id, RUNNING) == RUNNING]
+            if states.get(vnode.vnode_id, RUNNING) == RUNNING]
         if not candidates:
             return len(chain) - 1, chain[-1]
-        policy = self.read_policy
-        if policy == ReadPolicy.CRRS:
-            return max(candidates,
-                       key=lambda hv: self.flow.view(hv[1].vnode_id).tokens)
-        if policy == ReadPolicy.ANY:
+        if self.read_policy == ReadPolicy.ANY:
             self._read_rr += 1
             return candidates[self._read_rr % len(candidates)]
         # Plain chain replication: reads at the tail only.
@@ -202,15 +224,15 @@ class FrontEndClient:
 
     def get(self, key: bytes):
         """Generator: GET ``key``; returns a :class:`ClientResult`."""
-        return (yield from self._operate("get", key, None))
+        return self._operate("get", key, None)
 
     def put(self, key: bytes, value: bytes):
         """Generator: PUT ``key`` = ``value``."""
-        return (yield from self._operate("put", key, value))
+        return self._operate("put", key, value)
 
     def delete(self, key: bytes):
         """Generator: DEL ``key``."""
-        return (yield from self._operate("del", key, None))
+        return self._operate("del", key, None)
 
     def _begin_trace(self, op: str):
         """Root trace context for this operation, or None (sampling)."""
@@ -224,93 +246,87 @@ class FrontEndClient:
                                  cat="client")
 
     def _operate(self, op: str, key: bytes, value: Optional[bytes]):
+        """Generator: one operation — pick a replica, clear flow
+        control, call, and retry on NACK / overload / timeout."""
         ctx = self._begin_trace(op)
-        result = yield from self._operate_body(op, key, value, ctx)
-        if ctx is not None:
-            ctx.finish({"status": result.status, "retries": result.retries})
-        return result
-
-    def _operate_body(self, op: str, key: bytes, value: Optional[bytes],
-                      ctx):
-        start = self.sim.now
+        sim = self.sim
+        stats = self.stats
+        start = sim.now
         retries = 0
         while True:
             target = self._pick_target(op, key)
             if target is None:
                 ok = yield from self.refresh_ring()
                 if not ok:
-                    yield self.sim.timeout(1000.0)
+                    yield sim.timeout(1000.0)
                 target = self._pick_target(op, key)
                 if target is None:
-                    return ClientResult("no_ring",
-                                        latency_us=self.sim.now - start,
-                                        retries=retries)
+                    result = ClientResult("no_ring",
+                                          latency_us=sim.now - start,
+                                          retries=retries)
+                    break
             hop, vnode = target
             body = KVRequest(op, key, value, vnode.vnode_id,
-                             self.local_ring.version, hop, self.tenant,
-                             trace=ctx)
-            reply = yield from self._issue(body, vnode, ctx)
+                             self.local_ring.version, hop, self.tenant, ctx)
+            # One request through flow control + RPC: the scheduler
+            # fires ``_call`` when it clears the request.
+            waiter = Event(sim)
+            flow_ctx = None
+            if ctx is not None:
+                flow_ctx = ctx.child("client.flow", cat="client",
+                                     args={"target": vnode.vnode_id})
+            self.flow.enqueue(self.tenant, PendingRequest(
+                vnode.vnode_id, TOKEN_COST[op],
+                partial(self._call, body, vnode, waiter, flow_ctx)))
+            reply = yield waiter
             if reply is None:
-                self.stats.timeouts += 1
+                stats.timeouts += 1
             elif reply.status in (STATUS_OK, STATUS_NOT_FOUND,
                                   "store_full"):
                 result = ClientResult(reply.status, reply.value,
-                                      self.sim.now - start, retries,
+                                      sim.now - start, retries,
                                       reply.served_by)
-                self.stats.record(result)
-                return result
+                stats.record(result)
+                break
             elif reply.status == STATUS_NACK:
-                self.stats.nacks += 1
+                stats.nacks += 1
             elif reply.status == STATUS_OVERLOADED:
                 # Shed by the back-end: back off and retry without a
                 # ring refresh (the view is fine, the node is busy).
-                self.stats.overloads += 1
+                stats.overloads += 1
                 retries += 1
                 if retries > self.MAX_RETRIES:
                     result = ClientResult(STATUS_OVERLOADED,
-                                          latency_us=self.sim.now - start,
+                                          latency_us=sim.now - start,
                                           retries=retries)
-                    self.stats.record(result)
-                    return result
-                yield self.sim.timeout(150.0 * retries)
+                    stats.record(result)
+                    break
+                yield sim.timeout(150.0 * retries)
                 continue
             elif reply.status == STATUS_UNAVAILABLE:
                 pass
             retries += 1
             if retries > self.MAX_RETRIES:
                 result = ClientResult("unavailable",
-                                      latency_us=self.sim.now - start,
+                                      latency_us=sim.now - start,
                                       retries=retries)
-                self.stats.record(result)
-                return result
+                stats.record(result)
+                break
             # Stale view or dead node: resync and back off briefly.
             yield from self.refresh_ring()
-            yield self.sim.timeout(200.0 * retries)
-
-    def _issue(self, body: KVRequest, vnode: VNode, ctx=None):
-        """Generator: run one request through flow control + RPC."""
-        target = vnode.vnode_id
-        waiter: Event = self.sim.event()
-        flow_ctx = None
+            yield sim.timeout(200.0 * retries)
         if ctx is not None:
-            flow_ctx = ctx.child("client.flow", cat="client",
-                                 args={"target": target})
+            ctx.finish({"status": result.status, "retries": result.retries})
+        return result
 
-        def send():
-            if flow_ctx is not None:
-                flow_ctx.finish()
-            self._call(body, vnode, target, waiter)
-
-        self.flow.enqueue(self.tenant, PendingRequest(
-            target=target, token_cost=TOKEN_COST[body.op], send=send))
-        reply = yield waiter
-        return reply
-
-    def _call(self, body: KVRequest, vnode: VNode, target: str,
-              waiter: Event) -> None:
-        """Issue one KV call; its completion callback folds the
-        piggybacked tokens into the flow controller and resolves
-        ``waiter`` — with the reply, or ``None`` for a lost one."""
+    def _call(self, body: KVRequest, vnode: VNode, waiter: Event,
+              flow_ctx=None) -> None:
+        """Issue one KV call (the flow controller's ``send``); its
+        completion callback folds the piggybacked tokens into the flow
+        controller and resolves ``waiter`` — with the reply, or
+        ``None`` for a lost one."""
+        if flow_ctx is not None:
+            flow_ctx.finish()
         # Stamp the attempt's give-up deadline at send time — exactly
         # when the RPC timeout clock starts — so replicas can refuse a
         # copy that surfaces from a congested queue after this client
@@ -319,6 +335,8 @@ class FrontEndClient:
         event = self.rpc.call(vnode.jbof_address, "kv", body,
                               body.wire_bytes(),
                               timeout_us=self.request_timeout_us)
+        flow = self.flow
+        target = vnode.vnode_id
 
         def finish(evt: Event) -> None:
             reply: Optional[KVReply] = None
@@ -326,15 +344,14 @@ class FrontEndClient:
                 reply = evt._value
                 # The reply may come from a different vnode (request
                 # shipping); credit the partition that served us.
-                self.flow.on_response(reply.served_by or target,
-                                      reply.tokens)
+                flow.on_response(reply.served_by or target, reply.tokens)
             elif isinstance(evt._value, (RpcTimeout, RpcError)):
                 evt.defuse()
             else:
                 # Not a lost reply: leave it to surface from sim.run.
                 return
-            self.flow.on_complete(target)
-            if not waiter.triggered:
+            flow.on_complete(target)
+            if waiter._value is PENDING:
                 waiter.succeed(reply)
 
         event.callbacks.append(finish)

@@ -32,6 +32,11 @@ from repro.hw.cpu import CYCLE_COSTS, Core
 from repro.hw.dram import Dram
 from repro.hw.ssd import NVMeSSD
 from repro.sim.core import Simulator
+from repro.sim.record import Record
+
+#: Core cycles of the GET pipeline's two compute stages.
+_HASH_LOOKUP_CYCLES = CYCLE_COSTS["hash_lookup"]
+_BUCKET_SCAN_CYCLES = CYCLE_COSTS["bucket_scan_per_key"]
 
 #: Result statuses.
 OK = "ok"
@@ -39,16 +44,21 @@ NOT_FOUND = "not_found"
 STORE_FULL = "store_full"
 
 
-@dataclass
-class OpResult:
+class OpResult(Record):
     """Outcome and latency breakdown of one data-store command."""
 
-    status: str
-    value: Optional[bytes] = None
-    total_us: float = 0.0
-    ssd_us: float = 0.0
-    cpu_us: float = 0.0
-    nvme_accesses: int = 0
+    __slots__ = _FIELDS = ("status", "value", "total_us", "ssd_us", "cpu_us",
+                           "nvme_accesses")
+
+    def __init__(self, status: str, value: Optional[bytes] = None,
+                 total_us: float = 0.0, ssd_us: float = 0.0,
+                 cpu_us: float = 0.0, nvme_accesses: int = 0):
+        self.status = status
+        self.value = value
+        self.total_us = total_us
+        self.ssd_us = ssd_us
+        self.cpu_us = cpu_us
+        self.nvme_accesses = nvme_accesses
 
     @property
     def ok(self) -> bool:
@@ -277,14 +287,15 @@ class LeedDataStore:
         key_log = self.key_log
         core = self.core
         sim = self.sim
+        stats = self.stats
         start = at = sim.now
         ssd_us = 0.0
         accesses = 0
-        self.stats.gets += 1
+        stats.gets += 1
         khash = key_hash(key)
         seg_id = khash % self.config.num_segments
 
-        cycles = CYCLE_COSTS["hash_lookup"]
+        cycles = _HASH_LOOKUP_CYCLES
         if analytic:
             at = core.charge_at(cycles, at)
         else:
@@ -294,7 +305,7 @@ class LeedDataStore:
         result: Optional[OpResult] = None
         for attempt in range(self.MAX_GET_RETRIES):
             if attempt:
-                self.stats.get_retries += 1
+                stats.get_retries += 1
             location = self.segtbl.location(seg_id)
             if location is None:
                 result = OpResult(NOT_FOUND)
@@ -330,7 +341,7 @@ class LeedDataStore:
                     self._seg_cache[offset] = cached
             segment, scan_items = cached
 
-            cycles = CYCLE_COSTS["bucket_scan_per_key"] * scan_items
+            cycles = _BUCKET_SCAN_CYCLES * scan_items
             if analytic:
                 at = core.charge_at(cycles, at)
             else:
@@ -338,7 +349,7 @@ class LeedDataStore:
                 at = sim.now
 
             item = segment.find(key, khash)
-            if item is None or item.is_tombstone:
+            if item is None or item.vlen == TOMBSTONE_VLEN:
                 result = OpResult(NOT_FOUND)
                 break
 
@@ -367,17 +378,17 @@ class LeedDataStore:
         if result is None:
             result = OpResult(NOT_FOUND)
 
-        if result.ok:
-            self.stats.hits += 1
+        if result.status == OK:
+            stats.hits += 1
         else:
-            self.stats.misses += 1
-        result.total_us = at - start
+            stats.misses += 1
+        result.total_us = total_us = at - start
         result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
+        result.cpu_us = cpu_us = total_us - ssd_us
         result.nvme_accesses = accesses
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["get"] += result.total_us
+        stats.ssd_time_us += ssd_us
+        stats.cpu_time_us += cpu_us
+        stats.op_latency_us["get"] += total_us
         return result, at
 
     def put(self, key: bytes, value: bytes, trace=None):
@@ -420,7 +431,7 @@ class LeedDataStore:
         khash = key_hash(key)
         seg_id = khash % self.config.num_segments
 
-        yield self._cpu_event(CYCLE_COSTS["hash_lookup"])
+        yield self._cpu_event(_HASH_LOOKUP_CYCLES)
 
         # A free lock bit is taken in place; a held one queues FCFS.
         if not self.segtbl.try_lock(seg_id):

@@ -22,25 +22,32 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.hist import LatencyHistogram
 from repro.sim.core import Simulator
+from repro.sim.record import Record
 
 
-@dataclass
-class TargetView:
+class TargetView(Record):
     """Client-side view of one target partition's serving capability."""
 
-    tokens: int = 4          # optimistic initial allowance
-    outstanding: int = 0
-    last_update_us: float = 0.0
+    __slots__ = _FIELDS = ("tokens", "outstanding", "last_update_us")
+
+    def __init__(self, tokens: int = 4, outstanding: int = 0,
+                 last_update_us: float = 0.0):
+        self.tokens = tokens         # optimistic initial allowance
+        self.outstanding = outstanding
+        self.last_update_us = last_update_us
 
 
-@dataclass
-class PendingRequest:
+class PendingRequest(Record):
     """One request waiting in a tenant's front-end queue."""
 
-    target: str
-    token_cost: int
-    send: Callable[[], None]
-    enqueued_at: float = 0.0
+    __slots__ = _FIELDS = ("target", "token_cost", "send", "enqueued_at")
+
+    def __init__(self, target: str, token_cost: int,
+                 send: Callable[[], None], enqueued_at: float = 0.0):
+        self.target = target
+        self.token_cost = token_cost
+        self.send = send
+        self.enqueued_at = enqueued_at
 
 
 @dataclass
@@ -88,22 +95,26 @@ class FlowController:
 
     def view(self, target: str) -> TargetView:
         """This client's (possibly stale) view of one partition."""
-        if target not in self.targets:
-            self.targets[target] = TargetView(last_update_us=self.sim.now)
-        return self.targets[target]
+        view = self.targets.get(target)
+        if view is None:
+            view = self.targets[target] = TargetView(
+                last_update_us=self.sim.now)
+        return view
 
     def on_response(self, target: str, allocated_tokens: int) -> None:
         """Fold a piggybacked allocation into the local view."""
         view = self.view(target)
-        view.tokens = max(allocated_tokens, 0)
+        view.tokens = allocated_tokens if allocated_tokens >= 0 else 0
         view.last_update_us = self.sim.now
-        self._wake()
+        if self._queued_count:
+            self._wake()
 
     def on_complete(self, target: str) -> None:
         """A request to ``target`` retired."""
         view = self.view(target)
-        view.outstanding = max(view.outstanding - 1, 0)
-        self._wake()
+        view.outstanding = view.outstanding - 1 if view.outstanding > 1 else 0
+        if self._queued_count:
+            self._wake()
 
     # -- request intake --------------------------------------------------------------
 
@@ -111,12 +122,13 @@ class FlowController:
         """Queue ``request`` for scheduling on behalf of ``tenant``."""
         request.enqueued_at = self.sim.now
         if not self.enabled:
-            self._submit(request)
+            self._submit(request, self.view(request.target))
             return
-        if tenant not in self._tenant_queues:
-            self._tenant_queues[tenant] = deque()
+        queue = self._tenant_queues.get(tenant)
+        if queue is None:
+            queue = self._tenant_queues[tenant] = deque()
             self._tenant_order.append(tenant)
-        self._tenant_queues[tenant].append(request)
+        queue.append(request)
         self._queued_count += 1
         self._wake()
 
@@ -138,37 +150,47 @@ class FlowController:
                 self._in_round = False
 
     def _schedule_round(self) -> None:
-        self.stats.rounds += 1
+        stats = self.stats
+        stats.rounds += 1
+        order = self._tenant_order
+        queues = self._tenant_queues
+        targets = self.targets
+        # A ``send`` callback may enqueue for a new tenant mid-round:
+        # a pass keeps the length it started with, the modulus follows
+        # the list (re-measured after every submit).
+        size = len(order)
         progressed = True
         while progressed:
             progressed = False
-            for _ in range(len(self._tenant_order)):
-                tenant = self._tenant_order[self._rr_index % max(
-                    len(self._tenant_order), 1)]
+            for _ in range(size):
+                tenant = order[self._rr_index % size]
                 self._rr_index += 1
-                queue = self._tenant_queues.get(tenant)
+                queue = queues.get(tenant)
                 if not queue:
                     continue
                 request = queue[0]
-                view = self.view(request.target)
+                view = targets.get(request.target)
+                if view is None:
+                    view = self.view(request.target)
                 if request.token_cost <= view.tokens:          # Alg.1 L5-7
                     queue.popleft()
                     self._queued_count -= 1
                     view.tokens -= request.token_cost
-                    self._submit(request)
+                    self._submit(request, view)
+                    size = len(order)
                     progressed = True
                 elif view.outstanding < 1:                      # Alg.1 L9-13
                     queue.popleft()
                     self._queued_count -= 1
                     view.tokens = 0
-                    self.stats.nagle_probes += 1
-                    self._submit(request)
+                    stats.nagle_probes += 1
+                    self._submit(request, view)
+                    size = len(order)
                     progressed = True
                 else:
-                    self.stats.deferred += 1
+                    stats.deferred += 1
 
-    def _submit(self, request: PendingRequest) -> None:
-        view = self.view(request.target)
+    def _submit(self, request: PendingRequest, view: TargetView) -> None:
         view.outstanding += 1
         self.stats.submitted += 1
         self.stats.queue_wait.record(self.sim.now - request.enqueued_at)

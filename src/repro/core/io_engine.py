@@ -24,13 +24,15 @@ fashion; the per-tenant allocation is piggybacked on every response
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, Optional, Set
 
 from repro.core.datastore import LeedDataStore, OpResult
 from repro.sim.core import Simulator
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 from repro.sim.queues import Store
+from repro.sim.record import Record
 
 #: Offline-decided token cost per command (== NVMe accesses, §3.3).
 TOKEN_COST = {"get": 2, "put": 3, "del": 2, "copy": 4}
@@ -41,27 +43,36 @@ TOKEN_COST = {"get": 2, "put": 3, "del": 2, "copy": 4}
 DEFAULT_TOKEN_CAPACITY = 96
 
 
-@dataclass(eq=False)
-class KVCommand:
+class KVCommand(Record):
     """One queued key-value command.
 
-    ``eq=False`` keeps identity comparison/hashing so commands can sit
-    in the engine's active *set*.
+    Compared and hashed by identity, so commands can sit in the
+    engine's active *set*.
     """
 
-    op: str
-    key: bytes
-    value: Optional[bytes] = None
-    tenant: str = "default"
-    enqueued_at: float = 0.0
-    started_at: float = 0.0
-    completion: Optional[Event] = None
-    #: Trace context of the request this command serves (duck-typed
-    #: :class:`repro.obs.spans.TraceContext`; None when unsampled).
-    trace: Optional[object] = None
-    #: Open ``engine.queue`` span while the command sits in the
-    #: waiting queue (internal to the engine).
-    queue_span: Optional[object] = None
+    __slots__ = _FIELDS = ("op", "key", "value", "tenant", "enqueued_at",
+                           "started_at", "completion", "trace", "queue_span")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, op: str, key: bytes, value: Optional[bytes] = None,
+                 tenant: str = "default", enqueued_at: float = 0.0,
+                 started_at: float = 0.0, completion: Optional[Event] = None,
+                 trace: Optional[object] = None,
+                 queue_span: Optional[object] = None):
+        self.op = op
+        self.key = key
+        self.value = value
+        self.tenant = tenant
+        self.enqueued_at = enqueued_at
+        self.started_at = started_at
+        self.completion = completion
+        #: Trace context of the request this command serves (duck-typed
+        #: :class:`repro.obs.spans.TraceContext`; None when unsampled).
+        self.trace = trace
+        #: Open ``engine.queue`` span while the command sits in the
+        #: waiting queue (internal to the engine).
+        self.queue_span = queue_span
 
     @property
     def token_cost(self) -> int:
@@ -186,8 +197,8 @@ class PartitionIOEngine:
         except Exception as exc:
             self._retire(command)
             return command.completion.fail(exc)
-        self.sim.schedule(done - self.sim.now,
-                          lambda: self._finish(command, result))
+        retire = self.sim.timeout(done - self.sim.now)
+        retire.callbacks.append(partial(self._finish, command, result))
         return command.completion
 
     def _enqueue(self, command: KVCommand) -> Event:
@@ -223,13 +234,14 @@ class PartitionIOEngine:
         the waiting queue (so an over-subscribed partition throttles
         its tenants down instead of queueing without bound).
         """
-        spare = self._tokens - len(self.waiting)
+        spare = self._tokens - len(self.waiting.items)
         weights = self.tenant_weights
         if weights:
             total = self._weight_total
             weight = weights.get(tenant, 1.0)
             spare = int(spare * weight / max(total, weight))
-        return max(retiring_cost + spare, 0)
+        grant = retiring_cost + spare
+        return grant if grant >= 0 else 0
 
     def set_tenant_weight(self, tenant: str, weight: float) -> None:
         """Register a tenant's share of the spare token pool (§3.5)."""
@@ -320,8 +332,10 @@ class PartitionIOEngine:
             yield self.sim.timeout(0.0)
         return result
 
-    def _finish(self, command: KVCommand, result: OpResult) -> None:
-        """Complete a command somebody waits for through its event."""
+    def _finish(self, command: KVCommand, result: OpResult,
+                _event: Optional[Event] = None) -> None:
+        """Complete a command somebody waits for through its event
+        (also the callback of the fused GET's retire timeout)."""
         self._complete(command)
         command.completion.succeed(result)
 
@@ -341,7 +355,7 @@ class PartitionIOEngine:
         waiters = self._release_waiters
         while waiters:
             event = waiters.popleft()
-            if not event.triggered:
+            if event._value is PENDING:
                 event.succeed()
                 return True
         return False

@@ -57,6 +57,7 @@ from repro.net.rpc import RpcEndpoint, RpcRequest
 from repro.net.topology import Network, NicProfile, NIC_100G
 from repro.power.meter import PowerMeter
 from repro.sim.core import Simulator
+from repro.sim.events import PENDING
 from repro.sim.rng import RngRegistry
 
 #: Data-store result status -> wire status (others pass through).
@@ -65,6 +66,9 @@ _REPLY_STATUS = {
     "not_found": STATUS_NOT_FOUND,
     "store_full": STATUS_STORE_FULL,
 }
+
+#: Net-core cycles to parse and dispatch one request.
+_RPC_RECEIVE_CYCLES = CYCLE_COSTS["rpc_receive"]
 
 #: Virtual-node lifecycle states (§3.8).
 JOINING = "JOINING"
@@ -404,8 +408,10 @@ class JBOFNode:
         body: KVRequest = request.body
         if (self.options.fast_datapath and body.op == "get"
                 and body.trace is None):
-            self._net_core().charge_at(CYCLE_COSTS["rpc_receive"],
-                                       self.sim.now)
+            cores = self._net_cores     # :meth:`_net_core`
+            core = cores[self._net_core_rr % len(cores)]
+            self._net_core_rr += 1
+            core.charge_at(_RPC_RECEIVE_CYCLES, self.sim.now)
             serve = self._dispatch_kv(request, body, fused=True)
             if serve is not None:
                 self.sim.process(serve, name="rpc-raw-kv@" + self.address)
@@ -419,7 +425,7 @@ class JBOFNode:
             # Children (engine/device spans, shipped sub-dispatches)
             # nest under this node's dispatch span.
             body.trace = ctx
-        received = self._net_core().execute_event(CYCLE_COSTS["rpc_receive"])
+        received = self._net_core().execute_event(_RPC_RECEIVE_CYCLES)
         self.sim.process(self._serve_kv(request, body, ctx),
                          name="rpc-raw-kv@" + self.address, after=received)
 
@@ -476,9 +482,10 @@ class JBOFNode:
                 event.defuse()
                 result = OpResult(STATUS_OVERLOADED)
             runtime.stats.reads_served += 1
-            self._respond(request, self._reply_for(runtime, body, result))
+            reply = self._reply_for(runtime, body, result)
+            self.rpc.respond(request, reply, reply.wire_bytes())
 
-        if completion.triggered:
+        if completion._value is not PENDING:
             finish(completion)
         else:
             completion.callbacks.append(finish)
@@ -656,7 +663,7 @@ class JBOFNode:
     # -- membership & liveness ---------------------------------------------------------------
 
     def _handle_membership(self, src: str, update: MembershipUpdate):
-        yield from self._control_core.execute(CYCLE_COSTS["rpc_receive"])
+        yield from self._control_core.execute(_RPC_RECEIVE_CYCLES)
         self.apply_membership(update)
         return None
 

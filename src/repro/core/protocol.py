@@ -10,6 +10,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.sim.record import Record
+
 #: Fixed per-command header: op, ids, ring version, hop counter, tenant.
 KV_HEADER_BYTES = 24
 
@@ -59,30 +61,37 @@ STATUS_UNAVAILABLE = "unavailable"  # vnode not serving (JOINING/LEAVING)
 STATUS_OVERLOADED = "overloaded"    # waiting queue overflow; retry later
 
 
-@dataclass
-class KVRequest:
+class KVRequest(Record):
     """A client key-value command addressed to one vnode in a chain."""
 
-    op: str                      # "get" | "put" | "del"
-    key: bytes
-    value: Optional[bytes] = None
-    vnode_id: str = ""
-    ring_version: int = 0
-    hop: int = 0                 # expected chain position of the target
-    tenant: str = "default"
-    #: Tracing context (:class:`repro.obs.spans.TraceContext`) carried
-    #: alongside the command — simulation-side observability, never on
-    #: the wire (excluded from :meth:`wire_bytes`).  ``None`` when the
-    #: request is unsampled.
-    trace: Optional[object] = None
-    #: Absolute sim time after which the issuing client has given up
-    #: on this attempt.  Replicas drop expired *writes* at the chain
-    #: entry and commitment points: a retried write's earlier attempt
-    #: surfacing from a congested queue after the client already acked
-    #: a newer value would silently roll the key back (a lost acked
-    #: write the scenario suite caught).  Rides the fixed-size header
-    #: like ``trace`` — excluded from :meth:`wire_bytes`.
-    deadline_us: Optional[float] = None
+    __slots__ = _FIELDS = ("op", "key", "value", "vnode_id", "ring_version",
+                           "hop", "tenant", "trace", "deadline_us")
+
+    def __init__(self, op: str, key: bytes, value: Optional[bytes] = None,
+                 vnode_id: str = "", ring_version: int = 0, hop: int = 0,
+                 tenant: str = "default", trace: Optional[object] = None,
+                 deadline_us: Optional[float] = None):
+        self.op = op                 # "get" | "put" | "del"
+        self.key = key
+        self.value = value
+        self.vnode_id = vnode_id
+        self.ring_version = ring_version
+        self.hop = hop               # expected chain position of the target
+        self.tenant = tenant
+        #: Tracing context (:class:`repro.obs.spans.TraceContext`)
+        #: carried alongside the command — simulation-side
+        #: observability, never on the wire (excluded from
+        #: :meth:`wire_bytes`).  ``None`` when the request is unsampled.
+        self.trace = trace
+        #: Absolute sim time after which the issuing client has given
+        #: up on this attempt.  Replicas drop expired *writes* at the
+        #: chain entry and commitment points: a retried write's earlier
+        #: attempt surfacing from a congested queue after the client
+        #: already acked a newer value would silently roll the key back
+        #: (a lost acked write the scenario suite caught).  Rides the
+        #: fixed-size header like ``trace`` — excluded from
+        #: :meth:`wire_bytes`.
+        self.deadline_us = deadline_us
 
     def wire_bytes(self) -> int:
         """Bytes this command occupies on the wire."""
@@ -90,17 +99,21 @@ class KVRequest:
                 + (len(self.value) if self.value else 0))
 
 
-@dataclass
-class KVReply:
+class KVReply(Record):
     """Response to a KVRequest, with the piggybacked token allocation."""
 
-    status: str
-    value: Optional[bytes] = None
-    #: Tokens the serving partition allocates to this tenant (§3.5).
-    tokens: int = 0
-    served_by: str = ""
-    #: Fresh ring version hint (set on NACK so clients resync faster).
-    ring_version: int = 0
+    __slots__ = _FIELDS = ("status", "value", "tokens", "served_by",
+                           "ring_version")
+
+    def __init__(self, status: str, value: Optional[bytes] = None,
+                 tokens: int = 0, served_by: str = "", ring_version: int = 0):
+        self.status = status
+        self.value = value
+        #: Tokens the serving partition allocates to this tenant (§3.5).
+        self.tokens = tokens
+        self.served_by = served_by
+        #: Fresh ring version hint (set on NACK so clients resync faster).
+        self.ring_version = ring_version
 
     def wire_bytes(self) -> int:
         """Bytes this reply occupies on the wire."""

@@ -26,6 +26,8 @@ import struct
 import zlib
 from typing import List, Optional
 
+from repro.sim.record import Record
+
 KEY_ITEM_HEADER = struct.Struct("<IHIIB")   # hash, klen, vlen, voffset, ssd_id
 BUCKET_HEADER = struct.Struct("<IBBHII")    # seg_id, chain_len, position, nkeys, head, tail
 VALUE_ENTRY_HEADER = struct.Struct("<HIHI")  # owner_id, seg_id, klen, vlen
@@ -41,30 +43,7 @@ def key_hash(key: bytes) -> int:
     return zlib.crc32(key) & 0xFFFFFFFF
 
 
-class _Record:
-    """Value semantics of the codec classes, as the dataclasses they
-    were: equal when of one class with equal ``_FIELDS``, unhashable
-    (they are mutable), repr in constructor form."""
-
-    __slots__ = ()
-    _FIELDS: tuple = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._FIELDS])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % pair for pair in zip(self._FIELDS, self._values())))
-
-
-class KeyItem(_Record):
+class KeyItem(Record):
     """One key's index entry inside a bucket.
 
     ``key`` and ``khash`` (derived from the key unless given) are fixed
@@ -103,7 +82,7 @@ class KeyItem(_Record):
                    khash)
 
 
-class Bucket(_Record):
+class Bucket(Record):
     """A block-sized container of key items."""
 
     __slots__ = _FIELDS = ("seg_id", "position", "items", "head", "tail")
@@ -127,13 +106,6 @@ class Bucket(_Record):
     def has_room(self, item: KeyItem, block_size: int) -> bool:
         """Whether ``item`` still fits in this block-sized bucket."""
         return self.bytes_used() + item.wire_size <= block_size
-
-    def find(self, key: bytes, khash: int) -> Optional[KeyItem]:
-        """Locate a key's item within this bucket, or None."""
-        for item in self.items:
-            if item.khash == khash and item.key == key:
-                return item
-        return None
 
     def pack(self, chain_len: int, block_size: int) -> bytes:
         """Serialize to exactly one zero-padded device block."""
@@ -181,7 +153,7 @@ class Bucket(_Record):
         return cls(seg_id, position, items, head, tail)
 
 
-class Segment(_Record):
+class Segment(Record):
     """A chain of buckets; the unit read/written by one NVMe access."""
 
     __slots__ = _FIELDS = ("seg_id", "buckets")
@@ -205,9 +177,9 @@ class Segment(_Record):
         if khash is None:
             khash = key_hash(key)
         for bucket in self.buckets:
-            item = bucket.find(key, khash)
-            if item is not None:
-                return item
+            for item in bucket.items:
+                if item.khash == khash and item.key == key:
+                    return item
         return None
 
     def live_items(self) -> List[KeyItem]:

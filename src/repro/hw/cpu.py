@@ -38,10 +38,6 @@ class Core:
         #: Future reserved slices ``(start, end)``: disjoint, sorted.
         self._reserved: List[Tuple[float, float]] = []
 
-    def us_for_cycles(self, cycles: int) -> float:
-        """Wall time (µs) to execute ``cycles`` on this core."""
-        return cycles / (self.freq_ghz * 1e3)
-
     def _reserve(self, at: float, duration: float) -> float:
         """Earliest start >= ``at`` with ``duration`` of free core time.
 
@@ -117,7 +113,7 @@ class Core:
         (>= now) on the reservation calendar, without yielding — fused
         server paths chain these completion times and sleep once.
         """
-        duration = self.us_for_cycles(cycles)
+        duration = cycles / (self.freq_ghz * 1e3)
         start = self._reserve(at, duration)
         self.cycles_executed += cycles
         self.busy_time_us += duration

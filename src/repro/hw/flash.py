@@ -98,7 +98,8 @@ class FlashArray:
 
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes from an arbitrary ``offset``."""
-        self._check_range(offset, length)
+        if offset < 0 or length < 0 or offset + length > self.capacity_bytes:
+            self._check_range(offset, length)   # raises
         if length == 0:
             return b""
         block_size = self.block_size

@@ -161,52 +161,29 @@ class NVMeSSD:
     def capacity_bytes(self) -> int:
         return self.profile.capacity_bytes
 
-    def _jittered(self, mean_us: float) -> float:
-        if self._jitter_span <= 0.0:
-            return mean_us
-        return mean_us * (self._jitter_low + self._jitter_span * self._draw())
-
     def _admit_read(self, length: int, at: float) -> Tuple[float, float, float]:
         """Analytic channel admission of a read submitted at ``at``
         (>= now): draws the jittered service time and returns
         ``(service, start, done)``.
 
-        With all channels busy the I/O starts when the earliest one
-        frees (FCFS).
+        The I/O starts at ``at`` while a channel is unused, else when
+        the earliest one to free does (FCFS; it is taken off the heap).
+        Entries already in the past are not pruned: they only ever
+        lose against ``at``.
         """
-        service = self._jittered(self.profile.read_service_us(length or 1))
-        start = self._take_channel(at)
-        done = start + service
-        heapq.heappush(self._chan_busy, done)
-        return service, start, done
-
-    def _book_read(self, length: int, at: float, service: float,
-                   start: float, done: float) -> None:
-        """Record one read submitted at ``at`` in the device statistics.
-
-        The event form books at completion, the analytic forms at
-        submission — interleaved traffic sums the float counters in
-        that order, which the energy figures can see.
-        """
-        stats = self.stats
-        stats.reads_completed += 1
-        stats.read_bytes += length
-        stats.total_read_latency_us += done - at
-        stats.queue_wait_us += start - at
-        stats.busy_time_us += service
-
-    def _take_channel(self, at: float) -> float:
-        """Start time of an I/O submitted at ``at`` (>= now): ``at``
-        while a channel is unused, else when the earliest one to free
-        does (it is taken off the heap).  The caller pushes the new
-        busy-until time.  Entries already in the past are not pruned:
-        they only ever lose the ``max`` against ``at``."""
+        profile = self.profile
+        service = profile.read_base_us + (length or 1) / profile.read_bw_bpus
+        if self._jitter_span > 0.0:
+            service *= self._jitter_low + self._jitter_span * self._draw()
         busy = self._chan_busy
-        if len(busy) >= self.profile.channels:
+        start = at
+        if len(busy) >= profile.channels:
             freed = heapq.heappop(busy)
             if freed > at:
-                return freed
-        return at
+                start = freed
+        done = start + service
+        heapq.heappush(busy, done)
+        return service, start, done
 
     # -- I/O: a device access is its completion event ------------------------
     #
@@ -231,7 +208,12 @@ class NVMeSSD:
 
         def complete(event) -> None:
             event._value = self.flash.read(offset, length)
-            self._book_read(length, submitted, service, admitted, done)
+            stats = self.stats
+            stats.reads_completed += 1
+            stats.read_bytes += length
+            stats.total_read_latency_us += done - submitted
+            stats.queue_wait_us += admitted - submitted
+            stats.busy_time_us += service
             if ctx is not None:
                 ctx.finish({"queue_wait_us": admitted - submitted})
 
@@ -261,7 +243,15 @@ class NVMeSSD:
         only the byte shuffling and decode compute are skipped.
         """
         service, start, done = self._admit_read(length, at)
-        self._book_read(length, at, service, start, done)
+        # Booked at submission, the event form at completion:
+        # interleaved traffic sums the float counters in that order,
+        # which the energy figures can see.
+        stats = self.stats
+        stats.reads_completed += 1
+        stats.read_bytes += length
+        stats.total_read_latency_us += done - at
+        stats.queue_wait_us += start - at
+        stats.busy_time_us += service
         return done
 
     def write_event(self, offset: int, data: bytes, trace=None) -> Timeout:
@@ -274,8 +264,16 @@ class NVMeSSD:
                               args={"bytes": nbytes})
         sim = self.sim
         submitted = sim.now
-        service = self._jittered(self.profile.write_service_us(nbytes or 1))
-        admitted = self._take_channel(submitted)
+        profile = self.profile
+        service = profile.write_base_us + (nbytes or 1) / profile.write_bw_bpus
+        if self._jitter_span > 0.0:
+            service *= self._jitter_low + self._jitter_span * self._draw()
+        busy = self._chan_busy
+        admitted = submitted
+        if len(busy) >= profile.channels:
+            freed = heapq.heappop(busy)
+            if freed > submitted:
+                admitted = freed
         # Aggregate bandwidth pacing: once it has a channel, each write
         # reserves drain time on the device's shared program path and
         # holds the channel until its drain slot starts.  Admission is
@@ -284,10 +282,10 @@ class NVMeSSD:
         dstart = self._write_drain_free_at
         if dstart < admitted:
             dstart = admitted
-        self._write_drain_free_at = dstart + nbytes / self.profile.write_bw_bpus
+        self._write_drain_free_at = dstart + nbytes / profile.write_bw_bpus
         extra_wait = dstart - admitted
         done = admitted + (service + extra_wait)
-        heapq.heappush(self._chan_busy, done)
+        heapq.heappush(busy, done)
         event = sim.timeout_at(done, nbytes)
 
         def complete(_event) -> None:

@@ -22,28 +22,33 @@ from typing import Any, Dict, Optional
 
 from repro.net.topology import Network
 from repro.sim.core import Simulator
+from repro.sim.record import Record
 
 #: Wire overhead per message: Ethernet + IP + UDP + RoCE BTH headers.
 WIRE_OVERHEAD_BYTES = 58
 
 
-@dataclass
-class SendCompletion:
+class SendCompletion(Record):
     """Two-sided SEND arrival at the responder."""
 
-    src: str
-    payload: Any
-    nbytes: int
+    __slots__ = _FIELDS = ("src", "payload", "nbytes")
+
+    def __init__(self, src: str, payload: Any, nbytes: int):
+        self.src = src
+        self.payload = payload
+        self.nbytes = nbytes
 
 
-@dataclass
-class WriteCompletion:
+class WriteCompletion(Record):
     """One-sided WRITE-with-IMM arrival at the requester."""
 
-    src: str
-    imm: int
-    payload: Any
-    nbytes: int
+    __slots__ = _FIELDS = ("src", "imm", "payload", "nbytes")
+
+    def __init__(self, src: str, imm: int, payload: Any, nbytes: int):
+        self.src = src
+        self.imm = imm
+        self.payload = payload
+        self.nbytes = nbytes
 
 
 @dataclass

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.net.rdma import QueuePair, SendCompletion
 from repro.net.topology import Network
 from repro.sim.core import Simulator
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
+from repro.sim.record import Record
 
 
 class RpcError(Exception):
@@ -33,34 +33,42 @@ class RpcTimeout(RpcError):
     """A call did not complete within its deadline."""
 
 
-@dataclass
-class RpcRequest:
+class RpcRequest(Record):
     """Wire envelope for a request."""
 
-    request_id: int
-    method: str
-    body: Any
-    nbytes: int
-    reply_to: str
-    rkey: int
+    __slots__ = _FIELDS = ("request_id", "method", "body", "nbytes",
+                           "reply_to", "rkey")
+
+    def __init__(self, request_id: int, method: str, body: Any, nbytes: int,
+                 reply_to: str, rkey: int):
+        self.request_id = request_id
+        self.method = method
+        self.body = body
+        self.nbytes = nbytes
+        self.reply_to = reply_to
+        self.rkey = rkey
 
 
-@dataclass
-class RpcResponse:
+class RpcResponse(Record):
     """Wire envelope for a response."""
 
-    request_id: int
-    body: Any
-    nbytes: int
+    __slots__ = _FIELDS = ("request_id", "body", "nbytes")
+
+    def __init__(self, request_id: int, body: Any, nbytes: int):
+        self.request_id = request_id
+        self.body = body
+        self.nbytes = nbytes
 
 
-@dataclass
-class OneWay:
+class OneWay(Record):
     """Wire envelope for a notification (no response expected)."""
 
-    method: str
-    body: Any
-    nbytes: int
+    __slots__ = _FIELDS = ("method", "body", "nbytes")
+
+    def __init__(self, method: str, body: Any, nbytes: int):
+        self.method = method
+        self.body = body
+        self.nbytes = nbytes
 
 
 #: Fixed envelope overhead added to every request/response body.
@@ -156,15 +164,17 @@ class RpcEndpoint:
     def _on_request_delivery(self, completion: SendCompletion) -> None:
         src = completion.src
         envelope = completion.payload
-        sync = self._sync_handlers.get(getattr(envelope, "method", None))
-        if isinstance(envelope, RpcRequest):
+        kind = type(envelope)
+        if kind is RpcRequest:
+            sync = self._sync_handlers.get(envelope.method)
             if sync is not None:
                 sync(src, envelope)
                 return
             self.sim.process(
                 self._serve(src, envelope),
                 name="rpc-serve-%s@%s" % (envelope.method, self.address))
-        elif isinstance(envelope, OneWay):
+        elif kind is OneWay:
+            sync = self._sync_handlers.get(envelope.method)
             if sync is not None:
                 sync(src, envelope.body)
                 return
@@ -213,7 +223,7 @@ class RpcEndpoint:
     def _on_response_delivery(self, completion) -> None:
         response: RpcResponse = completion.payload
         waiter = self._pending.pop(completion.imm, None)
-        if waiter is not None and not waiter.triggered:
+        if waiter is not None and waiter._value is PENDING:
             if isinstance(response.body, RpcError):
                 waiter.fail(response.body)
             else:
@@ -235,7 +245,7 @@ class RpcEndpoint:
         before the envelope is posted.
         """
         request_id = next(self._request_ids)
-        waiter = self.sim.event()
+        waiter = Event(self.sim)
         self._pending[request_id] = waiter
         parent = getattr(body, "trace", None)
         if parent is not None:
@@ -273,7 +283,7 @@ class RpcEndpoint:
             _deadline, request_id, dst, method, timeout_us = heapq.heappop(
                 deadlines)
             waiter = self._pending.pop(request_id, None)
-            if waiter is not None and not waiter.triggered:
+            if waiter is not None and waiter._value is PENDING:
                 waiter.fail(RpcTimeout(
                     "%s->%s %s timed out after %gus"
                     % (self.address, dst, method, timeout_us)))

@@ -87,28 +87,6 @@ class Nic:
         self.tx_messages = 0
         self.rx_messages = 0
 
-    def serialize_tx(self, nbytes: int) -> float:
-        """Reserve transmit time for ``nbytes``; returns completion time."""
-        duration = nbytes / self.profile.bandwidth_bpus
-        start = max(self.sim.now, self._tx_free_at)
-        self._tx_free_at = start + duration
-        self.tx_bytes += nbytes
-        self.tx_messages += 1
-        return self._tx_free_at
-
-    def order_delivery(self, dst: str, deliver_at: float) -> float:
-        """Clamp ``deliver_at`` so (src, dst) delivery stays in order.
-
-        Needed for mixed profiles (a small message can out-serialize a
-        large predecessor at a slow receiver port); the clamp only ever
-        *delays* a delivery.
-        """
-        last = self._pair_last.get(dst)
-        if last is not None and deliver_at < last:
-            deliver_at = last
-        self._pair_last[dst] = deliver_at
-        return deliver_at
-
     def __repr__(self):
         return "<Nic %s %s tx=%d rx=%d>" % (
             self.address, self.profile.name, self.tx_messages, self.rx_messages)
@@ -135,29 +113,48 @@ class DeliveryPump:
     def insert(self, record: MessageRecord) -> None:
         """Queue one record; (re)schedule the drain if it is now due first."""
         when = record[0]
-        if when < self.sim.now:
+        sim = self.sim
+        now = sim.now
+        if when < now:
             raise ValueError(
-                "delivery at %r is in the past (now=%r)"
-                % (when, self.sim.now))
-        heapq.heappush(self._inbox, record)
-        head = self._inbox[0][0]
-        if not self._drains or head < self._drains[0]:
-            heapq.heappush(self._drains, head)
-            self.sim.schedule_delivery(head - self.sim.now, self._drain)
+                "delivery at %r is in the past (now=%r)" % (when, now))
+        inbox = self._inbox
+        heapq.heappush(inbox, record)
+        head = inbox[0][0]
+        drains = self._drains
+        if not drains or head < drains[0]:
+            heapq.heappush(drains, head)
+            sim.schedule_delivery(head - now, self._drain)
 
-    def _drain(self) -> None:
-        heapq.heappop(self._drains)
+    def _drain(self, _event) -> None:
+        """Land every record due now on its destination NIC, in record
+        order.  Partitions are re-checked here: a node that died
+        mid-flight does not receive the message."""
+        drains = self._drains
+        heapq.heappop(drains)
         now = self.sim.now
         inbox = self._inbox
-        deliver = self.network.deliver
+        network = self.network
+        nics = network._nics
+        partitioned = network._partitioned
         # <= rather than ==: the drain fires at now + (deliver_at - now),
         # which can round a few ulps past deliver_at.
         while inbox and inbox[0][0] <= now:
-            deliver(heapq.heappop(inbox))
-        if inbox and (not self._drains or inbox[0][0] < self._drains[0]):
+            _at, dst, src, _seq, wire, payload = heapq.heappop(inbox)
+            if partitioned and (src in partitioned or dst in partitioned):
+                continue
+            receiver = nics[dst]
+            receiver.rx_bytes += wire
+            receiver.rx_messages += 1
+            network.messages_delivered += 1
+            if receiver.rx_handler is not None:
+                receiver.rx_handler(payload)
+        if inbox and (not drains or inbox[0][0] < drains[0]):
             head = inbox[0][0]
-            heapq.heappush(self._drains, head)
-            self.sim.schedule_delivery(max(head - now, 0.0), self._drain)
+            heapq.heappush(drains, head)
+            delay = head - now
+            self.sim.schedule_delivery(delay if delay > 0.0 else 0.0,
+                                       self._drain)
 
     def __repr__(self):
         return "<DeliveryPump pending=%d>" % len(self._inbox)
@@ -204,40 +201,39 @@ class Network:
         Fire-and-forget: the payload reaches the destination NIC's
         ``rx_handler`` after serialization + switch + propagation delays.
         Delivery is in order per (src, dst): the sender pacer is FIFO
-        and :meth:`Nic.order_delivery` clamps the receive-side term.
+        and the receive-side term is clamped to the pair's last granted
+        delivery time.  The clamp is needed for mixed profiles (a small
+        message can out-serialize a large predecessor at a slow
+        receiver port) and only ever *delays* a delivery.
 
         Only *sender-local* state is read or written; a destination
         partition is checked at delivery time (a sender cannot observe
         a remote failure before its message crosses the fabric).
         """
-        if src not in self._nics or dst not in self._nics:
-            raise KeyError("unknown endpoint in %r -> %r" % (src, dst))
-        if src in self._partitioned:
+        try:
+            sender = self._nics[src]
+            receiver = self._nics[dst]
+        except KeyError:
+            raise KeyError("unknown endpoint in %r -> %r"
+                           % (src, dst)) from None
+        if self._partitioned and src in self._partitioned:
             return  # dropped silently, like a dead cable
-        sender = self._nics[src]
-        receiver = self._nics[dst]
-        wire = max(nbytes, 1)
-        tx_done = sender.serialize_tx(wire)
-        deliver_at = sender.order_delivery(
-            dst, tx_done + sender.profile.base_latency_us
-            + self.switch.hop_latency_us
-            + wire / receiver.profile.bandwidth_bpus)
+        wire = nbytes if nbytes >= 1 else 1
+        profile = sender.profile
+        # Paced transmit: the port serializes one message at a time.
+        start = self.sim.now
+        if start < sender._tx_free_at:
+            start = sender._tx_free_at
+        tx_done = sender._tx_free_at = start + wire / profile.bandwidth_bpus
+        sender.tx_bytes += wire
+        sender.tx_messages += 1
+        deliver_at = (tx_done + profile.base_latency_us
+                      + self.switch.hop_latency_us
+                      + wire / receiver.profile.bandwidth_bpus)
+        pair_last = sender._pair_last
+        last = pair_last.get(dst)
+        if last is not None and deliver_at < last:
+            deliver_at = last
+        pair_last[dst] = deliver_at
         self._pump.insert(
             (deliver_at, dst, src, sender.tx_messages, wire, payload))
-
-    def deliver(self, record: MessageRecord) -> None:
-        """Land one in-flight record on its destination NIC.
-
-        Called by the :class:`DeliveryPump` at ``record[0]``.
-        Partitions are re-checked here: a node that died mid-flight
-        does not receive the message.
-        """
-        _deliver_at, dst, src, _seq, wire, payload = record
-        if src in self._partitioned or dst in self._partitioned:
-            return
-        receiver = self._nics[dst]
-        receiver.rx_bytes += wire
-        receiver.rx_messages += 1
-        self.messages_delivered += 1
-        if receiver.rx_handler is not None:
-            receiver.rx_handler(payload)

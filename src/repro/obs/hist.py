@@ -15,6 +15,7 @@ quantiles agree within one bucket width.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 #: Bucket growth factor: four buckets per doubling of latency.
@@ -53,23 +54,11 @@ class LatencyHistogram:
 
     # -- recording ----------------------------------------------------------
 
-    @staticmethod
-    def bucket_index(value_us: float) -> int:
-        """Bucket for a value: underflow clamps to 0, overflow to the
-        last bucket."""
-        if value_us <= MIN_US:
-            return 0
-        lo, hi = 0, NUM_BUCKETS - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value_us <= EDGES[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def record(self, value_us: float) -> None:
-        self.counts[self.bucket_index(value_us)] += 1
+        # First bucket whose (inclusive) upper edge holds the value:
+        # underflow lands in bucket 0, overflow clamps to the last.
+        index = bisect_left(EDGES, value_us)
+        self.counts[index if index < NUM_BUCKETS else NUM_BUCKETS - 1] += 1
         self._count += 1
         self._sum_us += value_us
         if self._min_us is None or value_us < self._min_us:

@@ -154,7 +154,13 @@ class Simulator:
             timeout._ok = True
             timeout._value = value
             timeout._defused = False
-            self._schedule_event(timeout, delay=delay)
+            # ``_schedule_event`` at normal priority.
+            self._sequence += 1
+            if delay == 0.0:
+                self._imm.append((self._sequence, timeout))
+            else:
+                heapq.heappush(self._heap, (self.now + delay, NORMAL_PRIORITY,
+                                            self._sequence, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -211,14 +217,16 @@ class Simulator:
         return event
 
     def schedule_delivery(self, delay: float,
-                          callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at ``now + delay``, after all same-time
-        normal-priority events (:data:`DELIVERY_PRIORITY`)."""
+                          callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` at ``now + delay``, after all
+        same-time normal-priority events (:data:`DELIVERY_PRIORITY`:
+        always through the heap, also at zero delay)."""
         if delay < 0:
             raise ValueError("negative delivery delay %r" % delay)
-        event = Delivery(self)
-        event.callbacks.append(lambda _evt: callback())
-        self._schedule_event(event, delay=delay, priority=DELIVERY_PRIORITY)
+        event = Delivery(self, callback)
+        self._sequence += 1
+        heapq.heappush(self._heap, (self.now + delay, DELIVERY_PRIORITY,
+                                    self._sequence, event))
         return event
 
     # -- engine ---------------------------------------------------------------

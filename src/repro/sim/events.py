@@ -72,7 +72,10 @@ class Event:
             raise EventAlreadyTriggered("%r already triggered" % self)
         self._ok = True
         self._value = value
-        self.sim._schedule_event(self)
+        # ``Simulator._schedule_event`` at zero delay, normal priority.
+        sim = self.sim
+        sim._sequence += 1
+        sim._imm.append((sim._sequence, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -130,10 +133,12 @@ class Delivery(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim):
-        super().__init__(sim)
-        self._ok = True
+    def __init__(self, sim, callback):
+        self.sim = sim
+        self.callbacks = [callback]
         self._value = None
+        self._ok = True
+        self._defused = False
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
         raise EventAlreadyTriggered("Delivery events trigger themselves")

@@ -429,3 +429,55 @@ class TestGroupCommitEquivalence:
         # The flusher's submit hop and the device completion; nothing
         # to wake, so no third event.
         assert sim.events_dispatched == 2
+
+
+class TestAnalyticRead:
+    """``read_at`` — single-span arm, wrapped arm, staged overlay — is
+    ``read`` on the analytic clock: same bytes, same range check."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=st.lists(st.integers(1, 700), min_size=1, max_size=30),
+           reclaim=st.integers(0, 12), blockwise=st.booleans())
+    def test_same_bytes_as_the_event_form(self, chunks, reclaim, blockwise):
+        sim = Simulator()
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=1 << 20, block_size=512,
+                                      jitter=0.0), rng=RngRegistry(3))
+        log = CircularLog(ssd, region_offset=1024, size=4096, name="t")
+        entries = []
+
+        def writer():
+            for index, size in enumerate(chunks):
+                data = bytes([1 + index % 250]) * size
+                if len(entries) == reclaim and entries:
+                    log.advance_head(entries[-1][0])    # room to wrap into
+                try:
+                    if blockwise:
+                        offset = yield from log.append_blocks(data)
+                    else:
+                        offset = yield from log.append_bytes(data)
+                except LogFullError:
+                    break
+                entries.append((offset, data))
+            # Staged tail bytes, a reclaimed range, a range past the tail.
+            probes = [(offset, len(data)) for offset, data in entries]
+            probes += [(log.head, log.tail - log.head), (log.tail, 1),
+                       (max(log.head - 1, 0), 2)]
+            for offset, length in probes:
+                outcomes = []
+                for form in ("event", "analytic"):
+                    try:
+                        if form == "event":
+                            data = yield from log.read(offset, length)
+                        else:
+                            data, done = log.read_at(offset, length, sim.now)
+                            assert done > sim.now or length == 0
+                        outcomes.append(data)
+                    except LogRangeError as error:
+                        outcomes.append(str(error))
+                assert outcomes[0] == outcomes[1]
+                assert type(outcomes[0]) is type(outcomes[1])
+            for offset, data in entries:
+                if offset >= log.head:
+                    assert log.read_at(offset, len(data), sim.now)[0] == data
+
+        drive(sim, writer())

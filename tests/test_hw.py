@@ -1,5 +1,8 @@
 """Tests for the hardware models: flash, SSD, CPU, DRAM, platforms."""
 
+import dataclasses
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -486,6 +489,68 @@ class TestFcfsRecurrence:
             queue_wait += start - arrival
             assert finish == pytest.approx(free[channel], rel=1e-12)
         assert ssd.stats.queue_wait_us == pytest.approx(queue_wait, abs=1e-6)
+
+
+class HelperAdmissionSSD(NVMeSSD):
+    """Read admission as it was: ``_jittered`` of the profile's mean
+    service time, then ``_take_channel``."""
+
+    def _jittered(self, mean_us):
+        if self._jitter_span <= 0.0:
+            return mean_us
+        return mean_us * (self._jitter_low + self._jitter_span * self._draw())
+
+    def _take_channel(self, at):
+        busy = self._chan_busy
+        if len(busy) >= self.profile.channels:
+            freed = heapq.heappop(busy)
+            if freed > at:
+                return freed
+        return at
+
+    def _admit_read(self, length, at):
+        service = self._jittered(self.profile.read_service_us(length or 1))
+        start = self._take_channel(at)
+        done = start + service
+        heapq.heappush(self._chan_busy, done)
+        return service, start, done
+
+
+class TestReadAdmissionMatchesReference:
+    """``_admit_read`` spells jitter and channel choice out; with the
+    same RNG stream it must grant what the helpers granted."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(channels=st.integers(1, 3), jitter=st.sampled_from([0.0, 0.1]),
+           reads=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.0, 3.0, 70.0]),      # gap
+               st.sampled_from([0, 1, 512, 4096]),          # length
+               st.sampled_from([0.0, 0.0, 25.0]),           # lead of ``at``
+               st.sampled_from(["read_at", "charge", "event"])),
+               min_size=1, max_size=40))
+    def test_same_grants_same_statistics(self, channels, jitter, reads):
+        trails = []
+        for device in (NVMeSSD, HelperAdmissionSSD):
+            sim = Simulator()
+            profile = SSDProfile(capacity_bytes=1 << 20, block_size=512,
+                                 channels=channels, jitter=jitter)
+            ssd = device(sim, profile, rng=RngRegistry(7), name="d")
+            trail = []
+            for gap, length, lead, form in reads:
+                sim.run(until=sim.now + gap)
+                if form == "read_at":
+                    trail.append(ssd.read_at(0, length, sim.now + lead))
+                elif form == "charge":
+                    trail.append(ssd.charge_read_at(length, sim.now + lead))
+                else:
+                    ssd.read_event(0, length).callbacks.append(
+                        lambda _event, sim=sim, trail=trail:
+                        trail.append(("done", sim.now)))
+                trail.append(sorted(ssd._chan_busy))
+            sim.run()
+            trail.append(dataclasses.astuple(ssd.stats))
+            trails.append(trail)
+        assert trails[0] == trails[1]
 
 
 class TestResourceEquivalence:

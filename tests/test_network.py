@@ -1,11 +1,17 @@
 """Tests for the fabric, RDMA verbs, and RPC layer."""
 
-import pytest
+import heapq
 
-from repro.net.rdma import QueuePair, WIRE_OVERHEAD_BYTES
-from repro.net.rpc import RpcEndpoint, RpcError, RpcTimeout
-from repro.net.topology import (NIC_1G_USB, NIC_100G, DeliveryPump,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.net.rdma import (QueuePair, SendCompletion, WriteCompletion,
+                            WIRE_OVERHEAD_BYTES)
+from repro.net.rpc import (OneWay, RpcEndpoint, RpcError, RpcRequest,
+                           RpcResponse, RpcTimeout)
+from repro.net.topology import (NIC_1G, NIC_1G_USB, NIC_100G, DeliveryPump,
                                 Network)
+from repro.sim.core import Simulator
 
 from conftest import drive
 
@@ -159,6 +165,207 @@ class TestDeliveryOrder:
         pump.insert((10.0, "b", "a", 1, 64, "on time"))
         sim.run()
         assert payloads(received) == ["on time"]
+
+
+class ReferencePump(DeliveryPump):
+    """The drain as it was: one ``Network.deliver`` call per record."""
+
+    def _drain(self, _event):
+        heapq.heappop(self._drains)
+        now = self.sim.now
+        inbox = self._inbox
+        while inbox and inbox[0][0] <= now:
+            self.network.deliver(heapq.heappop(inbox))
+        if inbox and (not self._drains or inbox[0][0] < self._drains[0]):
+            head = inbox[0][0]
+            heapq.heappush(self._drains, head)
+            self.sim.schedule_delivery(max(head - now, 0.0), self._drain)
+
+
+class ReferenceNetwork(Network):
+    """The fabric hop as it was before ``transmit`` and ``_drain`` took
+    over pacing, the in-order clamp and the landing: ``Nic.serialize_tx``
+    + ``Nic.order_delivery`` + ``pump.insert``, and ``Network.deliver``."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self._pump = ReferencePump(sim, self)
+        self.clamped = 0
+
+    def serialize_tx(self, nic, nbytes):
+        duration = nbytes / nic.profile.bandwidth_bpus
+        start = max(self.sim.now, nic._tx_free_at)
+        nic._tx_free_at = start + duration
+        nic.tx_bytes += nbytes
+        nic.tx_messages += 1
+        return nic._tx_free_at
+
+    def order_delivery(self, nic, dst, deliver_at):
+        last = nic._pair_last.get(dst)
+        if last is not None and deliver_at < last:
+            deliver_at = last
+            self.clamped += 1
+        nic._pair_last[dst] = deliver_at
+        return deliver_at
+
+    def transmit(self, src, dst, nbytes, payload):
+        if src not in self._nics or dst not in self._nics:
+            raise KeyError("unknown endpoint in %r -> %r" % (src, dst))
+        if src in self._partitioned:
+            return
+        sender = self._nics[src]
+        receiver = self._nics[dst]
+        wire = max(nbytes, 1)
+        tx_done = self.serialize_tx(sender, wire)
+        deliver_at = self.order_delivery(
+            sender, dst, tx_done + sender.profile.base_latency_us
+            + self.switch.hop_latency_us
+            + wire / receiver.profile.bandwidth_bpus)
+        self._pump.insert(
+            (deliver_at, dst, src, sender.tx_messages, wire, payload))
+
+    def deliver(self, record):
+        _deliver_at, dst, src, _seq, wire, payload = record
+        if src in self._partitioned or dst in self._partitioned:
+            return
+        receiver = self._nics[dst]
+        receiver.rx_bytes += wire
+        receiver.rx_messages += 1
+        self.messages_delivered += 1
+        if receiver.rx_handler is not None:
+            receiver.rx_handler(payload)
+
+
+_PORTS = {"fast": NIC_100G, "gig": NIC_1G, "usb": NIC_1G_USB,
+          "deaf": NIC_100G}
+_port = st.sampled_from(sorted(_PORTS))
+_fabric_ops = st.lists(st.one_of(
+    st.tuples(st.just("send"), _port, _port,
+              st.sampled_from([0, 1, 64, 300, 1500, 4096, 64_000]),
+              # Back-to-back, sub-serialization gaps, idle gaps.
+              st.sampled_from([0.0, 0.0, 0.003, 0.7, 12.5, 400.0, 9000.0])),
+    st.tuples(st.sampled_from(["partition", "heal"]), _port)),
+    min_size=1, max_size=60)
+
+
+class TestTransmitMatchesReference:
+    """``Network.transmit`` paces and clamps itself and the pump's drain
+    lands records itself; both must be the helpers they replaced."""
+
+    @staticmethod
+    def _fabric(network_class):
+        sim = Simulator()
+        network = network_class(sim)
+        arrivals = []
+        for address in sorted(_PORTS):
+            nic = network.attach(address, _PORTS[address])
+            if address != "deaf":       # a port nobody listens on
+                nic.rx_handler = (lambda payload, address=address:
+                                  arrivals.append((sim.now, address, payload)))
+        return sim, network, arrivals
+
+    @staticmethod
+    def _sender_state(network):
+        return [(nic.address, nic.tx_bytes, nic.tx_messages, nic._tx_free_at,
+                 nic._pair_last, nic.rx_bytes, nic.rx_messages)
+                for nic in map(network.nic, sorted(_PORTS))]
+
+    def _replay(self, ops):
+        new = self._fabric(Network)
+        ref = self._fabric(ReferenceNetwork)
+        for number, op in enumerate(ops):
+            for sim, network, _arrivals in (new, ref):
+                if op[0] == "send":
+                    _verb, src, dst, nbytes, gap = op
+                    sim.run(until=sim.now + gap)
+                    network.transmit(src, dst, nbytes, number)
+                else:
+                    getattr(network, op[0])(op[1])
+            assert sorted(new[1]._pump._inbox) == sorted(ref[1]._pump._inbox)
+            assert self._sender_state(new[1]) == self._sender_state(ref[1])
+        for sim, _network, _arrivals in (new, ref):
+            sim.run()
+        assert new[2] == ref[2]
+        assert self._sender_state(new[1]) == self._sender_state(ref[1])
+        assert new[1].messages_delivered == ref[1].messages_delivered
+        assert new[0].events_dispatched == ref[0].events_dispatched
+        assert new[0].now == ref[0].now
+        return ref[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_fabric_ops)
+    def test_random_traffic(self, ops):
+        self._replay(ops)
+
+    def test_clamp_fires_on_mixed_profiles(self):
+        # A small message out-serializes its big predecessor at the
+        # slow receiver port: the pair clamp has to hold it back.
+        reference = self._replay([
+            ("send", "fast", "usb", 64_000, 0.0),
+            ("send", "fast", "usb", 64, 0.0),
+            ("send", "fast", "gig", 64_000, 5.0),
+            ("send", "fast", "gig", 1, 0.0),
+            ("send", "usb", "fast", 4096, 0.0)])
+        assert reference.clamped == 2
+
+    def test_partitioned_source_and_destination(self):
+        self._replay([
+            ("send", "fast", "gig", 300, 0.0),      # in flight when ...
+            ("partition", "gig"),                   # ... its target dies
+            ("send", "gig", "fast", 300, 0.0),      # dead cable
+            ("send", "fast", "gig", 300, 1.0),
+            ("heal", "gig"),
+            ("send", "fast", "gig", 300, 0.0),      # lands after the heal
+            ("partition", "fast"),
+            ("send", "fast", "usb", 64, 0.0),
+            ("heal", "fast"),
+            ("send", "fast", "usb", 64, 200.0)])
+
+    def test_unknown_endpoint_is_a_key_error_before_any_state_moves(self):
+        sim, network, _arrivals = self._fabric(Network)
+        before = self._sender_state(network)
+        for src, dst in (("fast", "nowhere"), ("nowhere", "fast")):
+            with pytest.raises(KeyError, match="unknown endpoint"):
+                network.transmit(src, dst, 64, "x")
+        assert self._sender_state(network) == before
+        assert sim.pending_events == 0
+
+
+class TestSlottedWireRecords:
+    """The per-message records are ``__slots__`` classes over
+    ``repro.sim.record.Record``; everything observable is what the
+    dataclasses gave."""
+
+    def test_no_instance_dict(self):
+        for record in (SendCompletion("a", "p", 1),
+                       WriteCompletion("a", 7, "p", 1),
+                       RpcRequest(1, "kv", "b", 2, "a", 3),
+                       RpcResponse(1, "b", 2), OneWay("m", "b", 2)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_equality_repr_and_hash(self):
+        request = RpcRequest(1, "kv", {"k": 1}, 24, "client0", 9)
+        assert request == RpcRequest(1, "kv", {"k": 1}, 24, "client0", 9)
+        assert request != RpcRequest(2, "kv", {"k": 1}, 24, "client0", 9)
+        assert request != RpcResponse(1, {"k": 1}, 24)
+        assert repr(request) == ("RpcRequest(request_id=1, method='kv', "
+                                 "body={'k': 1}, nbytes=24, "
+                                 "reply_to='client0', rkey=9)")
+        assert repr(OneWay("hb", None, 8)) == (
+            "OneWay(method='hb', body=None, nbytes=8)")
+        assert repr(WriteCompletion("a", 7, b"x", 1)) == (
+            "WriteCompletion(src='a', imm=7, payload=b'x', nbytes=1)")
+        assert SendCompletion("a", "p", 1) == SendCompletion("a", "p", 1)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(request)
+
+    def test_positional_and_keyword_construction(self):
+        assert (RpcResponse(request_id=4, body="b", nbytes=2)
+                == RpcResponse(4, "b", 2))
+        with pytest.raises(TypeError):
+            RpcResponse(4, "b")     # no defaults on an envelope
 
 
 class TestRdmaVerbs:

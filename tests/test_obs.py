@@ -2,13 +2,16 @@
 and the cleaned-up cluster API they ride behind."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.client import ClientResult, ClientStats
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.protocol import ReadPolicy
-from repro.obs.hist import GROWTH, LatencyHistogram
+from repro.obs.hist import (EDGES, GROWTH, MIN_US, NUM_BUCKETS,
+                            LatencyHistogram)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer, span_coverage
 from repro.sim.core import Simulator
@@ -52,6 +55,50 @@ class TestLatencyHistogram:
         assert hist.max_us == 1e12
         # Reported percentiles stay within the observed range.
         assert 0.001 <= hist.p50 <= 1e12
+
+    @staticmethod
+    def _reference_bucket(value_us):
+        """The binary search ``record`` ran before it used ``bisect``."""
+        if value_us <= MIN_US:
+            return 0
+        lo, hi = 0, NUM_BUCKETS - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value_us <= EDGES[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    @staticmethod
+    def _bucket(value_us):
+        hist = LatencyHistogram()
+        hist.record(value_us)
+        assert sum(hist.counts) == 1
+        return hist.counts.index(1)
+
+    def test_bucket_matches_reference_at_every_edge(self):
+        values = [0.0, -1.0, MIN_US, math.nextafter(MIN_US, 0.0),
+                  math.nextafter(MIN_US, math.inf), 1e12, math.inf,
+                  EDGES[-1] * GROWTH]
+        for edge in EDGES:
+            values += [edge, math.nextafter(edge, 0.0),
+                       math.nextafter(edge, math.inf)]
+        for value in values:
+            assert self._bucket(value) == self._reference_bucket(value), value
+        # An edge is its bucket's inclusive upper bound.
+        assert self._bucket(EDGES[0]) == 0
+        assert self._bucket(math.nextafter(EDGES[0], math.inf)) == 1
+        assert self._bucket(EDGES[-2]) == NUM_BUCKETS - 2
+        assert self._bucket(math.nextafter(EDGES[-2], math.inf)) \
+            == self._bucket(math.inf) == NUM_BUCKETS - 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(min_value=0.5, max_value=EDGES[-1] * 2)))
+    def test_bucket_matches_reference(self, value):
+        assert self._bucket(value) == self._reference_bucket(value)
 
     def test_to_dict_shape(self):
         hist = LatencyHistogram()

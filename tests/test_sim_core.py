@@ -382,3 +382,49 @@ class TestProcessAfter:
             return sim.now
 
         assert sim.run(until=sim.process(proc(), after=gate)) == 3.0
+
+
+class TestDirectScheduling:
+    """``Event.succeed``, the pooled ``timeout`` and ``schedule_delivery``
+    push their queue entry themselves; sequence numbers and dispatch
+    order are ``_schedule_event``'s."""
+
+    def test_succeed_and_pooled_timeouts_keep_creation_order(self, sim):
+        # Fill the pool, then interleave every way of scheduling.
+        for _ in range(4):
+            sim.timeout(1.0)
+        sim.run()
+        assert len(sim._timeout_pool) == 4
+        order = []
+
+        def note(tag):
+            return lambda _event: order.append((sim.now, tag))
+
+        sequence = sim._sequence
+        plain = sim.event()
+        plain.callbacks.append(note("succeed"))
+        sim.timeout(0.0).callbacks.append(note("pooled-zero"))
+        plain.succeed()
+        sim.timeout(2.0).callbacks.append(note("pooled-late"))
+        sim._timeout_pool.clear()
+        sim.timeout(0.0).callbacks.append(note("fresh-zero"))
+        sim.timeout(2.0).callbacks.append(note("fresh-late"))
+        sim.schedule_delivery(0.0, note("delivery-zero"))
+        sim.schedule_delivery(2.0, note("delivery-late"))
+        sim.timeout(0.0).callbacks.append(note("last-zero"))
+        assert sim._sequence == sequence + 8   # one number per entry
+        sim.run()
+        assert order == [
+            (1.0, "pooled-zero"), (1.0, "succeed"), (1.0, "fresh-zero"),
+            (1.0, "last-zero"), (1.0, "delivery-zero"),
+            (3.0, "pooled-late"), (3.0, "fresh-late"),
+            (3.0, "delivery-late")]
+
+    def test_delivery_callback_receives_its_event(self, sim):
+        seen = []
+        event = sim.schedule_delivery(1.5, seen.append)
+        assert type(event).__name__ == "Delivery" and event.triggered
+        sim.run()
+        assert seen == [event] and event.processed and sim.now == 1.5
+        with pytest.raises(ValueError, match="negative"):
+            sim.schedule_delivery(-1.0, seen.append)
