@@ -19,7 +19,9 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from repro.hw.ssd import NVMeSSD
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
+
+_new = object.__new__
 
 
 class LogFullError(Exception):
@@ -120,10 +122,6 @@ class CircularLog:
         """True when ``[offset, offset+length)`` lies in the valid window."""
         return self.head <= virtual_offset and virtual_offset + length <= self.tail
 
-    def _touched_blocks(self, offset: int, length: int):
-        size = self.block_size
-        return range(offset // size, (offset + (length or 1) - 1) // size + 1)
-
     # -- appends -----------------------------------------------------------------
 
     def reserve(self, nbytes: int) -> int:
@@ -140,7 +138,10 @@ class CircularLog:
                                % (self.name, nbytes, self.free_bytes))
         self.tail = offset + nbytes
         refs = self._stage_refs
-        for block in self._touched_blocks(offset, nbytes):
+        size = self.block_size
+        # The blocks the entry touches (an empty one: its first).
+        for block in range(offset // size,
+                           (offset + (nbytes or 1) - 1) // size + 1):
             refs[block] = refs.get(block, 0) + 1
         return offset
 
@@ -153,11 +154,17 @@ class CircularLog:
         write bypasses the staging/group-commit path and runs in
         parallel with other appends.
         """
-        padded = self._pad_to_block(data)
+        block = self.block_size
+        nbytes = len(data)
+        remainder = nbytes % block
+        if remainder:
+            padded = bytes(data) + b"\x00" * (block - remainder)
+            nbytes += block - remainder
+        else:
+            padded = bytes(data)  # itself when already immutable
         offset = self.tail
-        if offset % self.block_size:
+        if offset % block:
             return (yield from self.append_bytes(padded, trace))
-        nbytes = len(padded)
         if nbytes > self.size - (offset - self.head):
             raise LogFullError("%s: need %d bytes, %d free"
                                % (self.name, nbytes, self.free_bytes))
@@ -206,11 +213,19 @@ class CircularLog:
             ctx = trace.child("log.commit", cat="device",
                               args={"log": self.name, "bytes": nbytes})
         size = self.block_size
-        blocks = self._touched_blocks(offset, nbytes)
+        first = offset // size
+        stop = (offset + (nbytes or 1) - 1) // size + 1
+        blocks = range(first, stop)
         self._commits += 1
-        ticket = CommitTicket(self.sim)
+        # ``Event.__init__`` spelled out (one ticket per PUT replica).
+        ticket = _new(CommitTicket)
+        ticket.sim = self.sim
+        ticket.callbacks = []
+        ticket._value = PENDING
+        ticket._ok = None
+        ticket._defused = False
         ticket.blocks = blocks
-        ticket.pending = len(blocks)
+        ticket.pending = stop - first
         ticket.sequence = self._commits
         ticket.nbytes = nbytes
         ticket.ctx = ctx
@@ -242,10 +257,10 @@ class CircularLog:
             # a device access the caller submits next (PUT's segment
             # read) is admitted, and draws its jitter, before it.
             self._flusher_active = True
-            self.sim.schedule(0.0, self._flush_next)
+            self.sim.timeout(0.0).callbacks.append(self._flush_next)
         return ticket
 
-    def _flush_next(self) -> None:
+    def _flush_next(self, _event=None) -> None:
         """Group-commit flusher: one in-flight device write at a time.
 
         Snapshots the current images of the lowest contiguous run of
@@ -325,12 +340,6 @@ class CircularLog:
             ticket.succeed()
         else:
             ticket._ok, ticket._value, ticket.callbacks = True, None, None
-
-    def _pad_to_block(self, data: bytes) -> bytes:
-        remainder = len(data) % self.block_size
-        if remainder:
-            return bytes(data) + b"\x00" * (self.block_size - remainder)
-        return bytes(data)  # itself when already immutable
 
     def _write_spans(self, virtual_offset: int, data: bytes):
         """Device ``(offset, bytes)`` writes of ``data`` at a virtual
@@ -433,9 +442,11 @@ class CircularLog:
         if not staged:
             return data
         size = self.block_size
-        end = offset + len(data)
+        length = len(data)
+        end = offset + length
         patched = None
-        for block in self._touched_blocks(offset, len(data)):
+        for block in range(offset // size,
+                           (offset + (length or 1) - 1) // size + 1):
             image = staged.get(block)
             if image is None:
                 continue

@@ -34,9 +34,11 @@ from repro.hw.ssd import NVMeSSD
 from repro.sim.core import Simulator
 from repro.sim.record import Record
 
-#: Core cycles of the GET pipeline's two compute stages.
+#: Core cycles of the GET pipeline's two compute stages, and of the
+#: write's key-item update.
 _HASH_LOOKUP_CYCLES = CYCLE_COSTS["hash_lookup"]
 _BUCKET_SCAN_CYCLES = CYCLE_COSTS["bucket_scan_per_key"]
+_BUCKET_UPDATE_CYCLES = CYCLE_COSTS["bucket_update"]
 
 #: Result statuses.
 OK = "ok"
@@ -133,6 +135,10 @@ class LeedDataStore:
         #: tag used by swap merge-back.
         self.store_id = store_id
         self.core = core
+        #: Completion event of ``cycles`` of CPU work: a slice of the
+        #: bound core, or a plain 3 GHz delay when there is none.
+        self._cpu_event = (core.execute_event if core is not None
+                           else self._unbound_cpu_event)
         block = ssd.block_size
         if config.key_log_bytes % block or config.value_log_bytes % block:
             raise ValueError("log sizes must be multiples of the %dB block"
@@ -188,11 +194,8 @@ class LeedDataStore:
     def _value_log_for(self, holder_store_id: int) -> CircularLog:
         return self.peer_value_logs[holder_store_id]
 
-    def _cpu_event(self, cycles: int):
-        """Completion event of ``cycles`` of CPU work (on the bound core
-        if any)."""
-        if self.core is not None:
-            return self.core.execute_event(cycles)
+    def _unbound_cpu_event(self, cycles: int):
+        """``_cpu_event`` of a store without a bound core."""
         return self.sim.timeout(cycles / 3.0e3)  # 3 GHz default
 
     def _read_segment(self, offset: int, chain_len: int, trace=None):
@@ -222,19 +225,21 @@ class LeedDataStore:
         once it would eat into the compactor's headroom (client writes
         set this; compaction itself does not).
         """
+        key_log = self.key_log
         old = self.segtbl.location(segment.seg_id)
-        blob = segment.pack(self.key_log.block_size,
-                            head=self.key_log.head % (1 << 32),
-                            tail=self.key_log.tail % (1 << 32))
-        if enforce_reserve and (self.key_log.free_bytes - len(blob)
-                                < self.key_log.compaction_reserve):
+        blob = segment.pack(key_log.block_size,
+                            head=key_log.head % (1 << 32),
+                            tail=key_log.tail % (1 << 32))
+        if enforce_reserve and (
+                key_log.size - (key_log.tail - key_log.head) - len(blob)
+                < key_log.compaction_reserve):   # ``free_bytes``
             raise LogFullError("%s: write would eat compaction reserve"
-                               % self.key_log.name)
-        offset = yield from self.key_log.append_blocks(blob, trace=trace)
-        chain_len = segment.chain_len
+                               % key_log.name)
+        offset = yield from key_log.append_blocks(blob, trace=trace)
+        chain_len = len(segment.buckets)
         self.segtbl.update(segment.seg_id, offset, chain_len)
         if old is not None:
-            self.stats.key_log_garbage_bytes += old[1] * self.key_log.block_size
+            self.stats.key_log_garbage_bytes += old[1] * key_log.block_size
         return offset, chain_len
 
     # -- commands ---------------------------------------------------------------------
@@ -421,25 +426,27 @@ class LeedDataStore:
         """
         sim = self.sim
         block = self.key_log.block_size
+        segtbl = self.segtbl
+        stats = self.stats
         start = sim.now
         ssd_us = 0.0
         accesses = 0
         if value is None:
-            self.stats.dels += 1
+            stats.dels += 1
         else:
-            self.stats.puts += 1
+            stats.puts += 1
         khash = key_hash(key)
         seg_id = khash % self.config.num_segments
 
         yield self._cpu_event(_HASH_LOOKUP_CYCLES)
 
         # A free lock bit is taken in place; a held one queues FCFS.
-        if not self.segtbl.try_lock(seg_id):
-            yield self.segtbl.lock(seg_id)
+        if not segtbl.try_lock(seg_id):
+            yield segtbl.lock(seg_id)
         status = OK
         ticket = previous = None
         try:
-            location = self.segtbl.location(seg_id)
+            location = segtbl.location(seg_id)
             if value is None:
                 if location is None:
                     status = NOT_FOUND
@@ -447,11 +454,12 @@ class LeedDataStore:
                 holder_id, value_log = self.value_router(self, key, value)
                 entry = pack_value_entry(seg_id, key, value,
                                          owner_id=self.store_id)
-                if (value_log.free_bytes - len(entry)
-                        < value_log.compaction_reserve):
-                    status = STORE_FULL
+                nbytes = len(entry)
+                if (value_log.size - (value_log.tail - value_log.head)
+                        - nbytes < value_log.compaction_reserve):
+                    status = STORE_FULL       # ``free_bytes`` ^
                 else:
-                    voffset = value_log.reserve(len(entry))
+                    voffset = value_log.reserve(nbytes)
 
             if status == OK:
                 # The value commit (its flush is submitted by the log)
@@ -467,11 +475,11 @@ class LeedDataStore:
                         location[0], location[1] * block, trace)
                     segment = Segment.unpack(blob, block)
                     accesses += 1
-                if ticket is not None and not ticket.processed:
-                    yield ticket
+                if ticket is not None and ticket.callbacks is not None:
+                    yield ticket                  # not ``processed`` yet
                 ssd_us += sim.now - t0
                 previous = segment.find(key, khash)
-                if previous is not None and previous.is_tombstone:
+                if previous is not None and previous.vlen == TOMBSTONE_VLEN:
                     previous = None
                 if value is None and previous is None:
                     status = NOT_FOUND
@@ -479,7 +487,7 @@ class LeedDataStore:
             if status == OK:
                 replaced = (value_entry_size(len(key), previous.vlen)
                             if previous is not None else 0)
-                yield self._cpu_event(CYCLE_COSTS["bucket_update"])
+                yield self._cpu_event(_BUCKET_UPDATE_CYCLES)
                 t0 = sim.now
                 try:
                     if value is None:
@@ -497,9 +505,8 @@ class LeedDataStore:
                     status = STORE_FULL
                 ssd_us += sim.now - t0
         finally:
-            self.segtbl.unlock(seg_id)
+            segtbl.unlock(seg_id)
 
-        stats = self.stats
         if status == OK:
             stats.value_garbage_bytes += replaced
             if value is None:
@@ -509,7 +516,7 @@ class LeedDataStore:
         elif ticket is not None:
             # Refused after the value entry was committed: nothing
             # points at it, so it is garbage from birth.
-            stats.value_garbage_bytes += len(entry)
+            stats.value_garbage_bytes += nbytes
         result = OpResult(status)
         result.total_us = sim.now - start
         result.ssd_us = ssd_us
@@ -585,12 +592,17 @@ class LeedDataStore:
     # -- occupancy & maintenance signals ----------------------------------------------
 
     def needs_key_compaction(self) -> bool:
-        """True when the key log is past its high watermark."""
-        return self.key_log.fill_fraction() >= self.config.compact_high_watermark
+        """True when the key log is past its high watermark (polled by
+        every maintenance pass: ``fill_fraction`` spelled out)."""
+        log = self.key_log
+        return ((log.tail - log.head) / log.size
+                >= self.config.compact_high_watermark)
 
     def needs_value_compaction(self) -> bool:
         """True when the value log is past its high watermark."""
-        return self.value_log.fill_fraction() >= self.config.compact_high_watermark
+        log = self.value_log
+        return ((log.tail - log.head) / log.size
+                >= self.config.compact_high_watermark)
 
     def __repr__(self):
         return ("<LeedDataStore %s live=%d klog=%.0f%% vlog=%.0f%%>"

@@ -137,10 +137,6 @@ class PartitionIOEngine:
     def active_occupancy(self) -> int:
         return len(self.active)
 
-    def is_overloaded(self, threshold: int = 8) -> bool:
-        """Overload signal: a deep waiting queue (§3.6)."""
-        return len(self.waiting) >= threshold
-
     def _arrive(self, command: KVCommand) -> bool:
         """Stamp an arriving command.  True when it can be admitted on
         the spot: nothing queued or mid-admission ahead of it (FCFS)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import cycle
 from typing import Dict, List, Optional
 
 from repro.core.compaction import Compactor
@@ -221,7 +223,8 @@ class JBOFNode:
                                for i in range(num_ssds)]
         net_core_ids = list(range(num_ssds, spec.num_cores - 1)) or [0]
         self._net_cores = [self.cpu[i] for i in net_core_ids]
-        self._net_core_rr = 0
+        #: The net core that takes the next request: round robin.
+        self._net_core = cycle(self._net_cores).__next__
         self._control_core = self.cpu[spec.num_cores - 1]
 
         #: vnode_id -> runtime; changed through :meth:`install_vnode`
@@ -348,11 +351,6 @@ class JBOFNode:
         ssd_util = min(ssd_busy / (self.sim.now * max(len(self.ssds), 1)), 1.0)
         return min(0.5 * core_util + 0.5 * ssd_util, 1.0)
 
-    def _net_core(self):
-        core = self._net_cores[self._net_core_rr % len(self._net_cores)]
-        self._net_core_rr += 1
-        return core
-
     # -- swap routing (§3.6) ------------------------------------------------------------
 
     def _swap_router(self, store: LeedDataStore, key: bytes,
@@ -365,8 +363,9 @@ class JBOFNode:
         records the holder so GETs and merge-back find it.
         """
         home = self._runtime_by_store.get(store)
-        if home is None or not home.engine.is_overloaded(
-                self.options.swap_threshold):
+        # Overloaded: a waiting queue at least the threshold deep.
+        if (home is None or len(home.engine.waiting.items)
+                < self.options.swap_threshold):
             return store.store_id, store.value_log
         best = None
         best_tokens = -1
@@ -398,8 +397,8 @@ class JBOFNode:
         """Synchronous raw handler (the response may be produced by
         another node): charge ``rpc_receive`` on a net core, dispatch.
 
-        The reference pipeline starts the handler process when that
-        CPU slice ends.  ``fast_datapath`` (docs/performance.md) books
+        The reference pipeline dispatches when that CPU slice ends
+        (:meth:`_serve_kv`).  ``fast_datapath`` (docs/performance.md) books
         an untraced GET's slice on the core's calendar (busy accounting
         unchanged) without waiting out the sub-microsecond charge: the
         GET is dispatched right here, and on a clean replica — the bulk
@@ -408,10 +407,7 @@ class JBOFNode:
         body: KVRequest = request.body
         if (self.options.fast_datapath and body.op == "get"
                 and body.trace is None):
-            cores = self._net_cores     # :meth:`_net_core`
-            core = cores[self._net_core_rr % len(cores)]
-            self._net_core_rr += 1
-            core.charge_at(_RPC_RECEIVE_CYCLES, self.sim.now)
+            self._net_core().charge_at(_RPC_RECEIVE_CYCLES, self.sim.now)
             serve = self._dispatch_kv(request, body, fused=True)
             if serve is not None:
                 self.sim.process(serve, name="rpc-raw-kv@" + self.address)
@@ -426,13 +422,27 @@ class JBOFNode:
             # nest under this node's dispatch span.
             body.trace = ctx
         received = self._net_core().execute_event(_RPC_RECEIVE_CYCLES)
-        self.sim.process(self._serve_kv(request, body, ctx),
-                         name="rpc-raw-kv@" + self.address, after=received)
+        received.callbacks.append(partial(self._serve_kv, request, body, ctx))
 
-    def _serve_kv(self, request: RpcRequest, body: KVRequest, ctx):
-        """Handler process of a KV request (reference pipeline)."""
+    def _serve_kv(self, request: RpcRequest, body: KVRequest, ctx,
+                  _received) -> None:
+        """The end of a KV request's ``rpc_receive`` slice (reference
+        pipeline): dispatch, and run what serves the request as a
+        process started inside this dispatch — the policy generator
+        itself, unless a dispatch span has to be closed after it or
+        the request was already answered (refused)."""
+        serve = self._dispatch_kv(request, body)
+        if serve is None or ctx is not None:
+            serve = self._serve_rest(serve, ctx)
+        self.sim.process_inline(serve, name="rpc-raw-kv@" + self.address)
+
+    @staticmethod
+    def _serve_rest(serve, ctx):
+        """Generator: what is left of a KV request — ``serve`` (None:
+        nothing) — then the close of its dispatch span ``ctx``, if any.
+        A refused request still runs this empty handler process: its
+        end spends the sequence number every handler's end spends."""
         try:
-            serve = self._dispatch_kv(request, body)
             if serve is not None:
                 yield from serve
         finally:

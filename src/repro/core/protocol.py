@@ -120,14 +120,17 @@ class KVReply(Record):
         return KV_HEADER_BYTES + (len(self.value) if self.value else 0)
 
 
-@dataclass
-class ChainAck:
+class ChainAck(Record):
     """Backward acknowledgment clearing dirty bits (§3.7)."""
 
-    key: bytes
-    vnode_id: str                # the replica this ack is addressed to
-    chain: List[str] = field(default_factory=list)
-    index: int = 0               # position of vnode_id within chain
+    __slots__ = _FIELDS = ("key", "vnode_id", "chain", "index")
+
+    def __init__(self, key: bytes, vnode_id: str,
+                 chain: Optional[List[str]] = None, index: int = 0):
+        self.key = key
+        self.vnode_id = vnode_id     # the replica this ack is addressed to
+        self.chain: List[str] = [] if chain is None else chain
+        self.index = index           # position of vnode_id within chain
 
     def wire_bytes(self) -> int:
         return 16 + len(self.key)
@@ -201,12 +204,14 @@ class AbdCommit:
         return 24 + len(self.key) + (len(self.value) if self.value else 0)
 
 
-@dataclass
-class Heartbeat:
+class Heartbeat(Record):
     """Periodic liveness beacon from a JBOF to the control plane."""
 
-    jbof_address: str
-    sent_at_us: float
+    __slots__ = _FIELDS = ("jbof_address", "sent_at_us")
+
+    def __init__(self, jbof_address: str, sent_at_us: float):
+        self.jbof_address = jbof_address
+        self.sent_at_us = sent_at_us
 
     def wire_bytes(self) -> int:
         return 24

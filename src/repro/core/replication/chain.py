@@ -83,7 +83,8 @@ class ChainReplication(ReplicationPolicy):
             record = wal.append(body.op, body.key, body.value, version,
                                 ring_version=node.local_ring.version)
             result = yield from node._execute(runtime, body)
-            if not result.ok and result.status != STATUS_NOT_FOUND:
+            status = result.status
+            if status != STATUS_OK and status != STATUS_NOT_FOUND:
                 # Local failure (e.g. store full): surface immediately.
                 # Retire by lsn — wal.ack(key) pops the FIFO-oldest
                 # intent for the key, which with an earlier in-flight
@@ -129,7 +130,7 @@ class ChainReplication(ReplicationPolicy):
         # Mirror committed writes of ranges being migrated (§3.8.1:
         # "incoming PUTs ... might be forwarded to the new virtual
         # node depending on if their keys are copied").
-        if result.ok and body.op == "put":
+        if result.status == STATUS_OK and body.op == "put":
             node._mirror_write(runtime.vnode_id, body.key, body.value,
                                version)
 

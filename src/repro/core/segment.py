@@ -33,6 +33,7 @@ BUCKET_HEADER = struct.Struct("<IBBHII")    # seg_id, chain_len, position, nkeys
 VALUE_ENTRY_HEADER = struct.Struct("<HIHI")  # owner_id, seg_id, klen, vlen
 _KEY_ITEM_FIXED = KEY_ITEM_HEADER.size
 _BUCKET_FIXED = BUCKET_HEADER.size
+_new = object.__new__
 
 #: Deletion marker: a key item whose value length is zero.
 TOMBSTONE_VLEN = 0
@@ -143,13 +144,24 @@ class Bucket(Record):
             BUCKET_HEADER.unpack_from(block, 0))
         items: List[KeyItem] = []
         cursor = _BUCKET_FIXED
+        limit = len(block)
         unpack_header = KEY_ITEM_HEADER.unpack_from
         for _ in range(nkeys):
             khash, klen, vlen, voffset, ssd_id = unpack_header(block, cursor)
             start = cursor + _KEY_ITEM_FIXED
             cursor = start + klen
-            items.append(KeyItem(block[start:cursor], vlen, voffset, ssd_id,
-                                 khash))
+            # ``KeyItem(key, vlen, voffset, ssd_id, khash)`` spelled out
+            # (every item of every segment a write reads), the key's
+            # length from the header — cut short only by a torn block.
+            item = _new(KeyItem)
+            item.key = block[start:cursor]
+            item.vlen = vlen
+            item.voffset = voffset
+            item.ssd_id = ssd_id
+            item.khash = khash
+            item.wire_size = _KEY_ITEM_FIXED + (
+                klen if cursor <= limit else limit - start)
+            items.append(item)
         return cls(seg_id, position, items, head, tail)
 
 

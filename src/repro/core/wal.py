@@ -22,32 +22,41 @@ identical with the WAL on or off.  Only byte accounting is modeled.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
+
+from repro.sim.record import Record
 
 #: Fixed per-record header: lsn, op, stamp, lengths.
 WAL_RECORD_HEADER_BYTES = 32
 
 
-@dataclass
-class WalRecord:
+class WalRecord(Record):
     """One replicated-write intent."""
 
-    lsn: int
-    op: str                      # "put" | "del"
-    key: bytes
-    value: Optional[bytes]
-    #: Protocol ordering stamp: the chain's per-key version (int) or
-    #: the ABD logical timestamp tuple.  Replay compares it against
-    #: the cluster's current state to skip already-durable writes.
-    stamp: object = 0
-    #: Ring version when the intent was journaled.  Chain version
-    #: counters are only comparable within one ring epoch, so chain
-    #: replay refuses records from a reconfigured-away epoch rather
-    #: than risk re-proposing a stale value over a newer acked write
-    #: (0 = unknown epoch: replay unconditionally, the pre-epoch
-    #: behavior ABD still uses — its stamps are globally ordered).
-    ring_version: int = 0
+    __slots__ = _FIELDS = ("lsn", "op", "key", "value", "stamp",
+                           "ring_version")
+
+    def __init__(self, lsn: int, op: str, key: bytes,
+                 value: Optional[bytes], stamp: object = 0,
+                 ring_version: int = 0):
+        self.lsn = lsn
+        self.op = op                 # "put" | "del"
+        self.key = key
+        self.value = value
+        #: Protocol ordering stamp: the chain's per-key version (int)
+        #: or the ABD logical timestamp tuple.  Replay compares it
+        #: against the cluster's current state to skip already-durable
+        #: writes.
+        self.stamp = stamp
+        #: Ring version when the intent was journaled.  Chain version
+        #: counters are only comparable within one ring epoch, so
+        #: chain replay refuses records from a reconfigured-away epoch
+        #: rather than risk re-proposing a stale value over a newer
+        #: acked write (0 = unknown epoch: replay unconditionally, the
+        #: pre-epoch behavior ABD still uses — its stamps are globally
+        #: ordered).
+        self.ring_version = ring_version
 
     def wire_bytes(self) -> int:
         return (WAL_RECORD_HEADER_BYTES + len(self.key)

@@ -92,7 +92,22 @@ class Core:
         if cycles < 0:
             raise ValueError("negative cycle count")
         duration = cycles / (self.freq_ghz * 1e3)
-        start = self._reserve(self.sim.now, duration)
+        # ``_reserve(now, duration)``: its expiry and its append arm
+        # inline (the slices are disjoint and sorted, so the last one
+        # ends last and starts after every other has ended), the gap
+        # scan as the fallback.
+        now = self.sim.now
+        reserved = self._reserved
+        if not reserved or reserved[-1][1] <= now:
+            start = now                 # idle: every slice has ended
+            del reserved[:]
+            reserved.append((start, start + duration))
+        elif reserved[-1][0] <= now and duration > 0.0:
+            start = reserved[-1][1]     # busy with the last slice
+            del reserved[:-1]
+            reserved.append((start, start + duration))
+        else:
+            start = self._reserve(now, duration)
         event = self.sim.timeout_at(start + duration)
 
         def book(_event) -> None:

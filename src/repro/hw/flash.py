@@ -79,7 +79,8 @@ class FlashArray:
         if offset % block_size:
             raise FlashError("write offset %d not block-aligned" % offset)
         size = len(data)
-        self._check_range(offset, size)
+        if offset < 0 or offset + size > self.capacity_bytes:
+            self._check_range(offset, size)   # raises
         block = offset // block_size
         if size == block_size:
             # The common program, one whole block.  A fresh copy on

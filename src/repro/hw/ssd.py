@@ -148,8 +148,10 @@ class NVMeSSD:
         # profile.write_bw_bpus even when channels are free.
         self._write_drain_free_at = 0.0
         #: Heap of busy-until times, one entry per channel used so far
-        #: (a time in the past: the channel is idle again).
+        #: (a time in the past: the channel is idle again), and how
+        #: many channels were never used: ``channels - len(_chan_busy)``.
         self._chan_busy: list = []
+        self._chan_unused = self.profile.channels
 
     # -- properties ----------------------------------------------------------
 
@@ -177,7 +179,9 @@ class NVMeSSD:
             service *= self._jitter_low + self._jitter_span * self._draw()
         busy = self._chan_busy
         start = at
-        if len(busy) >= profile.channels:
+        if self._chan_unused > 0:
+            self._chan_unused -= 1
+        else:
             freed = heapq.heappop(busy)
             if freed > at:
                 start = freed
@@ -270,7 +274,9 @@ class NVMeSSD:
             service *= self._jitter_low + self._jitter_span * self._draw()
         busy = self._chan_busy
         admitted = submitted
-        if len(busy) >= profile.channels:
+        if self._chan_unused > 0:
+            self._chan_unused -= 1
+        else:
             freed = heapq.heappop(busy)
             if freed > submitted:
                 admitted = freed

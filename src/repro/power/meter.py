@@ -10,19 +10,22 @@ headline metric (Fig. 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.hw.platforms import PlatformSpec
 from repro.sim.core import Simulator
+from repro.sim.record import Record
 
 
-@dataclass
-class PowerSample:
+class PowerSample(Record):
     """One (time, watts) observation."""
 
-    time_us: float
-    watts: float
+    __slots__ = _FIELDS = ("time_us", "watts")
+
+    def __init__(self, time_us: float, watts: float):
+        self.time_us = time_us
+        self.watts = watts
 
 
 class PowerMeter:

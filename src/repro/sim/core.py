@@ -16,9 +16,8 @@ Fast paths (see docs/performance.md):
   entry for the current timestep goes first when its number is lower.
 * :meth:`Simulator.run` drains same-timestamp events in an inlined
   inner loop without re-entering the dispatch preamble (deadline
-  checks, heap access) between events.
-* dispatched :class:`Timeout` objects that provably have no remaining
-  references are recycled through a small pool (CPython only).
+  checks, heap access) between events; runs that hash the schedule
+  (digest or sanitizer) go through :meth:`Simulator.step` instead.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
-import sys
 from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import StopSimulation
 from repro.sim.events import Delivery, Event, Timeout, all_of
-from repro.sim.process import Process
+from repro.sim.process import STARTED, Process
 
 #: Default (and lowest-numbered) priority of scheduled events.
 NORMAL_PRIORITY = 1
@@ -44,12 +42,11 @@ NORMAL_PRIORITY = 1
 #: pump inbox alone, not of which sender happened to transmit first.
 DELIVERY_PRIORITY = 2
 
-#: Timeout recycling proves "no one else holds this object" via the
-#: CPython reference count; other interpreters skip the pool.
-_REFCOUNT_POOLING = sys.implementation.name == "cpython"
+#: A bare instance of an event class, slots unset (one C call; the
+#: hot constructors below fill the slots themselves).
+_new = object.__new__
 
-#: Upper bound on pooled Timeout objects per simulator.
-_TIMEOUT_POOL_MAX = 256
+_heappush = heapq.heappush
 
 
 class Simulator:
@@ -81,7 +78,6 @@ class Simulator:
         self._digest = None
         self._digest_events = 0
         self._events_dispatched = 0
-        self._timeout_pool: list = []
         #: Order-dependence sanitizer (TSan-style runtime oracle): with
         #: a ``sanitize_seed``, same-timestamp normal-priority ties are
         #: broken by the ``sim.sanitize`` stream of that seed instead
@@ -141,34 +137,44 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` time units from now.
-
-        Reuses a pooled, already-dispatched Timeout when one is
-        available — identical semantics, no allocation.
-        """
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout.callbacks = []
-            timeout._ok = True
-            timeout._value = value
-            timeout._defused = False
-            # ``_schedule_event`` at normal priority.
-            self._sequence += 1
-            if delay == 0.0:
-                self._imm.append((self._sequence, timeout))
-            else:
-                heapq.heappush(self._heap, (self.now + delay, NORMAL_PRIORITY,
-                                            self._sequence, timeout))
-            return timeout
-        return Timeout(self, delay, value)
+        """An event firing ``delay`` time units from now."""
+        if delay < 0:
+            raise ValueError("negative delay %r" % delay)
+        # ``Event.__init__`` and ``_schedule_event`` (normal priority),
+        # spelled out: this is the hottest constructor of the model.
+        timeout = _new(Timeout)
+        timeout.sim = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._defused = False
+        self._sequence += 1
+        if delay == 0.0:
+            self._imm.append((self._sequence, timeout))
+        else:
+            _heappush(self._heap, (self.now + delay, NORMAL_PRIORITY,
+                                   self._sequence, timeout))
+        return timeout
 
     def process(self, generator: Generator, name: Optional[str] = None,
                 after: Optional[Event] = None) -> Process:
         """Start a new process from ``generator`` — now, or with
         ``after``, inside that event's dispatch."""
         return Process(self, generator, name=name, after=after)
+
+    def process_inline(self, generator: Generator,
+                       name: Optional[str] = None) -> Process:
+        """Start a process right here, inside the current dispatch.
+
+        The generator's first resume runs before this call returns —
+        what ``process(generator, after=event)`` does when ``event`` is
+        the one whose callback is making this call, without having
+        decided on the process before the event fired.  Like ``after=``
+        it spends no event and no sequence number on the start.  Call
+        it from a callback; outside a dispatch the generator simply
+        starts at the call.
+        """
+        return Process(self, generator, name=name, after=STARTED)
 
     def all_of(self, events):
         """Composite event firing once all ``events`` fire."""
@@ -194,20 +200,15 @@ class Simulator:
                 raise ValueError("cannot fire at %r, now is %r"
                                  % (when, self.now))
             return self.timeout(0.0, value)
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout.callbacks = []
-            timeout._defused = False
-        else:
-            timeout = Timeout.__new__(Timeout)
-            Event.__init__(timeout, self)
-        timeout.delay = delay
-        timeout._ok = True
+        timeout = _new(Timeout)
+        timeout.sim = self
+        timeout.callbacks = []
         timeout._value = value
+        timeout._ok = True
+        timeout._defused = False
         self._sequence += 1
-        heapq.heappush(self._heap, (float(when), NORMAL_PRIORITY,
-                                    self._sequence, timeout))
+        _heappush(self._heap, (float(when), NORMAL_PRIORITY,
+                               self._sequence, timeout))
         return timeout
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
@@ -223,10 +224,15 @@ class Simulator:
         always through the heap, also at zero delay)."""
         if delay < 0:
             raise ValueError("negative delivery delay %r" % delay)
-        event = Delivery(self, callback)
+        event = _new(Delivery)
+        event.sim = self
+        event.callbacks = [callback]
+        event._value = None
+        event._ok = True
+        event._defused = False
         self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, DELIVERY_PRIORITY,
-                                    self._sequence, event))
+        _heappush(self._heap, (self.now + delay, DELIVERY_PRIORITY,
+                               self._sequence, event))
         return event
 
     # -- engine ---------------------------------------------------------------
@@ -237,7 +243,7 @@ class Simulator:
         if delay == 0.0 and priority == NORMAL_PRIORITY:
             self._imm.append((self._sequence, event))
         else:
-            heapq.heappush(self._heap, (self.now + delay, priority, self._sequence, event))
+            _heappush(self._heap, (self.now + delay, priority, self._sequence, event))
 
     def _pop_next(self):
         """Remove and return the next ``(when, priority, sequence, event)``.
@@ -303,12 +309,10 @@ class Simulator:
         Same-timestamp immediate events drain back-to-back without
         re-entering the dispatch preamble (deadline check, heap pop)
         between them; dispatch order matches :meth:`step` exactly.
-        In sanitize mode the inlined FIFO fast path is bypassed and
-        every event goes through :meth:`step`, which applies the
-        permuted tie-breaking.
+        A run that hashes its schedule (:meth:`enable_schedule_digest`)
+        or permutes its ties (sanitize mode) bypasses that inlined loop:
+        every event goes through :meth:`step`, which does both.
         """
-        if self._sanitize_rng is not None:
-            return self._run_sanitized(until)
         stop_event: Optional[Event] = None
         if until is None:
             deadline = float("inf")
@@ -324,111 +328,77 @@ class Simulator:
             if deadline < self.now:
                 raise ValueError("cannot run until %r, now is %r" % (deadline, self.now))
 
+        if self._digest is None and self._sanitize_rng is None:
+            dispatch = self._dispatch_inline
+        else:
+            dispatch = self._dispatch_stepped
+        try:
+            if dispatch(deadline):
+                return None
+        except StopSimulation as stop:
+            if stop_event is not None and stop_event.triggered:
+                return self._event_outcome(stop_event)
+            return stop.value
+        if stop_event is not None and not stop_event.triggered:
+            raise RuntimeError(
+                "run() until an event, but the simulation ran out of events "
+                "before %r triggered" % stop_event
+            )
+        if stop_event is not None:
+            return self._event_outcome(stop_event)
+        if deadline != float("inf"):
+            self.now = deadline
+        return None
+
+    def _dispatch_inline(self, deadline: float) -> bool:
+        """:meth:`run`'s loop: dispatch until the schedule is empty
+        (False) or the next event lies past ``deadline`` (True, time
+        advanced to it) — :meth:`step`'s logic, inlined."""
         heap = self._heap
         imm = self._imm
-        pool = self._timeout_pool
-        recycle = _REFCOUNT_POOLING
-        getrefcount = sys.getrefcount
         heappop = heapq.heappop
-        pack = struct.pack
+        popleft = imm.popleft
         dispatched = 0
         try:
             while heap or imm:
                 if imm:
                     # Inner fast path: stay at the current timestep.
-                    when = self.now
                     if heap:
                         head = heap[0]
-                        if (head[0] == when and head[1] == NORMAL_PRIORITY
+                        if (head[0] == self.now and head[1] == NORMAL_PRIORITY
                                 and head[2] < imm[0][0]):
-                            when, priority, sequence, event = heappop(heap)
+                            event = heappop(heap)[3]
                         else:
-                            sequence, event = imm.popleft()
-                            priority = NORMAL_PRIORITY
+                            event = popleft()[1]
                     else:
-                        sequence, event = imm.popleft()
-                        priority = NORMAL_PRIORITY
+                        event = popleft()[1]
                 else:
                     # Dispatch preamble: advance time via the heap.
                     when = heap[0][0]
                     if when > deadline:
                         self.now = deadline
-                        return None
-                    when, priority, sequence, event = heappop(heap)
+                        return True
+                    event = heappop(heap)[3]
                     self.now = when
                 dispatched += 1
-                if self._digest is not None:
-                    self._digest.update(pack("<dqq", when, priority, sequence))
-                    self._digest.update(type(event).__name__.encode("ascii"))
-                    self._digest_events += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                if (recycle and type(event) is Timeout
-                        and getrefcount(event) == 2
-                        and len(pool) < _TIMEOUT_POOL_MAX):
-                    pool.append(event)
-        except StopSimulation as stop:
-            if stop_event is not None and stop_event.triggered:
-                return self._event_outcome(stop_event)
-            return stop.value
         finally:
             self._events_dispatched += dispatched
-        if stop_event is not None and not stop_event.triggered:
-            raise RuntimeError(
-                "run() until an event, but the simulation ran out of events "
-                "before %r triggered" % stop_event
-            )
-        if stop_event is not None:
-            return self._event_outcome(stop_event)
-        if deadline != float("inf"):
-            self.now = deadline
-        return None
+        return False
 
-    def _run_sanitized(self, until: Any = None) -> Any:
-        """Sanitize-mode dispatch loop: :meth:`step` per event.
-
-        Semantics match :meth:`run`; only the tie order differs.
-        Timeout pooling is skipped — the sanitizer optimizes for
-        schedule coverage, not throughput.
-        """
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.callbacks is not None:
-                stop_event.callbacks.append(self._stop_on_event)
-            elif stop_event.triggered:
-                return self._event_outcome(stop_event)
-        else:
-            deadline = float(until)
-            if deadline < self.now:
-                raise ValueError("cannot run until %r, now is %r"
-                                 % (deadline, self.now))
-        try:
-            while self._heap or self._imm:
-                if not self._imm and self._heap[0][0] > deadline:
-                    self.now = deadline
-                    return None
-                self.step()
-        except StopSimulation as stop:
-            if stop_event is not None and stop_event.triggered:
-                return self._event_outcome(stop_event)
-            return stop.value
-        if stop_event is not None and not stop_event.triggered:
-            raise RuntimeError(
-                "run() until an event, but the simulation ran out of events "
-                "before %r triggered" % stop_event
-            )
-        if stop_event is not None:
-            return self._event_outcome(stop_event)
-        if deadline != float("inf"):
-            self.now = deadline
-        return None
+    def _dispatch_stepped(self, deadline: float) -> bool:
+        """:meth:`_dispatch_inline` through :meth:`step`, one event at
+        a time (schedule digest, sanitizer tie order)."""
+        while self._heap or self._imm:
+            if not self._imm and self._heap[0][0] > deadline:
+                self.now = deadline
+                return True
+            self.step()
+        return False
 
     @staticmethod
     def _event_outcome(event: Event) -> Any:

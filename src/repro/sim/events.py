@@ -100,18 +100,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` time units after creation."""
+    """An event that triggers itself at a set instant.
 
-    __slots__ = ("delay",)
+    Made by :meth:`Simulator.timeout` / :meth:`Simulator.timeout_at`
+    only, which fill its slots and schedule it in one step.
+    """
 
-    def __init__(self, sim, delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError("negative delay %r" % delay)
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        sim._schedule_event(self, delay=delay)
+    __slots__ = ()
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
         raise EventAlreadyTriggered("Timeout events trigger themselves")
@@ -123,22 +118,14 @@ class Timeout(Event):
 class Delivery(Event):
     """A pre-succeeded event carrying a network delivery drain.
 
-    Scheduled directly by :meth:`Simulator.schedule_delivery` at
+    Made and scheduled by :meth:`Simulator.schedule_delivery` only, at
     ``DELIVERY_PRIORITY`` so a drain at time ``t`` runs after every
     normal-priority event at ``t``.  Like :class:`Timeout` it triggers
-    itself; unlike Timeout it is never pooled (the pump holds no
-    reference once dispatched, and keeping the type distinct keeps the
-    schedule digest self-describing).
+    itself; it is a type of its own so that the schedule digest stays
+    self-describing.
     """
 
     __slots__ = ()
-
-    def __init__(self, sim, callback):
-        self.sim = sim
-        self.callbacks = [callback]
-        self._value = None
-        self._ok = True
-        self._defused = False
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
         raise EventAlreadyTriggered("Delivery events trigger themselves")

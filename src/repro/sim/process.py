@@ -16,6 +16,13 @@ from typing import Generator, Optional
 
 from repro.sim.events import PENDING, Event
 
+#: The event every :meth:`Simulator.process_inline` process starts
+#: from: already fired, successfully, with no value.
+STARTED = Event(None)
+STARTED._ok = True
+STARTED._value = None
+STARTED.callbacks = None
+
 
 class Process(Event):
     """A running process.  Also an event that fires when it finishes.
@@ -31,7 +38,9 @@ class Process(Event):
     initialization event of its own — a handler whose first act would
     be to wait out a CPU slice starts when the slice ends.  Until then
     it waits on ``after`` as on any yielded event (its failure is
-    thrown in).
+    thrown in).  ``after=STARTED`` (:meth:`Simulator.process_inline`)
+    runs the first resume in the constructor, i.e. inside whatever
+    dispatch is creating the process.
     """
 
     __slots__ = ("generator", "name")
@@ -40,12 +49,21 @@ class Process(Event):
                  after: Optional[Event] = None):
         if not hasattr(generator, "throw"):
             raise TypeError("Process requires a generator, got %r" % (generator,))
-        super().__init__(sim)
+        # ``Event.__init__``, spelled out (one process per KV request).
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        if after is not None and after.callbacks is not None:
-            after.callbacks.append(self._resume)
-            return
+        if after is not None:
+            if after.callbacks is not None:
+                after.callbacks.append(self._resume)
+                return
+            if after is STARTED:
+                self._resume(after)
+                return
         # Kick off the process via an immediately-scheduled initialization
         # event so creation order does not matter within a timestep (also
         # for an ``after`` already processed; its failure is carried over).

@@ -24,6 +24,7 @@ WR        100% update                            zipfian
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.rng import RandomStream, RngRegistry
@@ -80,9 +81,11 @@ def make_key(record_id: int, prefix: str = "user") -> bytes:
 
 
 def make_value(rng: RandomStream, size: int) -> bytes:
-    """A value of exactly ``size`` pseudo-random (compressible) bytes."""
-    return bytes(rng.getrandbits(8) for _ in range(min(size, 16))) + \
-        b"x" * max(size - 16, 0)
+    """A value of exactly ``size`` pseudo-random (compressible) bytes:
+    ``min(size, 16)`` draws of ``getrandbits(8)``, then ``x`` padding."""
+    draws = 16 if size > 16 else size
+    return (bytes(map(rng.getrandbits, repeat(8, draws)))
+            + b"x" * (size - 16))
 
 
 class YCSBWorkload:

@@ -15,6 +15,7 @@ from repro.core.io_engine import KVCommand, PartitionIOEngine
 from repro.core.jbof import LeedOptions
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.workloads.driver import ClosedLoopDriver, DriverStats
 from repro.workloads.ycsb import YCSBWorkload
@@ -108,15 +109,36 @@ class TestBatchingDeterminism:
     RECORDS = 60
     OPS = 120
 
-    def _digest(self, runner, options=None, seed=3):
+    def _model(self, runner, options=None, seed=3, digest=True):
         """Build, load, and drive a small cluster entirely through
         ``runner(sim, until)`` (a callable advancing the simulator),
         so the whole schedule — not just the tail — goes through the
-        dispatcher under test."""
+        dispatcher under test.  Returns ``(schedule digest, digest
+        events, figures)``; ``figures`` — every op's latency, every
+        process resume in dispatch order (instant, process, kind of
+        event), and the dispatch count, sequence counter and clock at
+        the end — is what a run without the digest can be compared
+        by."""
+        resumes = []
+        resume = Process._resume
+
+        def logged(process, event):
+            resumes.append((process.sim.now, process.name,
+                            type(event).__name__))
+            resume(process, event)
+
+        Process._resume = logged
+        try:
+            return self._drive(runner, options, seed, digest, resumes)
+        finally:
+            Process._resume = resume
+
+    def _drive(self, runner, options, seed, digest, resumes):
         cluster = build_cluster("leed", scale="quick", value_size=96,
                                 seed=seed, options=options)
         sim = cluster.sim
-        sim.enable_schedule_digest()
+        if digest:
+            sim.enable_schedule_digest()
         workload = YCSBWorkload("B", num_records=self.RECORDS, seed=seed,
                                 value_size=96)
         cluster.start()
@@ -137,7 +159,12 @@ class TestBatchingDeterminism:
         for driver in drivers:
             stats = stats.merge(driver.stats)
         assert stats.completed >= self.OPS and stats.failed == 0
-        return sim.schedule_digest, sim.schedule_digest_events
+        figures = (tuple(stats.latencies_us), tuple(resumes),
+                   sim.events_dispatched, sim._sequence, sim.now)
+        return sim.schedule_digest, sim.schedule_digest_events, figures
+
+    def _digest(self, runner, options=None):
+        return self._model(runner, options)[:2]
 
     @staticmethod
     def _run(sim, until):
@@ -167,7 +194,18 @@ class TestBatchingDeterminism:
         assert self._digest(self._run) == self._digest(self._run)
 
     def test_run_batch_matches_step_loop_digest(self):
-        assert self._digest(self._run) == self._digest(self._step)
+        """``run``'s inlined loop against the reference dispatcher.
+
+        A run that hashes its schedule goes through ``step()`` itself,
+        so the inlined loop is only on trial with the digest off: it
+        must reproduce the figures, dispatch count and sequence
+        numbers of an event-by-event ``step()`` replay with the digest
+        on — and ``run`` with the digest on the replay's digest."""
+        _none, _zero, inlined = self._model(self._run, digest=False)
+        digest, events, stepped = self._model(self._step)
+        assert inlined == stepped
+        assert inlined[2] == events
+        assert self._digest(self._run) == (digest, events)
 
     def test_knobs_on_same_seed_digest_stable(self):
         """The fast datapath may *differ* from the reference schedule,

@@ -248,7 +248,9 @@ class ProcessFlusherLog(CircularLog):
         return low, high
 
     def write_reserved(self, offset, data, trace=None):
-        blocks = list(self._touched_blocks(offset, len(data)))
+        size = self.block_size
+        blocks = list(range(offset // size,
+                            (offset + (len(data) or 1) - 1) // size + 1))
         for block in blocks:
             image = self._staged.get(block)
             if image is None:

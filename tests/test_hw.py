@@ -389,7 +389,20 @@ class TestFcfsRecurrence:
     class ScanCore(Core):
         """Test-only reference: ``_reserve`` as it was — expired slices
         popped one by one, then always the first-fit scan and an
-        ``insert``."""
+        ``insert`` — and every ``execute_event`` slice reserved through
+        it (``Core`` handles the idle and append cases inline)."""
+
+        def execute_event(self, cycles):
+            duration = cycles / (self.freq_ghz * 1e3)
+            start = self._reserve(self.sim.now, duration)
+            event = self.sim.timeout_at(start + duration)
+
+            def book(_event):
+                self.cycles_executed += cycles
+                self.busy_time_us += duration
+
+            event.callbacks.append(book)
+            return event
 
         def _reserve(self, at, duration):
             reserved = self._reserved
@@ -738,23 +751,17 @@ class TestWorkEvents:
         sim.run(until=slice_)
         assert core.busy_time_us == 2.0 and core.cycles_executed == 2000
 
-    def test_held_event_keeps_its_value_and_is_not_pooled(self, sim,
-                                                          quiet_ssd):
-        """``run`` recycles a dispatched Timeout nobody references;
-        a held work-event must survive that, value intact."""
+    def test_held_event_keeps_its_value_after_later_timeouts(self, sim,
+                                                             quiet_ssd):
+        """A work-event held past its dispatch keeps its value while
+        plenty of timeouts are handed out after it fired."""
         drive(sim, quiet_ssd.write(0, b"held" + b"\x00" * 508))
         held = quiet_ssd.read_event(0, 4)
 
         def churn():
-            # Plenty of pooled timeouts handed out after ``held`` fired.
             for _ in range(50):
                 yield sim.timeout(100)
                 assert all(sim.timeout(1) is not held for _ in range(8))
 
         drive(sim, churn())
         assert held.processed and held.value == b"held"
-        assert held not in sim._timeout_pool
-
-    def test_unheld_event_is_still_recycled(self, sim, quiet_ssd):
-        drive(sim, quiet_ssd.read(0, 4))   # yielded, then dropped
-        assert sim._timeout_pool

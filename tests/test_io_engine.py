@@ -126,7 +126,7 @@ class TestOverload:
         assert outcomes.count("ok") >= 8
 
     def test_overload_signal(self, sim, engine):
-        assert not engine.is_overloaded(threshold=1)
+        assert engine.waiting_occupancy == 0
         for index in range(6):
             engine.submit(KVCommand("put", b"w%d" % index, b"v"))
         assert engine.waiting_occupancy > 0 or engine.active_occupancy > 0

@@ -6,6 +6,7 @@ from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
 from repro.core.jbof import JBOFNode, LeedOptions
 from repro.core.protocol import KVRequest, ReadPolicy
+from repro.hw.cpu import CYCLE_COSTS
 
 from conftest import drive
 
@@ -268,10 +269,15 @@ class TestWritePathEventBudget:
         sim = cluster.sim
         spawned = []
         original = sim.process
+        original_inline = sim.process_inline
 
         def counting(generator, name=None, **kwargs):
             spawned.append(name)
             return original(generator, name=name, **kwargs)
+
+        def counting_inline(generator, name=None):
+            spawned.append(name)
+            return original_inline(generator, name=name)
 
         def proc():
             assert (yield from make_op()).ok
@@ -280,10 +286,12 @@ class TestWritePathEventBudget:
         before = sim.events_dispatched
         process = original(proc(), name="test")
         sim.process = counting
+        sim.process_inline = counting_inline
         try:
             sim.run(until=process)
         finally:
             del sim.process
+            del sim.process_inline
         return sim.events_dispatched - before, spawned
 
     def test_put_and_delete_stay_inside_their_budget(self, monkeypatch):
@@ -304,3 +312,108 @@ class TestWritePathEventBudget:
             assert not [name for name in spawned
                         if "exec" in name or "flush" in name
                         or "vwrite" in name or "chain_ack" in name]
+
+
+_HANDLE_KV = JBOFNode._handle_kv
+
+
+def _reference_serve_kv(node, request, body, ctx):
+    """The handler process ``JBOFNode._handle_kv`` used to start from
+    the end of a request's ``rpc_receive`` slice: dispatch as its
+    first step, the policy generator inside it, the dispatch span
+    closed in its ``finally``."""
+    try:
+        serve = node._dispatch_kv(request, body)
+        if serve is not None:
+            yield from serve
+    finally:
+        if ctx is not None:
+            ctx.finish()
+
+
+def _reference_handle_kv(node, src, request):
+    """``JBOFNode._handle_kv`` with that process made at arrival and
+    started ``after=`` the slice (the fused GET as it is)."""
+    body = request.body
+    if (node.options.fast_datapath and body.op == "get"
+            and body.trace is None):
+        return _HANDLE_KV(node, src, request)
+    ctx = None
+    if body.trace is not None:
+        ctx = body.trace.child("jbof.dispatch", track=node.address,
+                               cat="server",
+                               args={"op": body.op, "vnode": body.vnode_id,
+                                     "hop": body.hop})
+        body.trace = ctx
+    received = node._net_core().execute_event(CYCLE_COSTS["rpc_receive"])
+    node.sim.process(_reference_serve_kv(node, request, body, ctx),
+                     name="rpc-raw-kv@" + node.address, after=received)
+
+
+class TestServeInsideTheDispatch:
+    """A KV request's handler runs inside the dispatch that ends its
+    ``rpc_receive`` slice (``Simulator.process_inline``) instead of as a
+    process made at arrival and started ``after=`` the slice: same
+    schedule, figures and spans, refused requests included."""
+
+    @staticmethod
+    def _run(reference, monkeypatch, trace_every=0, **options):
+        if reference:
+            monkeypatch.setattr(JBOFNode, "_handle_kv", _reference_handle_kv)
+        config = ClusterConfig(
+            num_jbofs=3, ssds_per_jbof=2, num_clients=2, replication=3,
+            store=StoreConfig(num_segments=64, key_log_bytes=1 << 20,
+                              value_log_bytes=4 << 20),
+            options=LeedOptions(**options), seed=4,
+            trace_sample_interval=trace_every)
+        cluster = LeedCluster(config)
+        sim = cluster.sim
+        sim.enable_schedule_digest()
+        cluster.start()
+        figures = []
+
+        def app(client, lane):
+            for i in range(40):
+                key = b"key%02d" % ((i * 5 + lane) % 14)
+                if i % 9 == 4:
+                    # Refused on arrival: a stale hop (NACK) or a vnode
+                    # the node does not host (UNAVAILABLE).
+                    chain = client.local_ring.chain_for_key(key)
+                    vnode, hop = ((chain[0].vnode_id, 2) if lane
+                                  else ("jbof0/p999", 0))
+                    reply = yield client.rpc.call(
+                        chain[0].jbof_address, "kv",
+                        KVRequest("put", key, b"z", vnode,
+                                  client.local_ring.version, hop, "t"), 64)
+                    figures.append((lane, i, reply.status, sim.now))
+                    continue
+                if i % 3 == 0:
+                    result = yield from client.put(key, b"v" * (16 + i))
+                elif i % 7 == 6:
+                    result = yield from client.delete(key)
+                else:
+                    result = yield from client.get(key)
+                figures.append((lane, i, result.status, result.latency_us,
+                                result.served_by))
+
+        procs = [sim.process(app(client, lane))
+                 for lane, client in enumerate(cluster.clients)]
+        sim.run(until=sim.all_of(procs))
+        cluster.shutdown()
+        sim.run()
+        monkeypatch.undo()
+        return (figures, sim.schedule_digest, sim._sequence,
+                sim.events_dispatched, cluster.tracer.to_json())
+
+    @pytest.mark.parametrize("trace_every,options", [
+        (0, {}), (8, {}), (8, {"fast_datapath": True})])
+    def test_same_schedule_as_a_process_started_after_the_slice(
+            self, monkeypatch, trace_every, options):
+        ours = self._run(False, monkeypatch, trace_every, **options)
+        reference = self._run(True, monkeypatch, trace_every, **options)
+        figures = ours[0]
+        assert {entry[2] for entry in figures} >= {
+            "ok", "nack", "unavailable"}
+        if trace_every:
+            assert '"jbof.dispatch"' in ours[4]
+        assert ours == reference

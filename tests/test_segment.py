@@ -373,6 +373,30 @@ class TestSlottedCodec:
         assert restored.find(b"beta").is_tombstone
         assert restored.drop_tombstones() == 1
 
+    @pytest.mark.parametrize("cut", [0, 2, 5])
+    def test_decoded_items_are_the_constructor_s_even_when_torn(self, cut):
+        """``Bucket.unpack`` builds its items without ``KeyItem()``: the
+        same fields and ``wire_size`` as the constructor gives — also
+        for a last key whose header claims more bytes than the block
+        holds."""
+        bucket = Bucket(7, 0, [KeyItem(b"key-%d" % i, 10 + i, 100 * i, i % 3)
+                               for i in range(4)])
+        block = bucket.pack(1, BLOCK)
+        used = bucket.bytes_used()
+        block = block[:used - cut]        # the last key loses ``cut`` bytes
+        decoded = Bucket.unpack(block).items
+        cursor = BUCKET_HEADER.size
+        for item in decoded:
+            khash, klen, vlen, voffset, ssd_id = KEY_ITEM_HEADER.unpack_from(
+                block, cursor)
+            start = cursor + KEY_ITEM_HEADER.size
+            reference = KeyItem(block[start:start + klen], vlen, voffset,
+                                ssd_id, khash)
+            assert item == reference
+            assert item.wire_size == reference.wire_size
+            cursor = start + klen
+        assert len(decoded[-1].key) == len(b"key-3") - cut
+
     def test_overfull_bucket_is_rejected_before_any_byte_is_written(self):
         bucket = Bucket(0, 0, [KeyItem(b"x" * 100, 1, 0) for _ in range(6)])
         target = bytearray(2 * BLOCK)

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine core."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.core import Simulator
 from repro.sim.errors import EventAlreadyTriggered
@@ -325,6 +327,47 @@ class TestRun:
         sim.run()
         assert sim.now == 0.0
 
+    @given(plan=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                                   st.booleans()),
+                         min_size=1, max_size=40),
+           until=st.sampled_from([None, 1.0, 2.5]))
+    @settings(max_examples=80, deadline=None)
+    def test_inlined_loop_orders_ties_like_step(self, plan, until):
+        """``(delay, zero-delay follow-ups, delivery)`` entries: timeouts
+        and deliveries landing on the same instants, whose callbacks
+        queue zero-delay work while same-instant heap entries (lower
+        sequence numbers) still wait.  ``run`` (no digest: its inlined
+        loop) dispatches them in ``step()``'s order."""
+        def model(dispatch):
+            sim = Simulator()
+            order = []
+
+            def fire(tag, chain):
+                def callback(_event):
+                    order.append((sim.now, tag))
+                    if chain:
+                        sim.timeout(0.0).callbacks.append(
+                            fire(tag + (chain,), chain - 1))
+                return callback
+
+            for index, (delay, chain, delivery) in enumerate(plan):
+                if delivery:
+                    sim.schedule_delivery(float(delay), fire((index,), chain))
+                else:
+                    sim.timeout(float(delay)).callbacks.append(
+                        fire((index,), chain))
+            dispatch(sim)
+            return order, sim.now, sim._sequence, sim.events_dispatched
+
+        def stepped(sim):
+            while sim.pending_events and (
+                    until is None or sim._imm or sim._heap[0][0] <= until):
+                sim.step()
+            if until is not None:
+                sim.now = until
+
+        assert model(lambda sim: sim.run(until=until)) == model(stepped)
+
 
 class TestProcessAfter:
     """``Simulator.process(generator, after=event)``: the process starts
@@ -384,17 +427,134 @@ class TestProcessAfter:
         assert sim.run(until=sim.process(proc(), after=gate)) == 3.0
 
 
-class TestDirectScheduling:
-    """``Event.succeed``, the pooled ``timeout`` and ``schedule_delivery``
-    push their queue entry themselves; sequence numbers and dispatch
-    order are ``_schedule_event``'s."""
+class TestProcessInline:
+    """``Simulator.process_inline``: the process starts inside the
+    current dispatch, as ``process(after=event)`` starts one inside
+    ``event``'s — decided only once ``event`` fires."""
 
-    def test_succeed_and_pooled_timeouts_keep_creation_order(self, sim):
-        # Fill the pool, then interleave every way of scheduling.
-        for _ in range(4):
-            sim.timeout(1.0)
+    def test_first_resume_runs_before_the_call_returns(self, sim):
+        log = []
+
+        def proc():
+            log.append(("started", sim.now))
+            yield sim.timeout(1)
+            log.append(("resumed", sim.now))
+            return "done"
+
+        started = []
+
+        def on_gate(_event):
+            sequence = sim._sequence
+            started.append(sim.process_inline(proc(), name="inline"))
+            log.append(("returned", sim.now))
+            # The generator's own timeout is all that was scheduled.
+            assert sim._sequence == sequence + 1
+
+        sim.timeout(5).callbacks.append(on_gate)
+        before = sim.events_dispatched
         sim.run()
-        assert len(sim._timeout_pool) == 4
+        assert log == [("started", 5.0), ("returned", 5.0), ("resumed", 6.0)]
+        process, = started
+        assert process.name == "inline" and process.value == "done"
+        # The gate and the generator's timeout: no start event, and the
+        # unwaited process finished in place.
+        assert sim.events_dispatched - before == 2
+
+    @staticmethod
+    def _handlers(seed, inline):
+        """A random request mix on one simulator: each arrival waits out
+        a CPU-like slice, then runs a handler started ``after=`` the
+        slice (created at arrival) or ``inline`` from the slice's
+        callback.  Handlers share a log and reorder one another through
+        same-instant events; some finish at once (a refused request),
+        some yield first, some yield processed events."""
+        import random
+
+        rng = random.Random(seed)
+        sim = Simulator()
+        sim.enable_schedule_digest()
+        log = []
+
+        def handler(index, kind, delays):
+            log.append((sim.now, index, "start", kind))
+            if kind == "refused":
+                return index
+            if kind == "work":
+                log.append((sim.now, index, "work"))
+            for step, delay in enumerate(delays):
+                if delay is None:
+                    done = sim.event().succeed(step)
+                    value = yield done
+                    value = yield done      # processed by now
+                else:
+                    value = yield sim.timeout(delay, step)
+                log.append((sim.now, index, step, value))
+            return index
+
+        def arrivals():
+            for index in range(48):
+                yield sim.timeout(rng.choice([0.0, 0.0, 0.5, 1.0, 2.5]))
+                kind = rng.choice(["refused", "yield-first", "work"])
+                delays = [rng.choice([None, 0.0, 0.5, 1.0, 3.0])
+                          for _ in range(rng.randrange(0, 4))]
+                gate = sim.timeout(rng.choice([0.0, 0.5, 1.0]))
+                if inline:
+                    gate.callbacks.append(
+                        lambda _event, args=(index, kind, delays):
+                        sim.process_inline(handler(*args)))
+                else:
+                    sim.process(handler(index, kind, delays), after=gate)
+                if rng.random() < 0.3:
+                    sim.timeout(rng.choice([0.0, 0.5])).callbacks.append(
+                        lambda _event, i=index: log.append((sim.now, i, "tick")))
+
+        sim.process(arrivals())
+        sim.run()
+        return (sim.schedule_digest, sim.schedule_digest_events,
+                sim._sequence, sim.events_dispatched, log)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_random_handlers_schedule_as_with_after(self, seed):
+        assert self._handlers(seed, True) == self._handlers(seed, False)
+
+    @pytest.mark.parametrize("first_yield", [False, True])
+    def test_a_raising_handler_still_stops_the_run(self, first_yield):
+        def run(inline):
+            sim = Simulator()
+            sim.enable_schedule_digest()
+
+            def handler():
+                if first_yield:
+                    yield sim.timeout(1.0)
+                raise KeyError("handler")
+                yield  # pragma: no cover - generator marker
+
+            gate = sim.timeout(2.0)
+            if inline:
+                gate.callbacks.append(
+                    lambda _event: sim.process_inline(handler()))
+            else:
+                sim.process(handler(), after=gate)
+            sim.timeout(5.0)
+            with pytest.raises(KeyError, match="handler"):
+                sim.run()
+            return sim.now, sim._sequence, sim.schedule_digest
+
+        assert run(True) == run(False)
+        assert run(True)[0] == (3.0 if first_yield else 2.0)
+
+
+class TestDirectScheduling:
+    """``Event.succeed``, ``timeout`` / ``timeout_at`` and
+    ``schedule_delivery`` build and push their queue entry themselves;
+    sequence numbers and dispatch order are ``_schedule_event``'s."""
+
+    def test_succeed_and_timeouts_keep_creation_order(self, sim):
+        # Dispatch a few timeouts first, then interleave every way of
+        # scheduling.
+        fired = [sim.timeout(1.0) for _ in range(4)]
+        sim.run()
         order = []
 
         def note(tag):
@@ -403,22 +563,39 @@ class TestDirectScheduling:
         sequence = sim._sequence
         plain = sim.event()
         plain.callbacks.append(note("succeed"))
-        sim.timeout(0.0).callbacks.append(note("pooled-zero"))
+        sim.timeout(0.0).callbacks.append(note("zero"))
         plain.succeed()
-        sim.timeout(2.0).callbacks.append(note("pooled-late"))
-        sim._timeout_pool.clear()
-        sim.timeout(0.0).callbacks.append(note("fresh-zero"))
-        sim.timeout(2.0).callbacks.append(note("fresh-late"))
+        sim.timeout(2.0).callbacks.append(note("late"))
+        sim.timeout_at(1.0).callbacks.append(note("at-now"))
+        sim.timeout_at(3.0).callbacks.append(note("at-late"))
         sim.schedule_delivery(0.0, note("delivery-zero"))
         sim.schedule_delivery(2.0, note("delivery-late"))
         sim.timeout(0.0).callbacks.append(note("last-zero"))
         assert sim._sequence == sequence + 8   # one number per entry
         sim.run()
         assert order == [
-            (1.0, "pooled-zero"), (1.0, "succeed"), (1.0, "fresh-zero"),
+            (1.0, "zero"), (1.0, "succeed"), (1.0, "at-now"),
             (1.0, "last-zero"), (1.0, "delivery-zero"),
-            (3.0, "pooled-late"), (3.0, "fresh-late"),
-            (3.0, "delivery-late")]
+            (3.0, "late"), (3.0, "at-late"), (3.0, "delivery-late")]
+        # A dispatched timeout keeps its state whatever is scheduled
+        # after it (no timeout object is ever handed out twice).
+        assert all(event.processed and event.value is None
+                   for event in fired)
+
+    def test_timeouts_validate_and_carry_their_value(self, sim):
+        with pytest.raises(ValueError, match="negative delay"):
+            sim.timeout(-1.0)
+        sim.run(until=2.0)
+        with pytest.raises(ValueError, match="cannot fire"):
+            sim.timeout_at(1.0)
+        events = [sim.timeout(0.0, "zero"), sim.timeout(1.5, "rel"),
+                  sim.timeout_at(2.0, "at-now"), sim.timeout_at(4.0, "abs")]
+        assert all(type(event) is Timeout and event.triggered
+                   and not event.processed for event in events)
+        sim.run()
+        assert [event.value for event in events] == [
+            "zero", "rel", "at-now", "abs"]
+        assert sim.now == 4.0
 
     def test_delivery_callback_receives_its_event(self, sim):
         seen = []

@@ -110,6 +110,20 @@ class TestYCSBMixes:
             op = workload.next_operation()
             assert len(op.value) == size
 
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 256, 1024])
+    def test_make_value_matches_the_generator_expression(self, size):
+        """``make_value`` draws with ``map``; the bytes and the stream
+        state after it are what the per-byte generator gave."""
+        import random
+        for seed in range(24):
+            ours, reference = random.Random(seed), random.Random(seed)
+            value = make_value(ours, size)
+            assert value == (bytes(reference.getrandbits(8)
+                                   for _ in range(min(size, 16)))
+                             + b"x" * max(size - 16, 0))
+            assert len(value) == size
+            assert ours.random() == reference.random()
+
     def test_load_pairs(self):
         workload = YCSBWorkload("A", 25, value_size=100, seed=4)
         pairs = list(workload.load_pairs())
