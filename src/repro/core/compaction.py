@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 from repro.core.circular_log import LogFullError
 from repro.core.datastore import LeedDataStore
 from repro.core.segment import (
+    KeyItem,
     Segment,
     pack_value_entry,
     peek_segment_header,
@@ -159,16 +160,17 @@ class Compactor:
                     try:
                         # Re-check under the lock: a PUT may have moved it.
                         if store.segtbl.location(seg_id) == (offset, chain_len):
+                            blob = first_block
                             if chain_len > 1:
-                                rest = yield from log.read(offset + block,
-                                                           (chain_len - 1) * block)
-                                blob = first_block + rest
-                            else:
-                                blob = first_block
-                            segment = Segment.unpack(blob, block)
+                                blob += yield from log.read(
+                                    offset + block, (chain_len - 1) * block)
+                            segment = store._segments.get(offset)
+                            segment = (Segment.unpack(blob, block)
+                                       if segment is None else segment.clone())
                             yield store._cpu_event(
                                 CYCLE_COSTS["compaction_per_entry"]
-                                * max(len(list(segment.iter_items())), 1))
+                                * max(sum(len(bucket.items)
+                                          for bucket in segment.buckets), 1))
                             self.stats.tombstones_dropped += segment.drop_tombstones()
                             if segment.live_items():
                                 for _attempt in range(self.KEY_APPEND_RETRIES):
@@ -189,6 +191,7 @@ class Compactor:
                             else:
                                 # Fully-deleted segment: forget it.
                                 store.segtbl.update(seg_id, -1, 0)
+                                store._segments.pop(offset, None)
                                 self.stats.segments_dropped += 1
                     finally:
                         store.segtbl.unlock(seg_id)
@@ -361,7 +364,8 @@ class Compactor:
                 location = owner_store.segtbl.location(seg_id)
                 if location is None:
                     continue
-                segment = yield from owner_store._read_segment(*location)
+                segment = (yield from owner_store._read_segment(
+                    *location)).clone()
                 dirty = False
                 for offset, _seg_id, key, value, size, _owner in entries:
                     item = segment.find(key)
@@ -376,10 +380,11 @@ class Compactor:
                     new_entry = pack_value_entry(seg_id, key, value,
                                                  owner_id=owner)
                     new_offset = yield from home_log.append_bytes(new_entry)
-                    item.voffset = new_offset
                     if item.ssd_id != owner_store.store_id:
                         self.stats.values_merged_home += 1
-                    item.ssd_id = owner_store.store_id
+                    segment.replace(item, KeyItem(
+                        item.key, item.vlen, new_offset,
+                        owner_store.store_id, item.khash))
                     dirty = True
                     self.stats.values_relocated += 1
                     yield store._cpu_event(

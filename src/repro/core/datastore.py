@@ -163,18 +163,16 @@ class LeedDataStore:
         self.peer_stores: Dict[int, "LeedDataStore"] = {store_id: self}
         #: Live object count (for occupancy reporting).
         self.live_objects = 0
-        #: Decoded-segment memo for GETs (filled by the analytic
-        #: clock), keyed by key-log virtual offset (append-only: a
-        #: virtual offset's content never changes, so no invalidation
-        #: is needed beyond the size cap).  Holds
-        #: ``(segment, scan_items)``; cached
-        #: segments are read-only to their users — writers always
-        #: unpack a private copy.  Device timing is still charged in
-        #: full on a hit; only the decode compute is skipped.
-        self._seg_cache: Dict[int, tuple] = {}
+        #: The decoded form of every live key-log entry, by virtual
+        #: offset: the segment ``_write_segment`` packed (or
+        #: ``recover_store`` decoded), equal to ``Segment.unpack`` of
+        #: the bytes there.  An entry leaves when the SegTbl stops
+        #: pointing at it, so it is inside the log window and its bytes
+        #: are intact.  Readers still issue and are charged every
+        #: device read; only the decode is skipped.  Entries are shared
+        #: and never changed: a writer changes a ``clone()``.
+        self._segments: Dict[int, Segment] = {}
 
-    #: Bound on the decoded-segment cache (entries, not bytes).
-    SEG_CACHE_MAX = 8192
     #: Max overflow buckets per segment (the paper's M).
     MAX_CHAIN = 4
     #: Retries for optimistic reads racing compaction.
@@ -199,10 +197,15 @@ class LeedDataStore:
         return self.sim.timeout(cycles / 3.0e3)  # 3 GHz default
 
     def _read_segment(self, offset: int, chain_len: int, trace=None):
-        """Generator: fetch and deserialize a segment from the key log."""
+        """Generator: read a segment from the key log; returns its
+        decoded form, shared with the memo when the entry is live (a
+        caller that changes it changes a ``clone()``)."""
         blob = yield from self.key_log.read(
             offset, chain_len * self.key_log.block_size, trace=trace)
-        return Segment.unpack(blob, self.key_log.block_size)
+        segment = self._segments.get(offset)
+        if segment is None:
+            segment = Segment.unpack(blob, self.key_log.block_size)
+        return segment
 
     def _log_reserve_bytes(self, log: CircularLog) -> int:
         """Headroom kept free for the compactor on ``log`` (computed
@@ -221,9 +224,11 @@ class LeedDataStore:
         """Generator: append a segment and repoint the SegTbl.
 
         Returns the new (offset, chain_len).  The old location becomes
-        key-log garbage.  With ``enforce_reserve`` the append fails
-        once it would eat into the compactor's headroom (client writes
-        set this; compaction itself does not).
+        key-log garbage; ``segment`` becomes the memo's entry at the new
+        one (it *is* the decode of the bytes written), so the caller
+        must not change it afterwards.  With ``enforce_reserve`` the
+        append fails once it would eat into the compactor's headroom
+        (client writes set this; compaction itself does not).
         """
         key_log = self.key_log
         old = self.segtbl.location(segment.seg_id)
@@ -238,7 +243,9 @@ class LeedDataStore:
         offset = yield from key_log.append_blocks(blob, trace=trace)
         chain_len = len(segment.buckets)
         self.segtbl.update(segment.seg_id, offset, chain_len)
+        self._segments[offset] = segment
         if old is not None:
+            self._segments.pop(old[0], None)
             self.stats.key_log_garbage_bytes += old[1] * key_log.block_size
         return offset, chain_len
 
@@ -270,7 +277,7 @@ class LeedDataStore:
     def _get_stages(self, key: bytes, trace, analytic: bool):
         """Generator: the GET pipeline, written once for both clocks.
 
-        Hash lookup → key-log segment read (decoded through the
+        Hash lookup → key-log segment read (its decoded form from the
         segment memo) → bucket scan → value-log read, a fixed 2 NVMe
         accesses per hit (§3.3).  Returns ``(OpResult, done_us)``; all
         statistics are recorded here.
@@ -290,6 +297,7 @@ class LeedDataStore:
         restarts from the SegTbl, up to ``MAX_GET_RETRIES`` times.
         """
         key_log = self.key_log
+        segments = self._segments
         core = self.core
         sim = self.sim
         stats = self.stats
@@ -317,36 +325,30 @@ class LeedDataStore:
                 break
             offset, chain_len = location
             nbytes = chain_len * key_log.block_size
-            cached = self._seg_cache.get(offset)
             try:
                 if not analytic:
                     blob = yield from key_log.read(offset, nbytes, trace)
                     done = sim.now
-                elif cached is None:
-                    blob, done = key_log.read_at(offset, nbytes, at)
+                    segment = segments.get(offset)
                 else:
-                    # Full device timing, minus the copy-out.
-                    done = key_log.charge_read_at(offset, nbytes, at)
+                    segment = segments.get(offset)
+                    if segment is None:
+                        blob, done = key_log.read_at(offset, nbytes, at)
+                    else:
+                        # Full device timing, minus the copy-out.
+                        done = key_log.charge_read_at(offset, nbytes, at)
             except LogRangeError:
                 continue
             ssd_us += done - at
             at = done
             accesses += 1
-            if cached is None:
+            if segment is None:
                 segment = Segment.unpack(blob, key_log.block_size)
-                cached = (segment, max(
-                    sum(len(b.items) for b in segment.buckets), 1))
-                # Only the analytic clock fills the memo: it is what
-                # lets that clock skip the copy-out, while the
-                # reference clock reads the bytes regardless and would
-                # only pay the memory.
-                if analytic:
-                    if len(self._seg_cache) >= self.SEG_CACHE_MAX:
-                        self._seg_cache.clear()
-                    self._seg_cache[offset] = cached
-            segment, scan_items = cached
 
-            cycles = _BUCKET_SCAN_CYCLES * scan_items
+            scan_items = 0
+            for bucket in segment.buckets:
+                scan_items += len(bucket.items)
+            cycles = _BUCKET_SCAN_CYCLES * (scan_items or 1)
             if analytic:
                 at = core.charge_at(cycles, at)
             else:
@@ -473,7 +475,9 @@ class LeedDataStore:
                 else:
                     blob = yield from self.key_log.read(
                         location[0], location[1] * block, trace)
-                    segment = Segment.unpack(blob, block)
+                    segment = self._segments.get(location[0])
+                    segment = (Segment.unpack(blob, block) if segment is None
+                               else segment.clone())
                     accesses += 1
                 if ticket is not None and ticket.callbacks is not None:
                     yield ticket                  # not ``processed`` yet
@@ -491,8 +495,8 @@ class LeedDataStore:
                 t0 = sim.now
                 try:
                     if value is None:
-                        previous.vlen = TOMBSTONE_VLEN
-                        previous.voffset = 0
+                        segment.replace(previous, KeyItem(
+                            key, TOMBSTONE_VLEN, 0, previous.ssd_id, khash))
                     else:
                         segment.upsert(
                             KeyItem(key, len(value), voffset,

@@ -14,9 +14,10 @@ Recovery steps:
    (position-0 buckets mark candidate segment entries);
 2. keep, per segment id, the candidate with the largest tail
    snapshot whose full chain parses;
-3. rebuild the SegTbl from the winners; restore the key log's
-   head/tail around the live window; restore each value log tail
-   from the largest value offset referenced by a live key item.
+3. rebuild the SegTbl, and the store's decoded-segment memo, from
+   the winners; restore the key log's head/tail around the live
+   window; restore each value log tail from the largest value offset
+   referenced by a live key item.
 
 The scan costs one sequential read of the key-log region — seconds
 for a real partition, exactly the "fast crash recovery" property
@@ -93,21 +94,15 @@ def recover_store(store: LeedDataStore):
         else:
             report.stale_versions_skipped += 1
 
-    # Pass 2: validate each winner's chain and rebuild the SegTbl.
-    # Physical block index is also the virtual offset modulo the log
-    # size; reconstruct virtual offsets in a single epoch (offsets
-    # only need to be internally consistent after recovery).
+    # Pass 2: validate each winner's chain.
     max_voffsets: Dict[int, int] = {}
-    live_blocks = set()
+    winners = []
     for seg_id, (tail_snapshot, block_index, chain_len) in sorted(
             candidates.items()):
         chain = []
         valid = True
         for position in range(chain_len):
-            physical = block_index + position
-            if physical >= blocks_total:
-                physical -= blocks_total  # wrapped segment
-            blob = blocks[physical]
+            blob = blocks[(block_index + position) % blocks_total]
             parsed = _parse_bucket_header(blob)
             if parsed is None or parsed[0] != seg_id or parsed[2] != position:
                 valid = False
@@ -119,24 +114,35 @@ def recover_store(store: LeedDataStore):
         segment = Segment.unpack(b"".join(chain), block)
         if not segment.live_items():
             continue
-        store.segtbl.update(seg_id, block_index * block, chain_len)
+        winners.append((block_index, chain_len, seg_id, segment))
         report.segments_recovered += 1
-        for position in range(chain_len):
-            live_blocks.add((block_index + position) % blocks_total)
         for item in segment.live_items():
             report.live_objects += 1
             end = item.voffset + value_entry_size(len(item.key), item.vlen)
             holder = item.ssd_id
             max_voffsets[holder] = max(max_voffsets.get(holder, 0), end)
 
-    # Pass 3: restore log pointers.  The live window must cover every
-    # recovered offset; anything outside it is garbage the next
-    # compaction round will never see (it was already dead).
-    if live_blocks:
-        tail_block = max(live_blocks) + 1
-        head_block = min(live_blocks)
-    else:
-        tail_block = head_block = 0
+    # Pass 3: rebuild the SegTbl and the log pointers, with virtual
+    # offsets in one epoch (internally consistent is enough).  The
+    # window covers every winning chain as one run: it starts at the
+    # first live block, or, when a chain wraps the region's end, after
+    # the widest run of dead blocks (earlier blocks count a lap later).
+    winners.sort()
+    head_block = winners[0][0] if winners else 0
+    if winners and winners[-1][0] + winners[-1][1] > blocks_total:
+        widest = -1
+        for index, (start, chain_len, _, _) in enumerate(winners):
+            following = winners[(index + 1) % len(winners)][0]
+            gap = (following - start - chain_len) % blocks_total
+            if gap > widest:
+                widest, head_block = gap, following
+    tail_block = head_block
+    for block_index, chain_len, seg_id, segment in winners:
+        if block_index < head_block:
+            block_index += blocks_total
+        store.segtbl.update(seg_id, block_index * block, chain_len)
+        store._segments[block_index * block] = segment
+        tail_block = max(tail_block, block_index + chain_len)
     log.head = head_block * block
     log.tail = tail_block * block
     report.key_log_head = log.head

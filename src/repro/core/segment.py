@@ -48,8 +48,10 @@ class KeyItem(Record):
     """One key's index entry inside a bucket.
 
     ``key`` and ``khash`` (derived from the key unless given) are fixed
-    at construction, and with them ``wire_size``; ``vlen``, ``voffset``
-    and ``ssd_id`` follow the key's latest write.
+    at construction, and with them ``wire_size``.  An item is never
+    changed once it is in a segment: a write replaces it
+    (:meth:`Segment.replace`), because the store's decoded-segment memo
+    hands the same items to every reader of the segment.
     """
 
     __slots__ = ("key", "vlen", "voffset", "ssd_id", "khash", "wire_size")
@@ -198,18 +200,41 @@ class Segment(Record):
         """Key items that are not deletion markers."""
         return [item for item in self.iter_items() if not item.is_tombstone]
 
+    def clone(self) -> "Segment":
+        """A copy a writer may change: new segment, buckets and item
+        lists, sharing the key items (which are never changed)."""
+        clone = _new(Segment)
+        clone.seg_id = self.seg_id
+        clone.buckets = [Bucket(bucket.seg_id, bucket.position,
+                                bucket.items[:], bucket.head, bucket.tail)
+                         for bucket in self.buckets]
+        return clone
+
+    def replace(self, old: KeyItem, new: KeyItem) -> None:
+        """Put ``new`` where the item ``old`` is in the chain."""
+        for bucket in self.buckets:
+            items = bucket.items
+            for index, item in enumerate(items):
+                if item is old:
+                    items[index] = new
+                    return
+        raise ValueError("segment %d does not hold %r" % (self.seg_id, old))
+
     def upsert(self, item: KeyItem, block_size: int, max_chain: int) -> None:
-        """Insert or update ``item``; extends the chain when needed.
+        """Insert ``item``, or replace the key's item; extends the chain
+        when needed.
 
         Raises :class:`SegmentFullError` when all ``max_chain`` buckets
         are at capacity and the key is new.
         """
-        existing = self.find(item.key, item.khash)
-        if existing is not None:
-            existing.vlen = item.vlen
-            existing.voffset = item.voffset
-            existing.ssd_id = item.ssd_id
-            return
+        key = item.key
+        khash = item.khash
+        for bucket in self.buckets:
+            items = bucket.items
+            for index, existing in enumerate(items):
+                if existing.khash == khash and existing.key == key:
+                    items[index] = item
+                    return
         for bucket in self.buckets:
             if bucket.has_room(item, block_size):
                 bucket.items.append(item)

@@ -37,7 +37,8 @@ class SegmentEntry:
         self.offset: int = NO_OFFSET
         self.chain_len: int = 0
         self.locked: bool = False
-        self._waiters: Deque[Event] = deque()
+        #: FCFS lock waiters, created by the first contended ``lock``.
+        self._waiters: Optional[Deque[Event]] = None
 
     @property
     def exists(self) -> bool:
@@ -100,6 +101,8 @@ class SegTbl:
             event.succeed(seg_id)
         else:
             self.lock_waits += 1
+            if entry._waiters is None:
+                entry._waiters = deque()
             entry._waiters.append(event)
         return event
 
@@ -108,8 +111,9 @@ class SegTbl:
         entry = self.entries[seg_id]
         if not entry.locked:
             raise RuntimeError("unlock of unlocked segment %d" % seg_id)
-        while entry._waiters:
-            waiter = entry._waiters.popleft()
+        waiters = entry._waiters
+        while waiters:
+            waiter = waiters.popleft()
             if not waiter.triggered:
                 # Hand the lock directly to the next waiter.
                 waiter.succeed(seg_id)

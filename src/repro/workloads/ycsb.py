@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.rng import RandomStream, RngRegistry
 from repro.workloads.zipf import (
@@ -135,6 +135,8 @@ class YCSBWorkload:
             raise ValueError("unknown distribution %r" % dist)
         self.distribution = dist
         self._insert_cursor = num_records
+        #: record id -> key of the records loaded before the run.
+        self._keys: Dict[int, bytes] = {}
 
     # -- load phase ------------------------------------------------------------------
 
@@ -169,7 +171,13 @@ class YCSBWorkload:
                          make_value(self.rng, self.value_size))
 
     def _existing_key(self) -> bytes:
-        return make_key(self._chooser.next(), self.key_prefix)
+        record_id = self._chooser.next()
+        key = self._keys.get(record_id)
+        if key is None:
+            key = make_key(record_id, self.key_prefix)
+            if record_id < self.num_records:
+                self._keys[record_id] = key
+        return key
 
     def operations(self, count: int) -> Iterator[Operation]:
         for _ in range(count):

@@ -9,7 +9,7 @@ distribution used by YCSB-D (skew toward recently-inserted records).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.sim.rng import RandomStream, derive_stream
 
@@ -89,9 +89,16 @@ class ScrambledZipfianGenerator:
                  rng: Optional[RandomStream] = None):
         self.n = n
         self._zipf = ZipfianGenerator(n, theta, rng)
+        #: rank -> item, at most ``n`` entries: ``fnv1a_64`` is an
+        #: 8-round Python loop, and a skewed stream repeats its ranks.
+        self._items: Dict[int, int] = {}
 
     def next(self) -> int:
-        return fnv1a_64(self._zipf.next()) % self.n
+        rank = self._zipf.next()
+        item = self._items.get(rank)
+        if item is None:
+            item = self._items[rank] = fnv1a_64(rank) % self.n
+        return item
 
     def __iter__(self):
         while True:

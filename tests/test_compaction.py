@@ -253,7 +253,7 @@ class TestCompactionFailsSoft:
                 key_hash(keys[-1]) % store.config.num_segments)
             while log.free_bytes:
                 segment = yield from store._read_segment(*last)
-                last = yield from store._write_segment(segment)
+                last = yield from store._write_segment(segment.clone())
             head_segment, _chain = peek_segment_header(
                 (yield from log.read(log.head, log.block_size)))
             assert store.segtbl.location(head_segment)[0] == log.head

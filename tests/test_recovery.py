@@ -168,6 +168,62 @@ class TestRecovery:
 
         drive(sim, recover_and_check())
 
+    def test_segment_astride_the_region_end(self, sim):
+        """A winner whose chain wraps the key-log region puts the
+        recovered window across the region's end: its keys stay
+        readable and the log keeps its free space."""
+        from repro.core.compaction import Compactor
+        from repro.core.segment import key_hash
+        store, ssd = make_store(sim, num_segments=2,
+                                key_log_bytes=8 << 10,
+                                value_log_bytes=64 << 10)
+        compactor = Compactor(store)
+        log = store.key_log
+        keys = [b"key-%02d" % index + b"." * 41 for index in range(40)]
+        # Segment 0 takes a two-block chain, segment 1 a one-block one.
+        keys = ([key for key in keys if key_hash(key) % 2 == 0][:10]
+                + [key for key in keys if key_hash(key) % 2 == 1][:2])
+
+        def wraps():
+            return any(offset % log.size + chain_len * 512 > log.size
+                       for offset, chain_len in map(store.segtbl.location,
+                                                    (0, 1)))
+
+        def before():
+            step = 0
+            while not (step >= len(keys) and wraps()):
+                assert step < 400
+                key = keys[step % len(keys)]
+                result = yield from store.put(key, b"v%d" % step)
+                if not result.ok:
+                    yield from compactor.compact_key_log(0.0)
+                    result = yield from store.put(key, b"v%d" % step)
+                assert result.ok, result.status
+                step += 1
+            values = {}
+            for key in keys:
+                values[key] = (yield from store.get(key)).value
+            return values
+
+        values = drive(sim, before())
+        free = log.free_bytes
+        reborn, _ = make_store(sim, ssd=ssd, num_segments=2,
+                               key_log_bytes=8 << 10,
+                               value_log_bytes=64 << 10)
+
+        def recover_and_check():
+            report = yield from recover_store(reborn)
+            for key, value in values.items():
+                got = yield from reborn.get(key)
+                assert got.ok and got.value == value, (key, got.status)
+            written = yield from reborn.put(keys[-1], b"after")
+            assert written.ok, written.status
+            return report
+
+        report = drive(sim, recover_and_check())
+        assert report.live_objects == len(keys)
+        assert report.key_log_tail - report.key_log_head == log.size - free
+
     def test_randomized_crash_consistency(self, sim):
         """Property-style: any prefix of operations, then crash, then
         recovery reproduces exactly the surviving dict state."""

@@ -101,3 +101,38 @@ class TestLockBit:
         sim.process(waiter())
         sim.run()
         assert table.lock_waits == 1
+
+    def test_uncontended_locking_allocates_no_waiter_queue(self, sim):
+        table = SegTbl(sim, 4)
+
+        def proc():
+            for seg_id in range(4):
+                assert table.try_lock(seg_id)
+                table.unlock(seg_id)
+                yield table.lock(seg_id)
+                table.unlock(seg_id)
+
+        drive(sim, proc())
+        assert all(entry._waiters is None for entry in table.entries)
+        assert table.lock_waits == 0
+
+    def test_contended_waiters_are_granted_in_arrival_order(self, sim):
+        table = SegTbl(sim, 4)
+        granted = []
+
+        def worker(name, arrive):
+            yield sim.timeout(arrive)
+            yield table.lock(1)
+            granted.append((name, sim.now))
+            yield sim.timeout(10)
+            table.unlock(1)
+
+        for name, arrive in (("a", 0), ("b", 1), ("c", 2), ("d", 2)):
+            sim.process(worker(name, arrive))
+        sim.run()
+        assert granted == [("a", 0), ("b", 10), ("c", 20), ("d", 30)]
+        assert table.lock_waits == 3
+        assert table.entries[1]._waiters is not None
+        assert all(table.entries[seg_id]._waiters is None
+                   for seg_id in (0, 2, 3))
+        assert table.try_lock(1)

@@ -137,6 +137,41 @@ class TestYCSBMixes:
         assert w1.next_operation().key.startswith(b"left")
         assert w2.next_operation().key.startswith(b"right")
 
+    @staticmethod
+    def _unmemoised(workload):
+        """``workload`` drawing each key as it did before the rank and
+        key memos: ``fnv1a_64`` and ``make_key`` on every draw."""
+        chooser = workload._chooser
+        if isinstance(chooser, ScrambledZipfianGenerator):
+            def draw():
+                return fnv1a_64(chooser._zipf.next()) % chooser.n
+        else:
+            draw = chooser.next
+        workload._existing_key = lambda: make_key(draw(), workload.key_prefix)
+        return workload
+
+    @pytest.mark.parametrize("distribution,skew", [
+        (None, 0.5), (None, 0.99), ("uniform", 0.99)])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_key_memos_leave_the_streams_alone(self, name, distribution,
+                                               skew):
+        """Same operations, and both random streams in the same state
+        after them, as with every key generated afresh."""
+        for seed in range(20):
+            ours, reference = (
+                YCSBWorkload(name, 300, value_size=8, skew=skew,
+                             distribution=distribution, seed=seed)
+                for _ in range(2))
+            self._unmemoised(reference)
+            assert (list(ours.operations(400))
+                    == list(reference.operations(400)))
+            assert ours.rng.random() == reference.rng.random()
+            streams = [getattr(w._chooser, "_zipf", w._chooser).rng
+                       for w in (ours, reference)]
+            assert streams[0].random() == streams[1].random()
+            assert len(ours._keys) <= 300
+            assert len(getattr(ours._chooser, "_items", ())) <= 300
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
             YCSBWorkload("Z", 10)
