@@ -311,15 +311,10 @@ class FawnDataStore:
 
     # -- log cleaning --------------------------------------------------------------------
 
-    def needs_key_compaction(self) -> bool:
-        return self.log.fill_fraction() >= self.config.compact_high_watermark
-
-    def needs_value_compaction(self) -> bool:
-        return False
-
     def maintenance(self):
         """Generator: clean the log when the watermark demands it."""
-        if not self.needs_key_compaction() or self._cleaning:
+        if (self.log.fill_fraction() < self.config.compact_high_watermark
+                or self._cleaning):
             return 0
         reclaimed = yield from self.clean()
         return reclaimed

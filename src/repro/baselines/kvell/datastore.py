@@ -343,14 +343,9 @@ class KVellDataStore:
         collected.extend(batch)
         return collected
 
-    def needs_key_compaction(self) -> bool:
-        return False  # in-place updates: KVell never compacts
-
-    def needs_value_compaction(self) -> bool:
-        return False
-
     def maintenance(self):
-        """Generator: no-op (kept for engine/runtime symmetry)."""
+        """Generator: no-op — in-place updates, KVell never compacts
+        (kept for engine/runtime symmetry)."""
         return 0
         yield  # pragma: no cover
 

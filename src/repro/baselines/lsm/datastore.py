@@ -374,15 +374,9 @@ class LsmDataStore:
             return None
         return pairs
 
-    def needs_key_compaction(self) -> bool:
-        return len(self.levels[0]) > self.config.l0_limit
-
-    def needs_value_compaction(self) -> bool:
-        return False
-
     def maintenance(self):
         """Generator: compact L0 when over its run limit."""
-        if self.needs_key_compaction():
+        if len(self.levels[0]) > self.config.l0_limit:
             yield from self._compact_level(0)
             return 1
         return 0

@@ -75,7 +75,7 @@ class BlockingStore:
             yield self.sim.timeout(60.0)
 
 
-def _run_with_compactor(workload_def, subcompactions: int, prefetch: bool,
+def _run_with_compactor(workload_def, subcompactions: int,
                         num_records: int, num_ops: int,
                         seed: int = 13) -> float:
     label, mix, dist, skew = workload_def
@@ -83,14 +83,12 @@ def _run_with_compactor(workload_def, subcompactions: int, prefetch: bool,
         "leed", value_size=256, seed=seed,
         store_kwargs={"config": _pressure_config()})
     compactor = Compactor(single.store,
-                          CompactionConfig(prefetch=prefetch,
-                                           subcompactions=subcompactions))
+                          CompactionConfig(subcompactions=subcompactions))
     single.sim.process(compactor.maintenance_loop(poll_us=100.0),
                        name="fig13.maint")
     preload_store(single, num_records, 256)
     workload = YCSBWorkload(mix, num_records, value_size=256,
                             distribution=dist, skew=skew or 0.99, seed=seed)
-    from repro.workloads.driver import ClosedLoopDriver
     blocking = BlockingStore(single.sim, single.store)
     driver = ClosedLoopDriver(single.sim, blocking, workload, num_ops,
                               concurrency=24)
@@ -109,7 +107,7 @@ def run_intra(scale: str = QUICK) -> ExperimentResult:
         columns=["workload", "subcompactions", "kqps"])
     for workload_def in WORKLOAD_DEFS:
         for count in counts:
-            kqps = _run_with_compactor(workload_def, count, True,
+            kqps = _run_with_compactor(workload_def, count,
                                        num_records, num_ops) / 1e3
             result.add(workload=workload_def[0], subcompactions=count,
                        kqps=kqps)
@@ -164,8 +162,8 @@ def run_inter(scale: str = QUICK) -> ExperimentResult:
                         store = compactor.store
                         if slots[0] >= limit:
                             break
-                        if (store.needs_key_compaction()
-                                or store.needs_value_compaction()):
+                        if (store.needs_compaction(store.key_log)
+                                or store.needs_compaction(store.value_log)):
                             slots[0] += 1
 
                             def one(compactor=compactor, slots=slots):

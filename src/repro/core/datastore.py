@@ -595,16 +595,10 @@ class LeedDataStore:
 
     # -- occupancy & maintenance signals ----------------------------------------------
 
-    def needs_key_compaction(self) -> bool:
-        """True when the key log is past its high watermark (polled by
-        every maintenance pass: ``fill_fraction`` spelled out)."""
-        log = self.key_log
-        return ((log.tail - log.head) / log.size
-                >= self.config.compact_high_watermark)
-
-    def needs_value_compaction(self) -> bool:
-        """True when the value log is past its high watermark."""
-        log = self.value_log
+    def needs_compaction(self, log: CircularLog) -> bool:
+        """True when ``log`` (the key or the value log) is past its high
+        watermark (polled by every maintenance pass: ``fill_fraction``
+        spelled out)."""
         return ((log.tail - log.head) / log.size
                 >= self.config.compact_high_watermark)
 

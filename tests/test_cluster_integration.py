@@ -277,6 +277,7 @@ class TestOneSelectorPerDecision:
         (LeedOptions, {"enable_crrs": False}),
         (LeedOptions, {"wal_enabled": False}),
         (StoreConfig, {"max_chain": 1}),
+        (CompactionConfig, {"prefetch": False}),
         (Simulator, {"sanitize": True}),
     ], ids=lambda value: getattr(value, "__name__", None) or next(iter(value)))
     def test_removed_spellings_fail_loudly(self, build, spelling):
@@ -290,4 +291,4 @@ class TestOneSelectorPerDecision:
     def test_field_counts(self):
         assert [len(fields(config)) for config in (
             ClusterConfig, LeedOptions, StoreConfig, CompactionConfig)
-        ] == [19, 7, 5, 2]
+        ] == [19, 7, 5, 1]

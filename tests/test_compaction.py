@@ -1,12 +1,14 @@
 """Tests for key-log and value-log compaction (§3.3.1)."""
 
-import random
-
 import pytest
 
 from repro.core.compaction import CompactionConfig, Compactor
 from repro.core.datastore import LeedDataStore, StoreConfig
-from repro.core.segment import key_hash, peek_segment_header
+from repro.core.segment import (
+    VALUE_ENTRY_HEADER,
+    key_hash,
+    peek_segment_header,
+)
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.rng import RngRegistry
 
@@ -42,29 +44,13 @@ class TestKeyLogCompaction:
             for _round in range(8):
                 yield from fill(store, 20)
             before = store.key_log.used_bytes
-            reclaimed = yield from compactor.compact_key_log(target_fill=0.1)
+            reclaimed = yield from compactor.compact(store.key_log,
+                                                     target_fill=0.1)
             return before, reclaimed
 
         before, reclaimed = drive(sim, proc())
         assert reclaimed > 0
         assert store.key_log.used_bytes < before
-
-    def test_data_survives_compaction(self, sim):
-        store = make_store(sim)
-        compactor = Compactor(store)
-
-        def proc():
-            for _round in range(6):
-                yield from fill(store, 25)
-            yield from compactor.compact_key_log(target_fill=0.05)
-            for index in range(25):
-                got = yield from store.get(b"key-%04d" % index)
-                assert got.ok and got.value == b"v" * 64
-            return compactor.stats
-
-        stats = drive(sim, proc())
-        assert stats.segments_scanned > 0
-        assert stats.key_rounds == 1
 
     def test_tombstones_purged(self, sim):
         store = make_store(sim)
@@ -74,7 +60,7 @@ class TestKeyLogCompaction:
             yield from fill(store, 20)
             for index in range(10):
                 yield from store.delete(b"key-%04d" % index)
-            yield from compactor.compact_key_log(target_fill=0.0)
+            yield from compactor.compact(store.key_log, target_fill=0.0)
             # Deleted keys stay deleted; live keys stay live.
             for index in range(10):
                 got = yield from store.get(b"key-%04d" % index)
@@ -86,7 +72,60 @@ class TestKeyLogCompaction:
 
         assert drive(sim, proc()) > 0
 
-    def test_subcompaction_workers_produce_same_result(self, sim):
+
+def churn(store, rounds, keys):
+    """Generator: ``rounds`` overwrites of ``keys`` keys, each round's
+    values distinct, so a stale read-back shows."""
+    for round_index in range(rounds):
+        for index in range(keys):
+            result = yield from store.put(b"key-%04d" % index,
+                                          b"r%02d" % round_index + b"v" * 61)
+            assert result.ok, result.status
+
+
+def read_back(store, keys):
+    """Generator: ``{index: (status, value)}`` of every key."""
+    values = {}
+    for index in range(keys):
+        got = yield from store.get(b"key-%04d" % index)
+        values[index] = got.status, got.value
+    return values
+
+
+LOGS = ("key_log", "value_log")
+
+
+class TestBothLogs:
+    """One round body serves both logs: the same guarantees hold on
+    each."""
+
+    @pytest.mark.parametrize("log_name", LOGS)
+    def test_data_survives_compaction(self, sim, log_name):
+        store = make_store(sim)
+        compactor = Compactor(store)
+        log = getattr(store, log_name)
+
+        def proc():
+            yield from churn(store, 6, 25)
+            reclaimed = yield from compactor.compact(log, target_fill=0.0)
+            return reclaimed, (yield from read_back(store, 25))
+
+        reclaimed, values = drive(sim, proc())
+        assert values == {index: ("ok", b"r05" + b"v" * 61)
+                          for index in range(25)}
+        assert reclaimed > 0
+        stats = compactor.stats
+        if log_name == "key_log":
+            assert stats.segments_scanned > 0
+            assert (stats.key_rounds, stats.value_rounds) == (1, 0)
+        else:
+            assert stats.values_scanned == 150
+            assert (stats.key_rounds, stats.value_rounds) == (0, 1)
+        assert not compactor._active
+
+    @pytest.mark.parametrize("log_name", LOGS)
+    def test_subcompaction_workers_produce_same_result(self, sim, log_name):
+        results = {}
         for workers in (1, 4):
             sim2 = type(sim)()
             store = make_store(sim2)
@@ -94,36 +133,21 @@ class TestKeyLogCompaction:
                 subcompactions=workers))
 
             def proc():
-                for _round in range(5):
-                    yield from fill(store, 30)
-                yield from compactor.compact_key_log(target_fill=0.05)
-                values = {}
-                for index in range(30):
-                    got = yield from store.get(b"key-%04d" % index)
-                    values[index] = got.status
-                return values
+                yield from churn(store, 5, 30)
+                yield from compactor.compact(getattr(store, log_name),
+                                             target_fill=0.0)
+                return (yield from read_back(store, 30))
 
             process = sim2.process(proc())
-            values = sim2.run(until=process)
-            assert all(status == "ok" for status in values.values())
+            results[workers] = sim2.run(until=process)
+        assert results[1] == results[4] == {
+            index: ("ok", b"r04" + b"v" * 61) for index in range(30)}
 
-    def test_prefetch_toggle_equivalent_outcome(self, sim):
-        results = {}
-        for prefetch in (True, False):
-            sim2 = type(sim)()
-            store = make_store(sim2)
-            compactor = Compactor(store, CompactionConfig(prefetch=prefetch))
-
-            def proc():
-                for _round in range(4):
-                    yield from fill(store, 20)
-                reclaimed = yield from compactor.compact_key_log(
-                    target_fill=0.05)
-                return reclaimed
-
-            process = sim2.process(proc())
-            results[prefetch] = sim2.run(until=process)
-        assert results[True] == results[False]
+    def test_refuses_a_log_of_another_store(self, sim):
+        compactor = Compactor(make_store(sim))
+        with pytest.raises(ValueError, match="not a log of"):
+            next(compactor.compact(make_store(sim).value_log))
+        assert not compactor._active
 
 
 class TestValueLogCompaction:
@@ -135,8 +159,8 @@ class TestValueLogCompaction:
             for _round in range(6):
                 yield from fill(store, 15, value_size=200)
             before = store.value_log.used_bytes
-            reclaimed = yield from compactor.compact_value_log(
-                target_fill=0.05)
+            reclaimed = yield from compactor.compact(
+                store.value_log, target_fill=0.05)
             return before, reclaimed
 
         before, reclaimed = drive(sim, proc())
@@ -150,7 +174,7 @@ class TestValueLogCompaction:
             yield from fill(store, 20, value_size=150)
             # A little churn so the head has a mix of live and dead.
             yield from fill(store, 5, value_size=150)
-            yield from compactor.compact_value_log(target_fill=0.0)
+            yield from compactor.compact(store.value_log, target_fill=0.0)
             for index in range(20):
                 got = yield from store.get(b"key-%04d" % index)
                 assert got.ok, (index, got.status)
@@ -167,11 +191,44 @@ class TestValueLogCompaction:
         def proc():
             yield from fill(store, 10, value_size=100)
             yield from store.delete(b"key-0003")
-            yield from compactor.compact_value_log(target_fill=0.0)
+            yield from compactor.compact(store.value_log, target_fill=0.0)
             got = yield from store.get(b"key-0003")
             return got.status
 
         assert drive(sim, proc()) == "not_found"
+
+    def test_head_waits_for_a_locked_group(self, sim):
+        """In-order commit: while one group's segment lock is held, the
+        value-log head never passes that group's first entry, though
+        the other workers relocate the groups behind it."""
+        store = make_store(sim)
+        compactor = Compactor(store, CompactionConfig(subcompactions=4))
+        log = store.value_log
+        heads = []
+
+        def proc():
+            yield from churn(store, 6, 25)
+            first = log.head
+            _owner, seg_id, _klen, _vlen = VALUE_ENTRY_HEADER.unpack(
+                (yield from log.read(first, VALUE_ENTRY_HEADER.size)))
+            yield store.segtbl.lock(seg_id)
+            round_proc = sim.process(compactor.compact(log, target_fill=0.0))
+            for _poll in range(50):
+                yield sim.timeout(100.0)
+                heads.append(log.head)
+            relocated = compactor.stats.values_relocated
+            assert not round_proc.processed
+            store.segtbl.unlock(seg_id)
+            reclaimed = yield round_proc
+            return first, relocated, reclaimed, (yield from read_back(store,
+                                                                     25))
+
+        first, relocated, reclaimed, values = drive(sim, proc())
+        assert set(heads) == {first}
+        assert relocated > 0  # the other workers went on meanwhile
+        assert reclaimed > 0 and log.head > first
+        assert values == {index: ("ok", b"r05" + b"v" * 61)
+                          for index in range(25)}
 
 
 class TestCompactionFailsSoft:
@@ -180,51 +237,67 @@ class TestCompactionFailsSoft:
     run): the round is abandoned, counted, and a later round finishes
     the job without losing a value."""
 
-    KEYS = 40
-
     def _fill_key_log_to_reserve(self, store):
-        """Generator: overwrite until client PUTs hit the key-log reserve."""
-        for round_no in range(200):
-            for index in range(self.KEYS):
-                result = yield from store.put(
-                    b"key-%04d" % index, b"%03d" % round_no + b"v" * 60)
-                if result.status == "store_full":
-                    return
-                assert result.ok, result.status
+        """Generator: write fresh keys until client PUTs hit the key-log
+        reserve; returns the keys written.  Every value entry is then
+        live, so a head that passes one it did not move loses a key."""
+        keys = []
+        for index in range(200):
+            key = b"key-%04d" % index
+            result = yield from store.put(key, b"v" * 63)
+            if result.status == "store_full":
+                return keys
+            assert result.ok, result.status
+            keys.append(key)
         raise AssertionError("key log never reached its reserve")
 
     def test_value_round_abandoned_when_key_log_is_full(self, sim):
+        """The owner's key log has only the compactor reserve left:
+        value relocations that rewrite segments retry, give up and
+        abandon the round; the head stays before every value that was
+        not moved."""
         store = make_store(sim, key_log_bytes=32 << 10,
                            value_log_bytes=1 << 20)
         compactor = Compactor(store)
+        value_log = store.value_log
+        segments = store.config.num_segments
 
-        def snapshot():
+        def snapshot(keys):
             values = {}
-            for index in range(self.KEYS):
-                got = yield from store.get(b"key-%04d" % index)
-                assert got.ok, (index, got.status)
-                values[index] = got.value
+            for key in keys:
+                got = yield from store.get(key)
+                assert got.ok, (key, got.status)
+                values[key] = got.value
             return values
 
+        def voffset(key):
+            """Where ``key``'s value lives now."""
+            location = store.segtbl.location(key_hash(key) % segments)
+            return store._segments[location[0]].find(key).voffset
+
         def proc():
-            yield from self._fill_key_log_to_reserve(store)
-            before = yield from snapshot()
+            keys = yield from self._fill_key_log_to_reserve(store)
+            before = yield from snapshot(keys)
+            end_tail = value_log.tail
             # Relocating every live value rewrites its segment into
             # the key log, which only has the compactor reserve left.
-            yield from compactor.compact_value_log(target_fill=0.0)
-            aborted = store.stats.compaction_aborted
-            assert (yield from snapshot()) == before
-            # Once the key log has room again the retry completes.
-            yield from compactor.compact_key_log(target_fill=0.0)
-            yield from compactor.compact_value_log(target_fill=0.0)
-            assert (yield from snapshot()) == before
-            return aborted
+            yield from compactor.compact(value_log, target_fill=0.0)
+            assert store.stats.compaction_aborted == 1
+            stayed = [offset for offset in map(voffset, keys)
+                      if offset < end_tail]
+            assert stayed, "every value moved: nothing was abandoned"
+            assert value_log.head <= min(stayed)
+            assert (yield from snapshot(keys)) == before
+            # Once the key log has room again a later round finishes.
+            yield from compactor.compact(store.key_log, target_fill=0.0)
+            yield from compactor.compact(value_log, target_fill=0.0)
+            assert store.stats.compaction_aborted == 1
+            assert value_log.head > max(stayed)
+            assert (yield from snapshot(keys)) == before
 
-        assert drive(sim, proc()) >= 1
-        assert store.stats.compaction_aborted >= 1
-        assert compactor.stats.value_rounds >= 1
-        assert not compactor._value_round_active
-
+        drive(sim, proc())
+        assert compactor.stats.value_rounds == 2
+        assert not compactor._active
 
     def test_key_round_abandoned_when_no_commit_can_free_room(self, sim):
         """A 100 %-full key log whose head entry is live: the lone
@@ -257,14 +330,14 @@ class TestCompactionFailsSoft:
             head_segment, _chain = peek_segment_header(
                 (yield from log.read(log.head, log.block_size)))
             assert store.segtbl.location(head_segment)[0] == log.head
-            return (yield from compactor.compact_key_log(target_fill=0.0))
+            return (yield from compactor.compact(log, target_fill=0.0))
 
         round_proc = sim.process(proc(), name="round")
         sim.run(until=1_000_000.0)
         assert round_proc.processed, "key-log round still retrying"
         assert round_proc.value == 0
         assert store.stats.compaction_aborted == 1
-        assert not compactor._key_round_active
+        assert not compactor._active
         assert log.free_bytes == 0
 
         def readback():
@@ -334,7 +407,7 @@ class TestSwapMergeBack:
             # Merge back happens when the PEER compacts its value log.
             home.value_router = LeedDataStore._home_value_router
             compactor = Compactor(peer)
-            yield from compactor.compact_value_log(target_fill=0.0)
+            yield from compactor.compact(peer.value_log, target_fill=0.0)
             got = yield from home.get(b"swapped")
             assert got.ok and got.value == b"payload"
             return compactor.stats.values_merged_home

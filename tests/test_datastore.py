@@ -382,8 +382,8 @@ class TestTwoClocks:
 
         def setup():
             for lap in range(600):
-                if store.needs_key_compaction():
-                    yield from compactor.compact_key_log()
+                if store.needs_compaction(store.key_log):
+                    yield from compactor.compact(store.key_log)
                 key = self.LIVE[lap % len(self.LIVE)]
                 assert (yield from store.put(key, b"v-" + key)).ok
                 if lap >= len(self.LIVE) and self._wraps(store, key):

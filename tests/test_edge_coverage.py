@@ -66,8 +66,8 @@ class TestRecoveryEdgeCases:
                         if result.ok:
                             break
                         # Key log at its reserve: reclaim and retry.
-                        yield from compactor.compact_key_log(
-                            target_fill=0.2)
+                        yield from compactor.compact(
+                            store.key_log, target_fill=0.2)
                 round_index += 1
             return round_index - 1
 

@@ -155,7 +155,7 @@ class TestRecovery:
                 for index in range(20):
                     yield from store.put(
                         b"k%02d" % index, b"r%d" % round_index)
-            yield from compactor.compact_key_log(target_fill=0.05)
+            yield from compactor.compact(store.key_log, target_fill=0.05)
 
         drive(sim, before())
         reborn, _ = make_store(sim, ssd=ssd)
@@ -196,7 +196,7 @@ class TestRecovery:
                 key = keys[step % len(keys)]
                 result = yield from store.put(key, b"v%d" % step)
                 if not result.ok:
-                    yield from compactor.compact_key_log(0.0)
+                    yield from compactor.compact(log, 0.0)
                     result = yield from store.put(key, b"v%d" % step)
                 assert result.ok, result.status
                 step += 1

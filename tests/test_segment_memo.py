@@ -141,14 +141,17 @@ class World:
             return (yield from home.get(key))
         if kind == "get_at":
             return home.get_at(key)
-        if kind == "kcompact":
-            return (yield from self.compactors[0].compact_key_log(0.0))
-        if kind == "vcompact":
-            return (yield from self.compactors[0].compact_value_log(0.0))
+        if kind in ("kcompact", "vcompact"):
+            compactor = self.compactors[0]
+            log = (compactor.store.key_log if kind == "kcompact"
+                   else compactor.store.value_log)
+            return (yield from compactor.compact(log, 0.0))
         if kind == "merge":
             # The peer's value log holds home's swapped values: its
             # compaction repoints them home (§3.6 merge-back).
-            return (yield from self.compactors[1].compact_value_log(0.0))
+            compactor = self.compactors[1]
+            return (yield from compactor.compact(compactor.store.value_log,
+                                                 0.0))
         if kind == "scan":
             return (yield from home.scan(stamp=lambda _key: self.sim.now))
         assert kind == "swap"
