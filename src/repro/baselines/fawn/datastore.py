@@ -93,6 +93,9 @@ class FawnDataStore:
         self.live_objects = 0
         self._dram_label = name + ".index"
         self._cleaning = False
+        #: Called with this store by a write that finds the log past
+        #: the high watermark (see :mod:`repro.core.compaction`).
+        self.on_pressure = None
         self._serial = Resource(sim, 1, name + ".sync") \
             if config.synchronous_io else None
         if config.index_budget_bytes is not None:
@@ -129,14 +132,11 @@ class FawnDataStore:
             self.dram.resize(self._dram_label,
                              max(current - FAWN_INDEX_BYTES_PER_OBJECT, 0))
 
-    def index_footprint_bytes(self) -> int:
-        """Modeled DRAM used by the hash index."""
-        return len(self.index) * FAWN_INDEX_BYTES_PER_OBJECT
-
     # -- commands ----------------------------------------------------------------------
 
-    def get(self, key: bytes):
-        """Generator: GET — one device read (synchronous by default)."""
+    def get(self, key: bytes, trace=None):
+        """Generator: GET — one device read (synchronous by default).
+        ``trace`` is accepted and ignored: FAWN runs untraced."""
         if self._serial is not None:
             yield self._serial.acquire()
         try:
@@ -186,8 +186,9 @@ class FawnDataStore:
         self.stats.op_latency_us["get"] += result.total_us
         return result
 
-    def put(self, key: bytes, value: bytes):
+    def put(self, key: bytes, value: bytes, trace=None):
         """Generator: PUT — one device write (synchronous by default)."""
+        self._check_pressure()
         if self._serial is not None:
             yield self._serial.acquire()
         try:
@@ -238,8 +239,9 @@ class FawnDataStore:
         self.stats.op_latency_us["put"] += result.total_us
         return result
 
-    def delete(self, key: bytes):
+    def delete(self, key: bytes, trace=None):
         """Generator: DEL — tombstone append (synchronous by default)."""
+        self._check_pressure()
         if self._serial is not None:
             yield self._serial.acquire()
         try:
@@ -310,6 +312,13 @@ class FawnDataStore:
         return collected
 
     # -- log cleaning --------------------------------------------------------------------
+
+    def _check_pressure(self) -> None:
+        """At every write's start: kick ``on_pressure`` when the log
+        is past the high watermark."""
+        if (self.on_pressure is not None and self.log.fill_fraction()
+                >= self.config.compact_high_watermark):
+            self.on_pressure(self)
 
     def maintenance(self):
         """Generator: clean the log when the watermark demands it."""

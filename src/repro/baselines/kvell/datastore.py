@@ -202,8 +202,10 @@ class KVellDataStore:
 
     # -- commands -----------------------------------------------------------------------
 
-    def get(self, key: bytes):
-        """Generator: GET — B-tree descent + one slot read."""
+    def get(self, key: bytes, trace=None):
+        """Generator: GET — B-tree descent + one slot read.  ``trace``
+        is accepted and ignored (also by :meth:`put` and
+        :meth:`delete`): KVell runs untraced."""
         start = self.sim.now
         self.stats.gets += 1
         slot, visited = self.index.search(key)
@@ -247,7 +249,7 @@ class KVellDataStore:
         self.stats.op_latency_us["get"] += result.total_us
         return result
 
-    def put(self, key: bytes, value: bytes):
+    def put(self, key: bytes, value: bytes, trace=None):
         """Generator: PUT — B-tree upsert + one in-place slot write."""
         frame = self._frame(key, value)
         if len(frame) > self.config.slot_bytes:
@@ -293,7 +295,7 @@ class KVellDataStore:
         self.stats.op_latency_us["put"] += result.total_us
         return result
 
-    def delete(self, key: bytes):
+    def delete(self, key: bytes, trace=None):
         """Generator: DEL — B-tree tombstone + slot recycled to the
         free list (metadata-only; no data write needed)."""
         start = self.sim.now
@@ -316,7 +318,7 @@ class KVellDataStore:
         self.stats.op_latency_us["del"] += result.total_us
         return result
 
-    # -- scan (COPY substrate) & maintenance --------------------------------------------------
+    # -- scan (COPY substrate) -----------------------------------------------------------------
 
     def scan(self, predicate=None, batch_size: int = 32, visit=None):
         """Generator: iterate live pairs via slot reads."""
@@ -342,12 +344,6 @@ class KVellDataStore:
             return None
         collected.extend(batch)
         return collected
-
-    def maintenance(self):
-        """Generator: no-op — in-place updates, KVell never compacts
-        (kept for engine/runtime symmetry)."""
-        return 0
-        yield  # pragma: no cover
 
     def __repr__(self):
         return "<KVellDataStore %s live=%d slots=%d/%d>" % (

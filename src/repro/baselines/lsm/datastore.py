@@ -120,6 +120,10 @@ class LsmDataStore:
         #: per write once the memtable has flushed; scans give truth).
         self.live_objects = 0
         self._flushing = False
+        #: Called with this store by a write that finds L0 over its
+        #: run limit and no flush merging it (see
+        #: :mod:`repro.core.compaction`).
+        self.on_pressure = None
 
     # -- helpers -----------------------------------------------------------------
 
@@ -158,17 +162,24 @@ class LsmDataStore:
 
     # -- commands ---------------------------------------------------------------------
 
-    def put(self, key: bytes, value: bytes):
-        """Generator: WAL append + memtable insert; maybe flush."""
+    def put(self, key: bytes, value: bytes, trace=None):
+        """Generator: WAL append + memtable insert; maybe flush.
+        ``trace`` is accepted and ignored (also by :meth:`get` and
+        :meth:`delete`): the LSM runs untraced."""
         if not value:
             raise ValueError("empty values are reserved as tombstones")
         return (yield from self._write(key, value, "put"))
 
-    def delete(self, key: bytes):
+    def delete(self, key: bytes, trace=None):
         """Generator: tombstone write."""
         return (yield from self._write(key, None, "del"))
 
     def _write(self, key: bytes, value: Optional[bytes], op: str):
+        # A flush merges the L0 it overfills itself; a second merge of
+        # the same runs would release their extents twice.
+        if (self.on_pressure is not None and not self._flushing
+                and len(self.levels[0]) > self.config.l0_limit):
+            self.on_pressure(self)
         start = self.sim.now
         self.stats.puts += op == "put"
         self.stats.dels += op == "del"
@@ -219,7 +230,7 @@ class LsmDataStore:
         self.stats.op_latency_us[op] += result.total_us
         return result
 
-    def get(self, key: bytes):
+    def get(self, key: bytes, trace=None):
         """Generator: memtable, then L0 newest-first, then each level."""
         start = self.sim.now
         self.stats.gets += 1

@@ -20,7 +20,7 @@ from repro.bench.harness import (
     drive_store,
     preload_store,
 )
-from repro.core.compaction import Compactor
+from repro.core.compaction import Compactor, Trigger
 from repro.core.datastore import StoreConfig
 from repro.hw.cpu import Core
 from repro.hw.platforms import STINGRAY
@@ -59,19 +59,15 @@ def run(scale: str = QUICK, value_size: int = 256) -> ExperimentResult:
                     "leed", value_size=value_size,
                     capacity_bytes=256 << 20, seed=9)
                 compactor = Compactor(single.store)
-                single.sim.process(compactor.maintenance_loop(200.0),
-                                   name="ablation.maint")
+                single.store.on_pressure = Trigger(
+                    single.sim, lambda _store, compactor=compactor:
+                    compactor.maintenance(), name="ablation.maint")
             else:
                 single = _build_lsm(value_size, seed=9)
                 single.store.core = single.core
-
-                def lsm_maintenance(store=single.store, sim=single.sim):
-                    while True:
-                        yield sim.timeout(200.0)
-                        yield from store.maintenance()
-
-                single.sim.process(lsm_maintenance(),
-                                   name="ablation.lsm.maint")
+                single.store.on_pressure = Trigger(
+                    single.sim, lambda store: store.maintenance(),
+                    name="ablation.lsm.maint")
             preload_store(single, num_records, value_size)
             workload = YCSBWorkload(workload_name, num_records,
                                     value_size=value_size,

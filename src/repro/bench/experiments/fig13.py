@@ -22,7 +22,7 @@ from repro.bench.harness import (
     drive_store,
     preload_store,
 )
-from repro.core.compaction import CompactionConfig, Compactor
+from repro.core.compaction import CompactionConfig, Compactor, Trigger
 from repro.core.datastore import StoreConfig
 from repro.hw.cpu import Core
 from repro.hw.platforms import STINGRAY
@@ -84,8 +84,9 @@ def _run_with_compactor(workload_def, subcompactions: int,
         store_kwargs={"config": _pressure_config()})
     compactor = Compactor(single.store,
                           CompactionConfig(subcompactions=subcompactions))
-    single.sim.process(compactor.maintenance_loop(poll_us=100.0),
-                       name="fig13.maint")
+    single.store.on_pressure = Trigger(
+        single.sim, lambda _store: compactor.maintenance(),
+        name="fig13.maint")
     preload_store(single, num_records, 256)
     workload = YCSBWorkload(mix, num_records, value_size=256,
                             distribution=dist, skew=skew or 0.99, seed=seed)
@@ -117,8 +118,8 @@ def run_intra(scale: str = QUICK) -> ExperimentResult:
 def run_inter(scale: str = QUICK) -> ExperimentResult:
     """Figure 13b: co-scheduled compactions across partitions.
 
-    Four partitions share one SSD; a coordinator allows at most K
-    partitions to compact concurrently.
+    Four partitions share one SSD; their writes kick one trigger that
+    lets at most K partitions compact concurrently.
     """
     num_records = 450 if scale == QUICK else 600
     num_ops = 2400 if scale == QUICK else 9600
@@ -138,7 +139,12 @@ def run_inter(scale: str = QUICK) -> ExperimentResult:
             cores = [Core(sim, STINGRAY.freq_ghz, core_id=i)
                      for i in range(partitions)]
             singles = []
-            compactors = []
+            compactors = {}
+            # At most ``limit`` concurrent compaction rounds.
+            trigger = Trigger(
+                sim, lambda store, compactors=compactors:
+                compactors[store].maintenance(),
+                limit=limit, name="fig13b.compact")
             config = _pressure_config()
             for index in range(partitions):
                 single = build_single_store(
@@ -148,32 +154,9 @@ def run_inter(scale: str = QUICK) -> ExperimentResult:
                         "config": config,
                         "region_offset": index * config.total_bytes()})
                 singles.append(single)
-                compactors.append(Compactor(single.store,
-                                            CompactionConfig()))
-
-            # Coordinator: round-robin maintenance, at most ``limit``
-            # concurrent compaction rounds.
-            slots = [0]
-
-            def coordinator():
-                while True:
-                    yield sim.timeout(150.0)
-                    for compactor in compactors:
-                        store = compactor.store
-                        if slots[0] >= limit:
-                            break
-                        if (store.needs_compaction(store.key_log)
-                                or store.needs_compaction(store.value_log)):
-                            slots[0] += 1
-
-                            def one(compactor=compactor, slots=slots):
-                                try:
-                                    yield from compactor.maintenance()
-                                finally:
-                                    slots[0] -= 1
-                            sim.process(one(), name="fig13b.compact")
-
-            sim.process(coordinator(), name="fig13b.coord")
+                compactors[single.store] = Compactor(single.store,
+                                                     CompactionConfig())
+                single.store.on_pressure = trigger
             for index, single in enumerate(singles):
                 preload_store(single, num_records, 256,
                               key_prefix="p%d-user" % index,

@@ -57,7 +57,7 @@ class ScaleProfile:
     num_segments: int = 256
 
 
-def scale_profile(scale: str = QUICK, value_size: int = 1024) -> ScaleProfile:
+def scale_profile(scale: str = QUICK) -> ScaleProfile:
     """A consistent scaled-down geometry for cluster experiments."""
     if scale == QUICK:
         return ScaleProfile(
@@ -180,7 +180,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     :func:`repro.baselines.make_cluster` (the explorer's ``cluster``
     dimensions); ``None`` keeps the scale's SSD count.
     """
-    profile = scale_profile(scale, value_size)
+    profile = scale_profile(scale)
     if system == "leed":
         store = StoreConfig(num_segments=profile.num_segments,
                             key_log_bytes=profile.key_log_bytes,

@@ -175,9 +175,10 @@ class LeedCluster:
     def shutdown(self) -> None:
         """Stop background processes so the event heap can drain.
 
-        Stops every JBOF's heartbeat/maintenance loop, the control
-        plane's failure monitor, and the metrics sampler.  Idempotent;
-        also invoked when the cluster is used as a context manager.
+        Stops every JBOF (its heartbeat loop exits, and its writes no
+        longer start compaction), the control plane's failure monitor,
+        and the metrics sampler.  Idempotent; also invoked when the
+        cluster is used as a context manager.
         """
         if self._shut_down:
             return

@@ -24,12 +24,22 @@ head without any extra index.  Value-log entries carry ``owner_id``
 and ``seg_id``, which also lets the compactor merge *swapped* values
 back to their home SSD (§3.6).
 
+Nothing polls.  Every store checks its maintenance condition at the
+start of every write — LEED a log past ``compact_high_watermark``,
+FAWN its log, the LSM an L0 over ``l0_limit`` — and calls its
+``on_pressure`` hook, a :class:`Trigger`, when it holds.  The trigger
+starts its host's maintenance body inside that write's dispatch, or
+drops the kick when the host is already busy: the next write kicks
+again.  The check runs before the write can be refused, so a full log
+whose PUTs all end ``store_full`` still restarts compaction.
+
 Which runs compact which log: Fig. 13 (``repro.bench.experiments.fig13``)
-compacts only the value log; leedbench's ``ycsb_wr_compact`` and Fig. 9
-(node join/leave, 2 rounds at quick scale) compact only the key log; no
-other figure, scenario golden, explore trial, the sanitizer or the
-determinism verifier compacts either.  A change to one log's functions
-moves only the runs that compact that log.
+compacts only the value log; leedbench's ``ycsb_wr_compact``, Fig. 9
+(node join/leave) and the sanitizer's compacting run (``python -m
+repro.lint.sanitize -w WR --ops 12000``) compact only the key log; no
+other figure, scenario golden or explore trial compacts either.  A
+change to one log's functions moves only the runs that compact that
+log.
 """
 
 from __future__ import annotations
@@ -114,8 +124,8 @@ class Compactor:
         Fails soft: a re-append that still finds no room after
         ``APPEND_RETRIES`` back-offs (no commit freed any) abandons the
         round without advancing past the entry it was moving, counted
-        in ``StoreStats.compaction_aborted``; the next maintenance poll
-        retries.
+        in ``StoreStats.compaction_aborted``; the next write that finds
+        the log past its watermark starts another.
         """
         store = self.store
         if log is not store.key_log and log is not store.value_log:
@@ -376,8 +386,34 @@ class Compactor:
                 ran += yield from self.compact(log)
         return ran
 
-    def maintenance_loop(self, poll_us: float = 200.0):
-        """Generator: background maintenance process for one store."""
-        while True:
-            yield self.sim.timeout(poll_us)
-            yield from self.maintenance()
+
+class Trigger:
+    """The ``on_pressure`` hook of one host's stores: a kick from
+    ``store`` runs ``body(store)`` — the host's maintenance pass — as a
+    process started inside the kicking write's dispatch.
+
+    At most ``limit`` bodies run at once, and at most one per kicking
+    store; a kick beyond that is dropped, since the next write kicks
+    again.
+    """
+
+    def __init__(self, sim: Simulator, body, limit: int = 1,
+                 name: str = "maintenance"):
+        self.sim = sim
+        self.body = body
+        self.limit = limit
+        self.name = name
+        #: The stores whose kick started a body that is still running.
+        self.running: Set[object] = set()
+
+    def __call__(self, store) -> None:
+        running = self.running
+        if len(running) < self.limit and store not in running:
+            running.add(store)
+            self.sim.process_inline(self._run(store), name=self.name)
+
+    def _run(self, store):
+        try:
+            yield from self.body(store)
+        finally:
+            self.running.discard(store)

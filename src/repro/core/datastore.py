@@ -100,7 +100,8 @@ class StoreStats:
     key_log_garbage_bytes: int = 0
     value_garbage_bytes: int = 0
     #: Compaction rounds abandoned because a re-append found its log
-    #: full; the next maintenance poll retries.
+    #: full; the next write that finds the log past its watermark
+    #: starts another.
     compaction_aborted: int = 0
     ssd_time_us: float = 0.0
     cpu_time_us: float = 0.0
@@ -115,10 +116,6 @@ ValueRouter = Callable[["LeedDataStore", bytes, bytes], tuple]
 
 class LeedDataStore:
     """One LEED partition: key log + value log + SegTbl."""
-
-    #: This store's commands accept a ``trace=`` kwarg (the engine
-    #: checks this before passing one; baseline stores do not set it).
-    TRACE_AWARE = True
 
     def __init__(self, sim: Simulator, ssd: NVMeSSD, config: StoreConfig,
                  region_offset: int = 0, dram: Optional[Dram] = None,
@@ -163,6 +160,11 @@ class LeedDataStore:
         self.peer_stores: Dict[int, "LeedDataStore"] = {store_id: self}
         #: Live object count (for occupancy reporting).
         self.live_objects = 0
+        #: Called with this store by a write that finds a log it may
+        #: append to past the high watermark (a compaction
+        #: :class:`~repro.core.compaction.Trigger`); None: nobody
+        #: compacts this store.
+        self.on_pressure: Optional[Callable[["LeedDataStore"], None]] = None
         #: The decoded form of every live key-log entry, by virtual
         #: offset: the segment ``_write_segment`` packed (or
         #: ``recover_store`` decoded), equal to ``Segment.unpack`` of
@@ -425,7 +427,11 @@ class LeedDataStore:
         write slower than the read).  Reference clock only.  All
         statistics are recorded in the one finish block, once the
         outcome is known: a refused write leaves accounting untouched.
+        Before any of it the write checks for compaction pressure
+        (:meth:`needs_maintenance`), also when it is then refused.
         """
+        if self.on_pressure is not None and self.needs_maintenance():
+            self.on_pressure(self)
         sim = self.sim
         block = self.key_log.block_size
         segtbl = self.segtbl
@@ -597,10 +603,24 @@ class LeedDataStore:
 
     def needs_compaction(self, log: CircularLog) -> bool:
         """True when ``log`` (the key or the value log) is past its high
-        watermark (polled by every maintenance pass: ``fill_fraction``
-        spelled out)."""
+        watermark (``fill_fraction`` spelled out)."""
         return ((log.tail - log.head) / log.size
                 >= self.config.compact_high_watermark)
+
+    def needs_maintenance(self) -> bool:
+        """True when a log a write may append to is past its high
+        watermark: the key log, or any value log a value may land in —
+        the home one and, with swapping (§3.6), every co-located
+        peer's, which swapped writes fill without their owner
+        writing.  Every write asks: ``needs_compaction`` spelled out."""
+        high = self.config.compact_high_watermark
+        log = self.key_log
+        if (log.tail - log.head) / log.size >= high:
+            return True
+        for log in self.peer_value_logs.values():
+            if (log.tail - log.head) / log.size >= high:
+                return True
+        return False
 
     def __repr__(self):
         return ("<LeedDataStore %s live=%d klog=%.0f%% vlog=%.0f%%>"

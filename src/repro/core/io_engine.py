@@ -277,17 +277,13 @@ class PartitionIOEngine:
     STORE_FULL_BACKOFF_US = 150.0
 
     def _invoke(self, command: KVCommand, trace):
-        """The store-call generator for one command.
-
-        Only stores that declare ``TRACE_AWARE`` receive the trace
-        kwarg — baseline stores (FAWN, KVell) keep their plain
-        signatures and simply run untraced below the engine spans.
-        """
-        kwargs = {} if trace is None else {"trace": trace}
+        """The store-call generator for one command.  Every store takes
+        ``trace``; the baselines (FAWN, KVell, LSM) ignore it and run
+        untraced below the engine spans."""
         if command.op == "put":
-            return self.store.put(command.key, command.value, **kwargs)
+            return self.store.put(command.key, command.value, trace=trace)
         call = self.store.get if command.op == "get" else self.store.delete
-        return call(command.key, **kwargs)
+        return call(command.key, trace=trace)
 
     def _execute(self, command: KVCommand):
         """Generator: run an admitted command to completion.  With a
@@ -295,20 +291,17 @@ class PartitionIOEngine:
         executor process) the outcome goes to the event; without one
         it runs in its caller's process and store errors propagate."""
         exec_ctx = None
-        trace = None
         if command.trace is not None:
             exec_ctx = command.trace.child("engine.exec." + command.op,
                                            cat="engine")
-            if getattr(self.store, "TRACE_AWARE", False):
-                trace = exec_ctx
         try:
-            result = yield from self._invoke(command, trace)
+            result = yield from self._invoke(command, exec_ctx)
             if command.op == "put":
                 for _attempt in range(self.STORE_FULL_RETRIES):
                     if result.status != "store_full":
                         break
                     yield self.sim.timeout(self.STORE_FULL_BACKOFF_US)
-                    result = yield from self._invoke(command, trace)
+                    result = yield from self._invoke(command, exec_ctx)
         except Exception as exc:
             if exec_ctx is not None:
                 exec_ctx.finish({"error": type(exc).__name__})

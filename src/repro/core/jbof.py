@@ -16,7 +16,10 @@ The node implements:
 * hop-counter view validation with NACKs (§3.8.1);
 * the COPY primitive for join/leave data migration;
 * intra-JBOF data swapping of overloaded writes (§3.6);
-* heartbeats to the control plane.
+* heartbeats to the control plane;
+* compaction: a write that finds a hosted store's log past its
+  watermark kicks one maintenance pass over every vnode, at most one
+  pass at a time and none while the node is down (no poll).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import partial
 from itertools import cycle
 from typing import Dict, List, Optional
 
-from repro.core.compaction import Compactor
+from repro.core.compaction import Compactor, Trigger
 from repro.core.datastore import LeedDataStore, OpResult, StoreConfig
 from repro.core.hashring import HashRing, VNode
 from repro.core.io_engine import (
@@ -181,9 +184,6 @@ class VNodeRuntime:
 class JBOFNode:
     """A SmartNIC JBOF running the LEED stack."""
 
-    #: Background compaction poll period, µs.
-    MAINTENANCE_POLL_US = 500.0
-
     def __init__(self, sim: Simulator, network: Network, address: str,
                  spec: PlatformSpec = STINGRAY, num_ssds: int = 4,
                  vnodes_per_ssd: int = 1,
@@ -227,6 +227,10 @@ class JBOFNode:
         self._net_core = cycle(self._net_cores).__next__
         self._control_core = self.cpu[spec.num_cores - 1]
 
+        #: Every hosted store's ``on_pressure`` hook (through
+        #: :meth:`_on_pressure`): one maintenance pass at a time.
+        self._maintenance = Trigger(sim, self._maintenance_pass,
+                                    name=address + ".maintenance")
         #: vnode_id -> runtime; changed through :meth:`install_vnode`
         #: and :meth:`_handle_vnode_retire`, which keep the store ->
         #: runtime index the swap router reads in step.
@@ -245,10 +249,9 @@ class JBOFNode:
         #: Software identity, bumped by :meth:`upgrade` during rolling
         #: upgrades (scenario hooks; purely reporting).
         self.software_version = "v1"
-        #: Whether the background loops are live — :meth:`recover`
-        #: respawns any that exited while the node was down.
+        #: Whether the heartbeat loop is live — :meth:`recover`
+        #: respawns it if it exited while the node was down.
         self._heartbeat_running = False
-        self._maintenance_running = False
         #: Active migration mirrors: src vnode -> list of
         #: {"arcs", "dst_vnode", "dst_address"}.  While a COPY is in
         #: flight, writes committed here in those arcs are also shipped
@@ -291,12 +294,15 @@ class JBOFNode:
 
     def install_vnode(self, runtime: VNodeRuntime) -> None:
         """Host ``runtime`` under its vnode id, replacing the runtime
-        (and forgetting the store) hosted there before."""
+        (and forgetting the store) hosted there before.  A store with a
+        compactor kicks this node's maintenance from its writes."""
         previous = self.vnodes.get(runtime.vnode_id)
         if previous is not None:
             self._runtime_by_store.pop(previous.store, None)
         self.vnodes[runtime.vnode_id] = runtime
         self._runtime_by_store[runtime.store] = runtime
+        if runtime.compactor is not None:
+            runtime.store.on_pressure = self._on_pressure
 
     def _make_vnode(self, vnode_id: str, ssd: NVMeSSD, ssd_index: int,
                     slot: int, store_id: int) -> VNodeRuntime:
@@ -696,18 +702,14 @@ class JBOFNode:
         self.policy.on_membership_change(update)
 
     def _spawn_background(self) -> None:
-        """Start the maintenance and heartbeat loops (idempotent).
+        """Start the heartbeat loop (idempotent).
 
-        Called at construction and again by :meth:`recover`: the loops
-        exit when they observe a dead node, so a node that comes back
-        after a crash or power cycle needs them respawned.  The
-        ``_running`` flags guard against double-spawning when recovery
-        lands before a loop's next wakeup.
+        Called at construction and again by :meth:`recover`: the loop
+        exits when it observes a dead node, so a node that comes back
+        after a crash or power cycle needs it respawned.  The
+        ``_running`` flag guards against double-spawning when recovery
+        lands before the loop's next wakeup.
         """
-        if not self._maintenance_running:
-            self._maintenance_running = True
-            self.sim.process(self._maintenance(),
-                             name=self.address + ".maintenance")
         if self.control_plane_address is not None \
                 and not self._heartbeat_running:
             self._heartbeat_running = True
@@ -724,23 +726,25 @@ class JBOFNode:
             self.rpc.notify(self.control_plane_address, "heartbeat", beat,
                             beat.wire_bytes())
 
-    def _maintenance(self):
-        """Background compaction driver for all hosted stores."""
-        while True:
-            yield self.sim.timeout(self.MAINTENANCE_POLL_US)
-            if not self.alive:
-                self._maintenance_running = False
-                return
-            for runtime in list(self.vnodes.values()):
-                if runtime.compactor is not None:
-                    yield from runtime.compactor.maintenance()
+    def _on_pressure(self, store) -> None:
+        """A hosted store's write found a log past its watermark: kick
+        a maintenance pass, unless the node is down."""
+        if self.alive:
+            self._maintenance(store)
+
+    def _maintenance_pass(self, _store):
+        """Generator: compact whatever the watermarks demand on every
+        hosted store, one vnode after the other."""
+        for runtime in list(self.vnodes.values()):
+            yield from runtime.compactor.maintenance()
 
     # -- failure injection -------------------------------------------------------------------
 
     def stop(self) -> None:
-        """Graceful shutdown: heartbeat and maintenance loops exit at
-        their next poll.  Unlike :meth:`crash` the node stays on the
-        network, so in-flight responses still drain."""
+        """Graceful shutdown: the heartbeat loop exits at its next
+        beat and writes no longer start compaction.  Unlike
+        :meth:`crash` the node stays on the network, so in-flight
+        responses still drain."""
         self.alive = False
 
     def _handle_node_stop(self, src: str, body) -> None:

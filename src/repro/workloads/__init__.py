@@ -6,7 +6,6 @@ from repro.workloads.driver import (
     OpenLoopDriver,
     merge_stats,
 )
-from repro.workloads.trace import Trace
 from repro.workloads.ycsb import (
     DEFAULT_SKEW,
     WORKLOADS,
@@ -24,7 +23,6 @@ from repro.workloads.zipf import (
 )
 
 __all__ = [
-    "Trace",
     "YCSBWorkload",
     "WorkloadSpec",
     "Operation",

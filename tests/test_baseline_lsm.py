@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.baselines.lsm.bloom import BloomFilter
 from repro.baselines.lsm.datastore import LsmConfig, LsmDataStore
 from repro.baselines.lsm.sstable import DELETED, write_sstable
+from repro.core.compaction import Trigger
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.rng import RngRegistry
 
@@ -184,6 +185,50 @@ class TestLsmStore:
 
         pairs = drive(sim, proc())
         assert pairs  # data survived the merge cascade
+
+    def test_writes_kick_one_l0_merge_at_a_time(self, sim):
+        """Concurrent writers while a flush merges an overfull L0 do not
+        kick a second merge of the same runs (it would release their
+        extents twice); an L0 left over its limit outside a flush is
+        merged by the next write's kick."""
+        store = make_store(sim)
+        store.on_pressure = Trigger(sim, lambda lsm: lsm.maintenance())
+        merging = []
+        overlaps = []
+        compact_level = store._compact_level
+
+        def tracked(level):
+            # A merge cascading into the next level nests; only a
+            # second merge of the same level overlaps.
+            overlaps.append(merging.count(level))
+            merging.append(level)
+            try:
+                yield from compact_level(level)
+            finally:
+                merging.remove(level)
+
+        store._compact_level = tracked
+
+        def writer(offset):
+            for index in range(150):
+                result = yield from store.put(b"w%d-%04d" % (offset, index),
+                                              b"v" * 32)
+                assert result.ok
+
+        sim.run(until=sim.all_of([sim.process(writer(offset))
+                                  for offset in range(4)]))
+        assert store.stats.compactions > 0
+        assert overlaps == [0] * len(overlaps)
+        # L0 over a limit lowered under it, no flush running: the
+        # next write kicks the merge.
+        while len(store.levels[0]) < 2:
+            drive(sim, writer(len(store.levels[0]) + 10))
+        store.config.l0_limit = 1
+        merges = store.stats.compactions
+        drive(sim, store.put(b"kick", b"v"))
+        sim.run()
+        assert store.stats.compactions == merges + 1
+        assert not store.levels[0]
 
     def test_write_amplification_tracked(self, sim):
         store = make_store(sim)

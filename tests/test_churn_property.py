@@ -1,7 +1,7 @@
 """Property-based churn tests: store + compaction never lose data.
 
 Hypothesis drives random operation sequences against a small store
-with background compaction constantly repacking both logs; after the
+whose writes keep starting compaction rounds that repack both logs; after the
 dust settles, the store must agree exactly with a dict reference.
 This is the invariant everything else (replication, COPY, recovery)
 builds on.
@@ -12,7 +12,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.compaction import CompactionConfig, Compactor
+from repro.core.compaction import CompactionConfig, Compactor, Trigger
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.scenarios import (Phase, Scenario, Segment, inject,
@@ -33,7 +33,7 @@ def build(seed, subcompactions=2):
         compact_low_watermark=0.3))
     compactor = Compactor(store, CompactionConfig(
         subcompactions=subcompactions))
-    sim.process(compactor.maintenance_loop(poll_us=80.0), name="maint")
+    store.on_pressure = Trigger(sim, lambda _store: compactor.maintenance())
     return sim, store, compactor
 
 

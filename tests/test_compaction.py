@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.compaction import CompactionConfig, Compactor
+from repro.core.cluster import ClusterConfig, LeedCluster
+from repro.core.compaction import CompactionConfig, Compactor, Trigger
 from repro.core.datastore import LeedDataStore, StoreConfig
+from repro.core.jbof import LeedOptions
 from repro.core.segment import (
     VALUE_ENTRY_HEADER,
     key_hash,
@@ -233,7 +235,7 @@ class TestValueLogCompaction:
 
 class TestCompactionFailsSoft:
     """A full key log must not crash the value compactor (it used to
-    let LogFullError escape ``JBOFNode._maintenance`` and abort the
+    let LogFullError escape the node's maintenance pass and abort the
     run): the round is abandoned, counted, and a later round finishes
     the job without losing a value."""
 
@@ -352,7 +354,8 @@ class TestMaintenance:
     def test_watermark_triggers(self, sim):
         store = make_store(sim, key_log_bytes=32 << 10)
         compactor = Compactor(store)
-        sim.process(compactor.maintenance_loop(poll_us=50.0))
+        store.on_pressure = Trigger(sim,
+                                    lambda _store: compactor.maintenance())
 
         def proc():
             for _round in range(12):
@@ -413,3 +416,181 @@ class TestSwapMergeBack:
             return compactor.stats.values_merged_home
 
         assert drive(sim, proc()) == 1
+
+
+def press(sim, store, prefix=b"press", value_size=64):
+    """Write fresh keys to ``store`` until a log it may append to is
+    past its watermark.  Every write checked before it appended, so
+    none has found the log past it yet: no round has started."""
+    index = 0
+    while not store.needs_maintenance():
+        result = drive(sim, store.put(b"%s-%05d" % (prefix, index),
+                                      b"v" * value_size))
+        assert result.ok, result.status
+        index += 1
+
+
+def first_step_of_a_write(store):
+    """Run one more PUT up to its first yield — its pressure check and
+    hash-lookup slice — outside any dispatch, then drop it."""
+    write = store.put(b"kick", b"k" * 64)
+    next(write)
+    write.close()
+
+
+class TestTrigger:
+    """One trigger starts every compaction: a write that finds a log
+    past its watermark kicks the host's maintenance pass."""
+
+    def test_first_write_past_the_watermark_starts_the_round(self, sim):
+        store = make_store(sim, key_log_bytes=32 << 10)
+        compactor = Compactor(store)
+        store.on_pressure = Trigger(sim,
+                                    lambda _store: compactor.maintenance())
+        press(sim, store)
+        assert not compactor._active and compactor.stats.key_rounds == 0
+        dispatched = sim.events_dispatched
+        first_step_of_a_write(store)
+        assert sim.events_dispatched == dispatched
+        assert compactor._active == {store.key_log}
+        sim.run()
+        assert compactor.stats.key_rounds == 1
+        assert not store.needs_maintenance()
+
+    def test_write_to_a_full_log_starts_the_round(self, sim):
+        """A key log held at its reserve refuses PUTs ``store_full``, so
+        they append nothing.  The check runs before that: a PUT there
+        still starts the round, which frees the room the PUT needs.
+        (Checked after the append, nothing would restart compaction.)"""
+        store = make_store(sim, key_log_bytes=32 << 10)
+        compactor = Compactor(store)
+
+        def fill_to_reserve():
+            for index in range(1000):
+                result = yield from store.put(b"key-%05d" % index, b"v" * 64)
+                if result.status == "store_full":
+                    return
+            raise AssertionError("key log never reached its reserve")
+
+        drive(sim, fill_to_reserve())
+        store.on_pressure = Trigger(sim,
+                                    lambda _store: compactor.maintenance())
+        assert drive(sim, store.put(b"kick", b"v" * 64)).ok
+        sim.run()
+        assert compactor.stats.key_rounds == 1
+
+
+def pressure_cluster():
+    """Three JBOFs whose 1 MB key logs reach their watermark after
+    ~200 PUTs; heartbeats off."""
+    cluster = LeedCluster(ClusterConfig(
+        num_jbofs=3, ssds_per_jbof=2, num_clients=1,
+        store=StoreConfig(num_segments=64, key_log_bytes=1 << 20,
+                          value_log_bytes=256 << 10),
+        options=LeedOptions(heartbeat_period_us=1e9), seed=0))
+    cluster.start()
+    cluster.sim.run(until=10_000.0)  # membership pushes land
+    return cluster
+
+
+class TestNodeTrigger:
+    def test_idle_cluster_dispatches_no_maintenance_events(self):
+        cluster = pressure_cluster()
+        sim = cluster.sim
+        # The control plane's failure monitor and one heartbeat per
+        # JBOF wait on the schedule; nothing polls the logs.
+        assert sim.pending_events == 1 + len(cluster.jbofs)
+        sim.run(until=1_000_000.0)
+        assert sim.pending_events == 1 + len(cluster.jbofs)
+        assert all(runtime.compactor.stats.key_rounds == 0
+                   and runtime.compactor.stats.value_rounds == 0
+                   for node in cluster.jbofs
+                   for runtime in node.vnodes.values())
+
+    def test_node_runs_one_pass_at_a_time(self):
+        """A kick while the node's pass runs is dropped; the running
+        pass goes on to compact every vnode that needs it."""
+        cluster = pressure_cluster()
+        sim = cluster.sim
+        node = cluster.jbofs[0]
+        first, second = (node.vnodes[vnode_id]
+                         for vnode_id in sorted(node.vnodes))
+        press(sim, first.store, b"first")
+        press(sim, second.store, b"second")
+        first_step_of_a_write(first.store)
+        assert node._maintenance.running == {first.store}
+        assert first.compactor._active == {first.store.key_log}
+        first_step_of_a_write(second.store)
+        assert node._maintenance.running == {first.store}
+        assert not second.compactor._active
+        sim.run(until=sim.now + 200_000.0)
+        assert not node._maintenance.running
+        assert first.compactor.stats.key_rounds == 1
+        assert second.compactor.stats.key_rounds == 1
+        assert not first.store.needs_maintenance()
+        assert not second.store.needs_maintenance()
+
+    @pytest.mark.parametrize("down", ["crash", "stop"])
+    def test_node_down_starts_no_round(self, down):
+        cluster = pressure_cluster()
+        sim = cluster.sim
+        node = cluster.jbofs[0]
+        runtime = node.vnodes[sorted(node.vnodes)[0]]
+        press(sim, runtime.store)
+        getattr(node, down)()
+        first_step_of_a_write(runtime.store)
+        assert not node._maintenance.running
+        assert not runtime.compactor._active
+        node.alive = True  # back up (what ``recover`` sets)
+        first_step_of_a_write(runtime.store)
+        assert runtime.compactor._active == {runtime.store.key_log}
+
+    def test_every_installed_vnode_kicks_its_node(self):
+        """``install_vnode`` (Fig. 9's new vnodes), ``power_restore``,
+        ``upgrade`` and ``add_jbof`` all host stores whose writes kick
+        their node's maintenance."""
+        cluster = pressure_cluster()
+        sim = cluster.sim
+
+        def hooked(node):
+            return all(runtime.store.on_pressure == node._on_pressure
+                       for runtime in node.vnodes.values())
+
+        host = cluster.jbofs[0]
+        joined = host._make_vnode(host.address + "/pnew", host.ssds[-1],
+                                  len(host.ssds) - 1, 1, 50)
+        host.install_vnode(joined)
+        cluster.power_fail_jbof(1)
+        drive(sim, cluster.power_restore_jbof(1))
+        cluster.jbofs[2].upgrade("v2")
+        drive(sim, cluster.add_jbof())
+        assert len(cluster.jbofs) == 4
+        for node in cluster.jbofs:
+            assert hooked(node), node.address
+        press(sim, joined.store)
+        first_step_of_a_write(joined.store)
+        assert joined.compactor._active == {joined.store.key_log}
+
+    def test_value_log_filled_by_swapped_writes_is_compacted(self):
+        """Swapped values fill a peer's value log while the peer itself
+        takes no write: the swapping store's writes see that log and
+        kick the node, whose pass compacts it and merges the values
+        home (§3.6)."""
+        cluster = pressure_cluster()
+        sim = cluster.sim
+        node = cluster.jbofs[0]
+        home, peer = (node.vnodes[vnode_id]
+                      for vnode_id in sorted(node.vnodes))
+        home.store.value_router = (
+            lambda store, key, value: (peer.store.store_id,
+                                       peer.store.value_log))
+        press(sim, home.store, value_size=4096)
+        assert home.store.needs_compaction(peer.store.value_log)
+        assert not home.store.needs_compaction(home.store.key_log)
+        home.store.value_router = LeedDataStore._home_value_router
+        first_step_of_a_write(home.store)
+        assert peer.compactor._active == {peer.store.value_log}
+        sim.run(until=sim.now + 200_000.0)
+        assert peer.compactor.stats.value_rounds == 1
+        assert peer.compactor.stats.values_merged_home > 0
+        assert not home.store.needs_compaction(peer.store.value_log)

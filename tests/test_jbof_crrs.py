@@ -294,9 +294,7 @@ class TestWritePathEventBudget:
             del sim.process_inline
         return sim.events_dispatched - before, spawned
 
-    def test_put_and_delete_stay_inside_their_budget(self, monkeypatch):
-        # No background polls inside the measured windows.
-        monkeypatch.setattr(JBOFNode, "MAINTENANCE_POLL_US", 1e9)
+    def test_put_and_delete_stay_inside_their_budget(self):
         cluster = small_cluster(heartbeat_period_us=1e9)
         client = cluster.clients[0]
         key = b"budget-key"

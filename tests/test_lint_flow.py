@@ -520,6 +520,29 @@ class TestOrderDependenceSanitizer:
             assert probe.keys_verified == probe.keys_checked == 60
             assert not probe.mismatches
 
+    def test_compacting_run_is_invariant_across_permutations(self,
+                                                            monkeypatch):
+        """12 000 WR ops on the smoke shape fill key logs past their
+        watermark: every ordering runs trigger-started key-log rounds
+        and still reads back the same figure (CI's compacting step)."""
+        from repro.bench.harness import build_cluster
+        from repro.lint import sanitize
+        clusters = []
+
+        def recording_build_cluster(*args, **kwargs):
+            clusters.append(build_cluster(*args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(sanitize, "build_cluster",
+                            recording_build_cluster)
+        report = sanitize.verify("WR", permutations=2, ops=12_000)
+        assert report.clean, report.format()
+        assert len(clusters) == 3
+        for cluster in clusters:
+            assert sum(runtime.compactor.stats.key_rounds
+                       for node in cluster.jbofs
+                       for runtime in node.vnodes.values()) >= 1
+
     def test_same_sanitize_seed_reproduces_schedule(self):
         from repro.lint.sanitize import run_probe
         first = run_probe("B", 1, **self.SHAPE)
