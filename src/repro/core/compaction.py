@@ -20,9 +20,11 @@ logs differ in two small functions each: parsing the bytes a scan read
 returns into tasks, and relocating a task under its owning segment's
 lock.  Key-log entries are self-describing (the first bucket header
 carries the segment id and chain length), so the scanner walks the
-head without any extra index.  Value-log entries carry ``owner_id``
-and ``seg_id``, which also lets the compactor merge *swapped* values
-back to their home SSD (§3.6).
+head without any extra index and verifies as it parses: only entries
+the SegTbl still points at are queued, and the worker checks again
+under the segment lock.  Value-log entries carry ``owner_id`` and
+``seg_id``, which also lets the compactor merge *swapped* values back
+to their home SSD (§3.6).
 
 Nothing polls.  Every store checks its maintenance condition at the
 start of every write — LEED a log past ``compact_high_watermark``,
@@ -79,6 +81,9 @@ class CompactionStats:
     value_rounds: int = 0
     segments_scanned: int = 0
     segments_relocated: int = 0
+    #: Scanned entries SegTbl no longer pointed at: committed by the
+    #: scanner, never queued (``segments_scanned`` minus these were).
+    segments_dead: int = 0
     segments_dropped: int = 0
     values_scanned: int = 0
     values_relocated: int = 0
@@ -162,11 +167,14 @@ class Compactor:
         A scanner reads up to ``scan_bytes`` at the scan point — the
         read already in flight when the previous one issued it there
         (prefetch) — and ``parse(offset, blob)`` turns the bytes into
-        tasks and the next scan point.  S workers run
+        tasks and the next scan point; the key log's parse verifies,
+        so a dead entry yields no task.  S workers run
         ``relocate(task)`` concurrently.  A task's first field lists
         the ``(start, end)`` log spans it covers; the head only
         advances past spans whose relocation completed (in-order
-        commit).
+        commit).  A read that yields no task commits its span through
+        the same path, so the head never passes a live entry still
+        being relocated ahead of it.
         """
         sim = self.sim
         workers = max(self.config.subcompactions, 1)
@@ -255,10 +263,15 @@ class Compactor:
 
     def _key_tasks(self, scan: int, first_block: bytes):
         """The entry whose first block was read at ``scan``: one task
-        ``(spans, seg_id, chain_len, first_block)``."""
+        ``(spans, seg_id, chain_len, first_block)`` while SegTbl still
+        points at it, none once a newer write moved the segment."""
         seg_id, chain_len = peek_segment_header(first_block)
-        self.stats.segments_scanned += 1
+        stats = self.stats
+        stats.segments_scanned += 1
         end = scan + chain_len * self.store.key_log.block_size
+        if self.store.segtbl.location(seg_id) != (scan, chain_len):
+            stats.segments_dead += 1
+            return [], end
         return [(((scan, end),), seg_id, chain_len, first_block)], end
 
     def _relocate_segment(self, task):
@@ -268,7 +281,7 @@ class Compactor:
         store = self.store
         segtbl = store.segtbl
         if segtbl.location(seg_id) != (offset, chain_len):
-            return  # dead: a newer write moved the segment
+            return  # died after its scan: a newer write moved it
         if not segtbl.try_lock(seg_id):
             yield segtbl.lock(seg_id)
         try:

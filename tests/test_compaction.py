@@ -152,6 +152,149 @@ class TestBothLogs:
         assert not compactor._active
 
 
+def counting_relocations(compactor):
+    """Wrap ``compactor._relocate_segment``; returns the list of the
+    tasks it was handed."""
+    calls = []
+    relocate = compactor._relocate_segment
+
+    def counted(task):
+        calls.append(task)
+        return (yield from relocate(task))
+
+    compactor._relocate_segment = counted
+    return calls
+
+
+def keys_outside(store, seg_id, count, prefix=b"other"):
+    """``count`` keys none of which hashes to segment ``seg_id``."""
+    segments = store.config.num_segments
+    keys = (b"%s-%04d" % (prefix, index) for index in range(10 * count))
+    return [key for key in keys
+            if key_hash(key) % segments != seg_id][:count]
+
+
+class TestScanTimeLiveness:
+    """The key-log scanner verifies as it parses: an entry SegTbl no
+    longer points at is committed by the scanner and never queued; a
+    live one is queued and checked again under its segment lock."""
+
+    def test_only_live_entries_reach_a_worker(self, sim):
+        store = make_store(sim)
+        compactor = Compactor(store)
+        calls = counting_relocations(compactor)
+        segments = store.config.num_segments
+        # Every PUT appends one entry; each segment's newest is live.
+        live = len({key_hash(b"key-%04d" % index) % segments
+                    for index in range(25)})
+        dead = 6 * 25 - live
+
+        def proc():
+            yield from churn(store, 6, 25)
+            yield from compactor.compact(store.key_log, target_fill=0.0)
+            return (yield from read_back(store, 25))
+
+        values = drive(sim, proc())
+        stats = compactor.stats
+        assert len(calls) == live
+        assert stats.segments_dead == dead
+        assert stats.segments_scanned == dead + live
+        assert stats.segments_relocated == live
+        assert values == {index: ("ok", b"r05" + b"v" * 61)
+                          for index in range(25)}
+
+    def test_head_waits_for_a_locked_live_entry(self, sim):
+        """The dead entries behind a live head entry whose segment lock
+        is held are all scanned, yet the head stays on that entry
+        until its relocation commits."""
+        store = make_store(sim)
+        compactor = Compactor(store, CompactionConfig(subcompactions=4))
+        log = store.key_log
+        segments = store.config.num_segments
+        first_key = b"first"
+        seg_id = key_hash(first_key) % segments
+        others = keys_outside(store, seg_id, 20)
+        live = 1 + len({key_hash(key) % segments for key in others})
+        scanned = 1 + 6 * len(others)
+        heads = []
+
+        def proc():
+            result = yield from store.put(first_key, b"f" * 64)
+            assert result.ok
+            for round_index in range(6):
+                for key in others:
+                    result = yield from store.put(key, b"%02d" % round_index
+                                                  + b"v" * 62)
+                    assert result.ok, result.status
+            first = log.head
+            assert store.segtbl.location(seg_id)[0] == first
+            yield store.segtbl.lock(seg_id)
+            round_proc = sim.process(compactor.compact(log, target_fill=0.0))
+            while compactor.stats.segments_scanned < scanned:
+                yield sim.timeout(100.0)
+                heads.append(log.head)
+            for _poll in range(10):
+                yield sim.timeout(100.0)
+                heads.append(log.head)
+            assert compactor.stats.segments_dead == scanned - live
+            assert compactor.stats.segments_relocated == live - 1
+            assert not round_proc.processed
+            store.segtbl.unlock(seg_id)
+            yield round_proc
+            values = {}
+            for key in [first_key] + others:
+                got = yield from store.get(key)
+                values[key] = got.status, got.value
+            return first, values
+
+        first, values = drive(sim, proc())
+        assert set(heads) == {first}
+        assert log.head > first
+        assert compactor.stats.segments_relocated == live
+        assert values[first_key] == ("ok", b"f" * 64)
+        assert all(values[key] == ("ok", b"05" + b"v" * 62)
+                   for key in others)
+
+    def test_entry_moved_after_its_scan_is_not_reappended(self, sim):
+        """A PUT already waiting on the head entry's segment lock moves
+        the segment after the scan queued the entry: the worker, next
+        in line for the lock, must find it dead and drop the task."""
+        store = make_store(sim)
+        compactor = Compactor(store, CompactionConfig(subcompactions=1))
+        calls = counting_relocations(compactor)
+        log = store.key_log
+        segtbl = store.segtbl
+        key = b"moving"
+        seg_id = key_hash(key) % store.config.num_segments
+
+        def proc():
+            result = yield from store.put(key, b"old" + b"v" * 61)
+            assert result.ok
+            for other in keys_outside(store, seg_id, 10):
+                result = yield from store.put(other, b"v" * 64)
+                assert result.ok
+            assert segtbl.location(seg_id)[0] == log.head
+            yield segtbl.lock(seg_id)
+            put_proc = sim.process(store.put(key, b"new" + b"v" * 61))
+            yield sim.timeout(100.0)
+            assert segtbl.lock_waits == 1  # the PUT waits first
+            round_proc = sim.process(compactor.compact(log, target_fill=0.0))
+            while segtbl.lock_waits < 2:  # then the worker, after its scan
+                yield sim.timeout(10.0)
+            assert calls and calls[0][1] == seg_id
+            segtbl.unlock(seg_id)
+            result = yield put_proc
+            assert result.ok
+            moved_to = segtbl.location(seg_id)
+            yield round_proc
+            assert segtbl.location(seg_id) == moved_to
+            return (yield from store.get(key))
+
+        got = drive(sim, proc())
+        assert got.ok and got.value == b"new" + b"v" * 61
+        assert compactor.stats.segments_relocated == len(calls) - 1
+
+
 class TestValueLogCompaction:
     def test_reclaims_overwritten_values(self, sim):
         store = make_store(sim)
