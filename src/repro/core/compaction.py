@@ -5,26 +5,28 @@ the SSD capacity is fully utilized.  It is heavyweight — it consumes
 compute and I/O bandwidth and can stall PUTs on the same bucket — so
 LEED adds two optimizations, both reproduced here:
 
-* **prefetching**: while compacting entry N, the blocks of entry N+1
-  are already being read, hiding SSD read latency;
+* **prefetching**: the next scan read is in flight while the entries
+  of the current one are verified and queued.  The paper reads entry
+  by entry; here a read covers ``SCAN_BYTES`` (DESIGN.md says why);
 * **sub-compactions**: one compaction is split into S parallel
   workers that pipeline read-verify-append over consecutive entries
   (intra-parallelism, ``CompactionConfig.subcompactions``, Fig. 13a);
   several compactions can also be co-scheduled (inter-parallelism).
 
 One round body serves both logs (:meth:`Compactor._round`): a scanner
-walks from the head with the next read prefetched, a bounded queue
-feeds ``subcompactions`` long-lived workers, and the head advances
-past an entry only once its relocation is done (in-order commit).  The
-logs differ in two small functions each: parsing the bytes a scan read
-returns into tasks, and relocating a task under its owning segment's
-lock.  Key-log entries are self-describing (the first bucket header
-carries the segment id and chain length), so the scanner walks the
-head without any extra index and verifies as it parses: only entries
-the SegTbl still points at are queued, and the worker checks again
-under the segment lock.  Value-log entries carry ``owner_id`` and
-``seg_id``, which also lets the compactor merge *swapped* values back
-to their home SSD (§3.6).
+walks from the head in ``SCAN_BYTES`` reads with the next one
+prefetched, a bounded queue feeds ``subcompactions`` long-lived
+workers, and the head advances past an entry only once its relocation
+is done (in-order commit).  The logs differ in two small functions
+each: parsing the bytes a scan read returns into tasks, and relocating
+a task under its owning segment's lock.  Key-log entries are
+self-describing (the first bucket header carries the segment id and
+chain length), so the scanner walks the head without any extra index
+and verifies as it parses: an entry the SegTbl no longer points at is
+committed by the scanner, a live one is queued with its bytes, and the
+worker checks again under the segment lock.  Value-log entries carry
+``owner_id`` and ``seg_id``, which also lets the compactor merge
+*swapped* values back to their home SSD (§3.6).
 
 Nothing polls.  Every store checks its maintenance condition at the
 start of every write — LEED a log past ``compact_high_watermark``,
@@ -46,7 +48,6 @@ log.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -83,8 +84,14 @@ class CompactionStats:
     segments_relocated: int = 0
     #: Scanned entries SegTbl no longer pointed at: committed by the
     #: scanner, never queued (``segments_scanned`` minus these were).
+    #: ``segments_dead / segments_scanned`` is the dead ratio.
     segments_dead: int = 0
     segments_dropped: int = 0
+    #: Device reads the scanner issued, on both logs.
+    scan_reads: int = 0
+    #: Bytes re-appended by relocation: key-log segments and value-log
+    #: entries (not the segments a value relocation rewrites).
+    bytes_relocated: int = 0
     values_scanned: int = 0
     values_relocated: int = 0
     values_merged_home: int = 0
@@ -111,9 +118,8 @@ class Compactor:
     #: many times, then the round is abandoned.
     APPEND_RETRIES = 20
     APPEND_BACKOFF_US = 100.0
-    #: Bytes one value-log scan read covers (a key-log scan read is one
-    #: block: the next entry's first, whose header gives its length).
-    VALUE_SCAN_BYTES = 64 * 1024
+    #: Bytes one scan read covers, on either log.
+    SCAN_BYTES = 64 * 1024
 
     def compact(self, log: CircularLog, target_fill: Optional[float] = None):
         """Generator: one compaction round on ``log`` — the store's key
@@ -144,6 +150,9 @@ class Compactor:
             target_fill = store.config.compact_low_watermark
         try:
             if log is store.key_log:
+                # The first read is one block: a dead head entry shows
+                # in its header, and its commit frees room before the
+                # reserve check of the write that kicked the round.
                 reclaimed = yield from self._round(
                     log, log.block_size, self._key_tasks,
                     self._relocate_segment, target_fill)
@@ -151,7 +160,7 @@ class Compactor:
                 stats.key_bytes_reclaimed += reclaimed
             else:
                 reclaimed = yield from self._round(
-                    log, self.VALUE_SCAN_BYTES, self._value_tasks,
+                    log, self.SCAN_BYTES, self._value_tasks,
                     self._relocate_values, target_fill)
                 stats.value_rounds += 1
                 stats.value_bytes_reclaimed += reclaimed
@@ -160,23 +169,26 @@ class Compactor:
             stats.busy_time_us += self.sim.now - started
             self._active.discard(log)
 
-    def _round(self, log: CircularLog, scan_bytes: int, parse, relocate,
+    def _round(self, log: CircularLog, first_read: int, parse, relocate,
                target_fill: float):
         """Generator: the compaction pipeline, written once for both logs.
 
-        A scanner reads up to ``scan_bytes`` at the scan point — the
-        read already in flight when the previous one issued it there
-        (prefetch) — and ``parse(offset, blob)`` turns the bytes into
-        tasks and the next scan point; the key log's parse verifies,
-        so a dead entry yields no task.  S workers run
+        A scanner reads ``SCAN_BYTES`` (the round's first read:
+        ``first_read``) at the scan point — the read already in flight
+        when the previous one issued it there (prefetch) — and
+        ``parse(offset, blob)`` turns the bytes into tasks, the spans
+        of dead entries, and the next scan point: at the first entry
+        the read does not hold whole, which the next read covers (twice
+        as long when it alone did not fit).  S workers run
         ``relocate(task)`` concurrently.  A task's first field lists
         the ``(start, end)`` log spans it covers; the head only
         advances past spans whose relocation completed (in-order
-        commit).  A read that yields no task commits its span through
-        the same path, so the head never passes a live entry still
-        being relocated ahead of it.
+        commit).  Dead spans commit through the same path once parsed,
+        so the head never passes a live entry still being relocated
+        ahead of it.
         """
         sim = self.sim
+        stats = self.stats
         workers = max(self.config.subcompactions, 1)
         start_head = log.head
         tasks: Store = Store(sim, capacity=workers * 2)
@@ -212,28 +224,30 @@ class Compactor:
 
         scan = log.head
         end_tail = log.tail  # do not chase our own re-appended entries
+        length = first_read
         prefetched: Optional[tuple] = None  # (offset, held read event)
         while (not abandoned and log.fill_fraction() > target_fill
                and scan < end_tail):
             if prefetched is None or prefetched[0] != scan:
-                blob = yield from log.read(
-                    scan, min(end_tail - scan, scan_bytes))
+                stats.scan_reads += 1
+                blob = yield from log.read(scan, min(end_tail - scan, length))
             elif prefetched[1].processed:
                 blob = prefetched[1].value
             else:
                 blob = yield prefetched[1]
-            found, next_scan = parse(scan, blob)
+            found, dead, next_scan = parse(scan, blob)
+            length = (self.SCAN_BYTES if next_scan > scan
+                      else max(self.SCAN_BYTES, 2 * len(blob)))
             prefetched = None
             if next_scan < end_tail:
-                length = min(end_tail - next_scan, scan_bytes)
-                if next_scan % log.size + length <= log.size:
-                    # Only a read that does not wrap the region is
-                    # held; one aligned key-log block never does.
-                    prefetched = (next_scan,
-                                  log.read_event(next_scan, length))
-            if not found:
-                done[scan] = next_scan  # nothing to move: commit as is
-                advance_commit()
+                read = min(end_tail - next_scan, length)
+                if next_scan % log.size + read <= log.size:
+                    # Only a read that does not wrap the region is held.
+                    stats.scan_reads += 1
+                    prefetched = (next_scan, log.read_event(next_scan, read))
+            for start, end in dead:
+                done[start] = end  # nothing to move: commit as is
+            advance_commit()
             for task in found:
                 yield tasks.put(task)
             scan = next_scan
@@ -261,23 +275,42 @@ class Compactor:
 
     # ------------------------------------------------------------------ key log
 
-    def _key_tasks(self, scan: int, first_block: bytes):
-        """The entry whose first block was read at ``scan``: one task
-        ``(spans, seg_id, chain_len, first_block)`` while SegTbl still
-        points at it, none once a newer write moved the segment."""
-        seg_id, chain_len = peek_segment_header(first_block)
+    def _key_tasks(self, scan: int, blob: bytes):
+        """The key-log entries read at ``scan``: one task ``(spans,
+        seg_id, chain_len, bytes)`` per whole entry SegTbl still points
+        at, and the spans of those it no longer points at — dead, which
+        only takes the header, so one may run past the read.  Stops at
+        a live entry the read does not hold whole."""
+        store = self.store
+        location = store.segtbl.location
+        block = store.key_log.block_size
         stats = self.stats
-        stats.segments_scanned += 1
-        end = scan + chain_len * self.store.key_log.block_size
-        if self.store.segtbl.location(seg_id) != (scan, chain_len):
-            stats.segments_dead += 1
-            return [], end
-        return [(((scan, end),), seg_id, chain_len, first_block)], end
+        view = memoryview(blob)
+        found: List[tuple] = []
+        dead: List[tuple] = []
+        cursor = 0
+        while cursor < len(blob):
+            seg_id, chain_len = peek_segment_header(view[cursor:])
+            offset = scan + cursor
+            end = cursor + chain_len * block
+            if location(seg_id) == (offset, chain_len):
+                if end > len(blob):
+                    break  # the next read starts here
+                found.append((((offset, scan + end),), seg_id, chain_len,
+                              blob[cursor:end]))
+            else:
+                stats.segments_dead += 1
+                if dead and dead[-1][1] == offset:
+                    offset = dead.pop()[0]  # one span per run of dead
+                dead.append((offset, scan + end))
+            stats.segments_scanned += 1
+            cursor = end
+        return found, dead, scan + cursor
 
     def _relocate_segment(self, task):
         """Generator: re-append one live key-log segment at the tail with
         its tombstones dropped, or forget it if nothing live is left."""
-        ((offset, _end),), seg_id, chain_len, first_block = task
+        ((offset, _end),), seg_id, chain_len, blob = task
         store = self.store
         segtbl = store.segtbl
         if segtbl.location(seg_id) != (offset, chain_len):
@@ -289,10 +322,6 @@ class Compactor:
             if segtbl.location(seg_id) != (offset, chain_len):
                 return
             block = store.key_log.block_size
-            blob = first_block
-            if chain_len > 1:
-                blob += yield from store.key_log.read(
-                    offset + block, (chain_len - 1) * block)
             segment = store._segments.get(offset)
             segment = (Segment.unpack(blob, block)
                        if segment is None else segment.clone())
@@ -302,8 +331,10 @@ class Compactor:
                           for bucket in segment.buckets), 1))
             self.stats.tombstones_dropped += segment.drop_tombstones()
             if segment.live_items():
-                yield from self._retrying(store._write_segment, segment)
+                _offset, new_chain = yield from self._retrying(
+                    store._write_segment, segment)
                 self.stats.segments_relocated += 1
+                self.stats.bytes_relocated += new_chain * block
             else:
                 # Fully-deleted segment: forget it.
                 segtbl.update(seg_id, -1, 0)
@@ -317,30 +348,34 @@ class Compactor:
     def _value_tasks(self, scan: int, blob: bytes):
         """The value entries read at ``scan``: one task
         ``(spans, owner, seg_id, entries)`` per ``(owner, seg_id)``
-        group, so a segment is rewritten once per group.  Nothing
-        parseable (zero padding at a wrap, or a torn read) steps over
-        one block defensively."""
+        group, so a segment is rewritten once per group; none are dead
+        here.  Stops at an entry the read does not hold whole.  When no
+        entry starts at ``scan`` (zero padding at a wrap, or a torn
+        read) it steps over one block, as dead."""
         header_size = VALUE_ENTRY_HEADER.size
+        tail = self.store.value_log.tail
         groups: Dict[tuple, List[tuple]] = {}
         cursor = 0
+        runs_past = False
         while cursor + header_size <= len(blob):
-            try:
-                seg_id, key, value, size, owner = unpack_value_entry(
-                    blob, cursor)
-            except struct.error:
+            seg_id, key, value, size, owner = unpack_value_entry(
+                blob, cursor)
+            if size <= header_size or scan + cursor + size > tail:
                 break
-            if size <= header_size or cursor + size > len(blob):
+            if cursor + size > len(blob):
+                runs_past = True
                 break
             self.stats.values_scanned += 1
             groups.setdefault((owner, seg_id), []).append(
                 (scan + cursor, size, key, value))
             cursor += size
-        if not cursor:
-            return [], scan + min(self.store.value_log.block_size, len(blob))
+        if not cursor and not runs_past:
+            step = scan + min(self.store.value_log.block_size, len(blob))
+            return [], [(scan, step)], step
         return [(tuple((offset, offset + size)
                        for offset, size, _key, _value in entries),
                  owner, seg_id, entries)
-                for (owner, seg_id), entries in groups.items()], scan + cursor
+                for (owner, seg_id), entries in groups.items()], [], scan + cursor
 
     def _relocate_values(self, task):
         """Generator: re-append one group's live values to the owner's
@@ -366,7 +401,7 @@ class Compactor:
                 *location)).clone()
             home_log = owner_store.value_log
             dirty = False
-            for offset, _size, key, value in entries:
+            for offset, size, key, value in entries:
                 item = segment.find(key)
                 if (item is None or item.is_tombstone
                         or item.voffset != offset
@@ -382,6 +417,7 @@ class Compactor:
                     owner_store.store_id, item.khash))
                 dirty = True
                 self.stats.values_relocated += 1
+                self.stats.bytes_relocated += size
                 yield store._cpu_event(CYCLE_COSTS["compaction_per_entry"])
             if dirty:
                 yield from self._retrying(owner_store._write_segment, segment)

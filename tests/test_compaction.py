@@ -295,6 +295,37 @@ class TestScanTimeLiveness:
         assert compactor.stats.segments_relocated == len(calls) - 1
 
 
+class TestChunkedScan:
+    """Both logs are scanned in ``SCAN_BYTES`` reads, each parsed into
+    every whole entry it holds."""
+
+    def test_key_round_reads_the_log_in_chunks(self, sim):
+        """N one-block entries take at most ceil(N * 512 / SCAN_BYTES)
+        + 2 device reads: the round's first block, the chunks, and no
+        re-read by a worker."""
+        store = make_store(sim)
+        compactor = Compactor(store)
+        log = store.key_log
+        entries = 6 * 25
+
+        def proc():
+            yield from churn(store, 6, 25)
+            assert log.used_bytes == entries * log.block_size
+            reads = store.ssd.stats.reads_completed
+            yield from compactor.compact(log, target_fill=0.0)
+            reads = store.ssd.stats.reads_completed - reads
+            return reads, (yield from read_back(store, 25))
+
+        reads, values = drive(sim, proc())
+        bound = -(-entries * log.block_size // Compactor.SCAN_BYTES) + 2
+        assert reads == compactor.stats.scan_reads <= bound
+        assert compactor.stats.segments_scanned == entries
+        assert compactor.stats.bytes_relocated == (
+            compactor.stats.segments_relocated * log.block_size)
+        assert values == {index: ("ok", b"r05" + b"v" * 61)
+                          for index in range(25)}
+
+
 class TestValueLogCompaction:
     def test_reclaims_overwritten_values(self, sim):
         store = make_store(sim)
@@ -341,6 +372,32 @@ class TestValueLogCompaction:
             return got.status
 
         assert drive(sim, proc()) == "not_found"
+
+    def test_entry_longer_than_a_scan_read_is_kept(self, sim):
+        """A value entry longer than ``SCAN_BYTES`` is read whole by the
+        next read; it used to parse as nothing, and the blocks stepped
+        over from there passed every entry behind it."""
+        store = make_store(sim)
+        compactor = Compactor(store)
+        big = b"B" * Compactor.SCAN_BYTES
+
+        def proc():
+            result = yield from store.put(b"big", big)
+            assert result.ok
+            yield from fill(store, 20)
+            yield from compactor.compact(store.value_log, target_fill=0.0)
+            values = {b"big": (yield from store.get(b"big"))}
+            for index in range(20):
+                key = b"key-%04d" % index
+                values[key] = yield from store.get(key)
+            return values
+
+        values = drive(sim, proc())
+        assert values[b"big"].ok and values[b"big"].value == big
+        assert all(got.ok and got.value == b"v" * 64
+                   for key, got in values.items() if key != b"big")
+        assert compactor.stats.values_relocated == 21
+        assert store.stats.compaction_aborted == 0
 
     def test_head_waits_for_a_locked_group(self, sim):
         """In-order commit: while one group's segment lock is held, the
