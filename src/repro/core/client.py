@@ -322,9 +322,9 @@ class FrontEndClient:
     def _call(self, body: KVRequest, vnode: VNode, waiter: Event,
               flow_ctx=None) -> None:
         """Issue one KV call (the flow controller's ``send``); its
-        completion callback folds the piggybacked tokens into the flow
-        controller and resolves ``waiter`` — with the reply, or
-        ``None`` for a lost one."""
+        continuation, run where the reply lands, folds the piggybacked
+        tokens into the flow controller and resolves ``waiter`` — with
+        the reply, or ``None`` for a lost one."""
         if flow_ctx is not None:
             flow_ctx.finish()
         # Stamp the attempt's give-up deadline at send time — exactly
@@ -332,29 +332,25 @@ class FrontEndClient:
         # copy that surfaces from a congested queue after this client
         # stopped listening (zombie duplicate of a retried write).
         body.deadline_us = self.sim.now + self.request_timeout_us
-        event = self.rpc.call(vnode.jbof_address, "kv", body,
-                              body.wire_bytes(),
-                              timeout_us=self.request_timeout_us)
         flow = self.flow
         target = vnode.vnode_id
 
-        def finish(evt: Event) -> None:
+        def finish(ok: bool, value) -> None:
             reply: Optional[KVReply] = None
-            if evt._ok:
-                reply = evt._value
+            if ok:
+                reply = value
                 # The reply may come from a different vnode (request
                 # shipping); credit the partition that served us.
                 flow.on_response(reply.served_by or target, reply.tokens)
-            elif isinstance(evt._value, (RpcTimeout, RpcError)):
-                evt.defuse()
-            else:
-                # Not a lost reply: leave it to surface from sim.run.
-                return
+            elif not isinstance(value, RpcError):
+                # Not a lost reply: a bug, surfaced from sim.run.
+                raise value
             flow.on_complete(target)
             if waiter._value is PENDING:
                 waiter.succeed(reply)
 
-        event.callbacks.append(finish)
+        self.rpc.call(vnode.jbof_address, "kv", body, body.wire_bytes(),
+                      timeout_us=self.request_timeout_us, then=finish)
 
     def __repr__(self):
         return "<FrontEndClient %s ops=%d>" % (self.address,

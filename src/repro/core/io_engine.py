@@ -30,7 +30,7 @@ from typing import Deque, Dict, Optional, Set
 
 from repro.core.datastore import LeedDataStore, OpResult
 from repro.sim.core import Simulator
-from repro.sim.events import PENDING, Event
+from repro.sim.events import PENDING, Continuation, Event
 from repro.sim.queues import Store
 from repro.sim.record import Record
 
@@ -175,27 +175,54 @@ class PartitionIOEngine:
     def _await(completion: Event):
         return (yield completion)
 
-    def submit(self, command: KVCommand) -> Event:
+    def submit(self, command: KVCommand,
+               then: Optional[Continuation] = None) -> Optional[Event]:
         """The fused GET (its one caller, the node's KV dispatch, has
-        decided): event form of :meth:`execute` for a caller that is
-        not a process; the event fails where ``execute`` raises.  An
-        untraced GET admitted on arrival at a store with an analytic
-        clock is fully fused: result and completion time are computed
-        synchronously and one scheduled callback retires the command.
-        Anything else queues and runs the reference clock."""
+        decided): continuation form of :meth:`execute` for a caller
+        that is not a process.  The outcome goes to ``then(ok, value)``
+        — the OpResult, or the exception where ``execute`` raises —
+        or, without ``then``, to the returned event.  An untraced GET
+        admitted on arrival at a store with an analytic clock is fully
+        fused: result and completion time are computed synchronously
+        and one scheduled callback retires the command and runs
+        ``then``.  Anything else queues and runs the reference clock."""
         if not (self._arrive(command) and command.op == "get"
                 and command.trace is None and self._get_at is not None):
-            return self._enqueue(command)
+            completion = self._enqueue(command)
+            if then is None:
+                return completion
+            if completion._value is PENDING:
+                completion.callbacks.append(partial(_continue, then))
+            else:
+                _continue(then, completion)
+            return None
+        completion = None
+        if then is None:
+            completion = Event(self.sim)
+            then = completion.settle
         self._admit(command)
-        command.completion = Event(self.sim)
         try:
             result, done = self._get_at(command.key)
         except Exception as exc:
             self._retire(command)
-            return command.completion.fail(exc)
+            then(False, exc)
+            return completion
         retire = self.sim.timeout(done - self.sim.now)
-        retire.callbacks.append(partial(self._finish, command, result))
-        return command.completion
+        retire.callbacks.append(
+            partial(self._retire_fused, command, result, then))
+        return completion
+
+    def _retire_fused(self, command: KVCommand, result: OpResult,
+                      then: Continuation, _event: Event) -> None:
+        """The fused GET's retire dispatch: continue right here, unless
+        the freed tokens woke the scheduler — then one event later, as
+        :meth:`_execute` does, so the woken command is admitted before
+        the reply advertises spare tokens."""
+        if self._complete(command):
+            relay = self.sim.timeout(0.0, result)
+            relay.callbacks.append(partial(_continue, then))
+        else:
+            then(True, result)
 
     def _enqueue(self, command: KVCommand) -> Event:
         """Queue an arrived command (unknown op, full queue: fail it)."""
@@ -314,19 +341,13 @@ class PartitionIOEngine:
             exec_ctx.finish({"status": result.status,
                              "nvme_accesses": result.nvme_accesses})
         if command.completion is not None:
-            self._finish(command, result)
+            self._complete(command)
+            command.completion.succeed(result)
         elif self._complete(command):
             # The freed tokens woke a waiting command: it is admitted
             # before this caller advertises spare tokens in its reply.
             yield self.sim.timeout(0.0)
         return result
-
-    def _finish(self, command: KVCommand, result: OpResult,
-                _event: Optional[Event] = None) -> None:
-        """Complete a command somebody waits for through its event
-        (also the callback of the fused GET's retire timeout)."""
-        self._complete(command)
-        command.completion.succeed(result)
 
     def _complete(self, command: KVCommand) -> bool:
         """Retire a finished command and account its service time."""
@@ -352,6 +373,13 @@ class PartitionIOEngine:
     def __repr__(self):
         return "<PartitionIOEngine %s tokens=%d wait=%d active=%d>" % (
             self.name, self._tokens, len(self.waiting), len(self.active))
+
+
+def _continue(then: Continuation, event: Event) -> None:
+    """Hand a settled event's outcome to the continuation ``then``."""
+    if not event._ok:
+        event.defuse()
+    then(event._ok, event._value)
 
 
 class OverloadError(Exception):

@@ -62,7 +62,6 @@ from repro.net.rpc import RpcEndpoint, RpcRequest
 from repro.net.topology import Network, NicProfile, NIC_100G
 from repro.power.meter import PowerMeter
 from repro.sim.core import Simulator
-from repro.sim.events import PENDING
 from repro.sim.rng import RngRegistry
 
 #: Data-store result status -> wire status (others pass through).
@@ -487,24 +486,18 @@ class JBOFNode:
         if not fused or not self.policy.fast_read_local(runtime, body, chain):
             return self.policy.serve_read(runtime, request, body, chain)
 
-        command = KVCommand("get", body.key, tenant=body.tenant)
-        completion = runtime.engine.submit(command)
-
-        def finish(event) -> None:
-            if event._ok:
-                result = event._value
+        def finish(ok: bool, value) -> None:
+            if ok:
+                result = value
                 self.requests_completed += 1
             else:
-                event.defuse()
                 result = OpResult(STATUS_OVERLOADED)
             runtime.stats.reads_served += 1
             reply = self._reply_for(runtime, body, result)
             self.rpc.respond(request, reply, reply.wire_bytes())
 
-        if completion._value is not PENDING:
-            finish(completion)
-        else:
-            completion.callbacks.append(finish)
+        runtime.engine.submit(KVCommand("get", body.key, tenant=body.tenant),
+                              finish)
         return None
 
     def _respond(self, request: RpcRequest, reply: KVReply) -> None:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.net.rdma import QueuePair, SendCompletion
 from repro.net.topology import Network
 from repro.sim.core import Simulator
-from repro.sim.events import PENDING, Event
+from repro.sim.events import Continuation, Event
 from repro.sim.record import Record
 
 
@@ -77,6 +78,12 @@ ENVELOPE_BYTES = 32
 Handler = Callable[[str, Any], Any]
 
 
+def _close_span(ctx, then: Continuation, ok: bool, value: Any) -> None:
+    """Close a call's ``rpc.<method>`` span, then continue."""
+    ctx.finish()
+    then(ok, value)
+
+
 class RpcEndpoint:
     """A node's RPC runtime: client calls + server handler dispatch."""
 
@@ -86,7 +93,8 @@ class RpcEndpoint:
         self.qp = QueuePair(sim, network, address)
         self._handlers: Dict[str, Handler] = {}
         self._sync_handlers: Dict[str, Handler] = {}
-        self._pending: Dict[int, Event] = {}
+        #: Outstanding calls: request id -> continuation.
+        self._pending: Dict[int, Continuation] = {}
         self._request_ids = itertools.count(1)
         #: Call deadlines, earliest first: ``(deadline, request_id,
         #: dst, method, timeout_us)``.  A response only drops the call
@@ -222,37 +230,45 @@ class RpcEndpoint:
 
     def _on_response_delivery(self, completion) -> None:
         response: RpcResponse = completion.payload
-        waiter = self._pending.pop(completion.imm, None)
-        if waiter is not None and waiter._value is PENDING:
-            if isinstance(response.body, RpcError):
-                waiter.fail(response.body)
-            else:
-                waiter.succeed(response.body)
+        then = self._pending.pop(completion.imm, None)
+        if then is not None:
+            body = response.body
+            then(not isinstance(body, RpcError), body)
 
     def call(self, dst: str, method: str, body: Any, nbytes: int,
-             timeout_us: Optional[float] = None) -> Event:
+             timeout_us: Optional[float] = None,
+             then: Optional[Continuation] = None) -> Optional[Event]:
         """Issue a request; returns an event yielding the response body.
 
-        When ``timeout_us`` is given the event fails with
+        When ``timeout_us`` is given the call fails with
         :class:`RpcTimeout` if no response arrives in time (needed for
         failure handling — a partitioned node never answers).
 
+        With ``then`` no event is made: the outcome goes to
+        ``then(ok, value)`` (:data:`Continuation`) inside the dispatch
+        that delivers the response or fires the deadline, and the call
+        returns None.  The event is that same continuation settling
+        it, so a process yielding it resumes one event later.
+
         Tracing: when ``body`` carries a trace context (duck-typed —
         this layer never imports :mod:`repro.obs`), a ``rpc.<method>``
-        child span opens here and closes when the waiter triggers, on
+        child span opens here and closes when the call settles, on
         the success *and* the timeout path alike; server-side spans
         nest under it because the child context replaces ``body.trace``
         before the envelope is posted.
         """
         request_id = next(self._request_ids)
-        waiter = Event(self.sim)
-        self._pending[request_id] = waiter
+        waiter = None
+        if then is None:
+            waiter = Event(self.sim)
+            then = waiter.settle
         parent = getattr(body, "trace", None)
         if parent is not None:
             net_ctx = parent.child("rpc." + method, cat="net",
                                    args={"dst": dst, "nbytes": nbytes})
             body.trace = net_ctx
-            waiter.callbacks.append(lambda _evt: net_ctx.finish())
+            then = partial(_close_span, net_ctx, then)
+        self._pending[request_id] = then
         request = RpcRequest(request_id, method, body,
                              nbytes, self.address, self._response_region.key)
         self.calls_sent += 1
@@ -282,9 +298,9 @@ class RpcEndpoint:
         while deadlines and deadlines[0][0] <= now:
             _deadline, request_id, dst, method, timeout_us = heapq.heappop(
                 deadlines)
-            waiter = self._pending.pop(request_id, None)
-            if waiter is not None and waiter._value is PENDING:
-                waiter.fail(RpcTimeout(
+            then = self._pending.pop(request_id, None)
+            if then is not None:
+                then(False, RpcTimeout(
                     "%s->%s %s timed out after %gus"
                     % (self.address, dst, method, timeout_us)))
         self._arm_deadline_timer()

@@ -22,6 +22,12 @@ from repro.sim.errors import EventAlreadyTriggered
 PENDING = object()
 """Sentinel for the value of an event that has not been triggered."""
 
+Continuation = Callable[[bool, Any], None]
+"""What a callback-style producer hands its outcome to:
+``then(True, value)`` or ``then(False, exception)``, run inside the
+dispatch that produces the value (an :class:`Event`'s own is
+:meth:`Event.settle`)."""
+
 
 class Event:
     """A one-shot occurrence that processes can wait on."""
@@ -91,6 +97,11 @@ class Event:
         self._value = exception
         self.sim._schedule_event(self)
         return self
+
+    def settle(self, ok: bool, value: Any) -> "Event":
+        """:meth:`succeed` with ``value`` or :meth:`fail` with it: the
+        event as a continuation ``then(ok, value)``."""
+        return self.succeed(value) if ok else self.fail(value)
 
     def __repr__(self):
         state = "pending"

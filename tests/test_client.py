@@ -149,14 +149,25 @@ class TestRetries:
 
     def test_only_lost_replies_are_swallowed(self):
         """A timeout or transport error resolves the attempt as a lost
-        reply; any other failure of the RPC waiter is a bug and must
-        surface from ``sim.run``, not be counted as a timeout."""
+        reply; any other failure handed to the call's continuation is a
+        bug and must surface from ``sim.run``, not be counted as a
+        timeout."""
         cluster = small_cluster()
         sim = cluster.sim
         client = cluster.clients[0]
-        waiter = sim.event()
-        client.rpc.call = lambda *args, **kwargs: waiter
-        sim.schedule(5.0, lambda: waiter.fail(ValueError("boom")))
+        real_call = client.rpc.call
+        hijacked = []
+
+        def call(dst, method, body, nbytes, timeout_us=None, then=None):
+            # The first KV attempt is answered by the test; anything
+            # after it (a retry) goes to the cluster.
+            if method == "kv" and not hijacked:
+                hijacked.append(then)
+                return None
+            return real_call(dst, method, body, nbytes, timeout_us, then)
+
+        client.rpc.call = call
+        sim.schedule(5.0, lambda: hijacked[0](False, ValueError("boom")))
         with pytest.raises(ValueError, match="boom"):
             drive(sim, client.get(b"k"))
         assert client.stats.timeouts == 0

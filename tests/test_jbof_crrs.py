@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
+from repro.core.io_engine import TOKEN_COST, KVCommand
 from repro.core.jbof import JBOFNode, LeedOptions
 from repro.core.protocol import KVRequest, ReadPolicy
 from repro.hw.cpu import CYCLE_COSTS
@@ -257,10 +258,11 @@ class TestWritePathEventBudget:
     #: flush submit hop, value write, bucket_update, segment append,
     #: replication_forward (not the tail) = 26; client reply delivery
     #: 1; two backward acks x (delivery + dirty_map_op) = 4; client
-    #: worker hops 2 (the call is a callback, the flow-control round
-    #: runs inline); the test process itself 3.
-    PUT_EVENTS = 36
-    DEL_EVENTS = 30          # no value write: 2 events fewer per replica
+    #: worker hops 1 (the call's continuation and the flow-control
+    #: round run in the reply's delivery; the worker resumes one event
+    #: later); the test process itself 3.
+    PUT_EVENTS = 35
+    DEL_EVENTS = 29          # no value write: 2 events fewer per replica
     #: one handler process per replica.
     PROCESSES = 3
 
@@ -310,6 +312,75 @@ class TestWritePathEventBudget:
             assert not [name for name in spawned
                         if "exec" in name or "flush" in name
                         or "vwrite" in name or "chain_ack" in name]
+
+
+class TestGetEventBudget:
+    """The same count for a GET on an idle cluster, the test process's
+    own 3 events included.  Reference: request delivery, rpc_receive,
+    hash_lookup, segment read, bucket scan, value read, reply
+    delivery, worker resume = 8.  Fused: request delivery, retire
+    (the reply is sent from it), reply delivery, worker resume = 4."""
+
+    REFERENCE_EVENTS = 11
+    FUSED_EVENTS = 7
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_get_stays_inside_its_budget(self, fused):
+        options = {"fast_datapath": True} if fused else {}
+        cluster = small_cluster(heartbeat_period_us=1e9, **options)
+        client = cluster.clients[0]
+        key = b"budget-key"
+        TestWritePathEventBudget._measure(
+            cluster, lambda: client.put(key, b"v" * 64))
+        budget = self.FUSED_EVENTS if fused else self.REFERENCE_EVENTS
+        for _ in range(2):
+            events, spawned = TestWritePathEventBudget._measure(
+                cluster, lambda: client.get(key))
+            assert events <= budget, (events, spawned)
+            assert len(spawned) == (0 if fused else 1), spawned
+
+
+class TestFusedReplyAfterWokenCommand:
+    """A fused GET whose retirement wakes a command queued for tokens
+    replies one event later, once that command is admitted — the rule
+    ``PartitionIOEngine._execute`` follows — so its grant does not
+    advertise the tokens the woken command already holds."""
+
+    def test_grant_counts_the_admitted_command(self):
+        capacity = 4
+        cluster = small_cluster(heartbeat_period_us=1e9, fast_datapath=True,
+                                token_capacity=capacity)
+        sim = cluster.sim
+        client = cluster.clients[0]
+        key = b"woken"
+        queued = []
+
+        def proc():
+            assert (yield from client.put(key, b"v" * 64)).ok
+            yield sim.timeout(1000)      # backward acks drain
+            chain = client.local_ring.chain_for_key(key)
+            tail = chain[-1]
+            engine = next(node.vnodes[tail.vnode_id].engine
+                          for node in cluster.jbofs
+                          if tail.vnode_id in node.vnodes)
+            # Mid-GET (its 2 tokens pinned) a PUT needs 3 of the 2 left:
+            # it waits at the scheduler for the GET's retirement.
+            sim.schedule(20.0, lambda: queued.append((engine, engine.submit(
+                KVCommand("put", b"behind", b"w" * 64)))))
+            reply = yield client.rpc.call(
+                tail.jbof_address, "kv",
+                KVRequest("get", key, None, tail.vnode_id,
+                          client.local_ring.version, len(chain) - 1,
+                          client.tenant), 64)
+            return reply
+
+        reply = drive(sim, proc())
+        engine, put_done = queued[0]
+        assert reply.status == "ok" and reply.value == b"v" * 64
+        assert engine.stats.total_wait_us > 0       # the PUT did wait
+        sim.run(until=put_done)
+        assert reply.tokens == (TOKEN_COST["get"]
+                                + capacity - TOKEN_COST["put"])
 
 
 _HANDLE_KV = JBOFNode._handle_kv
