@@ -8,7 +8,10 @@ Usage::
     python -m repro.bench run all --scale quick
 
 Each experiment prints its :class:`ExperimentResult` table — the rows
-the corresponding paper table/figure reports.
+the corresponding paper table/figure reports — and one line per claim
+of :mod:`repro.bench.paper` it must meet: the measured value, the
+bound and the margin to it.  The exit status is non-zero, and the last
+line names the claims, when any claim fails.
 """
 
 from __future__ import annotations
@@ -17,41 +20,33 @@ import argparse
 import importlib
 import sys
 import time
+from typing import List
 
-EXPERIMENTS = {
-    "fig1": "Energy efficiency vs capacity, raw 4KB IO, 3 platforms",
-    "table1": "Platform comparison (skew, compute density, max load)",
-    "table3": "Single-node FAWN-JBOF / KVell-JBOF / LEED",
-    "fig5": "Queries/Joule, 6 YCSB workloads, 3 systems",
-    "fig6": "Latency vs throughput, 6 workloads, 1KB",
-    "fig7": "CRRS on/off vs Zipf skew",
-    "fig8": "Load-aware scheduling on/off vs Zipf skew",
-    "fig9": "Throughput timeline during node join/leave",
-    "fig10": "Intra-JBOF data swapping on/off",
-    "fig11": "GET/PUT/DEL latency breakdown",
-    "fig12": "Throughput vs PUT fraction, FAWN-Pi vs LEED",
-    "fig13": "Compaction intra-/inter-parallelism",
-    "fig14": "Latency vs throughput, 256B objects (appendix)",
-    "ablation_craq": "Dirty reads: CRRS shipping vs CRAQ version queries",
-    "ablation_lsm": "Data structure: circular log vs leveled LSM-tree",
-    "ablation_replication": "Replication: chain vs CRAQ vs ABD quorums",
-}
+from repro.bench.paper import EXPERIMENTS, evaluate
 
 
-def run_experiment(name: str, scale: str) -> None:
+def run_experiment(name: str, scale: str) -> List[str]:
+    """Run, print and check one experiment; return its failed claims."""
     module = importlib.import_module("repro.bench.experiments." + name)
     started = time.time()
     result = module.run(scale)
     elapsed = time.time() - started
     print(result)
+    failed = []
+    for verdict in evaluate(name, result):
+        print(verdict)
+        if not verdict.passed:
+            failed.append("%s %s" % (name, verdict.claim.name))
     print("(%s scale, %.1f s wall time)" % (scale, elapsed))
     print()
+    return failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the LEED paper's tables and figures.")
+        description="Regenerate the LEED paper's tables and figures and "
+                    "check the paper's claims on them.")
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("list", help="list available experiments")
     run_parser = subparsers.add_parser("run", help="run experiment(s)")
@@ -64,13 +59,17 @@ def main(argv=None) -> int:
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
         for name in sorted(EXPERIMENTS):
-            print("%-*s  %s" % (width, name, EXPERIMENTS[name]))
+            print("%-*s  %s" % (width, name, EXPERIMENTS[name].description))
         return 0
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
+    failed = []
     for name in names:
-        run_experiment(name, args.scale)
+        failed += run_experiment(name, args.scale)
+    if failed:
+        print("%d claim(s) failed: %s" % (len(failed), ", ".join(failed)))
+        return 1
     return 0
 
 

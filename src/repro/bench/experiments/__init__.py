@@ -1,19 +1,5 @@
 """One module per paper table/figure; each exposes ``run(scale)``.
 
-=============  ==========================================================
-Module         Reproduces
-=============  ==========================================================
-``fig1``       Energy efficiency vs capacity, raw 4 KB IO, 3 platforms
-``table1``     Platform comparison (skew, compute density, max load)
-``table3``     Single-node FAWN-JBOF / KVell-JBOF / LEED
-``fig5``       Queries/Joule, 6 YCSB workloads, 3 systems, 2 sizes
-``fig6``       Latency vs throughput, 6 workloads (1 KB; fig14 = 256 B)
-``fig7``       CRRS on/off vs Zipf skew
-``fig8``       Load-aware scheduling on/off vs Zipf skew
-``fig9``       Throughput timeline during node join/leave
-``fig10``      Intra-JBOF data swapping on/off, write-only Zipf sweep
-``fig11``      GET/PUT/DEL latency breakdown (SSD vs CPU+MEM)
-``fig12``      Throughput vs PUT fraction, FAWN-Pi vs LEED
-``fig13``      Compaction intra-/inter-parallelism
-=============  ==========================================================
+:data:`repro.bench.paper.EXPERIMENTS` lists them, with the claims each
+table must meet; ``python -m repro.bench run <name>`` runs one.
 """

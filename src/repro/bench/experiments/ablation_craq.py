@@ -56,7 +56,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
     result.notes = ("The paper chose shipping because version queries "
                     "add cross-JBOF messages; extra_bytes quantifies it.")
     return result
-
-
-if __name__ == "__main__":
-    print(run())

@@ -102,7 +102,3 @@ def run(scale: str = QUICK, value_size: int = 256) -> ExperimentResult:
                     " LSM needs (LEED's SegTbl cost is per *segment* and"
                     " amortizes to <0.5 B/object at scale).")
     return result
-
-
-if __name__ == "__main__":
-    print(run())

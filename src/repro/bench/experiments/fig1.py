@@ -110,7 +110,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
                            kiops=total_iops / 1e3, watts=watts,
                            kiops_per_joule=total_iops / 1e3 / watts)
     return result
-
-
-if __name__ == "__main__":
-    print(run())

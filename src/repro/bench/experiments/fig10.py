@@ -26,7 +26,7 @@ SKEWS_QUICK = (0.1, 0.5, 0.9, 0.99)
 SKEWS_FULL = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 
 
-def run(scale: str = QUICK, value_sizes=(1024, 256)) -> ExperimentResult:
+def run(scale: str = QUICK) -> ExperimentResult:
     """Single-JBOF, replication 1: the configuration where intra-JBOF
     swapping is the only defense against a write-hot partition, as in
     the paper's controlled experiment."""
@@ -37,7 +37,7 @@ def run(scale: str = QUICK, value_sizes=(1024, 256)) -> ExperimentResult:
         name="Figure 10: data swapping on/off (write-only Zipf)",
         columns=["value_size", "skew", "swap", "kqps", "avg_ms",
                  "p999_ms", "redirects"])
-    for value_size in value_sizes:
+    for value_size in (1024, 256):
         for skew in skews:
             for swap in (True, False):
                 options = replace(LeedOptions(), enable_swap=swap,
@@ -60,7 +60,3 @@ def run(scale: str = QUICK, value_sizes=(1024, 256)) -> ExperimentResult:
                            p999_ms=stats.percentile_us(0.999) / 1e3,
                            redirects=redirects)
     return result
-
-
-if __name__ == "__main__":
-    print(run(value_sizes=(1024,)))

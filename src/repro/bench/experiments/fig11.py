@@ -69,7 +69,3 @@ def _tally(accumulator, op_result) -> None:
     accumulator[1] += op_result.ssd_us
     accumulator[2] += op_result.cpu_us
     accumulator[3] += 1
-
-
-if __name__ == "__main__":
-    print(run())

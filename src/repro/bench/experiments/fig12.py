@@ -69,7 +69,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
                     "FAWN (on Pi) speeds up with PUTs since appends beat "
                     "random reads on its medium.")
     return result
-
-
-if __name__ == "__main__":
-    print(run())

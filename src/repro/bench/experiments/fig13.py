@@ -192,7 +192,3 @@ def run(scale: str = QUICK):
         combined.add(part="13b", workload=row["workload"],
                      x=row["concurrent_compactions"], kqps=row["kqps"])
     return combined
-
-
-if __name__ == "__main__":
-    print(run())

@@ -10,9 +10,5 @@ from repro.bench.experiments import fig6
 from repro.bench.harness import QUICK, ExperimentResult
 
 
-def run(scale: str = QUICK, workloads=fig6.WORKLOAD_SET) -> ExperimentResult:
-    return fig6.run(scale, value_size=256, workloads=workloads)
-
-
-if __name__ == "__main__":
-    print(run(workloads=("B",)))
+def run(scale: str = QUICK) -> ExperimentResult:
+    return fig6.run(scale, value_size=256)

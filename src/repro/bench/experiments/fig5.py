@@ -27,13 +27,13 @@ SYSTEM_LABELS = {"fawn": "Embedded-FAWN", "kvell": "Server-KVell",
                  "leed": "SmartNIC-LEED"}
 
 
-def run(scale: str = QUICK, value_sizes=(256, 1024)) -> ExperimentResult:
+def run(scale: str = QUICK) -> ExperimentResult:
     profile = scale_profile(scale)
     result = ExperimentResult(
         name="Figure 5: energy efficiency (KQueries/Joule)",
         columns=["workload", "value_size", "system", "kqps", "watts",
                  "kq_per_joule"])
-    for value_size in value_sizes:
+    for value_size in (256, 1024):
         for workload_name in WORKLOAD_SET:
             for system in ("fawn", "kvell", "leed"):
                 workload = YCSBWorkload(workload_name, profile.num_records,
@@ -59,7 +59,3 @@ def run(scale: str = QUICK, value_sizes=(256, 1024)) -> ExperimentResult:
                            kq_per_joule=stats.completed / max(energy, 1e-9)
                            / 1e3)
     return result
-
-
-if __name__ == "__main__":
-    print(run(value_sizes=(1024,)))

@@ -38,8 +38,7 @@ SATURATION_KQPS = {
 }
 
 
-def run(scale: str = QUICK, value_size: int = 1024,
-        workloads=WORKLOAD_SET) -> ExperimentResult:
+def run(scale: str = QUICK, value_size: int = 1024) -> ExperimentResult:
     profile = scale_profile(scale)
     duration_us = 40_000.0 if scale == QUICK else 200_000.0
     result = ExperimentResult(
@@ -47,7 +46,7 @@ def run(scale: str = QUICK, value_size: int = 1024,
              % ("6" if value_size == 1024 else "14", value_size),
         columns=["workload", "system", "offered_kqps", "kqps",
                  "avg_latency_ms", "p999_ms"])
-    for workload_name in workloads:
+    for workload_name in WORKLOAD_SET:
         for system in ("fawn", "kvell", "leed"):
             saturation = SATURATION_KQPS[system][workload_name] * 1e3
             workload = YCSBWorkload(workload_name, profile.num_records,
@@ -81,7 +80,3 @@ def run(scale: str = QUICK, value_size: int = 1024,
     result.notes = ("FAWN(100) rows are FAWN(10) scaled 10x at equal "
                     "latency — the paper's ideal-scaling assumption.")
     return result
-
-
-if __name__ == "__main__":
-    print(run(workloads=("B",)))

@@ -54,7 +54,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
                            p999_ms=stats.percentile_us(0.999) / 1e3,
                            reads_shipped=shipped)
     return result
-
-
-if __name__ == "__main__":
-    print(run())

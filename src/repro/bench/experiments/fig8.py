@@ -65,7 +65,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
                            avg_ms=stats.mean_latency_us() / 1e3,
                            p999_ms=stats.percentile_us(0.999) / 1e3)
     return result
-
-
-if __name__ == "__main__":
-    print(run())

@@ -26,7 +26,7 @@ from repro.workloads.driver import OpenLoopDriver, merge_stats
 from repro.workloads.ycsb import YCSBWorkload
 
 
-def run(scale: str = QUICK, workloads=("A", "B")) -> ExperimentResult:
+def run(scale: str = QUICK) -> ExperimentResult:
     profile = scale_profile(scale)
     phase_us = 60_000.0 if scale == QUICK else 400_000.0
     bucket_us = phase_us / 8.0
@@ -38,7 +38,7 @@ def run(scale: str = QUICK, workloads=("A", "B")) -> ExperimentResult:
         name="Figure 9: throughput during node join/leave",
         columns=["workload", "bucket_ms", "kqps", "phase"])
 
-    for workload_name in workloads:
+    for workload_name in ("A", "B"):
         rate = rates.get(workload_name, 100_000.0)
         workload = YCSBWorkload(workload_name, num_records,
                                 value_size=1024, seed=9)
@@ -103,7 +103,3 @@ def run(scale: str = QUICK, workloads=("A", "B")) -> ExperimentResult:
                        kqps=buckets[bucket_index] / bucket_us * 1e3,
                        phase=phase)
     return result
-
-
-if __name__ == "__main__":
-    print(run(workloads=("B",)))

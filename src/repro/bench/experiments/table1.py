@@ -28,7 +28,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
     result.notes = ("Paper row 4 uses m = client request rate; the last "
                     "column evaluates the bound at m = 1M req/s.")
     return result
-
-
-if __name__ == "__main__":
-    print(run())

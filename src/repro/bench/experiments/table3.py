@@ -109,7 +109,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
                     "latency at concurrency 4 (1 per SSD); throughput at "
                     "concurrency %d." % saturating)
     return result
-
-
-if __name__ == "__main__":
-    print(run())

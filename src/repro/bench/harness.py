@@ -3,13 +3,13 @@
 Every experiment module under :mod:`repro.bench.experiments` builds on
 these helpers: scaled-down cluster construction, load phases, drivers,
 and an :class:`ExperimentResult` table that prints like the paper's
-rows and is also machine-checkable by the benchmark suite.
+rows and that the claims of :mod:`repro.bench.paper` read.
 
 Scales
 ------
-Experiments accept ``scale="quick"`` (seconds of wall time; used by
-the pytest-benchmark suite) or ``scale="full"`` (minutes; closer
-statistics).  Both are scaled-down relative to the paper's 1.6 B
+Experiments accept ``scale="quick"`` (seconds to minutes of wall time;
+the scale the claims' bounds were set on) or ``scale="full"`` (longer;
+closer statistics).  Both are scaled-down relative to the paper's 1.6 B
 objects — see DESIGN.md §4 for why the shapes survive scaling.
 """
 

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.bench.__main__ import EXPERIMENTS, main
+from repro.bench.__main__ import main
+from repro.bench.paper import EXPERIMENTS
 from repro.obs.trace import main as trace_main
 
 
@@ -32,10 +33,13 @@ class TestCli:
 
     def test_every_listed_experiment_importable(self):
         import importlib
-        for name in EXPERIMENTS:
+        for name, experiment in EXPERIMENTS.items():
             module = importlib.import_module(
                 "repro.bench.experiments." + name)
             assert callable(module.run)
+            assert experiment.description
+            names = [claim.name for claim in experiment.claims]
+            assert len(names) == len(set(names)), name
 
 
 class TestTraceCli:
