@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ClusterConfig, LeedCluster, StoreConfig
-from repro.telemetry import render, snapshot
+from repro.telemetry import counters, render
 
 
 def main():
@@ -71,7 +71,13 @@ def main():
 
     print()
     print("telemetry:")
-    print(render(snapshot(cluster)))
+    print(render(cluster))
+    totals = counters(cluster)
+    print()
+    print("replication counters: %s"
+          % ", ".join("%s=%d" % (name, totals[name]) for name in (
+              "vnode.writes_forwarded", "vnode.writes_committed",
+              "vnode.reads_shipped", "wal.appended", "wal.acked")))
 
 
 if __name__ == "__main__":

@@ -40,8 +40,8 @@ from repro.core.membership import ControlPlane
 from repro.core.protocol import ReadPolicy
 from repro.core.recovery import RecoveryReport, recover_store
 from repro.obs import LatencyHistogram, MetricsRegistry, Tracer
+from repro.telemetry import counters as telemetry_counters
 from repro.telemetry import render as render_telemetry
-from repro.telemetry import snapshot as snapshot_telemetry
 from repro.hw.platforms import RASPBERRY_PI, SERVER_JBOF, STINGRAY
 from repro.sim.core import Simulator
 from repro.workloads.ycsb import YCSBWorkload
@@ -67,7 +67,7 @@ __all__ = [
     "MetricsRegistry",
     "recover_store",
     "RecoveryReport",
-    "snapshot_telemetry",
+    "telemetry_counters",
     "render_telemetry",
     "FrontEndClient",
     "ClientResult",

@@ -14,6 +14,7 @@ generates.
 
 from __future__ import annotations
 
+from repro import telemetry
 from repro.bench.harness import (
     QUICK,
     ExperimentResult,
@@ -42,17 +43,13 @@ def run(scale: str = QUICK) -> ExperimentResult:
         load_cluster(cluster, workload)
         stats = run_closed_loop(cluster, workload, profile.num_ops,
                                 profile.concurrency * 4)
-        shipped = queries = extra = 0
-        for node in cluster.jbofs:
-            for runtime in node.vnodes.values():
-                shipped += runtime.stats.reads_shipped
-                queries += runtime.stats.version_queries
-                extra += runtime.stats.version_query_bytes
+        counters = telemetry.counters(cluster)
         result.add(mode=mode, kqps=stats.throughput_qps / 1e3,
                    avg_ms=stats.mean_latency_us() / 1e3,
                    p999_ms=stats.percentile_us(0.999) / 1e3,
-                   reads_shipped=shipped, version_queries=queries,
-                   extra_bytes=extra)
+                   reads_shipped=counters["vnode.reads_shipped"],
+                   version_queries=counters["vnode.version_queries"],
+                   extra_bytes=counters["vnode.version_query_bytes"])
     result.notes = ("The paper chose shipping because version queries "
                     "add cross-JBOF messages; extra_bytes quantifies it.")
     return result

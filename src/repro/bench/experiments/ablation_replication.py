@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 
+from repro import telemetry
 from repro.bench.harness import (
     QUICK,
     ExperimentResult,
@@ -55,16 +56,13 @@ def _steady_state(protocol: str, scale: str) -> dict:
     load_cluster(cluster, workload)
     stats, energy = run_metered(cluster, workload, profile.num_ops,
                                 profile.concurrency)
-    quorum_bytes = 0
-    for node in cluster.jbofs:
-        for runtime in node.vnodes.values():
-            quorum_bytes += runtime.stats.quorum_bytes
-            quorum_bytes += runtime.stats.version_query_bytes
+    counters = telemetry.counters(cluster)
     return {
         "kqps": stats.throughput_qps / 1e3,
         "p99_ms": stats.percentile_us(0.99) / 1e3,
         "uj_per_op": energy / max(stats.completed, 1) * 1e6,
-        "extra_bytes": quorum_bytes,
+        "extra_bytes": (counters["vnode.quorum_bytes"]
+                        + counters["vnode.version_query_bytes"]),
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro import telemetry
 from repro.bench.harness import (
     QUICK,
     ExperimentResult,
@@ -51,12 +52,11 @@ def run(scale: str = QUICK) -> ExperimentResult:
                                         num_clients=2)
                 load_cluster(cluster, workload)
                 stats = run_closed_loop(cluster, workload, num_ops, 256)
-                redirects = sum(node.swap_redirects
-                                for node in cluster.jbofs)
                 result.add(value_size=value_size, skew=skew,
                            swap="on" if swap else "off",
                            kqps=stats.throughput_qps / 1e3,
                            avg_ms=stats.mean_latency_us() / 1e3,
                            p999_ms=stats.percentile_us(0.999) / 1e3,
-                           redirects=redirects)
+                           redirects=telemetry.counters(cluster)[
+                               "jbof.swap_redirects"])
     return result

@@ -9,6 +9,7 @@ because dirty-free replicas absorb the hot keys' reads.
 
 from __future__ import annotations
 
+from repro import telemetry
 from repro.bench.harness import (
     QUICK,
     ExperimentResult,
@@ -44,13 +45,11 @@ def run(scale: str = QUICK) -> ExperimentResult:
                 stats = run_closed_loop(cluster, workload,
                                         profile.num_ops,
                                         profile.concurrency * 4)
-                shipped = sum(rt.stats.reads_shipped
-                              for node in cluster.jbofs
-                              for rt in node.vnodes.values())
                 result.add(workload="YCSB-" + workload_name, skew=skew,
                            crrs="on" if crrs else "off",
                            kqps=stats.throughput_qps / 1e3,
                            avg_ms=stats.mean_latency_us() / 1e3,
                            p999_ms=stats.percentile_us(0.999) / 1e3,
-                           reads_shipped=shipped)
+                           reads_shipped=telemetry.counters(cluster)[
+                               "vnode.reads_shipped"])
     return result

@@ -18,10 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import telemetry
 from repro.baselines import make_cluster
 from repro.baselines.fawn.datastore import FawnConfig, FawnDataStore
 from repro.baselines.kvell.datastore import KVellConfig, KVellDataStore
@@ -267,6 +267,10 @@ def figure_digest(row: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+#: The counters :func:`measure_run_phase` lifts into ``failed_by_status``.
+FAILED_BY_STATUS = "client.failed_by_status."
+
+
 def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
                       num_ops: int, concurrency: int,
                       load_parallelism: int = 16) -> dict:
@@ -276,23 +280,25 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
     The one measured run in ``src/`` — the figure gate
     (``tests/test_figure_gate.py``) and every ``repro.bench.explore``
     trial are this row: the YCSB load is setup, only the run
-    phase is timed, and events, energy and ``failed_by_status`` are
-    run-phase deltas — so requests/Joule compares configurations on
-    the work they did, not on load-phase accounting.  Wall-clock
-    fields and ``failed_by_status`` (the reason behind each ``failed``
-    op, e.g. ``store_full`` back-pressure) stay out of
+    phase is timed, and events, energy, ``failed_by_status`` and
+    ``counters`` are run-phase deltas — so requests/Joule compares
+    configurations on the work they did, not on load-phase
+    accounting.  ``counters`` is :func:`repro.telemetry.counters`'
+    run-phase delta (a ``peak_*`` counter: its level at the end) and
+    ``failed_by_status`` its ``client.failed_by_status.*`` part (the
+    reason behind each ``failed`` op, e.g. ``store_full``
+    back-pressure); they and the wall-clock fields stay out of
     ``figure_digest``.
     """
     load_cluster(cluster, workload, parallelism=load_parallelism)
     events_before = cluster.sim.events_dispatched
-    failed_before = _failed_by_status(cluster)
+    counters_before = telemetry.counters(cluster)
     # Wall time around the whole run phase, outside the simulated world.
     started = time.perf_counter()  # simlint: ignore[SIM002]
     stats, energy = run_metered(cluster, workload, num_ops, concurrency)
     wall_s = time.perf_counter() - started  # simlint: ignore[SIM002]
     events = cluster.sim.events_dispatched - events_before
-    failed_by_status = dict(sorted(
-        (_failed_by_status(cluster) - failed_before).items()))
+    counters = telemetry.delta(counters_before, telemetry.counters(cluster))
     cluster.shutdown()
     cluster.sim.run()
     row = {
@@ -310,18 +316,14 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
         "events": events,
         "events_per_sec": round(events / wall_s, 1),
         "events_per_op": round(events / max(stats.completed, 1), 2),
-        "failed_by_status": failed_by_status,
+        "failed_by_status": {
+            name[len(FAILED_BY_STATUS):]: count
+            for name, count in counters.items()
+            if name.startswith(FAILED_BY_STATUS) and count},
+        "counters": counters,
     }
     row["figure_digest"] = figure_digest(row)
     return row
-
-
-def _failed_by_status(cluster: LeedCluster) -> Counter:
-    """Terminal non-ok statuses so far, summed over the clients."""
-    total: Counter = Counter()
-    for client in cluster.clients:
-        total.update(client.stats.failed_by_status)
-    return total
 
 
 def run_open_loop(cluster: LeedCluster, workload: YCSBWorkload,

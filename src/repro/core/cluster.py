@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
+from repro import telemetry
 from repro.core.datastore import StoreConfig
 from repro.core.client import FrontEndClient
 from repro.core.jbof import JBOFNode, LeedOptions
@@ -122,7 +123,8 @@ class LeedCluster:
         self.network = Network(self.sim)
         #: Observability layer: spans + metrics for this deployment.
         self.tracer = Tracer(self.sim)
-        self.metrics = MetricsRegistry(self.sim)
+        self.metrics = MetricsRegistry(
+            self.sim, counters=lambda: telemetry.counters(self))
         self.control_plane = ControlPlane(
             self.sim, self.network, replication=config.replication,
             heartbeat_timeout_us=config.heartbeat_timeout_us,

@@ -235,6 +235,10 @@ class JBOFNode:
         #: runtime index the swap router reads in step.
         self.vnodes: Dict[str, VNodeRuntime] = {}
         self._runtime_by_store: Dict[object, VNodeRuntime] = {}
+        #: Runtimes those two replaced or dropped, oldest first: they
+        #: serve nothing, but their work stays in the cluster's
+        #: cumulative counters (:mod:`repro.telemetry`).
+        self.retired_vnodes: List[VNodeRuntime] = []
         self._build_vnodes(num_ssds, vnodes_per_ssd)
 
         #: This node's view of the ring (updated by membership pushes).
@@ -296,8 +300,9 @@ class JBOFNode:
         (and forgetting the store) hosted there before.  A store with a
         compactor kicks this node's maintenance from its writes."""
         previous = self.vnodes.get(runtime.vnode_id)
-        if previous is not None:
+        if previous is not None and previous is not runtime:
             self._runtime_by_store.pop(previous.store, None)
+            self.retired_vnodes.append(previous)
         self.vnodes[runtime.vnode_id] = runtime
         self._runtime_by_store[runtime.store] = runtime
         if runtime.compactor is not None:
@@ -896,6 +901,7 @@ class JBOFNode:
         retired = self.vnodes.pop(vnode_id, None)
         if retired is not None:
             self._runtime_by_store.pop(retired.store, None)
+            self.retired_vnodes.append(retired)
         return None
 
     def __repr__(self):

@@ -68,7 +68,7 @@ def run_probe(seed: int = 0, workload: str = "A", num_records: int = 120,
         digest=cluster.sim.schedule_digest,
         events=cluster.sim.schedule_digest_events,
         final_time_us=cluster.sim.now,
-        telemetry_report=telemetry.render(telemetry.snapshot(cluster)),
+        telemetry_report=telemetry.render(cluster),
     )
 
 

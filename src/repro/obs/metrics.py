@@ -1,11 +1,13 @@
 """Periodic metrics sampling over simulated time.
 
-A :class:`MetricsRegistry` holds named counters, gauges (zero-arg
-callables read at sample time), and :class:`LatencyHistogram`
-instances, and snapshots them all into a timeseries record either on
-demand (:meth:`sample_now`) or on a fixed simulated-time cadence
-(:meth:`sample_every`).  The records are plain dicts with sorted,
-stable keys — ready to dump as ``BENCH_*.json`` artifacts.
+A :class:`MetricsRegistry` holds gauges (zero-arg callables read at
+sample time), :class:`LatencyHistogram` instances and one counter
+source (a zero-arg callable returning a name → number dict; a cluster
+passes ``repro.telemetry.counters`` over itself), and snapshots them
+all into a timeseries record either on demand (:meth:`sample_now`) or
+on a fixed simulated-time cadence (:meth:`sample_every`).  The records
+are plain dicts with sorted, stable keys — ready to dump as
+``BENCH_*.json`` artifacts.
 
 The sampler is a simulator process; call :meth:`stop` (or let
 ``LeedCluster.shutdown()`` do it) so a drained heap can terminate
@@ -23,10 +25,12 @@ from repro.obs.hist import LatencyHistogram
 class MetricsRegistry:
     """Named metrics plus a periodic timeseries sampler."""
 
-    def __init__(self, sim):
+    def __init__(self, sim, counters: Callable[[], Dict[str, float]]):
         self.sim = sim
         self.records: List[Dict[str, object]] = []
-        self._counters: Dict[str, float] = {}
+        #: Read at every sample into the record's ``counters``; the
+        #: registry keeps no counters of its own.
+        self._counters = counters
         self._gauges: Dict[str, Callable[[], float]] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
         self._sampling = False
@@ -36,10 +40,6 @@ class MetricsRegistry:
         self._phase: Optional[str] = None
 
     # -- registration -------------------------------------------------------
-
-    def counter(self, name: str, delta: float = 1.0) -> None:
-        """Increment counter ``name`` by ``delta`` (creating it at 0)."""
-        self._counters[name] = self._counters.get(name, 0.0) + delta
 
     def register_gauge(self, name: str, fn: Callable[[], float]) -> None:
         """Register a gauge read at every sample.  Re-registering a
@@ -70,7 +70,7 @@ class MetricsRegistry:
         """Append and return one timeseries record at ``sim.now``."""
         record: Dict[str, object] = {
             "t_us": self.sim.now,
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
+            "counters": dict(sorted(self._counters().items())),
             "gauges": {k: float(self._gauges[k]())
                        for k in sorted(self._gauges)},
             "histograms": {k: self._histograms[k].to_dict()

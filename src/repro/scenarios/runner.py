@@ -16,8 +16,10 @@ and the golden-run tests all share.  It deterministically:
    writes (the headline invariant: must be zero),
 5. emits one ``BENCH_scenarios.json``-style record with availability,
    p99-under-churn, recovery timings (failover + power-loss WAL
-   replay), energy/op, membership-event accounting, and figure /
-   schedule digests.
+   replay), energy/op, membership-event accounting, a metrics row per
+   phase end (gauges, latency histograms and every
+   :func:`repro.telemetry.counters` name), and figure / schedule
+   digests.
 
 Determinism contract: the same (scenario, scale, seed, protocol)
 tuple produces a byte-identical record — asserted by

@@ -1,215 +1,208 @@
-"""Cluster telemetry: one-call snapshots of every component's stats.
+"""Cluster telemetry: every component counter, named once.
 
-Gathers the counters that the nodes, engines, stores, devices, and
-clients already maintain into a structured snapshot plus a rendered
-text report — the observability layer an operator of the real system
-would read on a dashboard.
+The nodes, engines, stores, compactors, WALs, devices and clients keep
+their own cumulative ``*Stats`` dataclasses.  This module is the one
+place that knows where they live:
+
+* :func:`components` enumerates them, each stats object once;
+* :func:`counters` flattens them into ``<kind>.<field>`` sums over the
+  components of a kind (``compaction.segments_dead``,
+  ``client.failed_by_status.store_full``), sorted by name;
+* :func:`render` formats a fixed-width text report over the same
+  enumeration.
+
+Reading is pure: no event is scheduled and no power meter is sampled
+(a meter read adds a trapezoid point and would move the energy
+figures), so a mid-run read leaves the run exactly as it was.
 
 Usage::
 
-    from repro.telemetry import snapshot, render
-    print(render(snapshot(cluster)))
+    from repro.telemetry import counters, render
+    print(counters(cluster)["vnode.reads_shipped"])
+    print(render(cluster))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import fields
+from typing import Dict, Iterator, Tuple, Union
+
+Number = Union[int, float]
+
+#: Every component kind, the first part of each counter name.
+KINDS = ("jbof", "ssd", "vnode", "store", "engine", "compaction", "wal",
+         "client", "flow")
+
+#: A JBOF node keeps these counters as plain attributes, not in a
+#: stats object.
+JBOF_COUNTERS = ("requests_completed", "swap_redirects")
+
+#: Fields with this prefix are maxima, not running totals: they combine
+#: with ``max`` over components and a run reports their level, not a
+#: difference (``engine.peak_waiting``).
+PEAK_PREFIX = "peak_"
 
 
-@dataclass
-class DeviceSnapshot:
-    name: str
-    reads: int
-    writes: int
-    read_mb: float
-    write_mb: float
-    mean_read_us: float
-    mean_write_us: float
-    busy_fraction: float
+def _runtime_parts(runtime) -> Iterator[Tuple[str, object]]:
+    yield "vnode", runtime
+    yield "store", runtime.store
+    yield "engine", runtime.engine
+    if runtime.compactor is not None:
+        yield "compaction", runtime.compactor
+    yield "wal", runtime.wal
 
 
-@dataclass
-class VNodeSnapshot:
-    vnode_id: str
-    state: str
-    live_objects: int
-    key_log_fill: float
-    value_log_fill: float
-    engine_tokens: int
-    waiting: int
-    completed: int
-    rejected: int
-    reads_served: int
-    reads_shipped: int
-    writes_forwarded: int
-    writes_committed: int
-    nacks: int
-    dirty_keys: int
+def components(cluster) -> Iterator[Tuple[str, object]]:
+    """Yield ``(kind, component)`` over every component of ``cluster``.
 
-
-@dataclass
-class NodeSnapshot:
-    address: str
-    alive: bool
-    mean_core_utilization: float
-    watts_now: float
-    energy_joules: float
-    swap_redirects: int
-    requests_completed: int
-    devices: List[DeviceSnapshot] = field(default_factory=list)
-    vnodes: List[VNodeSnapshot] = field(default_factory=list)
-
-
-@dataclass
-class ClientSnapshot:
-    address: str
-    operations: int
-    ok: int
-    not_found: int
-    failures: int
-    retries: int
-    nacks: int
-    timeouts: int
-    mean_latency_us: float
-    p50_latency_us: float
-    p95_latency_us: float
-    p99_latency_us: float
-    p999_latency_us: float
-
-
-@dataclass
-class ClusterSnapshot:
-    time_us: float
-    ring_version: int
-    total_energy_joules: float
-    nodes: List[NodeSnapshot] = field(default_factory=list)
-    clients: List[ClientSnapshot] = field(default_factory=list)
-
-
-def snapshot(cluster) -> ClusterSnapshot:
-    """Collect a :class:`ClusterSnapshot` from a LeedCluster."""
-    sim = cluster.sim
-    snap = ClusterSnapshot(
-        time_us=sim.now,
-        ring_version=cluster.control_plane.ring_version,
-        total_energy_joules=cluster.energy_joules())
+    Per node: the node (``jbof``), its SSDs (``ssd``), then per vnode in
+    id order its runtime (``vnode``), ``store``, ``engine``,
+    ``compaction`` and ``wal``, then the same for the runtimes the node
+    retired or replaced (a graceful leave, a power restore, an
+    upgrade), so the counters stay cumulative; then per client the
+    client (``client``) and its flow controller (``flow``).  Every
+    component but the node keeps its counters in ``.stats``, and each
+    stats object is visited once: FAWN's store cleans its own log and
+    doubles as the compactor (KVell has none), and a rebuilt runtime
+    keeps its predecessor's vnode stats and WAL.
+    """
+    seen = set()
     for node in cluster.jbofs:
-        node_snap = NodeSnapshot(
-            address=node.address,
-            alive=node.alive,
-            mean_core_utilization=node.cpu.mean_utilization(),
-            watts_now=node.meter.sample().watts,
-            energy_joules=node.meter.energy_joules(),
-            swap_redirects=node.swap_redirects,
-            requests_completed=node.requests_completed)
+        yield "jbof", node
         for ssd in node.ssds:
-            stats = ssd.stats
-            elapsed = max(sim.now, 1e-9)
-            node_snap.devices.append(DeviceSnapshot(
-                name=ssd.name,
-                reads=stats.reads_completed,
-                writes=stats.writes_completed,
-                read_mb=stats.read_bytes / 1e6,
-                write_mb=stats.write_bytes / 1e6,
-                mean_read_us=stats.mean_read_latency_us,
-                mean_write_us=stats.mean_write_latency_us,
-                busy_fraction=min(
-                    stats.busy_time_us
-                    / max(ssd.profile.channels, 1) / elapsed, 1.0)))
-        for vnode_id, runtime in sorted(node.vnodes.items()):
-            store = runtime.store
-            key_fill = getattr(getattr(store, "key_log", None),
-                               "fill_fraction", lambda: 0.0)()
-            value_fill = getattr(getattr(store, "value_log", None),
-                                 "fill_fraction", lambda: 0.0)()
-            if hasattr(store, "log"):  # FAWN single-log store
-                key_fill = store.log.fill_fraction()
-            node_snap.vnodes.append(VNodeSnapshot(
-                vnode_id=vnode_id,
-                state=runtime.state,
-                live_objects=getattr(store, "live_objects", 0),
-                key_log_fill=key_fill,
-                value_log_fill=value_fill,
-                engine_tokens=runtime.engine.tokens,
-                waiting=runtime.engine.waiting_occupancy,
-                completed=runtime.engine.stats.completed,
-                rejected=runtime.engine.stats.rejected,
-                reads_served=runtime.stats.reads_served,
-                reads_shipped=runtime.stats.reads_shipped,
-                writes_forwarded=runtime.stats.writes_forwarded,
-                writes_committed=runtime.stats.writes_committed,
-                nacks=runtime.stats.nacks,
-                dirty_keys=len(runtime.dirty)))
-        snap.nodes.append(node_snap)
+            yield "ssd", ssd
+        hosted = [runtime for _, runtime in sorted(node.vnodes.items())]
+        for runtime in hosted + node.retired_vnodes:
+            for kind, component in _runtime_parts(runtime):
+                if id(component.stats) not in seen:
+                    seen.add(id(component.stats))
+                    yield kind, component
     for client in cluster.clients:
-        stats = client.stats
-        snap.clients.append(ClientSnapshot(
-            address=client.address,
-            operations=stats.operations,
-            ok=stats.ok,
-            not_found=stats.not_found,
-            failures=stats.failures,
-            retries=stats.retries,
-            nacks=stats.nacks,
-            timeouts=stats.timeouts,
-            mean_latency_us=stats.mean_latency_us(),
-            p50_latency_us=stats.histogram.p50,
-            p95_latency_us=stats.histogram.p95,
-            p99_latency_us=stats.histogram.p99,
-            p999_latency_us=stats.histogram.p999))
-    return snap
+        yield "client", client
+        yield "flow", client.flow
 
 
-def render(snap: ClusterSnapshot) -> str:
-    """Render a snapshot as a fixed-width text report."""
-    lines = []
-    lines.append("cluster @ t=%.1f ms  ring v%d  energy %.2f J"
-                 % (snap.time_us / 1e3, snap.ring_version,
-                    snap.total_energy_joules))
-    for node in snap.nodes:
-        lines.append("")
-        lines.append("%s  %s  cores %.0f%%  %.1f W  %.2f J  "
-                     "swaps %d  served %d"
-                     % (node.address,
-                        "up" if node.alive else "DOWN",
-                        100 * node.mean_core_utilization,
-                        node.watts_now, node.energy_joules,
-                        node.swap_redirects, node.requests_completed))
-        for device in node.devices:
-            lines.append("  %-16s rd %6d (%7.2f MB, %5.1f us)  "
-                         "wr %6d (%7.2f MB, %5.1f us)  busy %4.1f%%"
-                         % (device.name, device.reads, device.read_mb,
-                            device.mean_read_us, device.writes,
-                            device.write_mb, device.mean_write_us,
-                            100 * device.busy_fraction))
-        for vnode in node.vnodes:
-            lines.append("  %-16s %-8s live %5d  klog %3.0f%% vlog %3.0f%%  "
-                         "tok %3d wait %2d  done %6d rej %3d"
-                         % (vnode.vnode_id.split("/")[-1], vnode.state,
-                            vnode.live_objects,
-                            100 * vnode.key_log_fill,
-                            100 * vnode.value_log_fill,
-                            vnode.engine_tokens, vnode.waiting,
-                            vnode.completed, vnode.rejected))
-            if (vnode.reads_shipped or vnode.nacks or vnode.dirty_keys
-                    or vnode.writes_committed):
-                lines.append("  %-16s reads %d (shipped %d)  writes fwd %d "
-                             "commit %d  nacks %d  dirty %d"
-                             % ("", vnode.reads_served,
-                                vnode.reads_shipped,
-                                vnode.writes_forwarded,
-                                vnode.writes_committed, vnode.nacks,
-                                vnode.dirty_keys))
-    if snap.clients:
-        lines.append("")
-        for client in snap.clients:
-            lines.append("%-10s ops %6d (ok %d / nf %d / fail %d)  "
-                         "retry %d nack %d timeout %d  "
-                         "lat %.0f us p50 %.0f p99 %.0f"
-                         % (client.address, client.operations, client.ok,
-                            client.not_found, client.failures,
-                            client.retries, client.nacks, client.timeouts,
-                            client.mean_latency_us, client.p50_latency_us,
-                            client.p99_latency_us))
+def _fields(kind: str, component) -> Iterator[Tuple[str, Number]]:
+    """``(field, value)`` for every counter of one component: numeric
+    fields as they are, a dict of numbers as ``<field>.<key>``; other
+    fields (histograms) are skipped."""
+    if kind == "jbof":
+        for name in JBOF_COUNTERS:
+            yield name, getattr(component, name)
+        return
+    stats = component.stats
+    for spec in fields(stats):
+        value = getattr(stats, spec.name)
+        if isinstance(value, (int, float)):
+            yield spec.name, value
+        elif isinstance(value, dict):
+            for key in sorted(value):
+                yield "%s.%s" % (spec.name, key), value[key]
+
+
+def counters(cluster) -> Dict[str, Number]:
+    """Every component counter of ``cluster`` as ``<kind>.<field>``,
+    summed over the components of a kind (``peak_*`` fields: the
+    maximum), sorted by name."""
+    totals: Dict[str, Number] = {}
+    for kind, component in components(cluster):
+        for name, value in _fields(kind, component):
+            key = "%s.%s" % (kind, name)
+            if name.startswith(PEAK_PREFIX):
+                totals[key] = max(totals.get(key, value), value)
+            else:
+                totals[key] = totals.get(key, 0) + value
+    return dict(sorted(totals.items()))
+
+
+def delta(before: Dict[str, Number],
+          after: Dict[str, Number]) -> Dict[str, Number]:
+    """What a run added to the counters: ``after - before`` per name,
+    except a ``peak_*`` field, which is its level at ``after``."""
+    return {name: (value if name.split(".")[-1].startswith(PEAK_PREFIX)
+                   else value - before.get(name, 0))
+            for name, value in after.items()}
+
+
+def _log_fill(store, name: str) -> float:
+    log = getattr(store, name, None)
+    return log.fill_fraction() if log is not None else 0.0
+
+
+def _jbof_lines(node):
+    return ["", "%s  %s  cores %.0f%%  swaps %d  served %d"
+            % (node.address, "up" if node.alive else "DOWN",
+               100 * node.cpu.mean_utilization(), node.swap_redirects,
+               node.requests_completed)]
+
+
+def _ssd_lines(ssd):
+    stats = ssd.stats
+    busy = min(stats.busy_time_us / max(ssd.profile.channels, 1)
+               / max(ssd.sim.now, 1e-9), 1.0)
+    return ["  %-16s rd %6d (%7.2f MB, %5.1f us)  "
+            "wr %6d (%7.2f MB, %5.1f us)  busy %4.1f%%"
+            % (ssd.name, stats.reads_completed, stats.read_bytes / 1e6,
+               stats.mean_read_latency_us, stats.writes_completed,
+               stats.write_bytes / 1e6, stats.mean_write_latency_us,
+               100 * busy)]
+
+
+def _vnode_lines(runtime):
+    store, engine, stats = runtime.store, runtime.engine, runtime.stats
+    # FAWN's single log reports as the key log.
+    key_fill = _log_fill(store, "log") or _log_fill(store, "key_log")
+    lines = ["  %-16s %-8s live %5d  klog %3.0f%% vlog %3.0f%%  "
+             "tok %3d wait %2d  done %6d rej %3d"
+             % (runtime.vnode_id.split("/")[-1], runtime.state,
+                getattr(store, "live_objects", 0), 100 * key_fill,
+                100 * _log_fill(store, "value_log"), engine.tokens,
+                engine.waiting_occupancy, engine.stats.completed,
+                engine.stats.rejected)]
+    if (stats.reads_shipped or stats.nacks or runtime.dirty
+            or stats.writes_committed):
+        lines.append("  %-16s reads %d (shipped %d)  writes fwd %d "
+                     "commit %d  nacks %d  dirty %d"
+                     % ("", stats.reads_served, stats.reads_shipped,
+                        stats.writes_forwarded, stats.writes_committed,
+                        stats.nacks, len(runtime.dirty)))
+    return lines
+
+
+def _client_lines(client):
+    stats = client.stats
+    return ["%-10s ops %6d (ok %d / nf %d / fail %d)  "
+            "retry %d nack %d timeout %d  lat %.0f us p50 %.0f p99 %.0f"
+            % (client.address, stats.operations, stats.ok, stats.not_found,
+               stats.failures, stats.retries, stats.nacks, stats.timeouts,
+               stats.mean_latency_us(), stats.histogram.p50,
+               stats.histogram.p99)]
+
+
+#: The report's lines per component kind; kinds not listed are counted
+#: by :func:`counters` but have no line of their own.
+_LINES = {"jbof": _jbof_lines, "ssd": _ssd_lines, "vnode": _vnode_lines,
+          "client": _client_lines}
+
+
+def render(cluster) -> str:
+    """A fixed-width text report: one line per node, device and hosted
+    vnode (two when the vnode has replication activity), one per client.
+    Energy is not in it: a meter read adds a sample point, which moves
+    the energy figures, so energy is read only where a run is metered
+    (``cluster.energy_joules()``)."""
+    lines = ["cluster @ t=%.1f ms  ring v%d"
+             % (cluster.sim.now / 1e3, cluster.control_plane.ring_version)]
+    node = None
+    for kind, component in components(cluster):
+        if kind == "jbof":
+            node = component
+        elif kind == "vnode" and node.vnodes.get(
+                component.vnode_id) is not component:
+            continue  # retired: counted, not reported
+        elif kind == "client" and component is cluster.clients[0]:
+            lines.append("")
+        format_lines = _LINES.get(kind)
+        if format_lines is not None:
+            lines.extend(format_lines(component))
     return "\n".join(lines)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.hw.ssd import NVMeSSD, SSDProfile
@@ -32,6 +34,23 @@ def quiet_ssd(sim, rng) -> NVMeSSD:
     profile = SSDProfile(capacity_bytes=32 << 20, block_size=512,
                          jitter=0.0)
     return NVMeSSD(sim, profile, rng=rng, name="quiet-nvme")
+
+
+@pytest.fixture(scope="session")
+def quick_result():
+    """``quick_result(name)`` is experiment ``name``'s
+    ``run("quick")``, run once per session and shared: fig. 13's ~7 s
+    run serves both ``test_fig13_gate`` and ``test_paper_claims``.
+    Do not modify the result you are given."""
+    cache = {}
+
+    def result(name):
+        if name not in cache:
+            cache[name] = importlib.import_module(
+                "repro.bench.experiments." + name).run("quick")
+        return cache[name]
+
+    return result
 
 
 def drive(sim: Simulator, generator, name="test"):

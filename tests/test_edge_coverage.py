@@ -1,6 +1,8 @@
 """Edge-case coverage: telemetry over baselines, wrapped-log recovery,
 priority-store blocking, and the open-loop harness."""
 
+import re
+
 import pytest
 
 from repro.baselines import make_cluster
@@ -9,32 +11,37 @@ from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.recovery import recover_store
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.rng import RngRegistry
-from repro.telemetry import render, snapshot
+from repro.telemetry import counters, render
 
 from conftest import drive
 
 
 class TestTelemetryOverBaselines:
     def test_fawn_cluster_snapshot(self):
-        """The snapshot handles FAWN's single-log store shape."""
+        """Telemetry handles FAWN's single-log store shape: the report
+        reads the fill of its one ``log`` as the key log, and the store
+        doubles as the compactor, so its counters appear once, as
+        ``store.*``."""
         cluster = make_cluster("fawn", num_nodes=3, num_clients=1,
                                ssds_per_node=1,
-                               store_config=FawnConfig(log_bytes=4 << 20),
+                               store_config=FawnConfig(log_bytes=64 << 10),
                                seed=7)
         cluster.start()
         client = cluster.clients[0]
 
         def warmup():
             for index in range(10):
-                result = yield from client.put(b"k%d" % index, b"v")
+                result = yield from client.put(b"k%d" % index, b"v" * 1000)
                 assert result.ok
 
         drive(cluster.sim, warmup())
-        snap = snapshot(cluster)
-        vnodes = [v for node in snap.nodes for v in node.vnodes]
-        assert any(v.key_log_fill > 0 for v in vnodes)
-        text = render(snap)
+        text = render(cluster)
         assert "jbof0" in text
+        assert any(int(fill) > 0
+                   for fill in re.findall(r"klog\s+(\d+)%", text))
+        totals = counters(cluster)
+        assert totals["store.puts"] >= 10
+        assert not any(name.startswith("compaction.") for name in totals)
 
 
 class TestRecoveryEdgeCases:

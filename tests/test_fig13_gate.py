@@ -3,7 +3,8 @@
 Fig. 13 is the only figure whose throughput is gated by compaction,
 and the only run that compacts a value log (see
 ``repro.core.compaction``).  ``fig13.run("quick")`` runs once for the
-module (~7 s) and its WR-ONLY rows — the workload whose PUTs wait on
+session (~7 s, shared with ``test_paper_claims`` through conftest's
+``quick_result``) and its WR-ONLY rows — the workload whose PUTs wait on
 reclaim — must meet the fig. 13 claims of :mod:`repro.bench.paper`:
 
 * 13a non-decreasing over 1, 2, 4 and 8 sub-compaction workers;
@@ -16,14 +17,14 @@ each relation on its own.
 
 import pytest
 
-from repro.bench.experiments import fig13
 from repro.bench.paper import evaluate
 
 
 @pytest.fixture(scope="module")
-def verdicts():
+def verdicts(quick_result):
     """``{claim name: Verdict}`` of the quick run's fig. 13 claims."""
-    return {v.claim.name: v for v in evaluate("fig13", fig13.run("quick"))}
+    return {verdict.claim.name: verdict
+            for verdict in evaluate("fig13", quick_result("fig13"))}
 
 
 def _assert_hold(verdicts, *names):

@@ -173,19 +173,18 @@ class TestTracer:
 class TestMetricsRegistry:
     def test_sample_record_shape(self):
         sim = Simulator()
-        registry = MetricsRegistry(sim)
-        registry.counter("ops", 3)
+        registry = MetricsRegistry(sim, counters=lambda: {"ops": 3, "b": 1})
         registry.register_gauge("depth", lambda: 7)
         registry.register_histogram("lat").record(100.0)
         record = registry.sample_now()
         assert record["t_us"] == 0.0
-        assert record["counters"] == {"ops": 3.0}
+        assert list(record["counters"].items()) == [("b", 1), ("ops", 3)]
         assert record["gauges"] == {"depth": 7.0}
         assert record["histograms"]["lat"]["count"] == 1
 
     def test_sample_every_and_stop(self):
         sim = Simulator()
-        registry = MetricsRegistry(sim)
+        registry = MetricsRegistry(sim, counters=dict)
         registry.sample_every(10.0)
         sim.run(until=35.0)
         assert len(registry.records) == 3
@@ -195,13 +194,13 @@ class TestMetricsRegistry:
         assert len(registry.records) == 4
 
     def test_sample_every_rejects_nonpositive(self):
-        registry = MetricsRegistry(Simulator())
+        registry = MetricsRegistry(Simulator(), counters=dict)
         with pytest.raises(ValueError):
             registry.sample_every(0)
 
     def test_bench_records_flat(self):
         sim = Simulator()
-        registry = MetricsRegistry(sim)
+        registry = MetricsRegistry(sim, counters=dict)
         registry.register_histogram("client0.latency").record(50.0)
         registry.sample_now()
         rows = registry.bench_records("smoke")
@@ -280,6 +279,9 @@ class TestClusterApi:
         cluster.sim.run()
         assert cluster.sim.now < before + 10 * cluster.config.heartbeat_timeout_us
         assert cluster.metrics.records  # sampler ran while serving
+        # The cluster handed the registry its counter walk.
+        assert cluster.metrics.records[-1]["counters"][
+            "client.operations"] == 2
 
 
 # -- end-to-end tracing -------------------------------------------------------

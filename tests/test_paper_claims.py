@@ -7,10 +7,9 @@ evaluation in tier-1 on the experiments whose quick run takes under
 ablation_lsm 0.3, fig12 1.0-1.2, ablation_craq 0.9-1.2, table3 2.6-3.1
 and fig13 6.7-7.3; 11.7-13.3 s together.  fig7 (~9 s) would push the
 total past 15 s, so it and the slower experiments are left to
-``run all``.
+``run all``.  Each result comes from conftest's ``quick_result``, so
+fig. 13's run is shared with ``test_fig13_gate``.
 """
-
-import importlib
 
 import pytest
 
@@ -23,9 +22,8 @@ FAST = ("table1", "fig11", "fig1", "ablation_lsm", "fig12",
 
 
 @pytest.mark.parametrize("name", FAST)
-def test_claims_hold(name):
-    result = importlib.import_module("repro.bench.experiments." + name).run(
-        "quick")
+def test_claims_hold(name, quick_result):
+    result = quick_result(name)
     failed = [str(v) for v in evaluate(name, result) if not v.passed]
     assert not failed, "\n".join(failed)
 

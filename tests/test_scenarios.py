@@ -33,6 +33,7 @@ from repro.scenarios import (Phase, Scenario, Segment, build_scenario,
 from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.load import MIN_VALUE_SIZE, WriteLedger
 from repro.scenarios.runner import canonical_json
+from repro.telemetry import KINDS, PEAK_PREFIX
 
 GOLDEN_PATH = Path(__file__).parent / "golden_scenarios.json"
 PY_VERSION = "%d.%d" % sys.version_info[:2]
@@ -113,6 +114,20 @@ def test_record_shape(name):
     assert record["totals"]["energy_per_op_uj"] > 0
     assert record["digests"]["figure"]
     assert record["digests"]["schedule"]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_counters_are_cumulative(name):
+    """No component counter column falls from one phase end to the
+    next, even where a scale-in (autoscale's relax phase), an upgrade
+    or a power restore retires vnode runtimes; ``peak_*`` columns are
+    levels and may."""
+    rows = records_for(name)[0]["metrics"]
+    for earlier, later in zip(rows, rows[1:]):
+        for column, value in earlier.items():
+            parts = column.split(".")
+            if parts[0] in KINDS and not parts[-1].startswith(PEAK_PREFIX):
+                assert later[column] >= value, (later["phase"], column)
 
 
 def test_failure_burst_reports_recovery_timings():
