@@ -5,8 +5,8 @@ A thin wrapper over the production-scenario library
 (:mod:`repro.scenarios`).  The episode — fail-stop crash, heartbeat
 detection, COPY re-replication from surviving chain tails (§3.8), and
 the eventual rejoin — is a declarative :class:`Scenario`; the
-availability and lost-acked-write accounting come from the library's
-shared :class:`WriteLedger` instead of demo-local bookkeeping.
+availability and lost-acked-write accounting are the library's reads
+of the run history instead of demo-local bookkeeping.
 
 Run:  python examples/failover_demo.py
 """

@@ -40,7 +40,8 @@ from repro.bench.harness import (
     scale_profile,
 )
 from repro.core.replication import protocol_names
-from repro.workloads.driver import OpenLoopDriver, merge_stats
+from repro.workloads.driver import OpenLoopDriver
+from repro.workloads.history import History
 from repro.workloads.ycsb import YCSBWorkload
 
 SEED = 23
@@ -85,10 +86,11 @@ def _recovery(protocol: str, scale: str) -> dict:
     load_cluster(cluster, workload)
     sim = cluster.sim
     victim = cluster.jbofs[1]
+    history = History()
     drivers = [OpenLoopDriver(sim, client, workload,
                               45_000.0 / len(cluster.clients),
                               duration_us=3.0 * phase_us,
-                              seed=SEED + i)
+                              seed=SEED + i, history=history)
                for i, client in enumerate(cluster.clients)]
     procs = [sim.process(d.run(), name="ablation.driver")
              for d in drivers]
@@ -113,25 +115,23 @@ def _recovery(protocol: str, scale: str) -> dict:
     sim.run(until=sim.all_of(procs))
     # Let replay (and any trailing repair traffic) drain.
     sim.run(until=sim.now + 2.0 * phase_us)
-    merge_stats([d.stats for d in drivers])
+    row = {"recovery_ms": 0.0, "replayed": 0, "skipped": 0, "failed": 0,
+           "dropped": history.dropped}
     report = victim.wal_recovery
-    if report is None or report["completed_at_us"] is None:
-        return {"recovery_ms": 0.0, "replayed": 0, "skipped": 0,
-                "failed": 0}
-    return {
-        "recovery_ms": (report["completed_at_us"]
-                        - report["started_at_us"]) / 1e3,
-        "replayed": report["replayed"],
-        "skipped": report["skipped"],
-        "failed": report["failed"],
-    }
+    if report is not None and report["completed_at_us"] is not None:
+        row.update(recovery_ms=(report["completed_at_us"]
+                                - report["started_at_us"]) / 1e3,
+                   replayed=report["replayed"], skipped=report["skipped"],
+                   failed=report["failed"])
+    return row
 
 
 def run(scale: str = QUICK) -> ExperimentResult:
     result = ExperimentResult(
         name="Ablation: replication protocol — chain vs craq vs abd",
         columns=["protocol", "kqps", "p99_ms", "uj_per_op",
-                 "extra_bytes", "recovery_ms", "replayed", "skipped"])
+                 "extra_bytes", "recovery_ms", "replayed", "skipped",
+                 "dropped"])
     for protocol in protocol_names():
         row = {"protocol": protocol}
         row.update(_steady_state(protocol, scale))
@@ -140,7 +140,8 @@ def run(scale: str = QUICK) -> ExperimentResult:
         result.add(**row)
     result.notes = ("extra_bytes counts quorum/version-query wire "
                     "traffic; recovery_ms times WAL replay after a "
-                    "mid-churn fail-stop.")
+                    "mid-churn fail-stop; dropped counts its open-loop "
+                    "arrivals refused at the in-flight cap.")
     return result
 
 

@@ -29,7 +29,8 @@ from repro.hw.platforms import STINGRAY
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
-from repro.workloads.driver import ClosedLoopDriver, merge_stats
+from repro.workloads.driver import ClosedLoopDriver, drive
+from repro.workloads.history import History
 from repro.workloads.ycsb import YCSBWorkload
 
 WORKLOAD_DEFS = (
@@ -90,12 +91,12 @@ def _run_with_compactor(workload_def, subcompactions: int,
     preload_store(single, num_records, 256)
     workload = YCSBWorkload(mix, num_records, value_size=256,
                             distribution=dist, skew=skew or 0.99, seed=seed)
-    blocking = BlockingStore(single.sim, single.store)
-    driver = ClosedLoopDriver(single.sim, blocking, workload, num_ops,
-                              concurrency=24)
-    process = single.sim.process(driver.run(), name="fig13.drive")
-    single.sim.run(until=process)
-    return driver.stats.throughput_qps
+    sim, history = single.sim, History()
+    driver = ClosedLoopDriver(sim, BlockingStore(sim, single.store), workload,
+                              num_ops, concurrency=24, history=history)
+    window = history.open(sim.now)
+    sim.run(until=sim.process(driver.run(), name="fig13.drive"))
+    return window.close(sim.now).throughput_qps
 
 
 def run_intra(scale: str = QUICK) -> ExperimentResult:
@@ -161,6 +162,7 @@ def run_inter(scale: str = QUICK) -> ExperimentResult:
                 preload_store(single, num_records, 256,
                               key_prefix="p%d-user" % index,
                               seed=40 + index)
+            history = History()
             drivers = []
             for index, single in enumerate(singles):
                 workload = YCSBWorkload(mix, num_records, value_size=256,
@@ -170,10 +172,8 @@ def run_inter(scale: str = QUICK) -> ExperimentResult:
                                         key_prefix="p%d-user" % index)
                 drivers.append(ClosedLoopDriver(
                     sim, BlockingStore(sim, single.store), workload,
-                    num_ops // partitions, concurrency=10))
-            procs = [sim.process(d.run()) for d in drivers]
-            sim.run(until=sim.all_of(procs))
-            stats = merge_stats([d.stats for d in drivers])
+                    num_ops // partitions, concurrency=10, history=history))
+            stats = drive(sim, drivers)
             result.add(workload=label, concurrent_compactions=limit,
                        kqps=stats.throughput_qps / 1e3)
     return result

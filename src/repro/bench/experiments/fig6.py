@@ -45,7 +45,7 @@ def run(scale: str = QUICK, value_size: int = 1024) -> ExperimentResult:
         name="Figure %s: latency vs throughput (%d B)"
              % ("6" if value_size == 1024 else "14", value_size),
         columns=["workload", "system", "offered_kqps", "kqps",
-                 "avg_latency_ms", "p999_ms"])
+                 "avg_latency_ms", "p999_ms", "dropped"])
     for workload_name in WORKLOAD_SET:
         for system in ("fawn", "kvell", "leed"):
             saturation = SATURATION_KQPS[system][workload_name] * 1e3
@@ -68,7 +68,8 @@ def run(scale: str = QUICK, value_size: int = 1024) -> ExperimentResult:
                            offered_kqps=rate / 1e3,
                            kqps=stats.throughput_qps / 1e3,
                            avg_latency_ms=stats.mean_latency_us() / 1e3,
-                           p999_ms=stats.percentile_us(0.999) / 1e3)
+                           p999_ms=stats.percentile_us(0.999) / 1e3,
+                           dropped=stats.dropped)
                 if system == "fawn":
                     # FAWN(100): ideal linear scaling, as in the paper.
                     result.add(workload="YCSB-" + workload_name,
@@ -76,7 +77,8 @@ def run(scale: str = QUICK, value_size: int = 1024) -> ExperimentResult:
                                offered_kqps=rate / 1e3 * 10,
                                kqps=stats.throughput_qps / 1e3 * 10,
                                avg_latency_ms=stats.mean_latency_us() / 1e3,
-                               p999_ms=stats.percentile_us(0.999) / 1e3)
+                               p999_ms=stats.percentile_us(0.999) / 1e3,
+                               dropped=stats.dropped * 10)
     result.notes = ("FAWN(100) rows are FAWN(10) scaled 10x at equal "
                     "latency — the paper's ideal-scaling assumption.")
     return result

@@ -13,7 +13,8 @@ recovery after each membership operation completes.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from collections import Counter
+from typing import List
 
 from repro.bench.harness import (
     QUICK,
@@ -22,7 +23,8 @@ from repro.bench.harness import (
     load_cluster,
     scale_profile,
 )
-from repro.workloads.driver import OpenLoopDriver, merge_stats
+from repro.workloads.driver import OpenLoopDriver
+from repro.workloads.history import History
 from repro.workloads.ycsb import YCSBWorkload
 
 
@@ -37,6 +39,7 @@ def run(scale: str = QUICK) -> ExperimentResult:
     result = ExperimentResult(
         name="Figure 9: throughput during node join/leave",
         columns=["workload", "bucket_ms", "kqps", "phase"])
+    dropped: List[str] = []
 
     for workload_name in ("A", "B"):
         rate = rates.get(workload_name, 100_000.0)
@@ -47,19 +50,17 @@ def run(scale: str = QUICK) -> ExperimentResult:
         load_cluster(cluster, workload)
         sim = cluster.sim
         start = sim.now
+        history = History()
         # Steady offered load across three phases: baseline, join, leave.
         drivers = [OpenLoopDriver(sim, client, workload,
                                   rate / len(cluster.clients),
                                   duration_us=3.2 * phase_us,
-                                  seed=90 + i, record_timeline=True)
+                                  seed=90 + i, history=history)
                    for i, client in enumerate(cluster.clients)]
         procs = [sim.process(d.run(), name="fig9.driver") for d in drivers]
 
         # Membership operations at phase boundaries.
-        new_vnode_id = None
-
         def orchestrate():
-            nonlocal new_vnode_id
             yield sim.timeout(phase_us)
             # Join: a new virtual node on an existing JBOF.
             host = cluster.jbofs[0]
@@ -74,17 +75,15 @@ def run(scale: str = QUICK) -> ExperimentResult:
             # Leave: the node we just joined departs voluntarily.
             yield from cluster.control_plane.leave_vnode(new_vnode_id)
 
-        orchestration = sim.process(orchestrate(), name="fig9.orchestrate")
+        sim.process(orchestrate(), name="fig9.orchestrate")
         sim.run(until=sim.all_of(procs))
-        stats = merge_stats([d.stats for d in drivers])
+        dropped.append("YCSB-%s %d" % (workload_name, history.dropped))
         events = {kind: t for t, kind, _ in
                   cluster.control_plane.membership_events}
 
         # Bucket completions into the timeline.
-        buckets: Dict[int, int] = {}
-        for when, _latency in stats.timeline:
-            buckets[int((when - start) // bucket_us)] = \
-                buckets.get(int((when - start) // bucket_us), 0) + 1
+        buckets = Counter(int((when - start) // bucket_us)
+                          for when in history.response_us)
         for bucket_index in sorted(buckets):
             mid = start + (bucket_index + 0.5) * bucket_us
             phase = "steady"
@@ -102,4 +101,6 @@ def run(scale: str = QUICK) -> ExperimentResult:
                        bucket_ms=(bucket_index + 0.5) * bucket_us / 1e3,
                        kqps=buckets[bucket_index] / bucket_us * 1e3,
                        phase=phase)
+    result.notes = ("arrivals dropped at the in-flight cap: %s"
+                    % ", ".join(dropped))
     return result

@@ -30,7 +30,8 @@ from repro.sim.rng import RngRegistry
 from repro.hw.cpu import Core
 from repro.hw.platforms import STINGRAY
 from repro.hw.ssd import NVMeSSD, SSDProfile
-from repro.workloads.driver import ClosedLoopDriver, merge_stats
+from repro.workloads.driver import ClosedLoopDriver, drive
+from repro.workloads.history import History
 from repro.workloads.ycsb import YCSBWorkload
 
 NUM_SSDS = 4
@@ -59,6 +60,7 @@ def _build_node(system: str, value_size: int, num_records: int, seed: int):
 def _measure(system: str, value_size: int, num_records: int, num_ops: int,
              workload_name: str, concurrency: int, seed: int = 3):
     sim, singles = _build_node(system, value_size, num_records, seed)
+    history = History()
     drivers = []
     for index, single in enumerate(singles):
         workload = YCSBWorkload(workload_name, num_records,
@@ -68,10 +70,8 @@ def _measure(system: str, value_size: int, num_records: int, num_ops: int,
                                 key_prefix="n%d-user" % index)
         drivers.append(ClosedLoopDriver(
             sim, single.store, workload, num_ops // NUM_SSDS,
-            concurrency=max(concurrency // NUM_SSDS, 1)))
-    procs = [sim.process(d.run()) for d in drivers]
-    sim.run(until=sim.all_of(procs))
-    return merge_stats([d.stats for d in drivers])
+            concurrency=max(concurrency // NUM_SSDS, 1), history=history))
+    return drive(sim, drivers)
 
 
 def run(scale: str = QUICK) -> ExperimentResult:

@@ -34,8 +34,8 @@ from repro.hw.platforms import RASPBERRY_PI, STINGRAY
 from repro.hw.ssd import SDCARD_PROFILE, NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry, derive_stream
-from repro.workloads.driver import (ClosedLoopDriver, DriverStats,
-                                    OpenLoopDriver, merge_stats)
+from repro.workloads.driver import ClosedLoopDriver, OpenLoopDriver, drive
+from repro.workloads.history import History, Window
 from repro.workloads.ycsb import YCSBWorkload, make_key, make_value
 
 QUICK = "quick"
@@ -226,23 +226,20 @@ def load_cluster(cluster: LeedCluster, workload: YCSBWorkload,
 
 
 def run_closed_loop(cluster: LeedCluster, workload: YCSBWorkload,
-                    num_ops: int, concurrency: int,
-                    record_timeline: bool = False) -> DriverStats:
+                    num_ops: int, concurrency: int) -> Window:
     """Drive the cluster closed-loop across all its clients."""
-    sim = cluster.sim
+    history = History()
     share = max(num_ops // len(cluster.clients), 1)
-    drivers = [ClosedLoopDriver(sim, client, workload, share,
+    drivers = [ClosedLoopDriver(cluster.sim, client, workload, share,
                                 concurrency=max(
                                     concurrency // len(cluster.clients), 1),
-                                record_timeline=record_timeline)
+                                history=history)
                for client in cluster.clients]
-    procs = [sim.process(d.run(), name="bench.driver") for d in drivers]
-    sim.run(until=sim.all_of(procs))
-    return merge_stats([driver.stats for driver in drivers])
+    return drive(cluster.sim, drivers, name="bench.driver")
 
 
 def run_metered(cluster: LeedCluster, workload: YCSBWorkload,
-                num_ops: int, concurrency: int) -> Tuple[DriverStats, float]:
+                num_ops: int, concurrency: int) -> Tuple[Window, float]:
     """:func:`run_closed_loop` plus the Joules that run drew.
 
     Call it after :func:`load_cluster`: the meters are read around the
@@ -328,16 +325,15 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
 
 def run_open_loop(cluster: LeedCluster, workload: YCSBWorkload,
                   rate_qps: float, duration_us: float,
-                  seed: int = 0) -> DriverStats:
+                  seed: int = 0) -> Window:
     """Offered-load run split evenly across clients."""
-    sim = cluster.sim
+    history = History()
     per_client_rate = rate_qps / len(cluster.clients)
-    drivers = [OpenLoopDriver(sim, client, workload, per_client_rate,
-                              duration_us, seed=seed + index)
+    drivers = [OpenLoopDriver(cluster.sim, client, workload,
+                              per_client_rate, duration_us,
+                              seed=seed + index, history=history)
                for index, client in enumerate(cluster.clients)]
-    procs = [sim.process(d.run(), name="bench.odriver") for d in drivers]
-    sim.run(until=sim.all_of(procs))
-    return merge_stats([driver.stats for driver in drivers])
+    return drive(cluster.sim, drivers, name="bench.odriver")
 
 
 # -- single-store (no network) harness: Table 3, Figs 11-13 ----------------------------------
@@ -429,10 +425,12 @@ def preload_store(single: SingleStore, num_records: int, value_size: int,
 
 
 def drive_store(single: SingleStore, workload: YCSBWorkload, num_ops: int,
-                concurrency: int = 16) -> DriverStats:
+                concurrency: int = 16) -> Window:
     """Closed-loop driver directly against a bare store."""
-    driver = ClosedLoopDriver(single.sim, single.store, workload, num_ops,
-                              concurrency=concurrency)
-    process = single.sim.process(driver.run(), name="bench.store")
-    single.sim.run(until=process)
-    return driver.stats
+    sim = single.sim
+    history = History()
+    driver = ClosedLoopDriver(sim, single.store, workload, num_ops,
+                              concurrency=concurrency, history=history)
+    window = history.open(sim.now)
+    sim.run(until=sim.process(driver.run(), name="bench.store"))
+    return window.close(sim.now)

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 from repro import telemetry
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
-from repro.workloads.driver import ClosedLoopDriver
+from repro.workloads.driver import ClosedLoopDriver, drive
+from repro.workloads.history import History
 from repro.workloads.ycsb import YCSBWorkload
 
 
@@ -54,15 +55,13 @@ def run_probe(seed: int = 0, workload: str = "A", num_records: int = 120,
         cluster.load(mix.load_pairs(), parallelism=16),
         name="determinism.load")
     cluster.sim.run(until=loaded)
-    drivers = [
+    history = History()
+    drive(cluster.sim, [
         ClosedLoopDriver(cluster.sim, client, mix,
                          max(num_ops // len(cluster.clients), 1),
-                         concurrency=8)
+                         concurrency=8, history=history)
         for client in cluster.clients
-    ]
-    procs = [cluster.sim.process(driver.run(), name="determinism.drive")
-             for driver in drivers]
-    cluster.sim.run(until=cluster.sim.all_of(procs))
+    ], name="determinism.drive")
     return ProbeResult(
         seed=seed,
         digest=cluster.sim.schedule_digest,

@@ -11,7 +11,7 @@ from repro.scenarios.dsl import (SCALES, AutoscalerConfig, Injection, Phase,
                                  Scenario, ScenarioScale, Segment,
                                  build_scenario, inject, register_scenario,
                                  scenario_names)
-from repro.scenarios.load import CurveDriver, PhaseStats, WriteLedger
+from repro.scenarios.load import CurveDriver, WriteLedger, judge
 from repro.scenarios.runner import ScenarioRuntime, run_scenario
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "CurveDriver",
     "Injection",
     "Phase",
-    "PhaseStats",
     "SCALES",
     "Scenario",
     "ScenarioRuntime",
@@ -28,6 +27,7 @@ __all__ = [
     "WriteLedger",
     "build_scenario",
     "inject",
+    "judge",
     "register_scenario",
     "run_scenario",
     "scenario_names",

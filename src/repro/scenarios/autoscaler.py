@@ -1,8 +1,8 @@
 """Reactive autoscaler: add/remove JBOFs on p99/energy signals.
 
 The :class:`Autoscaler` is a background simulator process that wakes
-every ``check_interval_us``, computes the p99 over the runtime's
-rolling latency window (fed by every :class:`CurveDriver`), and:
+every ``check_interval_us``, computes the p99 over the last 1 024
+rows of the run's history (every :class:`CurveDriver` op), and:
 
 * **scales out** (``LeedCluster.add_jbof``) when p99 exceeds
   ``p99_high_us`` and headroom remains,

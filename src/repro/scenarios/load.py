@@ -1,197 +1,122 @@
-"""Curve-following load generation and the acked-write ledger.
+"""Curve-following load generation and the acked-write verdict.
 
 :class:`CurveDriver` is an open-loop Poisson driver whose rate and
 Zipf skew follow a phase's :class:`~repro.scenarios.dsl.Segment`
-curve.  Every PUT it issues is routed through a shared
-:class:`WriteLedger` that assigns a globally unique value token and,
-after the run, adjudicates a read-back sweep: an acked write whose
-value cannot be observed (and was not superseded) is a *lost acked
-write* — the invariant every scenario asserts to zero.
+curve; every PUT carries a unique token minted by the
+:class:`WriteLedger`.  Its ops and the final read-back sweep's reads
+are rows of the run's :class:`~repro.workloads.history.History`, and
+:func:`judge` reads only those rows: an acked write whose value cannot
+be observed (and was not superseded) is a *lost acked write* — the
+invariant every scenario asserts to zero.
 
 Single-writer discipline: PUT keys are remapped so each record id is
 only ever written by one driver (``rid - rid % writers + index``,
 which preserves Zipf hotness buckets).  Within one driver, open-loop
-concurrency can still put the same key twice in flight; the ledger
-marks such keys *racy* and only requires read-your-issued for them.
+concurrency can still put the same key twice in flight; such keys are
+*racy* and only require read-your-issued.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.sim.core import Simulator
-from repro.workloads.driver import percentile
+from repro.workloads.driver import Driver
+from repro.workloads.history import TOKEN_LEN, History
 from repro.workloads.ycsb import YCSBWorkload, make_key
-
-#: Value-token prefix length: b"w%016x." — unique per ledger sequence
-#: number, so equality of the first 18 bytes implies write identity.
-TOKEN_LEN = 18
 
 #: Smallest value size the ledger can tag.
 MIN_VALUE_SIZE = 32
 
 
-class _KeyState:
-    """Per-key write history inside a :class:`WriteLedger`."""
-
-    __slots__ = ("issued", "acked_seq", "outstanding", "racy")
-
-    def __init__(self):
-        #: token bytes -> ledger seq, for every write ever issued.
-        self.issued: Dict[bytes, int] = {}
-        self.acked_seq: Optional[int] = None
-        self.outstanding = 0
-        self.racy = False
-
-
 class WriteLedger:
-    """Tracks every scenario PUT and judges the final read-back sweep."""
+    """Mints scenario PUT values: ``b"w%016x."`` (unique per run, and
+    ordered as the writes were issued) padded to the value size."""
 
     def __init__(self, value_size: int):
         if value_size < MIN_VALUE_SIZE:
             raise ValueError("ledger needs value_size >= %d, got %d"
                              % (MIN_VALUE_SIZE, value_size))
-        self.value_size = value_size
-        self._keys: Dict[bytes, _KeyState] = {}
+        self.padding = b"x" * (value_size - TOKEN_LEN)
         self._seq = 0
-        self.acked_writes = 0
-        self.failed_writes = 0
 
-    def begin(self, key: bytes):
-        """Register a write about to be issued; returns (seq, value)."""
-        state = self._keys.get(key)
-        if state is None:
-            state = self._keys[key] = _KeyState()
-        if state.outstanding > 0:
-            state.racy = True
-        state.outstanding += 1
-        seq = self._seq
+    def mint(self) -> bytes:
+        token = b"w%016x." % self._seq
         self._seq += 1
-        token = (b"w%016x." % seq)
-        state.issued[token] = seq
-        value = token + b"x" * (self.value_size - TOKEN_LEN)
-        return seq, value
+        return token + self.padding
 
-    def finish(self, key: bytes, seq: int, acked: bool) -> None:
-        """Record the outcome of a write begun via :meth:`begin`."""
-        state = self._keys[key]
-        state.outstanding -= 1
-        if acked:
-            self.acked_writes += 1
-            if state.acked_seq is None or seq > state.acked_seq:
-                state.acked_seq = seq
+
+def key_writes(history: History, stop: int
+               ) -> Dict[bytes, Tuple[Set[bytes], Optional[bytes], bool]]:
+    """Per key, from the PUT rows before ``stop``: every token issued,
+    the newest acked one (None without an ack), and whether the key is
+    racy.
+
+    Minted tokens sort in issue order.  A PUT invoked before an
+    earlier-issued one on the same key responded makes the key racy;
+    a tie counts as an overlap.
+    """
+    rows: Dict[bytes, List[int]] = {}
+    for row in range(stop):
+        if history.op[row] == "put":
+            rows.setdefault(history.key[row], []).append(row)
+    written, status = history.written, history.status
+    writes = {}
+    for key, puts in rows.items():
+        puts.sort(key=written.__getitem__)
+        racy, busy_until, acked = False, float("-inf"), None
+        for row in puts:
+            racy = racy or history.invoke_us[row] <= busy_until
+            busy_until = max(busy_until, history.response_us[row])
+            if status[row] == "ok":
+                acked = written[row]
+        writes[key] = ({written[row] for row in puts}, acked, racy)
+    return writes
+
+
+def judge(history: History, sweep_start: int) -> Dict[bytes, str]:
+    """The verdict on the last read of each key the sweep (the rows
+    from ``sweep_start``) read: ``"ok"``, ``"indeterminate"`` (it shows
+    a write issued after the last ack whose outcome the client never
+    learned) or ``"lost"`` (the acked write is gone)."""
+    writes = key_writes(history, sweep_start)
+    verdicts: Dict[bytes, str] = {}
+    for row in range(sweep_start, len(history)):
+        key, token = history.key[row], history.read[row]
+        issued, acked, racy = writes[key]
+        if history.status[row] != "ok" or token not in issued:
+            verdict = "lost"       # no deletes: not_found or pre-run bytes
+        elif racy or token == acked:
+            verdict = "ok"         # concurrent same-key puts: any issued wins
+        elif token > acked:
+            verdict = "indeterminate"
         else:
-            self.failed_writes += 1
-
-    # -- final sweep -------------------------------------------------------
-
-    def acked_keys(self) -> List[bytes]:
-        """Keys with at least one acknowledged write, sorted."""
-        return sorted(k for k, s in self._keys.items()
-                      if s.acked_seq is not None)
-
-    def judge(self, key: bytes, status: str,
-              value: Optional[bytes]) -> str:
-        """Adjudicate one sweep read of an acked key.
-
-        Returns ``"ok"``, ``"indeterminate"`` (a write issued after
-        the last ack whose outcome the client never learned — allowed
-        to have landed), or ``"lost"`` (the acked write is gone: the
-        key vanished, holds a pre-scenario value, or regressed to an
-        older write).
-        """
-        state = self._keys[key]
-        if status != "ok" or value is None:
-            # No deletes in scenario traffic: not_found = lost.
-            return "lost"
-        seq = state.issued.get(bytes(value[:TOKEN_LEN]))
-        if seq is None:
-            return "lost"          # pre-scenario bytes over an acked write
-        if state.racy:
-            return "ok"            # concurrent same-key puts: any issued wins
-        if seq == state.acked_seq:
-            return "ok"
-        if seq > state.acked_seq:
-            return "indeterminate"
-        return "lost"              # older write resurfaced over the ack
-
-    @property
-    def racy_key_count(self) -> int:
-        return sum(1 for s in self._keys.values() if s.racy)
+            verdict = "lost"       # older write resurfaced over the ack
+        verdicts[key] = verdict
+    return verdicts
 
 
-class PhaseStats:
-    """Aggregated per-phase traffic accounting (all drivers)."""
-
-    __slots__ = ("name", "started_at_us", "finished_at_us", "issued",
-                 "ok", "failed", "dropped", "latencies_us")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.started_at_us = 0.0
-        self.finished_at_us = 0.0
-        self.issued = 0
-        self.ok = 0
-        self.failed = 0
-        self.dropped = 0
-        self.latencies_us: List[float] = []
-
-    def percentile_us(self, quantile: float) -> float:
-        return percentile(self.latencies_us, quantile)
-
-    def availability(self) -> float:
-        denom = self.ok + self.failed + self.dropped
-        if denom == 0:
-            return 1.0
-        return self.ok / denom
-
-    def summary(self) -> Dict[str, object]:
-        duration = max(self.finished_at_us - self.started_at_us, 0.0)
-        return {
-            "name": self.name,
-            "start_us": self.started_at_us,
-            "duration_us": duration,
-            "issued": self.issued,
-            "ok": self.ok,
-            "failed": self.failed,
-            "dropped": self.dropped,
-            "availability": round(self.availability(), 6),
-            "p50_us": round(self.percentile_us(0.50), 3),
-            "p99_us": round(self.percentile_us(0.99), 3),
-            "throughput_qps": round(self.ok / (duration * 1e-6), 3)
-            if duration > 0 else 0.0,
-        }
-
-
-class CurveDriver:
+class CurveDriver(Driver):
     """One client's open-loop Poisson traffic through a phase curve.
 
     Arrivals follow the active :class:`Segment`'s rate (divided evenly
-    across drivers); a segment with a ``skew`` override swaps in a
-    workload generator with that Zipfian constant.  Latency samples
-    are mirrored into ``latency_sink`` (the runner's rolling window)
-    so the autoscaler can react to them mid-run.
+    across the runtime's clients); a segment with a ``skew`` override
+    swaps in a workload generator with that Zipfian constant.
     """
 
-    def __init__(self, sim: Simulator, client, scale, scenario,
-                 segments, duration_us: float, rng, ledger: WriteLedger,
-                 writer_index: int, num_writers: int, stats: PhaseStats,
-                 latency_sink=None, workload_seed: int = 0):
-        self.sim = sim
-        self.client = client
-        self.scale = scale
-        self.scenario = scenario
-        self.segments = list(segments)
-        self.duration_us = duration_us
-        self.rng = rng
-        self.ledger = ledger
+    def __init__(self, runtime, phase, phase_index: int, writer_index: int):
+        clients = runtime.cluster.clients
+        super().__init__(runtime.sim, clients[writer_index], runtime.history)
+        self.scale, self.scenario = runtime.scale, runtime.scenario
+        self.ledger = runtime.ledger
+        self.segments = phase.segments
+        self.duration_us = phase.duration * runtime.scale.phase_unit_us
+        self.rng = runtime.rng.stream("scenario.%s.arrivals.c%d"
+                                      % (phase.name, writer_index))
         self.writer_index = writer_index
-        self.num_writers = max(num_writers, 1)
-        self.stats = stats
-        self.latency_sink = latency_sink
-        self.workload_seed = workload_seed
+        self.num_writers = len(clients)
+        self.workload_seed = ((runtime.seed + 1) * 10_000
+                              + phase_index * 100 + writer_index)
         self._workloads: Dict[float, YCSBWorkload] = {}
-        self._inflight = 0
 
     def _workload(self, skew: float) -> YCSBWorkload:
         """Generator stream for one skew value (cached per driver)."""
@@ -228,15 +153,8 @@ class CurveDriver:
                     yield self.sim.timeout(seg_end - self.sim.now)
                     break
                 yield self.sim.timeout(gap)
-                self.stats.issued += 1
-                if self._inflight >= self.scale.max_inflight:
-                    self.stats.dropped += 1
-                    continue
-                self._inflight += 1
-                operation = workload.next_operation()
-                pending.append(self.sim.process(
-                    self._one(operation), name="scenario.op"))
-                pending = [p for p in pending if not p.triggered]
+                pending = self.arrive(workload, self.scale.max_inflight,
+                                      pending)
         if pending:
             yield self.sim.all_of(pending)
 
@@ -250,24 +168,9 @@ class CurveDriver:
         return make_key(remapped)
 
     def _one(self, operation):
-        begin = self.sim.now
         if operation.op == "put":
-            key = self._remap_put_key(operation.key)
-            seq, value = self.ledger.begin(key)
-            result = yield from self.client.put(key, value)
-            status = getattr(result, "status", "error")
-            self.ledger.finish(key, seq, status == "ok")
-            ok = status == "ok"
+            yield from self.execute("put", self._remap_put_key(operation.key),
+                                    self.ledger.mint())
         else:
-            result = yield from self.client.get(operation.key)
-            status = getattr(result, "status", "error")
-            ok = status in ("ok", "not_found")
-        latency = self.sim.now - begin
-        if ok:
-            self.stats.ok += 1
-        else:
-            self.stats.failed += 1
-        self.stats.latencies_us.append(latency)
-        if self.latency_sink is not None:
-            self.latency_sink.append(latency)
+            yield from self.execute("get", operation.key)
         self._inflight -= 1

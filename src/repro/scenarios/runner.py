@@ -11,9 +11,10 @@ and the golden-run tests all share.  It deterministically:
    phase's scheduled injections, with
    :meth:`~repro.obs.metrics.MetricsRegistry.set_phase` tagging the
    metrics stream,
-4. settles, then sweeps every acked key through the
-   :class:`~repro.scenarios.load.WriteLedger` to count lost acked
-   writes (the headline invariant: must be zero),
+4. settles, then reads back every acked key and judges the reads
+   with :func:`~repro.scenarios.load.judge` to count lost acked
+   writes (the headline invariant: must be zero) — traffic and sweep
+   are rows of one :class:`~repro.workloads.history.History`,
 5. emits one ``BENCH_scenarios.json``-style record with availability,
    p99-under-churn, recovery timings (failover + power-loss WAL
    replay), energy/op, membership-event accounting, a metrics row per
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.jbof import LeedOptions
@@ -40,13 +40,15 @@ from repro.scenarios.autoscaler import Autoscaler
 from repro.scenarios.dsl import (SCALES, Scenario, ScenarioScale,
                                  build_scenario)
 from repro.scenarios.injectors import ACTIONS
-from repro.scenarios.load import CurveDriver, PhaseStats, WriteLedger
+from repro.scenarios.load import (CurveDriver, WriteLedger, judge,
+                                  key_writes)
 from repro.sim.rng import RngRegistry
-from repro.workloads.driver import percentile
+from repro.workloads.driver import Driver
+from repro.workloads.history import SUCCESS, History, Window, percentile
 from repro.workloads.ycsb import YCSBWorkload
 
 #: Sweep reads retry transient failures this many times before the
-#: ledger judges the key (the cluster has settled by then; retries
+#: key is judged (the cluster has settled by then; retries
 #: only paper over a mid-sweep stray timeout, not real data loss).
 SWEEP_RETRIES = 3
 
@@ -69,14 +71,14 @@ class ScenarioRuntime:
         self.seed = seed
         self.rng = RngRegistry(seed)
         self.ledger = WriteLedger(scale.value_size)
+        self.history = History()
         self.notes: List[dict] = []
         self.power_recoveries: List[dict] = []
-        self.phase_stats: List[PhaseStats] = []
-        self.latency_window = deque(maxlen=1024)
+        self.phases: List[Tuple[str, Window]] = []
+        self.traffic: Optional[Window] = None
         self.autoscaler: Optional[Autoscaler] = None
         self.stopping = False
-        self.sweep_counts: Dict[str, int] = {}
-        self.lost_keys: List[str] = []
+        self.verdicts: Dict[bytes, str] = {}
 
     # -- services for injectors / the autoscaler ---------------------------
 
@@ -97,10 +99,12 @@ class ScenarioRuntime:
         })
 
     def recent_p99(self) -> Optional[float]:
-        """p99 over the rolling latency window (None until warmed)."""
-        if len(self.latency_window) < 32:
+        """p99 over the last 1 024 rows (None before 32)."""
+        if len(self.history) < 32:
             return None
-        return percentile(self.latency_window, 0.99)
+        return percentile([response - invoke for invoke, response in zip(
+            self.history.invoke_us[-1024:], self.history.response_us[-1024:])],
+            0.99)
 
     # -- execution ---------------------------------------------------------
 
@@ -130,22 +134,14 @@ class ScenarioRuntime:
             self.autoscaler = Autoscaler(self, scenario.autoscaler)
             sim.process(self.autoscaler.run(), name="scenario.autoscaler")
 
+        self.traffic = self.history.open(sim.now)
         for phase_index, phase in enumerate(scenario.phases):
             metrics.set_phase(phase.name)
-            stats = PhaseStats(phase.name)
-            stats.started_at_us = sim.now
+            window = self.history.open(sim.now)
             duration = phase.duration * scale.phase_unit_us
             procs = []
-            for client_index, client in enumerate(cluster.clients):
-                driver = CurveDriver(
-                    sim, client, scale, scenario, phase.segments, duration,
-                    rng=self.rng.stream("scenario.%s.arrivals.c%d"
-                                        % (phase.name, client_index)),
-                    ledger=self.ledger, writer_index=client_index,
-                    num_writers=len(cluster.clients), stats=stats,
-                    latency_sink=self.latency_window,
-                    workload_seed=((self.seed + 1) * 10_000
-                                   + phase_index * 100 + client_index))
+            for client_index in range(len(cluster.clients)):
+                driver = CurveDriver(self, phase, phase_index, client_index)
                 procs.append(sim.process(
                     driver.run(),
                     name="scenario.%s.c%d" % (phase.name, client_index)))
@@ -154,9 +150,9 @@ class ScenarioRuntime:
                     self._inject(injection, duration),
                     name="scenario.%s.inject%d" % (phase.name, inj_index)))
             sim.run(until=sim.all_of(procs))
-            stats.finished_at_us = sim.now
-            self.phase_stats.append(stats)
+            self.phases.append((phase.name, window.close(sim.now)))
             metrics.sample_now()
+        self.traffic.close(sim.now)
         metrics.set_phase(None)
         # Traffic is over: stop the autoscaler *before* the settle
         # window, or it reacts to its own scale-in churn (leave-COPY
@@ -188,22 +184,18 @@ class ScenarioRuntime:
         yield from action(self, **injection.kwargs())
 
     def _sweep(self):
-        """Generator: read back every acked key and judge it."""
-        client = self.cluster.clients[0]
-        counts = {"ok": 0, "indeterminate": 0, "lost": 0}
-        for key in self.ledger.acked_keys():
-            result = None
+        """Generator: read back every acked key and judge the reads."""
+        sweeper = Driver(self.sim, self.cluster.clients[0], self.history)
+        start = len(self.history)
+        for key, (_, acked, _) in sorted(
+                key_writes(self.history, start).items()):
+            if acked is None:
+                continue
             for _ in range(SWEEP_RETRIES):
-                result = yield from client.get(key)
-                if getattr(result, "status", None) in ("ok", "not_found"):
+                result = yield from sweeper.execute("get", key)
+                if result.status in SUCCESS:
                     break
-            verdict = self.ledger.judge(
-                key, getattr(result, "status", "error"),
-                getattr(result, "value", None))
-            counts[verdict] += 1
-            if verdict == "lost":
-                self.lost_keys.append(key.decode("ascii"))
-        self.sweep_counts = counts
+        self.verdicts = judge(self.history, start)
 
     # -- record assembly ---------------------------------------------------
 
@@ -229,20 +221,11 @@ class ScenarioRuntime:
                 })
         unrecovered = sum(len(v) for v in pending.values())
 
-        latencies: List[float] = []
-        totals = PhaseStats("totals")
-        for stats in self.phase_stats:
-            totals.issued += stats.issued
-            totals.ok += stats.ok
-            totals.failed += stats.failed
-            totals.dropped += stats.dropped
-            latencies.extend(stats.latencies_us)
-        totals.latencies_us = latencies
-        elapsed_us = (self.phase_stats[-1].finished_at_us
-                      - self.phase_stats[0].started_at_us
-                      if self.phase_stats else 0.0)
+        totals = self.traffic.summary()
         energy = cluster.energy_joules()
         completed = cluster.total_completed_requests()
+        history, traffic_end = self.history, self.traffic.stop
+        verdicts = list(self.verdicts.values())
 
         record = {
             "scenario": scenario.name,
@@ -251,16 +234,13 @@ class ScenarioRuntime:
             "seed": self.seed,
             "protocol": cluster.config.replication_protocol,
             "workload": scenario.workload,
-            "phases": [stats.summary() for stats in self.phase_stats],
+            "phases": [dict(window.summary(), name=name)
+                       for name, window in self.phases],
             "totals": {
-                "issued": totals.issued,
-                "ok": totals.ok,
-                "failed": totals.failed,
-                "dropped": totals.dropped,
-                "availability": round(totals.availability(), 6),
-                "p50_us": round(totals.percentile_us(0.50), 3),
-                "p99_us": round(totals.percentile_us(0.99), 3),
-                "elapsed_us": elapsed_us,
+                **{field: totals[field] for field in (
+                    "issued", "ok", "failed", "dropped", "availability",
+                    "p50_us", "p99_us")},
+                "elapsed_us": totals["duration_us"],
                 "energy_joules": round(energy, 6),
                 "energy_per_op_uj": round(energy / completed * 1e6, 3)
                 if completed else 0.0,
@@ -268,13 +248,17 @@ class ScenarioRuntime:
                 if energy > 0 else 0.0,
             },
             "invariants": {
-                "lost_acked_writes": self.sweep_counts.get("lost", 0),
-                "lost_keys": self.lost_keys,
-                "acked_keys_checked": sum(self.sweep_counts.values()),
-                "indeterminate_reads":
-                    self.sweep_counts.get("indeterminate", 0),
-                "racy_keys": self.ledger.racy_key_count,
-                "acked_writes": self.ledger.acked_writes,
+                "lost_acked_writes": verdicts.count("lost"),
+                "lost_keys": [key.decode("ascii") for key, verdict
+                              in self.verdicts.items() if verdict == "lost"],
+                "acked_keys_checked": len(verdicts),
+                "indeterminate_reads": verdicts.count("indeterminate"),
+                "racy_keys": sum(racy for _, _, racy in
+                                 key_writes(history, traffic_end).values()),
+                "acked_writes": sum(
+                    1 for row in range(traffic_end)
+                    if history.op[row] == "put"
+                    and history.status[row] == "ok"),
                 "membership_balanced":
                     event_counts.get("join_start", 0)
                     == event_counts.get("join_end", 0)

@@ -1,11 +1,13 @@
-"""Workload generation: YCSB mixes, Zipf distributions, drivers."""
+"""Workload generation: YCSB mixes, Zipf distributions, drivers and
+the run history they record."""
 
 from repro.workloads.driver import (
     ClosedLoopDriver,
-    DriverStats,
+    Driver,
     OpenLoopDriver,
-    merge_stats,
+    drive,
 )
+from repro.workloads.history import History, Window, percentile
 from repro.workloads.ycsb import (
     DEFAULT_SKEW,
     WORKLOADS,
@@ -34,8 +36,11 @@ __all__ = [
     "ScrambledZipfianGenerator",
     "LatestGenerator",
     "UniformGenerator",
+    "Driver",
     "ClosedLoopDriver",
     "OpenLoopDriver",
-    "DriverStats",
-    "merge_stats",
+    "drive",
+    "History",
+    "Window",
+    "percentile",
 ]

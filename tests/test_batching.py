@@ -17,7 +17,8 @@ from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.workloads.driver import ClosedLoopDriver, DriverStats
+from repro.workloads.driver import ClosedLoopDriver
+from repro.workloads.history import History
 from repro.workloads.ycsb import YCSBWorkload
 
 from conftest import drive
@@ -147,17 +148,17 @@ class TestBatchingDeterminism:
             name="load")
         runner(sim, loaded)
         share = max(self.OPS // len(cluster.clients), 1)
+        history = History()
         drivers = [ClosedLoopDriver(sim, client, workload, share,
-                                    concurrency=4)
+                                    concurrency=4, history=history)
                    for client in cluster.clients]
+        stats = history.open(sim.now)
         procs = [sim.process(driver.run(), name="drive")
                  for driver in drivers]
         runner(sim, sim.all_of(procs))
+        stats.close(sim.now)
         cluster.shutdown()
         runner(sim, None)
-        stats = DriverStats()
-        for driver in drivers:
-            stats = stats.merge(driver.stats)
         assert stats.completed >= self.OPS and stats.failed == 0
         figures = (tuple(stats.latencies_us), tuple(resumes),
                    sim.events_dispatched, sim._sequence, sim.now)

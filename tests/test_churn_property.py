@@ -27,8 +27,8 @@ def build(seed, subcompactions=2):
                                   jitter=0.1), rng=RngRegistry(seed))
     store = LeedDataStore(sim, ssd, StoreConfig(
         num_segments=24,
-        key_log_bytes=96 << 10,
-        value_log_bytes=192 << 10,
+        key_log_bytes=32 << 10,
+        value_log_bytes=12 << 10,
         compact_high_watermark=0.6,
         compact_low_watermark=0.3))
     compactor = Compactor(store, CompactionConfig(
@@ -67,8 +67,11 @@ def test_store_equals_dict_under_compaction_churn(seed, key_space, steps):
                     assert result.status == "not_found"
             else:
                 result = yield from store.delete(key)
-                if key in shadow:
-                    assert result.ok
+                if result.status == "store_full":
+                    # As for a PUT: the key stays, compaction gets room.
+                    yield sim.timeout(500)
+                elif key in shadow:
+                    assert result.ok, (step, key, result.status)
                     del shadow[key]
                 else:
                     assert result.status == "not_found"
@@ -80,10 +83,10 @@ def test_store_equals_dict_under_compaction_churn(seed, key_space, steps):
 
     process = sim.process(proc())
     sim.run(until=process)
-    # Compaction actually ran during the churn for non-trivial runs.
-    if steps > 150:
-        assert (compactor.stats.key_rounds + compactor.stats.value_rounds
-                >= 0)  # smoke: stats object consistent
+    # Long runs repack both logs at least once.
+    if steps >= 200:
+        assert compactor.stats.key_rounds >= 1, compactor.stats
+        assert compactor.stats.value_rounds >= 1, compactor.stats
 
 
 @settings(max_examples=6, deadline=None)

@@ -100,7 +100,8 @@ class TestRecoveryEdgeCases:
 
 class TestOpenLoopHarness:
     def test_open_loop_respects_duration_and_rate(self, sim):
-        from repro.workloads.driver import OpenLoopDriver
+        from repro.workloads.driver import OpenLoopDriver, drive
+        from repro.workloads.history import History
         from repro.workloads.ycsb import YCSBWorkload
         from repro.core.datastore import OpResult
 
@@ -120,14 +121,15 @@ class TestOpenLoopHarness:
         workload = YCSBWorkload("C", 50, value_size=16, seed=1)
         driver = OpenLoopDriver(sim, InstantClient(), workload,
                                 rate_qps=100_000.0, duration_us=20_000.0,
-                                seed=2)
-        stats = sim.run(until=sim.process(driver.run()))
+                                seed=2, history=History())
+        stats = drive(sim, [driver])
         # ~rate x duration arrivals, measured throughput near offered.
         assert stats.completed == pytest.approx(2000, rel=0.25)
         assert stats.throughput_qps == pytest.approx(100_000.0, rel=0.3)
 
     def test_open_loop_drops_beyond_inflight_cap(self, sim):
         from repro.workloads.driver import OpenLoopDriver
+        from repro.workloads.history import History
         from repro.workloads.ycsb import YCSBWorkload
         from repro.core.datastore import OpResult
 
@@ -139,10 +141,11 @@ class TestOpenLoopHarness:
             put = delete = get
 
         workload = YCSBWorkload("C", 10, value_size=16, seed=1)
+        history = History()
         driver = OpenLoopDriver(sim, StuckClient(), workload,
                                 rate_qps=10_000.0, duration_us=5_000.0,
-                                max_inflight=4, seed=3)
+                                max_inflight=4, seed=3, history=history)
         sim.process(driver.run())
         sim.run(until=6_000.0)
-        assert driver.dropped > 0
+        assert history.dropped > 0
         assert driver._inflight <= 4

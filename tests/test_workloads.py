@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.driver import ClosedLoopDriver, DriverStats, merge_stats
+from repro.workloads.driver import ClosedLoopDriver, drive
+from repro.workloads.history import History
 from repro.workloads.ycsb import WORKLOADS, YCSBWorkload, make_key, make_value
 from repro.workloads.zipf import (
     LatestGenerator,
@@ -214,8 +215,8 @@ class TestDrivers:
         client = self.EchoClient(sim)
         workload = YCSBWorkload("A", 100, value_size=16, seed=1)
         driver = ClosedLoopDriver(sim, client, workload, num_ops=50,
-                                  concurrency=4)
-        stats = sim.run(until=sim.process(driver.run()))
+                                  concurrency=4, history=History())
+        stats = drive(sim, [driver])
         assert stats.completed >= 50  # rmw counts once, inserts once
 
     def test_closed_loop_throughput_scales_with_concurrency(self, sim):
@@ -225,8 +226,9 @@ class TestDrivers:
             client = self.EchoClient(sim2, latency_us=100.0)
             workload = YCSBWorkload("C", 100, value_size=16, seed=1)
             driver = ClosedLoopDriver(sim2, client, workload, num_ops=64,
-                                      concurrency=concurrency)
-            stats = sim2.run(until=sim2.process(driver.run()))
+                                      concurrency=concurrency,
+                                      history=History())
+            stats = drive(sim2, [driver])
             results[concurrency] = stats.throughput_qps
         assert results[8] > 5 * results[1]
 
@@ -234,23 +236,10 @@ class TestDrivers:
         client = self.EchoClient(sim)
         workload = YCSBWorkload("B", 50, value_size=16, seed=2)
         driver = ClosedLoopDriver(sim, client, workload, num_ops=100,
-                                  concurrency=4)
-        stats = sim.run(until=sim.process(driver.run()))
+                                  concurrency=4, history=History())
+        stats = drive(sim, [driver])
         assert (stats.percentile_us(0.5) <= stats.percentile_us(0.99)
                 <= stats.percentile_us(0.999))
-
-    def test_merge_stats(self):
-        a = DriverStats(completed=10, failed=1, started_at_us=0,
-                        finished_at_us=100)
-        a.latencies_us = [1.0] * 10
-        b = DriverStats(completed=20, failed=0, started_at_us=50,
-                        finished_at_us=250)
-        b.latencies_us = [2.0] * 20
-        merged = merge_stats([a, b])
-        assert merged.completed == 30
-        assert merged.failed == 1
-        assert merged.elapsed_us == 250
-        assert len(merged.latencies_us) == 30
 
     def test_make_key_format(self):
         assert make_key(7) == b"user000000000007"
