@@ -6,7 +6,7 @@ discrete-event simulation substrate.  The package layers:
 * :mod:`repro.sim` — the discrete-event engine (time unit: µs);
 * :mod:`repro.hw` — flash/NVMe/CPU/DRAM models and platform specs;
 * :mod:`repro.net` — fabric, RDMA verbs, RPC;
-* :mod:`repro.power` — wall-power metering, requests/Joule;
+* :mod:`repro.power` — wall-power model, requests/Joule;
 * :mod:`repro.core` — the LEED system itself (data store, compaction,
   token I/O engine, flow control, swapping, CRRS, membership);
 * :mod:`repro.baselines` — FAWN-KV and KVell, reimplemented;

@@ -3,7 +3,8 @@
 Six YCSB workloads x {Embedded-FAWN, Server-KVell, SmartNIC-LEED} x
 {256 B, 1 KB} with replication factor 3 and default Zipf skew.  Each
 system runs on its native platform at saturating closed-loop load;
-energy integrates the back-end power meters over the run.
+energy is the back-end nodes' Joules over the run phase
+(``cluster.energy_joules()``).
 
 Paper's headline: SmartNIC-LEED beats Server-KVell by 4.2x/3.8x and
 Embedded-FAWN by 17.5x/19.1x on average — except YCSB-C (read-only),

@@ -242,8 +242,9 @@ def run_metered(cluster: LeedCluster, workload: YCSBWorkload,
                 num_ops: int, concurrency: int) -> Tuple[Window, float]:
     """:func:`run_closed_loop` plus the Joules that run drew.
 
-    Call it after :func:`load_cluster`: the meters are read around the
-    run phase only, so the load is not billed (as the paper measures).
+    Call it after :func:`load_cluster`: the back-end energy
+    (``cluster.energy_joules()``, a pure read) is taken around the run
+    phase only, so the load is not billed (as the paper measures).
     """
     energy_before = cluster.energy_joules()
     stats = run_closed_loop(cluster, workload, num_ops, concurrency)
@@ -266,6 +267,8 @@ def figure_digest(row: dict) -> str:
 
 #: The counters :func:`measure_run_phase` lifts into ``failed_by_status``.
 FAILED_BY_STATUS = "client.failed_by_status."
+#: The counters whose run-phase delta is the row's ``energy_joules``.
+ENERGY_J = "jbof.energy_j."
 
 
 def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
@@ -281,7 +284,8 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
     ``counters`` are run-phase deltas — so requests/Joule compares
     configurations on the work they did, not on load-phase
     accounting.  ``counters`` is :func:`repro.telemetry.counters`'
-    run-phase delta (a ``peak_*`` counter: its level at the end) and
+    run-phase delta (a ``peak_*`` counter: its level at the end),
+    ``energy_joules`` the sum of its ``jbof.energy_j.*`` part and
     ``failed_by_status`` its ``client.failed_by_status.*`` part (the
     reason behind each ``failed`` op, e.g. ``store_full``
     back-pressure); they and the wall-clock fields stay out of
@@ -292,10 +296,12 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
     counters_before = telemetry.counters(cluster)
     # Wall time around the whole run phase, outside the simulated world.
     started = time.perf_counter()  # simlint: ignore[SIM002]
-    stats, energy = run_metered(cluster, workload, num_ops, concurrency)
+    stats = run_closed_loop(cluster, workload, num_ops, concurrency)
     wall_s = time.perf_counter() - started  # simlint: ignore[SIM002]
     events = cluster.sim.events_dispatched - events_before
     counters = telemetry.delta(counters_before, telemetry.counters(cluster))
+    energy = sum(count for name, count in counters.items()
+                 if name.startswith(ENERGY_J))
     cluster.shutdown()
     cluster.sim.run()
     row = {

@@ -30,7 +30,7 @@ from repro.hw.platforms import STINGRAY, PlatformSpec
 from repro.net.topology import NIC_100G, Network, NicProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
-from repro.power.meter import EnergyReport, cluster_energy
+from repro.power.meter import EnergyReport
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -356,8 +356,14 @@ class LeedCluster:
         return sum(c.stats.ok + c.stats.not_found for c in self.clients)
 
     def energy_joules(self) -> float:
-        """Total back-end energy so far (clients excluded, as in §4.3)."""
-        return cluster_energy([node.meter for node in self.jbofs])
+        """Total back-end energy so far (clients excluded, as in §4.3):
+        the sum of the ``jbof.energy_j.*`` counters of
+        :mod:`repro.telemetry`.  A pure read."""
+        by_node = [node.energy_j for node in self.jbofs]
+        # Each part over the nodes, then the parts: the counters' order
+        # of addition, so their sum equals this to the bit.
+        return sum(sum(parts[part] for parts in by_node)
+                   for part in sorted(by_node[0]))
 
     def energy_report(self, label: str = "") -> EnergyReport:
         """Requests-per-Joule summary for the run so far."""

@@ -24,7 +24,7 @@ fashion; the per-tenant allocation is piggybacked on every response
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Deque, Dict, Optional, Set
 
@@ -89,6 +89,11 @@ class EngineStats:
     total_wait_us: float = 0.0
     total_service_us: float = 0.0
     peak_waiting: int = 0
+    #: Commands that reached the head of the queue without enough
+    #: tokens and waited for a retirement, per tenant.
+    starved_by_tenant: Dict[str, int] = field(default_factory=dict)
+    #: Back-off time PUTs spent waiting for room in a full log.
+    store_full_stall_us: float = 0.0
 
 
 class PartitionIOEngine:
@@ -277,6 +282,8 @@ class PartitionIOEngine:
         while True:
             command = yield self.waiting.get()
             if self._tokens < command.token_cost:
+                starved = self.stats.starved_by_tenant
+                starved[command.tenant] = starved.get(command.tenant, 0) + 1
                 # The queue wait ends here; the wait for tokens (the
                 # active queue's serving capability) is its own span.
                 token_ctx = None
@@ -327,6 +334,8 @@ class PartitionIOEngine:
                 for _attempt in range(self.STORE_FULL_RETRIES):
                     if result.status != "store_full":
                         break
+                    self.stats.store_full_stall_us += (
+                        self.STORE_FULL_BACKOFF_US)
                     yield self.sim.timeout(self.STORE_FULL_BACKOFF_US)
                     result = yield from self._invoke(command, exec_ctx)
         except Exception as exc:

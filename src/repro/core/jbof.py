@@ -3,7 +3,7 @@
 One :class:`JBOFNode` models a SmartNIC JBOF: SSDs, the SoC cores with
 the paper's static core mapping (cores 0..n-1 drive SSDs, the next
 cores poll the RDMA receive queues, the last one runs control-plane
-tasks), DRAM, a wall-power meter, and a set of *virtual nodes* — one
+tasks), DRAM, a wall-power model, and a set of *virtual nodes* — one
 LEED data store + token I/O engine + compactor per partition.
 
 The node implements:
@@ -60,7 +60,7 @@ from repro.hw.platforms import STINGRAY, PlatformSpec
 from repro.hw.ssd import NVMeSSD
 from repro.net.rpc import RpcEndpoint, RpcRequest
 from repro.net.topology import Network, NicProfile, NIC_100G
-from repro.power.meter import PowerMeter
+from repro.power.meter import energy_j
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -213,8 +213,9 @@ class JBOFNode:
         self.ssds = [NVMeSSD(sim, spec.ssd_profile, rng=self.rng,
                              name="%s.nvme%d" % (address, i))
                      for i in range(num_ssds)]
-        self.meter = PowerMeter(sim, spec, self._utilization,
-                                name=address + ".meter")
+        #: Power is billed from here on: a node added mid-run
+        #: (``LeedCluster.add_jbof``) draws nothing before it exists.
+        self.built_at = sim.now
 
         # Static core mapping (§3.4): one core per SSD for storage I/O,
         # remaining cores (minus the control core) poll the network.
@@ -349,17 +350,19 @@ class JBOFNode:
             if self.options.enable_swap:
                 store.value_router = self._swap_router
 
-    # -- power / utilization ---------------------------------------------------------
+    # -- power ------------------------------------------------------------------------
 
-    def _utilization(self) -> float:
-        """Blend of core and SSD busy fractions for the power model."""
-        if self.sim.now <= 0:
-            return 0.0
-        core_util = self.cpu.mean_utilization()
-        ssd_busy = sum(s.stats.busy_time_us / max(s.profile.channels, 1)
-                       for s in self.ssds)
-        ssd_util = min(ssd_busy / (self.sim.now * max(len(self.ssds), 1)), 1.0)
-        return min(0.5 * core_util + 0.5 * ssd_util, 1.0)
+    @property
+    def energy_j(self) -> Dict[str, float]:
+        """Joules drawn since the node was built, by part
+        (:func:`repro.power.meter.energy_j`): a pure read of the cores'
+        and SSDs' busy-time counters."""
+        cores, ssds = self.cpu.cores, self.ssds
+        return energy_j(
+            self.spec, self.sim.now - self.built_at,
+            sum(core.busy_time_us for core in cores) / len(cores),
+            sum(ssd.stats.busy_time_us / max(ssd.profile.channels, 1)
+                for ssd in ssds) / len(ssds))
 
     # -- swap routing (§3.6) ------------------------------------------------------------
 

@@ -9,7 +9,7 @@ references escaping RPC, and hash-order data reaching digests.
 This package provides the AST rule engine (``repro.lint.engine``),
 the generated rule catalog (``repro.lint.rules`` — run
 ``python -m repro.lint --list-rules`` for the authoritative list), a
-CLI with text/JSON/SARIF output and baseline support, a runtime
+CLI with text and SARIF output, a runtime
 determinism verifier (``repro.lint.determinism``), and the dynamic
 order-dependence sanitizer (``repro.lint.sanitize``) that permutes
 same-timestamp scheduling ties and checks figure digests stay put.
@@ -25,7 +25,6 @@ from repro.lint.engine import (
     ModuleIndex,
     Rule,
     run,
-    to_json,
     to_text,
 )
 from repro.lint.sarif import to_sarif
@@ -37,7 +36,6 @@ __all__ = [
     "ModuleIndex",
     "Rule",
     "run",
-    "to_json",
     "to_sarif",
     "to_text",
 ]

@@ -2,12 +2,10 @@
 
 Usage::
 
-    python -m repro.lint [paths...] [--format text|json|sarif]
+    python -m repro.lint [paths...] [--format text|sarif]
     repro-lint src                      # console script
     python -m repro.lint --list-rules
     python -m repro.lint src --select SIM007,SIM008,SIM009
-    python -m repro.lint src --write-baseline lint-baseline.json
-    python -m repro.lint src --baseline lint-baseline.json
 
 Exit codes: 0 clean, 1 findings, 2 parse/read errors.
 """
@@ -20,13 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.engine import (
-    load_baseline,
-    run,
-    to_json,
-    to_text,
-    write_baseline,
-)
+from repro.lint.engine import run, to_text
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -38,20 +30,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "docs/static-analysis.md)." % catalog_range())
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "sarif"),
                         default="text", help="report format")
     parser.add_argument("--output", metavar="FILE",
                         help="write the report to FILE instead of stdout")
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(e.g. SIM007,SIM008)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="tolerate findings recorded in this "
-                             "baseline file")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        dest="write_baseline",
-                        help="record current findings as the baseline "
-                             "and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -65,23 +50,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     select = None
     if args.select:
         select = [rule_id for rule_id in args.select.split(",") if rule_id]
-    baseline = load_baseline(args.baseline) if args.baseline else None
     try:
-        report = run(args.paths or ["src"], config,
-                     select=select, baseline=baseline)
+        report = run(args.paths or ["src"], config, select=select)
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            write_baseline(report) + "\n", encoding="utf-8")
-        print("wrote %d finding(s) to baseline %s"
-              % (len(report.findings), args.write_baseline))
-        return 2 if report.errors else 0
-
-    if args.format == "json":
-        rendered = to_json(report)
-    elif args.format == "sarif":
+    if args.format == "sarif":
         from repro.lint.sarif import to_sarif
         active = default_rules(config)
         if select:

@@ -6,8 +6,8 @@ parses each Python file exactly once into a :class:`ModuleSource`
 carrying a shared :class:`ModuleIndex` — a one-pass node index plus a
 per-function CFG cache every rule draws from instead of re-walking
 the tree — runs every (selected) rule over it, filters per-line
-suppressions (``# simlint: ignore[SIM001]``) and baseline entries,
-and renders the surviving findings as text, JSON, or SARIF.
+suppressions (``# simlint: ignore[SIM001]``), and renders the
+surviving findings as text (or SARIF, :mod:`repro.lint.sarif`).
 
 Exit codes: 0 clean, 1 findings, 2 files that failed to parse.
 """
@@ -15,9 +15,8 @@ Exit codes: 0 clean, 1 findings, 2 files that failed to parse.
 from __future__ import annotations
 
 import ast
-import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import (
     Dict,
@@ -27,7 +26,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro.lint.config import LintConfig
@@ -175,7 +173,6 @@ class LintReport:
     findings: List[Finding]
     files_checked: int
     errors: List[str]
-    baselined: int = 0        #: findings swallowed by the baseline file
 
     @property
     def exit_code(self) -> int:
@@ -195,61 +192,11 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             yield path
 
 
-def baseline_key(finding: Finding) -> str:
-    """Line-number-independent identity of a finding.
-
-    Baselines survive unrelated edits to the same file by keying on
-    (rule, path, message) rather than exact position; duplicates are
-    matched by multiplicity.
-    """
-    return "%s::%s::%s" % (finding.rule, finding.path, finding.message)
-
-
-def load_baseline(path: str) -> Dict[str, int]:
-    """Parse a baseline file into key -> allowed count."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    counts: Dict[str, int] = {}
-    for key in data.get("findings", []):
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def write_baseline(report: "LintReport") -> str:
-    """Serialize the report's findings as a baseline file."""
-    return json.dumps({
-        "comment": "simlint baseline: findings listed here are "
-                   "tolerated until paid down; regenerate with "
-                   "--write-baseline",
-        "findings": sorted(baseline_key(f) for f in report.findings),
-    }, indent=2)
-
-
-def apply_baseline(findings: List[Finding],
-                   baseline: Dict[str, int]) -> Tuple[List[Finding], int]:
-    """Split findings into (new, baselined_count)."""
-    remaining = dict(baseline)
-    fresh: List[Finding] = []
-    matched = 0
-    for finding in findings:
-        key = baseline_key(finding)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            matched += 1
-        else:
-            fresh.append(finding)
-    return fresh, matched
-
-
 def run(paths: Sequence[str], config: Optional[LintConfig] = None,
         rules: Optional[Iterable[Rule]] = None,
-        select: Optional[Iterable[str]] = None,
-        baseline: Optional[Dict[str, int]] = None) -> LintReport:
-    """Lint ``paths`` and return the report.
-
-    ``select`` restricts the run to the given rule ids; ``baseline``
-    (from :func:`load_baseline`) filters out tolerated findings,
-    recording how many matched in ``report.baselined``.
-    """
+        select: Optional[Iterable[str]] = None) -> LintReport:
+    """Lint ``paths`` and return the report; ``select`` restricts the
+    run to the given rule ids."""
     from repro.lint.rules import default_rules
 
     config = config or LintConfig()
@@ -276,10 +223,7 @@ def run(paths: Sequence[str], config: Optional[LintConfig] = None,
                 if not suppressed(source, finding):
                     findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    baselined = 0
-    if baseline:
-        findings, baselined = apply_baseline(findings, baseline)
-    return LintReport(findings, files_checked, errors, baselined)
+    return LintReport(findings, files_checked, errors)
 
 
 def to_text(report: LintReport) -> str:
@@ -290,18 +234,5 @@ def to_text(report: LintReport) -> str:
     summary = "%d file%s checked, %d finding%s" % (
         report.files_checked, "" if report.files_checked == 1 else "s",
         len(report.findings), "" if len(report.findings) == 1 else "s")
-    if report.baselined:
-        summary += " (%d baselined)" % report.baselined
     lines.append(summary)
     return "\n".join(lines)
-
-
-def to_json(report: LintReport) -> str:
-    """Machine-readable report (stable key order)."""
-    return json.dumps({
-        "files_checked": report.files_checked,
-        "findings": [asdict(finding) for finding in report.findings],
-        "errors": list(report.errors),
-        "baselined": report.baselined,
-        "exit_code": report.exit_code,
-    }, indent=2, sort_keys=True)

@@ -369,7 +369,7 @@ class CrossShardNodeCall(Rule):
     must ride ``rpc.call``/``rpc.notify``.
 
     Reading construction-time attributes (``node.address``,
-    ``node.meter``) is fine — the rule flags only *method calls* on
+    ``node.built_at``) is fine — the rule flags only *method calls* on
     node objects.  Bootstrap-time delivery methods that run before
     simulated time starts are allowlisted in :class:`LintConfig`.
     """

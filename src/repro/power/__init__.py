@@ -1,5 +1,5 @@
-"""Power metering and energy-efficiency accounting."""
+"""Wall-power model and energy-efficiency accounting."""
 
-from repro.power.meter import EnergyReport, PowerMeter, PowerSample, cluster_energy
+from repro.power.meter import EnergyReport, energy_j
 
-__all__ = ["PowerMeter", "PowerSample", "EnergyReport", "cluster_energy"]
+__all__ = ["EnergyReport", "energy_j"]

@@ -11,9 +11,12 @@ place that knows where they live:
 * :func:`render` formats a fixed-width text report over the same
   enumeration.
 
-Reading is pure: no event is scheduled and no power meter is sampled
-(a meter read adds a trapezoid point and would move the energy
-figures), so a mid-run read leaves the run exactly as it was.
+Energy is counted like any other work: ``jbof.energy_j.{idle,cpu,ssd}``
+are the node's Joules by part, the closed-form integral of the power
+model over the busy-time counters (:attr:`JBOFNode.energy_j`), and
+``cluster.energy_joules()`` is their sum.  Reading is pure: no event
+is scheduled and nothing is sampled, so a mid-run read leaves the run
+exactly as it was.
 
 Usage::
 
@@ -34,8 +37,8 @@ KINDS = ("jbof", "ssd", "vnode", "store", "engine", "compaction", "wal",
          "client", "flow")
 
 #: A JBOF node keeps these counters as plain attributes, not in a
-#: stats object.
-JBOF_COUNTERS = ("requests_completed", "swap_redirects")
+#: stats object (``energy_j``: a dict of Joules by part).
+JBOF_COUNTERS = ("requests_completed", "swap_redirects", "energy_j")
 
 #: Fields with this prefix are maxima, not running totals: they combine
 #: with ``max`` over components and a run reports their level, not a
@@ -87,17 +90,17 @@ def _fields(kind: str, component) -> Iterator[Tuple[str, Number]]:
     fields as they are, a dict of numbers as ``<field>.<key>``; other
     fields (histograms) are skipped."""
     if kind == "jbof":
-        for name in JBOF_COUNTERS:
-            yield name, getattr(component, name)
-        return
-    stats = component.stats
-    for spec in fields(stats):
-        value = getattr(stats, spec.name)
+        owner, names = component, JBOF_COUNTERS
+    else:
+        owner = component.stats
+        names = [spec.name for spec in fields(owner)]
+    for name in names:
+        value = getattr(owner, name)
         if isinstance(value, (int, float)):
-            yield spec.name, value
+            yield name, value
         elif isinstance(value, dict):
             for key in sorted(value):
-                yield "%s.%s" % (spec.name, key), value[key]
+                yield "%s.%s" % (name, key), value[key]
 
 
 def counters(cluster) -> Dict[str, Number]:
@@ -130,10 +133,12 @@ def _log_fill(store, name: str) -> float:
 
 
 def _jbof_lines(node):
-    return ["", "%s  %s  cores %.0f%%  swaps %d  served %d"
+    energy = sum(node.energy_j.values())
+    watts = energy / max((node.sim.now - node.built_at) * 1e-6, 1e-12)
+    return ["", "%s  %s  cores %.0f%%  swaps %d  served %d  %.3f J %.1f W"
             % (node.address, "up" if node.alive else "DOWN",
                100 * node.cpu.mean_utilization(), node.swap_redirects,
-               node.requests_completed)]
+               node.requests_completed, energy, watts)]
 
 
 def _ssd_lines(ssd):
@@ -187,12 +192,13 @@ _LINES = {"jbof": _jbof_lines, "ssd": _ssd_lines, "vnode": _vnode_lines,
 
 def render(cluster) -> str:
     """A fixed-width text report: one line per node, device and hosted
-    vnode (two when the vnode has replication activity), one per client.
-    Energy is not in it: a meter read adds a sample point, which moves
-    the energy figures, so energy is read only where a run is metered
-    (``cluster.energy_joules()``)."""
-    lines = ["cluster @ t=%.1f ms  ring v%d"
-             % (cluster.sim.now / 1e3, cluster.control_plane.ring_version)]
+    vnode (two when the vnode has replication activity), one per client;
+    each node line and the header carry the Joules drawn so far (the
+    ``jbof.energy_j`` counters) and their mean wall power."""
+    energy = cluster.energy_joules()
+    lines = ["cluster @ t=%.1f ms  ring v%d  %.3f J %.1f W"
+             % (cluster.sim.now / 1e3, cluster.control_plane.ring_version,
+                energy, energy / max(cluster.sim.now * 1e-6, 1e-12))]
     node = None
     for kind, component in components(cluster):
         if kind == "jbof":

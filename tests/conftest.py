@@ -6,6 +6,8 @@ import importlib
 
 import pytest
 
+from repro.core.cluster import ClusterConfig, LeedCluster
+from repro.core.datastore import StoreConfig
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
@@ -57,3 +59,29 @@ def drive(sim: Simulator, generator, name="test"):
     """Run a generator process to completion; return its value."""
     process = sim.process(generator, name=name)
     return sim.run(until=process)
+
+
+def warm_cluster(**overrides):
+    """A started two-node LEED cluster after 25 PUTs, 25 GETs and 1 ms
+    of quiet; ``overrides`` go to its ``ClusterConfig``.  Its metrics
+    registry reads the energy gauge the scenario runner registers."""
+    cluster = LeedCluster(ClusterConfig(
+        num_jbofs=2, ssds_per_jbof=1, num_clients=1, replication=2,
+        store=StoreConfig(num_segments=32, key_log_bytes=1 << 20,
+                          value_log_bytes=4 << 20),
+        seed=15, **overrides))
+    cluster.metrics.register_gauge("energy_joules", cluster.energy_joules)
+    cluster.start()
+    client = cluster.clients[0]
+
+    def warmup():
+        for index in range(25):
+            result = yield from client.put(b"k%02d" % index, b"v" * 100)
+            assert result.ok
+        for index in range(25):
+            result = yield from client.get(b"k%02d" % index)
+            assert result.ok
+        yield cluster.sim.timeout(1_000)
+
+    drive(cluster.sim, warmup())
+    return cluster

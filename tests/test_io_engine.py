@@ -68,13 +68,16 @@ class TestExecution:
         assert drive(sim, proc()) == "rejected"
 
     def test_tokens_bound_concurrency(self, sim, store):
-        """With 12 tokens, at most 4 PUTs (3 tokens each) run at once."""
+        """With 12 tokens, at most 4 PUTs (3 tokens each) run at once;
+        the other six each reach the head of the queue short of tokens,
+        and their tenants' counters count them."""
         engine = PartitionIOEngine(sim, store, token_capacity=12,
                                    waiting_capacity=64, name="wide")
         peak = []
 
         def submit_many():
-            events = [engine.submit(KVCommand("put", b"k%d" % i, b"v"))
+            events = [engine.submit(KVCommand("put", b"k%d" % i, b"v",
+                                              tenant="ab"[i % 2]))
                       for i in range(10)]
             yield sim.all_of(events)
 
@@ -86,6 +89,7 @@ class TestExecution:
         sim.process(monitor())
         drive(sim, submit_many())
         assert max(peak) <= 4
+        assert engine.stats.starved_by_tenant == {"a": 3, "b": 3}
 
     def test_fcfs_start_order(self, sim, engine):
         starts = []
@@ -161,7 +165,8 @@ class TestTokenAllocation:
 class TestStoreFullRetry:
     def test_put_waits_for_compaction_headroom(self, sim):
         """A PUT arriving at a full value log retries after backoff
-        instead of failing (the paper: PUTs 'served slowly')."""
+        instead of failing (the paper: PUTs 'served slowly'), and the
+        engine counts the time it backed off."""
         ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=32 << 20,
                                       block_size=512, jitter=0.0),
                       rng=RngRegistry(9))
@@ -191,11 +196,13 @@ class TestStoreFullRetry:
         sim.process(free_later())
 
         def proc():
-            result = yield engine.submit(KVCommand("put", b"late", b"y" * 100))
+            result = yield engine.submit(KVCommand("put", b"late", b"y" * 900))
             return result
 
         result = sim.run(until=sim.process(proc()))
         assert result.ok
+        assert (engine.stats.store_full_stall_us
+                == 2 * engine.STORE_FULL_BACKOFF_US)
 
 
 class TestInProcessAdmission:

@@ -1,5 +1,5 @@
 """Dataflow race rules (SIM007-SIM009), CFG framework, engine
-extensions (select/baseline/SARIF), and the order-dependence
+extensions (select/SARIF), and the order-dependence
 sanitizer.
 
 Rule fixtures follow the ``test_lint.py`` convention: a true positive
@@ -16,12 +16,7 @@ import textwrap
 import pytest
 
 from repro.lint import LintConfig, run
-from repro.lint.engine import (
-    apply_baseline,
-    baseline_key,
-    load_module,
-    write_baseline,
-)
+from repro.lint.engine import load_module
 from repro.lint.flow import build_cfg, count_yields, dotted, has_yield
 from repro.lint.sarif import to_sarif
 
@@ -415,7 +410,7 @@ class TestSIM009DigestStability:
 
 
 # ---------------------------------------------------------------------------
-# engine: select, baseline, SARIF
+# engine: select, SARIF
 # ---------------------------------------------------------------------------
 
 class TestEngineExtensions:
@@ -438,31 +433,6 @@ class TestEngineExtensions:
         with pytest.raises(ValueError):
             lint_snippet(tmp_path, "repro/core/two.py", self.BAD,
                          select=["SIM042"])
-
-    def test_baseline_roundtrip_filters_findings(self, tmp_path):
-        report = lint_snippet(tmp_path, "repro/core/two.py", self.BAD)
-        assert report.findings
-        baseline_doc = json.loads(write_baseline(report))
-        counts = {}
-        for key in baseline_doc["findings"]:
-            counts[key] = counts.get(key, 0) + 1
-        fresh, matched = apply_baseline(report.findings, counts)
-        assert fresh == []
-        assert matched == len(report.findings)
-
-    def test_baseline_key_is_line_independent(self, tmp_path):
-        # The same finding shifted by an unrelated edit above it must
-        # keep its baseline identity.  (SIM007 messages cite the read
-        # line, so those keys legitimately move; use SIM001 here.)
-        code = "import random\n"
-        first = lint_snippet(tmp_path, "repro/core/two.py", code)
-        shifted = lint_snippet(tmp_path, "repro/core/two.py",
-                               "\n\n" + code)
-        assert first.findings and shifted.findings
-        assert [f.line for f in first.findings] != \
-            [f.line for f in shifted.findings]
-        assert sorted(baseline_key(f) for f in first.findings) == \
-            sorted(baseline_key(f) for f in shifted.findings)
 
     def test_sarif_output_is_valid_and_complete(self, tmp_path):
         from repro.lint.rules import default_rules

@@ -1,4 +1,4 @@
-"""Tests for power metering, energy reports, and the analysis module."""
+"""Tests for the power model, energy reports, and the analysis module."""
 
 import pytest
 
@@ -11,49 +11,74 @@ from repro.core.analysis import (
     leed_usable_fraction,
     table1_rows,
 )
+from repro.core.jbof import JBOFNode
 from repro.hw.platforms import STINGRAY
-from repro.power.meter import EnergyReport, PowerMeter, cluster_energy
+from repro.net.topology import Network
+from repro.power.meter import EnergyReport
+from repro.telemetry import counters
 
-from conftest import drive
+from conftest import drive, warm_cluster
+
+SECOND_US = 1_000_000.0
+
+
+@pytest.fixture
+def node(sim):
+    """A STINGRAY node one second after it was built."""
+    node = JBOFNode(sim, Network(sim), "jbof0")
+    sim.run(until=SECOND_US)
+    return node
 
 
 class TestPowerMeter:
-    def test_idle_energy(self, sim):
-        meter = PowerMeter(sim, STINGRAY, lambda: 0.0)
-        sim.schedule(1_000_000, lambda: None)  # 1 second
-        sim.run()
-        energy = meter.energy_joules()
-        assert energy == pytest.approx(STINGRAY.idle_power_w, rel=0.01)
+    """A node's Joules are the exact integral of the platform's linear
+    idle->max model over its busy-time counters."""
 
-    def test_active_energy_higher(self, sim):
-        busy = PowerMeter(sim, STINGRAY, lambda: 1.0)
-        idle = PowerMeter(sim, STINGRAY, lambda: 0.0)
-        sim.schedule(1_000_000, lambda: None)
-        sim.run()
-        assert busy.energy_joules() > idle.energy_joules()
-        assert busy.energy_joules() == pytest.approx(STINGRAY.max_power_w,
-                                                     rel=0.01)
+    def test_idle_energy(self, node):
+        assert node.energy_j == pytest.approx(
+            {"cpu": 0.0, "idle": STINGRAY.idle_power_w, "ssd": 0.0},
+            rel=1e-12)
 
-    def test_extra_idle_draw(self, sim):
-        meter = PowerMeter(sim, STINGRAY, lambda: 0.0, extra_idle_w=5.0)
-        sim.schedule(1_000_000, lambda: None)
-        sim.run()
-        assert meter.energy_joules() == pytest.approx(
-            STINGRAY.idle_power_w + 5.0, rel=0.01)
+    def test_active_energy_higher(self, node):
+        """Every core and every SSD channel busy all second: max power."""
+        for core in node.cpu.cores:
+            core.busy_time_us = SECOND_US
+        for ssd in node.ssds:
+            ssd.stats.busy_time_us = SECOND_US * ssd.profile.channels
+        assert sum(node.energy_j.values()) == pytest.approx(
+            STINGRAY.max_power_w, rel=1e-12)
 
-    def test_mean_power(self, sim):
-        meter = PowerMeter(sim, STINGRAY, lambda: 0.5)
-        sim.schedule(500_000, lambda: None)
-        sim.run()
-        expected = STINGRAY.active_power_w(0.5)
-        assert meter.mean_power_w() == pytest.approx(expected, rel=0.01)
+    def test_mean_power(self, node):
+        """Half the cores busy, the SSDs idle: a quarter of the way from
+        idle to max power."""
+        for core in node.cpu.cores[::2]:
+            core.busy_time_us = SECOND_US
+        assert sum(node.energy_j.values()) == pytest.approx(
+            STINGRAY.active_power_w(0.25), rel=1e-12)
 
-    def test_cluster_energy_sums(self, sim):
-        meters = [PowerMeter(sim, STINGRAY, lambda: 0.0) for _ in range(3)]
-        sim.schedule(1_000_000, lambda: None)
-        sim.run()
-        assert cluster_energy(meters) == pytest.approx(
-            3 * STINGRAY.idle_power_w, rel=0.01)
+    def test_cluster_energy_sums(self):
+        cluster = warm_cluster()
+        totals = counters(cluster)
+        idle, cpu, ssd = (totals["jbof.energy_j." + part]
+                          for part in ("idle", "cpu", "ssd"))
+        assert cpu > 0 and ssd > 0
+        assert idle + cpu + ssd == cluster.energy_joules()
+
+    def test_sampling_does_not_move_energy(self):
+        """A run whose energy gauge is sampled every millisecond draws
+        exactly the Joules of an unsampled one."""
+        sampled = warm_cluster(metrics_interval_us=1_000.0)
+        assert sampled.metrics.records
+        assert sampled.energy_joules() == warm_cluster().energy_joules()
+
+    def test_added_node_bills_from_its_build(self):
+        cluster = warm_cluster()
+        added_at = cluster.sim.now
+        node = drive(cluster.sim, cluster.add_jbof())
+        assert node.built_at == added_at < cluster.sim.now
+        assert node.energy_j["idle"] == pytest.approx(
+            STINGRAY.idle_power_w * (cluster.sim.now - added_at) * 1e-6,
+            rel=1e-12)
 
 
 class TestEnergyReport:

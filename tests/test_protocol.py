@@ -13,7 +13,6 @@ from repro.core.protocol import (
     MembershipUpdate,
 )
 from repro.core.wal import WalRecord
-from repro.power.meter import PowerSample
 
 from conftest import drive
 
@@ -50,9 +49,9 @@ class TestWireSizes:
 
 
 class TestSlottedRecords:
-    """``ChainAck``, ``WalRecord``, ``Heartbeat`` and ``PowerSample``
-    are ``__slots__`` records with the dataclasses' defaults, equality,
-    unhashability and repr — and each ``__init__`` has a source line of
+    """``ChainAck``, ``WalRecord`` and ``Heartbeat`` are ``__slots__``
+    records with the dataclasses' defaults, equality, unhashability
+    and repr — and each ``__init__`` has a source line of
     its own, so a profile tells them apart (every dataclass
     ``__init__`` is ``<string>:2``, and ``pstats`` keeps just one)."""
 
@@ -72,9 +71,7 @@ class TestSlottedRecords:
                                 "value=b'val', stamp=0, ring_version=0)")
         beat = Heartbeat("jbof0", 5.0)
         assert beat == Heartbeat(jbof_address="jbof0", sent_at_us=5.0)
-        sample = PowerSample(2.0, 180.5)
-        assert repr(sample) == "PowerSample(time_us=2.0, watts=180.5)"
-        for value in (ack, record, beat, sample):
+        for value in (ack, record, beat):
             assert not hasattr(value, "__dict__")
             with pytest.raises(TypeError, match="unhashable"):
                 hash(value)

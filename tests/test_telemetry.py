@@ -11,32 +11,14 @@ from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
 from repro.telemetry import KINDS, components, counters, delta, render
 
-from conftest import drive
+from conftest import drive, warm_cluster
 
 LEED_KINDS = set(KINDS)
 
 
 @pytest.fixture
 def busy_cluster():
-    cluster = LeedCluster(ClusterConfig(
-        num_jbofs=2, ssds_per_jbof=1, num_clients=1, replication=2,
-        store=StoreConfig(num_segments=32, key_log_bytes=1 << 20,
-                          value_log_bytes=4 << 20),
-        seed=15))
-    cluster.start()
-    client = cluster.clients[0]
-
-    def warmup():
-        for index in range(25):
-            result = yield from client.put(b"k%02d" % index, b"v" * 100)
-            assert result.ok
-        for index in range(25):
-            result = yield from client.get(b"k%02d" % index)
-            assert result.ok
-        yield cluster.sim.timeout(1_000)
-
-    drive(cluster.sim, warmup())
-    return cluster
+    return warm_cluster()
 
 
 @pytest.fixture
@@ -141,6 +123,8 @@ class TestCounters:
                                     in totals)
             assert "jbof.swap_redirects" in totals
             assert totals["jbof.requests_completed"] > 0
+            assert all(totals["jbof.energy_j." + part] > 0
+                       for part in ("idle", "cpu", "ssd"))
 
     def test_each_stats_object_is_visited_once(self, busy_cluster,
                                                fawn_cluster):
@@ -160,14 +144,13 @@ class TestCounters:
 
     def test_reading_is_pure(self, busy_cluster):
         sim = busy_cluster.sim
-        meters = [node.meter for node in busy_cluster.jbofs]
-        before = (sim.events_dispatched, sim.pending_events,
-                  [len(meter.samples) for meter in meters])
+        before = (sim.events_dispatched, sim.pending_events)
+        energy = busy_cluster.energy_joules()
         first = counters(busy_cluster)
         render(busy_cluster)
         assert counters(busy_cluster) == first
-        assert (sim.events_dispatched, sim.pending_events,
-                [len(meter.samples) for meter in meters]) == before
+        assert busy_cluster.energy_joules() == energy
+        assert (sim.events_dispatched, sim.pending_events) == before
 
     def test_delta_keeps_peaks_as_levels(self):
         before = {"engine.completed": 5, "engine.peak_waiting": 3}
