@@ -374,14 +374,68 @@ class CircularLog:
     def read(self, virtual_offset: int, length: int, trace=None):
         """Generator: read ``length`` bytes at a virtual offset.
 
-        Bytes still staged in DRAM (tail block not yet flushed by a
+        :meth:`charge_read`, waited for, then :meth:`fetch`.  Bytes
+        still staged in DRAM (tail block not yet flushed by a
         concurrent writer) are served from the staged image, exactly as
-        a real store would serve them from its append buffer.  A
-        wrapped read issues its two device reads back to back.
+        a real store would serve them from its append buffer.
         """
-        data = b""
-        for offset, span in self._read_spans(virtual_offset, length):
-            data += yield self.ssd.read_event(offset, span, trace)
+        head = yield self.charge_read(virtual_offset, length, trace)
+        return self.fetch(virtual_offset, length, head)
+
+    def charge_read(self, virtual_offset: int, length: int,
+                    trace=None) -> Event:
+        """Submit :meth:`read`'s device reads without copying their
+        bytes; returns the completion event of the last.
+
+        Validates the range at the call and issues the spans back to
+        back, as :meth:`read` does.  For a caller that holds the
+        decoded content, or copies it (:meth:`fetch`) only when it
+        turns out not to.  The event's value is None, except for a
+        wrapped read: its first span is copied at that span's
+        completion, when a read copies it, and the event carries those
+        bytes for :meth:`fetch`.
+        """
+        ssd = self.ssd
+        (offset, room), *wrapped = self._read_spans(virtual_offset, length)
+        if not wrapped:
+            return ssd.charge_read_event(length, trace)
+        done = Event(self.sim)
+
+        def second(first) -> None:
+            def fire(_event) -> None:
+                # ``done.succeed`` without scheduling it: its waiter
+                # runs inside this completion, as if it had waited on
+                # the second span itself.
+                done._ok = True
+                done._value = first._value
+                callbacks, done.callbacks = done.callbacks, None
+                for callback in callbacks:
+                    callback(done)
+
+            ssd.charge_read_event(wrapped[0][1], trace).callbacks.append(fire)
+
+        ssd.read_event(offset, room, trace).callbacks.append(second)
+        return done
+
+    def fetch(self, virtual_offset: int, length: int,
+              head: Optional[bytes] = None) -> bytes:
+        """The bytes a read of the range completing now returns: flash
+        with the staged images laid over, charging no device time and
+        checking no window.  ``head`` is the value of the range's
+        :meth:`charge_read` event (a wrapped read's first span)."""
+        flash = self.ssd.flash
+        start = virtual_offset
+        if head:
+            start += len(head)
+            length -= len(head)
+        physical = start % self.size
+        room = self.size - physical
+        data = flash.read(self.region_offset + physical,
+                          length if length <= room else room)
+        if length > room:
+            data += flash.read(self.region_offset, length - room)
+        if head:
+            data = head + data
         return self._overlay_staged(virtual_offset, data)
 
     def read_event(self, virtual_offset: int, length: int):
@@ -397,37 +451,16 @@ class CircularLog:
         event.callbacks.append(overlay)
         return event
 
-    def read_at(self, virtual_offset: int, length: int, at: float):
-        """Analytic read (fast datapath): returns ``(data, done_us)``.
-
-        Synchronous variant of :meth:`read` for fused server paths:
-        same validation, wrap splitting and staged-byte overlay, but
-        the device model is charged starting at ``at`` (both halves of
-        a wrapped read at once) and the completion time is returned
-        instead of yielded on.
-        """
-        spans = self._read_spans(virtual_offset, length)
-        if len(spans) == 1:
-            data, done = self.ssd.read_at(spans[0][0], length, at)
-        else:
-            data = b""
-            done = at
-            for offset, span in spans:
-                part, part_done = self.ssd.read_at(offset, span, at)
-                data += part
-                if part_done > done:
-                    done = part_done
-        if self._staged:
-            data = self._overlay_staged(virtual_offset, data)
-        return data, done
-
     def charge_read_at(self, virtual_offset: int, length: int,
                        at: float) -> float:
-        """:meth:`read_at` timing without fetching the bytes.
+        """Analytic :meth:`charge_read` (fast datapath): returns
+        ``done_us``.
 
-        For callers that hold the decoded content cached: the device
-        model is charged exactly as for a real read (the simulated SSD
-        has no read cache), only the copy out is skipped.
+        Same validation and wrap splitting, but the device model is
+        charged starting at ``at`` (both halves of a wrapped read at
+        once) and the completion time is returned instead of yielded
+        on.  No bytes are copied: a caller that needs them calls
+        :meth:`fetch` now.
         """
         done = at
         for _offset, span in self._read_spans(virtual_offset, length):

@@ -414,7 +414,7 @@ class Compactor:
                     self.stats.values_merged_home += 1
                 segment.replace(item, KeyItem(
                     item.key, item.vlen, new_offset,
-                    owner_store.store_id, item.khash))
+                    owner_store.store_id, item.khash, value))
                 dirty = True
                 self.stats.values_relocated += 1
                 self.stats.bytes_relocated += size

@@ -171,8 +171,11 @@ class LeedDataStore:
         #: the bytes there.  An entry leaves when the SegTbl stops
         #: pointing at it, so it is inside the log window and its bytes
         #: are intact.  Readers still issue and are charged every
-        #: device read; only the decode is skipped.  Entries are shared
-        #: and never changed: a writer changes a ``clone()``.
+        #: device read; only the copy out and the decode are skipped.
+        #: Entries are shared and never changed: a writer changes a
+        #: ``clone()``.  A key item a write made holds its value
+        #: (``KeyItem.value``), so a value read inside the value log's
+        #: window copies nothing either.
         self._segments: Dict[int, Segment] = {}
 
     #: Max overflow buckets per segment (the paper's M).
@@ -201,12 +204,15 @@ class LeedDataStore:
     def _read_segment(self, offset: int, chain_len: int, trace=None):
         """Generator: read a segment from the key log; returns its
         decoded form, shared with the memo when the entry is live (a
-        caller that changes it changes a ``clone()``)."""
-        blob = yield from self.key_log.read(
-            offset, chain_len * self.key_log.block_size, trace=trace)
+        caller that changes it changes a ``clone()``).  The bytes are
+        fetched and decoded only when the memo misses at completion."""
+        key_log = self.key_log
+        nbytes = chain_len * key_log.block_size
+        head = yield key_log.charge_read(offset, nbytes, trace)
         segment = self._segments.get(offset)
         if segment is None:
-            segment = Segment.unpack(blob, self.key_log.block_size)
+            segment = Segment.unpack(key_log.fetch(offset, nbytes, head),
+                                     key_log.block_size)
         return segment
 
     def _log_reserve_bytes(self, log: CircularLog) -> int:
@@ -280,19 +286,23 @@ class LeedDataStore:
         """Generator: the GET pipeline, written once for both clocks.
 
         Hash lookup → key-log segment read (its decoded form from the
-        segment memo) → bucket scan → value-log read, a fixed 2 NVMe
-        accesses per hit (§3.3).  Returns ``(OpResult, done_us)``; all
-        statistics are recorded here.
+        segment memo) → bucket scan → value-log read (the value the
+        item's write left on it), a fixed 2 NVMe accesses per hit
+        (§3.3).  Both reads are charged in full; their bytes are
+        fetched from flash and decoded only when nothing decoded holds
+        them.  Returns ``(OpResult, done_us)``; all statistics are
+        recorded here.
 
         The clock is the only parameter.  *Reference* (``analytic``
         false): each stage executes at ``sim.now`` and yields until it
-        completes (:meth:`Core.execute_event`, :meth:`CircularLog.read`), so
-        a compaction can move data while a read is in flight.
-        *Analytic*: each stage is charged at the running ``at``
-        (:meth:`Core.charge_at`, :meth:`CircularLog.read_at`) and the
-        generator never yields; validation happens at the submission
-        instant, so the retry loop only sees submission-time stale
-        SegTbl entries.
+        completes (:meth:`Core.execute_event`,
+        :meth:`CircularLog.charge_read`), so a compaction can move data
+        while a read is in flight; the memo and the value log's window
+        are checked at completion.  *Analytic*: each stage is charged
+        at the running ``at`` (:meth:`Core.charge_at`,
+        :meth:`CircularLog.charge_read_at`) and the generator never
+        yields; validation happens at the submission instant, so the
+        retry loop only sees submission-time stale SegTbl entries.
 
         Optimistic with respect to compaction: if the segment or value
         moved underneath us (LogRangeError / key mismatch) the lookup
@@ -328,24 +338,21 @@ class LeedDataStore:
             offset, chain_len = location
             nbytes = chain_len * key_log.block_size
             try:
-                if not analytic:
-                    blob = yield from key_log.read(offset, nbytes, trace)
-                    done = sim.now
-                    segment = segments.get(offset)
+                if analytic:
+                    done = key_log.charge_read_at(offset, nbytes, at)
+                    head = None
                 else:
-                    segment = segments.get(offset)
-                    if segment is None:
-                        blob, done = key_log.read_at(offset, nbytes, at)
-                    else:
-                        # Full device timing, minus the copy-out.
-                        done = key_log.charge_read_at(offset, nbytes, at)
+                    head = yield key_log.charge_read(offset, nbytes, trace)
+                    done = sim.now
             except LogRangeError:
                 continue
             ssd_us += done - at
             at = done
             accesses += 1
+            segment = segments.get(offset)
             if segment is None:
-                segment = Segment.unpack(blob, key_log.block_size)
+                segment = Segment.unpack(key_log.fetch(offset, nbytes, head),
+                                         key_log.block_size)
 
             scan_items = 0
             for bucket in segment.buckets:
@@ -363,13 +370,15 @@ class LeedDataStore:
                 break
 
             value_log = self._value_log_for(item.ssd_id)
+            voffset = item.voffset
             nbytes = value_entry_size(len(key), item.vlen)
             try:
                 if analytic:
-                    blob, done = value_log.read_at(item.voffset, nbytes, at)
+                    done = value_log.charge_read_at(voffset, nbytes, at)
+                    head = None
                 else:
-                    blob = yield from value_log.read(item.voffset, nbytes,
-                                                     trace)
+                    head = yield value_log.charge_read(voffset, nbytes,
+                                                       trace)
                     done = sim.now
             except LogRangeError:
                 continue
@@ -377,11 +386,21 @@ class LeedDataStore:
             at = done
             accesses += 1
 
-            _seg_id, stored_key, value, _size, _owner = unpack_value_entry(blob)
-            if stored_key != key:
-                # The value log was compacted between the segment read and
-                # the value read; the fresh SegTbl view will resolve it.
-                continue
+            # The value its write left on the item is the entry's while
+            # the entry is inside the window (checked at submission on
+            # the analytic clock, ``contains`` spelled out here).
+            value = item.value
+            if value is None or not (analytic or (
+                    value_log.head <= voffset
+                    and voffset + nbytes <= value_log.tail)):
+                _seg_id, stored_key, value, _size, _owner = (
+                    unpack_value_entry(value_log.fetch(voffset, nbytes,
+                                                       head)))
+                if stored_key != key:
+                    # The value log was compacted between the segment
+                    # read and the value read; the fresh SegTbl view
+                    # will resolve it.
+                    continue
             result = OpResult(OK, value=value)
             break
         if result is None:
@@ -479,11 +498,14 @@ class LeedDataStore:
                 if location is None:
                     segment = Segment(seg_id)
                 else:
-                    blob = yield from self.key_log.read(
-                        location[0], location[1] * block, trace)
-                    segment = self._segments.get(location[0])
-                    segment = (Segment.unpack(blob, block) if segment is None
-                               else segment.clone())
+                    offset = location[0]
+                    seg_bytes = location[1] * block
+                    head = yield self.key_log.charge_read(
+                        offset, seg_bytes, trace)
+                    segment = self._segments.get(offset)
+                    segment = (Segment.unpack(self.key_log.fetch(
+                        offset, seg_bytes, head), block)
+                        if segment is None else segment.clone())
                     accesses += 1
                 if ticket is not None and ticket.callbacks is not None:
                     yield ticket                  # not ``processed`` yet
@@ -506,7 +528,8 @@ class LeedDataStore:
                     else:
                         segment.upsert(
                             KeyItem(key, len(value), voffset,
-                                    ssd_id=holder_id, khash=khash),
+                                    ssd_id=holder_id, khash=khash,
+                                    value=value),
                             block, self.MAX_CHAIN)
                     yield from self._write_segment(
                         segment, enforce_reserve=True, trace=trace)
@@ -573,20 +596,27 @@ class LeedDataStore:
                 for item in segment.live_items():
                     if predicate is not None and not predicate(item.key):
                         continue
+                    voffset = item.voffset
                     entry_size = value_entry_size(len(item.key), item.vlen)
                     value_log = self._value_log_for(item.ssd_id)
                     try:
-                        blob = yield from value_log.read(item.voffset,
-                                                         entry_size)
+                        head = yield value_log.charge_read(voffset,
+                                                           entry_size)
                     except LogRangeError:
                         continue
-                    _sid, stored_key, value, _sz, _own = unpack_value_entry(blob)
-                    if stored_key != item.key:
-                        continue
+                    key = item.key
+                    value = item.value
+                    if value is None or not value_log.contains(voffset,
+                                                               entry_size):
+                        _sid, stored_key, value, _sz, _own = (
+                            unpack_value_entry(value_log.fetch(
+                                voffset, entry_size, head)))
+                        if stored_key != key:
+                            continue
                     if stamp is None:
-                        batch.append((stored_key, value))
+                        batch.append((key, value))
                     else:
-                        batch.append((stored_key, value, stamp(stored_key)))
+                        batch.append((key, value, stamp(key)))
                     if visit is not None and len(batch) >= batch_size:
                         yield from visit(batch)
                         batch = []

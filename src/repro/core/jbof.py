@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.core.compaction import Compactor, Trigger
 from repro.core.datastore import LeedDataStore, OpResult, StoreConfig
-from repro.core.hashring import HashRing, VNode
+from repro.core.hashring import HashRing, VNode, in_arcs, ring_position
 from repro.core.io_engine import (
     TOKEN_COST,
     KVCommand,
@@ -646,7 +646,6 @@ class JBOFNode:
         point, not looked up here, because another write of the same
         key can commit while this one's execute was still yielding.
         """
-        from repro.core.hashring import in_arcs, ring_position
         mirrors = self._mirrors.get(vnode_id)
         if not mirrors:
             return
@@ -670,7 +669,6 @@ class JBOFNode:
         ``body`` carries src/dst vnode ids, the destination address and
         the ring arcs to migrate.
         """
-        from repro.core.hashring import in_arcs, ring_position
         arcs = body["arcs"]
         sent = yield from self.copy_out(
             body["src_vnode"], body["dst_vnode"], body["dst_address"],

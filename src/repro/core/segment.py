@@ -52,13 +52,20 @@ class KeyItem(Record):
     changed once it is in a segment: a write replaces it
     (:meth:`Segment.replace`), because the store's decoded-segment memo
     hands the same items to every reader of the segment.
+
+    ``value`` is not part of the item's wire format or equality: it is
+    the value bytes of the entry at ``voffset`` when the item's maker
+    wrote them (a PUT, a value-log relocation), so a reader that finds
+    the entry still inside the value log's window need not copy it
+    out.  A decoded item has None.
     """
 
-    __slots__ = ("key", "vlen", "voffset", "ssd_id", "khash", "wire_size")
+    __slots__ = ("key", "vlen", "voffset", "ssd_id", "khash", "wire_size",
+                 "value")
     _FIELDS = ("key", "vlen", "voffset", "ssd_id", "khash")
 
     def __init__(self, key: bytes, vlen: int, voffset: int, ssd_id: int = 0,
-                 khash: Optional[int] = None):
+                 khash: Optional[int] = None, value: Optional[bytes] = None):
         self.key = key
         self.vlen = vlen
         self.voffset = voffset
@@ -66,6 +73,7 @@ class KeyItem(Record):
         self.khash = key_hash(key) if khash is None else khash
         #: Serialized size: header plus key bytes.
         self.wire_size = _KEY_ITEM_FIXED + len(key)
+        self.value = value
 
     @property
     def is_tombstone(self) -> bool:
@@ -163,6 +171,7 @@ class Bucket(Record):
             item.khash = khash
             item.wire_size = _KEY_ITEM_FIXED + (
                 klen if cursor <= limit else limit - start)
+            item.value = None
             items.append(item)
         return cls(seg_id, position, items, head, tail)
 

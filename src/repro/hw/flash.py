@@ -42,10 +42,14 @@ class FlashArray:
         self._blocks: Dict[int, bytes] = {}
         #: What a never-programmed block reads as.
         self._zero_block = b"\x00" * self.block_size
-        # Counters for observability.
+        #: Blocks copied out by :meth:`read` and the bytes they span:
+        #: what the functional model copied, not device reads.  A read
+        #: whose bytes the store already holds copies nothing; device
+        #: reads are ``SSDStats.reads_completed``.
         self.reads = 0
-        self.writes = 0
         self.bytes_read = 0
+        #: Blocks programmed and their bytes.
+        self.writes = 0
         self.bytes_written = 0
 
     # -- address helpers ------------------------------------------------------

@@ -123,7 +123,8 @@ class NVMeSSD:
 
     An I/O is submitted with ``read_event`` / ``write_event`` and waited
     for by yielding the returned event; ``read`` / ``write`` are the
-    generator forms (``data = yield from ssd.read(off, n)``).
+    generator forms (``data = yield from ssd.read(off, n)``).  The
+    ``charge_*`` forms time a read without copying its bytes.
     """
 
     def __init__(self, sim: Simulator, profile: Optional[SSDProfile] = None,
@@ -192,15 +193,35 @@ class NVMeSSD:
     # -- I/O: a device access is its completion event ------------------------
     #
     # Admission, jitter draw and channel booking happen at the call;
-    # the event's first callback touches flash and statistics at
-    # completion.  Yield it to wait, or hold it and do something else.
+    # the event's first callback books statistics at completion, and
+    # a write's changes flash there too (a read's second copies the
+    # bytes out).  Yield it to wait, or hold it and do something else.
 
     def read_event(self, offset: int, length: int, trace=None) -> Timeout:
         """Submit a read; the event's value is the bytes.
 
-        ``trace`` is a duck-typed trace context (this layer never
-        imports :mod:`repro.obs`): an ``ssd.read`` device span covers
-        queue wait plus service.
+        :meth:`charge_read_event` plus the functional read, which
+        copies the flash bytes at completion.
+        """
+        event = self.charge_read_event(length, trace)
+        flash = self.flash
+
+        def copy_out(event) -> None:
+            event._value = flash.read(offset, length)
+
+        event.callbacks.append(copy_out)
+        return event
+
+    def charge_read_event(self, length: int, trace=None) -> Timeout:
+        """Submit a read of ``length`` bytes that copies none of them:
+        the event fires at completion with no value.
+
+        For callers that hold the bytes already, or fetch them from
+        flash only when they turn out not to: the device is charged
+        exactly as for :meth:`read_event` (the simulated SSD has no
+        read cache).  ``trace`` is a duck-typed trace context (this
+        layer never imports :mod:`repro.obs`): an ``ssd.read`` device
+        span covers queue wait plus service.
         """
         ctx = None
         if trace is not None:
@@ -210,8 +231,7 @@ class NVMeSSD:
         service, admitted, done = self._admit_read(length, submitted)
         event = self.sim.timeout_at(done)
 
-        def complete(event) -> None:
-            event._value = self.flash.read(offset, length)
+        def complete(_event) -> None:
             stats = self.stats
             stats.reads_completed += 1
             stats.read_bytes += length
@@ -228,23 +248,15 @@ class NVMeSSD:
         """Generator: :meth:`read_event`, waited for; returns the bytes."""
         return (yield self.read_event(offset, length, trace))
 
-    def read_at(self, offset: int, length: int, at: float) -> Tuple[bytes, float]:
-        """Analytic read: returns ``(data, done_us)``.
-
-        Synchronous companion to :meth:`read` for fused server paths:
-        admission, jitter draw and statistics are identical, but the
-        caller chains the returned completion time instead of yielding
-        on a timeout.  ``at`` is the submission time (>= now).
-        """
-        done = self.charge_read_at(length, at)
-        return self.flash.read(offset, length), done
-
     def charge_read_at(self, length: int, at: float) -> float:
-        """:meth:`read_at` timing/statistics without the functional read.
+        """Analytic :meth:`charge_read_event`: returns ``done_us``.
 
-        Used by caches above the device (e.g. the store's decoded
-        segment cache): a cache hit still pays full device timing —
-        only the byte shuffling and decode compute are skipped.
+        Synchronous companion for fused server paths: admission,
+        jitter draw and statistics are the event form's, but booked at
+        submission, and the caller chains the returned completion time
+        instead of yielding on a timeout.  ``at`` is the submission
+        time (>= now).  No bytes are copied; a caller that needs them
+        reads ``flash``.
         """
         service, start, done = self._admit_read(length, at)
         # Booked at submission, the event form at completion:

@@ -121,6 +121,38 @@ class TestWrapAround:
         assert offset == log.size  # virtual offsets keep growing
         assert data == payload * 2
 
+    def test_wrapped_read_copies_each_span_at_its_completion(self, sim, log):
+        """A flash change that lands between the two spans' completions
+        shows in neither ``read`` nor ``charge_read`` + ``fetch``: the
+        first span's bytes are the ones its completion saw."""
+        block = log.block_size
+
+        def fill():
+            for _ in range(log.size // block):
+                yield from log.append_blocks(b"\x01" * block)
+            log.advance_head(log.size - block)      # keep the last block
+            yield from log.append_blocks(b"\x02" * block)   # wraps
+
+        drive(sim, fill())
+        start = log.size - block
+        last_block = log.region_offset + log.size - block
+
+        def read():
+            return (yield from log.read(start, 2 * block))
+
+        def charge_and_fetch():
+            head = yield log.charge_read(start, 2 * block)
+            return log.fetch(start, 2 * block, head)
+
+        outcomes = []
+        for reader in (read, charge_and_fetch):
+            proc = sim.process(reader())
+            sim.run(until=sim.now + 80.0)   # span 1 done, span 2 in flight
+            log.ssd.flash.write(last_block, b"\x03" * block)
+            outcomes.append(sim.run(until=proc))
+            log.ssd.flash.write(last_block, b"\x01" * block)
+        assert outcomes == [b"\x01" * block + b"\x02" * block] * 2
+
     def test_virtual_offsets_monotonic(self, sim, log):
         def proc():
             offsets = []
@@ -434,8 +466,9 @@ class TestGroupCommitEquivalence:
 
 
 class TestAnalyticRead:
-    """``read_at`` — single-span arm, wrapped arm, staged overlay — is
-    ``read`` on the analytic clock: same bytes, same range check."""
+    """``charge_read_at`` then ``fetch`` — single span, wrapped, staged
+    overlay — is ``read`` on the analytic clock: same bytes, same range
+    check."""
 
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(st.integers(1, 700), min_size=1, max_size=30),
@@ -471,7 +504,9 @@ class TestAnalyticRead:
                         if form == "event":
                             data = yield from log.read(offset, length)
                         else:
-                            data, done = log.read_at(offset, length, sim.now)
+                            done = log.charge_read_at(offset, length,
+                                                      sim.now)
+                            data = log.fetch(offset, length)
                             assert done > sim.now or length == 0
                         outcomes.append(data)
                     except LogRangeError as error:
@@ -480,6 +515,6 @@ class TestAnalyticRead:
                 assert type(outcomes[0]) is type(outcomes[1])
             for offset, data in entries:
                 if offset >= log.head:
-                    assert log.read_at(offset, len(data), sim.now)[0] == data
+                    assert log.fetch(offset, len(data)) == data
 
         drive(sim, writer())

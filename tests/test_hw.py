@@ -539,7 +539,7 @@ class TestReadAdmissionMatchesReference:
                st.sampled_from([0.0, 0.0, 3.0, 70.0]),      # gap
                st.sampled_from([0, 1, 512, 4096]),          # length
                st.sampled_from([0.0, 0.0, 25.0]),           # lead of ``at``
-               st.sampled_from(["read_at", "charge", "event"])),
+               st.sampled_from(["charge_event", "charge", "event"])),
                min_size=1, max_size=40))
     def test_same_grants_same_statistics(self, channels, jitter, reads):
         trails = []
@@ -551,8 +551,10 @@ class TestReadAdmissionMatchesReference:
             trail = []
             for gap, length, lead, form in reads:
                 sim.run(until=sim.now + gap)
-                if form == "read_at":
-                    trail.append(ssd.read_at(0, length, sim.now + lead))
+                if form == "charge_event":
+                    ssd.charge_read_event(length).callbacks.append(
+                        lambda _event, sim=sim, trail=trail:
+                        trail.append(("charged", sim.now)))
                 elif form == "charge":
                     trail.append(ssd.charge_read_at(length, sim.now + lead))
                 else:
@@ -564,6 +566,61 @@ class TestReadAdmissionMatchesReference:
             trail.append(dataclasses.astuple(ssd.stats))
             trails.append(trail)
         assert trails[0] == trails[1]
+
+
+class TestTimingOnlyRead:
+    """``read_event`` is ``charge_read_event`` plus the flash copy: the
+    two book the same statistics, draw the same jitter and record the
+    same ``ssd.read`` spans; only the event's value differs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(channels=st.integers(1, 3), jitter=st.sampled_from([0.0, 0.1]),
+           reads=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.0, 3.0, 70.0]),      # gap
+               st.sampled_from([0, 1, 512, 4096]),          # length
+               st.booleans()),                              # traced
+               min_size=1, max_size=30))
+    def test_same_statistics_draws_and_spans(self, channels, jitter, reads):
+        from repro.obs.spans import Tracer
+
+        runs = []
+        for timing_only in (False, True):
+            sim = Simulator()
+            profile = SSDProfile(capacity_bytes=1 << 20, block_size=512,
+                                 channels=channels, jitter=jitter)
+            ssd = NVMeSSD(sim, profile, rng=RngRegistry(7), name="d")
+            ssd.flash.write(0, bytes(range(256)) * 32)
+            tracer = Tracer(sim)
+            root = tracer.trace("op", track="t")
+            completions = []
+            for gap, length, traced in reads:
+                sim.run(until=sim.now + gap)
+                trace = root if traced else None
+                event = (ssd.charge_read_event(length, trace) if timing_only
+                         else ssd.read_event(0, length, trace))
+                event.callbacks.append(
+                    lambda event, sim=sim, length=length: completions.append(
+                        (sim.now, event.value if event.value is None
+                         else len(event.value) == length)))
+            sim.run()
+            runs.append((dataclasses.astuple(ssd.stats), sorted(ssd._chan_busy),
+                         ssd._draw(), [dataclasses.astuple(span)
+                                       for span in tracer.spans],
+                         [at for at, _value in completions],
+                         [value for _at, value in completions],
+                         ssd.flash.reads))
+        copied, charged = runs
+        assert copied[:5] == charged[:5]
+        assert set(copied[5]) == {True} and set(charged[5]) == {None}
+        assert charged[6] == 0 and copied[6] == sum(
+            (length + 511) // 512 for _gap, length, _traced in reads)
+
+    def test_read_event_copies_at_completion(self, sim, quiet_ssd):
+        quiet_ssd.flash.write(0, b"a" * 512)
+        event = quiet_ssd.read_event(0, 3)
+        sim.run(until=event.sim.now + 1.0)
+        quiet_ssd.flash.write(0, b"b" * 512)   # lands before completion
+        assert sim.run(until=event) == b"bbb"
 
 
 class TestResourceEquivalence:

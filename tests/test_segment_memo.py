@@ -1,19 +1,25 @@
 """The store's decoded-segment memo (``LeedDataStore._segments``).
 
-Every live key-log entry keeps the decoded form its write produced, so
-readers skip the decode (never the device read).  Held here to:
+Every live key-log entry keeps the decoded form its write produced, and
+a key item a write made keeps the value it wrote (``KeyItem.value``),
+so readers skip the copy out and the decode (never the device read).
+Held here to:
 
 * the invariant — the memo's offsets are exactly the SegTbl's live
-  locations, each inside the key-log window, and each entry equals
-  ``Segment.unpack`` of the log bytes at its offset field by field — at
-  every slice boundary of random concurrent PUT / DEL / GET on both
-  clocks, forced key- and value-log compaction, swapped writes merged
-  back home and COPY scans, and after ``recover_store``;
-* a twin that always decodes (:class:`AlwaysDecodes`): equal
-  ``OpResult``s, ``StoreStats``, ``SSDStats``, core counters and flash
-  bytes after every step;
+  locations, each inside the key-log window, each entry equals
+  ``Segment.unpack`` of the log bytes at its offset field by field, and
+  each item's ``value``, when set, is the value of the value-log entry
+  at its ``voffset`` while that entry is inside the window — at every
+  slice boundary of random concurrent PUT / DEL / GET on both clocks,
+  forced key- and value-log compaction (relocation), swapped writes
+  merged back home and COPY scans, and after ``recover_store``;
+* a twin that always fetches and decodes (:class:`AlwaysDecodes`):
+  equal ``OpResult``s, ``StoreStats``, ``SSDStats``, core counters and
+  flash bytes after every step;
 * copy-on-write: a GET that holds an entry across its bucket scan while
-  a write to the segment commits sees what the bytes said.
+  a write to the segment commits sees what the bytes said;
+* the window rule: a GET whose value entry leaves the window while the
+  read is in flight fetches the bytes, as the twin does.
 """
 
 import pytest
@@ -23,7 +29,8 @@ from hypothesis import strategies as st
 from repro.core.compaction import CompactionConfig, Compactor
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.recovery import recover_store
-from repro.core.segment import Segment, key_hash
+from repro.core.segment import (Segment, key_hash, unpack_value_entry,
+                                value_entry_size)
 from repro.hw.cpu import Core
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.core import Simulator
@@ -43,7 +50,9 @@ class _Forgets(dict):
 
 
 class AlwaysDecodes(LeedDataStore):
-    """The store without its memo: every reader decodes what it read."""
+    """The store without its memo: every reader fetches the bytes it
+    read and decodes them.  Its items are all decoded, so no value
+    read finds ``KeyItem.value`` set either."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -81,6 +90,15 @@ def assert_memo_is_the_log(store):
         decoded = Segment.unpack(_log_bytes(log, offset, live[offset]),
                                  log.block_size)
         assert _fields(segment) == _fields(decoded)
+        for item in segment.iter_items():
+            if item.value is None:
+                continue
+            value_log = store.peer_value_logs[item.ssd_id]
+            size = value_entry_size(len(item.key), item.vlen)
+            if value_log.contains(item.voffset, size):
+                _seg_id, key, value, _size, _owner = unpack_value_entry(
+                    _log_bytes(value_log, item.voffset, size))
+                assert (key, value) == (item.key, item.value)
 
 
 #: 47-byte keys: eight share a segment and fill more than one block,
@@ -283,3 +301,94 @@ class TestCopyOnWrite:
         assert (after.value, after.status) == (
             (b"after", "ok") if write == "put" else (None, "not_found"))
         assert (held, after) == self._held_get(AlwaysDecodes, write)
+
+
+class TestValueSlot:
+    """``KeyItem.value``: set by the write that made the item, read
+    instead of the flash bytes while the entry is inside the window."""
+
+    @staticmethod
+    def _store(store_class):
+        sim = Simulator()
+        ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=4 << 20, block_size=512,
+                                      jitter=0.0), rng=RngRegistry(5))
+        return store_class(sim, ssd, StoreConfig(
+            num_segments=1, key_log_bytes=64 << 10, value_log_bytes=64 << 10),
+            core=Core(sim, 3.0))
+
+    def test_a_hit_copies_nothing_on_either_clock(self):
+        store = self._store(LeedDataStore)
+        sim, ssd = store.sim, store.ssd
+        drive(sim, store.put(b"key", b"value"))
+        (item,) = store._segments[store.segtbl.location(0)[0]].iter_items()
+        assert item.value == b"value"
+        copied, reads = ssd.flash.bytes_read, ssd.stats.reads_completed
+        reference = drive(sim, store.get(b"key"))
+        analytic, _done = store.get_at(b"key")
+        sim.run()
+        assert reference.value == analytic.value == b"value"
+        assert reference.nvme_accesses == analytic.nvme_accesses == 2
+        assert ssd.stats.reads_completed == reads + 4
+        assert ssd.flash.bytes_read == copied
+
+    def test_relocation_sets_it_and_recovery_clears_it(self):
+        store = self._store(LeedDataStore)
+        sim = store.sim
+        values = {b"k%d" % index: b"v%d" % index * 30 for index in range(6)}
+        for key, value in values.items():
+            drive(sim, store.put(key, value))
+        values[b"k0"] = b"new" * 30
+        drive(sim, store.put(b"k0", values[b"k0"]))
+        old = {item.key: item.voffset for item in store._segments[
+            store.segtbl.location(0)[0]].iter_items()}
+        drive(sim, Compactor(store).compact(store.value_log, 0.0))
+        (segment,) = store._segments.values()
+        moved = [item for item in segment.iter_items()
+                 if item.voffset != old[item.key]]
+        assert moved and all(item.value == values[item.key]
+                             for item in moved)
+        assert_memo_is_the_log(store)
+        fresh = store.__class__(sim, store.ssd, store.config,
+                                core=Core(sim, 3.0))
+        drive(sim, recover_store(fresh))
+        (segment,) = fresh._segments.values()
+        assert all(item.value is None for item in segment.iter_items())
+        copied = fresh.ssd.flash.bytes_read
+        assert drive(sim, fresh.get(b"k3")).value == b"v3" * 30
+        assert fresh.ssd.flash.bytes_read > copied
+
+    @staticmethod
+    def _get_losing_its_entry(store_class):
+        """A reference GET whose value entry leaves the window, and is
+        overwritten, while the value read is in flight."""
+        store = TestValueSlot._store(store_class)
+        sim = store.sim
+        value_log = store.value_log
+        # 600-byte values: the entry's blocks are not the tail block,
+        # so none stays staged once both entries are durable.
+        drive(sim, store.put(b"key", b"v" * 600))
+        drive(sim, store.put(b"other", b"o" * 600))
+        assert value_log._staged.keys() == {value_log.tail // 512}
+        gate = sim.event()
+        cpu_event = store._cpu_event
+        slices = []
+
+        def gated(cycles):
+            slices.append(cycles)
+            return gate if len(slices) == 2 else cpu_event(cycles)
+
+        store._cpu_event = gated
+        get = sim.process(store.get(b"key"))
+        sim.run()
+        store._cpu_event = cpu_event
+        gate.succeed()
+        sim.run(until=sim.now + 1.0)       # the value read is in flight
+        value_log.advance_head(value_log.tail)
+        store.ssd.flash.write(value_log.region_offset, b"\xff" * 1024)
+        return sim.run(until=get), store.stats.get_retries
+
+    def test_an_entry_that_left_the_window_is_fetched(self):
+        result, retries = self._get_losing_its_entry(LeedDataStore)
+        assert (result.status, retries) == ("not_found",
+                                            LeedDataStore.MAX_GET_RETRIES - 1)
+        assert (result, retries) == self._get_losing_its_entry(AlwaysDecodes)
