@@ -148,28 +148,26 @@ class CircularLog:
     def append_blocks(self, data: bytes, trace=None):
         """Generator: append whole blocks; returns the virtual offset.
 
-        ``data`` is padded to a block multiple.  Wrap-around is split
-        into at most two device writes.  When the tail is
-        block-aligned the new blocks are exclusively owned, so the
-        write bypasses the staging/group-commit path and runs in
+        The tail advances by ``data`` rounded up to whole blocks, and
+        the device is charged for them, but only ``data`` is
+        programmed: reads see the rest of a short last block as zeros.
+        Wrap-around is split into at most two device writes.  When the
+        tail is block-aligned the new blocks are exclusively owned, so
+        the write bypasses the staging/group-commit path and runs in
         parallel with other appends.
         """
         block = self.block_size
-        nbytes = len(data)
-        remainder = nbytes % block
-        if remainder:
-            padded = bytes(data) + b"\x00" * (block - remainder)
-            nbytes += block - remainder
-        else:
-            padded = bytes(data)  # itself when already immutable
+        data = bytes(data)  # itself when already immutable
+        nbytes = -(-len(data) // block) * block
         offset = self.tail
         if offset % block:
-            return (yield from self.append_bytes(padded, trace))
+            return (yield from self.append_bytes(
+                data.ljust(nbytes, b"\x00"), trace))
         if nbytes > self.size - (offset - self.head):
             raise LogFullError("%s: need %d bytes, %d free"
                                % (self.name, nbytes, self.free_bytes))
         self.tail = offset + nbytes
-        for part_offset, part in self._write_spans(offset, padded):
+        for part_offset, part in self._write_spans(offset, data):
             yield self.ssd.write_event(part_offset, part, trace)
         self.appends += 1
         self.bytes_appended += nbytes

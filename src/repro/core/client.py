@@ -161,12 +161,11 @@ class FrontEndClient:
         return None
 
     def apply_membership(self, update: MembershipUpdate) -> None:
-        """Install a ring snapshot (stale versions are ignored)."""
+        """Install the update's ring snapshot (stale versions are
+        ignored)."""
         if update.ring_version < self.local_ring.version:
             return
-        vnodes = [VNode(vid, addr) for vid, addr in update.vnodes]
-        self.local_ring = HashRing(vnodes, update.replication,
-                                   update.ring_version)
+        self.local_ring = update.ring
         self.vnode_states = dict(update.states)
 
     def refresh_ring(self):

@@ -239,22 +239,23 @@ class LeedDataStore:
         (client writes set this; compaction itself does not).
         """
         key_log = self.key_log
+        block = key_log.block_size
         old = self.segtbl.location(segment.seg_id)
-        blob = segment.pack(key_log.block_size,
-                            head=key_log.head % (1 << 32),
-                            tail=key_log.tail % (1 << 32))
+        blob = segment.pack_used(block, head=key_log.head % (1 << 32),
+                                 tail=key_log.tail % (1 << 32))
+        chain_len = len(segment.buckets)
         if enforce_reserve and (
-                key_log.size - (key_log.tail - key_log.head) - len(blob)
+                key_log.size - (key_log.tail - key_log.head)
+                - chain_len * block
                 < key_log.compaction_reserve):   # ``free_bytes``
             raise LogFullError("%s: write would eat compaction reserve"
                                % key_log.name)
         offset = yield from key_log.append_blocks(blob, trace=trace)
-        chain_len = len(segment.buckets)
         self.segtbl.update(segment.seg_id, offset, chain_len)
         self._segments[offset] = segment
         if old is not None:
             self._segments.pop(old[0], None)
-            self.stats.key_log_garbage_bytes += old[1] * key_log.block_size
+            self.stats.key_log_garbage_bytes += old[1] * block
         return offset, chain_len
 
     # -- commands ---------------------------------------------------------------------

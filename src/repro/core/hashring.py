@@ -8,6 +8,13 @@ position 0 is the chain head, position R-1 the tail.
 Rings are versioned; every request carries the client's ring version
 plus a hop counter, and a node NACKs requests whose chain position
 does not match its own view (§3.8.1).
+
+A :class:`HashRing` is an immutable snapshot.  The control plane
+builds one per version and member list and publishes it with its
+membership update; every client and JBOF installs that object, so
+they share it and its memos, and no holder mutates it (a membership
+change is a new snapshot).  The memos are pure: a chain depends only
+on the key and the members.
 """
 
 from __future__ import annotations

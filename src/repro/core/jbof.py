@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.core.compaction import Compactor, Trigger
 from repro.core.datastore import LeedDataStore, OpResult, StoreConfig
-from repro.core.hashring import HashRing, VNode, in_arcs, ring_position
+from repro.core.hashring import HashRing, in_arcs, ring_position
 from repro.core.io_engine import (
     TOKEN_COST,
     KVCommand,
@@ -683,13 +683,11 @@ class JBOFNode:
         return None
 
     def apply_membership(self, update: MembershipUpdate) -> None:
-        """Install a new ring snapshot and vnode states."""
+        """Install the update's ring snapshot and vnode states."""
         if update.ring_version < self.local_ring.version:
             return
         previous = set(self.local_ring.vnodes)
-        vnodes = [VNode(vid, addr) for vid, addr in update.vnodes]
-        self.local_ring = HashRing(vnodes, update.replication,
-                                   update.ring_version)
+        self.local_ring = update.ring
         for vnode_id, state in update.states:
             runtime = self.vnodes.get(vnode_id)
             if runtime is not None:

@@ -90,6 +90,8 @@ class ControlPlane:
         self.rpc = RpcEndpoint(sim, network, address)
         self.vnodes: Dict[str, VNodeInfo] = {}
         self.ring_version = 0
+        #: The last ring :meth:`master_ring` built.
+        self._ring: Optional[HashRing] = None
         self._subscribers: List[str] = []   # jbof + client addresses
         self._jbofs: Dict[str, JBOFNode] = {}
         self._last_heartbeat: Dict[str, float] = {}
@@ -124,11 +126,20 @@ class ControlPlane:
     # -- ring snapshots ------------------------------------------------------------------
 
     def master_ring(self) -> HashRing:
-        """The authoritative ring: serving vnodes only."""
+        """The authoritative ring: serving vnodes only.
+
+        One snapshot per version and member list: every push and pull
+        of the same view carries the same object.
+        """
         members = [VNode(info.vnode_id, info.jbof_address)
                    for info in self.vnodes.values()
                    if info.state in (RUNNING, LEAVING)]
-        return HashRing(members, self.replication, self.ring_version)
+        ring = self._ring
+        if (ring is None or ring.version != self.ring_version
+                or list(ring.vnodes.values()) != members):
+            ring = self._ring = HashRing(members, self.replication,
+                                         self.ring_version)
+        return ring
 
     def membership_snapshot(self) -> MembershipUpdate:
         """The current membership view as a push/pull payload.
@@ -143,7 +154,8 @@ class ControlPlane:
                     for v in ring.vnodes.values()],
             states=[(i.vnode_id, i.state) for i in self.vnodes.values()],
             replication=self.replication,
-            replication_protocol=self.replication_protocol)
+            replication_protocol=self.replication_protocol,
+            ring=ring)
 
     def _broadcast(self, immediate: bool = False) -> None:
         """Push the current snapshot to all subscribers.

@@ -10,6 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.core.hashring import HashRing
 from repro.sim.record import Record
 
 #: Fixed per-command header: op, ids, ring version, hop counter, tenant.
@@ -229,6 +230,12 @@ class MembershipUpdate:
     #: existing fixed header (a one-byte tag on the wire), so the
     #: modeled footprint below is unchanged.
     replication_protocol: str = "chain"
+    #: The control plane's immutable snapshot of ``vnodes``, which
+    #: every receiver installs as is, so one ring and its chain memo
+    #: serve every node at this version.  In process only: not part
+    #: of the wire format or :meth:`wire_bytes`.
+    ring: Optional[HashRing] = field(default=None, compare=False,
+                                     repr=False)
 
     def wire_bytes(self) -> int:
         return 16 + 48 * len(self.vnodes)

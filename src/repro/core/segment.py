@@ -126,7 +126,8 @@ class Bucket(Record):
 
     def pack_into(self, buffer: bytearray, offset: int, chain_len: int,
                   block_size: int) -> None:
-        """Serialize into the zeroed block at ``buffer[offset:]``."""
+        """Serialize into the zeroed block at ``buffer[offset:]``;
+        returns the offset just past the bucket's last byte."""
         used = self.bytes_used()
         if used > block_size:
             raise ValueError("bucket of %d bytes exceeds block %d"
@@ -145,6 +146,7 @@ class Bucket(Record):
                         item.voffset, item.ssd_id)
             buffer[cursor + _KEY_ITEM_FIXED:end] = item.key
             cursor = end
+        return cursor
 
     @classmethod
     def unpack(cls, block: bytes) -> "Bucket":
@@ -273,7 +275,16 @@ class Segment(Record):
         return dropped
 
     def pack(self, block_size: int, head: int = 0, tail: int = 0) -> bytes:
-        """Serialize as a contiguous array of block-sized buckets."""
+        """Serialize as a contiguous array of block-sized buckets: the
+        segment's blocks as a read returns them (:meth:`unpack`)."""
+        blob = self.pack_used(block_size, head, tail)
+        return blob.ljust(len(self.buckets) * block_size, b"\x00")
+
+    def pack_used(self, block_size: int, head: int = 0,
+                  tail: int = 0) -> bytes:
+        """:meth:`pack` up to the last bucket's last byte: what a
+        key-log append programs.  Every bucket but the last fills its
+        block; the device reads the rest of the last block as zeros."""
         if not self.buckets:
             self.buckets = [Bucket(self.seg_id)]
         chain = len(self.buckets)
@@ -282,7 +293,9 @@ class Segment(Record):
             bucket.position = position
             bucket.head = head
             bucket.tail = tail
-            bucket.pack_into(blob, position * block_size, chain, block_size)
+            end = bucket.pack_into(blob, position * block_size, chain,
+                                   block_size)
+        del blob[end:]
         return bytes(blob)
 
     @classmethod

@@ -5,9 +5,11 @@ it stores actual data so that the LEED data store, its compactions,
 and recovery paths can be tested for correctness, independent of the
 timing model in :mod:`repro.hw.ssd`.
 
-The device is block-addressed.  Writes must be whole blocks (the LEED
-bucket is sized to the SSD block for exactly this reason, §3.2.2);
-reads may span multiple blocks.
+The device is block-addressed.  A write starts on a block boundary and
+programs whole blocks (the LEED bucket is sized to the SSD block for
+exactly this reason, §3.2.2); reads may span multiple blocks.  Each
+block keeps only the bytes its last program carried, and reads see the
+rest of it as zeros, so a short last block costs no padding in memory.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class FlashArray:
         #: reads are ``SSDStats.reads_completed``.
         self.reads = 0
         self.bytes_read = 0
-        #: Blocks programmed and their bytes.
+        #: Blocks programmed and their bytes, whole blocks each (a
+        #: short last block is charged as a full one).
         self.writes = 0
         self.bytes_written = 0
 
@@ -63,22 +66,19 @@ class FlashArray:
     # -- I/O -------------------------------------------------------------------
 
     def write_block(self, block_index: int, data: bytes) -> None:
-        """Program one block.  Short data is zero-padded to the block."""
+        """Program one block with ``data``; bytes past it read as zeros."""
         if not 0 <= block_index < self.num_blocks:
             raise FlashError("block %d out of range" % block_index)
-        size = len(data)
-        if size > self.block_size:
+        if len(data) > self.block_size:
             raise FlashError("data of %d bytes exceeds block size %d"
-                             % (size, self.block_size))
-        data = bytes(data)  # no copy unless ``data`` is mutable
-        if size < self.block_size:
-            data += b"\x00" * (self.block_size - size)
-        self._blocks[block_index] = data
+                             % (len(data), self.block_size))
+        self._blocks[block_index] = bytes(data)  # no copy unless mutable
         self.writes += 1
         self.bytes_written += self.block_size
 
     def write(self, offset: int, data: bytes) -> None:
-        """Program ``data`` starting at a block-aligned ``offset``."""
+        """Program the blocks ``data`` covers, from a block-aligned
+        ``offset``; the last one may be short."""
         block_size = self.block_size
         if offset % block_size:
             raise FlashError("write offset %d not block-aligned" % offset)
@@ -86,20 +86,24 @@ class FlashArray:
         if offset < 0 or offset + size > self.capacity_bytes:
             self._check_range(offset, size)   # raises
         block = offset // block_size
-        if size == block_size:
-            # The common program, one whole block.  A fresh copy on
-            # purpose: the submitted buffer was allocated at submission
-            # among short-lived objects, and keeping it for the life
-            # of the block fragments the heap (+1.4 % peak RSS on
-            # leedbench ycsb_wr_compact).
+        if 0 < size <= block_size:
+            # The common program, one block.  A fresh copy on purpose:
+            # the submitted buffer was allocated at submission among
+            # short-lived objects, and keeping it for the life of the
+            # block fragments the heap (+1.4 % peak RSS on leedbench
+            # ycsb_wr_compact).
             self._blocks[block] = bytes(memoryview(data))
             self.writes += 1
             self.bytes_written += block_size
             return
-        data = bytes(data)
+        view = memoryview(data)
+        blocks = self._blocks
         for start in range(0, size, block_size):
-            self.write_block(block, data[start:start + block_size])
+            blocks[block] = bytes(view[start:start + block_size])
             block += 1
+        count = -(-size // block_size)
+        self.writes += count
+        self.bytes_written += count * block_size
 
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes from an arbitrary ``offset``."""
@@ -113,18 +117,27 @@ class FlashArray:
         self.reads += count
         self.bytes_read += count * block_size
         blocks = self._blocks
-        if count == 1:
-            blob = blocks.get(first)
-            if blob is None:
-                blob = self._zero_block
-        else:
-            zero = self._zero_block
-            blob = b"".join([blocks.get(block, zero)
-                             for block in range(first, first + count)])
+        zero = self._zero_block
         start = offset - first * block_size
+        if count == 1:
+            blob = blocks.get(first, zero)
+            if len(blob) < start + length:   # past what was programmed
+                blob = blob.ljust(block_size, b"\x00")
+        else:
+            parts = [blocks.get(block, zero)
+                     for block in range(first, first + count)]
+            blob = b"".join(parts)
+            if len(blob) < count * block_size:   # a short block among them
+                blob = b"".join([part.ljust(block_size, b"\x00")
+                                 for part in parts])
         if start == 0 and length == count * block_size:
             return blob
         return blob[start:start + length]
+
+    def stored_bytes(self, block_index: int) -> int:
+        """Bytes block ``block_index`` holds: what its last program
+        carried (0 if never programmed), however many it is charged."""
+        return len(self._blocks.get(block_index, b""))
 
     def __repr__(self):
         return "<FlashArray %dB blocks=%d/%d>" % (

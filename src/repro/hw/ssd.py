@@ -272,15 +272,22 @@ class NVMeSSD:
 
     def write_event(self, offset: int, data: bytes, trace=None) -> Timeout:
         """Submit a program of ``data`` at a block-aligned ``offset``;
-        the event fires once durable (flash changes then, not now)."""
-        nbytes = len(data)
+        the event fires once durable (flash changes then, not now).
+
+        A program covers whole blocks: ``data`` is charged (service
+        time, drain pacing, ``write_bytes``, the event's value) rounded
+        up to the block, so a short last block costs what its
+        zero-padded form does, and flash keeps only ``data``.
+        """
+        profile = self.profile
+        block = profile.block_size
+        nbytes = -(-len(data) // block) * block
         ctx = None
         if trace is not None:
             ctx = trace.child("ssd.write", track=self.name, cat="device",
                               args={"bytes": nbytes})
         sim = self.sim
         submitted = sim.now
-        profile = self.profile
         service = profile.write_base_us + (nbytes or 1) / profile.write_bw_bpus
         if self._jitter_span > 0.0:
             service *= self._jitter_low + self._jitter_span * self._draw()
@@ -321,7 +328,8 @@ class NVMeSSD:
         return event
 
     def write(self, offset: int, data: bytes, trace=None):
-        """Generator: :meth:`write_event`, waited for; returns len(data)."""
+        """Generator: :meth:`write_event`, waited for; returns the bytes
+        charged (``len(data)`` rounded up to whole blocks)."""
         return (yield self.write_event(offset, data, trace))
 
     def __repr__(self):

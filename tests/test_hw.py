@@ -69,41 +69,41 @@ class TestFlashArray:
             FlashArray(1000, block_size=512)
 
 
-class BlockwiseFlash(FlashArray):
-    """Test-only reference: ``write`` / ``read`` as they were, block by
-    block (``bytes`` → ``memoryview`` → per-block ``bytes`` into
-    ``write_block``; a zero page built as the ``dict.get`` default for
-    every block read, joined and sliced)."""
+class PaddedFlash:
+    """Test-only reference: a dict of zero-padded blocks, written and
+    read block by block, with :class:`FlashArray`'s four counters."""
+
+    def __init__(self, blocks, block):
+        self.size, self.block, self.blocks = blocks * block, block, {}
+        self.reads = self.writes = self.bytes_read = self.bytes_written = 0
 
     def write(self, offset, data):
-        if offset % self.block_size:
-            raise FlashError("write offset %d not block-aligned" % offset)
-        self._check_range(offset, len(data))
-        block = offset // self.block_size
-        view = memoryview(bytes(data))
-        for start in range(0, len(data), self.block_size):
-            self.write_block(block, bytes(view[start:start + self.block_size]))
-            block += 1
+        if offset % self.block or offset + len(data) > self.size:
+            raise FlashError("reference")
+        for start in range(0, len(data), self.block):
+            self.blocks[(offset + start) // self.block] = bytes(
+                data[start:start + self.block]).ljust(self.block, b"\x00")
+            self.writes += 1
+            self.bytes_written += self.block
 
     def read(self, offset, length):
-        self._check_range(offset, length)
-        if length == 0:
+        if offset < 0 or length < 0 or offset + length > self.size:
+            raise FlashError("reference")
+        if not length:
             return b""
-        first = offset // self.block_size
-        last = (offset + length - 1) // self.block_size
-        chunks = []
-        for block in range(first, last + 1):
-            self.reads += 1
-            self.bytes_read += self.block_size
-            chunks.append(self._blocks.get(block, b"\x00" * self.block_size))
-        blob = b"".join(chunks)
-        start = offset - first * self.block_size
-        return blob[start:start + length]
+        first = offset // self.block
+        count = -(-(offset - first * self.block + length) // self.block)
+        self.reads += count
+        self.bytes_read += count * self.block
+        blob = b"".join(self.blocks.get(block, bytes(self.block))
+                        for block in range(first, first + count))
+        return blob[offset - first * self.block:][:length]
 
 
 class TestFlashFastPaths:
-    """The whole-block write and the single-block / aligned read are the
-    block-by-block path, byte for byte and counter for counter."""
+    """Every read of the flash is the padded-block reference's, byte for
+    byte and counter for counter, while each block stores only the
+    bytes its last write carried."""
 
     BLOCK = 64
     BLOCKS = 12
@@ -112,37 +112,48 @@ class TestFlashFastPaths:
     @given(ops=st.lists(st.one_of(
         st.tuples(st.just("write"), st.integers(0, BLOCKS - 1),
                   st.integers(0, 4 * BLOCK + 5), st.booleans()),
+        # One block, then a shorter program over it.
+        st.tuples(st.just("shrink"), st.integers(0, BLOCKS - 1),
+                  st.integers(0, BLOCK - 1), st.booleans()),
         st.tuples(st.just("read"), st.integers(0, BLOCKS * BLOCK),
                   st.integers(0, 4 * BLOCK + 5), st.booleans())),
         min_size=1, max_size=40))
     def test_matches_blockwise_reference(self, ops):
         fast = FlashArray(self.BLOCKS * self.BLOCK, self.BLOCK)
-        slow = BlockwiseFlash(self.BLOCKS * self.BLOCK, self.BLOCK)
+        slow = PaddedFlash(self.BLOCKS, self.BLOCK)
+        carried = {}   # block -> the bytes its last write carried
         stamp = 0
         for verb, where, length, flag in ops:
             outcomes = []
             stamp += 1
+            lengths = [self.BLOCK, length] if verb == "shrink" else [length]
             for flash in (fast, slow):
                 try:
-                    if verb == "write":
-                        data = bytes([1 + stamp % 255]) * length
+                    if verb == "read":
+                        # ``flag``: snap the offset to a block boundary.
+                        offset = where - where % self.BLOCK if flag else where
+                        outcomes.append(flash.read(offset, length))
+                        continue
+                    for size in lengths:
+                        data = bytes([1 + (stamp + size) % 255]) * size
                         # ``flag``: a mutable buffer the caller reuses.
                         buffer = bytearray(data) if flag else data
                         flash.write(where * self.BLOCK, buffer)
                         if flag:
-                            buffer[:] = b"\xee" * length
-                        outcomes.append(None)
-                    else:
-                        # ``flag``: snap the offset to a block boundary.
-                        offset = where - where % self.BLOCK if flag else where
-                        outcomes.append(flash.read(offset, length))
-                except FlashError as error:
-                    outcomes.append(str(error))
+                            buffer[:] = b"\xee" * size
+                        if flash is fast:
+                            for start in range(0, size, self.BLOCK):
+                                carried[where + start // self.BLOCK] = (
+                                    data[start:start + self.BLOCK])
+                    outcomes.append(None)
+                except FlashError:
+                    outcomes.append(FlashError)
             assert outcomes[0] == outcomes[1]
             assert type(outcomes[0]) is type(outcomes[1])
-            assert fast._blocks == slow._blocks
-            assert all(type(block) is bytes and len(block) == self.BLOCK
-                       for block in fast._blocks.values())
+            assert fast._blocks == carried
+            assert all(type(block) is bytes for block in fast._blocks.values())
+            assert all(fast.stored_bytes(block) == len(carried.get(block, b""))
+                       for block in range(self.BLOCKS))
             assert ((fast.reads, fast.writes, fast.bytes_read,
                      fast.bytes_written)
                     == (slow.reads, slow.writes, slow.bytes_read,
@@ -621,6 +632,42 @@ class TestTimingOnlyRead:
         sim.run(until=event.sim.now + 1.0)
         quiet_ssd.flash.write(0, b"b" * 512)   # lands before completion
         assert sim.run(until=event) == b"bbb"
+
+
+class TestShortWrite:
+    """A program covers whole blocks: a write whose last block is short
+    is charged exactly as its zero-padded twin and reads back the same
+    bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.sampled_from([1, 3]),
+           writes=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.0, 3.0, 70.0]),   # gap
+               st.integers(0, 7),                        # first block
+               st.integers(0, 3 * 512 + 7)),             # length
+               min_size=1, max_size=20))
+    def test_charged_as_its_padded_twin(self, channels, writes):
+        runs = []
+        for padded in (False, True):
+            sim = Simulator()
+            profile = SSDProfile(capacity_bytes=1 << 20, block_size=512,
+                                 channels=channels, jitter=0.1)
+            ssd = NVMeSSD(sim, profile, rng=RngRegistry(7), name="d")
+            completions = []
+            for gap, block, length in writes:
+                sim.run(until=sim.now + gap)
+                data = bytes([1 + block]) * length
+                if padded:
+                    data = data.ljust(-(-length // 512) * 512, b"\x00")
+                ssd.write_event(block * 512, data).callbacks.append(
+                    lambda event, sim=sim: completions.append(
+                        (sim.now, event.value)))
+            sim.run()
+            runs.append((completions, dataclasses.astuple(ssd.stats),
+                         sorted(ssd._chan_busy), ssd._write_drain_free_at,
+                         ssd._draw(), ssd.flash.read(0, 11 * 512),
+                         ssd.flash.writes, ssd.flash.bytes_written))
+        assert runs[0] == runs[1]
 
 
 class TestResourceEquivalence:

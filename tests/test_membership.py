@@ -1,10 +1,15 @@
 """Tests for the control plane: join, leave, failure, COPY (§3.8)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
+from repro.core.hashring import HashRing, VNode
 from repro.core.jbof import JOINING, LEAVING, RUNNING, LeedOptions
+from repro.scenarios.injectors import ACTIONS
 
 from conftest import drive
 
@@ -202,3 +207,58 @@ class TestFailure:
         result, got = drive(sim, proc())
         assert result.ok
         assert got.ok and got.value == b"new-value"
+
+
+class TestRingSharing:
+    """Every holder installs the control plane's published snapshot: at
+    one ring version every client and JBOF holds the same ``HashRing``,
+    whose chains are those of a ring rebuilt from the vnode list the
+    update carries on the wire."""
+
+    KEYS = [b"key-%d" % random.Random(7).randrange(10 ** 9)
+            for _ in range(1000)]
+
+    def check(self, cluster):
+        holders = {}
+        for holder in cluster.clients + cluster.jbofs:
+            ring = holder.local_ring
+            holders.setdefault(ring.version, set()).add(id(ring))
+        assert all(len(rings) == 1 for rings in holders.values()), holders
+        update = cluster.control_plane.membership_snapshot()
+        assert update.ring is cluster.clients[0].local_ring
+        assert update.ring.version == update.ring_version
+        rebuilt = HashRing([VNode(vnode_id, address)
+                            for vnode_id, address in update.vnodes],
+                           update.replication, update.ring_version)
+        assert [update.ring.chain_for_key(key) for key in self.KEYS] == [
+            rebuilt.chain_for_key(key) for key in self.KEYS]
+
+    def test_one_snapshot_per_version(self):
+        config = ClusterConfig(
+            num_jbofs=3, ssds_per_jbof=2, num_clients=3, replication=2,
+            store=StoreConfig(num_segments=64, key_log_bytes=1 << 20,
+                              value_log_bytes=4 << 20),
+            options=LeedOptions(heartbeat_period_us=2_000.0),
+            heartbeat_timeout_us=15_000.0, seed=3)
+        cluster = LeedCluster(config)
+        cluster.start()
+        sim = cluster.sim
+        self.check(cluster)
+        load_keys(cluster, 30)
+        self.check(cluster)
+        runtime = SimpleNamespace(cluster=cluster, sim=sim,
+                                  note=lambda kind, **fields: None)
+        versions = [cluster.control_plane.ring_version]
+
+        def settle():
+            yield sim.timeout(300_000)
+
+        for action, kwargs in (("add_jbof", {}), ("remove_jbof", {"index": 0}),
+                               ("crash", {"index": 1}),
+                               ("recover", {"index": 1})):
+            drive(sim, ACTIONS[action](runtime, **kwargs))
+            drive(sim, settle())
+            self.check(cluster)
+            versions.append(cluster.control_plane.ring_version)
+        assert versions == sorted(versions) and len(set(versions)) >= 4
+        verify_keys(cluster, 30)

@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 from repro.core.compaction import CompactionConfig, Compactor
 from repro.core.datastore import LeedDataStore, StoreConfig
 from repro.core.recovery import recover_store
-from repro.core.segment import (Segment, key_hash, unpack_value_entry,
+from repro.core.segment import (Bucket, Segment, key_hash,
+                                peek_segment_header, unpack_value_entry,
                                 value_entry_size)
 from repro.hw.cpu import Core
 from repro.hw.ssd import NVMeSSD, SSDProfile
@@ -251,6 +252,40 @@ class TestMemoInvariant:
             assert world.home.segtbl.location(seg_id) is None
             assert world.compactors[0].stats.segments_dropped == 1
         assert worlds[0].state() == worlds[1].state()
+
+
+class TestStoredBytes:
+    """Flash holds each key-log block's bytes once: a segment's buckets
+    fill their blocks but the last, which keeps only its serialized
+    bytes, not the padding to the block (eight of these keys fill a
+    bucket exactly, so some last buckets are whole blocks too)."""
+
+    def test_key_log_blocks_hold_only_their_buckets(self):
+        world = World(LeedDataStore)
+        for step, ops in enumerate(FILL):
+            world.burst(ops, 100 * step)
+        log = world.home.key_log
+        flash, block = log.ssd.flash, log.block_size
+        assert log.tail > log.size   # lapped: entries astride the wrap
+        chains, short = [], 0
+        offset = log.head
+        while offset < log.tail:
+            _seg_id, chain_len = peek_segment_header(
+                _log_bytes(log, offset, block))
+            chains.append(chain_len)
+            for position in range(chain_len):
+                virtual = offset + position * block
+                stored = flash.stored_bytes(
+                    (log.region_offset + virtual % log.size) // block)
+                used = Bucket.unpack(
+                    _log_bytes(log, virtual, block)).bytes_used()
+                if position < chain_len - 1:
+                    assert stored == block
+                else:
+                    assert stored == used
+                    short += used < block
+            offset += chain_len * block
+        assert offset == log.tail and max(chains) > 1 and short
 
 
 class TestCopyOnWrite:
