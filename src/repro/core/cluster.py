@@ -230,19 +230,19 @@ class LeedCluster:
         failure monitor will detect the silence and re-replicate.
         """
         node = self.jbofs[index]
-        node.crash()  # simlint: ignore[SIM006, SIM008] -- physical fail-stop injection, not a message
+        node.crash()  # simlint: ignore[SIM006] -- physical fail-stop injection, not a message
         return node.address
 
     def recover_jbof(self, index: int) -> str:
         """Heal a fail-stopped JBOF (network rejoin + WAL replay)."""
         node = self.jbofs[index]
-        node.recover()  # simlint: ignore[SIM006, SIM008] -- physical heal injection, not a message
+        node.recover()  # simlint: ignore[SIM006] -- physical heal injection, not a message
         return node.address
 
     def power_fail_jbof(self, index: int) -> str:
         """Pull the power on JBOF ``index``: DRAM state is lost."""
         node = self.jbofs[index]
-        node.power_fail()  # simlint: ignore[SIM006, SIM008] -- physical power-loss injection, not a message
+        node.power_fail()  # simlint: ignore[SIM006] -- physical power-loss injection, not a message
         return node.address
 
     def power_restore_jbof(self, index: int):
@@ -252,7 +252,7 @@ class LeedCluster:
         :meth:`JBOFNode.power_restore`).
         """
         node = self.jbofs[index]
-        report = yield from node.power_restore()  # simlint: ignore[SIM006, SIM008] -- physical power-restore injection, not a message
+        report = yield from node.power_restore()  # simlint: ignore[SIM006] -- physical power-restore injection, not a message
         # Power-on is control-plane-visible: stamp a fresh heartbeat so
         # the monitor doesn't count the outage gap against the node
         # before its first post-restore beat lands.
@@ -290,7 +290,7 @@ class LeedCluster:
         for index in range(len(self.jbofs)):
             node = self.jbofs[index]
             yield from self.drain_jbof(index)
-            node.upgrade(version)  # simlint: ignore[SIM006, SIM008] -- in-place binary replace on a drained node, not a message
+            node.upgrade(version)  # simlint: ignore[SIM006] -- in-place binary replace on a drained node, not a message
             yield from self.rejoin_jbof(index)
             if pause_us > 0:
                 yield self.sim.timeout(pause_us)

@@ -3,11 +3,10 @@
 A :class:`Rule` inspects one parsed module and yields
 :class:`Finding` records.  The engine walks the requested paths,
 parses each Python file exactly once into a :class:`ModuleSource`
-carrying a shared :class:`ModuleIndex` — a one-pass node index plus a
-per-function CFG cache every rule draws from instead of re-walking
-the tree — runs every (selected) rule over it, filters per-line
-suppressions (``# simlint: ignore[SIM001]``), and renders the
-surviving findings as text (or SARIF, :mod:`repro.lint.sarif`).
+carrying a shared :class:`ModuleIndex` (a one-pass node index every
+rule draws from instead of re-walking the tree), runs every rule over
+it, filters per-line suppressions (``# simlint: ignore[SIM001]``),
+and renders the surviving findings as text.
 
 Exit codes: 0 clean, 1 findings, 2 files that failed to parse.
 """
@@ -18,18 +17,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-)
-
-from repro.lint.config import LintConfig
-from repro.lint.flow import ControlFlowGraph, build_cfg
+from typing import Dict, Iterator, List, Optional, Sequence
 
 #: ``# simlint: ignore`` suppresses every rule on the line;
 #: ``# simlint: ignore[SIM001, SIM003]`` only the listed rules.
@@ -56,17 +44,14 @@ class ModuleIndex:
     """A single-pass node index over one parsed module.
 
     Built once per file and shared by every rule: ``nodes(T, ...)``
-    replaces per-rule ``ast.walk`` sweeps, ``functions()`` lists all
-    defs, and ``cfg(func)`` memoizes control-flow graphs so the
-    dataflow rules (SIM007+) pay CFG construction once per function
-    regardless of how many analyses run over it.
+    replaces per-rule ``ast.walk`` sweeps and ``functions()`` lists
+    all defs.
     """
 
     def __init__(self, tree: ast.AST):
         self._by_type: Dict[type, List[ast.AST]] = {}
         for node in ast.walk(tree):
             self._by_type.setdefault(type(node), []).append(node)
-        self._cfgs: Dict[int, ControlFlowGraph] = {}
 
     def nodes(self, *types: type) -> List[ast.AST]:
         """All nodes of the exact AST classes given, in walk order."""
@@ -80,15 +65,6 @@ class ModuleIndex:
     def functions(self) -> List[ast.AST]:
         """Every def in the module, including nested ones."""
         return self.nodes(ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def cfg(self, func: ast.AST) -> ControlFlowGraph:
-        """The (cached) control-flow graph of one function body."""
-        key = id(func)
-        cached = self._cfgs.get(key)
-        if cached is None:
-            cached = build_cfg(func)
-            self._cfgs[key] = cached
-        return cached
 
 
 @dataclass
@@ -113,9 +89,6 @@ class Rule:
 
     rule_id = "SIM000"
     title = ""
-
-    def __init__(self, config: LintConfig):
-        self.config = config
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
         raise NotImplementedError
@@ -192,22 +165,11 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             yield path
 
 
-def run(paths: Sequence[str], config: Optional[LintConfig] = None,
-        rules: Optional[Iterable[Rule]] = None,
-        select: Optional[Iterable[str]] = None) -> LintReport:
-    """Lint ``paths`` and return the report; ``select`` restricts the
-    run to the given rule ids."""
+def run(paths: Sequence[str]) -> LintReport:
+    """Lint ``paths`` with every rule and return the report."""
     from repro.lint.rules import default_rules
 
-    config = config or LintConfig()
-    active = list(rules) if rules is not None else default_rules(config)
-    if select is not None:
-        wanted: Set[str] = {rule_id.strip().upper() for rule_id in select}
-        unknown = wanted - {rule.rule_id for rule in active}
-        if unknown:
-            raise ValueError("unknown rule id(s): %s"
-                             % ", ".join(sorted(unknown)))
-        active = [rule for rule in active if rule.rule_id in wanted]
+    active = default_rules()
     findings: List[Finding] = []
     errors: List[str] = []
     files_checked = 0

@@ -11,13 +11,53 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
-from repro.lint.config import LintConfig
 from repro.lint.engine import Finding, ModuleSource, Rule
-from repro.lint.flow import dotted as _dotted
-from repro.lint.flow import nested_functions as _nested_functions
-from repro.lint.flow import scope_nodes as _scope_nodes
+
+#: Function-ish scopes that open a new lexical namespace.
+SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """All descendants of ``scope`` in the same lexical scope."""
+    for child in ast.iter_child_nodes(scope):
+        if isinstance(child, SCOPE_NODES):
+            continue
+        yield child
+        yield from scope_nodes(child)
+
+
+def nested_functions(scope: ast.AST) -> Iterator[ast.AST]:
+    """Function definitions nested directly under ``scope``."""
+    for child in ast.iter_child_nodes(scope):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        elif not isinstance(child, ast.Lambda):
+            yield from nested_functions(child)
+
+
+def in_scope(scopes, relpath: str) -> bool:
+    """True when ``relpath`` lies under one of ``scopes``.
+
+    Paths are the checked file's posix path, matched by substring
+    (allowlists by suffix, ``relpath.endswith``), so a rule works
+    wherever the tree is checked out.
+    """
+    return any(scope in relpath for scope in scopes)
+
 
 #: Module-level names matching this are treated as intentional
 #: constants (registry tables such as ``WORKLOADS``) by SIM005.
@@ -35,6 +75,20 @@ WALL_CLOCK_FROM_TIME = {
     "time", "time_ns", "monotonic", "monotonic_ns",
     "perf_counter", "perf_counter_ns", "process_time",
 }
+
+#: The named-stream registry, the one file allowed to touch the
+#: ``random`` module: it has to construct the streams (SIM001).
+RNG_ALLOW = ("repro/sim/rng.py",)
+
+#: Files allowed to read the wall clock (SIM002): the benchmark CLIs
+#: report wall time around whole experiments/trials, outside the
+#: simulated world.
+WALL_CLOCK_ALLOW = ("repro/bench/__main__.py",
+                    "repro/bench/explore/fleet.py")
+
+#: Directories whose set iteration feeds scheduling/ordering decisions
+#: and must be wrapped in ``sorted(...)`` (SIM003).
+ORDERED_ITERATION_SCOPES = ("repro/core/", "repro/net/")
 
 #: Constructors of mutable containers (SIM005).
 MUTABLE_FACTORIES = {
@@ -56,7 +110,7 @@ class DirectRandomUse(Rule):
     title = "direct random-module use"
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
-        if self.config.allows(self.config.rng_allow, source.relpath):
+        if source.relpath.endswith(RNG_ALLOW):
             return
         for node in source.index.nodes(ast.Import, ast.ImportFrom,
                                        ast.Attribute):
@@ -89,18 +143,18 @@ class WallClockUse(Rule):
 
     Simulated time is ``sim.now``; a ``time.time()`` anywhere in the
     model couples results to the host machine.  The benchmark CLI's
-    wall-time reporting is allowlisted via config.
+    wall-time reporting is allowlisted (``WALL_CLOCK_ALLOW``).
     """
 
     rule_id = "SIM002"
     title = "wall-clock read"
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
-        if self.config.allows(self.config.wall_clock_allow, source.relpath):
+        if source.relpath.endswith(WALL_CLOCK_ALLOW):
             return
         for node in source.index.nodes(ast.Call, ast.ImportFrom):
             if isinstance(node, ast.Call):
-                name = _dotted(node.func)
+                name = dotted(node.func)
                 if name and (name in WALL_CLOCK_CALLS
                              or name.endswith(WALL_CLOCK_SUFFIXES)):
                     yield self.finding(
@@ -131,8 +185,7 @@ class UnsortedSetIteration(Rule):
     title = "unsorted set iteration"
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
-        if not self.config.in_scope(self.config.ordered_iteration_scopes,
-                                    source.relpath):
+        if not in_scope(ORDERED_ITERATION_SCOPES, source.relpath):
             return
         # Attributes (``self._failed``) are assigned in one method and
         # iterated in another, so they are tracked module-wide; bare
@@ -145,7 +198,7 @@ class UnsortedSetIteration(Rule):
 
     def _check_scope(self, source: ModuleSource, scope: ast.AST,
                      attr_names: Set[str]) -> Iterator[Finding]:
-        nodes = list(_scope_nodes(scope))
+        nodes = list(scope_nodes(scope))
         known = self._collect_names(nodes, attributes=False) | attr_names
         for node in nodes:
             iters: List[ast.AST] = []
@@ -155,7 +208,7 @@ class UnsortedSetIteration(Rule):
                                    ast.GeneratorExp, ast.DictComp)):
                 iters.extend(gen.iter for gen in node.generators)
             elif isinstance(node, ast.Call):
-                name = _dotted(node.func)
+                name = dotted(node.func)
                 if name in ("list", "tuple", "enumerate") and node.args:
                     iters.append(node.args[0])
             for candidate in iters:
@@ -166,7 +219,7 @@ class UnsortedSetIteration(Rule):
                         "iterates over %s in hash order; wrap it in "
                         "sorted(...) so scheduling decisions are "
                         "reproducible" % described)
-        for nested in _nested_functions(scope):
+        for nested in nested_functions(scope):
             yield from self._check_scope(source, nested, attr_names)
 
     @staticmethod
@@ -174,7 +227,7 @@ class UnsortedSetIteration(Rule):
         if isinstance(value, (ast.Set, ast.SetComp)):
             return True
         if isinstance(value, ast.Call):
-            return _dotted(value.func) in ("set", "frozenset")
+            return dotted(value.func) in ("set", "frozenset")
         return False
 
     @staticmethod
@@ -184,9 +237,9 @@ class UnsortedSetIteration(Rule):
         base = annotation
         if isinstance(base, ast.Subscript):
             base = base.value
-        return _dotted(base) in ("set", "frozenset", "Set", "FrozenSet",
-                                 "MutableSet", "typing.Set",
-                                 "typing.FrozenSet", "typing.MutableSet")
+        return dotted(base) in ("set", "frozenset", "Set", "FrozenSet",
+                                "MutableSet", "typing.Set",
+                                "typing.FrozenSet", "typing.MutableSet")
 
     @classmethod
     def _collect_names(cls, nodes, attributes: bool) -> Set[str]:
@@ -202,13 +255,13 @@ class UnsortedSetIteration(Rule):
                    annotation: Optional[ast.AST] = None) -> None:
             if attributes != isinstance(target, ast.Attribute):
                 return
-            dotted = _dotted(target)
-            if dotted is None:
+            name = dotted(target)
+            if name is None:
                 return
             if cls._value_is_set(value) or cls._annotation_is_set(annotation):
-                set_names.add(dotted)
+                set_names.add(name)
             elif value is not None:
-                other_names.add(dotted)
+                other_names.add(name)
 
         for node in nodes:
             if isinstance(node, ast.Assign):
@@ -226,13 +279,13 @@ class UnsortedSetIteration(Rule):
         if isinstance(node, ast.SetComp):
             return "a set comprehension"
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
+            name = dotted(node.func)
             if name in ("set", "frozenset"):
                 return "%s(...)" % name
             return None
-        dotted = _dotted(node)
-        if dotted is not None and dotted in set_names:
-            return "the set %r" % dotted
+        name = dotted(node)
+        if name is not None and name in set_names:
+            return "the set %r" % name
         if isinstance(node, ast.BinOp) and \
                 isinstance(node.op, (ast.BitOr, ast.BitAnd,
                                      ast.Sub, ast.BitXor)):
@@ -243,13 +296,61 @@ class UnsortedSetIteration(Rule):
         return None
 
 
+def _layers() -> Dict[str, FrozenSet[str]]:
+    """The import-layering DAG, bottom-up (SIM004).
+
+    Keys and values are two-component layer names (``repro.sim``).
+    A module in layer L may import from exactly ``layers[L]``.  The
+    substrate (``sim``) sits at the bottom; hardware, network, and
+    power models build on it without knowing about the store logic in
+    ``core``; workloads know the substrate only; ``bench``,
+    ``baselines``, and tooling sit on top.  Between the two top-level
+    harnesses, ``bench`` sits *above* ``scenarios``: the design-space
+    explorer scores configurations on whole scenario episodes, while
+    scenarios never reach into the benchmark harness.
+    """
+    sim = frozenset({"repro.sim"})
+    hw = sim | {"repro.hw"}
+    net = sim | {"repro.net"}
+    obs = sim | {"repro.obs"}
+    power = hw | {"repro.power"}
+    core = hw | net | power | obs | {"repro.core", "repro.telemetry"}
+    workloads = sim | {"repro.workloads"}
+    top = core | workloads | {"repro.baselines"}
+    return {
+        "repro.sim": sim,
+        "repro.hw": hw,
+        "repro.net": net,
+        "repro.obs": obs,
+        "repro.power": power,
+        "repro.telemetry": core,
+        "repro.core": core,
+        "repro.workloads": workloads,
+        "repro.baselines": top,
+        "repro.bench": top | {"repro.bench", "repro.scenarios"},
+        "repro.scenarios": top | {"repro.scenarios"},
+        "repro.lint": top | {"repro.bench", "repro.lint"},
+    }
+
+
+#: Layer -> allowed imported layers (SIM004).
+LAYERS = _layers()
+
+#: Files exempt from the layering DAG (SIM004).  CLI entry points that
+#: compose the full stack — like ``repro.bench.__main__`` does from
+#: the top layer — but live in a low layer for import reasons:
+#: ``repro.obs.trace`` must sit in ``repro.obs`` (so the package is
+#: importable below ``core``) yet builds a whole traced cluster.
+LAYER_ALLOW = ("repro/obs/trace.py",)
+
+
 class ImportLayering(Rule):
     """SIM004: the layering DAG is law.
 
     The substrate (``sim``) must stay ignorant of everything above it,
     and the device/network models (``hw``, ``net``) must never reach
-    into store logic (``core``).  The allowed-import map lives in
-    :class:`LintConfig`.
+    into store logic (``core``).  The allowed-import map is
+    ``LAYERS``.
     """
 
     rule_id = "SIM004"
@@ -262,10 +363,10 @@ class ImportLayering(Rule):
     def check(self, source: ModuleSource) -> Iterator[Finding]:
         if source.module is None:
             return
-        if self.config.allows(self.config.layer_allow, source.relpath):
+        if source.relpath.endswith(LAYER_ALLOW):
             return
         layer = self._layer(source.module)
-        allowed = self.config.layers.get(layer)
+        allowed = LAYERS.get(layer)
         if allowed is None:
             return
         for node in source.index.nodes(ast.Import, ast.ImportFrom):
@@ -316,7 +417,7 @@ class MutableSharedState(Rule):
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
             return "a comprehension"
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
+            name = dotted(node.func)
             if name in MUTABLE_FACTORIES:
                 return "%s(...)" % name
         return None
@@ -357,6 +458,24 @@ class MutableSharedState(Rule):
                     "or rename it as a constant" % (target.id, described))
 
 
+#: Directories where a peer-node object reference stands for another
+#: machine of the modelled rack (SIM006).  Scenario injectors reach
+#: node objects through the cluster's registry, so they are held to
+#: the same rule (the suppressed sites in ``LeedCluster`` are physical
+#: events — a pulled power cord — that no modelled message carries).
+CROSS_SHARD_SCOPES = ("repro/core/", "repro/scenarios/")
+
+#: Attribute names holding registries of peer JBOF node objects
+#: (SIM006): objects fetched from these are other machines and must be
+#: reached over the simulated network.
+CROSS_SHARD_REGISTRIES = ("jbofs", "_jbofs")
+
+#: Node methods exempt from SIM006: bootstrap-time delivery that runs
+#: before simulated time starts (the control plane hands every node
+#: its initial ring synchronously during ``start()``).
+CROSS_SHARD_ALLOW_METHODS = ("apply_membership",)
+
+
 class CrossShardNodeCall(Rule):
     """SIM006: peer JBOF nodes are reached over the network only.
 
@@ -371,27 +490,27 @@ class CrossShardNodeCall(Rule):
     Reading construction-time attributes (``node.address``,
     ``node.built_at``) is fine — the rule flags only *method calls* on
     node objects.  Bootstrap-time delivery methods that run before
-    simulated time starts are allowlisted in :class:`LintConfig`.
+    simulated time starts are allowlisted
+    (``CROSS_SHARD_ALLOW_METHODS``).
     """
 
     rule_id = "SIM006"
     title = "direct call on a peer node bypasses the network"
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
-        if not self.config.in_scope(self.config.cross_shard_scopes,
-                                    source.relpath):
+        if not in_scope(CROSS_SHARD_SCOPES, source.relpath):
             return
         yield from self._check_scope(source, source.tree)
 
     def _check_scope(self, source: ModuleSource,
                      scope: ast.AST) -> Iterator[Finding]:
-        nodes = list(_scope_nodes(scope))
+        nodes = list(scope_nodes(scope))
         names = self._node_names(nodes)
         for node in nodes:
             if not isinstance(node, ast.Call) or \
                     not isinstance(node.func, ast.Attribute):
                 continue
-            if node.func.attr in self.config.cross_shard_allow_methods:
+            if node.func.attr in CROSS_SHARD_ALLOW_METHODS:
                 continue
             if self._is_node_expr(node.func.value, names):
                 yield self.finding(
@@ -400,14 +519,14 @@ class CrossShardNodeCall(Rule):
                     "modelled network (no latency, partition check or "
                     "RPC cost) — reach it with rpc.call/rpc.notify"
                     % node.func.attr)
-        for nested in _nested_functions(scope):
+        for nested in nested_functions(scope):
             yield from self._check_scope(source, nested)
 
     def _is_registry(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Attribute):
-            return node.attr in self.config.cross_shard_registries
+            return node.attr in CROSS_SHARD_REGISTRIES
         if isinstance(node, ast.Name):
-            return node.id in self.config.cross_shard_registries
+            return node.id in CROSS_SHARD_REGISTRIES
         return False
 
     def _yields_nodes(self, node: ast.AST) -> bool:
@@ -418,7 +537,7 @@ class CrossShardNodeCall(Rule):
             func = node.func
             if isinstance(func, ast.Attribute) and func.attr == "values":
                 return self._is_registry(func.value)
-            if _dotted(func) in ("sorted", "list", "tuple", "reversed",
+            if dotted(func) in ("sorted", "list", "tuple", "reversed",
                                  "enumerate") and node.args:
                 return self._yields_nodes(node.args[0])
         return False
@@ -491,33 +610,41 @@ class ClockAssignment(Rule):
                     source, node,
                     "assigns %s; the clock belongs to the event loop — "
                     "schedule an event (sim.timeout / sim.timeout_at) "
-                    "instead of moving time" % (_dotted(node) or ".now"))
+                    "instead of moving time" % (dotted(node) or ".now"))
 
 
-def default_rules(config: LintConfig) -> List[Rule]:
+def default_rules() -> List[Rule]:
     """The shipped rule catalog, in rule-id order."""
-    from repro.lint.races import flow_rules
-
     return [
-        DirectRandomUse(config),
-        WallClockUse(config),
-        UnsortedSetIteration(config),
-        ImportLayering(config),
-        MutableSharedState(config),
-        CrossShardNodeCall(config),
-    ] + flow_rules(config) + [ClockAssignment(config)]
+        DirectRandomUse(),
+        WallClockUse(),
+        UnsortedSetIteration(),
+        ImportLayering(),
+        MutableSharedState(),
+        CrossShardNodeCall(),
+        ClockAssignment(),
+    ]
 
 
 def catalog_lines() -> List[str]:
     """``SIMxxx  title`` for every registered rule, in id order."""
     return ["%s  %s" % (rule.rule_id, rule.title)
-            for rule in default_rules(LintConfig())]
+            for rule in default_rules()]
 
 
 def catalog_range() -> str:
-    """The inclusive rule-id span, e.g. ``SIM001-SIM010``."""
-    rules = default_rules(LintConfig())
-    return "%s-%s" % (rules[0].rule_id, rules[-1].rule_id)
+    """The rule ids as runs of consecutive numbers, e.g.
+    ``SIM001-SIM006, SIM010``."""
+    runs: List[List[int]] = []
+    for rule in default_rules():
+        number = int(rule.rule_id[3:])
+        if runs and number == runs[-1][1] + 1:
+            runs[-1][1] = number
+        else:
+            runs.append([number, number])
+    return ", ".join("SIM%03d" % first if first == last
+                     else "SIM%03d-SIM%03d" % (first, last)
+                     for first, last in runs)
 
 
 # The catalog header is generated, not hand-maintained: appending it

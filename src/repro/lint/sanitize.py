@@ -1,7 +1,7 @@
-"""Dynamic order-dependence sanitizer (the runtime half of SIM007+).
+"""Dynamic order-dependence sanitizer.
 
-The static rules claim that handlers are atomic between scheduling
-points and that no code depends on the *accidental* FIFO order of
+The model claims that handlers are atomic between scheduling points
+and that no code depends on the *accidental* FIFO order of
 same-timestamp ties.  This module checks the claim TSan-style: run
 the same seeded YCSB workload several times with
 ``Simulator(sanitize_seed=N)`` breaking every same-timestamp tie with a

@@ -5,7 +5,7 @@ Each action is a generator taking the :class:`ScenarioRuntime` (see
 go through the cluster/control-plane scenario hooks — registry-safe
 RPC and the physical-injection methods on
 :class:`~repro.core.cluster.LeedCluster` — never through direct node
-method calls, so they stay within simlint's SIM006/SIM008 rules.
+method calls, so they stay within simlint's SIM006 rule.
 
 The registry is keyed by the ``action`` string in
 :class:`~repro.scenarios.dsl.Injection`.

@@ -1,26 +1,14 @@
-"""Runtime determinism: same-seed replay must be bit-for-bit identical.
+"""The event-schedule digest (Simulator.enable_schedule_digest).
 
-The event-schedule digest (Simulator.enable_schedule_digest) hashes
-``(time, priority, sequence, event-kind)`` of every popped event, so
-any wall-clock, hash-order, or unseeded-RNG leak anywhere in the
-model shows up as a digest divergence between two same-seed runs.
+It hashes ``(time, priority, sequence, event-kind)`` of every popped
+event, so any wall-clock, hash-order, or unseeded-RNG leak anywhere in
+the model shows up as a digest divergence between two same-seed runs
+(``tests/test_scenarios.py::test_double_run_byte_identical`` compares
+two runs of every scenario; the goldens pin the digests across
+processes).
 """
 
-import pytest
-
-from repro.lint.determinism import run_probe, verify
 from repro.sim.core import Simulator
-
-#: Small probe geometry so the double run stays fast.
-PROBE = dict(num_records=60, num_ops=100, value_size=96)
-
-
-@pytest.fixture(scope="module")
-def probes():
-    """One seed-3 pair plus a seed-4 run, computed once."""
-    return (run_probe(seed=3, **PROBE),
-            run_probe(seed=3, **PROBE),
-            run_probe(seed=4, **PROBE))
 
 
 class TestScheduleDigest:
@@ -64,41 +52,3 @@ class TestScheduleDigest:
             return sim.schedule_digest
 
         assert build((5, 1, 3)) != build((1, 3, 5))
-
-
-class TestSameSeedReplay:
-    def test_digests_identical(self, probes):
-        first, replay, _ = probes
-        assert first.digest == replay.digest
-        assert first.events == replay.events
-
-    def test_telemetry_identical(self, probes):
-        first, replay, _ = probes
-        assert first.telemetry_report == replay.telemetry_report
-
-    def test_final_time_identical(self, probes):
-        first, replay, _ = probes
-        assert first.final_time_us == replay.final_time_us
-
-    def test_distinct_seeds_diverge(self, probes):
-        first, _, alternate = probes
-        assert first.digest != alternate.digest
-
-    def test_probe_does_real_work(self, probes):
-        first, _, _ = probes
-        assert first.events > 1000
-        assert first.final_time_us > 0
-
-
-class TestVerify:
-    def test_report_ok(self):
-        report = verify(seed=0, alt_seed=1, num_records=40, num_ops=60,
-                        value_size=64)
-        assert report.replay_identical
-        assert report.seeds_diverge
-        assert report.ok
-        assert "deterministic" in report.format()
-
-    def test_equal_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            verify(seed=2, alt_seed=2)

@@ -1,4 +1,5 @@
-"""simlint rule catalog, suppressions, CLI, and tree cleanliness.
+"""simlint rule catalog, suppressions, CLI, tree cleanliness, and the
+order-dependence sanitizer.
 
 Each rule gets a positive fixture (must fire with the right rule ID),
 a clean fixture (must stay silent), and a suppression fixture.  The
@@ -7,14 +8,14 @@ layout so scope and layering resolution work exactly as on the real
 tree.
 """
 
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.lint import LintConfig, run, to_text
+from repro.lint import run, to_text
+from repro.lint.rules import catalog_lines, catalog_range, default_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -446,6 +447,79 @@ class TestShippedTree:
             cwd=REPO_ROOT, capture_output=True, text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0
-        for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                        "SIM006", "SIM007", "SIM008", "SIM009"):
-            assert rule_id in proc.stdout
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+            "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
+            "SIM010"]
+
+    def test_catalog_header_is_generated(self):
+        import repro.lint.rules as rules_mod
+        assert catalog_range() == "SIM001-SIM006, SIM010"
+        for line in catalog_lines():
+            assert line in rules_mod.__doc__
+
+    def test_doc_table_rows_are_the_rules(self):
+        """``docs/static-analysis.md`` keeps one planted-bug row per
+        registered rule: a rule added without its row, or a row left
+        for a deleted rule, fails here."""
+        text = (REPO_ROOT / "docs" / "static-analysis.md").read_text(
+            encoding="utf-8")
+        section = text.split("\n## What each check catches\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        rows = re.findall(r"^\| (SIM\d{3}) \|", section, re.M)
+        assert rows == [rule.rule_id for rule in default_rules()]
+
+
+class TestOrderDependenceSanitizer:
+    # A reduced shape keeps the three sanitized runs inside the
+    # tier-1 budget; the full ``RUN_SHAPES["smoke"]`` shape runs in CI via
+    # ``python -m repro.lint.sanitize``.
+    SHAPE = dict(records=60, ops=120, concurrency=8,
+                 num_jbofs=2, num_clients=2, value_size=64, seed=11)
+
+    def test_figure_digest_invariant_across_permutations(self):
+        from repro.lint.sanitize import verify
+        report = verify("B", permutations=3, **self.SHAPE)
+        assert len(report.probes) == 4  # FIFO baseline + 3 permutations
+        assert report.figure_invariant, report.format()
+        assert report.schedules_permuted, report.format()
+        assert report.clean
+        for probe in report.probes:
+            assert probe.ops_completed == 120
+            assert probe.ops_failed == 0
+            assert probe.keys_verified == probe.keys_checked == 60
+            assert not probe.mismatches
+
+    def test_compacting_run_is_invariant_across_permutations(self,
+                                                            monkeypatch):
+        """12 000 WR ops on the smoke shape fill key logs past their
+        watermark: every ordering runs trigger-started key-log rounds
+        and still reads back the same figure (CI's compacting step)."""
+        from repro.bench.harness import build_cluster
+        from repro.lint import sanitize
+        clusters = []
+
+        def recording_build_cluster(*args, **kwargs):
+            clusters.append(build_cluster(*args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(sanitize, "build_cluster",
+                            recording_build_cluster)
+        report = sanitize.verify("WR", permutations=2, ops=12_000)
+        assert report.clean, report.format()
+        assert len(clusters) == 3
+        for cluster in clusters:
+            assert sum(runtime.compactor.stats.key_rounds
+                       for node in cluster.jbofs
+                       for runtime in node.vnodes.values()) >= 1
+
+    def test_same_sanitize_seed_reproduces_schedule(self):
+        from repro.lint.sanitize import run_probe
+        first = run_probe("B", 1, **self.SHAPE)
+        second = run_probe("B", 1, **self.SHAPE)
+        assert first.schedule_digest == second.schedule_digest
+        assert first.figure_digest == second.figure_digest
+
+    def test_simulator_sanitize_flag(self):
+        from repro.sim.core import Simulator
+        assert Simulator(sanitize_seed=3).sanitizing
+        assert not Simulator().sanitizing
