@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -77,16 +76,10 @@ def scale_profile(scale: str = QUICK) -> ScaleProfile:
 
 
 #: The closed-loop run shapes of :func:`measure_run_phase`, on the
-#: quick-scale store geometry.  ``smoke`` / ``default`` are the figure
-#: gate's (``tests/test_figure_gate.py``) and ``smoke`` is also the
-#: order-dependence sanitizer's; the design-space explorer's ``--scale``
-#: names any of them (its searches run dozens of trials, which is what
-#: ``tiny`` / ``small`` are for).
+#: quick-scale store geometry: the figure gate's
+#: (``tests/test_figure_gate.py``); ``smoke`` is also the
+#: order-dependence sanitizer's.
 RUN_SHAPES = {
-    "tiny": {"records": 200, "ops": 480, "concurrency": 16,
-             "num_jbofs": 3, "num_clients": 2},
-    "small": {"records": 400, "ops": 1600, "concurrency": 24,
-              "num_jbofs": 3, "num_clients": 2},
     "smoke": {"records": 300, "ops": 600, "concurrency": 24,
               "num_jbofs": 3, "num_clients": 2},
     "default": {"records": 600, "ops": 3000, "concurrency": 24,
@@ -158,10 +151,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
                   num_clients: Optional[int] = None,
                   replication: int = 3,
                   sanitize_seed: Optional[int] = None,
-                  replication_protocol: str = "chain",
-                  platform: str = "auto",
-                  ssds_per_node: Optional[int] = None,
-                  **cluster_kwargs) -> LeedCluster:
+                  replication_protocol: str = "chain") -> LeedCluster:
     """A scaled-down deployment of one of the three systems.
 
     Platforms keep their stock hardware models (full-speed SSDs, real
@@ -176,9 +166,6 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     stream seeded with that value (see ``repro.lint.sanitize``).
     ``replication_protocol`` picks the write/read protocol
     (``"chain"`` | ``"craq"`` | ``"abd"``, see ``repro.core.replication``).
-    ``platform`` / ``ssds_per_node`` / ``cluster_kwargs`` go to
-    :func:`repro.baselines.make_cluster` (the explorer's ``cluster``
-    dimensions); ``None`` keeps the scale's SSD count.
     """
     profile = scale_profile(scale)
     if system == "leed":
@@ -199,20 +186,18 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
     else:
         raise ValueError("unknown system %r" % system)
 
-    if ssds_per_node is None:
-        ssds_per_node = 1 if system == "fawn" else profile.ssds_per_jbof
     return make_cluster(
-        system, platform=platform,
+        system,
         num_nodes=(num_nodes if num_nodes is not None
                    else (10 if system == "fawn" else profile.num_jbofs)),
-        ssds_per_node=ssds_per_node,
+        ssds_per_node=1 if system == "fawn" else profile.ssds_per_jbof,
         num_clients=(num_clients if num_clients is not None
                      else profile.num_clients),
         replication=replication,
         replication_protocol=replication_protocol,
         store_config=store, options=options, seed=seed,
         flow_control=flow_control, read_policy=read_policy,
-        sanitize_seed=sanitize_seed, **cluster_kwargs)
+        sanitize_seed=sanitize_seed)
 
 
 def load_cluster(cluster: LeedCluster, workload: YCSBWorkload,
@@ -267,41 +252,28 @@ def figure_digest(row: dict) -> str:
 
 #: The counters :func:`measure_run_phase` lifts into ``failed_by_status``.
 FAILED_BY_STATUS = "client.failed_by_status."
-#: The counters whose run-phase delta is the row's ``energy_joules``.
-ENERGY_J = "jbof.energy_j."
 
 
 def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
                       num_ops: int, concurrency: int,
                       load_parallelism: int = 16) -> dict:
-    """Load ``workload``, time one closed-loop run phase, shut the
+    """Load ``workload``, run one closed-loop run phase, shut the
     cluster down; returns the result row.
 
-    The one measured run in ``src/`` — the figure gate
-    (``tests/test_figure_gate.py``) and every ``repro.bench.explore``
-    trial are this row: the YCSB load is setup, only the run
-    phase is timed, and events, energy, ``failed_by_status`` and
-    ``counters`` are run-phase deltas — so requests/Joule compares
-    configurations on the work they did, not on load-phase
-    accounting.  ``counters`` is :func:`repro.telemetry.counters`'
-    run-phase delta (a ``peak_*`` counter: its level at the end),
-    ``energy_joules`` the sum of its ``jbof.energy_j.*`` part and
-    ``failed_by_status`` its ``client.failed_by_status.*`` part (the
-    reason behind each ``failed`` op, e.g. ``store_full``
-    back-pressure); they and the wall-clock fields stay out of
-    ``figure_digest``.
+    The figure gate (``tests/test_figure_gate.py``) is this row: the
+    YCSB load is setup, and ``events`` and ``failed_by_status`` are
+    run-phase deltas.  ``failed_by_status`` is the
+    ``client.failed_by_status.*`` part of
+    :func:`repro.telemetry.counters`' run-phase delta (the reason
+    behind each ``failed`` op, e.g. ``store_full`` back-pressure); it
+    and ``events`` stay out of ``figure_digest``.
     """
     load_cluster(cluster, workload, parallelism=load_parallelism)
     events_before = cluster.sim.events_dispatched
     counters_before = telemetry.counters(cluster)
-    # Wall time around the whole run phase, outside the simulated world.
-    started = time.perf_counter()  # simlint: ignore[SIM002]
     stats = run_closed_loop(cluster, workload, num_ops, concurrency)
-    wall_s = time.perf_counter() - started  # simlint: ignore[SIM002]
     events = cluster.sim.events_dispatched - events_before
     counters = telemetry.delta(counters_before, telemetry.counters(cluster))
-    energy = sum(count for name, count in counters.items()
-                 if name.startswith(ENERGY_J))
     cluster.shutdown()
     cluster.sim.run()
     row = {
@@ -311,19 +283,11 @@ def measure_run_phase(cluster: LeedCluster, workload: YCSBWorkload,
         "sim_ops_per_sec": round(stats.throughput_qps, 1),
         "mean_latency_us": round(stats.mean_latency_us(), 3),
         "p99_latency_us": round(stats.percentile_us(0.99), 3),
-        "energy_joules": round(energy, 6),
-        "requests_per_joule": round(stats.completed / energy, 1)
-        if energy > 0 else 0.0,
-        "wall_s": round(wall_s, 4),
-        "wall_ops_per_sec": round(stats.completed / wall_s, 1),
         "events": events,
-        "events_per_sec": round(events / wall_s, 1),
-        "events_per_op": round(events / max(stats.completed, 1), 2),
         "failed_by_status": {
             name[len(FAILED_BY_STATUS):]: count
             for name, count in counters.items()
             if name.startswith(FAILED_BY_STATUS) and count},
-        "counters": counters,
     }
     row["figure_digest"] = figure_digest(row)
     return row

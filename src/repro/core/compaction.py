@@ -41,9 +41,8 @@ Which runs compact which log: Fig. 13 (``repro.bench.experiments.fig13``)
 compacts only the value log; leedbench's ``ycsb_wr_compact``, Fig. 9
 (node join/leave) and the sanitizer's compacting run (``python -m
 repro.lint.sanitize -w WR --ops 12000``) compact only the key log; no
-other figure, scenario golden or explore trial compacts either.  A
-change to one log's functions moves only the runs that compact that
-log.
+other figure or scenario golden compacts either.  A change to one
+log's functions moves only the runs that compact that log.
 """
 
 from __future__ import annotations

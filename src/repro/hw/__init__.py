@@ -8,7 +8,6 @@ from repro.hw.platforms import (
     SERVER_JBOF,
     STINGRAY,
     PlatformSpec,
-    platform_by_name,
 )
 from repro.hw.ssd import SDCARD_PROFILE, NVMeSSD, SSDProfile, SSDStats
 
@@ -28,5 +27,4 @@ __all__ = [
     "STINGRAY",
     "SERVER_JBOF",
     "RASPBERRY_PI",
-    "platform_by_name",
 ]

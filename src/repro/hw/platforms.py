@@ -110,18 +110,3 @@ RASPBERRY_PI = PlatformSpec(
 #: Per-node power of shared networking fabric: a FAWN cluster needs
 #: rack switches; we charge a flat per-node share (§2.2.2).
 SWITCH_SHARE_W = {"embedded": 1.5, "jbof": 5.0}
-
-
-def platform_by_name(name: str) -> PlatformSpec:
-    """Look up one of the three built-in platforms."""
-    table = {
-        STINGRAY.name: STINGRAY,
-        SERVER_JBOF.name: SERVER_JBOF,
-        RASPBERRY_PI.name: RASPBERRY_PI,
-        "stingray": STINGRAY,
-        "server": SERVER_JBOF,
-        "pi": RASPBERRY_PI,
-    }
-    if name not in table:
-        raise KeyError("unknown platform %r (have %s)" % (name, sorted(table)))
-    return table[name]

@@ -80,11 +80,10 @@ WALL_CLOCK_FROM_TIME = {
 #: ``random`` module: it has to construct the streams (SIM001).
 RNG_ALLOW = ("repro/sim/rng.py",)
 
-#: Files allowed to read the wall clock (SIM002): the benchmark CLIs
-#: report wall time around whole experiments/trials, outside the
-#: simulated world.
-WALL_CLOCK_ALLOW = ("repro/bench/__main__.py",
-                    "repro/bench/explore/fleet.py")
+#: Files allowed to read the wall clock (SIM002): the benchmark CLI
+#: reports wall time around whole experiments, outside the simulated
+#: world.
+WALL_CLOCK_ALLOW = ("repro/bench/__main__.py",)
 
 #: Directories whose set iteration feeds scheduling/ordering decisions
 #: and must be wrapped in ``sorted(...)`` (SIM003).
@@ -304,10 +303,8 @@ def _layers() -> Dict[str, FrozenSet[str]]:
     substrate (``sim``) sits at the bottom; hardware, network, and
     power models build on it without knowing about the store logic in
     ``core``; workloads know the substrate only; ``bench``,
-    ``baselines``, and tooling sit on top.  Between the two top-level
-    harnesses, ``bench`` sits *above* ``scenarios``: the design-space
-    explorer scores configurations on whole scenario episodes, while
-    scenarios never reach into the benchmark harness.
+    ``baselines``, and tooling sit on top.  The two top-level
+    harnesses, ``bench`` and ``scenarios``, never import each other.
     """
     sim = frozenset({"repro.sim"})
     hw = sim | {"repro.hw"}
@@ -327,7 +324,7 @@ def _layers() -> Dict[str, FrozenSet[str]]:
         "repro.core": core,
         "repro.workloads": workloads,
         "repro.baselines": top,
-        "repro.bench": top | {"repro.bench", "repro.scenarios"},
+        "repro.bench": top | {"repro.bench"},
         "repro.scenarios": top | {"repro.scenarios"},
         "repro.lint": top | {"repro.bench", "repro.lint"},
     }

@@ -282,7 +282,7 @@ class Simulator:
         run event-by-event and compare schedule digests.
         """
         when, priority, sequence, event = self._pop_next()
-        if when < self.now:  # pragma: no cover - heap invariant guard
+        if when < self.now:  # model code moved ``now`` past the heap
             raise RuntimeError("time went backwards: %r < %r" % (when, self.now))
         self.now = when
         self._events_dispatched += 1
@@ -378,6 +378,9 @@ class Simulator:
                     if when > deadline:
                         self.now = deadline
                         return True
+                    if when < self.now:
+                        raise RuntimeError("time went backwards: %r < %r"
+                                           % (when, self.now))
                     event = heappop(heap)[3]
                     self.now = when
                 dispatched += 1

@@ -71,8 +71,7 @@ class TestTraceCli:
 
 
 @pytest.mark.parametrize("module", [
-    "repro.bench", "repro.bench.explore",
-    "repro.scenarios", "repro.lint", "repro.lint.sanitize"])
+    "repro.bench", "repro.scenarios", "repro.lint", "repro.lint.sanitize"])
 def test_help_of_every_entry_point_exits_zero(module):
     """``--help`` formats every option's help string (argparse applies
     ``%`` to it), so a stray ``%`` only shows up here."""
@@ -91,16 +90,11 @@ def test_help_of_every_entry_point_exits_zero(module):
 
 
 @pytest.mark.parametrize("entry, argv", [
-    ("repro.bench.explore.__main__", ["--scenario", "diurnal"]),
     ("repro.scenarios.cli", ["run", "diurnal", "--workers", "1"]),
-    ("repro.bench.explore.__main__", ["--space", "engine"]),
-    ("repro.bench.explore.__main__", ["--objective", "wall"]),
-    ("repro.bench.explore.__main__", ["--min-availability", "0.5"]),
 ])
 def test_engine_options_are_gone(entry, argv, capsys):
-    """There is one engine and one measured run (the closed-loop YCSB
-    row): selectors of anything else are rejected at argparse, before
-    anything runs."""
+    """There is one engine: selectors of another are rejected at
+    argparse, before anything runs."""
     import importlib
 
     with pytest.raises(SystemExit) as refusal:

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.explore.__main__ import main as explore_main
 from repro.bench.harness import (RUN_SEED, RUN_SHAPES, RUN_VALUE_SIZE,
                                  build_cluster, measure_run_phase)
 from repro.core.jbof import LeedOptions
@@ -118,12 +117,9 @@ def test_fused_get_within_parity_bound(workload):
     assert abs(p99 - 1.0) <= P99_BOUND, "p99 latency ratio %.4f" % p99
 
 
-def test_run_shapes_is_the_only_run_shape_table(capsys):
-    """The explorer's ``--scale`` choices and the sanitizer's default
-    shape are read from ``RUN_SHAPES``, not spelled again."""
-    with pytest.raises(SystemExit):
-        explore_main(["--help"])
-    assert "{%s}" % ",".join(sorted(RUN_SHAPES)) in capsys.readouterr().out
+def test_run_shapes_is_the_only_run_shape_table():
+    """The sanitizer's default shape is read from ``RUN_SHAPES``, not
+    spelled again."""
     defaults = {name: parameter.default for name, parameter
                 in inspect.signature(sanitize.run_probe).parameters.items()
                 if parameter.default is not parameter.empty}

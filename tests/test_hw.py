@@ -14,7 +14,6 @@ from repro.hw.platforms import (
     RASPBERRY_PI,
     SERVER_JBOF,
     STINGRAY,
-    platform_by_name,
 )
 from repro.hw.ssd import NVMeSSD, SSDProfile
 
@@ -796,13 +795,6 @@ class TestDram:
 
 
 class TestPlatforms:
-    def test_lookup_by_name(self):
-        assert platform_by_name("stingray") is STINGRAY
-        assert platform_by_name("server") is SERVER_JBOF
-        assert platform_by_name("pi") is RASPBERRY_PI
-        with pytest.raises(KeyError):
-            platform_by_name("mainframe")
-
     def test_skew_ordering_matches_table1(self):
         """SmartNIC JBOF has the most skewed storage hierarchy."""
         assert (STINGRAY.storage_skew_ratio()

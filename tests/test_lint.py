@@ -196,6 +196,12 @@ class TestSIM004ImportLayering:
             """)
         assert "SIM004" in rules_hit(report)
 
+    def test_bench_importing_scenarios_flagged(self, tmp_path):
+        report = lint_snippet(tmp_path, "repro/bench/bad.py", """\
+            from repro.scenarios.runner import run_scenario
+            """)
+        assert "SIM004" in rules_hit(report)
+
     def test_downward_import_clean(self, tmp_path):
         report = lint_snippet(tmp_path, "repro/core/good.py", """\
             from repro.hw.ssd import NVMeSSD

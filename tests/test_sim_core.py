@@ -368,6 +368,27 @@ class TestRun:
 
         assert model(lambda sim: sim.run(until=until)) == model(stepped)
 
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_model_code_moving_the_clock_fails_loudly(self, stepped):
+        """A process that moves ``sim.now`` forward leaves an earlier
+        event on the heap; popping it would rewind time.  Both
+        dispatchers refuse: the inlined loop (no digest) and
+        :meth:`Simulator.step` (digest on)."""
+        sim = Simulator()
+        if stepped:
+            sim.enable_schedule_digest()
+
+        def mover():
+            yield sim.timeout(5.0)
+            sim.now += 100.0
+            yield sim.timeout(1.0)
+
+        sim.process(mover())
+        sim.timeout(10.0)
+        with pytest.raises(RuntimeError,
+                           match=r"time went backwards: 10\.0 < 105\.0"):
+            sim.run(until=300.0)
+
 
 class TestProcessAfter:
     """``Simulator.process(generator, after=event)``: the process starts
