@@ -126,10 +126,12 @@ class FlashArray:
         else:
             parts = [blocks.get(block, zero)
                      for block in range(first, first + count)]
+            if sum(map(len, parts)) < count * block_size:
+                # Short blocks among them: each is followed by the
+                # zeros it did not store (nothing after a full one).
+                parts = [piece for part in parts
+                         for piece in (part, zero[len(part):])]
             blob = b"".join(parts)
-            if len(blob) < count * block_size:   # a short block among them
-                blob = b"".join([part.ljust(block_size, b"\x00")
-                                 for part in parts])
         if start == 0 and length == count * block_size:
             return blob
         return blob[start:start + length]

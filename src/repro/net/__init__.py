@@ -1,6 +1,5 @@
-"""Simulated network: fabric, RDMA verbs, and RPC."""
+"""Simulated network: fabric and RPC."""
 
-from repro.net.rdma import MemoryRegion, QueuePair, SendCompletion, WriteCompletion
 from repro.net.rpc import (
     ENVELOPE_BYTES,
     OneWay,
@@ -9,6 +8,7 @@ from repro.net.rpc import (
     RpcRequest,
     RpcResponse,
     RpcTimeout,
+    WIRE_OVERHEAD_BYTES,
 )
 from repro.net.topology import (
     NIC_1G,
@@ -28,10 +28,6 @@ __all__ = [
     "NIC_100G",
     "NIC_1G",
     "NIC_1G_USB",
-    "QueuePair",
-    "MemoryRegion",
-    "SendCompletion",
-    "WriteCompletion",
     "RpcEndpoint",
     "RpcError",
     "RpcTimeout",
@@ -39,4 +35,5 @@ __all__ = [
     "RpcResponse",
     "OneWay",
     "ENVELOPE_BYTES",
+    "WIRE_OVERHEAD_BYTES",
 ]

@@ -1,15 +1,23 @@
-"""An RPC layer over the RDMA verbs (§3.5).
+"""RPC over the simulated fabric (§3.5).
 
-Request path: the client posts a two-sided SEND carrying the command
-plus the rkey of a pre-allocated response buffer.  The server's
-endpoint dispatches the arriving SEND straight to the registered
-handler (a simulation generator — it may perform SSD I/O, forward
-along a chain, etc.), and answers with a one-sided WRITE-with-IMM into
-the client's response buffer, using the request id as the 32-bit
-immediate so the client matches responses without extra messages.
+LEED's cross-node messages use a hybrid of RDMA verbs, and this
+endpoint's API keeps the split:
 
-Also provides ``notify`` (one-way, no response) for chain forwarding,
-acknowledgments and heartbeats.
+* :meth:`RpcEndpoint.call`, :meth:`~RpcEndpoint.forward` and
+  :meth:`~RpcEndpoint.notify` are two-sided ``SEND`` messages: the
+  command (or one-way message) is dispatched at the target straight
+  to the registered handler (a simulation generator — it may perform
+  SSD I/O, forward along a chain, etc.);
+* :meth:`RpcEndpoint.respond` is a one-sided ``WRITE``-with-IMM back
+  to the request's ``reply_to`` address, matched there by the request
+  id (the 32-bit immediate) without extra messages.
+
+Each message is one envelope (:class:`RpcRequest`,
+:class:`RpcResponse` or :class:`OneWay`) handed to
+:meth:`~repro.net.topology.Network.transmit`; the receiving
+endpoint's one delivery handler dispatches on its type.  Its wire
+size is the body plus :data:`ENVELOPE_BYTES` plus
+:data:`WIRE_OVERHEAD_BYTES`.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import itertools
 from functools import partial
 from typing import Any, Callable, Dict, Optional
 
-from repro.net.rdma import QueuePair, SendCompletion
 from repro.net.topology import Network
 from repro.sim.core import Simulator
 from repro.sim.events import Continuation, Event
@@ -38,16 +45,15 @@ class RpcRequest(Record):
     """Wire envelope for a request."""
 
     __slots__ = _FIELDS = ("request_id", "method", "body", "nbytes",
-                           "reply_to", "rkey")
+                           "reply_to")
 
     def __init__(self, request_id: int, method: str, body: Any, nbytes: int,
-                 reply_to: str, rkey: int):
+                 reply_to: str):
         self.request_id = request_id
         self.method = method
         self.body = body
         self.nbytes = nbytes
         self.reply_to = reply_to
-        self.rkey = rkey
 
 
 class RpcResponse(Record):
@@ -75,6 +81,9 @@ class OneWay(Record):
 #: Fixed envelope overhead added to every request/response body.
 ENVELOPE_BYTES = 32
 
+#: Wire overhead per message: Ethernet + IP + UDP + RoCE BTH headers.
+WIRE_OVERHEAD_BYTES = 58
+
 Handler = Callable[[str, Any], Any]
 
 
@@ -89,8 +98,8 @@ class RpcEndpoint:
 
     def __init__(self, sim: Simulator, network: Network, address: str):
         self.sim = sim
+        self.network = network
         self.address = address
-        self.qp = QueuePair(sim, network, address)
         self._handlers: Dict[str, Handler] = {}
         self._sync_handlers: Dict[str, Handler] = {}
         #: Outstanding calls: request id -> continuation.
@@ -105,15 +114,13 @@ class RpcEndpoint:
         #: answered calls leave nothing on the simulator's heap.
         self._deadlines: list = []
         self._timers: list = []
-        self._response_region = self.qp.register_region(size=1 << 20)
         self.calls_sent = 0
         self.calls_served = 0
         self.notifications_sent = 0
-        # Inbound SENDs dispatch straight from delivery and inbound
-        # response WRITEs complete their pending call inline: no CQ
-        # consumer processes.
-        self.qp.recv_handler = self._on_request_delivery
-        self.qp.write_handler = self._on_response_delivery
+        # Inbound requests dispatch straight from delivery and inbound
+        # responses complete their pending call inline: no consumer
+        # processes.
+        network.nic(address).rx_handler = self._on_delivery
 
     # -- server side ---------------------------------------------------------------
 
@@ -121,28 +128,30 @@ class RpcEndpoint:
         """Answer ``request`` from this endpoint with a one-sided WRITE.
 
         Works for requests received here directly *and* for envelopes
-        forwarded from other nodes: the reply address and rkey travel
-        with the request.
+        forwarded from other nodes: the reply address and request id
+        travel with the request.
         """
-        response = RpcResponse(request.request_id, body, nbytes)
         self.calls_served += 1
-        self.qp.post_write_imm(request.reply_to, request.rkey, response,
-                               nbytes + ENVELOPE_BYTES,
-                               imm=request.request_id)
+        self.network.transmit(
+            self.address, request.reply_to,
+            nbytes + ENVELOPE_BYTES + WIRE_OVERHEAD_BYTES,
+            RpcResponse(request.request_id, body, nbytes))
 
     def forward(self, dst: str, request: RpcRequest, body: Any = None,
                 nbytes: Optional[int] = None) -> None:
         """Re-post a received request envelope to another node.
 
-        The reply address, rkey and request id are preserved, so the
+        The reply address and request id are preserved, so the
         eventual responder answers the original caller directly —
         chain forwarding and CRRS request shipping both use this.
         """
         envelope = RpcRequest(request.request_id, request.method,
                               request.body if body is None else body,
                               request.nbytes if nbytes is None else nbytes,
-                              request.reply_to, request.rkey)
-        self.qp.post_send(dst, envelope, envelope.nbytes + ENVELOPE_BYTES)
+                              request.reply_to)
+        self.network.transmit(
+            self.address, dst,
+            envelope.nbytes + ENVELOPE_BYTES + WIRE_OVERHEAD_BYTES, envelope)
 
     def register_sync(self, method: str, handler) -> None:
         """Register a synchronous handler: invoked inline in the
@@ -169,11 +178,17 @@ class RpcEndpoint:
             raise ValueError("handler for %r already registered" % method)
         self._handlers[method] = handler
 
-    def _on_request_delivery(self, completion: SendCompletion) -> None:
-        src = completion.src
-        envelope = completion.payload
+    def _on_delivery(self, src: str, envelope) -> None:
+        """Dispatch one fabric delivery: a response completes its
+        pending call, a request or one-way message goes to its
+        handler."""
         kind = type(envelope)
-        if kind is RpcRequest:
+        if kind is RpcResponse:
+            then = self._pending.pop(envelope.request_id, None)
+            if then is not None:
+                body = envelope.body
+                then(not isinstance(body, RpcError), body)
+        elif kind is RpcRequest:
             sync = self._sync_handlers.get(envelope.method)
             if sync is not None:
                 sync(src, envelope)
@@ -219,21 +234,9 @@ class RpcEndpoint:
                 response_body, response_nbytes = None, 0
             else:
                 response_body, response_nbytes = outcome
-        self.calls_served += 1
-        response = RpcResponse(request.request_id, response_body,
-                               response_nbytes)
-        self.qp.post_write_imm(request.reply_to, request.rkey, response,
-                               response_nbytes + ENVELOPE_BYTES,
-                               imm=request.request_id)
+        self.respond(request, response_body, response_nbytes)
 
     # -- client side -----------------------------------------------------------------
-
-    def _on_response_delivery(self, completion) -> None:
-        response: RpcResponse = completion.payload
-        then = self._pending.pop(completion.imm, None)
-        if then is not None:
-            body = response.body
-            then(not isinstance(body, RpcError), body)
 
     def call(self, dst: str, method: str, body: Any, nbytes: int,
              timeout_us: Optional[float] = None,
@@ -269,10 +272,10 @@ class RpcEndpoint:
             body.trace = net_ctx
             then = partial(_close_span, net_ctx, then)
         self._pending[request_id] = then
-        request = RpcRequest(request_id, method, body,
-                             nbytes, self.address, self._response_region.key)
         self.calls_sent += 1
-        self.qp.post_send(dst, request, nbytes + ENVELOPE_BYTES)
+        self.network.transmit(
+            self.address, dst, nbytes + ENVELOPE_BYTES + WIRE_OVERHEAD_BYTES,
+            RpcRequest(request_id, method, body, nbytes, self.address))
         if timeout_us is not None:
             heapq.heappush(self._deadlines, (self.sim.now + timeout_us,
                                              request_id, dst, method,
@@ -308,8 +311,9 @@ class RpcEndpoint:
     def notify(self, dst: str, method: str, body: Any, nbytes: int) -> None:
         """One-way message; fire-and-forget."""
         self.notifications_sent += 1
-        self.qp.post_send(dst, OneWay(method, body, nbytes),
-                          nbytes + ENVELOPE_BYTES)
+        self.network.transmit(
+            self.address, dst, nbytes + ENVELOPE_BYTES + WIRE_OVERHEAD_BYTES,
+            OneWay(method, body, nbytes))
 
     def __repr__(self):
         return "<RpcEndpoint %s sent=%d served=%d>" % (

@@ -8,8 +8,8 @@ with USB2-stack latency.
 
 Messages are opaque payloads with a byte size; the fabric charges
 transmit serialization at the sender port, a switch hop, and receive
-serialization at the receiver port, then enqueues the payload on the
-receiving NIC's rx queue.
+serialization at the receiver port, then hands the payload to the
+receiving NIC's ``rx_handler``.
 
 Delivery time is computed entirely from *sender-local* state (port
 pacer, profiles, a per-destination in-order clamp), so a message is
@@ -75,9 +75,10 @@ class Nic:
         self.sim = sim
         self.address = address
         self.profile = profile or NIC_100G
-        #: Delivery callback (a :class:`~repro.net.rdma.QueuePair`
-        #: installs its router): the fabric hands arriving payloads
-        #: straight to it.  A port nobody listens on drops them.
+        #: Delivery callback ``rx_handler(src, payload)`` (a
+        #: :class:`~repro.net.rpc.RpcEndpoint` installs its dispatcher):
+        #: the fabric hands arriving payloads straight to it.  A port
+        #: nobody listens on drops them.
         self.rx_handler = None
         self._tx_free_at = 0.0
         #: Last granted delivery time per destination (in-order clamp).
@@ -148,7 +149,7 @@ class DeliveryPump:
             receiver.rx_messages += 1
             network.messages_delivered += 1
             if receiver.rx_handler is not None:
-                receiver.rx_handler(payload)
+                receiver.rx_handler(src, payload)
         if inbox and (not drains or inbox[0][0] < drains[0]):
             head = inbox[0][0]
             heapq.heappush(drains, head)
@@ -199,7 +200,8 @@ class Network:
         """Send ``payload`` of ``nbytes`` from ``src`` to ``dst``.
 
         Fire-and-forget: the payload reaches the destination NIC's
-        ``rx_handler`` after serialization + switch + propagation delays.
+        ``rx_handler(src, payload)`` after serialization + switch +
+        propagation delays.
         Delivery is in order per (src, dst): the sender pacer is FIFO
         and the receive-side term is clamped to the pair's last granted
         delivery time.  The clamp is needed for mixed profiles (a small

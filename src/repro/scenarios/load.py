@@ -153,8 +153,7 @@ class CurveDriver(Driver):
                     yield self.sim.timeout(seg_end - self.sim.now)
                     break
                 yield self.sim.timeout(gap)
-                pending = self.arrive(workload, self.scale.max_inflight,
-                                      pending)
+                self.arrive(workload, self.scale.max_inflight, pending)
         if pending:
             yield self.sim.all_of(pending)
 

@@ -347,8 +347,17 @@ class Simulator:
         if stop_event is not None:
             return self._event_outcome(stop_event)
         if deadline != float("inf"):
-            self.now = deadline
+            self._stop_at(deadline)
         return None
+
+    def _stop_at(self, deadline: float) -> bool:
+        """Advance the clock to a ``run(until=…)`` deadline; refuse to
+        rewind it there when model code moved ``now`` past it."""
+        if self.now > deadline:
+            raise RuntimeError("time went backwards: %r < %r"
+                               % (deadline, self.now))
+        self.now = deadline
+        return True
 
     def _dispatch_inline(self, deadline: float) -> bool:
         """:meth:`run`'s loop: dispatch until the schedule is empty
@@ -376,8 +385,7 @@ class Simulator:
                     # Dispatch preamble: advance time via the heap.
                     when = heap[0][0]
                     if when > deadline:
-                        self.now = deadline
-                        return True
+                        return self._stop_at(deadline)
                     if when < self.now:
                         raise RuntimeError("time went backwards: %r < %r"
                                            % (when, self.now))
@@ -398,8 +406,7 @@ class Simulator:
         a time (schedule digest, sanitizer tie order)."""
         while self._heap or self._imm:
             if not self._imm and self._heap[0][0] > deadline:
-                self.now = deadline
-                return True
+                return self._stop_at(deadline)
             self.step()
         return False
 

@@ -39,16 +39,20 @@ class Driver:
         self._inflight = 0
 
     def arrive(self, workload: YCSBWorkload, max_inflight: int,
-               pending: list) -> list:
-        """One open-loop arrival: the workload's next op in ``_one``, or
-        a drop at ``max_inflight``; returns the ops still running."""
+               pending: list) -> None:
+        """One open-loop arrival: the workload's next op in ``_one``,
+        appended to ``pending``, or a drop at ``max_inflight``.
+        ``pending`` sheds its finished ops only once it passes ``2 *
+        max_inflight`` (a few ``triggered`` reads per arrival); one
+        left in it counts as fired in the run's closing ``all_of``."""
         if self._inflight >= max_inflight:
             self.history.dropped += 1
-            return pending
+            return
         self._inflight += 1
         pending.append(self.sim.process(
             self._one(workload.next_operation()), name="driver.op"))
-        return [p for p in pending if not p.triggered]
+        if len(pending) > 2 * max_inflight:
+            pending[:] = [p for p in pending if not p.triggered]
 
     def execute(self, op: str, key: bytes, value: Optional[bytes] = None):
         """Generator: run one op against the client, append its row and
@@ -127,7 +131,7 @@ class OpenLoopDriver(Driver):
         pending = []
         while self.sim.now < deadline:
             yield self.sim.timeout(self.rng.expovariate(1.0 / mean_gap_us))
-            pending = self.arrive(self.workload, self.max_inflight, pending)
+            self.arrive(self.workload, self.max_inflight, pending)
         if pending:
             yield self.sim.all_of(pending)
 

@@ -1,14 +1,13 @@
-"""Tests for the fabric, RDMA verbs, and RPC layer."""
+"""Tests for the fabric and the RPC layer."""
 
 import heapq
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.rdma import (QueuePair, SendCompletion, WriteCompletion,
-                            WIRE_OVERHEAD_BYTES)
-from repro.net.rpc import (OneWay, RpcEndpoint, RpcError, RpcRequest,
-                           RpcResponse, RpcTimeout)
+from repro.net.rpc import (ENVELOPE_BYTES, WIRE_OVERHEAD_BYTES, OneWay,
+                           RpcEndpoint, RpcError, RpcRequest, RpcResponse,
+                           RpcTimeout)
 from repro.net.topology import (NIC_1G, NIC_1G_USB, NIC_100G, DeliveryPump,
                                 Network)
 from repro.sim.core import Simulator
@@ -29,7 +28,7 @@ def listen(nic):
     list of ``(time, payload)``."""
     arrivals = []
     nic.rx_handler = (
-        lambda payload: arrivals.append((nic.sim.now, payload)))
+        lambda _src, payload: arrivals.append((nic.sim.now, payload)))
     return arrivals
 
 
@@ -119,7 +118,7 @@ class TestDeliveryOrder:
         for address in ("s1", "s2", "r1", "r2"):
             nic = network.attach(address)
             nic.rx_handler = (
-                lambda payload, dst=address: log.append((dst, payload)))
+                lambda _src, payload, dst=address: log.append((dst, payload)))
         return network, log
 
     @pytest.mark.parametrize("sends, expected", [
@@ -144,7 +143,7 @@ class TestDeliveryOrder:
         network, _log = self._fabric(sim)
         arrivals = []
         network.nic("r1").rx_handler = (
-            lambda payload: arrivals.append((sim.now, payload)))
+            lambda _src, payload: arrivals.append((sim.now, payload)))
         network.transmit("s1", "r1", 64_000, "big")
         assert sim.pending_events == 1
         network.transmit("s2", "r1", 64, "small")
@@ -233,7 +232,7 @@ class ReferenceNetwork(Network):
         receiver.rx_messages += 1
         self.messages_delivered += 1
         if receiver.rx_handler is not None:
-            receiver.rx_handler(payload)
+            receiver.rx_handler(src, payload)
 
 
 _PORTS = {"fast": NIC_100G, "gig": NIC_1G, "usb": NIC_1G_USB,
@@ -260,8 +259,9 @@ class TestTransmitMatchesReference:
         for address in sorted(_PORTS):
             nic = network.attach(address, _PORTS[address])
             if address != "deaf":       # a port nobody listens on
-                nic.rx_handler = (lambda payload, address=address:
-                                  arrivals.append((sim.now, address, payload)))
+                nic.rx_handler = (
+                    lambda src, payload, address=address:
+                    arrivals.append((sim.now, src, address, payload)))
         return sim, network, arrivals
 
     @staticmethod
@@ -337,27 +337,25 @@ class TestSlottedWireRecords:
     dataclasses gave."""
 
     def test_no_instance_dict(self):
-        for record in (SendCompletion("a", "p", 1),
-                       WriteCompletion("a", 7, "p", 1),
-                       RpcRequest(1, "kv", "b", 2, "a", 3),
+        for record in (RpcRequest(1, "kv", "b", 2, "a"),
                        RpcResponse(1, "b", 2), OneWay("m", "b", 2)):
             assert not hasattr(record, "__dict__")
             with pytest.raises(AttributeError):
                 record.extra = 1
 
     def test_equality_repr_and_hash(self):
-        request = RpcRequest(1, "kv", {"k": 1}, 24, "client0", 9)
-        assert request == RpcRequest(1, "kv", {"k": 1}, 24, "client0", 9)
-        assert request != RpcRequest(2, "kv", {"k": 1}, 24, "client0", 9)
+        request = RpcRequest(1, "kv", {"k": 1}, 24, "client0")
+        assert request == RpcRequest(1, "kv", {"k": 1}, 24, "client0")
+        assert request != RpcRequest(2, "kv", {"k": 1}, 24, "client0")
         assert request != RpcResponse(1, {"k": 1}, 24)
         assert repr(request) == ("RpcRequest(request_id=1, method='kv', "
                                  "body={'k': 1}, nbytes=24, "
-                                 "reply_to='client0', rkey=9)")
+                                 "reply_to='client0')")
         assert repr(OneWay("hb", None, 8)) == (
             "OneWay(method='hb', body=None, nbytes=8)")
-        assert repr(WriteCompletion("a", 7, b"x", 1)) == (
-            "WriteCompletion(src='a', imm=7, payload=b'x', nbytes=1)")
-        assert SendCompletion("a", "p", 1) == SendCompletion("a", "p", 1)
+        assert repr(RpcResponse(7, b"x", 1)) == (
+            "RpcResponse(request_id=7, body=b'x', nbytes=1)")
+        assert OneWay("m", "p", 1) == OneWay("m", "p", 1)
         with pytest.raises(TypeError, match="unhashable"):
             hash(request)
 
@@ -366,50 +364,6 @@ class TestSlottedWireRecords:
                 == RpcResponse(4, "b", 2))
         with pytest.raises(TypeError):
             RpcResponse(4, "b")     # no defaults on an envelope
-
-
-class TestRdmaVerbs:
-    def test_send_reaches_recv_cq(self, sim, net):
-        qp_a = QueuePair(sim, net, "a")
-        qp_b = QueuePair(sim, net, "b")
-        completions = []
-        qp_b.recv_handler = completions.append
-        qp_a.post_send("b", {"cmd": "get"}, 64)
-        sim.run()
-        completion, = completions
-        assert completion.src == "a"
-        assert completion.payload == {"cmd": "get"}
-
-    def test_write_imm_lands_in_region(self, sim, net):
-        qp_a = QueuePair(sim, net, "a")
-        qp_b = QueuePair(sim, net, "b")
-        region = qp_a.register_region(4096)
-        completions = []
-        qp_a.write_handler = completions.append
-        qp_b.post_write_imm("a", region.key, b"response", 8, imm=77)
-        sim.run()
-        completion, = completions
-        assert completion.imm == 77
-        assert region.data == b"response"
-
-    def test_write_to_deregistered_region_dropped(self, sim, net):
-        qp_a = QueuePair(sim, net, "a")
-        qp_b = QueuePair(sim, net, "b")
-        region = qp_a.register_region(64)
-        completions = []
-        qp_a.write_handler = completions.append
-        qp_a.deregister_region(region.key)
-        qp_b.post_write_imm("a", region.key, b"x", 1, imm=1)
-        sim.run(until=100)
-        assert completions == [] and region.data is None
-
-    def test_verb_counters(self, sim, net):
-        qp_a = QueuePair(sim, net, "a")
-        QueuePair(sim, net, "b")
-        qp_a.post_send("b", "x", 4)
-        qp_a.post_write_imm("b", 1, "y", 4, imm=0)
-        assert qp_a.sends_posted == 1
-        assert qp_a.writes_posted == 1
 
 
 class TestRpc:
@@ -499,6 +453,55 @@ class TestRpc:
             return (yield client.call("b", "kv", "get-x", 5))
 
         assert drive(sim, proc()) == "from-tail"
+
+    def test_request_reaches_its_handler_with_its_src(self, sim, net):
+        client = RpcEndpoint(sim, net, "a")
+        server = RpcEndpoint(sim, net, "b")
+        arrivals = []
+        server.register_sync("kv", lambda src, request:
+                             arrivals.append((src, request)))
+        client.call("b", "kv", {"cmd": "get"}, 64)
+        sim.run()
+        (src, request), = arrivals
+        assert src == "a" and request.reply_to == "a"
+        assert request.body == {"cmd": "get"} and request.nbytes == 64
+        # One envelope on the wire: body + envelope + header bytes.
+        assert net.nic("b").rx_bytes == (64 + ENVELOPE_BYTES
+                                         + WIRE_OVERHEAD_BYTES)
+
+    def test_reply_completes_its_call_by_request_id(self, sim, net):
+        client = RpcEndpoint(sim, net, "a")
+        server = RpcEndpoint(sim, net, "b")
+        held = []
+        server.register_sync("kv", lambda src, request: held.append(request))
+        outcomes = {}
+        for key in ("x", "y"):
+            client.call("b", "kv", key, 8,
+                        then=lambda ok, value, key=key:
+                        outcomes.setdefault(key, (ok, value)))
+        sim.run()
+        # Answer out of order; a reply to no pending call is dropped.
+        first, second = held
+        server.respond(second, "Y", 1)
+        server.respond(first, "X", 1)
+        server.respond(first, "again", 1)
+        sim.run()
+        assert outcomes == {"x": (True, "X"), "y": (True, "Y")}
+        assert client._pending == {}
+
+    def test_per_kind_counters(self, sim, net):
+        client = RpcEndpoint(sim, net, "a")
+        server = RpcEndpoint(sim, net, "b")
+        server.register("echo", lambda src, body: (body, 4))
+        server.register("ping", lambda src, body: None)
+        client.call("b", "echo", "x", 4)
+        client.notify("b", "ping", "y", 4)
+        sim.run()
+        assert (client.calls_sent, client.notifications_sent,
+                client.calls_served) == (1, 1, 0)
+        assert (server.calls_sent, server.notifications_sent,
+                server.calls_served) == (0, 0, 1)
+        assert net.messages_delivered == 3
 
     def test_duplicate_registration_rejected(self, sim, net):
         server = RpcEndpoint(sim, net, "b")

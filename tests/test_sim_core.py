@@ -373,21 +373,33 @@ class TestRun:
         """A process that moves ``sim.now`` forward leaves an earlier
         event on the heap; popping it would rewind time.  Both
         dispatchers refuse: the inlined loop (no digest) and
-        :meth:`Simulator.step` (digest on)."""
-        sim = Simulator()
-        if stepped:
-            sim.enable_schedule_digest()
+        :meth:`Simulator.step` (digest on).  So does stopping at a
+        ``run(until=…)`` deadline the clock was moved past."""
+        def run(leap, wait, then_at=None):
+            sim = Simulator()
+            if stepped:
+                sim.enable_schedule_digest()
 
-        def mover():
-            yield sim.timeout(5.0)
-            sim.now += 100.0
-            yield sim.timeout(1.0)
+            def mover():
+                yield sim.timeout(5.0)
+                sim.now += leap
+                if wait is not None:
+                    yield sim.timeout(wait)
 
-        sim.process(mover())
-        sim.timeout(10.0)
+            sim.process(mover())
+            if then_at is not None:
+                sim.timeout(then_at)
+            sim.run(until=300.0)
+
         with pytest.raises(RuntimeError,
                            match=r"time went backwards: 10\.0 < 105\.0"):
-            sim.run(until=300.0)
+            run(100.0, 1.0, then_at=10.0)
+        # The next event lies past both the deadline and the moved
+        # clock, or the schedule runs dry after the move.
+        for wait in (10.0, None):
+            with pytest.raises(RuntimeError,
+                               match=r"time went backwards: 300\.0 < 405\.0"):
+                run(400.0, wait)
 
 
 class TestProcessAfter:
