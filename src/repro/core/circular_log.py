@@ -319,7 +319,7 @@ class CircularLog:
         """A durable entry: release its staging references (keeping
         images other writers still need and the current tail block,
         which future appends extend), close its span, count the append
-        and wake its waiter if one was attached."""
+        and wake its waiter, if one was attached, inside this dispatch."""
         tail_block = self.tail // self.block_size
         refs = self._stage_refs
         for block in ticket.blocks:
@@ -335,7 +335,7 @@ class CircularLog:
         self.appends += 1
         self.bytes_appended += ticket.nbytes
         if ticket.callbacks:
-            ticket.succeed()
+            ticket.succeed_inline()
         else:
             ticket._ok, ticket._value, ticket.callbacks = True, None, None
 

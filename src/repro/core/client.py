@@ -323,7 +323,8 @@ class FrontEndClient:
         """Issue one KV call (the flow controller's ``send``); its
         continuation, run where the reply lands, folds the piggybacked
         tokens into the flow controller and resolves ``waiter`` — with
-        the reply, or ``None`` for a lost one."""
+        the reply, or ``None`` for a lost one — so the worker resumes
+        at the end of that same dispatch."""
         if flow_ctx is not None:
             flow_ctx.finish()
         # Stamp the attempt's give-up deadline at send time — exactly
@@ -346,7 +347,7 @@ class FrontEndClient:
                 raise value
             flow.on_complete(target)
             if waiter._value is PENDING:
-                waiter.succeed(reply)
+                waiter.succeed_inline(reply)
 
         self.rpc.call(vnode.jbof_address, "kv", body, body.wire_bytes(),
                       timeout_us=self.request_timeout_us, then=finish)

@@ -344,7 +344,7 @@ class LeedCluster:
         client = self.clients[client_index]
         pending = []
         for key, value in pairs:
-            pending.append(self.sim.process(client.put(key, value)))
+            pending.append(self.sim.process_inline(client.put(key, value)))
             if len(pending) >= parallelism:
                 yield self.sim.all_of(pending)
                 pending = []

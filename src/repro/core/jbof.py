@@ -415,7 +415,8 @@ class JBOFNode:
         an untraced GET's slice on the core's calendar (busy accounting
         unchanged) without waiting out the sub-microsecond charge: the
         GET is dispatched right here, and on a clean replica — the bulk
-        of read traffic — served callback-style with no process at all.
+        of read traffic — served callback-style with no process at all;
+        elsewhere its handler process starts right here too.
         """
         body: KVRequest = request.body
         if (self.options.fast_datapath and body.op == "get"
@@ -423,7 +424,8 @@ class JBOFNode:
             self._net_core().charge_at(_RPC_RECEIVE_CYCLES, self.sim.now)
             serve = self._dispatch_kv(request, body, fused=True)
             if serve is not None:
-                self.sim.process(serve, name="rpc-raw-kv@" + self.address)
+                self.sim.process_inline(serve,
+                                        name="rpc-raw-kv@" + self.address)
             return
         ctx = None
         if body.trace is not None:

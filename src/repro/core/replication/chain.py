@@ -185,7 +185,6 @@ class ChainReplication(ReplicationPolicy):
                                 body.tenant, trace=body.trace)
             node.rpc.forward(tail_vnode.jbof_address, request, shipped,
                              shipped.wire_bytes())
-            yield node.sim.timeout(0)
             return
         result = yield from node._execute(runtime, body)
         runtime.stats.reads_served += 1

@@ -115,8 +115,9 @@ class SegTbl:
         while waiters:
             waiter = waiters.popleft()
             if not waiter.triggered:
-                # Hand the lock directly to the next waiter.
-                waiter.succeed(seg_id)
+                # Hand the lock directly to the next waiter, which
+                # resumes inside this dispatch.
+                waiter.succeed_inline(seg_id)
                 return
         entry.locked = False
 

@@ -49,6 +49,13 @@ _new = object.__new__
 _heappush = heapq.heappush
 
 
+def _bad_delay(delay: float) -> ValueError:
+    """The error for a delay that is not ``>= 0``."""
+    if delay < 0:
+        return ValueError("negative delay %r" % delay)
+    return ValueError("delay %r is not a number" % delay)
+
+
 class Simulator:
     """A discrete-event simulation kernel.
 
@@ -78,6 +85,10 @@ class Simulator:
         self._digest = None
         self._digest_events = 0
         self._events_dispatched = 0
+        #: The callback list of the event being dispatched, which the
+        #: dispatch loop is walking (None outside a dispatch):
+        #: :meth:`Event.succeed_inline` appends to it.
+        self._walking: Optional[list] = None
         #: Order-dependence sanitizer (TSan-style runtime oracle): with
         #: a ``sanitize_seed``, same-timestamp normal-priority ties are
         #: broken by the ``sim.sanitize`` stream of that seed instead
@@ -138,8 +149,8 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("negative delay %r" % delay)
+        if not delay >= 0.0:
+            raise _bad_delay(delay)
         # ``Event.__init__`` and ``_schedule_event`` (normal priority),
         # spelled out: this is the hottest constructor of the model.
         timeout = _new(Timeout)
@@ -195,8 +206,8 @@ class Simulator:
         after they were computed) land on that very timestamp.
         """
         delay = when - self.now
-        if delay <= 0.0:
-            if delay < 0.0:
+        if not delay > 0.0:
+            if delay != 0.0:  # in the past, or NaN
                 raise ValueError("cannot fire at %r, now is %r"
                                  % (when, self.now))
             return self.timeout(0.0, value)
@@ -222,8 +233,8 @@ class Simulator:
         """Run ``callback(event)`` at ``now + delay``, after all
         same-time normal-priority events (:data:`DELIVERY_PRIORITY`:
         always through the heap, also at zero delay)."""
-        if delay < 0:
-            raise ValueError("negative delivery delay %r" % delay)
+        if not delay >= 0.0:
+            raise _bad_delay(delay)
         event = _new(Delivery)
         event.sim = self
         event.callbacks = [callback]
@@ -291,8 +302,12 @@ class Simulator:
             self._digest.update(type(event).__name__.encode("ascii"))
             self._digest_events += 1
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
+        self._walking = callbacks
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            self._walking = None
         if not event._ok and not event._defused:
             raise event._value
 
@@ -325,7 +340,7 @@ class Simulator:
                 return self._event_outcome(stop_event)
         else:
             deadline = float(until)
-            if deadline < self.now:
+            if not deadline >= self.now:
                 raise ValueError("cannot run until %r, now is %r" % (deadline, self.now))
 
         if self._digest is None and self._sanitize_rng is None:
@@ -393,11 +408,13 @@ class Simulator:
                     self.now = when
                 dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
+                self._walking = callbacks
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
+            self._walking = None
             self._events_dispatched += dispatched
         return False
 
@@ -418,6 +435,12 @@ class Simulator:
         raise event._value
 
     def _stop_on_event(self, event: Event) -> None:
+        walking = self._walking
+        if walking is not None and walking[-1] != self._stop_on_event:
+            # Stop once the dispatch is done, callbacks settled inline
+            # during it included.
+            walking.append(self._stop_on_event)
+            return
         if not event._ok:
             event._defused = True
         raise StopSimulation(event._value if event._ok else None)

@@ -84,6 +84,33 @@ class Event:
         sim._imm.append((sim._sequence, self))
         return self
 
+    def succeed_inline(self, value: Any = None) -> "Event":
+        """:meth:`succeed`, settled inside the current dispatch.
+
+        The callbacks run once the dispatching event's own callbacks
+        (and anything settled inline before this) have returned — the
+        dispatch loop walks them as if the dispatching event had held
+        them — so this event spends no dispatch, no FIFO entry and no
+        sequence number.  For a waiter whose wake-up models no delay,
+        settled from a callback (a reply landing, a lock hand-off, a
+        flush retiring).  Outside a dispatch it is :meth:`succeed`.
+        """
+        walking = self.sim._walking
+        if walking is None:
+            return self.succeed(value)
+        if self._value is not PENDING:
+            raise EventAlreadyTriggered("%r already triggered" % self)
+        self._ok = True
+        self._value = value
+        walking.append(self._run_callbacks)
+        return self
+
+    def _run_callbacks(self, _dispatching: "Event") -> None:
+        """The dispatch of an event settled by :meth:`succeed_inline`."""
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 

@@ -41,7 +41,8 @@ class Driver:
     def arrive(self, workload: YCSBWorkload, max_inflight: int,
                pending: list) -> None:
         """One open-loop arrival: the workload's next op in ``_one``,
-        appended to ``pending``, or a drop at ``max_inflight``.
+        started on the spot and appended to ``pending``, or a drop at
+        ``max_inflight``.
         ``pending`` sheds its finished ops only once it passes ``2 *
         max_inflight`` (a few ``triggered`` reads per arrival); one
         left in it counts as fired in the run's closing ``all_of``."""
@@ -49,7 +50,7 @@ class Driver:
             self.history.dropped += 1
             return
         self._inflight += 1
-        pending.append(self.sim.process(
+        pending.append(self.sim.process_inline(
             self._one(workload.next_operation()), name="driver.op"))
         if len(pending) > 2 * max_inflight:
             pending[:] = [p for p in pending if not p.triggered]

@@ -248,21 +248,26 @@ class TestSwapInCluster:
 
 class TestWritePathEventBudget:
     """Every event a replicated write dispatches is a modelled delay — a
-    CPU slice, a device completion or a wire delivery (plus the
-    client's own hops and one submit hop per group-commit flush).  Pin
-    the count so zero-delay hops and helper processes cannot creep
-    back: a 3-replica chain PUT used to take 65 events and 15
-    processes, a DEL 50 and 9."""
+    CPU slice, a device completion or a wire delivery (plus one submit
+    hop per group-commit flush).  Pin the exact count so zero-delay
+    hops and helper processes cannot creep back: a 3-replica chain PUT
+    used to take 65 events and 15 processes, a DEL 50 and 9."""
 
-    #: Per replica: delivery, rpc_receive, hash_lookup, segment read,
-    #: flush submit hop, value write, bucket_update, segment append,
-    #: replication_forward (not the tail) = 26; client reply delivery
-    #: 1; two backward acks x (delivery + dirty_map_op) = 4; client
-    #: worker hops 1 (the call's continuation and the flow-control
-    #: round run in the reply's delivery; the worker resumes one event
-    #: later); the test process itself 3.
-    PUT_EVENTS = 35
-    DEL_EVENTS = 29          # no value write: 2 events fewer per replica
+    #: Overwrite, per replica: delivery, rpc_receive, hash_lookup,
+    #: value-log flush submit hop, value write, segment read,
+    #: bucket_update, segment append, replication_forward (not the
+    #: tail) = 26; client reply delivery 1 (the call's continuation,
+    #: the flow-control round and the worker's resume run inside it);
+    #: two backward acks x (delivery + dirty_map_op) = 4; the test
+    #: process itself 3.  A waiter woken by a retiring flush or a lock
+    #: hand-off resumes inside that dispatch.
+    PUT_EVENTS = 34
+    #: A first PUT of a key whose segment does not exist yet: no
+    #: segment read, 1 event fewer per replica.
+    PUT_NEW_EVENTS = 31
+    #: An existing key's DEL: no value write, 2 events fewer per
+    #: replica than the overwrite.
+    DEL_EVENTS = 28
     #: one handler process per replica.
     PROCESSES = 3
 
@@ -303,11 +308,11 @@ class TestWritePathEventBudget:
         # Unmeasured warm-up: start-of-run membership pushes drain.
         self._measure(cluster, lambda: client.put(b"warm-up", b"x"))
         for make_op, budget in (
-                (lambda: client.put(key, b"v" * 64), self.PUT_EVENTS),
+                (lambda: client.put(key, b"v" * 64), self.PUT_NEW_EVENTS),
                 (lambda: client.put(key, b"w" * 64), self.PUT_EVENTS),
                 (lambda: client.delete(key), self.DEL_EVENTS)):
             events, spawned = self._measure(cluster, make_op)
-            assert events <= budget, (events, spawned)
+            assert events == budget, (events, spawned)
             assert len(spawned) <= self.PROCESSES, spawned
             assert not [name for name in spawned
                         if "exec" in name or "flush" in name
@@ -315,14 +320,15 @@ class TestWritePathEventBudget:
 
 
 class TestGetEventBudget:
-    """The same count for a GET on an idle cluster, the test process's
-    own 3 events included.  Reference: request delivery, rpc_receive,
-    hash_lookup, segment read, bucket scan, value read, reply
-    delivery, worker resume = 8.  Fused: request delivery, retire
-    (the reply is sent from it), reply delivery, worker resume = 4."""
+    """The same exact count for a GET on an idle cluster, the test
+    process's own 3 events included.  Reference: request delivery,
+    rpc_receive, hash_lookup, segment read, bucket scan, value read,
+    reply delivery = 7.  Fused: request delivery, retire (the reply is
+    sent from it), reply delivery = 3.  The worker resumes inside the
+    reply's delivery."""
 
-    REFERENCE_EVENTS = 11
-    FUSED_EVENTS = 7
+    REFERENCE_EVENTS = 10
+    FUSED_EVENTS = 6
 
     @pytest.mark.parametrize("fused", [False, True])
     def test_get_stays_inside_its_budget(self, fused):
@@ -336,7 +342,7 @@ class TestGetEventBudget:
         for _ in range(2):
             events, spawned = TestWritePathEventBudget._measure(
                 cluster, lambda: client.get(key))
-            assert events <= budget, (events, spawned)
+            assert events == budget, (events, spawned)
             assert len(spawned) == (0 if fused else 1), spawned
 
 

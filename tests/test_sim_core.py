@@ -638,3 +638,139 @@ class TestDirectScheduling:
         assert seen == [event] and event.processed and sim.now == 1.5
         with pytest.raises(ValueError, match="negative"):
             sim.schedule_delivery(-1.0, seen.append)
+
+
+class TestNaNTime:
+    """A NaN delay, fire time or deadline is refused where it enters:
+    on the heap it would compare false both ways and set ``now`` to NaN
+    without any "time went backwards"."""
+
+    NAN = float("nan")
+
+    def test_timeout_rejects_nan(self, sim):
+        with pytest.raises(ValueError, match="not a number"):
+            sim.timeout(self.NAN)
+        assert sim.pending_events == 0
+
+    def test_timeout_at_rejects_nan(self, sim):
+        sim.run(until=3.0)
+        with pytest.raises(ValueError, match="cannot fire"):
+            sim.timeout_at(self.NAN)
+        assert sim.pending_events == 0
+
+    def test_schedule_delivery_rejects_nan(self, sim):
+        with pytest.raises(ValueError, match="not a number"):
+            sim.schedule_delivery(self.NAN, lambda _event: None)
+        assert sim.pending_events == 0
+
+    def test_run_until_nan_is_refused(self, sim):
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="cannot run until"):
+            sim.run(until=self.NAN)
+        assert fired == [] and sim.now == 0.0
+
+
+class TestSucceedInline:
+    """``Event.succeed_inline``: the event settles inside the current
+    dispatch; its callbacks run once the dispatching event's own have
+    returned, with no dispatch of their own."""
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_callbacks_run_after_the_dispatching_events_own(self, sim,
+                                                            stepped):
+        if stepped:                     # through ``step()``
+            sim.enable_schedule_digest()
+        order = []
+        settled = sim.event()
+        settled.callbacks.append(lambda event: order.append(
+            ("settled", event.value, sim.now)))
+
+        def first(_event):
+            order.append("first")
+            # A zero-delay entry queued before the settle still runs
+            # after the settled event's callbacks.
+            sim.timeout(0.0).callbacks.append(
+                lambda _e: order.append("queued"))
+            sequence = sim._sequence
+            assert settled.succeed_inline("v") is settled
+            assert settled.triggered and not settled.processed
+            assert sim._sequence == sequence   # no sequence number
+
+        gate = sim.timeout(2.0)
+        gate.callbacks += [first, lambda _e: order.append("second")]
+        before = sim.events_dispatched
+        sim.run()
+        assert order == ["first", "second", ("settled", "v", 2.0), "queued"]
+        assert settled.processed
+        # The gate and the queued timeout; the settle spent no dispatch.
+        assert sim.events_dispatched - before == 2
+
+    def test_a_waiting_process_resumes_in_the_same_dispatch(self, sim):
+        settled = sim.event()
+        log = []
+
+        def waiter():
+            value = yield settled
+            log.append((value, sim.now))
+            yield sim.timeout(1.0)
+            log.append(("after", sim.now))
+
+        sim.process(waiter())
+        sim.run()
+        sim.timeout(3.0).callbacks.append(
+            lambda _e: settled.succeed_inline("reply"))
+        before = sim.events_dispatched
+        sim.run()
+        assert log == [("reply", 3.0), ("after", 4.0)]
+        assert sim.events_dispatched - before == 2
+
+    def test_outside_a_dispatch_it_is_succeed(self):
+        def run(settle):
+            sim = Simulator()
+            sim.enable_schedule_digest()
+            order = []
+            sim.timeout(0.0).callbacks.append(lambda _e: order.append("a"))
+            event = sim.event()
+            event.callbacks.append(lambda e: order.append(e.value))
+            settle(event, "b")
+            sim.timeout(0.0).callbacks.append(lambda _e: order.append("c"))
+            assert event.triggered and not event.processed
+            sim.run()
+            return (order, sim._sequence, sim.events_dispatched,
+                    sim.schedule_digest)
+
+        inline = run(Event.succeed_inline)
+        assert inline == run(Event.succeed)
+        assert inline[0] == ["a", "b", "c"] and inline[2] == 3
+
+    def test_a_second_settle_raises(self, sim):
+        outside = sim.event()
+        outside.succeed_inline()
+        with pytest.raises(EventAlreadyTriggered):
+            outside.succeed_inline()
+        inside = sim.event()
+        errors = []
+
+        def settle_twice(_event):
+            inside.succeed_inline(1)
+            for settle in (inside.succeed_inline, inside.succeed):
+                with pytest.raises(EventAlreadyTriggered):
+                    settle(2)
+                errors.append(settle.__name__)
+
+        sim.timeout(1.0).callbacks.append(settle_twice)
+        sim.run()
+        assert errors == ["succeed_inline", "succeed"]
+        assert inside.processed and inside.value == 1
+
+    def test_run_until_an_event_finishes_its_dispatch_first(self, sim):
+        settled = sim.event()
+        seen = []
+        settled.callbacks.append(lambda e: seen.append(e.value))
+        stop = sim.timeout(1.0)
+        stop.callbacks.append(lambda _e: settled.succeed_inline("late"))
+        later = sim.timeout(2.0)
+        sim.run(until=stop)
+        assert seen == ["late"] and settled.processed
+        assert sim.now == 1.0 and not later.processed

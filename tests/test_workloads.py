@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.driver import ClosedLoopDriver, drive
+from repro.workloads.driver import ClosedLoopDriver, OpenLoopDriver, drive
 from repro.workloads.history import History
 from repro.workloads.ycsb import WORKLOADS, YCSBWorkload, make_key, make_value
 from repro.workloads.zipf import (
@@ -240,6 +240,22 @@ class TestDrivers:
         stats = drive(sim, [driver])
         assert (stats.percentile_us(0.5) <= stats.percentile_us(0.99)
                 <= stats.percentile_us(0.999))
+
+    def test_open_loop_arrival_dispatches_no_start_event(self, sim):
+        """An arrival runs its op's first step on the spot: the arrival
+        and the client's latency are the only events."""
+        client = self.EchoClient(sim, latency_us=10.0)
+        workload = YCSBWorkload("C", 50, value_size=16, seed=1)
+        history = History()
+        driver = OpenLoopDriver(sim, client, workload, rate_qps=1.0,
+                                duration_us=1.0, history=history)
+        pending = []
+        sim.timeout(5.0).callbacks.append(
+            lambda _e: driver.arrive(workload, 4, pending))
+        sim.run()
+        op, = pending
+        assert op.processed and history.invoke_us == [5.0]
+        assert sim.events_dispatched == 2 and sim.now == 15.0
 
     def test_make_key_format(self):
         assert make_key(7) == b"user000000000007"
