@@ -157,8 +157,6 @@ class FrontEndClient:
 
     def _handle_membership(self, src: str, update: MembershipUpdate):
         self.apply_membership(update)
-        yield self.sim.timeout(0)
-        return None
 
     def apply_membership(self, update: MembershipUpdate) -> None:
         """Install the update's ring snapshot (stale versions are

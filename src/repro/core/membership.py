@@ -185,12 +185,9 @@ class ControlPlane:
 
     def _handle_heartbeat(self, src: str, beat: Heartbeat):
         self._last_heartbeat[beat.jbof_address] = self.sim.now
-        yield self.sim.timeout(0)
-        return None
 
     def _handle_get_ring(self, src: str, _body):
         payload = self.membership_snapshot()
-        yield self.sim.timeout(0)
         return payload, payload.wire_bytes()
 
     def stop(self) -> None:

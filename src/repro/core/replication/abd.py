@@ -53,6 +53,69 @@ ZERO_STAMP = (0, "")
 JOINING = "JOINING"
 
 
+def _available(vote: AbdVote) -> bool:
+    """A vote a quorum counts: a JOINING replica answers fast with an
+    UNAVAILABLE vote, and if those counted, a round could end before
+    slower healthy replicas report — rejecting an op a real quorum
+    would accept."""
+    return vote.status != STATUS_UNAVAILABLE
+
+
+def _acked(status: str) -> bool:
+    return status == STATUS_OK
+
+
+class QuorumRound:
+    """One quorum phase of an :class:`AbdQuorum` coordinator, run to
+    completion reply by reply.
+
+    :meth:`ask` posts a call whose reply (or deadline failure) is a
+    continuation counted inside the dispatch that lands it: no event
+    per reply.  A coordinator in :meth:`wait` resumes inside the
+    dispatch of the reply that ends the round: the ``need``-th usable
+    reply, or the last one when the quorum falls short.
+    """
+
+    __slots__ = ("policy", "need", "usable", "replies", "outstanding",
+                 "waiter")
+
+    def __init__(self, policy: "AbdQuorum", need: int, usable):
+        self.policy = policy
+        self.need = need
+        self.usable = usable
+        #: The usable replies so far, in landing order.
+        self.replies: list = []
+        self.outstanding = 0
+        self.waiter = None
+
+    def ask(self, address: str, method: str, body) -> None:
+        self.outstanding += 1
+        self.policy.node.rpc.call(
+            address, method, body, body.wire_bytes(),
+            timeout_us=self.policy.quorum_timeout_us, then=self._land)
+
+    @property
+    def done(self) -> bool:
+        return len(self.replies) >= self.need or self.outstanding == 0
+
+    def _land(self, ok: bool, value) -> None:
+        self.outstanding -= 1
+        if ok and self.usable(value):
+            self.replies.append(value)
+        waiter = self.waiter
+        if waiter is not None and self.done:
+            self.waiter = None
+            waiter.succeed_inline()
+
+    def wait(self):
+        """Generator: the usable replies so far, once the round is
+        done."""
+        if not self.done:
+            self.waiter = self.policy.node.sim.event()
+            yield self.waiter
+        return list(self.replies)
+
+
 @register_protocol
 class AbdQuorum(ReplicationPolicy):
     """Majority read/write quorums with per-key logical timestamps."""
@@ -131,56 +194,6 @@ class AbdQuorum(ReplicationPolicy):
                 peers.append((vnode_id, vnode.jbof_address))
         return peers
 
-    # -- quorum gather -------------------------------------------------------
-
-    def _gather(self, calls, need: int, usable=None):
-        """Generator: wait until ``need`` of ``calls`` succeed (or all
-        settle), returning the successful response bodies.
-
-        Counting-waiter idiom: one completion callback per call feeds
-        a shared waiter event; failures (timeouts, partitions) are
-        defused so a dead replica costs nothing beyond its absence.
-        Late responses after the waiter fires still land in
-        ``results`` harmlessly — the caller has already moved on.
-
-        ``usable`` filters which responses count toward ``need``: a
-        JOINING replica answers fast with an UNAVAILABLE vote, and if
-        those counted, the waiter could fire before slower healthy
-        replicas report — rejecting an op a real quorum would accept.
-        Unusable responses are still appended to ``results`` so
-        callers can keep their own filtering.
-        """
-        results: list = []
-        if not calls:
-            return results
-        waiter = self.node.sim.event()
-        state = {"outstanding": len(calls), "good": 0}
-
-        def settle(event) -> None:
-            state["outstanding"] -= 1
-            if event._ok:
-                results.append(event._value)
-                if usable is None or usable(event._value):
-                    state["good"] += 1
-            else:
-                event.defuse()
-            if not waiter.triggered and (state["good"] >= need
-                                         or state["outstanding"] == 0):
-                waiter.succeed(None)
-
-        for event in calls:
-            if event.callbacks is None:
-                # Already processed (the caller yielded between issuing
-                # the calls and gathering): settle it inline.
-                settle(event)
-            else:
-                event.callbacks.append(settle)
-        if need <= 0:
-            return results
-        if not waiter.triggered:
-            yield waiter
-        return results
-
     # -- write path ----------------------------------------------------------
 
     def on_client_write(self, runtime, request, body, chain):
@@ -201,17 +214,12 @@ class AbdQuorum(ReplicationPolicy):
             return
         # Phase 1: learn the highest stamp from a majority.
         runtime.stats.quorum_queries += 1
-        calls = []
+        query_round = QuorumRound(self, majority - 1, _available)
         for vnode_id, address in peers:
             query = AbdQuery(vnode_id, body.key)
             runtime.stats.quorum_bytes += query.wire_bytes()
-            calls.append(node.rpc.call(
-                address, "abd_query", query, query.wire_bytes(),
-                timeout_us=self.quorum_timeout_us))
-        votes = yield from self._gather(
-            calls, majority - 1,
-            usable=lambda v: v.status != STATUS_UNAVAILABLE)
-        votes = [v for v in votes if v.status != STATUS_UNAVAILABLE]
+            query_round.ask(address, "abd_query", query)
+        votes = yield from query_round.wait()
         if len(votes) < majority - 1:
             node._respond(request, KVReply(
                 STATUS_UNAVAILABLE, ring_version=node.local_ring.version))
@@ -255,17 +263,12 @@ class AbdQuorum(ReplicationPolicy):
 
     def _commit_quorum(self, runtime, op, key, value, stamp, peers, need):
         """Generator: fan a commit out to ``peers``; True on quorum."""
-        node = self.node
-        calls = []
+        commit_round = QuorumRound(self, need, _acked)
         for vnode_id, address in peers:
             commit = AbdCommit(vnode_id, op, key, value, stamp)
             runtime.stats.quorum_bytes += commit.wire_bytes()
-            calls.append(node.rpc.call(
-                address, "abd_commit", commit, commit.wire_bytes(),
-                timeout_us=self.quorum_timeout_us))
-        acks = yield from self._gather(calls, need,
-                                       usable=lambda a: a == STATUS_OK)
-        acks = [a for a in acks if a == STATUS_OK]
+            commit_round.ask(address, "abd_commit", commit)
+        acks = yield from commit_round.wait()
         return len(acks) >= need
 
     # -- read path -----------------------------------------------------------
@@ -279,19 +282,14 @@ class AbdQuorum(ReplicationPolicy):
                 STATUS_UNAVAILABLE, ring_version=node.local_ring.version))
             return
         runtime.stats.quorum_queries += 1
-        calls = []
+        query_round = QuorumRound(self, majority - 1, _available)
         for vnode_id, address in peers:
             query = AbdQuery(vnode_id, body.key, want_value=True)
             runtime.stats.quorum_bytes += query.wire_bytes()
-            calls.append(node.rpc.call(
-                address, "abd_query", query, query.wire_bytes(),
-                timeout_us=self.quorum_timeout_us))
+            query_round.ask(address, "abd_query", query)
         # Local read overlaps the quorum round trip.
         result = yield from node._execute(runtime, body)
-        votes = yield from self._gather(
-            calls, majority - 1,
-            usable=lambda v: v.status != STATUS_UNAVAILABLE)
-        votes = [v for v in votes if v.status != STATUS_UNAVAILABLE]
+        votes = yield from query_round.wait()
         if len(votes) < majority - 1:
             node._respond(request, KVReply(
                 STATUS_UNAVAILABLE, ring_version=node.local_ring.version))
@@ -419,16 +417,11 @@ class AbdQuorum(ReplicationPolicy):
         own = runtime.vnode_id if runtime.vnode_id in chain else None
         peers = self._peers(chain, own or "")
         local_votes = 1 if own else 0
-        calls = []
+        query_round = QuorumRound(self, majority - local_votes, _available)
         for vnode_id, address in peers:
-            query = AbdQuery(vnode_id, record.key)
-            calls.append(node.rpc.call(
-                address, "abd_query", query, query.wire_bytes(),
-                timeout_us=self.quorum_timeout_us))
-        votes = yield from self._gather(
-            calls, majority - local_votes,
-            usable=lambda v: v.status != STATUS_UNAVAILABLE)
-        votes = [v for v in votes if v.status != STATUS_UNAVAILABLE]
+            query_round.ask(address, "abd_query",
+                            AbdQuery(vnode_id, record.key))
+        votes = yield from query_round.wait()
         if len(votes) + local_votes < majority:
             raise RuntimeError(
                 "no query quorum for replay of %r" % (record.key,))

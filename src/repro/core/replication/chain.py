@@ -47,7 +47,7 @@ class ChainReplication(ReplicationPolicy):
 
     def register_handlers(self) -> None:
         rpc = self.node.rpc
-        rpc.register_sync("chain_ack", self.on_ack)
+        rpc.register("chain_ack", self.on_ack)
         rpc.register("version_query", self._handle_version_query)
 
     # -- write path (port of JBOFNode._serve_write) --------------------------
@@ -147,7 +147,7 @@ class ChainReplication(ReplicationPolicy):
                         ack.wire_bytes())
 
     def on_ack(self, src: str, ack: ChainAck) -> None:
-        """Backward ack (synchronous one-way handler): once the
+        """Backward ack (a one-way handler that does not yield): once the
         ``dirty_map_op`` CPU slice ends, clear the dirty bit, retire
         the WAL intent and pass the ack up the chain."""
         node = self.node

@@ -5,9 +5,9 @@ endpoint's API keeps the split:
 
 * :meth:`RpcEndpoint.call`, :meth:`~RpcEndpoint.forward` and
   :meth:`~RpcEndpoint.notify` are two-sided ``SEND`` messages: the
-  command (or one-way message) is dispatched at the target straight
-  to the registered handler (a simulation generator — it may perform
-  SSD I/O, forward along a chain, etc.);
+  command (or one-way message) is handled at the target inside the
+  dispatch that delivers it, as in SPDK's reactor poll (a generator
+  handler may perform SSD I/O, forward along a chain, etc.);
 * :meth:`RpcEndpoint.respond` is a one-sided ``WRITE``-with-IMM back
   to the request's ``reply_to`` address, matched there by the request
   id (the 32-bit immediate) without extra messages.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import partial
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.net.topology import Network
 from repro.sim.core import Simulator
@@ -87,6 +87,14 @@ WIRE_OVERHEAD_BYTES = 58
 Handler = Callable[[str, Any], Any]
 
 
+def _wake(waiter: Event, ok: bool, value: Any) -> None:
+    """The continuation of an event-form :meth:`RpcEndpoint.call`."""
+    if ok:
+        waiter.succeed_inline(value)
+    else:
+        waiter.fail(value)
+
+
 def _close_span(ctx, then: Continuation, ok: bool, value: Any) -> None:
     """Close a call's ``rpc.<method>`` span, then continue."""
     ctx.finish()
@@ -100,8 +108,9 @@ class RpcEndpoint:
         self.sim = sim
         self.network = network
         self.address = address
-        self._handlers: Dict[str, Handler] = {}
-        self._sync_handlers: Dict[str, Handler] = {}
+        #: method -> ``(handler, raw)``: ``raw`` for a
+        #: :meth:`register_sync` handler, which gets the envelope.
+        self._handlers: Dict[str, Tuple[Handler, bool]] = {}
         #: Outstanding calls: request id -> continuation.
         self._pending: Dict[int, Continuation] = {}
         self._request_ids = itertools.count(1)
@@ -117,8 +126,8 @@ class RpcEndpoint:
         self.calls_sent = 0
         self.calls_served = 0
         self.notifications_sent = 0
-        # Inbound requests dispatch straight from delivery and inbound
-        # responses complete their pending call inline: no consumer
+        # Inbound messages reach their handler and inbound responses
+        # complete their pending call inside the delivery: no consumer
         # processes.
         network.nic(address).rx_handler = self._on_delivery
 
@@ -153,88 +162,72 @@ class RpcEndpoint:
             self.address, dst,
             envelope.nbytes + ENVELOPE_BYTES + WIRE_OVERHEAD_BYTES, envelope)
 
-    def register_sync(self, method: str, handler) -> None:
-        """Register a synchronous handler: invoked inline in the
-        delivery event — no handler process — and must not yield.
-        For a request it gets the full envelope, ``handler(src,
-        request)``, and must arrange for *some* endpoint to call
-        :meth:`respond` on it (from a callback or a process it starts)
-        — possibly a different node, after the request was forwarded
-        along a replication chain (§3.7's request shipping).  A one-way
-        message comes as ``handler(src, body)``."""
-        if method in self._handlers or method in self._sync_handlers:
-            raise ValueError("handler for %r already registered" % method)
-        self._sync_handlers[method] = handler
-
     def register(self, method: str, handler: Handler) -> None:
-        """Register a generator-function handler for ``method``.
+        """Register ``handler(src_address, body)`` for ``method``,
+        called inside the dispatch that delivers the message.  It
+        answers ``(response_body, response_nbytes)`` or ``None``: a
+        plain function at once, a generator function (started there
+        with :meth:`~repro.sim.core.Simulator.process_inline`) when it
+        returns.  A one-way message's answer is dropped."""
+        self._add(method, handler, False)
 
-        The handler is invoked as ``handler(src_address, body)`` inside
-        a new simulation process; its return value is either
-        ``(response_body, response_nbytes)`` or ``None`` for one-way
-        methods.
-        """
+    def register_sync(self, method: str, handler) -> None:
+        """Register a request handler that answers for itself:
+        ``handler(src, request)`` gets the full envelope inside the
+        delivery dispatch, must not yield, and must arrange for *some*
+        endpoint to call :meth:`respond` on it (from a callback or a
+        process it starts) — possibly a different node, after the
+        request was forwarded along a replication chain (§3.7's
+        request shipping)."""
+        self._add(method, handler, True)
+
+    def _add(self, method: str, handler, raw: bool) -> None:
         if method in self._handlers:
             raise ValueError("handler for %r already registered" % method)
-        self._handlers[method] = handler
+        self._handlers[method] = (handler, raw)
 
     def _on_delivery(self, src: str, envelope) -> None:
         """Dispatch one fabric delivery: a response completes its
-        pending call, a request or one-way message goes to its
-        handler."""
+        pending call, a request or one-way message runs its handler."""
         kind = type(envelope)
         if kind is RpcResponse:
             then = self._pending.pop(envelope.request_id, None)
             if then is not None:
                 body = envelope.body
                 then(not isinstance(body, RpcError), body)
+            return
+        entry = self._handlers.get(envelope.method)
+        if entry is None:
+            if kind is RpcRequest:
+                self.respond(envelope, RpcError(
+                    "no handler for %r at %s" % (envelope.method,
+                                                 self.address)),
+                    ENVELOPE_BYTES)
+            return
+        handler, raw = entry
+        if raw:
+            handler(src, envelope)
+            return
+        outcome = handler(src, envelope.body)
+        if outcome is not None and hasattr(outcome, "send"):
+            self.sim.process_inline(
+                self._finish(envelope, outcome),
+                name="rpc-%s@%s" % (envelope.method, self.address))
         elif kind is RpcRequest:
-            sync = self._sync_handlers.get(envelope.method)
-            if sync is not None:
-                sync(src, envelope)
-                return
-            self.sim.process(
-                self._serve(src, envelope),
-                name="rpc-serve-%s@%s" % (envelope.method, self.address))
-        elif kind is OneWay:
-            sync = self._sync_handlers.get(envelope.method)
-            if sync is not None:
-                sync(src, envelope.body)
-                return
-            handler = self._handlers.get(envelope.method)
-            if handler is not None:
-                self.sim.process(
-                    self._run(handler, src, envelope.body),
-                    name="rpc-oneway-%s@%s" % (envelope.method, self.address))
-        else:  # pragma: no cover - protocol guard
-            raise RpcError("unexpected envelope %r" % (envelope,))
+            self._answer(envelope, outcome)
 
-    def _run(self, handler: Handler, src: str, payload: Any):
-        """Process body of a one-way handler."""
-        result = handler(src, payload)
-        if hasattr(result, "send"):
-            yield from result
-        else:
-            yield self.sim.timeout(0)
+    def _finish(self, envelope, handler_run):
+        """Process body of a generator handler: answer a request with
+        its return value."""
+        outcome = yield from handler_run
+        if type(envelope) is RpcRequest:
+            self._answer(envelope, outcome)
 
-    def _serve(self, src: str, request: RpcRequest):
-        handler = self._handlers.get(request.method)
-        if handler is None:
-            response_body: Any = RpcError("no handler for %r at %s"
-                                          % (request.method, self.address))
-            response_nbytes = ENVELOPE_BYTES
+    def _answer(self, request: RpcRequest, outcome) -> None:
+        if outcome is None:
+            self.respond(request, None, 0)
         else:
-            result = handler(src, request.body)
-            if hasattr(result, "send"):
-                outcome = yield from result
-            else:
-                outcome = result
-                yield self.sim.timeout(0)
-            if outcome is None:
-                response_body, response_nbytes = None, 0
-            else:
-                response_body, response_nbytes = outcome
-        self.respond(request, response_body, response_nbytes)
+            self.respond(request, *outcome)
 
     # -- client side -----------------------------------------------------------------
 
@@ -250,8 +243,10 @@ class RpcEndpoint:
         With ``then`` no event is made: the outcome goes to
         ``then(ok, value)`` (:data:`Continuation`) inside the dispatch
         that delivers the response or fires the deadline, and the call
-        returns None.  The event is that same continuation settling
-        it, so a process yielding it resumes one event later.
+        returns None.  The event is that same continuation: a process
+        yielding it resumes inside the response's dispatch
+        (:meth:`~repro.sim.events.Event.succeed_inline`); a failure is
+        thrown in one event later.
 
         Tracing: when ``body`` carries a trace context (duck-typed —
         this layer never imports :mod:`repro.obs`), a ``rpc.<method>``
@@ -264,7 +259,7 @@ class RpcEndpoint:
         waiter = None
         if then is None:
             waiter = Event(self.sim)
-            then = waiter.settle
+            then = partial(_wake, waiter)
         parent = getattr(body, "trace", None)
         if parent is not None:
             net_ctx = parent.child("rpc." + method, cat="net",

@@ -48,6 +48,16 @@ _new = object.__new__
 
 _heappush = heapq.heappush
 
+_INF = float("inf")
+
+
+def _bad_time(when: float, now: float) -> RuntimeError:
+    """The error for a dispatch that would move the clock back or to
+    infinity (where it would stay for good)."""
+    if when < now:
+        return RuntimeError("time went backwards: %r < %r" % (when, now))
+    return RuntimeError("an event at time %r would stop the clock" % when)
+
 
 def _bad_delay(delay: float) -> ValueError:
     """The error for a delay that is not ``>= 0``."""
@@ -293,8 +303,8 @@ class Simulator:
         run event-by-event and compare schedule digests.
         """
         when, priority, sequence, event = self._pop_next()
-        if when < self.now:  # model code moved ``now`` past the heap
-            raise RuntimeError("time went backwards: %r < %r" % (when, self.now))
+        if not self.now <= when < _INF:
+            raise _bad_time(when, self.now)
         self.now = when
         self._events_dispatched += 1
         if self._digest is not None:
@@ -330,10 +340,10 @@ class Simulator:
         """
         stop_event: Optional[Event] = None
         if until is None:
-            deadline = float("inf")
+            deadline = _INF
         elif isinstance(until, Event):
             stop_event = until
-            deadline = float("inf")
+            deadline = _INF
             if stop_event.callbacks is not None:
                 stop_event.callbacks.append(self._stop_on_event)
             elif stop_event.triggered:
@@ -361,7 +371,7 @@ class Simulator:
             )
         if stop_event is not None:
             return self._event_outcome(stop_event)
-        if deadline != float("inf"):
+        if deadline != _INF:
             self._stop_at(deadline)
         return None
 
@@ -382,6 +392,7 @@ class Simulator:
         imm = self._imm
         heappop = heapq.heappop
         popleft = imm.popleft
+        inf = _INF
         dispatched = 0
         try:
             while heap or imm:
@@ -401,9 +412,8 @@ class Simulator:
                     when = heap[0][0]
                     if when > deadline:
                         return self._stop_at(deadline)
-                    if when < self.now:
-                        raise RuntimeError("time went backwards: %r < %r"
-                                           % (when, self.now))
+                    if not self.now <= when < inf:
+                        raise _bad_time(when, self.now)
                     event = heappop(heap)[3]
                     self.now = when
                 dispatched += 1

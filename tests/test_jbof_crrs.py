@@ -14,14 +14,15 @@ from conftest import drive
 
 def small_cluster(num_jbofs=3, replication=3,
                   read_policy=ReadPolicy.CRRS, num_clients=1,
-                  seed=0, **options_kwargs):
+                  seed=0, replication_protocol="chain", **options_kwargs):
     options = LeedOptions(**options_kwargs) if options_kwargs else LeedOptions()
     config = ClusterConfig(
         num_jbofs=num_jbofs, ssds_per_jbof=2, num_clients=num_clients,
         replication=replication,
         store=StoreConfig(num_segments=64, key_log_bytes=1 << 20,
                           value_log_bytes=4 << 20),
-        options=options, read_policy=read_policy, seed=seed)
+        options=options, read_policy=read_policy, seed=seed,
+        replication_protocol=replication_protocol)
     cluster = LeedCluster(config)
     cluster.start()
     return cluster
@@ -344,6 +345,51 @@ class TestGetEventBudget:
                 cluster, lambda: client.get(key))
             assert events == budget, (events, spawned)
             assert len(spawned) == (0 if fused else 1), spawned
+
+
+class TestAbdEventBudget:
+    """The exact count for one ABD GET and one overwrite PUT on an
+    idle 3-JBOF cluster, the test process's own 3 events included.
+    The coordinator's quorum rounds take their replies as continuations:
+    no event per reply, and the coordinator resumes inside the dispatch
+    of the reply that ends the round.  Every event is a modelled delay
+    but the log flusher's submit hop.
+
+    GET: request delivery, rpc_receive, and the local read overlapping
+    the query round (hash_lookup, segment read, bucket scan, value
+    read) = 6; per peer, query delivery, dirty_map_op, the value probe
+    (hash_lookup, segment read, bucket scan, value read) and vote
+    delivery = 7, x 2; client reply delivery 1.
+
+    PUT: request delivery, rpc_receive = 2; per peer, query delivery,
+    dirty_map_op and vote delivery = 3, x 2; the coordinator's local
+    write (hash_lookup, value-log flush submit hop, value write, segment
+    read, bucket_update, segment append) = 6; per peer, commit
+    delivery, replication_forward, the same six write events and ack
+    delivery = 9, x 2; client reply delivery 1."""
+
+    GET_EVENTS = 24
+    PUT_EVENTS = 36
+    #: one handler process per coordinator and per peer it asks.
+    GET_PROCESSES = 3
+    PUT_PROCESSES = 5
+
+    def test_get_and_put_stay_inside_their_budget(self):
+        cluster = small_cluster(heartbeat_period_us=1e9,
+                                replication_protocol="abd")
+        client = cluster.clients[0]
+        key = b"budget-key"
+        measure = TestWritePathEventBudget._measure
+        measure(cluster, lambda: client.put(b"warm-up", b"x"))
+        measure(cluster, lambda: client.put(key, b"v" * 64))
+        for make_op, budget, processes in (
+                (lambda: client.put(key, b"w" * 64), self.PUT_EVENTS,
+                 self.PUT_PROCESSES),
+                (lambda: client.get(key), self.GET_EVENTS,
+                 self.GET_PROCESSES)):
+            events, spawned = measure(cluster, make_op)
+            assert events == budget, (events, spawned)
+            assert len(spawned) == processes, spawned
 
 
 class TestFusedReplyAfterWokenCommand:

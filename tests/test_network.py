@@ -513,3 +513,74 @@ class TestRpc:
         server.register_sync("s", lambda s, r: None)
         with pytest.raises(ValueError):
             server.register_sync("s", lambda s, r: None)
+        with pytest.raises(ValueError):
+            server.register("s", lambda s, b: None)
+
+    # Each message is handled, and each reply resumes its waiter,
+    # inside the dispatch that lands it: stepping the simulator one
+    # event at a time shows no event in between (no handler process
+    # start, no zero-delay relay, no scheduled resume).
+
+    def test_plain_handler_answers_inside_the_delivery(self, sim, net):
+        client = RpcEndpoint(sim, net, "a")
+        server = RpcEndpoint(sim, net, "b")
+        server.register("echo", lambda src, body: (body, 4))
+        outcomes = []
+        client.call("b", "echo", "hi", 2,
+                    then=lambda ok, value: outcomes.append((ok, value)))
+        sim.step()                  # the request's delivery
+        assert net.nic("b").tx_messages == 1 and server.calls_served == 1
+        assert sim.pending_events == 1   # the reply's delivery, no more
+        sim.step()
+        assert outcomes == [(True, "hi")]
+        assert sim.events_dispatched == 2
+
+    def test_generator_handler_starts_inside_the_delivery(self, sim, net):
+        client = RpcEndpoint(sim, net, "a")
+        server = RpcEndpoint(sim, net, "b")
+        steps = []
+
+        def handler(src, body):
+            steps.append(("start", sim.events_dispatched))
+            yield sim.timeout(1.0)
+            return body * 2, 8
+
+        server.register("double", handler)
+        outcomes = []
+        client.call("b", "double", 21, 8,
+                    then=lambda ok, value: outcomes.append((ok, value)))
+        sim.step()                  # the request's delivery
+        assert steps == [("start", 1)]
+        sim.run()
+        # Delivery, the handler's 1 us, the reply's delivery.
+        assert outcomes == [(True, 42)] and sim.events_dispatched == 3
+
+    def test_event_form_waiter_resumes_in_the_replys_dispatch(self, sim,
+                                                              net):
+        client = RpcEndpoint(sim, net, "a")
+        server = RpcEndpoint(sim, net, "b")
+        server.register("echo", lambda src, body: (body, 4))
+        got = []
+
+        def proc():
+            got.append((yield client.call("b", "echo", "hi", 2)))
+
+        sim.process(proc())
+        sim.step()                  # the process's start: the call
+        sim.step()                  # the request's delivery
+        assert got == []
+        sim.step()                  # the reply's delivery
+        assert got == ["hi"] and sim.pending_events == 0
+
+    def test_unknown_method_answers_rpc_error_at_once(self, sim, net):
+        client = RpcEndpoint(sim, net, "a")
+        RpcEndpoint(sim, net, "b")
+        outcomes = []
+        client.call("b", "nothing", None, 0,
+                    then=lambda ok, value: outcomes.append((ok, value)))
+        sim.step()                  # the request's delivery
+        sim.step()                  # the error's delivery
+        (ok, error), = outcomes
+        assert not ok and isinstance(error, RpcError)
+        assert "no handler for 'nothing' at b" in str(error)
+        assert sim.pending_events == 0

@@ -671,6 +671,24 @@ class TestNaNTime:
         assert fired == [] and sim.now == 0.0
 
 
+class TestInfiniteTime:
+    """An event at infinity is refused where a dispatch loop would
+    advance the clock to it: with ``now`` at inf every later event
+    would dispatch "at" inf and the run's clock would be over."""
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_an_event_at_infinity_is_refused(self, stepped):
+        sim = Simulator()
+        if stepped:
+            sim.enable_schedule_digest()
+        fired = []
+        sim.timeout(float("inf"))
+        sim.schedule(5.0, lambda: fired.append(sim.now))
+        with pytest.raises(RuntimeError, match="at time inf"):
+            sim.run()
+        assert fired == [5.0] and sim.now == 5.0
+
+
 class TestSucceedInline:
     """``Event.succeed_inline``: the event settles inside the current
     dispatch; its callbacks run once the dispatching event's own have
