@@ -19,16 +19,10 @@ Two measurements per protocol:
    that re-establishes its unacknowledged writes is timed via
    ``node.wal_recovery``.
 
-Run as a module to emit a BENCH-style JSON report::
-
-    PYTHONPATH=src python -m repro.bench.experiments.ablation_replication \
-        --output BENCH_replication.json
+Run it with ``python -m repro.bench run ablation_replication``.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
 
 from repro import telemetry
 from repro.bench.harness import (
@@ -144,25 +138,3 @@ def run(scale: str = QUICK) -> ExperimentResult:
                     "arrivals refused at the in-flight cap.")
     return result
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="replication-protocol ablation")
-    parser.add_argument("--scale", default=QUICK,
-                        choices=(QUICK, "full"))
-    parser.add_argument("--output", default="BENCH_replication.json",
-                        help="report path (default BENCH_replication.json)")
-    args = parser.parse_args(argv)
-    result = run(scale=args.scale)
-    print(result)
-    report = {"experiment": "ablation_replication", "scale": args.scale,
-              "seed": SEED, "rows": result.rows}
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print("wrote %s" % args.output)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -150,7 +150,6 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
                   num_nodes: Optional[int] = None,
                   num_clients: Optional[int] = None,
                   replication: int = 3,
-                  sanitize_seed: Optional[int] = None,
                   replication_protocol: str = "chain") -> LeedCluster:
     """A scaled-down deployment of one of the three systems.
 
@@ -161,9 +160,6 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
 
     ``flow_control`` / ``read_policy`` override the system's defaults
     (the Fig. 8 / Fig. 7 ablations); ``None`` keeps them.
-    ``sanitize_seed`` enables the order-dependence sanitizer:
-    same-timestamp scheduling ties are permuted by the ``sim.sanitize``
-    stream seeded with that value (see ``repro.lint.sanitize``).
     ``replication_protocol`` picks the write/read protocol
     (``"chain"`` | ``"craq"`` | ``"abd"``, see ``repro.core.replication``).
     """
@@ -196,8 +192,7 @@ def build_cluster(system: str, scale: str = QUICK, value_size: int = 1024,
         replication=replication,
         replication_protocol=replication_protocol,
         store_config=store, options=options, seed=seed,
-        flow_control=flow_control, read_policy=read_policy,
-        sanitize_seed=sanitize_seed)
+        flow_control=flow_control, read_policy=read_policy)
 
 
 def load_cluster(cluster: LeedCluster, workload: YCSBWorkload,

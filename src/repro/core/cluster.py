@@ -9,9 +9,9 @@ use::
 
 Entering the ``with`` block publishes the initial ring
 (:meth:`LeedCluster.start`, idempotent); leaving it (or calling
-:meth:`LeedCluster.shutdown`) stops the background heartbeat,
-failure-monitor and metrics-sampler processes so ``sim.run()`` with
-no deadline drains the event heap.
+:meth:`LeedCluster.shutdown`) stops the background heartbeat and
+failure-monitor processes so ``sim.run()`` with no deadline drains
+the event heap.
 """
 
 from __future__ import annotations
@@ -67,18 +67,10 @@ class ClusterConfig:
     store: object = field(default_factory=StoreConfig)
     #: Trace every Nth client request (0 disables tracing).
     trace_sample_interval: int = 0
-    #: Metrics sampling period for :class:`MetricsRegistry`
-    #: (0 disables the background sampler).
-    metrics_interval_us: float = 0.0
     #: Only 0 is valid.  The field survives because the frozen
     #: ``leedbench/`` passes ``workers=0`` on every build; it leaves
     #: with the next benchmark-owning PR.
     workers: int = 0
-    #: Order-dependence sanitizer (``repro.lint.sanitize``): with a
-    #: seed, same-timestamp scheduling ties are broken by the
-    #: ``sim.sanitize`` stream of that seed instead of FIFO order;
-    #: distinct seeds yield distinct legal schedules of the same model.
-    sanitize_seed: Optional[int] = None
 
     def __post_init__(self):
         names = protocol_names()
@@ -118,7 +110,7 @@ class LeedCluster:
         elif overrides:
             raise ValueError("pass either a config or keyword overrides")
         self.config = config
-        self.sim = Simulator(sanitize_seed=config.sanitize_seed)
+        self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         self.network = Network(self.sim)
         #: Observability layer: spans + metrics for this deployment.
@@ -170,17 +162,15 @@ class LeedCluster:
         payload = self.control_plane.membership_snapshot()
         for client in self.clients:
             client.apply_membership(payload)
-        if self.config.metrics_interval_us > 0:
-            self.metrics.sample_every(self.config.metrics_interval_us)
         self._started = True
 
     def shutdown(self) -> None:
         """Stop background processes so the event heap can drain.
 
         Stops every JBOF (its heartbeat loop exits, and its writes no
-        longer start compaction), the control plane's failure monitor,
-        and the metrics sampler.  Idempotent; also invoked when the
-        cluster is used as a context manager.
+        longer start compaction) and the control plane's failure
+        monitor.  Idempotent; also invoked when the cluster is used as
+        a context manager.
         """
         if self._shut_down:
             return
@@ -191,7 +181,6 @@ class LeedCluster:
         for node in self.jbofs:
             self.control_plane.rpc.notify(node.address, "node_stop", None, 16)
         self.control_plane.stop()
-        self.metrics.stop()
         self._shut_down = True
 
     # Kept for the frozen ``leedbench/``, which calls all three on every

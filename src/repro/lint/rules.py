@@ -333,13 +333,6 @@ def _layers() -> Dict[str, FrozenSet[str]]:
 #: Layer -> allowed imported layers (SIM004).
 LAYERS = _layers()
 
-#: Files exempt from the layering DAG (SIM004).  CLI entry points that
-#: compose the full stack — like ``repro.bench.__main__`` does from
-#: the top layer — but live in a low layer for import reasons:
-#: ``repro.obs.trace`` must sit in ``repro.obs`` (so the package is
-#: importable below ``core``) yet builds a whole traced cluster.
-LAYER_ALLOW = ("repro/obs/trace.py",)
-
 
 class ImportLayering(Rule):
     """SIM004: the layering DAG is law.
@@ -359,8 +352,6 @@ class ImportLayering(Rule):
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
         if source.module is None:
-            return
-        if source.relpath.endswith(LAYER_ALLOW):
             return
         layer = self._layer(source.module)
         allowed = LAYERS.get(layer)

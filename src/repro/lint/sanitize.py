@@ -4,11 +4,11 @@ The model claims that handlers are atomic between scheduling points
 and that no code depends on the *accidental* FIFO order of
 same-timestamp ties.  This module checks the claim TSan-style: run
 the same seeded YCSB workload several times with
-``Simulator(sanitize_seed=N)`` breaking every same-timestamp tie with a
-named RNG stream (``sim.sanitize``), and assert that the **figure
-digest** — a hash of the run's functional outcome — is byte-identical
-across permutations while the *schedule* digests differ (proving the
-permutations actually reordered events).
+``Simulator.enable_tie_permutation(N)`` breaking every same-timestamp
+tie with a named RNG stream (``sim.sanitize``), and assert that the
+**figure digest** — a hash of the run's functional outcome — is
+byte-identical across permutations while the *schedule* digests
+differ (proving the permutations actually reordered events).
 
 What the figure digest covers, and what it deliberately does not:
 
@@ -27,8 +27,9 @@ What the figure digest covers, and what it deliberately does not:
 
 Usage::
 
-    python -m repro.lint.sanitize                # the smoke run shape
-    python -m repro.lint.sanitize -w WR --permutations 4
+    python -m repro.lint.sanitize                # YCSB-B, the smoke run shape
+    python -m repro.lint.sanitize -w B -w WR     # FIFO + 3 orderings each
+    python -m repro.lint.sanitize -w WR --ops 12000   # a compacting run
 
 Exit codes: 0 invariant, 1 order dependence detected.
 """
@@ -183,8 +184,9 @@ def run_probe(workload_name: str, sanitize_seed: Optional[int],
     """One seeded run under the given tie order; returns its probe."""
     cluster = build_cluster(
         "leed", scale="quick", value_size=value_size, seed=seed,
-        num_nodes=num_jbofs, num_clients=num_clients,
-        sanitize_seed=sanitize_seed)
+        num_nodes=num_jbofs, num_clients=num_clients)
+    if sanitize_seed is not None:
+        cluster.sim.enable_tie_permutation(sanitize_seed)
     cluster.sim.enable_schedule_digest()
     workload = RecordingWorkload(YCSBWorkload(
         workload_name, num_records=records, seed=seed,
@@ -251,25 +253,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("-w", "--workload", action="append",
                         dest="workloads", metavar="NAME",
                         help="YCSB mix to probe (repeatable; default: B)")
-    parser.add_argument("--permutations", type=int, default=3,
-                        help="number of sanitized tie orders (default 3)")
-    parser.add_argument("--records", type=int, default=SMOKE["records"])
-    parser.add_argument("--ops", type=int, default=SMOKE["ops"])
-    parser.add_argument("--concurrency", type=int,
-                        default=SMOKE["concurrency"])
-    parser.add_argument("--jbofs", type=int, default=SMOKE["num_jbofs"])
-    parser.add_argument("--clients", type=int, default=SMOKE["num_clients"])
-    parser.add_argument("--value-size", type=int, default=RUN_VALUE_SIZE)
-    parser.add_argument("--seed", type=int, default=RUN_SEED)
+    parser.add_argument("--ops", type=int, default=SMOKE["ops"],
+                        help="run-phase operations (default: the smoke "
+                             "shape's)")
     args = parser.parse_args(argv)
 
-    shape = dict(records=args.records, ops=args.ops,
-                 concurrency=args.concurrency, num_jbofs=args.jbofs,
-                 num_clients=args.clients, value_size=args.value_size,
-                 seed=args.seed)
     failures = 0
     for workload in (args.workloads or ["B"]):
-        report = verify(workload, permutations=args.permutations, **shape)
+        report = verify(workload, ops=args.ops)
         print(report.format())
         if not report.clean:
             failures += 1

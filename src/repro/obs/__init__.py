@@ -13,11 +13,12 @@ experiment:
 * :mod:`repro.obs.hist` — a fixed-bucket log-scale
   :class:`LatencyHistogram` with p50/p95/p99/p999, the bounded
   replacement for raw latency lists.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` whose
-  periodic sampler turns cumulative counters/gauges/histograms into
-  timeseries records the bench harness dumps as ``BENCH_*.json``.
-* ``python -m repro.obs.trace`` — run a small traced benchmark and
-  export its trace (see :mod:`repro.obs.trace`).
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` that
+  snapshots cumulative counters/gauges/histograms into timeseries
+  records (the scenario runner samples at every phase end).
+
+``python -m repro.scenarios run <name> --trace PATH`` exports a run's
+spans as a Chrome trace.
 
 Everything here reads **simulated** time only (``sim.now``); two runs
 with the same seed produce byte-identical trace and metrics output.

@@ -1,29 +1,24 @@
-"""Periodic metrics sampling over simulated time.
+"""Metrics snapshots over simulated time.
 
 A :class:`MetricsRegistry` holds gauges (zero-arg callables read at
 sample time), :class:`LatencyHistogram` instances and one counter
 source (a zero-arg callable returning a name → number dict; a cluster
 passes ``repro.telemetry.counters`` over itself), and snapshots them
-all into a timeseries record either on demand (:meth:`sample_now`) or
-on a fixed simulated-time cadence (:meth:`sample_every`).  The records
-are plain dicts with sorted, stable keys — ready to dump as
-``BENCH_*.json`` artifacts.
-
-The sampler is a simulator process; call :meth:`stop` (or let
-``LeedCluster.shutdown()`` do it) so a drained heap can terminate
-``sim.run()``.
+all into a timeseries record on demand (:meth:`sample_now`; the
+scenario runner calls it at every phase end).  The records are plain
+dicts with sorted, stable keys — ready to dump as ``BENCH_*.json``
+artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.hist import LatencyHistogram
 
 
 class MetricsRegistry:
-    """Named metrics plus a periodic timeseries sampler."""
+    """Named metrics and the timeseries records sampled from them."""
 
     def __init__(self, sim, counters: Callable[[], Dict[str, float]]):
         self.sim = sim
@@ -33,8 +28,6 @@ class MetricsRegistry:
         self._counters = counters
         self._gauges: Dict[str, Callable[[], float]] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        self._sampling = False
-        self._process = None
         #: Scenario-phase tag stamped onto records (None = untagged;
         #: untagged records keep their pre-scenario shape).
         self._phase: Optional[str] = None
@@ -81,37 +74,6 @@ class MetricsRegistry:
         self.records.append(record)
         return record
 
-    def sample_every(self, interval_us: float):
-        """Start the periodic sampler process; returns the process.
-
-        Samples at ``now + interval_us``, then every ``interval_us``
-        after that, until :meth:`stop`.  Starting twice is a no-op.
-        """
-        if interval_us <= 0:
-            raise ValueError("interval_us must be positive, got %r" % interval_us)
-        if self._sampling:
-            return self._process
-        self._sampling = True
-        self._process = self.sim.process(self._sample_loop(interval_us),
-                                         name="metrics.sampler")
-        return self._process
-
-    def _sample_loop(self, interval_us: float):
-        while self._sampling:
-            yield self.sim.timeout(interval_us)
-            if not self._sampling:
-                return
-            self.sample_now()
-
-    def stop(self) -> None:
-        """Stop the periodic sampler (the process exits at its next
-        wakeup).  A final sample is flushed so runs shorter than one
-        interval still produce a record.  Safe to call when never
-        started, or twice."""
-        if self._sampling:
-            self.sample_now()
-        self._sampling = False
-
     # -- export -------------------------------------------------------------
 
     def bench_records(self, label: str) -> List[Dict[str, object]]:
@@ -133,11 +95,6 @@ class MetricsRegistry:
                     row["%s.%s" % (name, stat)] = summary[stat]
             rows.append(row)
         return rows
-
-    def to_json(self) -> str:
-        """Canonical JSON of all records — byte-stable across runs."""
-        return json.dumps(self.records, sort_keys=True,
-                          separators=(",", ":"))
 
     def __repr__(self):
         return "<MetricsRegistry gauges=%d histograms=%d records=%d>" % (

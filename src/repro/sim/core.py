@@ -31,6 +31,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.sim.errors import StopSimulation
 from repro.sim.events import Delivery, Event, Timeout, all_of
 from repro.sim.process import STARTED, Process
+from repro.sim.rng import derive_stream
 
 #: Default (and lowest-numbered) priority of scheduled events.
 NORMAL_PRIORITY = 1
@@ -82,7 +83,7 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    def __init__(self, sanitize_seed: Optional[int] = None):
+    def __init__(self):
         #: Current simulated time (microseconds by project convention).
         #: A plain attribute, read on every model step; only the
         #: dispatch loops of :mod:`repro.sim` assign it (simlint SIM010).
@@ -99,23 +100,9 @@ class Simulator:
         #: dispatch loop is walking (None outside a dispatch):
         #: :meth:`Event.succeed_inline` appends to it.
         self._walking: Optional[list] = None
-        #: Order-dependence sanitizer (TSan-style runtime oracle): with
-        #: a ``sanitize_seed``, same-timestamp normal-priority ties are
-        #: broken by the ``sim.sanitize`` stream of that seed instead
-        #: of FIFO order (distinct seeds, distinct legal schedules of
-        #: the same model).  Every such order is a legal cooperative
-        #: schedule, so *functional* outcomes must not change; code
-        #: whose results move under the permutation has a hidden order
-        #: dependence (see docs/static-analysis.md).
+        #: Tie-permutation stream (:meth:`enable_tie_permutation`), or
+        #: None for FIFO ties.
         self._sanitize_rng = None
-        if sanitize_seed is not None:
-            from repro.sim.rng import derive_stream
-            self._sanitize_rng = derive_stream(sanitize_seed, "sim.sanitize")
-
-    @property
-    def sanitizing(self) -> bool:
-        """True when tie-permutation sanitize mode is active."""
-        return self._sanitize_rng is not None
 
     # -- inspection ---------------------------------------------------------
 
@@ -140,6 +127,20 @@ class Simulator:
         """
         self._digest = hashlib.sha256()
         self._digest_events = 0
+
+    def enable_tie_permutation(self, seed: int) -> None:
+        """Break same-timestamp ties at random (the order-dependence
+        sanitizer, :mod:`repro.lint.sanitize`).
+
+        From the next dispatch on, the tie among same-timestep
+        normal-priority events is broken by the ``sim.sanitize``
+        stream of ``seed`` instead of FIFO order: distinct seeds,
+        distinct legal schedules of the same model.  Every such order
+        is a legal cooperative schedule, so *functional* outcomes must
+        not change; code whose results move under the permutation has
+        a hidden order dependence (see docs/static-analysis.md).
+        """
+        self._sanitize_rng = derive_stream(seed, "sim.sanitize")
 
     @property
     def schedule_digest(self) -> Optional[str]:
@@ -279,7 +280,7 @@ class Simulator:
         if imm:
             now = self.now
             if self._sanitize_rng is not None:
-                # Sanitize mode: the FIFO tie among same-timestep
+                # Tie permutation: the FIFO tie among same-timestep
                 # normal events is broken at random — any pick is a
                 # legal schedule.
                 pick = self._sanitize_rng.randrange(len(imm))
@@ -335,8 +336,9 @@ class Simulator:
         re-entering the dispatch preamble (deadline check, heap pop)
         between them; dispatch order matches :meth:`step` exactly.
         A run that hashes its schedule (:meth:`enable_schedule_digest`)
-        or permutes its ties (sanitize mode) bypasses that inlined loop:
-        every event goes through :meth:`step`, which does both.
+        or permutes its ties (:meth:`enable_tie_permutation`) bypasses
+        that inlined loop: every event goes through :meth:`step`, which
+        does both.
         """
         stop_event: Optional[Event] = None
         if until is None:

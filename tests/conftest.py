@@ -61,18 +61,27 @@ def drive(sim: Simulator, generator, name="test"):
     return sim.run(until=process)
 
 
-def warm_cluster(**overrides):
+def warm_cluster(sample_every_us: float = 0.0):
     """A started two-node LEED cluster after 25 PUTs, 25 GETs and 1 ms
-    of quiet; ``overrides`` go to its ``ClusterConfig``.  Its metrics
-    registry reads the energy gauge the scenario runner registers."""
+    of quiet.  Its metrics registry reads the energy gauge the scenario
+    runner registers; with ``sample_every_us`` a process takes a
+    ``sample_now()`` that often while the cluster warms up."""
     cluster = LeedCluster(ClusterConfig(
         num_jbofs=2, ssds_per_jbof=1, num_clients=1, replication=2,
         store=StoreConfig(num_segments=32, key_log_bytes=1 << 20,
                           value_log_bytes=4 << 20),
-        seed=15, **overrides))
+        seed=15))
     cluster.metrics.register_gauge("energy_joules", cluster.energy_joules)
     cluster.start()
     client = cluster.clients[0]
+
+    if sample_every_us:
+        def sampler():
+            while True:
+                yield cluster.sim.timeout(sample_every_us)
+                cluster.metrics.sample_now()
+
+        cluster.sim.process(sampler(), name="test.sampler")
 
     def warmup():
         for index in range(25):

@@ -1,13 +1,10 @@
-"""Tests for the `python -m repro.bench` and `python -m repro.obs.trace`
-command-line runners."""
-
-import json
+"""Tests for the `python -m repro.bench` command-line runner and the
+``--help`` of every entry point."""
 
 import pytest
 
 from repro.bench.__main__ import main
 from repro.bench.paper import EXPERIMENTS
-from repro.obs.trace import main as trace_main
 
 
 class TestCli:
@@ -40,34 +37,6 @@ class TestCli:
             assert experiment.description
             names = [claim.name for claim in experiment.claims]
             assert len(names) == len(set(names)), name
-
-
-class TestTraceCli:
-    def test_writes_chrome_trace_artifact(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        metrics = tmp_path / "metrics.json"
-        assert trace_main(["--ops", "6", "--output", str(out),
-                           "--metrics-output", str(metrics),
-                           "--metrics-interval-us", "5000"]) == 0
-        document = json.loads(out.read_text())
-        events = document["traceEvents"]
-        assert any(e["ph"] == "X" for e in events)
-        cats = {e["cat"] for e in events if e["ph"] == "X"}
-        assert {"client", "net", "engine", "device"} <= cats
-        assert json.loads(metrics.read_text())
-        err = capsys.readouterr().err
-        assert "traced" in err and "coverage" in err
-
-    def test_stdout_output(self, capsys):
-        assert trace_main(["--ops", "2", "--jbofs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out)["traceEvents"]
-
-    def test_deterministic_across_runs(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            assert trace_main(["--ops", "4", "--output", str(path)]) == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("module", [

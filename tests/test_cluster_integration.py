@@ -273,12 +273,15 @@ class TestOneSelectorPerDecision:
     @pytest.mark.parametrize("build, spelling", [
         (ClusterConfig, {"crrs": False}),
         (ClusterConfig, {"sanitize": True}),
+        (ClusterConfig, {"sanitize_seed": 1}),
+        (ClusterConfig, {"metrics_interval_us": 1000.0}),
         (LeedOptions, {"dirty_read_mode": "craq"}),
         (LeedOptions, {"enable_crrs": False}),
         (LeedOptions, {"wal_enabled": False}),
         (StoreConfig, {"max_chain": 1}),
         (CompactionConfig, {"prefetch": False}),
         (Simulator, {"sanitize": True}),
+        (Simulator, {"sanitize_seed": 1}),
     ], ids=lambda value: getattr(value, "__name__", None) or next(iter(value)))
     def test_removed_spellings_fail_loudly(self, build, spelling):
         with pytest.raises(TypeError, match=next(iter(spelling))):
@@ -291,4 +294,4 @@ class TestOneSelectorPerDecision:
     def test_field_counts(self):
         assert [len(fields(config)) for config in (
             ClusterConfig, LeedOptions, StoreConfig, CompactionConfig)
-        ] == [19, 7, 5, 1]
+        ] == [17, 7, 5, 1]

@@ -526,6 +526,47 @@ class TestOrderDependenceSanitizer:
         assert first.figure_digest == second.figure_digest
 
     def test_simulator_sanitize_flag(self):
+        """``enable_tie_permutation`` switches a built simulator from
+        FIFO ties to the seed's order: same seed, same order."""
         from repro.sim.core import Simulator
-        assert Simulator(sanitize_seed=3).sanitizing
-        assert not Simulator().sanitizing
+
+        def tie_order(seed=None):
+            sim = Simulator()
+            order = []
+            for index in range(8):
+                sim.timeout(0).callbacks.append(
+                    lambda _event, index=index: order.append(index))
+            if seed is not None:
+                sim.enable_tie_permutation(seed)
+            sim.run()
+            return order
+
+        assert tie_order() == list(range(8))
+        assert tie_order(3) == tie_order(3) != list(range(8))
+        assert sorted(tie_order(3)) == list(range(8))
+
+    def test_planted_lost_write_is_caught(self, monkeypatch):
+        """Every PUT of one key is acked but stored under another key:
+        each ordering's read-back names the key and the report is not
+        clean."""
+        from repro.core.datastore import LeedDataStore
+        from repro.lint.sanitize import verify
+        from repro.workloads.ycsb import YCSBWorkload
+
+        lost, _ = next(YCSBWorkload(
+            "B", num_records=self.SHAPE["records"], seed=self.SHAPE["seed"],
+            value_size=self.SHAPE["value_size"]).load_pairs())
+        put = LeedDataStore.put
+
+        def lossy_put(store, key, value, trace=None):
+            if key == lost:
+                key = b"planted-elsewhere"
+            return put(store, key, value, trace)
+
+        monkeypatch.setattr(LeedDataStore, "put", lossy_put)
+        report = verify("B", permutations=1, **self.SHAPE)
+        assert not report.clean
+        for probe in report.probes:
+            assert probe.mismatches == [
+                "%s (status=not_found)" % lost.decode()], report.format()
+            assert probe.keys_verified == probe.keys_checked - 1

@@ -182,22 +182,6 @@ class TestMetricsRegistry:
         assert record["gauges"] == {"depth": 7.0}
         assert record["histograms"]["lat"]["count"] == 1
 
-    def test_sample_every_and_stop(self):
-        sim = Simulator()
-        registry = MetricsRegistry(sim, counters=dict)
-        registry.sample_every(10.0)
-        sim.run(until=35.0)
-        assert len(registry.records) == 3
-        registry.stop()  # flushes one final record at t=35
-        assert len(registry.records) == 4
-        sim.run()  # heap drains: the sampler exits at its next wakeup
-        assert len(registry.records) == 4
-
-    def test_sample_every_rejects_nonpositive(self):
-        registry = MetricsRegistry(Simulator(), counters=dict)
-        with pytest.raises(ValueError):
-            registry.sample_every(0)
-
     def test_bench_records_flat(self):
         sim = Simulator()
         registry = MetricsRegistry(sim, counters=dict)
@@ -262,8 +246,7 @@ class TestClusterApi:
         assert snap.replication == cluster.config.replication
 
     def test_context_manager_drains_heap(self):
-        with LeedCluster(num_jbofs=2, num_clients=1,
-                         metrics_interval_us=1000.0) as cluster:
+        with LeedCluster(num_jbofs=2, num_clients=1) as cluster:
             cluster.start()
 
             def app(client):
@@ -278,9 +261,8 @@ class TestClusterApi:
         before = cluster.sim.now
         cluster.sim.run()
         assert cluster.sim.now < before + 10 * cluster.config.heartbeat_timeout_us
-        assert cluster.metrics.records  # sampler ran while serving
         # The cluster handed the registry its counter walk.
-        assert cluster.metrics.records[-1]["counters"][
+        assert cluster.metrics.sample_now()["counters"][
             "client.operations"] == 2
 
 

@@ -65,10 +65,10 @@ class TestPowerMeter:
         assert idle + cpu + ssd == cluster.energy_joules()
 
     def test_sampling_does_not_move_energy(self):
-        """A run whose energy gauge is sampled every millisecond draws
-        exactly the Joules of an unsampled one."""
-        sampled = warm_cluster(metrics_interval_us=1_000.0)
-        assert sampled.metrics.records
+        """A run whose energy gauge is read by a ``sample_now()`` every
+        100 µs draws exactly the Joules of an unsampled one."""
+        sampled = warm_cluster(sample_every_us=100.0)
+        assert len(sampled.metrics.records) >= 10
         assert sampled.energy_joules() == warm_cluster().energy_joules()
 
     def test_added_node_bills_from_its_build(self):
