@@ -15,27 +15,29 @@ Delivery time is computed entirely from *sender-local* state (port
 pacer, profiles, a per-destination in-order clamp), so a message is
 fully described at transmit time by a plain record::
 
-    (deliver_at, dst, src, seq, wire_bytes, payload)
+    (deliver_at, DELIVERY_PRIORITY, dst, src, seq, wire_bytes, payload, land)
 
-Every record flows through the fabric's one :class:`DeliveryPump` — a
-canonical inbox heap drained by
-:data:`~repro.sim.core.DELIVERY_PRIORITY` events — so same-instant
-deliveries land in record order, not in transmit order.
+Every record goes onto the simulator's own heap
+(:meth:`~repro.sim.core.Simulator.post_delivery`); the dispatch loop
+lands all records due at one instant as one event, after that
+instant's normal events, so same-instant deliveries land in record
+order, not in transmit order.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.core import Simulator
+from repro.sim.core import DELIVERY_PRIORITY, Simulator
 
-#: An in-flight message: ``(deliver_at, dst, src, seq, wire_bytes,
-#: payload)``.  The first four fields form a globally unique sort key
-#: (``seq`` is the sender NIC's message counter), so sorting a batch of
-#: records is deterministic and never compares payloads.
-MessageRecord = Tuple[float, str, str, int, int, Any]
+#: An in-flight message: ``(deliver_at, DELIVERY_PRIORITY, dst, src,
+#: seq, wire_bytes, payload, land)``, with ``land`` the network's
+#: :meth:`Network._land`.  The first five fields form a globally unique
+#: sort key (``seq`` is the sender NIC's message counter), so the heap
+#: orders records deterministically and never compares payloads.
+MessageRecord = Tuple[float, int, str, str, int, int, Any,
+                      Callable[[tuple], None]]
 
 
 @dataclass(frozen=True)
@@ -93,74 +95,6 @@ class Nic:
             self.address, self.profile.name, self.tx_messages, self.rx_messages)
 
 
-class DeliveryPump:
-    """The fabric's delivery queue, draining in canonical order.
-
-    Every delivery flows through one inbox heap keyed by the
-    :data:`MessageRecord` sort key.  A single outstanding drain event
-    (at :data:`~repro.sim.core.DELIVERY_PRIORITY`) pops all records due
-    at its timestamp, so the dispatch suffix is a pure function of the
-    inbox contents: identical record sequences produce identical
-    schedules no matter in which order they were inserted.
-    """
-
-    def __init__(self, sim: Simulator, network: "Network"):
-        self.sim = sim
-        self.network = network
-        self._inbox: List[MessageRecord] = []
-        #: Times of the currently scheduled drain events, earliest first.
-        self._drains: List[float] = []
-
-    def insert(self, record: MessageRecord) -> None:
-        """Queue one record; (re)schedule the drain if it is now due first."""
-        when = record[0]
-        sim = self.sim
-        now = sim.now
-        if when < now:
-            raise ValueError(
-                "delivery at %r is in the past (now=%r)" % (when, now))
-        inbox = self._inbox
-        heapq.heappush(inbox, record)
-        head = inbox[0][0]
-        drains = self._drains
-        if not drains or head < drains[0]:
-            heapq.heappush(drains, head)
-            sim.schedule_delivery(head - now, self._drain)
-
-    def _drain(self, _event) -> None:
-        """Land every record due now on its destination NIC, in record
-        order.  Partitions are re-checked here: a node that died
-        mid-flight does not receive the message."""
-        drains = self._drains
-        heapq.heappop(drains)
-        now = self.sim.now
-        inbox = self._inbox
-        network = self.network
-        nics = network._nics
-        partitioned = network._partitioned
-        # <= rather than ==: the drain fires at now + (deliver_at - now),
-        # which can round a few ulps past deliver_at.
-        while inbox and inbox[0][0] <= now:
-            _at, dst, src, _seq, wire, payload = heapq.heappop(inbox)
-            if partitioned and (src in partitioned or dst in partitioned):
-                continue
-            receiver = nics[dst]
-            receiver.rx_bytes += wire
-            receiver.rx_messages += 1
-            network.messages_delivered += 1
-            if receiver.rx_handler is not None:
-                receiver.rx_handler(src, payload)
-        if inbox and (not drains or inbox[0][0] < drains[0]):
-            head = inbox[0][0]
-            heapq.heappush(drains, head)
-            delay = head - now
-            self.sim.schedule_delivery(delay if delay > 0.0 else 0.0,
-                                       self._drain)
-
-    def __repr__(self):
-        return "<DeliveryPump pending=%d>" % len(self._inbox)
-
-
 class Network:
     """A single-switch fabric connecting named NICs."""
 
@@ -171,7 +105,6 @@ class Network:
         self.messages_delivered = 0
         #: When set, drops all traffic to/from these addresses (failure tests).
         self._partitioned: set = set()
-        self._pump = DeliveryPump(sim, self)
 
     def attach(self, address: str,
                profile: Optional[NicProfile] = None) -> Nic:
@@ -237,5 +170,23 @@ class Network:
         if last is not None and deliver_at < last:
             deliver_at = last
         pair_last[dst] = deliver_at
-        self._pump.insert(
-            (deliver_at, dst, src, sender.tx_messages, wire, payload))
+        self.sim.post_delivery((deliver_at, DELIVERY_PRIORITY, dst, src,
+                                sender.tx_messages, wire, payload,
+                                self._land))
+
+    def _land(self, record: MessageRecord) -> None:
+        """Hand one record to its destination NIC, at its
+        ``deliver_at`` (called by the simulator's dispatch loop).
+        Partitions are re-checked here: a node that died mid-flight
+        does not receive the message."""
+        _at, _priority, dst, src, _seq, wire, payload, _land = record
+        partitioned = self._partitioned
+        if partitioned and (src in partitioned or dst in partitioned):
+            return
+        receiver = self._nics[dst]
+        receiver.rx_bytes += wire
+        receiver.rx_messages += 1
+        self.messages_delivered += 1
+        handler = receiver.rx_handler
+        if handler is not None:
+            handler(src, payload)

@@ -73,8 +73,9 @@ def cmd_run(args) -> int:
         tracer = record.pop("_tracer", None)
         if args.trace and tracer is not None:
             trace_path = args.trace
-            if len(_resolve_names(args.name)) > 1:
-                trace_path = "%s.%s.json" % (args.trace.rstrip(".json"), name)
+            if len(names) > 1:
+                trace_path = "%s.%s.json" % (
+                    trace_path.removesuffix(".json"), name)
             with open(trace_path, "w") as handle:
                 handle.write(tracer.to_json())
             print("wrote %s" % trace_path)

@@ -18,6 +18,10 @@ Fast paths (see docs/performance.md):
   inner loop without re-entering the dispatch preamble (deadline
   checks, heap access) between events; runs that hash the schedule
   (digest or sanitizer) go through :meth:`Simulator.step` instead.
+
+Network deliveries ride the same heap (:meth:`Simulator.post_delivery`)
+as records at :data:`DELIVERY_PRIORITY`; every delivery due at one
+instant lands in one dispatch (see :meth:`Simulator.step`).
 """
 
 from __future__ import annotations
@@ -29,18 +33,18 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import StopSimulation
-from repro.sim.events import Delivery, Event, Timeout, all_of
+from repro.sim.events import Event, Timeout, all_of
 from repro.sim.process import STARTED, Process
 from repro.sim.rng import derive_stream
 
 #: Default (and lowest-numbered) priority of scheduled events.
 NORMAL_PRIORITY = 1
 
-#: Priority for network delivery drains (:class:`repro.net.topology.
-#: DeliveryPump`).  Strictly after normal events at the same timestamp,
-#: so handlers scheduled *at* t observe a stable world before new
-#: cross-NIC traffic lands — and so the drain order is a function of the
-#: pump inbox alone, not of which sender happened to transmit first.
+#: Priority of network delivery records (:meth:`Simulator.post_delivery`).
+#: Strictly after normal events at the same timestamp, so handlers
+#: scheduled *at* t observe a stable world before new cross-NIC traffic
+#: lands — and so the landing order is a function of the records alone
+#: (``(dst, src, seq)``), not of which sender happened to transmit first.
 DELIVERY_PRIORITY = 2
 
 #: A bare instance of an event class, slots unset (one C call; the
@@ -88,6 +92,8 @@ class Simulator:
         #: A plain attribute, read on every model step; only the
         #: dispatch loops of :mod:`repro.sim` assign it (simlint SIM010).
         self.now = 0.0
+        #: ``(time, NORMAL_PRIORITY, sequence, event)`` entries and
+        #: delivery records (:meth:`post_delivery`), earliest first.
         self._heap: list = []
         #: FIFO of (sequence, event) for zero-delay normal-priority
         #: entries at the current timestep.
@@ -108,7 +114,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still on the schedule (heap + immediate queue)."""
+        """Number of entries still on the schedule (heap + immediate
+        queue): events, and one delivery record per message in flight."""
         return len(self._heap) + len(self._imm)
 
     @property
@@ -239,33 +246,28 @@ class Simulator:
         event.callbacks.append(lambda _evt: callback())
         return event
 
-    def schedule_delivery(self, delay: float,
-                          callback: Callable[[Event], None]) -> Event:
-        """Run ``callback(event)`` at ``now + delay``, after all
-        same-time normal-priority events (:data:`DELIVERY_PRIORITY`:
-        always through the heap, also at zero delay)."""
-        if not delay >= 0.0:
-            raise _bad_delay(delay)
-        event = _new(Delivery)
-        event.sim = self
-        event.callbacks = [callback]
-        event._value = None
-        event._ok = True
-        event._defused = False
-        self._sequence += 1
-        _heappush(self._heap, (self.now + delay, DELIVERY_PRIORITY,
-                               self._sequence, event))
-        return event
+    def post_delivery(self, record: tuple) -> None:
+        """Put a network delivery on the schedule.
+
+        ``record`` is ``(deliver_at, DELIVERY_PRIORITY, dst, src, seq,
+        wire_bytes, payload, land)`` (:data:`repro.net.topology.
+        MessageRecord`): at exactly ``deliver_at``, after every
+        normal-priority event of that instant, a dispatch loop calls
+        ``land(record)``.  ``(dst, src, seq)`` must be unique among
+        same-instant records; it is their landing order.  Spends no
+        sequence number.
+        """
+        if not record[0] >= self.now:       # in the past, or NaN
+            raise ValueError("cannot deliver at %r, now is %r"
+                             % (record[0], self.now))
+        _heappush(self._heap, record)
 
     # -- engine ---------------------------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float = 0.0,
-                        priority: int = NORMAL_PRIORITY) -> None:
+    def _schedule_event(self, event: Event) -> None:
+        """Queue ``event`` for dispatch at the current instant."""
         self._sequence += 1
-        if delay == 0.0 and priority == NORMAL_PRIORITY:
-            self._imm.append((self._sequence, event))
-        else:
-            _heappush(self._heap, (self.now + delay, priority, self._sequence, event))
+        self._imm.append((self._sequence, event))
 
     def _pop_next(self):
         """Remove and return the next ``(when, priority, sequence, event)``.
@@ -302,12 +304,31 @@ class Simulator:
         This is the reference dispatcher; :meth:`run` inlines the
         same logic.  Keeping both lets the determinism tests replay a
         run event-by-event and compare schedule digests.
+
+        A delivery record (:meth:`post_delivery`) is dispatched as a
+        *batch*: it and every other delivery record due at that exact
+        instant land as one event, in record order, also records
+        posted by the batch's own handlers for that instant.  Events
+        settled inline during the batch
+        (:meth:`~repro.sim.events.Event.succeed_inline`) run after its
+        last record.  The digest folds a batch as ``(time,
+        DELIVERY_PRIORITY, records landed)`` of kind ``Delivery``.
         """
-        when, priority, sequence, event = self._pop_next()
+        entry = self._pop_next()
+        when = entry[0]
         if not self.now <= when < _INF:
             raise _bad_time(when, self.now)
         self.now = when
         self._events_dispatched += 1
+        if entry[1] == DELIVERY_PRIORITY:
+            landed = self._land_batch(entry)
+            if self._digest is not None:
+                self._digest.update(struct.pack(
+                    "<dqq", when, DELIVERY_PRIORITY, landed))
+                self._digest.update(b"Delivery")
+                self._digest_events += 1
+            return
+        _when, priority, sequence, event = entry
         if self._digest is not None:
             self._digest.update(struct.pack("<dqq", when, priority, sequence))
             self._digest.update(type(event).__name__.encode("ascii"))
@@ -321,6 +342,30 @@ class Simulator:
             self._walking = None
         if not event._ok and not event._defused:
             raise event._value
+
+    def _land_batch(self, entry: tuple) -> int:
+        """Land ``entry`` and every delivery record due at its instant
+        (:meth:`step`); return how many landed."""
+        heap = self._heap
+        when = entry[0]
+        # A batch has no event of its own: inline settles see STARTED,
+        # an already-fired event, as the dispatching one.
+        walking = self._walking = []
+        landed = 1
+        try:
+            entry[7](entry)
+            while heap:
+                entry = heap[0]
+                if entry[0] != when or entry[1] != DELIVERY_PRIORITY:
+                    break
+                heapq.heappop(heap)
+                entry[7](entry)
+                landed += 1
+            for callback in walking:
+                callback(STARTED)
+        finally:
+            self._walking = None
+        return landed
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -395,6 +440,7 @@ class Simulator:
         heappop = heapq.heappop
         popleft = imm.popleft
         inf = _INF
+        delivery = DELIVERY_PRIORITY
         dispatched = 0
         try:
             while heap or imm:
@@ -416,8 +462,23 @@ class Simulator:
                         return self._stop_at(deadline)
                     if not self.now <= when < inf:
                         raise _bad_time(when, self.now)
-                    event = heappop(heap)[3]
+                    entry = heappop(heap)
                     self.now = when
+                    if entry[1] == delivery:
+                        # :meth:`_land_batch`, inlined.
+                        dispatched += 1
+                        walking = self._walking = []
+                        entry[7](entry)
+                        while heap:
+                            entry = heap[0]
+                            if entry[0] != when or entry[1] != delivery:
+                                break
+                            heappop(heap)
+                            entry[7](entry)
+                        for callback in walking:
+                            callback(STARTED)
+                        continue
+                    event = entry[3]
                 dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
                 self._walking = callbacks

@@ -78,7 +78,7 @@ class Event:
             raise EventAlreadyTriggered("%r already triggered" % self)
         self._ok = True
         self._value = value
-        # ``Simulator._schedule_event`` at zero delay, normal priority.
+        # ``Simulator._schedule_event``, inlined.
         sim = self.sim
         sim._sequence += 1
         sim._imm.append((sim._sequence, self))
@@ -151,25 +151,6 @@ class Timeout(Event):
 
     def fail(self, exception: BaseException) -> "Event":  # pragma: no cover - guard
         raise EventAlreadyTriggered("Timeout events trigger themselves")
-
-
-class Delivery(Event):
-    """A pre-succeeded event carrying a network delivery drain.
-
-    Made and scheduled by :meth:`Simulator.schedule_delivery` only, at
-    ``DELIVERY_PRIORITY`` so a drain at time ``t`` runs after every
-    normal-priority event at ``t``.  Like :class:`Timeout` it triggers
-    itself; it is a type of its own so that the schedule digest stays
-    self-describing.
-    """
-
-    __slots__ = ()
-
-    def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
-        raise EventAlreadyTriggered("Delivery events trigger themselves")
-
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover - guard
-        raise EventAlreadyTriggered("Delivery events trigger themselves")
 
 
 class ConditionValue(dict):

@@ -1,6 +1,8 @@
 """Tests for the fabric and the RPC layer."""
 
+import functools
 import heapq
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repro.net.rpc import (ENVELOPE_BYTES, WIRE_OVERHEAD_BYTES, OneWay,
                            RpcEndpoint, RpcError, RpcRequest, RpcResponse,
                            RpcTimeout)
-from repro.net.topology import (NIC_1G, NIC_1G_USB, NIC_100G, DeliveryPump,
-                                Network)
-from repro.sim.core import Simulator
+from repro.net.topology import (NIC_1G, NIC_1G_USB, NIC_100G, Network,
+                                NicProfile, SwitchProfile)
+from repro.sim.core import DELIVERY_PRIORITY, Simulator
 
 from conftest import drive
 
@@ -107,8 +109,10 @@ class TestFabric:
 
 
 class TestDeliveryOrder:
-    """The pump's drain order is what every committed schedule and
-    figure digest was taken under; these pin it directly."""
+    """Deliveries ride the simulator heap, and every record due at one
+    instant lands in one dispatch: the landing order is what every
+    committed schedule and figure digest was taken under, and these
+    pin it directly."""
 
     @staticmethod
     def _fabric(sim):
@@ -133,62 +137,163 @@ class TestDeliveryOrder:
         network, log = self._fabric(sim)
         for src, dst in (reversed(sends) if reverse else sends):
             network.transmit(src, dst, 256, src)
-        # Equal sizes from idle ports: one arrival instant, one drain.
-        assert sim.pending_events == 1
+        # Equal sizes from idle ports: one arrival instant, one
+        # dispatch; each message in flight is a schedule entry.
+        assert sim.pending_events == 2
         sim.run()
         assert log == expected
         assert sim.events_dispatched == 1
 
-    def test_earlier_record_rearms_the_drain(self, sim):
+    def test_earlier_record_lands_first(self, sim):
         network, _log = self._fabric(sim)
         arrivals = []
         network.nic("r1").rx_handler = (
             lambda _src, payload: arrivals.append((sim.now, payload)))
         network.transmit("s1", "r1", 64_000, "big")
-        assert sim.pending_events == 1
         network.transmit("s2", "r1", 64, "small")
-        # The small message lands first, so a second, earlier drain
-        # was armed; the first one still delivers the big message.
         assert sim.pending_events == 2
         sim.run()
         assert [payload for _when, payload in arrivals] == ["small", "big"]
         assert arrivals[0][0] < arrivals[1][0]
         assert sim.events_dispatched == 2
 
-    def test_insert_refuses_a_delivery_in_the_past(self, sim, net):
-        received = listen(net.nic("b"))
-        pump = DeliveryPump(sim, net)
-        sim.run(until=10.0)
-        with pytest.raises(ValueError, match="past"):
-            pump.insert((5.0, "b", "a", 1, 64, "late"))
-        pump.insert((10.0, "b", "a", 1, 64, "on time"))
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_a_batch_is_one_dispatch_after_the_instants_normal_events(
+            self, sim, stepped):
+        if stepped:                     # through ``step()``
+            sim.enable_schedule_digest()
+        network, _log = self._fabric(sim)
+        order = []
+        for address in ("r1", "r2"):
+            network.nic(address).rx_handler = (
+                lambda src, payload, dst=address:
+                order.append((dst, src, payload)))
+        network.attach("s3")
+        # Transmit order is not record order.
+        network.transmit("s3", "r2", 256, "a")
+        network.transmit("s2", "r1", 256, "b")
+        network.transmit("s1", "r2", 256, "c")
+        # A big message and the small one behind it, clamped to land
+        # with it (the sender's seq breaks their tie), and two more
+        # big ones from idle ports, landing at the same instant.
+        network.transmit("s3", "r1", 64_000, "d")
+        network.transmit("s3", "r1", 1, "e")
+        network.transmit("s2", "r2", 64_000, "f")
+        network.transmit("s1", "r1", 64_000, "g")
+        when = network.nic("s3")._pair_last["r1"]
+        sim.timeout_at(when).callbacks.append(
+            lambda _event: order.append("normal"))
         sim.run()
-        assert payloads(received) == ["on time"]
+        assert order == [("r1", "s2", "b"), ("r2", "s1", "c"),
+                         ("r2", "s3", "a"), "normal", ("r1", "s1", "g"),
+                         ("r1", "s3", "d"), ("r1", "s3", "e"),
+                         ("r2", "s2", "f")]
+        # Two batches and the timeout.
+        assert sim.events_dispatched == 3 and sim.now == when
+        if stepped:
+            assert sim.schedule_digest_events == 3
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_an_inline_settle_resumes_after_the_batchs_last_record(
+            self, sim, stepped):
+        if stepped:
+            sim.enable_schedule_digest()
+        network, log = self._fabric(sim)
+        waiter = sim.event()
+
+        def wait():
+            yield waiter
+            log.append(("resumed", sim.now))
+
+        sim.process(wait())
+        sim.run(until=0.1)              # the process waits on ``waiter``
+        first = network.nic("r1").rx_handler
+
+        def settle(src, payload):
+            first(src, payload)
+            waiter.succeed_inline()
+
+        network.nic("r1").rx_handler = settle
+        network.attach("s3")
+        for src, dst in (("s1", "r1"), ("s2", "r2"), ("s3", "r2")):
+            network.transmit(src, dst, 256, src)
+        sim.run()
+        assert log == [("r1", "s1"), ("r2", "s2"), ("r2", "s3"),
+                       ("resumed", sim.now)]
+        # The process's start and the batch: the resume has no
+        # dispatch of its own.
+        assert sim.events_dispatched == 2
+
+    def test_a_reply_inside_a_batch_arms_no_empty_dispatch(self, sim):
+        """Two same-instant requests to one node, the first answered in
+        the batch: one dispatch lands both requests, one the reply.  A
+        drain queue re-armed its drain for the second, still queued
+        request and spent a third dispatch landing nothing."""
+        network, log = self._fabric(sim)
+        replied = []
+
+        def answer(src, payload):
+            log.append(("r1", payload))
+            if not replied:
+                replied.append(src)
+                network.transmit("r1", src, 64, "reply")
+
+        network.nic("r1").rx_handler = answer
+        network.transmit("s1", "r1", 256, "first")
+        network.transmit("s2", "r1", 256, "second")
+        sim.run()
+        assert log == [("r1", "first"), ("r1", "second"), ("s1", "reply")]
+        assert sim.events_dispatched == 2
 
 
-class ReferencePump(DeliveryPump):
-    """The drain as it was: one ``Network.deliver`` call per record."""
+class ReferencePump:
+    """The fabric's delivery queue before deliveries rode the simulator
+    heap: an inbox heap of ``(deliver_at, dst, src, seq, wire,
+    payload)`` records and one drain per earliest head time, which
+    lands every record due at its instant through
+    ``ReferenceNetwork.deliver``.  Its drains are armed at the exact
+    head time (the original's ``now + (head - now)`` could land one ulp
+    late) and posted as delivery records that sort before every
+    address, so a drain runs after its instant's normal events."""
 
-    def _drain(self, _event):
+    def __init__(self, sim, network):
+        self.sim = sim
+        self.network = network
+        self._inbox = []
+        self._drains = []
+        self._drain_ids = itertools.count()
+
+    def insert(self, record):
+        if record[0] < self.sim.now:
+            raise ValueError("delivery in the past")
+        heapq.heappush(self._inbox, record)
+        head = self._inbox[0][0]
+        if not self._drains or head < self._drains[0]:
+            self._arm(head)
+
+    def _arm(self, head):
+        heapq.heappush(self._drains, head)
+        self.sim.post_delivery((head, DELIVERY_PRIORITY, "", "",
+                                next(self._drain_ids), 0, None, self._drain))
+
+    def _drain(self, _record):
         heapq.heappop(self._drains)
         now = self.sim.now
         inbox = self._inbox
         while inbox and inbox[0][0] <= now:
             self.network.deliver(heapq.heappop(inbox))
         if inbox and (not self._drains or inbox[0][0] < self._drains[0]):
-            head = inbox[0][0]
-            heapq.heappush(self._drains, head)
-            self.sim.schedule_delivery(max(head - now, 0.0), self._drain)
+            self._arm(inbox[0][0])
 
 
 class ReferenceNetwork(Network):
-    """The fabric hop as it was before ``transmit`` and ``_drain`` took
-    over pacing, the in-order clamp and the landing: ``Nic.serialize_tx``
-    + ``Nic.order_delivery`` + ``pump.insert``, and ``Network.deliver``."""
+    """The fabric hop as it was before ``transmit`` took over pacing,
+    the in-order clamp and the landing: ``Nic.serialize_tx`` +
+    ``Nic.order_delivery`` + the drain queue, and ``Network.deliver``."""
 
-    def __init__(self, sim):
-        super().__init__(sim)
-        self._pump = ReferencePump(sim, self)
+    def __init__(self, sim, switch=None):
+        super().__init__(sim, switch)
+        self._queue = ReferencePump(sim, self)
         self.clamped = 0
 
     def serialize_tx(self, nic, nbytes):
@@ -220,7 +325,7 @@ class ReferenceNetwork(Network):
             sender, dst, tx_done + sender.profile.base_latency_us
             + self.switch.hop_latency_us
             + wire / receiver.profile.bandwidth_bpus)
-        self._pump.insert(
+        self._queue.insert(
             (deliver_at, dst, src, sender.tx_messages, wire, payload))
 
     def deliver(self, record):
@@ -235,34 +340,55 @@ class ReferenceNetwork(Network):
             receiver.rx_handler(src, payload)
 
 
+#: A port with no wire delay: behind a zero-hop switch, what it sends
+#: lands at the instant it is sent, inside a batch when sent from one.
+NIC_NEAR = NicProfile("near", bandwidth_bpus=float("inf"),
+                      base_latency_us=0.0)
 _PORTS = {"fast": NIC_100G, "gig": NIC_1G, "usb": NIC_1G_USB,
-          "deaf": NIC_100G}
+          "deaf": NIC_100G, "near": NIC_NEAR, "next": NIC_NEAR}
 _port = st.sampled_from(sorted(_PORTS))
 _fabric_ops = st.lists(st.one_of(
     st.tuples(st.just("send"), _port, _port,
               st.sampled_from([0, 1, 64, 300, 1500, 4096, 64_000]),
               # Back-to-back, sub-serialization gaps, idle gaps.
-              st.sampled_from([0.0, 0.0, 0.003, 0.7, 12.5, 400.0, 9000.0])),
+              st.sampled_from([0.0, 0.0, 0.003, 0.7, 12.5, 400.0, 9000.0]),
+              st.booleans()),           # does the receiver answer?
     st.tuples(st.sampled_from(["partition", "heal"]), _port)),
     min_size=1, max_size=60)
 
 
+def _react(sim, network, log, address, src, payload):
+    """A receiver: log the arrival; when asked, answer inside the
+    delivery and react at zero delay and by an inline settle."""
+    log.append((sim.now, "land", src, address, payload))
+    number, answer = payload
+    if not answer:
+        return
+    network.transmit(address, src, 64, (("re", number), False))
+    sim.timeout(0.0).callbacks.append(
+        lambda _event: log.append((sim.now, "zero", number)))
+    settled = sim.event()
+    settled.callbacks.append(
+        lambda _event: log.append((sim.now, "inline", number)))
+    settled.succeed_inline()
+
+
 class TestTransmitMatchesReference:
-    """``Network.transmit`` paces and clamps itself and the pump's drain
-    lands records itself; both must be the helpers they replaced."""
+    """``Network.transmit`` paces and clamps itself, and deliveries
+    ride the simulator heap; arrivals and the reactions to them must
+    be the reference drain queue's, in no more dispatches."""
 
     @staticmethod
-    def _fabric(network_class):
+    def _fabric(network_class, hop_us):
         sim = Simulator()
-        network = network_class(sim)
-        arrivals = []
+        network = network_class(sim, SwitchProfile(hop_latency_us=hop_us))
+        log = []
         for address in sorted(_PORTS):
             nic = network.attach(address, _PORTS[address])
             if address != "deaf":       # a port nobody listens on
-                nic.rx_handler = (
-                    lambda src, payload, address=address:
-                    arrivals.append((sim.now, src, address, payload)))
-        return sim, network, arrivals
+                nic.rx_handler = functools.partial(
+                    _react, sim, network, log, address)
+        return sim, network, log
 
     @staticmethod
     def _sender_state(network):
@@ -270,59 +396,68 @@ class TestTransmitMatchesReference:
                  nic._pair_last, nic.rx_bytes, nic.rx_messages)
                 for nic in map(network.nic, sorted(_PORTS))]
 
-    def _replay(self, ops):
-        new = self._fabric(Network)
-        ref = self._fabric(ReferenceNetwork)
+    def _replay(self, ops, hop_us=0.5):
+        new = self._fabric(Network, hop_us)
+        ref = self._fabric(ReferenceNetwork, hop_us)
         for number, op in enumerate(ops):
-            for sim, network, _arrivals in (new, ref):
+            for sim, network, _log in (new, ref):
                 if op[0] == "send":
-                    _verb, src, dst, nbytes, gap = op
+                    _verb, src, dst, nbytes, gap, answer = op
                     sim.run(until=sim.now + gap)
-                    network.transmit(src, dst, nbytes, number)
+                    network.transmit(src, dst, nbytes, (number, answer))
                 else:
                     getattr(network, op[0])(op[1])
-            assert sorted(new[1]._pump._inbox) == sorted(ref[1]._pump._inbox)
+            assert new[2] == ref[2]
             assert self._sender_state(new[1]) == self._sender_state(ref[1])
-        for sim, _network, _arrivals in (new, ref):
+        for sim, _network, _log in (new, ref):
             sim.run()
         assert new[2] == ref[2]
         assert self._sender_state(new[1]) == self._sender_state(ref[1])
         assert new[1].messages_delivered == ref[1].messages_delivered
-        assert new[0].events_dispatched == ref[0].events_dispatched
+        assert new[0].events_dispatched <= ref[0].events_dispatched
         assert new[0].now == ref[0].now
         return ref[1]
 
     @settings(max_examples=200, deadline=None)
-    @given(ops=_fabric_ops)
-    def test_random_traffic(self, ops):
-        self._replay(ops)
+    @given(ops=_fabric_ops, hop_us=st.sampled_from([0.0, 0.5]))
+    def test_random_traffic(self, ops, hop_us):
+        self._replay(ops, hop_us)
 
     def test_clamp_fires_on_mixed_profiles(self):
         # A small message out-serializes its big predecessor at the
         # slow receiver port: the pair clamp has to hold it back.
         reference = self._replay([
-            ("send", "fast", "usb", 64_000, 0.0),
-            ("send", "fast", "usb", 64, 0.0),
-            ("send", "fast", "gig", 64_000, 5.0),
-            ("send", "fast", "gig", 1, 0.0),
-            ("send", "usb", "fast", 4096, 0.0)])
+            ("send", "fast", "usb", 64_000, 0.0, False),
+            ("send", "fast", "usb", 64, 0.0, False),
+            ("send", "fast", "gig", 64_000, 5.0, False),
+            ("send", "fast", "gig", 1, 0.0, False),
+            ("send", "usb", "fast", 4096, 0.0, False)])
         assert reference.clamped == 2
 
     def test_partitioned_source_and_destination(self):
         self._replay([
-            ("send", "fast", "gig", 300, 0.0),      # in flight when ...
-            ("partition", "gig"),                   # ... its target dies
-            ("send", "gig", "fast", 300, 0.0),      # dead cable
-            ("send", "fast", "gig", 300, 1.0),
+            ("send", "fast", "gig", 300, 0.0, True),   # in flight when ...
+            ("partition", "gig"),                      # ... its target dies
+            ("send", "gig", "fast", 300, 0.0, True),   # dead cable
+            ("send", "fast", "gig", 300, 1.0, True),
             ("heal", "gig"),
-            ("send", "fast", "gig", 300, 0.0),      # lands after the heal
+            ("send", "fast", "gig", 300, 0.0, True),   # lands after the heal
             ("partition", "fast"),
-            ("send", "fast", "usb", 64, 0.0),
+            ("send", "fast", "usb", 64, 0.0, True),
             ("heal", "fast"),
-            ("send", "fast", "usb", 64, 200.0)])
+            ("send", "fast", "usb", 64, 200.0, True)])
+
+    def test_answers_inside_a_same_instant_batch(self):
+        # Zero-delay ports behind a zero-hop switch: each request's
+        # answer lands in the batch that lands the request.
+        self._replay([
+            ("send", "near", "next", 64, 0.0, True),
+            ("send", "next", "near", 64, 0.0, True),
+            ("send", "fast", "next", 300, 0.0, True),
+            ("send", "deaf", "next", 300, 0.0, True)], hop_us=0.0)
 
     def test_unknown_endpoint_is_a_key_error_before_any_state_moves(self):
-        sim, network, _arrivals = self._fabric(Network)
+        sim, network, _log = self._fabric(Network, 0.5)
         before = self._sender_state(network)
         for src, dst in (("fast", "nowhere"), ("nowhere", "fast")):
             with pytest.raises(KeyError, match="unknown endpoint"):

@@ -30,6 +30,7 @@ from repro.core.jbof import JBOFNode, VNodeStats
 from repro.core.replication import protocol_names
 from repro.scenarios import (Phase, Scenario, Segment, build_scenario,
                              inject, run_scenario, scenario_names)
+from repro.scenarios import cli as scenarios_cli
 from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.load import MIN_VALUE_SIZE, WriteLedger
 from repro.scenarios.runner import canonical_json
@@ -264,6 +265,34 @@ def test_cli_run_writes_bench_record(tmp_path, capsys):
              if event["ph"] == "X"]
     assert {"client", "net", "engine", "device"} <= {
         event["cat"] for event in spans}
+
+
+@pytest.mark.parametrize("trace, stem", [
+    ("runs.json", "runs"),          # only the suffix goes, not "s.json"
+    ("trace.out", "trace.out"),
+])
+def test_cli_names_one_trace_per_scenario(tmp_path, monkeypatch, trace,
+                                          stem):
+    """With several scenarios, ``--trace PATH`` writes one file per
+    scenario, named after PATH without its ``.json`` suffix."""
+    def fake_run(name, **_options):
+        return {"scenario": name, "scale": "smoke", "seed": 0,
+                "protocol": "chain",
+                "totals": {"availability": 1.0, "p99_us": 1.0,
+                           "energy_per_op_uj": 1.0},
+                "invariants": {"lost_acked_writes": 0},
+                "recovery": {"failover": [], "power": []},
+                "_tracer": SimpleNamespace(to_json=lambda: name)}
+
+    monkeypatch.setattr(scenarios_cli, "run_scenario", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert scenarios_main(["run", "all", "--trace", trace]) == 0
+    names = scenario_names()
+    assert len(names) >= 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        "%s.%s.json" % (stem, name) for name in names)
+    for name in names:
+        assert (tmp_path / ("%s.%s.json" % (stem, name))).read_text() == name
 
 
 # -- migration stamp guard (the COPY-vs-mirror race fix) ----------------------

@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import Simulator
+from repro.sim.core import DELIVERY_PRIORITY, Simulator
 from repro.sim.errors import EventAlreadyTriggered
 from repro.sim.events import Event, Timeout
 
 from conftest import drive
+
+
+def delivery(when, seq, land):
+    """A delivery record for :meth:`Simulator.post_delivery` (one
+    sender, one receiver: ``seq`` is its sort key)."""
+    return (when, DELIVERY_PRIORITY, "dst", "src", seq, 0, None, land)
 
 
 class TestEvent:
@@ -350,9 +356,10 @@ class TestRun:
                             fire(tag + (chain,), chain - 1))
                 return callback
 
-            for index, (delay, chain, delivery) in enumerate(plan):
-                if delivery:
-                    sim.schedule_delivery(float(delay), fire((index,), chain))
+            for index, (delay, chain, landing) in enumerate(plan):
+                if landing:
+                    sim.post_delivery(
+                        delivery(float(delay), index, fire((index,), chain)))
                 else:
                     sim.timeout(float(delay)).callbacks.append(
                         fire((index,), chain))
@@ -579,9 +586,10 @@ class TestProcessInline:
 
 
 class TestDirectScheduling:
-    """``Event.succeed``, ``timeout`` / ``timeout_at`` and
-    ``schedule_delivery`` build and push their queue entry themselves;
-    sequence numbers and dispatch order are ``_schedule_event``'s."""
+    """``Event.succeed`` and ``timeout`` / ``timeout_at`` build and push
+    their queue entry themselves; sequence numbers and dispatch order
+    are ``_schedule_event``'s.  ``post_delivery`` records spend no
+    sequence number and land after the instant's normal events."""
 
     def test_succeed_and_timeouts_keep_creation_order(self, sim):
         # Dispatch a few timeouts first, then interleave every way of
@@ -601,10 +609,10 @@ class TestDirectScheduling:
         sim.timeout(2.0).callbacks.append(note("late"))
         sim.timeout_at(1.0).callbacks.append(note("at-now"))
         sim.timeout_at(3.0).callbacks.append(note("at-late"))
-        sim.schedule_delivery(0.0, note("delivery-zero"))
-        sim.schedule_delivery(2.0, note("delivery-late"))
+        sim.post_delivery(delivery(1.0, 1, note("delivery-zero")))
+        sim.post_delivery(delivery(3.0, 2, note("delivery-late")))
         sim.timeout(0.0).callbacks.append(note("last-zero"))
-        assert sim._sequence == sequence + 8   # one number per entry
+        assert sim._sequence == sequence + 6   # one number per event
         sim.run()
         assert order == [
             (1.0, "zero"), (1.0, "succeed"), (1.0, "at-now"),
@@ -630,14 +638,24 @@ class TestDirectScheduling:
             "zero", "rel", "at-now", "abs"]
         assert sim.now == 4.0
 
-    def test_delivery_callback_receives_its_event(self, sim):
+    def test_delivery_record_reaches_its_land_callable(self, sim):
         seen = []
-        event = sim.schedule_delivery(1.5, seen.append)
-        assert type(event).__name__ == "Delivery" and event.triggered
+        record = delivery(1.5, 1, seen.append)
+        sequence = sim._sequence
+        sim.post_delivery(record)
+        assert sim.pending_events == 1 and sim._sequence == sequence
         sim.run()
-        assert seen == [event] and event.processed and sim.now == 1.5
-        with pytest.raises(ValueError, match="negative"):
-            sim.schedule_delivery(-1.0, seen.append)
+        assert seen == [record] and sim.now == 1.5
+        assert sim.events_dispatched == 1 and sim.pending_events == 0
+
+    def test_post_delivery_rejects_a_time_in_the_past(self, sim):
+        landed = []
+        sim.run(until=10.0)
+        with pytest.raises(ValueError, match="cannot deliver at 5.0"):
+            sim.post_delivery(delivery(5.0, 1, landed.append))
+        sim.post_delivery(delivery(10.0, 2, landed.append))   # now is fine
+        sim.run()
+        assert [record[4] for record in landed] == [2] and sim.now == 10.0
 
 
 class TestNaNTime:
@@ -658,10 +676,20 @@ class TestNaNTime:
             sim.timeout_at(self.NAN)
         assert sim.pending_events == 0
 
-    def test_schedule_delivery_rejects_nan(self, sim):
-        with pytest.raises(ValueError, match="not a number"):
-            sim.schedule_delivery(self.NAN, lambda _event: None)
-        assert sim.pending_events == 0
+    def test_post_delivery_rejects_nan(self, sim):
+        """A NaN delivery time posted while another delivery is in
+        flight is refused; the schedule goes on and the run ends (a
+        drain re-armed at a NaN head once spun at one instant)."""
+        landed = []
+        for when, seq in ((5.0, 1), (7.0, 2)):
+            sim.post_delivery(delivery(when, seq, landed.append))
+        sim.run(until=5.0)
+        with pytest.raises(ValueError, match="cannot deliver at nan"):
+            sim.post_delivery(delivery(self.NAN, 3, landed.append))
+        assert sim.pending_events == 1
+        sim.run(until=100.0)
+        assert [record[4] for record in landed] == [1, 2]
+        assert sim.now == 100.0 and sim.events_dispatched == 2
 
     def test_run_until_nan_is_refused(self, sim):
         fired = []
