@@ -4,8 +4,9 @@ The model claims that handlers are atomic between scheduling points
 and that no code depends on the *accidental* FIFO order of
 same-timestamp ties.  This module checks the claim TSan-style: run
 the same seeded YCSB workload several times with
-``Simulator.enable_tie_permutation(N)`` breaking every same-timestamp
-tie with a named RNG stream (``sim.sanitize``), and assert that the
+``Simulator.enable_tie_permutation(N)`` drawing each next zero-delay
+event (process wakeups, ``Event.succeed``) from a named RNG stream
+(``sim.sanitize``) instead of FIFO order, and assert that the
 **figure digest** — a hash of the run's functional outcome — is
 byte-identical across permutations while the *schedule* digests
 differ (proving the permutations actually reordered events).
@@ -24,6 +25,11 @@ What the figure digest covers, and what it deliberately does not:
   across permutations on the smoke shape) — exactly as two legal
   schedules of a real system finish at different times.  Functional
   results must not.
+
+The permutation covers only that FIFO: same-instant timeouts with a
+delay keep their creation order and deliveries their record order, so
+an order dependence among those is not driven here (see
+``Simulator.enable_tie_permutation``).
 
 Usage::
 

@@ -14,14 +14,17 @@ Fast paths (see docs/performance.md):
   schedule digest) is byte-identical to the pure-heap engine: every
   entry still consumes a sequence number, and a normal-priority heap
   entry for the current timestep goes first when its number is lower.
-* :meth:`Simulator.run` drains same-timestamp events in an inlined
-  inner loop without re-entering the dispatch preamble (deadline
-  checks, heap access) between events; runs that hash the schedule
-  (digest or sanitizer) go through :meth:`Simulator.step` instead.
+* one dispatch loop, :meth:`Simulator._dispatch`, serves
+  :meth:`Simulator.run` and :meth:`Simulator.step`.  It drains
+  same-timestamp events without re-entering the dispatch preamble
+  (deadline check, heap access) between them, and keeps the schedule
+  digest, the tie permutation and ``step()``'s one-dispatch limit
+  behind one flag read at loop entry: a run with all three off pays
+  one local test per event for them.
 
 Network deliveries ride the same heap (:meth:`Simulator.post_delivery`)
 as records at :data:`DELIVERY_PRIORITY`; every delivery due at one
-instant lands in one dispatch (see :meth:`Simulator.step`).
+instant lands in one dispatch (see :meth:`Simulator._dispatch`).
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class Simulator:
     def __init__(self):
         #: Current simulated time (microseconds by project convention).
         #: A plain attribute, read on every model step; only the
-        #: dispatch loops of :mod:`repro.sim` assign it (simlint SIM010).
+        #: dispatch loop of :mod:`repro.sim` assigns it (simlint SIM010).
         self.now = 0.0
         #: ``(time, NORMAL_PRIORITY, sequence, event)`` entries and
         #: delivery records (:meth:`post_delivery`), earliest first.
@@ -130,22 +133,28 @@ class Simulator:
         ``(time, priority, sequence, event-kind)`` into a running
         SHA-256.  Two runs of the same seeded model must produce the
         same digest; any divergence pinpoints nondeterminism in the
-        schedule itself rather than in derived metrics.
+        schedule itself rather than in derived metrics.  Takes effect
+        at the next :meth:`run` or :meth:`step` call.
         """
         self._digest = hashlib.sha256()
         self._digest_events = 0
 
     def enable_tie_permutation(self, seed: int) -> None:
-        """Break same-timestamp ties at random (the order-dependence
-        sanitizer, :mod:`repro.lint.sanitize`).
+        """Break ties among zero-delay events at random (the
+        order-dependence sanitizer, :mod:`repro.lint.sanitize`).
 
-        From the next dispatch on, the tie among same-timestep
-        normal-priority events is broken by the ``sim.sanitize``
-        stream of ``seed`` instead of FIFO order: distinct seeds,
-        distinct legal schedules of the same model.  Every such order
-        is a legal cooperative schedule, so *functional* outcomes must
-        not change; code whose results move under the permutation has
-        a hidden order dependence (see docs/static-analysis.md).
+        From the next :meth:`run` or :meth:`step` call on, the next
+        entry of the FIFO of zero-delay events is drawn from the
+        ``sim.sanitize`` stream of ``seed`` instead of taken from its
+        head: distinct seeds, distinct legal schedules of the same
+        model.  Only that FIFO is permuted: same-instant heap entries
+        (timeouts with a delay, :meth:`timeout_at` for a later
+        instant) keep their sequence order and wait until the FIFO is
+        empty, and deliveries keep their record order.  Every such
+        order is a legal cooperative schedule, so *functional*
+        outcomes must not change; code whose results move under the
+        permutation has a hidden order dependence (see
+        docs/static-analysis.md).
         """
         self._sanitize_rng = derive_stream(seed, "sim.sanitize")
 
@@ -269,103 +278,18 @@ class Simulator:
         self._sequence += 1
         self._imm.append((self._sequence, event))
 
-    def _pop_next(self):
-        """Remove and return the next ``(when, priority, sequence, event)``.
-
-        Normal-priority heap entries for the current timestep dispatch
-        before immediate entries whenever their sequence number is
-        lower — exactly the order the pure-heap engine would have
-        produced.
-        """
-        imm = self._imm
-        heap = self._heap
-        if imm:
-            now = self.now
-            if self._sanitize_rng is not None:
-                # Tie permutation: the FIFO tie among same-timestep
-                # normal events is broken at random — any pick is a
-                # legal schedule.
-                pick = self._sanitize_rng.randrange(len(imm))
-                sequence, event = imm[pick]
-                del imm[pick]
-                return (now, NORMAL_PRIORITY, sequence, event)
-            if heap:
-                head = heap[0]
-                if (head[0] == now and head[1] == NORMAL_PRIORITY
-                        and head[2] < imm[0][0]):
-                    return heapq.heappop(heap)
-            sequence, event = imm.popleft()
-            return (now, NORMAL_PRIORITY, sequence, event)
-        return heapq.heappop(heap)
-
     def step(self) -> None:
-        """Process the single next event.  Raises IndexError when empty.
+        """Dispatch the next event.  Raises IndexError when the schedule
+        is empty.
 
-        This is the reference dispatcher; :meth:`run` inlines the
-        same logic.  Keeping both lets the determinism tests replay a
-        run event-by-event and compare schedule digests.
-
-        A delivery record (:meth:`post_delivery`) is dispatched as a
-        *batch*: it and every other delivery record due at that exact
-        instant land as one event, in record order, also records
-        posted by the batch's own handlers for that instant.  Events
-        settled inline during the batch
-        (:meth:`~repro.sim.events.Event.succeed_inline`) run after its
-        last record.  The digest folds a batch as ``(time,
-        DELIVERY_PRIORITY, records landed)`` of kind ``Delivery``.
+        One call is one dispatch of :meth:`run`'s loop, so a replay
+        that steps event by event dispatches what :meth:`run` would, in
+        the same order: a delivery batch (:meth:`post_delivery`) counts
+        as one.
         """
-        entry = self._pop_next()
-        when = entry[0]
-        if not self.now <= when < _INF:
-            raise _bad_time(when, self.now)
-        self.now = when
-        self._events_dispatched += 1
-        if entry[1] == DELIVERY_PRIORITY:
-            landed = self._land_batch(entry)
-            if self._digest is not None:
-                self._digest.update(struct.pack(
-                    "<dqq", when, DELIVERY_PRIORITY, landed))
-                self._digest.update(b"Delivery")
-                self._digest_events += 1
-            return
-        _when, priority, sequence, event = entry
-        if self._digest is not None:
-            self._digest.update(struct.pack("<dqq", when, priority, sequence))
-            self._digest.update(type(event).__name__.encode("ascii"))
-            self._digest_events += 1
-        callbacks, event.callbacks = event.callbacks, None
-        self._walking = callbacks
-        try:
-            for callback in callbacks:
-                callback(event)
-        finally:
-            self._walking = None
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def _land_batch(self, entry: tuple) -> int:
-        """Land ``entry`` and every delivery record due at its instant
-        (:meth:`step`); return how many landed."""
-        heap = self._heap
-        when = entry[0]
-        # A batch has no event of its own: inline settles see STARTED,
-        # an already-fired event, as the dispatching one.
-        walking = self._walking = []
-        landed = 1
-        try:
-            entry[7](entry)
-            while heap:
-                entry = heap[0]
-                if entry[0] != when or entry[1] != DELIVERY_PRIORITY:
-                    break
-                heapq.heappop(heap)
-                entry[7](entry)
-                landed += 1
-            for callback in walking:
-                callback(STARTED)
-        finally:
-            self._walking = None
-        return landed
+        if not (self._heap or self._imm):
+            raise IndexError("step() on an empty schedule")
+        self._dispatch(_INF, 1)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -376,14 +300,6 @@ class Simulator:
         * a number — run until simulated time reaches it;
         * an :class:`Event` — run until that event triggers, returning
           its value (re-raising its exception when it failed).
-
-        Same-timestamp immediate events drain back-to-back without
-        re-entering the dispatch preamble (deadline check, heap pop)
-        between them; dispatch order matches :meth:`step` exactly.
-        A run that hashes its schedule (:meth:`enable_schedule_digest`)
-        or permutes its ties (:meth:`enable_tie_permutation`) bypasses
-        that inlined loop: every event goes through :meth:`step`, which
-        does both.
         """
         stop_event: Optional[Event] = None
         if until is None:
@@ -400,74 +316,93 @@ class Simulator:
             if not deadline >= self.now:
                 raise ValueError("cannot run until %r, now is %r" % (deadline, self.now))
 
-        if self._digest is None and self._sanitize_rng is None:
-            dispatch = self._dispatch_inline
-        else:
-            dispatch = self._dispatch_stepped
         try:
-            if dispatch(deadline):
-                return None
+            self._dispatch(deadline, None)
         except StopSimulation as stop:
             if stop_event is not None and stop_event.triggered:
                 return self._event_outcome(stop_event)
             return stop.value
-        if stop_event is not None and not stop_event.triggered:
-            raise RuntimeError(
-                "run() until an event, but the simulation ran out of events "
-                "before %r triggered" % stop_event
-            )
         if stop_event is not None:
+            if not stop_event.triggered:
+                raise RuntimeError(
+                    "run() until an event, but the simulation ran out of "
+                    "events before %r triggered" % stop_event)
             return self._event_outcome(stop_event)
         if deadline != _INF:
-            self._stop_at(deadline)
+            # Model code that moved ``now`` past the deadline would
+            # otherwise see the clock rewound here.
+            if self.now > deadline:
+                raise RuntimeError("time went backwards: %r < %r"
+                                   % (deadline, self.now))
+            self.now = deadline
         return None
 
-    def _stop_at(self, deadline: float) -> bool:
-        """Advance the clock to a ``run(until=…)`` deadline; refuse to
-        rewind it there when model code moved ``now`` past it."""
-        if self.now > deadline:
-            raise RuntimeError("time went backwards: %r < %r"
-                               % (deadline, self.now))
-        self.now = deadline
-        return True
+    def _dispatch(self, deadline: float, limit: Optional[int]) -> None:
+        """The dispatch loop of :meth:`run` and :meth:`step`: dispatch
+        until the schedule is empty, the next event lies past
+        ``deadline`` or ``limit`` dispatches are done (None: no limit).
 
-    def _dispatch_inline(self, deadline: float) -> bool:
-        """:meth:`run`'s loop: dispatch until the schedule is empty
-        (False) or the next event lies past ``deadline`` (True, time
-        advanced to it) — :meth:`step`'s logic, inlined."""
+        Same-instant order: a normal-priority heap entry goes before the
+        FIFO of zero-delay entries when its sequence number is lower —
+        the pure-heap engine's order; with :meth:`enable_tie_permutation`
+        the FIFO pick is random instead.  A delivery record is
+        dispatched as a *batch*: it and every other delivery record due
+        at that exact instant land as one event, in record order, also
+        records posted by the batch's own handlers for that instant.
+        Events settled inline during the batch
+        (:meth:`~repro.sim.events.Event.succeed_inline`) run after its
+        last record.  The digest folds an event as ``(time, priority,
+        sequence)`` and its class name, a batch as ``(time,
+        DELIVERY_PRIORITY, records landed)`` of kind ``Delivery``.
+        """
         heap = self._heap
         imm = self._imm
         heappop = heapq.heappop
         popleft = imm.popleft
         inf = _INF
         delivery = DELIVERY_PRIORITY
-        dispatched = 0
+        digest = self._digest
+        rng = self._sanitize_rng
+        # The digest, the permutation and the limit behind one test,
+        # so a run with all three off pays one local test per event.
+        checked = digest is not None or rng is not None or limit is not None
+        stop = None if limit is None else self._events_dispatched + limit
         try:
             while heap or imm:
                 if imm:
-                    # Inner fast path: stay at the current timestep.
-                    if heap:
-                        head = heap[0]
-                        if (head[0] == self.now and head[1] == NORMAL_PRIORITY
-                                and head[2] < imm[0][0]):
-                            event = heappop(heap)[3]
+                    # Stay at the current instant.
+                    if checked and rng is not None:
+                        # Any pick from the FIFO is a legal schedule.
+                        pick = rng.randrange(len(imm))
+                        entry = imm[pick]
+                        del imm[pick]
+                    elif heap:
+                        entry = heap[0]
+                        if (entry[0] == self.now
+                                and entry[1] == NORMAL_PRIORITY
+                                and entry[2] < imm[0][0]):
+                            heappop(heap)
                         else:
-                            event = popleft()[1]
+                            entry = popleft()
                     else:
-                        event = popleft()[1]
+                        entry = popleft()
                 else:
-                    # Dispatch preamble: advance time via the heap.
-                    when = heap[0][0]
+                    # Advance time via the heap.
+                    entry = heap[0]
+                    when = entry[0]
                     if when > deadline:
-                        return self._stop_at(deadline)
+                        return
                     if not self.now <= when < inf:
                         raise _bad_time(when, self.now)
-                    entry = heappop(heap)
+                    heappop(heap)
                     self.now = when
                     if entry[1] == delivery:
-                        # :meth:`_land_batch`, inlined.
-                        dispatched += 1
+                        self._events_dispatched += 1
+                        # A batch has no event of its own: inline
+                        # settles see STARTED, an already-fired event,
+                        # as the dispatching one.
                         walking = self._walking = []
+                        landed = 1
                         entry[7](entry)
                         while heap:
                             entry = heap[0]
@@ -475,11 +410,31 @@ class Simulator:
                                 break
                             heappop(heap)
                             entry[7](entry)
+                            landed += 1
                         for callback in walking:
                             callback(STARTED)
+                        if checked:
+                            if digest is not None:
+                                digest.update(struct.pack(
+                                    "<dqq", when, delivery, landed))
+                                digest.update(b"Delivery")
+                                self._digest_events += 1
+                            if self._events_dispatched == stop:
+                                return
                         continue
-                    event = entry[3]
-                dispatched += 1
+                # Both entry shapes end with ``sequence, event``.
+                event = entry[-1]
+                self._events_dispatched += 1
+                if checked:
+                    if digest is not None:
+                        digest.update(struct.pack(
+                            "<dqq", self.now, NORMAL_PRIORITY, entry[-2]))
+                        digest.update(type(event).__name__.encode("ascii"))
+                        self._digest_events += 1
+                    if self._events_dispatched == stop:
+                        # The last dispatch ``limit`` allows: the loop
+                        # test fails once its callbacks have run.
+                        heap = imm = ()
                 callbacks, event.callbacks = event.callbacks, None
                 self._walking = callbacks
                 for callback in callbacks:
@@ -488,17 +443,6 @@ class Simulator:
                     raise event._value
         finally:
             self._walking = None
-            self._events_dispatched += dispatched
-        return False
-
-    def _dispatch_stepped(self, deadline: float) -> bool:
-        """:meth:`_dispatch_inline` through :meth:`step`, one event at
-        a time (schedule digest, sanitizer tie order)."""
-        while self._heap or self._imm:
-            if not self._imm and self._heap[0][0] > deadline:
-                return self._stop_at(deadline)
-            self.step()
-        return False
 
     @staticmethod
     def _event_outcome(event: Event) -> Any:

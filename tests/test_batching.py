@@ -173,11 +173,11 @@ class TestBatchingDeterminism:
 
     @staticmethod
     def _step(sim, until):
-        """Event-by-event replay through the reference dispatcher.
+        """Event-by-event replay through ``step()``.
 
         Like ``run(until=event)`` it registers as a waiter on the stop
-        event and steps until that event has been *processed*, so both
-        dispatchers agree on whether a finishing process emits a
+        event and steps until that event has been *processed*, so the
+        replay and ``run`` agree on whether a finishing process emits a
         completion event (an unwaited one does not).
         """
         if until is None:
@@ -195,17 +195,17 @@ class TestBatchingDeterminism:
         assert self._digest(self._run) == self._digest(self._run)
 
     def test_run_batch_matches_step_loop_digest(self):
-        """``run``'s inlined loop against the reference dispatcher.
+        """``run`` against an event-by-event ``step()`` replay.
 
-        A run that hashes its schedule goes through ``step()`` itself,
-        so the inlined loop is only on trial with the digest off: it
-        must reproduce the figures, dispatch count and sequence
-        numbers of an event-by-event ``step()`` replay with the digest
-        on — and ``run`` with the digest on the replay's digest."""
-        _none, _zero, inlined = self._model(self._run, digest=False)
+        Both call the one dispatch loop, ``step()`` one dispatch at a
+        time: ``run`` with the digest off must reproduce the figures,
+        dispatch count and sequence numbers of the replay with the
+        digest on — and ``run`` with the digest on the replay's
+        digest."""
+        _none, _zero, ran = self._model(self._run, digest=False)
         digest, events, stepped = self._model(self._step)
-        assert inlined == stepped
-        assert inlined[2] == events
+        assert ran == stepped
+        assert ran[2] == events
         assert self._digest(self._run) == (digest, events)
 
     def test_knobs_on_same_seed_digest_stable(self):

@@ -157,10 +157,10 @@ class TestDeliveryOrder:
         assert arrivals[0][0] < arrivals[1][0]
         assert sim.events_dispatched == 2
 
-    @pytest.mark.parametrize("stepped", [False, True])
+    @pytest.mark.parametrize("digest", [False, True])
     def test_a_batch_is_one_dispatch_after_the_instants_normal_events(
-            self, sim, stepped):
-        if stepped:                     # through ``step()``
+            self, sim, digest):
+        if digest:
             sim.enable_schedule_digest()
         network, _log = self._fabric(sim)
         order = []
@@ -190,13 +190,13 @@ class TestDeliveryOrder:
                          ("r2", "s2", "f")]
         # Two batches and the timeout.
         assert sim.events_dispatched == 3 and sim.now == when
-        if stepped:
+        if digest:
             assert sim.schedule_digest_events == 3
 
-    @pytest.mark.parametrize("stepped", [False, True])
+    @pytest.mark.parametrize("digest", [False, True])
     def test_an_inline_settle_resumes_after_the_batchs_last_record(
-            self, sim, stepped):
-        if stepped:
+            self, sim, digest):
+        if digest:
             sim.enable_schedule_digest()
         network, log = self._fabric(sim)
         waiter = sim.event()

@@ -336,15 +336,18 @@ class TestRun:
     @given(plan=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
                                    st.booleans()),
                          min_size=1, max_size=40),
-           until=st.sampled_from([None, 1.0, 2.5]))
+           until=st.sampled_from([None, 1.0, 2.5]),
+           seed=st.integers(0, 2 ** 16))
     @settings(max_examples=80, deadline=None)
-    def test_inlined_loop_orders_ties_like_step(self, plan, until):
+    def test_inlined_loop_orders_ties_like_step(self, plan, until, seed):
         """``(delay, zero-delay follow-ups, delivery)`` entries: timeouts
         and deliveries landing on the same instants, whose callbacks
         queue zero-delay work while same-instant heap entries (lower
-        sequence numbers) still wait.  ``run`` (no digest: its inlined
-        loop) dispatches them in ``step()``'s order."""
-        def model(dispatch):
+        sequence numbers) still wait.  ``run`` with the digest off,
+        ``run`` with it on and a ``step()`` replay dispatch them in one
+        order; under a tie permutation ``run`` and the replay draw the
+        same order and fold the same digest."""
+        def model(dispatch, digest=False, permute=None):
             sim = Simulator()
             order = []
 
@@ -363,28 +366,63 @@ class TestRun:
                 else:
                     sim.timeout(float(delay)).callbacks.append(
                         fire((index,), chain))
+            if digest:
+                sim.enable_schedule_digest()
+            if permute is not None:
+                sim.enable_tie_permutation(permute)
             dispatch(sim)
-            return order, sim.now, sim._sequence, sim.events_dispatched
+            return (order, sim.now, sim._sequence, sim.events_dispatched,
+                    sim.schedule_digest)
 
-        def stepped(sim):
+        def run(sim):
+            sim.run(until=until)
+
+        def replay(sim):
             while sim.pending_events and (
                     until is None or sim._imm or sim._heap[0][0] <= until):
                 sim.step()
             if until is not None:
                 sim.now = until
 
-        assert model(lambda sim: sim.run(until=until)) == model(stepped)
+        plain = model(run)
+        hashed = model(run, digest=True)
+        stepped = model(replay, digest=True)
+        assert plain[:4] == hashed[:4] == stepped[:4]
+        assert plain[4] is None and hashed[4] == stepped[4]
+        assert (model(run, digest=True, permute=seed)
+                == model(replay, digest=True, permute=seed))
 
-    @pytest.mark.parametrize("stepped", [False, True])
-    def test_model_code_moving_the_clock_fails_loudly(self, stepped):
+    @pytest.mark.parametrize("mode", ["run", "digest", "step"])
+    def test_events_dispatched_is_live_inside_a_dispatch(self, mode):
+        """A callback reads a count that includes its own dispatch,
+        whether ``run`` hashes the schedule or not and under ``step``
+        (which refuses an empty schedule)."""
+        sim = Simulator()
+        seen = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.timeout(delay).callbacks.append(
+                lambda _event: seen.append(sim.events_dispatched))
+        if mode == "digest":
+            sim.enable_schedule_digest()
+        if mode == "step":
+            for _ in range(3):
+                sim.step()
+            with pytest.raises(IndexError):
+                sim.step()
+        else:
+            sim.run()
+        assert seen == [1, 2, 3]
+
+    @pytest.mark.parametrize("digest", [False, True])
+    def test_model_code_moving_the_clock_fails_loudly(self, digest):
         """A process that moves ``sim.now`` forward leaves an earlier
-        event on the heap; popping it would rewind time.  Both
-        dispatchers refuse: the inlined loop (no digest) and
-        :meth:`Simulator.step` (digest on).  So does stopping at a
-        ``run(until=…)`` deadline the clock was moved past."""
+        event on the heap; popping it would rewind time.  The dispatch
+        loop refuses, with the schedule digest off or on.  So does
+        stopping at a ``run(until=…)`` deadline the clock was moved
+        past."""
         def run(leap, wait, then_at=None):
             sim = Simulator()
-            if stepped:
+            if digest:
                 sim.enable_schedule_digest()
 
             def mover():
@@ -623,6 +661,28 @@ class TestDirectScheduling:
         assert all(event.processed and event.value is None
                    for event in fired)
 
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_same_instant_heap_entry_goes_before_newer_zero_delay_work(
+            self, sim, permute):
+        """A heap entry due now runs before zero-delay work queued at
+        this instant (its sequence number is lower), as on a pure
+        heap.  The tie permutation draws from the zero-delay FIFO only,
+        so there the heap entry waits until that FIFO is empty."""
+        order = []
+
+        def first(_event):
+            order.append("a")
+            sim.timeout(0.0).callbacks.append(
+                lambda _e: order.append("a-zero"))
+
+        sim.timeout(1.0).callbacks.append(first)
+        sim.timeout(1.0).callbacks.append(lambda _e: order.append("b"))
+        if permute:
+            sim.enable_tie_permutation(1)
+        sim.run()
+        assert order == (["a", "a-zero", "b"] if permute
+                         else ["a", "b", "a-zero"])
+
     def test_timeouts_validate_and_carry_their_value(self, sim):
         with pytest.raises(ValueError, match="negative delay"):
             sim.timeout(-1.0)
@@ -700,14 +760,14 @@ class TestNaNTime:
 
 
 class TestInfiniteTime:
-    """An event at infinity is refused where a dispatch loop would
+    """An event at infinity is refused where the dispatch loop would
     advance the clock to it: with ``now`` at inf every later event
     would dispatch "at" inf and the run's clock would be over."""
 
-    @pytest.mark.parametrize("stepped", [False, True])
-    def test_an_event_at_infinity_is_refused(self, stepped):
+    @pytest.mark.parametrize("digest", [False, True])
+    def test_an_event_at_infinity_is_refused(self, digest):
         sim = Simulator()
-        if stepped:
+        if digest:
             sim.enable_schedule_digest()
         fired = []
         sim.timeout(float("inf"))
@@ -722,10 +782,10 @@ class TestSucceedInline:
     dispatch; its callbacks run once the dispatching event's own have
     returned, with no dispatch of their own."""
 
-    @pytest.mark.parametrize("stepped", [False, True])
+    @pytest.mark.parametrize("digest", [False, True])
     def test_callbacks_run_after_the_dispatching_events_own(self, sim,
-                                                            stepped):
-        if stepped:                     # through ``step()``
+                                                            digest):
+        if digest:
             sim.enable_schedule_digest()
         order = []
         settled = sim.event()
