@@ -1,8 +1,10 @@
 """Baseline cluster nodes: FAWN and KVell behind the LEED protocol.
 
 Both baselines reuse the full node machinery (RPC, chain replication,
-membership, heartbeats) with their own stores plugged in through the
-:meth:`JBOFNode._make_vnode` hook.  Differences from LEED:
+membership with COPY migration, heartbeats) with their own stores
+plugged in through the :meth:`JBOFNode._make_vnode` hook; the stores
+keep LEED's store contract, so COPY scans them as it scans LEED's.
+Differences from LEED:
 
 * no token admission control — the engine gets an effectively
   unbounded token pool, so execution is plain FCFS (what §4.5's

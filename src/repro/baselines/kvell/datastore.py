@@ -22,15 +22,23 @@ is why KVell-JBOF can only index 0.9 %/2.6 % of the flash in Table 3.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from dataclasses import dataclass
+from typing import Deque, Optional
 
 from repro.baselines.kvell.btree import BTree
 from repro.core.analysis import KVELL_DRAM_BYTES_PER_OBJECT
-from repro.core.datastore import NOT_FOUND, OK, STORE_FULL, OpResult
+from repro.core.datastore import (
+    NOT_FOUND,
+    OK,
+    STORE_FULL,
+    OpResult,
+    OpStats,
+    cpu_charge,
+)
 from repro.hw.cpu import CYCLE_COSTS, Core
-from repro.hw.dram import Dram, OutOfMemoryError
+from repro.hw.dram import Dram, IndexBudget
 from repro.hw.ssd import NVMeSSD
 from repro.sim.core import Simulator
 
@@ -56,8 +64,6 @@ class KVellConfig:
     #: throughput on beefy servers at a latency cost — the reason
     #: KVell's latencies are the worst of Table 3.
     batch_window_us: float = 400.0
-    #: DRAM budget for the index; None = take what the node grants.
-    index_budget_bytes: Optional[int] = None
     #: When set, CPU is charged for the B-tree depth of an index of
     #: this many objects (full-deployment scale) even though the
     #: simulated store is smaller — keeps the compute cost honest for
@@ -66,20 +72,11 @@ class KVellConfig:
 
 
 @dataclass
-class KVellStats:
+class KVellStats(OpStats):
     """Cumulative statistics."""
 
-    gets: int = 0
-    puts: int = 0
-    dels: int = 0
-    hits: int = 0
-    misses: int = 0
     cache_hits: int = 0
     btree_nodes_visited: int = 0
-    ssd_time_us: float = 0.0
-    cpu_time_us: float = 0.0
-    op_latency_us: Dict[str, float] = field(default_factory=lambda: {
-        "get": 0.0, "put": 0.0, "del": 0.0})
 
 
 class KVellDataStore:
@@ -95,7 +92,7 @@ class KVellDataStore:
         self.name = name
         self.store_id = store_id
         self.core = core
-        self.dram = dram
+        self._cpu_event = cpu_charge(sim, core)
         self.region_offset = region_offset
         # KVell performs page-granular I/O: a slot occupies whole device
         # blocks (a 1 KB object still costs one 4 KB page on disk).
@@ -109,18 +106,13 @@ class KVellDataStore:
         self.page_cache: "OrderedDict[int, bytes]" = OrderedDict()
         self.stats = KVellStats()
         self.live_objects = 0
-        self._dram_label = name + ".index"
         if dram is not None:
             dram.reserve(name + ".pagecache", PAGE_CACHE_BYTES)
-        if config.index_budget_bytes is not None:
-            self.max_objects: Optional[int] = (
-                config.index_budget_bytes // KVELL_DRAM_BYTES_PER_OBJECT)
-        else:
-            self.max_objects = None
+        self.index_budget = IndexBudget(dram, name + ".index",
+                                        KVELL_DRAM_BYTES_PER_OBJECT)
         self._next_flush_us = 0.0
         self._modeled_visits = 0
         if config.modeled_index_objects:
-            import math
             fanout = 2 * self.index.t - 1
             self._modeled_visits = max(
                 int(math.ceil(math.log(config.modeled_index_objects,
@@ -128,16 +120,12 @@ class KVellDataStore:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _charge_cpu(self, cycles: int):
-        if self.core is not None:
-            yield from self.core.execute(cycles)
-        else:
-            yield self.sim.timeout(cycles / 3.0e3)
-
-    def _charge_btree(self, visited: int):
+    def _btree_event(self, visited: int):
+        """The CPU charge of a B-tree operation that visited
+        ``visited`` nodes (at least the modeled index's depth)."""
         visited = max(visited, self._modeled_visits)
         self.stats.btree_nodes_visited += visited
-        yield from self._charge_cpu(CYCLE_COSTS["btree_node_visit"] * visited)
+        return self._cpu_event(CYCLE_COSTS["btree_node_visit"] * visited)
 
     def _batch_wait(self):
         """Generator: wait for the next submission-flush boundary."""
@@ -161,23 +149,6 @@ class KVellDataStore:
         slot = self.next_fresh_slot
         self.next_fresh_slot += 1
         return slot
-
-    def _reserve_index_slot(self) -> bool:
-        if self.max_objects is not None and self.live_objects >= self.max_objects:
-            return False
-        if self.dram is not None:
-            try:
-                self.dram.reserve(self._dram_label,
-                                  KVELL_DRAM_BYTES_PER_OBJECT)
-            except OutOfMemoryError:
-                return False
-        return True
-
-    def _release_index_slot(self) -> None:
-        if self.dram is not None:
-            current = self.dram.reservation(self._dram_label)
-            self.dram.resize(self._dram_label,
-                             max(current - KVELL_DRAM_BYTES_PER_OBJECT, 0))
 
     def _cache_put(self, slot: int, payload: bytes) -> None:
         cache = self.page_cache
@@ -209,21 +180,16 @@ class KVellDataStore:
         start = self.sim.now
         self.stats.gets += 1
         slot, visited = self.index.search(key)
-        t0 = self.sim.now
-        yield from self._charge_btree(visited)
-        cpu_us = self.sim.now - t0
+        yield self._btree_event(visited)
         ssd_us = 0.0
         accesses = 0
-        if not isinstance(slot, int):
-            self.stats.misses += 1
-            result = OpResult(NOT_FOUND)
-        else:
+        result = OpResult(NOT_FOUND)
+        if isinstance(slot, int):
             cached = self.page_cache.get(slot)
             if cached is not None:
                 self.stats.cache_hits += 1
                 self.page_cache.move_to_end(slot)
                 _key, value = self._unframe(cached)
-                self.stats.hits += 1
                 result = OpResult(OK, value=value)
             else:
                 t0 = self.sim.now
@@ -233,21 +199,11 @@ class KVellDataStore:
                 ssd_us = self.sim.now - t0
                 accesses = 1
                 stored_key, value = self._unframe(payload)
-                if stored_key != key:
-                    self.stats.misses += 1
-                    result = OpResult(NOT_FOUND)
-                else:
+                if stored_key == key:
                     self._cache_put(slot, payload[:4 + len(key) + len(value)])
-                    self.stats.hits += 1
                     result = OpResult(OK, value=value)
-        result.total_us = self.sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = accesses
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["get"] += result.total_us
-        return result
+        return self.stats.book("get", result, start, self.sim.now, ssd_us,
+                               accesses)
 
     def put(self, key: bytes, value: bytes, trace=None):
         """Generator: PUT — B-tree upsert + one in-place slot write."""
@@ -258,42 +214,28 @@ class KVellDataStore:
         start = self.sim.now
         self.stats.puts += 1
         slot, visited = self.index.search(key)
-        yield from self._charge_btree(visited)
-        is_new = not isinstance(slot, int)
-        if is_new:
-            if not self._reserve_index_slot():
-                result = OpResult(STORE_FULL)
-                result.total_us = self.sim.now - start
-                result.cpu_us = result.total_us
-                self.stats.op_latency_us["put"] += result.total_us
-                return result
-            slot = self._allocate_slot()
+        yield self._btree_event(visited)
+        if not isinstance(slot, int):
+            slot = None
+            if self.index_budget.take():
+                slot = self._allocate_slot()
+                if slot is None:
+                    self.index_budget.give_back()
             if slot is None:
-                self._release_index_slot()
-                result = OpResult(STORE_FULL)
-                result.total_us = self.sim.now - start
-                result.cpu_us = result.total_us
-                self.stats.op_latency_us["put"] += result.total_us
-                return result
+                return self.stats.book("put", OpResult(STORE_FULL), start,
+                                       self.sim.now, 0.0, 0)
             _new, insert_visits = self.index.insert(key, slot)
-            yield from self._charge_btree(insert_visits)
+            yield self._btree_event(insert_visits)
             self.live_objects += 1
-        yield from self._charge_cpu(CYCLE_COSTS["kvell_commit"])
+        yield self._cpu_event(CYCLE_COSTS["kvell_commit"])
         t0 = self.sim.now
         yield from self._batch_wait()
         padded = frame + b"\x00" * (self.io_slot_bytes - len(frame))
         yield from self.ssd.write(self._slot_offset(slot), padded)
         ssd_us = self.sim.now - t0
         self._cache_put(slot, frame)
-        result = OpResult(OK)
-        result.total_us = self.sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = 1
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["put"] += result.total_us
-        return result
+        return self.stats.book("put", OpResult(OK), start, self.sim.now,
+                               ssd_us, 1)
 
     def delete(self, key: bytes, trace=None):
         """Generator: DEL — B-tree tombstone + slot recycled to the
@@ -301,29 +243,25 @@ class KVellDataStore:
         start = self.sim.now
         self.stats.dels += 1
         slot, visited = self.index.search(key)
-        yield from self._charge_btree(visited)
+        yield self._btree_event(visited)
         if not isinstance(slot, int):
             result = OpResult(NOT_FOUND)
         else:
-            was_present, delete_visits = self.index.delete(key)
-            yield from self._charge_btree(delete_visits)
+            _was_present, delete_visits = self.index.delete(key)
+            yield self._btree_event(delete_visits)
             self.free_list.append(slot)
             self.page_cache.pop(slot, None)
-            self._release_index_slot()
+            self.index_budget.give_back()
             self.live_objects -= 1
             result = OpResult(OK)
-        result.total_us = self.sim.now - start
-        result.cpu_us = result.total_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["del"] += result.total_us
-        return result
+        return self.stats.book("del", result, start, self.sim.now, 0.0, 0)
 
     # -- scan (COPY substrate) -----------------------------------------------------------------
 
-    def scan(self, predicate=None, batch_size: int = 32, visit=None):
-        """Generator: iterate live pairs via slot reads."""
-        collected = []
-        batch = []
+    def scan(self, predicate, visit):
+        """Generator: call ``visit(key, value)`` for every live pair
+        whose key passes ``predicate`` (None: every key), each read
+        from its slot; see :meth:`LeedDataStore.scan`."""
         for key, slot in list(self.index.items()):
             if predicate is not None and not predicate(key):
                 continue
@@ -334,16 +272,9 @@ class KVellDataStore:
             stored_key, value = self._unframe(payload)
             if stored_key != key:
                 continue
-            batch.append((stored_key, value))
-            if visit is not None and len(batch) >= batch_size:
-                yield from visit(batch)
-                batch = []
-        if visit is not None:
-            if batch:
-                yield from visit(batch)
-            return None
-        collected.extend(batch)
-        return collected
+            wait = visit(key, value)
+            if wait is not None:
+                yield wait
 
     def __repr__(self):
         return "<KVellDataStore %s live=%d slots=%d/%d>" % (

@@ -6,8 +6,11 @@ flushes to a sorted L0 run; levels compact by **merge-sorting** runs
 into the next level — the CPU-hungry sorting phase, charged per
 record merged, plus the write amplification of rewriting every level.
 
-Reads check memtable → L0 runs (newest first) → one run per deeper
-level, with Bloom filters skipping most tables.
+A full memtable is frozen as the *immutable* memtable while it
+flushes, and writes go on into a fresh one; reads check memtable →
+immutable memtable → L0 runs (newest first) → one run per deeper
+level, with Bloom filters skipping most tables.  One merge runs at a
+time, and it replaces only the runs it read.
 
 Space is managed as a bump allocator over the store's device region;
 compaction garbage is reclaimed by recycling table extents (kept in
@@ -16,13 +19,20 @@ a free list of fixed-size slabs for simplicity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.lsm.sstable import DELETED, SSTable, write_sstable
-from repro.core.datastore import NOT_FOUND, OK, STORE_FULL, OpResult
-from repro.hw.cpu import CYCLE_COSTS, Core
-from repro.hw.dram import Dram, OutOfMemoryError
+from repro.core.datastore import (
+    NOT_FOUND,
+    OK,
+    STORE_FULL,
+    OpResult,
+    OpStats,
+    cpu_charge,
+)
+from repro.hw.cpu import Core
+from repro.hw.dram import Dram
 from repro.hw.ssd import NVMeSSD
 from repro.sim.core import Simulator
 
@@ -49,14 +59,9 @@ class LsmConfig:
 
 
 @dataclass
-class LsmStats:
+class LsmStats(OpStats):
     """Cumulative statistics."""
 
-    gets: int = 0
-    puts: int = 0
-    dels: int = 0
-    hits: int = 0
-    misses: int = 0
     memtable_hits: int = 0
     flushes: int = 0
     compactions: int = 0
@@ -65,10 +70,6 @@ class LsmStats:
     bloom_skips: int = 0
     user_bytes_written: int = 0
     device_bytes_written: int = 0
-    ssd_time_us: float = 0.0
-    cpu_time_us: float = 0.0
-    op_latency_us: Dict[str, float] = field(default_factory=lambda: {
-        "get": 0.0, "put": 0.0, "del": 0.0})
 
     def write_amplification(self) -> float:
         if not self.user_bytes_written:
@@ -94,6 +95,7 @@ class LsmDataStore:
         self.name = name
         self.store_id = store_id
         self.core = core
+        self._cpu_event = cpu_charge(sim, core)
         self.dram = dram
         self.block_size = ssd.block_size
         self.region_offset = region_offset
@@ -105,6 +107,10 @@ class LsmDataStore:
         #: In-memory write buffer: key -> value (None == tombstone).
         self.memtable: Dict[bytes, Optional[bytes]] = {}
         self.memtable_bytes = 0
+        #: The memtable a flush is writing out (empty between flushes):
+        #: newer than every run, older than ``memtable``.
+        self.immutable: Dict[bytes, Optional[bytes]] = {}
+        self.immutable_bytes = 0
         #: WAL tail (sequential appends within a dedicated extent).
         self._wal_base = self._allocate(config.memtable_bytes * 2)
         self._wal_cursor = 0
@@ -120,18 +126,13 @@ class LsmDataStore:
         #: per write once the memtable has flushed; scans give truth).
         self.live_objects = 0
         self._flushing = False
+        self._compacting = False
         #: Called with this store by a write that finds L0 over its
         #: run limit and no flush merging it (see
         #: :mod:`repro.core.compaction`).
         self.on_pressure = None
 
     # -- helpers -----------------------------------------------------------------
-
-    def _charge_cpu(self, cycles: int):
-        if self.core is not None:
-            yield from self.core.execute(cycles)
-        else:
-            yield self.sim.timeout(cycles / 3.0e3)
 
     def _allocate(self, nbytes: int) -> int:
         """Claim a block-aligned extent; raises when the region is full."""
@@ -157,7 +158,7 @@ class LsmDataStore:
         if self.dram is None:
             return
         total = sum(t.index_bytes for level in self.levels for t in level)
-        total += self.memtable_bytes
+        total += self.memtable_bytes + self.immutable_bytes
         self.dram.resize(self.name + ".index", total)
 
     # -- commands ---------------------------------------------------------------------
@@ -175,8 +176,7 @@ class LsmDataStore:
         return (yield from self._write(key, None, "del"))
 
     def _write(self, key: bytes, value: Optional[bytes], op: str):
-        # A flush merges the L0 it overfills itself; a second merge of
-        # the same runs would release their extents twice.
+        # A flush merges the L0 it overfills itself.
         if (self.on_pressure is not None and not self._flushing
                 and len(self.levels[0]) > self.config.l0_limit):
             self.on_pressure(self)
@@ -185,9 +185,7 @@ class LsmDataStore:
         self.stats.dels += op == "del"
         record_bytes = len(key) + (len(value) if value else 0) + 8
 
-        t0 = self.sim.now
-        yield from self._charge_cpu(MEMTABLE_OP_CYCLES)
-        cpu_us = self.sim.now - t0
+        yield self._cpu_event(MEMTABLE_OP_CYCLES)
 
         # WAL append: one device write for durability.
         t0 = self.sim.now
@@ -210,39 +208,30 @@ class LsmDataStore:
             self.live_objects -= 1
         self._account_index()
 
+        status = OK
         if self.memtable_bytes >= self.config.memtable_bytes \
                 and not self._flushing:
             try:
                 yield from self._flush_memtable()
             except MemoryError:
-                result = OpResult(STORE_FULL)
-                result.total_us = self.sim.now - start
-                self.stats.op_latency_us[op] += result.total_us
-                return result
-
-        result = OpResult(OK)
-        result.total_us = self.sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = 1
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us[op] += result.total_us
-        return result
+                status = STORE_FULL
+        return self.stats.book(op, OpResult(status), start, self.sim.now,
+                               ssd_us, 1)
 
     def get(self, key: bytes, trace=None):
-        """Generator: memtable, then L0 newest-first, then each level."""
+        """Generator: memtable, immutable memtable, then L0
+        newest-first, then each level."""
         start = self.sim.now
         self.stats.gets += 1
-        t0 = self.sim.now
-        yield from self._charge_cpu(MEMTABLE_OP_CYCLES)
-        cpu_us = self.sim.now - t0
+        yield self._cpu_event(MEMTABLE_OP_CYCLES)
         ssd_us = 0.0
         accesses = 0
 
-        if key in self.memtable:
+        memtable = (self.memtable if key in self.memtable
+                    else self.immutable if key in self.immutable else None)
+        if memtable is not None:
             self.stats.memtable_hits += 1
-            value = self.memtable[key]
+            value = memtable[key]
             result = OpResult(OK, value=value) if value is not None \
                 else OpResult(NOT_FOUND)
         else:
@@ -267,34 +256,37 @@ class LsmDataStore:
                         break
             if result is None:
                 result = OpResult(NOT_FOUND)
-
-        if result.ok:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-        result.total_us = self.sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = accesses
-        self.stats.ssd_time_us += ssd_us
-        self.stats.cpu_time_us += result.cpu_us
-        self.stats.op_latency_us["get"] += result.total_us
-        return result
+        return self.stats.book("get", result, start, self.sim.now, ssd_us,
+                               accesses)
 
     # -- flush & compaction --------------------------------------------------------------
 
     def _flush_memtable(self):
-        """Generator: memtable -> new L0 run (sequential write)."""
+        """Generator: memtable -> new L0 run (sequential write).
+
+        The memtable is frozen as :attr:`immutable` before the first
+        yield, so writes landing mid-flush go to a fresh memtable (and
+        trigger the next flush); when the region has no room for the
+        run, the frozen records go back under the newer ones and the
+        MemoryError propagates."""
         self._flushing = True
         try:
             records = sorted(self.memtable.items())
-            t0 = self.sim.now
-            yield from self._charge_cpu(
+            self.immutable, self.memtable = self.memtable, {}
+            self.immutable_bytes, self.memtable_bytes = self.memtable_bytes, 0
+            yield self._cpu_event(
                 MERGE_CYCLES_PER_RECORD * max(len(records), 1))
             size_estimate = sum(len(k) + (len(v) if v else 0) + 8
                                 for k, v in records) * 2 \
                 + self.block_size * 4
-            extent = self._allocate(size_estimate)
+            try:
+                extent = self._allocate(size_estimate)
+            except MemoryError:
+                self.immutable.update(self.memtable)
+                self.memtable, self.immutable = self.immutable, {}
+                self.memtable_bytes += self.immutable_bytes
+                self.immutable_bytes = 0
+                raise
             self._table_ids += 1
             table = yield from write_sstable(
                 self.ssd, extent, self.block_size, records,
@@ -304,17 +296,30 @@ class LsmDataStore:
                 self._extent_sizes[table.table_id] = size_estimate
                 self.levels[0].insert(0, table)
                 self.stats.device_bytes_written += table.size_bytes
-            self.memtable = {}
-            self.memtable_bytes = 0
+            self.immutable = {}
+            self.immutable_bytes = 0
             self.stats.flushes += 1
             self._account_index()
             if len(self.levels[0]) > self.config.l0_limit:
-                yield from self._compact_level(0)
+                yield from self._compact()
         finally:
             self._flushing = False
 
+    def _compact(self):
+        """Generator: merge L0 down (cascading), unless a merge is
+        already running; returns 1 when it merged."""
+        if self._compacting:
+            return 0
+        self._compacting = True
+        try:
+            yield from self._compact_level(0)
+        finally:
+            self._compacting = False
+        return 1
+
     def _compact_level(self, level: int):
-        """Generator: merge a level's runs into the next level."""
+        """Generator: merge a level's runs into the next level.  Runs
+        flushed to L0 while it merges stay, ahead of the merged run."""
         if level + 1 >= len(self.levels):
             return
         sources = self.levels[level] + self.levels[level + 1]
@@ -330,7 +335,7 @@ class LsmDataStore:
             total_records += len(records)
             for key, value in records:
                 merged[key] = value
-        yield from self._charge_cpu(
+        yield self._cpu_event(
             MERGE_CYCLES_PER_RECORD * max(total_records, 1))
         self.stats.records_merged += total_records
         is_last_level = level + 1 == len(self.levels) - 1
@@ -345,7 +350,9 @@ class LsmDataStore:
             self._release(table.offset,
                           self._extent_sizes.get(table.table_id,
                                                  table.size_bytes))
-        self.levels[level] = []
+        merged_ids = {table.table_id for table in sources}
+        self.levels[level] = [table for table in self.levels[level]
+                              if table.table_id not in merged_ids]
         self.levels[level + 1] = []
         if output:
             size_estimate = sum(len(k) + (len(v) if v else 0) + 8
@@ -366,30 +373,32 @@ class LsmDataStore:
         if next_size > self._level_budget(level + 1) and not is_last_level:
             yield from self._compact_level(level + 1)
 
-    # -- interface parity with the other stores ------------------------------------------
+    # -- scan and maintenance -------------------------------------------------------------
 
-    def scan(self, predicate=None, batch_size: int = 32, visit=None):
-        """Generator: iterate live pairs (memtable + all levels)."""
+    def scan(self, predicate, visit):
+        """Generator: call ``visit(key, value)`` for every live pair
+        whose key passes ``predicate`` (None: every key), in key order,
+        once every run is read; see :meth:`LeedDataStore.scan`."""
         view: Dict[bytes, Optional[bytes]] = {}
         for level_tables in reversed(self.levels):
             for table in reversed(level_tables):
                 records = yield from table.scan_all()
                 for key, value in records:
                     view[key] = value
+        view.update(self.immutable)
         view.update(self.memtable)
-        pairs = [(k, v) for k, v in sorted(view.items()) if v is not None
-                 and (predicate is None or predicate(k))]
-        if visit is not None:
-            for start in range(0, len(pairs), batch_size):
-                yield from visit(pairs[start:start + batch_size])
-            return None
-        return pairs
+        for key, value in sorted(view.items()):
+            if value is None or (predicate is not None
+                                 and not predicate(key)):
+                continue
+            wait = visit(key, value)
+            if wait is not None:
+                yield wait
 
     def maintenance(self):
         """Generator: compact L0 when over its run limit."""
         if len(self.levels[0]) > self.config.l0_limit:
-            yield from self._compact_level(0)
-            return 1
+            return (yield from self._compact())
         return 0
 
     def __repr__(self):

@@ -38,8 +38,7 @@ def _build_lsm(value_size: int, seed: int):
     store = LsmDataStore(sim, ssd, LsmConfig(
         region_bytes=192 << 20,
         memtable_bytes=32 << 10,
-        l1_bytes=256 << 10))
-    store.core = core
+        l1_bytes=256 << 10), core=core)
     from repro.bench.harness import SingleStore
     return SingleStore(sim, store, ssd, core)
 
@@ -64,7 +63,6 @@ def run(scale: str = QUICK, value_size: int = 256) -> ExperimentResult:
                     compactor.maintenance(), name="ablation.maint")
             else:
                 single = _build_lsm(value_size, seed=9)
-                single.store.core = single.core
                 single.store.on_pressure = Trigger(
                     single.sim, lambda store: store.maintenance(),
                     name="ablation.lsm.maint")

@@ -9,6 +9,12 @@ only ~10 µs of latency (Fig. 11).
 
 The store's design trades I/O bandwidth for DRAM (principle P1): the
 only per-object memory cost is amortized across a whole segment.
+
+This module also holds the contract every store keeps — LEED's and
+the baselines' (FAWN, KVell, the LSM) alike: each command returns an
+:class:`OpResult` booked by :meth:`OpStats.book`, CPU work is charged
+through :func:`cpu_charge`, and ``scan(predicate, visit)`` hands every
+live pair to ``visit(key, value)`` inside the dispatch of its read.
 """
 
 from __future__ import annotations
@@ -87,15 +93,60 @@ class StoreConfig:
         return self.key_log_bytes + self.value_log_bytes
 
 
+def cpu_charge(sim: Simulator, core: Optional[Core]):
+    """The CPU charge of a store on ``core``: a function from
+    ``cycles`` to the event that fires when that work ends — a slice
+    of the bound core (:meth:`Core.execute_event`), or a plain 3 GHz
+    delay when there is none.  Stores take it when they are built (a
+    core bound later is not charged) and keep it as ``_cpu_event``."""
+    if core is not None:
+        return core.execute_event
+    return lambda cycles: sim.timeout(cycles / 3.0e3)
+
+
 @dataclass
-class StoreStats:
-    """Cumulative per-store statistics."""
+class OpStats:
+    """The counters every store keeps: commands by kind, GET outcomes,
+    and the time its commands spent on the device, on the CPU and in
+    total per kind."""
 
     gets: int = 0
     puts: int = 0
     dels: int = 0
     hits: int = 0
     misses: int = 0
+    ssd_time_us: float = 0.0
+    cpu_time_us: float = 0.0
+    op_latency_us: Dict[str, float] = field(default_factory=lambda: {
+        "get": 0.0, "put": 0.0, "del": 0.0})
+
+    def book(self, op: str, result: OpResult, start: float, end: float,
+             ssd_us: float, accesses: int) -> OpResult:
+        """Finish one ``op`` ("get", "put" or "del") that ran from
+        ``start`` to ``end`` with ``ssd_us`` of it on the device and
+        ``accesses`` NVMe accesses: fill ``result``'s breakdown (the
+        rest of the time is CPU) and add it to the totals; a GET also
+        counts as a hit or a miss.  Refused commands are booked too.
+        Returns ``result``."""
+        result.total_us = total_us = end - start
+        result.ssd_us = ssd_us
+        result.cpu_us = cpu_us = total_us - ssd_us
+        result.nvme_accesses = accesses
+        self.ssd_time_us += ssd_us
+        self.cpu_time_us += cpu_us
+        self.op_latency_us[op] += total_us
+        if op == "get":
+            if result.status == OK:
+                self.hits += 1
+            else:
+                self.misses += 1
+        return result
+
+
+@dataclass
+class StoreStats(OpStats):
+    """Cumulative per-store statistics."""
+
     get_retries: int = 0
     key_log_garbage_bytes: int = 0
     value_garbage_bytes: int = 0
@@ -103,10 +154,6 @@ class StoreStats:
     #: full; the next write that finds the log past its watermark
     #: starts another.
     compaction_aborted: int = 0
-    ssd_time_us: float = 0.0
-    cpu_time_us: float = 0.0
-    op_latency_us: Dict[str, float] = field(default_factory=lambda: {
-        "get": 0.0, "put": 0.0, "del": 0.0})
 
 
 #: Signature for swap-aware value placement: (store, key, value) ->
@@ -132,10 +179,7 @@ class LeedDataStore:
         #: tag used by swap merge-back.
         self.store_id = store_id
         self.core = core
-        #: Completion event of ``cycles`` of CPU work: a slice of the
-        #: bound core, or a plain 3 GHz delay when there is none.
-        self._cpu_event = (core.execute_event if core is not None
-                           else self._unbound_cpu_event)
+        self._cpu_event = cpu_charge(sim, core)
         block = ssd.block_size
         if config.key_log_bytes % block or config.value_log_bytes % block:
             raise ValueError("log sizes must be multiples of the %dB block"
@@ -196,10 +240,6 @@ class LeedDataStore:
 
     def _value_log_for(self, holder_store_id: int) -> CircularLog:
         return self.peer_value_logs[holder_store_id]
-
-    def _unbound_cpu_event(self, cycles: int):
-        """``_cpu_event`` of a store without a bound core."""
-        return self.sim.timeout(cycles / 3.0e3)  # 3 GHz default
 
     def _read_segment(self, offset: int, chain_len: int, trace=None):
         """Generator: read a segment from the key log; returns its
@@ -406,19 +446,7 @@ class LeedDataStore:
             break
         if result is None:
             result = OpResult(NOT_FOUND)
-
-        if result.status == OK:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-        result.total_us = total_us = at - start
-        result.ssd_us = ssd_us
-        result.cpu_us = cpu_us = total_us - ssd_us
-        result.nvme_accesses = accesses
-        stats.ssd_time_us += ssd_us
-        stats.cpu_time_us += cpu_us
-        stats.op_latency_us["get"] += total_us
-        return result, at
+        return stats.book("get", result, start, at, ssd_us, accesses), at
 
     def put(self, key: bytes, value: bytes, trace=None):
         """Generator: PUT — 3 NVMe accesses, first two overlapped.
@@ -444,9 +472,9 @@ class LeedDataStore:
         overlapped with the key-segment read → ``bucket_update`` →
         upsert / tombstone → segment append; every yield is a CPU
         slice or a device completion (plus a held lock bit, or a value
-        write slower than the read).  Reference clock only.  All
-        statistics are recorded in the one finish block, once the
-        outcome is known: a refused write leaves accounting untouched.
+        write slower than the read).  Reference clock only.  The
+        outcome is booked once it is known (:meth:`OpStats.book`); a
+        refused write changes no live-object count.
         Before any of it the write checks for compaction pressure
         (:meth:`needs_maintenance`), also when it is then refused.
         """
@@ -551,61 +579,46 @@ class LeedDataStore:
             # Refused after the value entry was committed: nothing
             # points at it, so it is garbage from birth.
             stats.value_garbage_bytes += nbytes
-        result = OpResult(status)
-        result.total_us = sim.now - start
-        result.ssd_us = ssd_us
-        result.cpu_us = result.total_us - ssd_us
-        result.nvme_accesses = accesses
-        stats.ssd_time_us += ssd_us
-        stats.cpu_time_us += result.cpu_us
-        stats.op_latency_us["del" if value is None else "put"] += (
-            result.total_us)
-        return result
+        return stats.book("del" if value is None else "put", OpResult(status),
+                          start, sim.now, ssd_us, accesses)
 
     # -- scans (COPY primitive substrate, §3.8) -----------------------------------------
 
-    def scan(self, predicate=None, batch_size: int = 32, visit=None,
-             stamp=None):
-        """Generator: iterate live (key, value) pairs via real SSD reads.
+    def scan(self, predicate, visit):
+        """Generator: call ``visit(key, value)`` for every live pair
+        whose key passes ``predicate`` (None: every key), read through
+        real SSD reads.
 
-        Each segment is locked while its items are copied out, making
+        Each segment is locked while its items are read out, making
         the scan mutually exclusive with PUT/DEL on that segment —
-        exactly the COPY semantics of §3.8.  ``predicate(key)`` filters
-        keys; ``visit(batch)`` (when given) receives lists of pairs as
-        they are produced, otherwise all pairs are returned at the end.
-
-        ``stamp(key)``, when given, is evaluated in the same event as
-        the value read and batch items become ``(key, value, stamp)``
-        triples.  COPY uses this to version each pair *at read time*:
-        a pair can sit in the outgoing batch buffer while the key takes
-        a newer write (which the migration mirror forwards separately),
-        and only a read-time stamp lets the destination tell the
-        buffered snapshot is stale.
+        exactly the COPY semantics of §3.8.  ``visit`` runs inside the
+        dispatch of the pair's value read, so what it records with the
+        pair (COPY's migration stamp) is versioned at read time; when
+        it returns an event, the scan waits for it before reading on.
         """
-        collected = []
-        batch = []
-        for seg_id in list(self.segtbl.existing_segments()):
+        segtbl = self.segtbl
+        for seg_id in list(segtbl.existing_segments()):
             # Through the lock event even when the bit is free: a PUT
             # the previous segment's unlock just woke submits its
             # device accesses before the scan's next read.
-            yield self.segtbl.lock(seg_id)
+            yield segtbl.lock(seg_id)
             try:
-                location = self.segtbl.location(seg_id)
+                location = segtbl.location(seg_id)
                 if location is None:
                     continue
                 segment = yield from self._read_segment(*location)
                 for item in segment.live_items():
-                    if predicate is not None and not predicate(item.key):
+                    key = item.key
+                    if predicate is not None and not predicate(key):
                         continue
                     voffset = item.voffset
-                    entry_size = value_entry_size(len(item.key), item.vlen)
+                    entry_size = value_entry_size(len(key), item.vlen)
                     value_log = self._value_log_for(item.ssd_id)
                     try:
                         head = yield value_log.charge_read(voffset,
                                                            entry_size)
                     except LogRangeError:
                         continue
-                    key = item.key
                     value = item.value
                     if value is None or not value_log.contains(voffset,
                                                                entry_size):
@@ -614,21 +627,11 @@ class LeedDataStore:
                                 voffset, entry_size, head)))
                         if stored_key != key:
                             continue
-                    if stamp is None:
-                        batch.append((key, value))
-                    else:
-                        batch.append((key, value, stamp(key)))
-                    if visit is not None and len(batch) >= batch_size:
-                        yield from visit(batch)
-                        batch = []
+                    wait = visit(key, value)
+                    if wait is not None:
+                        yield wait
             finally:
-                self.segtbl.unlock(seg_id)
-        if visit is not None:
-            if batch:
-                yield from visit(batch)
-            return None
-        collected.extend(batch)
-        return collected
+                segtbl.unlock(seg_id)
 
     # -- occupancy & maintenance signals ----------------------------------------------
 

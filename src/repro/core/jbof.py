@@ -541,31 +541,45 @@ class JBOFNode:
                  dst_address: str, predicate=None, batch_size: int = 16):
         """Generator: stream the vnode's (filtered) contents to ``dst``.
 
-        Segments are locked while being copied (COPY is mutually
-        exclusive with PUT/DEL); pairs are shipped in batches that the
-        destination applies through its engine as PUTs.
+        The store's scan hands over each live pair inside the dispatch
+        that read it, so its migration stamp is the key's at read time:
+        a pair can sit in the outgoing batch while the key takes a
+        newer write (which the migration mirror forwards separately),
+        and only a read-time stamp lets the destination tell the
+        buffered snapshot is stale.  A full batch ships from inside the
+        scan — on LEED still holding the segment lock, so COPY is
+        mutually exclusive with PUT/DEL there — and the destination
+        applies it through its engine as PUTs.  Returns the pairs sent.
         """
         runtime = self.vnodes.get(src_vnode_id)
         if runtime is None:
             return 0
-        sent = [0]
+        pairs = []
+        versions = []
+        sent = 0
 
-        def ship(batch):
-            payload = CopyBatch(src_vnode_id, dst_vnode_id,
-                                pairs=[(k, v) for k, v, _ in batch],
-                                versions=[s for _, _, s in batch])
-            sent[0] += len(batch)
-            runtime.stats.copies_out += len(batch)
-            yield self.rpc.call(dst_address, "copy_batch", payload,
-                                payload.wire_bytes(), timeout_us=5e6)
+        def ship():
+            nonlocal pairs, versions, sent
+            payload = CopyBatch(src_vnode_id, dst_vnode_id, pairs=pairs,
+                                versions=versions)
+            sent += len(pairs)
+            runtime.stats.copies_out += len(pairs)
+            pairs, versions = [], []
+            return self.rpc.call(dst_address, "copy_batch", payload,
+                                 payload.wire_bytes(), timeout_us=5e6)
 
-        yield from runtime.store.scan(
-            predicate=predicate, batch_size=batch_size, visit=ship,
-            stamp=lambda key: self.policy.migration_stamp(runtime, key))
+        def visit(key, value):
+            pairs.append((key, value))
+            versions.append(self.policy.migration_stamp(runtime, key))
+            return ship() if len(pairs) >= batch_size else None
+
+        yield from runtime.store.scan(predicate, visit)
+        if pairs:
+            yield ship()
         finale = CopyBatch(src_vnode_id, dst_vnode_id, pairs=[], done=True)
         yield self.rpc.call(dst_address, "copy_batch", finale,
                             finale.wire_bytes(), timeout_us=5e6)
-        return sent[0]
+        return sent
 
     def _migration_apply_fresh(self, runtime: VNodeRuntime, key: bytes,
                                version) -> bool:

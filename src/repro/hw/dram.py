@@ -10,7 +10,7 @@ modeled capacity is exhausted.  This is what limits FAWN-JBOF to
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 
 class OutOfMemoryError(Exception):
@@ -75,3 +75,33 @@ class Dram:
     def __repr__(self):
         return "<Dram %s %d/%d bytes used>" % (
             self.name, self.used_bytes, self.capacity_bytes)
+
+
+class IndexBudget:
+    """The DRAM an in-memory index holds: ``bytes_per_object`` for each
+    object it indexes, reserved under one label of the node's
+    :class:`Dram` (none: unlimited).  FAWN's hash index and KVell's
+    B-tree keep one each; a store refuses a new key with STORE_FULL
+    when :meth:`take` finds no room for it."""
+
+    def __init__(self, dram: Optional[Dram], label: str,
+                 bytes_per_object: int):
+        self.dram = dram
+        self.label = label
+        self.bytes_per_object = bytes_per_object
+
+    def take(self) -> bool:
+        """Reserve one more object's bytes; False when out of memory."""
+        if self.dram is not None:
+            try:
+                self.dram.reserve(self.label, self.bytes_per_object)
+            except OutOfMemoryError:
+                return False
+        return True
+
+    def give_back(self) -> None:
+        """Release one object's bytes."""
+        if self.dram is not None:
+            current = self.dram.reservation(self.label)
+            self.dram.resize(self.label,
+                             max(current - self.bytes_per_object, 0))

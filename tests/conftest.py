@@ -61,6 +61,17 @@ def drive(sim: Simulator, generator, name="test"):
     return sim.run(until=process)
 
 
+def scan_pairs(store, predicate=None):
+    """Generator: every pair ``store.scan`` visits, as a dict."""
+    pairs = {}
+
+    def visit(key, value):
+        pairs[key] = value
+
+    yield from store.scan(predicate, visit)
+    return pairs
+
+
 def warm_cluster(sample_every_us: float = 0.0):
     """A started two-node LEED cluster after 25 PUTs, 25 GETs and 1 ms
     of quiet.  Its metrics registry reads the energy gauge the scenario

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from repro.baselines.kvell.btree import BTree
 from repro.baselines.kvell.datastore import (
     KVELL_DRAM_BYTES_PER_OBJECT,
+    PAGE_CACHE_BYTES,
     KVellConfig,
     KVellDataStore,
 )
+from repro.hw.dram import Dram
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.rng import RngRegistry
 
-from conftest import drive
+from conftest import drive, scan_pairs
 
 
 class TestBTree:
@@ -101,13 +103,13 @@ class TestBTree:
         assert [k for k, _ in tree.items()] == sorted(pairs)
 
 
-def make_store(sim, **config_kwargs):
+def make_store(sim, dram=None, **config_kwargs):
     defaults = dict(slab_bytes=1 << 20, slot_bytes=512, batch_window_us=0.0,
                     page_cache_slots=4)
     defaults.update(config_kwargs)
     ssd = NVMeSSD(sim, SSDProfile(capacity_bytes=16 << 20, block_size=512,
                                   jitter=0.0), rng=RngRegistry(4))
-    return KVellDataStore(sim, ssd, KVellConfig(**defaults))
+    return KVellDataStore(sim, ssd, KVellConfig(**defaults), dram=dram)
 
 
 class TestKVellStore:
@@ -202,8 +204,8 @@ class TestKVellStore:
         assert drive(sim, proc()) == "store_full"
 
     def test_index_budget(self, sim):
-        store = make_store(
-            sim, index_budget_bytes=5 * KVELL_DRAM_BYTES_PER_OBJECT)
+        store = make_store(sim, dram=Dram(
+            PAGE_CACHE_BYTES + 5 * KVELL_DRAM_BYTES_PER_OBJECT))
 
         def proc():
             statuses = []
@@ -245,7 +247,7 @@ class TestKVellStore:
             yield from store.put(b"a", b"1")
             yield from store.put(b"b", b"2")
             yield from store.delete(b"a")
-            return dict((yield from store.scan()))
+            return (yield from scan_pairs(store))
 
         assert drive(sim, proc()) == {b"b": b"2"}
 

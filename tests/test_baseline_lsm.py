@@ -13,7 +13,7 @@ from repro.core.compaction import Trigger
 from repro.hw.ssd import NVMeSSD, SSDProfile
 from repro.sim.rng import RngRegistry
 
-from conftest import drive
+from conftest import drive, scan_pairs
 
 
 class TestBloomFilter:
@@ -180,8 +180,7 @@ class TestLsmStore:
                     yield from store.put(b"k%02d" % (index % 90),
                                          b"r%d-%02d" % (round_index, index))
             assert store.stats.compactions > 0
-            pairs = dict((yield from store.scan()))
-            return pairs
+            return (yield from scan_pairs(store))
 
         pairs = drive(sim, proc())
         assert pairs  # data survived the merge cascade
@@ -230,6 +229,89 @@ class TestLsmStore:
         assert store.stats.compactions == merges + 1
         assert not store.levels[0]
 
+    def test_writes_landing_mid_flush_or_merge_survive(self, sim):
+        """Every acked PUT of four concurrent writers reads back: writes
+        landing while the memtable flushes go to a fresh memtable, and
+        a merge kicked by a write keeps the runs flushed meanwhile."""
+        store = make_store(sim)
+        store.on_pressure = Trigger(sim, lambda lsm: lsm.maintenance())
+        acked = {}
+
+        def writer(offset):
+            for index in range(150):
+                key = b"w%d-%04d" % (offset, index)
+                result = yield from store.put(key, b"v%d" % index)
+                if result.ok:
+                    acked[key] = b"v%d" % index
+
+        def read_back():
+            lost = []
+            for key, value in sorted(acked.items()):
+                got = yield from store.get(key)
+                if got.value != value:
+                    lost.append(key)
+            return lost
+
+        sim.run(until=sim.all_of([sim.process(writer(offset))
+                                  for offset in range(4)]))
+        sim.run()
+        assert len(acked) == 600
+        assert store.stats.flushes > 1 and store.stats.compactions > 0
+        assert drive(sim, read_back()) == []
+        assert drive(sim, scan_pairs(store)) == acked
+
+    def test_a_merge_keeps_runs_flushed_while_it_runs(self, sim):
+        """A merge kicked by a write (L0 over its limit, no flush
+        running) replaces only the runs it read: a run that writers
+        flush meanwhile stays in L0, and the flush does not start a
+        second merge of the same runs."""
+        store = make_store(sim)
+        store.on_pressure = Trigger(sim, lambda lsm: lsm.maintenance())
+        merging = []
+        flushed_during = []
+        compact_level = store._compact_level
+
+        def tracked(level):
+            assert level not in merging  # one merge of a level at a time
+            merging.append(level)
+            flushes = store.stats.flushes
+            try:
+                yield from compact_level(level)
+            finally:
+                merging.remove(level)
+            if level == 0:
+                flushed_during.append(store.stats.flushes - flushes)
+
+        store._compact_level = tracked
+
+        def writer(prefix, count):
+            for index in range(count):
+                result = yield from store.put(b"%s-%04d" % (prefix, index),
+                                              b"v" * 32)
+                assert result.ok
+
+        drive(sim, writer(b"base", 400))
+        while len(store.levels[0]) < 2:
+            drive(sim, writer(b"fill%d" % len(store.levels[0]), 50))
+        store.config.l0_limit = 1
+        del flushed_during[:]
+        racers = [sim.process(writer(b"race%d" % offset, 40))
+                  for offset in range(8)]
+        sim.run(until=sim.all_of(racers))
+        sim.run()
+        assert any(flushed_during)
+
+        def read_back():
+            lost = []
+            for offset in range(8):
+                for index in range(40):
+                    key = b"race%d-%04d" % (offset, index)
+                    if not (yield from store.get(key)).ok:
+                        lost.append(key)
+            return lost
+
+        assert drive(sim, read_back()) == []
+
     def test_write_amplification_tracked(self, sim):
         store = make_store(sim)
 
@@ -268,7 +350,7 @@ class TestLsmStore:
                 else:
                     yield from store.delete(key)
                     shadow.pop(key, None)
-            pairs = dict((yield from store.scan()))
+            pairs = yield from scan_pairs(store)
             return pairs, shadow
 
         pairs, shadow = drive(sim, proc())

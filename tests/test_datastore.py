@@ -17,7 +17,7 @@ from repro.obs.spans import Tracer
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 
-from conftest import drive
+from conftest import drive, scan_pairs
 
 
 def make_store(sim, quiet=True, **config_kwargs):
@@ -208,8 +208,7 @@ class TestScan:
             yield from store.put(b"b", b"2")
             yield from store.put(b"c", b"3")
             yield from store.delete(b"b")
-            pairs = yield from store.scan()
-            return dict(pairs)
+            return (yield from scan_pairs(store))
 
         assert drive(sim, proc()) == {b"a": b"1", b"c": b"3"}
 
@@ -219,28 +218,33 @@ class TestScan:
         def proc():
             for index in range(10):
                 yield from store.put(b"k%d" % index, b"v%d" % index)
-            pairs = yield from store.scan(
-                predicate=lambda key: key.endswith(b"3"))
-            return dict(pairs)
+            return (yield from scan_pairs(
+                store, predicate=lambda key: key.endswith(b"3")))
 
         assert drive(sim, proc()) == {b"k3": b"v3"}
 
-    def test_scan_streams_batches(self, sim):
+    def test_scan_waits_for_the_event_visit_returns(self, sim):
+        """``visit`` runs in the dispatch of its pair's read; the event
+        it returns holds the scan (and the segment lock) until it
+        fires."""
         store = make_store(sim)
-        batches = []
+        visits = []
 
-        def visit(batch):
-            batches.append(list(batch))
-            yield sim.timeout(0)
+        def visit(key, value):
+            visits.append((key, sim.now))
+            return sim.timeout(100.0)
 
         def proc():
             for index in range(7):
                 yield from store.put(b"k%d" % index, b"v")
-            yield from store.scan(batch_size=3, visit=visit)
+            yield from store.scan(None, visit)
 
         drive(sim, proc())
-        assert sum(len(b) for b in batches) == 7
-        assert all(len(b) <= 3 for b in batches[:-1])
+        assert sorted(key for key, _at in visits) == [
+            b"k%d" % index for index in range(7)]
+        times = [at for _key, at in visits]
+        assert all(later - earlier >= 100.0
+                   for earlier, later in zip(times, times[1:]))
 
 
 class TestConcurrency:

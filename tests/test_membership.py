@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines import make_cluster as make_system_cluster
+from repro.baselines.fawn.datastore import FawnConfig
+from repro.baselines.kvell.datastore import KVellConfig
 from repro.core.cluster import ClusterConfig, LeedCluster
 from repro.core.datastore import StoreConfig
 from repro.core.hashring import HashRing, VNode
@@ -14,7 +17,26 @@ from repro.scenarios.injectors import ACTIONS
 from conftest import drive
 
 
-def make_cluster(num_jbofs=3, replication=2, heartbeat_timeout_us=20_000.0):
+#: The stores a cluster can run, for the tests that hold on each.
+SYSTEMS = ("leed", "fawn", "kvell")
+
+
+def make_cluster(num_jbofs=3, replication=2, heartbeat_timeout_us=20_000.0,
+                 system="leed"):
+    """A started cluster of ``system``'s store: LEED's, or FAWN's or
+    KVell's on the same JBOFs (§4.2), each vnode with a small log."""
+    if system != "leed":
+        cluster = make_system_cluster(
+            system, platform="stingray", num_nodes=num_jbofs,
+            ssds_per_node=2, num_clients=1, replication=replication,
+            store_config={"fawn": FawnConfig(log_bytes=4 << 20),
+                          "kvell": KVellConfig(slab_bytes=4 << 20)}[system],
+            options=LeedOptions(heartbeat_period_us=2_000.0,
+                                enable_swap=False),
+            heartbeat_timeout_us=heartbeat_timeout_us, vnodes_per_ssd=1,
+            seed=3)
+        cluster.start()
+        return cluster
     config = ClusterConfig(
         num_jbofs=num_jbofs, ssds_per_jbof=2, num_clients=1,
         replication=replication,
@@ -131,8 +153,9 @@ class TestJoin:
 
 
 class TestLeave:
-    def test_leave_preserves_data(self):
-        cluster = make_cluster()
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_leave_preserves_data(self, system):
+        cluster = make_cluster(system=system)
         sim = cluster.sim
         load_keys(cluster, 60)
         victim = list(cluster.jbofs[2].vnodes)[0]
@@ -173,10 +196,11 @@ class TestFailure:
         assert all(dead.address != v.jbof_address
                    for v in ring.vnodes.values())
 
-    def test_data_survives_single_failure(self):
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_data_survives_single_failure(self, system):
         """R=2: every key has a surviving replica after one JBOF dies;
         reads keep working after re-replication."""
-        cluster = make_cluster(heartbeat_timeout_us=15_000.0)
+        cluster = make_cluster(heartbeat_timeout_us=15_000.0, system=system)
         sim = cluster.sim
         load_keys(cluster, 50)
         cluster.jbofs[1].crash()

@@ -172,7 +172,10 @@ class World:
             return (yield from compactor.compact(compactor.store.value_log,
                                                  0.0))
         if kind == "scan":
-            return (yield from home.scan(stamp=lambda _key: self.sim.now))
+            pairs = []
+            yield from home.scan(None, lambda key, value: pairs.append(
+                (key, value, self.sim.now)))
+            return pairs
         assert kind == "swap"
         home.value_router = (LeedDataStore._home_value_router
                              if home.value_router == self._swapped
