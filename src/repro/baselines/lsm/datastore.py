@@ -7,7 +7,8 @@ into the next level — the CPU-hungry sorting phase, charged per
 record merged, plus the write amplification of rewriting every level.
 
 A full memtable is frozen as the *immutable* memtable while it
-flushes, and writes go on into a fresh one; reads check memtable →
+flushes, and writes go on into a fresh one until that one is full too
+(then they stall until the flush ends); reads check memtable →
 immutable memtable → L0 runs (newest first) → one run per deeper
 level, with Bloom filters skipping most tables.  One merge runs at a
 time, and it replaces only the runs it read.
@@ -126,6 +127,9 @@ class LsmDataStore:
         #: per write once the memtable has flushed; scans give truth).
         self.live_objects = 0
         self._flushing = False
+        #: Succeeds when the flush in flight (and the merge it runs)
+        #: ends: a write that finds both memtables full waits for it.
+        self._flushed = None
         self._compacting = False
         #: Called with this store by a write that finds L0 over its
         #: run limit and no flush merging it (see
@@ -197,6 +201,9 @@ class LsmDataStore:
         self._wal_cursor += record_bytes
         self.stats.device_bytes_written += self.block_size
 
+        while (self._flushing
+               and self.memtable_bytes >= self.config.memtable_bytes):
+            yield self._flushed
         existed = key in self.memtable and self.memtable[key] is not None
         self.memtable[key] = value
         self.memtable_bytes += record_bytes
@@ -266,10 +273,12 @@ class LsmDataStore:
 
         The memtable is frozen as :attr:`immutable` before the first
         yield, so writes landing mid-flush go to a fresh memtable (and
-        trigger the next flush); when the region has no room for the
-        run, the frozen records go back under the newer ones and the
-        MemoryError propagates."""
+        trigger the next flush) until it is full: then they stall until
+        this flush ends.  When the region has no room for the run, the
+        frozen records go back under the newer ones and the MemoryError
+        propagates."""
         self._flushing = True
+        self._flushed = self.sim.event()
         try:
             records = sorted(self.memtable.items())
             self.immutable, self.memtable = self.memtable, {}
@@ -304,6 +313,7 @@ class LsmDataStore:
                 yield from self._compact()
         finally:
             self._flushing = False
+            self._flushed.succeed()
 
     def _compact(self):
         """Generator: merge L0 down (cascading), unless a merge is

@@ -93,9 +93,7 @@ def _recovery(protocol: str, scale: str) -> dict:
         yield sim.timeout(phase_us)
         host = cluster.jbofs[0]
         new_vnode_id = host.address + "/pjoin"
-        runtime = host._make_vnode(new_vnode_id, host.ssds[-1],
-                                   len(host.ssds) - 1, 1, 100)
-        host.install_vnode(runtime)
+        host.add_vnode(new_vnode_id, len(host.ssds) - 1, 1, 100)
         joining = sim.process(
             cluster.control_plane.join_vnode(new_vnode_id, host.address),
             name="ablation.join")

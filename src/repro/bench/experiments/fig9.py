@@ -65,10 +65,7 @@ def run(scale: str = QUICK) -> ExperimentResult:
             # Join: a new virtual node on an existing JBOF.
             host = cluster.jbofs[0]
             new_vnode_id = host.address + "/pjoin"
-            runtime = host._make_vnode(new_vnode_id, host.ssds[-1],
-                                       len(host.ssds) - 1,
-                                       1, 100)
-            host.install_vnode(runtime)
+            host.add_vnode(new_vnode_id, len(host.ssds) - 1, 1, 100)
             yield from cluster.control_plane.join_vnode(new_vnode_id,
                                                         host.address)
             yield sim.timeout(phase_us)

@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import cycle
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.compaction import Compactor, Trigger
 from repro.core.datastore import LeedDataStore, OpResult, StoreConfig
@@ -157,10 +157,14 @@ class VNodeRuntime:
         #: retire on acknowledgment (see :mod:`repro.core.wal`).
         self.wal = WriteAheadLog(vnode_id)
         #: Highest migration stamp applied per key while this vnode is
-        #: a COPY/mirror destination (see CopyBatch.versions): stale
-        #: scan snapshots arriving after a newer mirrored write are
-        #: refused instead of rolling the key back.
-        self.migration_stamps: Dict[bytes, object] = {}
+        #: a COPY/mirror destination (see CopyBatch.versions), with the
+        #: source vnode when a mirror brought it: stale scan snapshots
+        #: arriving after a newer mirrored write are refused instead of
+        #: rolling the key back.
+        self.migration_stamps: Dict[bytes, tuple] = {}
+        #: ``(ssd_index, slot, store_id)`` it was built with
+        #: (:meth:`JBOFNode.add_vnode`); a rebuild reuses them.
+        self.placement: Optional[Tuple[int, int, int]] = None
         self.stats = VNodeStats()
 
     def mark_dirty(self, key: bytes) -> None:
@@ -256,10 +260,10 @@ class JBOFNode:
         #: Whether the heartbeat loop is live — :meth:`recover`
         #: respawns it if it exited while the node was down.
         self._heartbeat_running = False
-        #: Active migration mirrors: src vnode -> list of
-        #: {"arcs", "dst_vnode", "dst_address"}.  While a COPY is in
-        #: flight, writes committed here in those arcs are also shipped
-        #: to the destination so the migrated range stays consistent.
+        #: Active migration mirrors: src vnode -> the ``do_copy`` bodies
+        #: that started them (no empty lists).  From ``do_copy`` until
+        #: the ring push that ends the migration, writes committed here
+        #: in a mirror's arcs are also shipped to its destination.
         self._mirrors: Dict[str, List[dict]] = {}
         #: Crash-recovery WAL replay report (None until a recover()
         #: found journaled intents to replay).
@@ -274,8 +278,6 @@ class JBOFNode:
         self.rpc.register("copy_batch", self._handle_copy_batch)
         self.rpc.register("copy_mirror", self._handle_copy_mirror)
         self.rpc.register("do_copy", self._handle_do_copy)
-        self.rpc.register("mirror_begin", self._handle_mirror_begin)
-        self.rpc.register("mirror_end", self._handle_mirror_end)
         self.rpc.register("node_stop", self._handle_node_stop)
         self.rpc.register("membership", self._handle_membership)
         self.rpc.register("vnode_retire", self._handle_vnode_retire)
@@ -286,15 +288,25 @@ class JBOFNode:
     def _build_vnodes(self, num_ssds: int, vnodes_per_ssd: int) -> None:
         store_id = 0
         all_stores: List[object] = []
-        for ssd_index, ssd in enumerate(self.ssds):
+        for ssd_index in range(num_ssds):
             for slot in range(vnodes_per_ssd):
-                vnode_id = "%s/p%d" % (self.address, store_id)
-                runtime = self._make_vnode(vnode_id, ssd, ssd_index, slot,
-                                           store_id)
-                self.install_vnode(runtime)
+                runtime = self.add_vnode("%s/p%d" % (self.address, store_id),
+                                         ssd_index, slot, store_id)
                 all_stores.append(runtime.store)
                 store_id += 1
         self._cross_register(all_stores)
+
+    def add_vnode(self, vnode_id: str, ssd_index: int, slot: int,
+                  store_id: int) -> VNodeRuntime:
+        """Build a vnode in region ``slot`` of SSD ``ssd_index`` and host
+        it (:meth:`install_vnode`); returns its runtime.  Its store is
+        not cross-registered with its co-located peers, so swapped
+        values never land there."""
+        runtime = self._make_vnode(vnode_id, self.ssds[ssd_index], ssd_index,
+                                   slot, store_id)
+        runtime.placement = (ssd_index, slot, store_id)
+        self.install_vnode(runtime)
+        return runtime
 
     def install_vnode(self, runtime: VNodeRuntime) -> None:
         """Host ``runtime`` under its vnode id, replacing the runtime
@@ -582,35 +594,46 @@ class JBOFNode:
         return sent
 
     def _migration_apply_fresh(self, runtime: VNodeRuntime, key: bytes,
-                               version) -> bool:
-        """Admit one migration pair (COPY batch or mirror forward).
+                               version, source: Optional[str] = None,
+                               scanned: bool = False) -> bool:
+        """Admit one migration pair (COPY batch or mirror forward) from
+        vnode ``source``.
 
         Keeps the per-key high-water stamp and refuses pairs below it:
         a scan snapshot buffered across a newer committed write (which
-        the mirror already forwarded) must not roll the key back.
-        Unversioned pairs apply unconditionally (arrival order), the
-        pre-stamp behavior.
+        the mirror already forwarded) must not roll the key back.  A
+        ``scanned`` pair is refused at the stamp of a mirror from the
+        same source too: a chain tail stamps a write before it
+        executes, so a scan can read the old value under the new stamp,
+        and the mirror of that write carries the value the stamp stands
+        for.  Unversioned pairs apply unconditionally (arrival order),
+        the pre-stamp behavior.
         """
         if version is None:
             return True
         prev = runtime.migration_stamps.get(key)
-        if prev is not None and version < prev:
+        if prev is not None and (version < prev[0]
+                                 or scanned and prev == (version, source)):
             runtime.stats.copies_stale += 1
             return False
-        runtime.migration_stamps[key] = version
+        runtime.migration_stamps[key] = (version, None if scanned else source)
         return True
 
-    def _apply_pairs(self, runtime: VNodeRuntime, batch: CopyBatch):
-        """Generator: PUT a batch's fresh pairs through the engine;
-        returns how many were applied."""
+    def _apply_pairs(self, runtime: VNodeRuntime, batch: CopyBatch,
+                     scanned: bool):
+        """Generator: PUT a batch's fresh pairs through the engine (DEL
+        a tombstone's); returns how many were applied.  ``scanned``:
+        the pairs come from a COPY scan, not a mirror."""
         applied = 0
         versions = batch.versions or [None] * len(batch.pairs)
         for (key, value), version in zip(batch.pairs, versions):
-            if not self._migration_apply_fresh(runtime, key, version):
+            if not self._migration_apply_fresh(runtime, key, version,
+                                               batch.src_vnode, scanned):
                 continue
+            op = "put" if value is not None else "del"
             result = yield from runtime.engine.execute(
-                KVCommand("put", key, value, tenant="__copy__"))
-            if result.ok:
+                KVCommand(op, key, value, tenant="__copy__"))
+            if result.ok or result.status == STATUS_NOT_FOUND:
                 applied += 1
                 if version is not None:
                     self.policy.on_migrated(runtime, key, version)
@@ -620,42 +643,18 @@ class JBOFNode:
         runtime = self.vnodes.get(batch.dst_vnode)
         if runtime is None:
             return KVReply(STATUS_NACK), 16
-        runtime.stats.copies_in += yield from self._apply_pairs(runtime, batch)
+        runtime.stats.copies_in += yield from self._apply_pairs(
+            runtime, batch, scanned=True)
         reply = KVReply(STATUS_OK, tokens=runtime.engine.allocation_for(
             "__copy__"))
         return reply, reply.wire_bytes()
 
     # -- migration write mirroring --------------------------------------------------------------
 
-    def begin_mirror(self, src_vnode: str, arcs, dst_vnode: str,
-                     dst_address: str) -> None:
-        """Start mirroring committed writes of ``arcs`` to ``dst``."""
-        self._mirrors.setdefault(src_vnode, []).append(
-            {"arcs": list(arcs), "dst_vnode": dst_vnode,
-             "dst_address": dst_address})
-
-    def end_mirror(self, src_vnode: str, dst_vnode: str) -> None:
-        """Stop mirroring a finished migration's writes."""
-        mirrors = self._mirrors.get(src_vnode, [])
-        self._mirrors[src_vnode] = [m for m in mirrors
-                                    if m["dst_vnode"] != dst_vnode]
-
-    def _handle_mirror_begin(self, src: str, body: dict):
-        """RPC entry point for control-plane mirror setup (precedes
-        ``do_copy`` on the same connection, so FIFO delivery makes the
-        mirror active before the COPY scan starts)."""
-        self.begin_mirror(body["src_vnode"], body["arcs"],
-                          body["dst_vnode"], body["dst_address"])
-        return None
-
-    def _handle_mirror_end(self, src: str, body: dict):
-        """RPC entry point for control-plane mirror teardown."""
-        self.end_mirror(body["src_vnode"], body["dst_vnode"])
-        return None
-
-    def _mirror_write(self, vnode_id: str, key: bytes, value: bytes,
-                      version=None) -> None:
-        """Forward one committed write to active migration mirrors.
+    def _mirror_write(self, vnode_id: str, key: bytes,
+                      value: Optional[bytes], version=None) -> None:
+        """Forward one committed write to active migration mirrors; a
+        DEL (``value`` None) travels as a tombstone pair.
 
         ``version`` is the write's own commit stamp (chain version int,
         ABD timestamp) — captured by the caller at its commitment
@@ -673,19 +672,36 @@ class JBOFNode:
                 self.rpc.notify(mirror["dst_address"], "copy_mirror",
                                 payload, payload.wire_bytes())
 
+    def _retire_mirrors(self, update: MembershipUpdate) -> None:
+        """Drop the mirrors whose migration ``update`` ends: it is newer
+        than the ring version their COPY was planned at and does not
+        list their (source, destination) pair in flight."""
+        version, live = update.ring_version, update.migrations
+        for src_vnode, mirrors in list(self._mirrors.items()):
+            kept = [mirror for mirror in mirrors
+                    if mirror["ring_version"] >= version
+                    or (src_vnode, mirror["dst_vnode"]) in live]
+            if kept:
+                self._mirrors[src_vnode] = kept
+            else:
+                del self._mirrors[src_vnode]
+
     def _handle_copy_mirror(self, src: str, batch: CopyBatch):
         runtime = self.vnodes.get(batch.dst_vnode)
         if runtime is not None:
-            yield from self._apply_pairs(runtime, batch)
+            yield from self._apply_pairs(runtime, batch, scanned=False)
         return None
 
     def _handle_do_copy(self, src: str, body: dict):
         """RPC entry point for control-plane-initiated COPY.
 
-        ``body`` carries src/dst vnode ids, the destination address and
-        the ring arcs to migrate.
+        ``body`` carries src/dst vnode ids, the destination address,
+        the ring arcs to migrate and the ring version the control plane
+        planned the COPY at.  The mirror starts here, before the
+        scan's first read; :meth:`apply_membership` ends it.
         """
         arcs = body["arcs"]
+        self._mirrors.setdefault(body["src_vnode"], []).append(body)
         sent = yield from self.copy_out(
             body["src_vnode"], body["dst_vnode"], body["dst_address"],
             predicate=lambda key: in_arcs(ring_position(key), arcs))
@@ -699,11 +715,14 @@ class JBOFNode:
         return None
 
     def apply_membership(self, update: MembershipUpdate) -> None:
-        """Install the update's ring snapshot and vnode states."""
+        """Install the update's ring snapshot and vnode states, and end
+        the migration mirrors that ring ends."""
         if update.ring_version < self.local_ring.version:
             return
         previous = set(self.local_ring.vnodes)
         self.local_ring = update.ring
+        if self._mirrors:
+            self._retire_mirrors(update)
         for vnode_id, state in update.states:
             runtime = self.vnodes.get(vnode_id)
             if runtime is not None:
@@ -850,9 +869,16 @@ class JBOFNode:
         region; a sequential key-log scan (:func:`recover_store`)
         rebuilds each SegTbl, then :meth:`recover` heals the network
         and replays unacknowledged WAL intents.  Returns a report dict
-        with per-vnode scan results and aggregate timing.
+        with per-vnode scan results and aggregate timing.  Only LEED's
+        store has that scan: a node hosting another store kind raises
+        ``NotImplementedError`` naming it.
         """
         from repro.core.recovery import recover_store
+        for runtime in self.vnodes.values():
+            if not isinstance(runtime.store, LeedDataStore):
+                raise NotImplementedError(
+                    "power_restore: %s has no flash-scan recovery"
+                    % type(runtime.store).__name__)
         started = self.sim.now
         report = {"started_at_us": started, "vnodes": {},
                   "objects_recovered": 0, "blocks_scanned": 0}
@@ -896,15 +922,13 @@ class JBOFNode:
     def _rebuild_vnode(self, old: VNodeRuntime,
                        carry_wal: bool = True) -> VNodeRuntime:
         """A fresh runtime (store/engine/compactor) over ``old``'s SSD
-        region.  The flash content is untouched; the WAL (NVRAM) and
-        cumulative stats carry over unless dropped explicitly."""
-        store = old.store
-        ssd_index = next(i for i, ssd in enumerate(self.ssds)
-                         if ssd is store.ssd)
-        per_store = self.store_config.total_bytes()
-        slot = store.key_log.region_offset // max(per_store, 1)
-        fresh = self._make_vnode(old.vnode_id, store.ssd, ssd_index, slot,
-                                 store.store_id)
+        region: the SSD, slot and store id ``old`` was built with.  The
+        flash content is untouched; the WAL (NVRAM) and cumulative
+        stats carry over unless dropped explicitly."""
+        ssd_index, slot, store_id = old.placement
+        fresh = self._make_vnode(old.vnode_id, self.ssds[ssd_index],
+                                 ssd_index, slot, store_id)
+        fresh.placement = old.placement
         if carry_wal:
             fresh.wal = old.wal
         fresh.state = old.state

@@ -7,29 +7,34 @@ snapshots to every JBOF and client over the (simulated) network — so
 different nodes genuinely hold *different views* for a while, which
 is what the hop-counter/NACK machinery exists to absorb.
 
-Join (§3.8.1):   add vnode as JOINING → old-ring tails COPY the
-stipulated ranges (mirroring concurrent committed writes) → vnode
-becomes RUNNING in a new ring version → broadcast.
+All three changes run one migration body (:meth:`ControlPlane._migrate`):
+plan the COPYs → run them (each source mirrors the writes it commits
+in its arcs from ``do_copy`` on) → settle the vnode states → bump the
+ring version → broadcast; each source ends its mirrors when it installs
+that ring.  They differ only in their own state marking:
 
-Leave (§3.8.1):  mark LEAVING (clients immediately stop picking it
-for reads) → tails COPY to the nodes that gain responsibility →
-remove from the ring → broadcast.
+Join (§3.8.1):   add vnode as JOINING and publish the states → the
+vnode becomes RUNNING in the new ring.
 
-Failure (§3.8.2): missed heartbeats → treat as involuntary leave, but
-COPY sources are the surviving chain tails, and nodes that gained
-responsibility stay JOINING (unavailable, so reads fail over to
-replicas that do hold the data) until their catch-up COPY completes.
+Leave (§3.8.1):  mark LEAVING and publish (clients immediately stop
+picking it for reads) → the vnode leaves the ring.
+
+Failure (§3.8.2): missed heartbeats → an involuntary leave whose COPY
+sources are the surviving chain tails; the dead vnodes leave the ring
+and the vnodes that gained responsibility are published JOINING
+(unavailable, so reads fail over to replicas that do hold the data)
+before their catch-up COPY, and RUNNING after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.hashring import HashRing, VNode
 from repro.core.jbof import JOINING, LEAVING, RUNNING, JBOFNode
 from repro.core.protocol import Heartbeat, MembershipUpdate
-from repro.net.rpc import RpcEndpoint, RpcTimeout
+from repro.net.rpc import RpcEndpoint
 from repro.net.topology import Network
 from repro.sim.core import Simulator
 
@@ -96,6 +101,9 @@ class ControlPlane:
         self._jbofs: Dict[str, JBOFNode] = {}
         self._last_heartbeat: Dict[str, float] = {}
         self._failed: set = set()
+        #: (source, destination) vnode pair of every COPY in flight,
+        #: listed by every snapshot (see :meth:`_migrate`).
+        self._migrating: List[Tuple[str, str]] = []
         self.membership_events: List[tuple] = []  # (time, kind, vnode_id)
         self._stopped = False
         self.rpc.register("heartbeat", self._handle_heartbeat)
@@ -120,8 +128,7 @@ class ControlPlane:
 
     def bootstrap(self) -> None:
         """Publish the initial ring (version 1) to everyone."""
-        self.ring_version += 1
-        self._broadcast(immediate=True)
+        self._publish(immediate=True)
 
     # -- ring snapshots ------------------------------------------------------------------
 
@@ -155,7 +162,13 @@ class ControlPlane:
             states=[(i.vnode_id, i.state) for i in self.vnodes.values()],
             replication=self.replication,
             replication_protocol=self.replication_protocol,
+            migrations=list(self._migrating),
             ring=ring)
+
+    def _publish(self, immediate: bool = False) -> None:
+        """Bump the ring version and broadcast the new snapshot."""
+        self.ring_version += 1
+        self._broadcast(immediate)
 
     def _broadcast(self, immediate: bool = False) -> None:
         """Push the current snapshot to all subscribers.
@@ -219,17 +232,11 @@ class ControlPlane:
             self.vnodes[vnode_id] = info
         info.state = JOINING
         old_ring = self.master_ring()
-        new_ring = old_ring.with_vnode(VNode(vnode_id, jbof_address))
         # Publish states so the joining vnode refuses client traffic.
         self._broadcast()
-
-        tasks = self._copy_tasks_for_gain(old_ring, new_ring, [vnode_id])
-        mirrored = yield from self._run_copy_tasks(tasks)
-
-        info.state = RUNNING
-        self.ring_version += 1
-        self._broadcast()
-        self._end_mirrors(mirrored)
+        yield from self._migrate(
+            old_ring, old_ring.with_vnode(VNode(vnode_id, jbof_address)),
+            [vnode_id], {vnode_id: RUNNING})
         self.membership_events.append((self.sim.now, "join_end", vnode_id))
 
     def leave_vnode(self, vnode_id: str):
@@ -240,18 +247,12 @@ class ControlPlane:
             return
         info.state = LEAVING
         self._broadcast()  # clients stop picking it for reads immediately
-
         old_ring = self.master_ring()
         new_ring = old_ring.without_vnode(vnode_id)
-        gainers = self._gaining_vnodes(old_ring, new_ring, vnode_id)
-        tasks = self._copy_tasks_for_gain(old_ring, new_ring, gainers,
-                                          exclude_source=vnode_id)
-        mirrored = yield from self._run_copy_tasks(tasks)
-
-        del self.vnodes[vnode_id]
-        self.ring_version += 1
-        self._broadcast()
-        self._end_mirrors(mirrored)
+        yield from self._migrate(
+            old_ring, new_ring,
+            self._gaining_vnodes(old_ring, new_ring, vnode_id),
+            {vnode_id: None}, exclude_source=vnode_id)
         self.membership_events.append((self.sim.now, "leave_end", vnode_id))
 
     def remove_vnode(self, vnode_id: str):
@@ -322,19 +323,10 @@ class ControlPlane:
         for gainer in gainers:
             if gainer in self.vnodes:
                 self.vnodes[gainer].state = JOINING
-        self.ring_version += 1
-        self._broadcast()
-
-        tasks = self._copy_tasks_for_gain(old_ring, new_ring, gainers,
-                                          exclude_source_address=jbof_address)
-        mirrored = yield from self._run_copy_tasks(tasks)
-
-        for gainer in gainers:
-            if gainer in self.vnodes:
-                self.vnodes[gainer].state = RUNNING
-        self.ring_version += 1
-        self._broadcast()
-        self._end_mirrors(mirrored)
+        self._publish()
+        yield from self._migrate(old_ring, new_ring, gainers,
+                                 dict.fromkeys(gainers, RUNNING),
+                                 exclude_source_address=jbof_address)
         self.membership_events.append((self.sim.now, "recovered",
                                        jbof_address))
 
@@ -401,59 +393,59 @@ class ControlPlane:
                                       info.jbof_address, arcs))
         return tasks
 
-    def _run_copy_tasks(self, tasks: List[CopyTask]):
-        """Generator: drive COPY tasks on their source JBOFs, over RPC.
+    def _migrate(self, old_ring: HashRing, new_ring: HashRing,
+                 gainers: List[str], settled: Dict[str, Optional[str]],
+                 **exclude):
+        """Generator: the one migration body of join, leave and failure.
 
-        The control plane never calls into node objects at runtime —
-        each source is told to start mirroring (``mirror_begin``) and
-        then runs the COPY itself (``do_copy``).  Per-pair FIFO
-        delivery guarantees the mirror is active before the source
-        starts scanning, so writes committed during the COPY are never
-        lost.  All COPYs are issued up front and awaited together,
-        preserving the parallel schedule of the earlier in-process
-        implementation.
+        Plans the COPYs that give each gainer its new arcs
+        (:meth:`_copy_tasks_for_gain`, ``exclude`` passed through), has
+        every live source run its COPY (``do_copy``), then sets each
+        vnode of ``settled`` to its state (None: removed), bumps the
+        ring version and broadcasts.  All COPYs are issued up front and
+        awaited together.
 
-        Mirrors are deliberately NOT torn down here.  The destination
-        only becomes a serving chain member at the caller's ring-
-        version bump, and a write committed on a source *between the
-        end of the scan and that ring switch* must still be forwarded
-        — ending the mirror at scan end silently drops such writes on
-        the new replica, which then serves stale data as a clean chain
-        member (a lost acked write).  Callers tear mirrors down with
-        :meth:`_end_mirrors` after broadcasting the new ring; the
-        broadcast and the teardown share the control plane's per-node
-        connection, so a source adopts the new ring (and starts
-        NACKing old-epoch writes) before its mirror disappears.
-
-        Returns the tasks whose mirrors were started (skipping dead
-        sources), i.e. the teardown worklist for :meth:`_end_mirrors`.
+        The mirror that forwards a source's committed writes to the
+        destination lives from ``do_copy`` to the ring that ends the
+        migration.  The source starts it in the ``do_copy`` dispatch,
+        before the scan's first read.  The destination serves the arcs
+        only from the ring switch, so a write committed between the end
+        of the scan and that switch must still be forwarded: a source
+        ends the mirror in the :meth:`JBOFNode.apply_membership` step
+        that installs a ring newer than the one the COPY was planned at
+        (``do_copy``'s ``ring_version``) and not listing the pair among
+        its ``migrations`` (:attr:`_migrating`).  A push taken before
+        the planning is not newer, a snapshot taken while another
+        migration runs lists this one, and a node that skips versions
+        (a ``get_ring`` pull) still ends an ended mirror.
         """
-        started = []
         calls = []
-        for task in tasks:
+        for task in self._copy_tasks_for_gain(old_ring, new_ring, gainers,
+                                              **exclude):
+            pair = (task.src_vnode, task.dst_vnode)
             if task.src_address in self._failed:
                 continue  # dead source: failure handling re-plans
             body = {"src_vnode": task.src_vnode,
                     "arcs": [tuple(arc) for arc in task.arcs],
                     "dst_vnode": task.dst_vnode,
-                    "dst_address": task.dst_address}
-            self.rpc.notify(task.src_address, "mirror_begin", body, 64)
-            started.append(task)
-            calls.append((task, self.rpc.call(
+                    "dst_address": task.dst_address,
+                    "ring_version": self.ring_version}
+            self._migrating.append(pair)
+            calls.append((pair, self.rpc.call(
                 task.src_address, "do_copy", body, 64, timeout_us=5e6)))
-        for _task, call in calls:
+        for _pair, call in calls:
             try:
                 yield call
             except Exception:
                 pass  # a source died mid-copy; failure handling re-plans
-        return started
-
-    def _end_mirrors(self, tasks: List[CopyTask]) -> None:
-        """Tear down migration mirrors once the new ring is published."""
-        for task in tasks:
-            self.rpc.notify(task.src_address, "mirror_end",
-                            {"src_vnode": task.src_vnode,
-                             "dst_vnode": task.dst_vnode}, 32)
+        for pair, _call in calls:
+            self._migrating.remove(pair)
+        for vnode_id, state in settled.items():
+            if state is None:
+                self.vnodes.pop(vnode_id, None)
+            elif vnode_id in self.vnodes:
+                self.vnodes[vnode_id].state = state
+        self._publish()
 
     def __repr__(self):
         return "<ControlPlane v%d vnodes=%d>" % (self.ring_version,

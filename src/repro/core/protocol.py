@@ -143,7 +143,8 @@ class CopyBatch:
 
     src_vnode: str
     dst_vnode: str
-    pairs: List[Tuple[bytes, bytes]] = field(default_factory=list)
+    #: ``(key, value)``; a mirrored DEL is ``(key, None)``.
+    pairs: List[Tuple[bytes, Optional[bytes]]] = field(default_factory=list)
     done: bool = False
     #: Source-side per-key migration stamps, parallel to ``pairs``,
     #: captured when each value was *read* (COPY scan) or committed
@@ -156,7 +157,7 @@ class CopyBatch:
     versions: Optional[List[int]] = None
 
     def wire_bytes(self) -> int:
-        return 24 + sum(len(k) + len(v) for k, v in self.pairs)
+        return 24 + sum(len(k) + len(v or b"") for k, v in self.pairs)
 
 
 @dataclass
@@ -230,6 +231,10 @@ class MembershipUpdate:
     #: existing fixed header (a one-byte tag on the wire), so the
     #: modeled footprint below is unchanged.
     replication_protocol: str = "chain"
+    #: (source vnode, destination vnode) of every COPY in flight: a
+    #: source keeps a migration's mirror until a snapshot newer than
+    #: the one its COPY was planned at leaves the pair out.
+    migrations: List[Tuple[str, str]] = field(default_factory=list)
     #: The control plane's immutable snapshot of ``vnodes``, which
     #: every receiver installs as is, so one ring and its chain memo
     #: serve every node at this version.  In process only: not part
@@ -238,4 +243,4 @@ class MembershipUpdate:
                                      repr=False)
 
     def wire_bytes(self) -> int:
-        return 16 + 48 * len(self.vnodes)
+        return 16 + 48 * len(self.vnodes) + 32 * len(self.migrations)

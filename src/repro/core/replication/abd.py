@@ -252,7 +252,7 @@ class AbdQuorum(ReplicationPolicy):
         wal.ack_record(record.lsn)
         runtime.stats.writes_committed += 1
         node._respond(request, node._reply_for(runtime, body, result))
-        if result.ok and body.op == "put":
+        if result.ok:
             node._mirror_write(runtime.vnode_id, body.key, body.value,
                                stamp)
 
@@ -396,6 +396,11 @@ class AbdQuorum(ReplicationPolicy):
                 return result.status, 16
             self._set_stamp(commit.vnode_id, commit.key, commit.stamp)
             runtime.stats.quorum_commits += 1
+            # A COPY source mirrors every write it applies, not only
+            # the ones it coordinates.
+            if result.ok:
+                node._mirror_write(commit.vnode_id, commit.key, commit.value,
+                                   commit.stamp)
         return STATUS_OK, 16
 
     # -- recovery ------------------------------------------------------------

@@ -129,8 +129,9 @@ class ChainReplication(ReplicationPolicy):
             self.send_ack(chain, len(chain) - 2, body.key)
         # Mirror committed writes of ranges being migrated (§3.8.1:
         # "incoming PUTs ... might be forwarded to the new virtual
-        # node depending on if their keys are copied").
-        if result.status == STATUS_OK and body.op == "put":
+        # node depending on if their keys are copied"); a DEL goes as
+        # a tombstone.
+        if result.status == STATUS_OK:
             node._mirror_write(runtime.vnode_id, body.key, body.value,
                                version)
 

@@ -260,6 +260,28 @@ class TestLsmStore:
         assert drive(sim, read_back()) == []
         assert drive(sim, scan_pairs(store)) == acked
 
+    def test_a_full_memtable_stalls_writes_until_the_flush_ends(self, sim):
+        """While a flush (and the merge it runs) is in flight, writes go
+        into a fresh memtable only until it is full: past that they wait
+        for the flush, so the memtable never holds more than its budget
+        plus the one record that filled it."""
+        store = make_store(sim)
+        store.on_pressure = Trigger(sim, lambda lsm: lsm.maintenance())
+        record = len(b"w0-0000") + 32 + 8
+        peak = []
+
+        def writer(offset):
+            for index in range(150):
+                result = yield from store.put(b"w%d-%04d" % (offset, index),
+                                              b"v" * 32)
+                assert result.ok
+                peak.append(store.memtable_bytes)
+
+        sim.run(until=sim.all_of([sim.process(writer(offset))
+                                  for offset in range(8)]))
+        assert store.stats.compactions > 0
+        assert max(peak) < store.config.memtable_bytes + record
+
     def test_a_merge_keeps_runs_flushed_while_it_runs(self, sim):
         """A merge kicked by a write (L0 over its limit, no flush
         running) replaces only the runs it read: a run that writers

@@ -746,7 +746,7 @@ class TestNodeTrigger:
         assert runtime.compactor._active == {runtime.store.key_log}
 
     def test_every_installed_vnode_kicks_its_node(self):
-        """``install_vnode`` (Fig. 9's new vnodes), ``power_restore``,
+        """``add_vnode`` (Fig. 9's new vnodes), ``power_restore``,
         ``upgrade`` and ``add_jbof`` all host stores whose writes kick
         their node's maintenance."""
         cluster = pressure_cluster()
@@ -757,9 +757,8 @@ class TestNodeTrigger:
                        for runtime in node.vnodes.values())
 
         host = cluster.jbofs[0]
-        joined = host._make_vnode(host.address + "/pnew", host.ssds[-1],
-                                  len(host.ssds) - 1, 1, 50)
-        host.install_vnode(joined)
+        joined = host.add_vnode(host.address + "/pnew", len(host.ssds) - 1,
+                                1, 50)
         cluster.power_fail_jbof(1)
         drive(sim, cluster.power_restore_jbof(1))
         cluster.jbofs[2].upgrade("v2")

@@ -14,7 +14,7 @@ from repro.core.hashring import HashRing, VNode
 from repro.core.jbof import JOINING, LEAVING, RUNNING, LeedOptions
 from repro.scenarios.injectors import ACTIONS
 
-from conftest import drive
+from conftest import drive, scan_pairs
 
 
 #: The stores a cluster can run, for the tests that hold on each.
@@ -22,9 +22,10 @@ SYSTEMS = ("leed", "fawn", "kvell")
 
 
 def make_cluster(num_jbofs=3, replication=2, heartbeat_timeout_us=20_000.0,
-                 system="leed"):
+                 system="leed", replication_protocol="chain"):
     """A started cluster of ``system``'s store: LEED's, or FAWN's or
-    KVell's on the same JBOFs (§4.2), each vnode with a small log."""
+    KVell's on the same JBOFs (§4.2), each vnode with a small log;
+    LEED's runs ``replication_protocol``."""
     if system != "leed":
         cluster = make_system_cluster(
             system, platform="stingray", num_nodes=num_jbofs,
@@ -44,7 +45,7 @@ def make_cluster(num_jbofs=3, replication=2, heartbeat_timeout_us=20_000.0,
                           value_log_bytes=4 << 20),
         options=LeedOptions(heartbeat_period_us=2_000.0),
         heartbeat_timeout_us=heartbeat_timeout_us,
-        seed=3)
+        replication_protocol=replication_protocol, seed=3)
     cluster = LeedCluster(config)
     cluster.start()
     return cluster
@@ -103,8 +104,7 @@ class TestJoin:
 
         host = cluster.jbofs[0]
         new_id = host.address + "/pnew"
-        runtime = host._make_vnode(new_id, host.ssds[0], 0, 1, 50)
-        host.install_vnode(runtime)
+        runtime = host.add_vnode(new_id, 0, 1, 50)
 
         def proc():
             yield from cluster.control_plane.join_vnode(new_id, host.address)
@@ -121,8 +121,7 @@ class TestJoin:
         load_keys(cluster, 80)
         host = cluster.jbofs[0]
         new_id = host.address + "/pnew"
-        runtime = host._make_vnode(new_id, host.ssds[0], 0, 1, 50)
-        host.install_vnode(runtime)
+        runtime = host.add_vnode(new_id, 0, 1, 50)
 
         def proc():
             yield from cluster.control_plane.join_vnode(new_id, host.address)
@@ -141,7 +140,7 @@ class TestJoin:
         sim = cluster.sim
         host = cluster.jbofs[0]
         new_id = host.address + "/pnew"
-        host.install_vnode(host._make_vnode(new_id, host.ssds[0], 0, 1, 50))
+        host.add_vnode(new_id, 0, 1, 50)
 
         def proc():
             yield from cluster.control_plane.join_vnode(new_id, host.address)
@@ -231,6 +230,124 @@ class TestFailure:
         result, got = drive(sim, proc())
         assert result.ok
         assert got.ok and got.value == b"new-value"
+
+
+class TestRebuild:
+    """A rebuilt vnode (upgrade, power restore) reuses the SSD, slot and
+    store id it was built with, whatever store it runs."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_rolling_upgrade_keeps_every_key(self, system):
+        cluster = make_cluster(system=system)
+        load_keys(cluster, 300)
+        placements = {vnode_id: runtime.placement
+                      for node in cluster.jbofs
+                      for vnode_id, runtime in node.vnodes.items()}
+        drive(cluster.sim, cluster.rolling_upgrade("v2"))
+        assert {node.software_version for node in cluster.jbofs} == {"v2"}
+        assert {vnode_id: runtime.placement
+                for node in cluster.jbofs
+                for vnode_id, runtime in node.vnodes.items()} == placements
+        verify_keys(cluster, 300)
+
+    @pytest.mark.parametrize("system, kind", [("fawn", "FawnDataStore"),
+                                              ("kvell", "KVellDataStore")])
+    def test_power_restore_names_a_store_without_flash_scan(self, system,
+                                                            kind):
+        cluster = make_cluster(system=system)
+        cluster.power_fail_jbof(1)
+        with pytest.raises(NotImplementedError, match=kind):
+            drive(cluster.sim, cluster.power_restore_jbof(1))
+
+
+def mirror_count(node):
+    return sum(len(mirrors) for mirrors in node._mirrors.values())
+
+
+class TestMigration:
+    """Join, leave and failure run one migration body: each COPY source
+    mirrors its committed writes from ``do_copy`` until it installs the
+    ring that ends the migration."""
+
+    def test_mirrors_end_where_the_ending_ring_is_installed(self):
+        cluster = make_cluster(num_jbofs=4, replication=3)
+        sim, control = cluster.sim, cluster.control_plane
+        load_keys(cluster, 120)
+        counts = {node.address: 0 for node in cluster.jbofs}
+        #: address -> control-plane ring version when its mirror began.
+        began = {}
+        #: phase -> [(address, began at, ring installed when it ended)]
+        ended = {}
+
+        def step_until(phase, done):
+            while not done():
+                sim.step()
+                for node in cluster.jbofs:
+                    count = mirror_count(node)
+                    if count > counts[node.address]:
+                        began[node.address] = control.ring_version
+                    elif count < counts[node.address]:
+                        ended.setdefault(phase, []).append(
+                            (node.address, began[node.address],
+                             node.local_ring.version))
+                    counts[node.address] = count
+
+        def run_phase(phase, done):
+            step_until(phase, done)
+            quiet = sim.now + 5_000.0  # every push lands
+            step_until(phase, lambda: sim.now >= quiet)
+            assert not any(counts.values()), (phase, counts)
+
+        host = cluster.jbofs[0]
+        joiner = host.address + "/pnew"
+        host.add_vnode(joiner, 0, 1, 50)
+        join = sim.process(control.join_vnode(joiner, host.address))
+        run_phase("join", lambda: join.triggered)
+        leave = sim.process(control.leave_vnode(
+            sorted(cluster.jbofs[3].vnodes)[0]))
+        run_phase("leave", lambda: leave.triggered)
+        cluster.jbofs[2].crash()
+        run_phase("failure", lambda: any(
+            kind == "recovered" for _t, kind, _v in control.membership_events))
+
+        assert sorted(ended) == ["failure", "join", "leave"]
+        for phase, stops in ended.items():
+            early = [stop for stop in stops if stop[2] <= stop[1]]
+            assert not early, (phase, early)
+
+    @pytest.mark.parametrize("protocol", ["chain", "craq", "abd"])
+    def test_deletes_during_a_join_reach_the_joiner(self, protocol):
+        """A DEL committed while its key's COPY runs is mirrored as a
+        tombstone: the joiner holds none of the deleted values."""
+        cluster = make_cluster(replication=3, replication_protocol=protocol)
+        sim, control = cluster.sim, cluster.control_plane
+        load_keys(cluster, 600)
+        host = cluster.jbofs[0]
+        joiner = host.address + "/pnew"
+        runtime = host.add_vnode(joiner, 0, 1, 50)
+        new_ring = control.master_ring().with_vnode(
+            VNode(joiner, host.address))
+        doomed = [b"key-%04d" % index for index in range(600)
+                  if joiner in new_ring.chain_ids_for_key(b"key-%04d" % index)]
+        client = cluster.clients[0]
+        deleted = doomed[:60]
+
+        def delete(key):
+            result = yield from client.delete(key)
+            assert result.ok, result.status
+
+        def proc():
+            join = sim.process(control.join_vnode(joiner, host.address))
+            yield sim.timeout(50.0)
+            yield sim.all_of([sim.process(delete(key)) for key in deleted])
+            # Every DEL committed under the ring the COPY was planned at.
+            assert {node.local_ring.version for node in cluster.jbofs} \
+                == {new_ring.version - 1}
+            yield join
+
+        drive(sim, proc())
+        held = drive(sim, scan_pairs(runtime.store))
+        assert not [key for key in deleted if key in held]
 
 
 class TestRingSharing:
